@@ -9,8 +9,8 @@ document features — all behind one CLI.
 from .autodiff import (GradCheckReport, Tape, Tensor, active_tape,
                        finite_diff_gradcheck)
 from .classifier import (SentimentModel, TrainConfig, bce_loss, evaluate,
-                         forward_classify, load_checkpoint, save_checkpoint,
-                         train_epoch, train_on_split)
+                         load_checkpoint, save_checkpoint, train_epoch,
+                         train_on_split)
 from .data import (Batch, Corpus, Sample, Vocab, batch_and_pad, build_vocab,
                    load_corpus, load_pretrained_embeddings, make_folds,
                    tokenize)
@@ -21,8 +21,6 @@ from .optim import Adam, clip_global_norm, l2_penalty
 from .rc_features import (ClozeSample, EnrichedEmbedding, count_of_query_word,
                           doc_word_freq, encode_bidirectional_enriched,
                           enrich_embeddings)
-from .recurrent import (GruParams, VARIANTS, cru_deep_enhanced_step,
-                        cru_deep_step, gru_step, make_cell, run_bidirectional,
-                        run_bidirectional_batch, run_sequence)
+from .recurrent import GruParams, VARIANTS, make_cell, run_sequence
 
 __version__ = "0.1.0"

@@ -297,13 +297,6 @@ def mul(a, b) -> Tensor:
     return _emit_op("mul", (a, b), out, apply)
 
 
-def elementwise(op: str, a, b) -> Tensor:
-    fns = {"add": add, "sub": sub, "mul": mul}
-    if op not in fns:
-        raise ConfigError(f"unknown elementwise op {op!r}")
-    return fns[op](a, b)
-
-
 def sigmoid(x: Tensor) -> Tensor:
     d = x.data
     e = np.exp(-np.abs(d))
@@ -452,23 +445,6 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
     return _emit_op("concat_cols", parts, out, apply)
 
 
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack rank-1 tensors of equal length into a matrix, one per row."""
-    parts = [_coerce(p) for p in parts]
-    if not parts:
-        raise ContractError("stack_rows needs at least one part")
-    for p in parts:
-        if p.ndim != 1 or p.shape != parts[0].shape:
-            raise DimensionError("stack_rows needs rank-1 parts of equal length")
-    out = Tensor(np.stack([p.data for p in parts], axis=0))
-
-    def apply(g, emit):
-        for i in range(len(parts)):
-            emit(i, g[i])
-
-    return _emit_op("stack_rows", parts, out, apply)
-
-
 def take_rows(x: Tensor, ids) -> Tensor:
     """Gather rows of a matrix; backward accumulates into duplicate rows."""
     if x.ndim != 2:
@@ -488,34 +464,19 @@ def take_rows(x: Tensor, ids) -> Tensor:
 
 
 def time_step(x: Tensor, t: int) -> Tensor:
-    """Select step t along the time axis: (n,d) -> (d,), (B,n,d) -> (B,d)."""
-    if x.ndim == 2:
-        n = x.shape[0]
-        where = (t,)
-    elif x.ndim == 3:
-        n = x.shape[1]
-        where = (slice(None), t)
-    else:
-        raise DimensionError(f"time_step needs rank 2 or 3, got shape {x.shape}")
+    """Select step t along the time axis: (B, n, d) -> (B, d)."""
+    if x.ndim != 3:
+        raise DimensionError(f"time_step needs rank 3, got shape {x.shape}")
+    n = x.shape[1]
     if not 0 <= t < n:
         raise IndexError(f"step {t} out of range [0, {n})")
+    where = (slice(None), t)
     out = Tensor(x.data[where])
 
     def apply(g, emit):
         emit(0, g, where=where)
 
     return _emit_op("time_step", (x,), out, apply)
-
-
-def reverse_rows(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise DimensionError(f"reverse_rows needs rank 2, got shape {x.shape}")
-    out = Tensor(x.data[::-1].copy())
-
-    def apply(g, emit):
-        emit(0, g[::-1])
-
-    return _emit_op("reverse_rows", (x,), out, apply)
 
 
 def bias_add(x: Tensor, v: Tensor) -> Tensor:
@@ -534,52 +495,36 @@ def bias_add(x: Tensor, v: Tensor) -> Tensor:
 def conv1d_same(x: Tensor, filters: Tensor) -> Tensor:
     """Same-length 1-D convolution over the time axis with full-width filters.
 
-    x: (n, d_in) or (B, n, d_in); filters: (d_out, k, d_in) with odd k.
-    The input is zero-padded by (k-1)/2 rows on each end, so the output has
-    exactly n steps. No bias, no nonlinearity.
+    x: (B, n, d_in); filters: (d_out, k, d_in) with odd k. Each sequence is
+    zero-padded by (k-1)/2 steps on each end, so the output has exactly n
+    steps. No bias, no nonlinearity.
     """
     if filters.ndim != 3:
         raise DimensionError(f"filters need rank 3, got shape {filters.shape}")
     d_out, k, d_in = filters.shape
     if k % 2 == 0 or k < 1:
         raise ConfigError(f"filter window must be odd and >= 1, got {k}")
-    if x.ndim not in (2, 3) or x.shape[-1] != d_in:
+    if x.ndim != 3 or x.shape[-1] != d_in:
         raise DimensionError(
             f"conv1d_same: input shape {x.shape} does not match filters {filters.shape}"
         )
-    batched = x.ndim == 3
-    n = x.shape[1] if batched else x.shape[0]
+    b, n, _ = x.shape
     if n < 1:
         raise ContractError("conv1d_same needs at least one step")
     pad = (k - 1) // 2
 
-    if batched:
-        b = x.shape[0]
-        xp = np.zeros((b, n + k - 1, d_in))
-        xp[:, pad:pad + n, :] = x.data
-        win = np.stack([xp[:, j:j + n, :] for j in range(k)], axis=2)  # (B,n,k,c)
-        out = Tensor(np.einsum("ojc,bijc->bio", filters.data, win))
-    else:
-        xp = np.zeros((n + k - 1, d_in))
-        xp[pad:pad + n, :] = x.data
-        win = np.stack([xp[j:j + n, :] for j in range(k)], axis=1)  # (n,k,c)
-        out = Tensor(np.einsum("ojc,ijc->io", filters.data, win))
+    xp = np.zeros((b, n + k - 1, d_in))
+    xp[:, pad:pad + n, :] = x.data
+    win = np.stack([xp[:, j:j + n, :] for j in range(k)], axis=2)  # (B,n,k,c)
+    out = Tensor(np.einsum("ojc,bijc->bio", filters.data, win))
 
     def apply(g, emit):
-        if batched:
-            d_filters = np.einsum("bio,bijc->ojc", g, win)
-            d_win = np.einsum("bio,ojc->bijc", g, filters.data)
-            d_xp = np.zeros_like(xp)
-            for j in range(k):
-                d_xp[:, j:j + n, :] += d_win[:, :, j, :]
-            emit(0, d_xp[:, pad:pad + n, :])
-        else:
-            d_filters = np.einsum("io,ijc->ojc", g, win)
-            d_win = np.einsum("io,ojc->ijc", g, filters.data)
-            d_xp = np.zeros_like(xp)
-            for j in range(k):
-                d_xp[j:j + n, :] += d_win[:, j, :]
-            emit(0, d_xp[pad:pad + n, :])
+        d_filters = np.einsum("bio,bijc->ojc", g, win)
+        d_win = np.einsum("bio,ojc->bijc", g, filters.data)
+        d_xp = np.zeros_like(xp)
+        for j in range(k):
+            d_xp[:, j:j + n, :] += d_win[:, :, j, :]
+        emit(0, d_xp[:, pad:pad + n, :])
         emit(1, d_filters)
 
     return _emit_op("conv1d_same", (x, filters), out, apply)

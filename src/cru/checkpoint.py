@@ -8,6 +8,7 @@ Insertion order is preserved on round trip.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Mapping
 
@@ -56,11 +57,14 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         (name_len,) = take("<H")
         if at + name_len > len(blob):
             raise ParseError(f"{path}: truncated checkpoint")
-        name = blob[at:at + name_len].decode("utf-8")
+        try:
+            name = blob[at:at + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: tensor name is not valid UTF-8") from None
         at += name_len
         (rank,) = take("<B")
         shape = tuple(take("<I")[0] for _ in range(rank))
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)  # Python ints, so huge dims cannot wrap negative
         nbytes = n * 8
         if at + nbytes > len(blob):
             raise ParseError(f"{path}: truncated checkpoint")

@@ -1,7 +1,7 @@
 """Bidirectional sentiment classifier: embed -> recurrent pair -> fc -> sigmoid.
 
-The batched and single-sequence forward paths share every parameter and give
-matching probabilities (to float64 roundoff), which the tests rely on.
+There is one forward path, over padded batches; a single sentence is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from .autodiff import Tensor
 from .checkpoint import load_tensors, save_tensors
 from .data import Batch, EncodedSample, Sample, Vocab, batch_and_pad, encode_corpus
 from .errors import ConfigError, ContractError, NumericError
-from .layers import (DenseLayer, EmbeddingTable, dense_forward, dropout_apply,
-                     embed_lookup)
+from .layers import DenseLayer, EmbeddingTable, dense_forward, dropout_apply
 from .optim import Adam, l2_penalty
-from .recurrent import VARIANTS, make_cell, run_bidirectional
+from .recurrent import VARIANTS, make_cell, run_sequence
 
 # Seed-stream tags so every randomness consumer gets an independent generator.
 _TAG_INIT, _TAG_DROPOUT, _TAG_SHUFFLE, _TAG_FOLDS, _TAG_EMBED = 1, 2, 3, 4, 5
@@ -180,36 +179,14 @@ class SentimentModel:
         E_rev = ad.reshape(ad.take_rows(flat, perm.reshape(-1)), (b, n, d))
 
         mask = None if np.all(batch.mask == 1.0) else batch.mask
-        _, final_f = _run(self.fwd_cell, E, mask)
-        _, final_b = _run(self.bwd_cell, E_rev, mask)
+        _, final_f = run_sequence(self.fwd_cell, E, mask)
+        _, final_b = run_sequence(self.bwd_cell, E_rev, mask)
         h = ad.concat_cols([final_f, final_b])
 
         h = dense_forward(self.fc, h)
         h = dropout_apply(h, self.dropout, train, rng)
         p = dense_forward(self.out, h)
         return ad.reshape(p, (b,))
-
-    def forward_tokens(self, ids: np.ndarray, train: bool = False,
-                       rng: np.random.Generator | None = None) -> Tensor:
-        """Probability (scalar) for one unpadded id sequence."""
-        E = embed_lookup(self.embedding, np.asarray(ids, dtype=np.intp))
-        E = dropout_apply(E, self.dropout, train, rng)
-        _, final = run_bidirectional(self.fwd_cell, self.bwd_cell, E)
-        h = dense_forward(self.fc, final)
-        h = dropout_apply(h, self.dropout, train, rng)
-        p = dense_forward(self.out, h)
-        return ad.reshape(p, ())
-
-
-def _run(cell, E, mask):
-    from .recurrent import run_sequence
-
-    return run_sequence(cell, E, mask=mask)
-
-
-def forward_classify(model: SentimentModel, batch: Batch, train: bool = False,
-                     rng: np.random.Generator | None = None) -> Tensor:
-    return model.forward_batch(batch, train=train, rng=rng)
 
 
 # --------------------------------------------------------------------------

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +19,8 @@ from .autodiff import Tensor, finite_diff_gradcheck
 from .classifier import (SentimentModel, TrainConfig, _TAG_EMBED, bce_loss,
                          load_checkpoint, save_checkpoint, seeded_rng,
                          train_on_split)
-from .data import (FORMATS, Corpus, batch_and_pad, build_vocab, encode_corpus,
-                   load_corpus, load_document_corpus,
+from .data import (FORMATS, Batch, Corpus, Sample, batch_and_pad, build_vocab,
+                   encode_corpus, load_corpus, load_document_corpus,
                    load_pretrained_embeddings, make_folds, tokenize)
 from .errors import ConfigError, ContractError, NumericError, ParseError
 from .optim import l2_penalty
@@ -205,6 +203,7 @@ def cmd_train(args) -> int:
                                      config, vocab, fold=0,
                                      base_embedding=base_embedding, log_fn=emit)
         history.extend(rows)
+        ckpt_fold = 0
         final_acc = [r for r in rows if r["split"] == "test"][-1]["accuracy"]
         accuracies.append(final_acc)
         emit(f"summary split=test accuracy={final_acc:.4f}")
@@ -220,6 +219,7 @@ def cmd_train(args) -> int:
                                          base_embedding=base_embedding, log_fn=emit)
             history.extend(rows)
             accuracies.append([r for r in rows if r["split"] == "test"][-1]["accuracy"])
+        ckpt_fold = n_run - 1
         mean_acc = float(np.mean(accuracies))
         emit(f"summary folds={n_run} mean_cv_accuracy={mean_acc:.4f}")
 
@@ -229,6 +229,8 @@ def cmd_train(args) -> int:
         for r in history:
             writer.writerow([r["epoch"], r["fold"], r["split"],
                              f"{r['loss']:.6f}", f"{r['accuracy']:.6f}"])
+    # The last model trained is the one saved.
+    emit(f"checkpoint fold={ckpt_fold} path={out_dir / 'checkpoint'}")
     save_checkpoint(out_dir / "checkpoint", model, config, vocab)
     log_path.write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     emit(f"artifacts checkpoint={out_dir / 'checkpoint'} "
@@ -276,13 +278,13 @@ def _check_cell(variant: str, seed: int, tol: float):
     d_h = d if variant == "deep" else 4
     n = 5
     cell = make_cell(variant, rng, d_in=d, d_h=d_h, k=3)
-    E = Tensor(0.5 * rng.standard_normal((n, d)), requires_grad=True)
+    E = Tensor(0.5 * rng.standard_normal((1, n, d)), requires_grad=True)
     params = dict(cell.named_params())
     params["E"] = E
 
     def f():
-        all_h, final = run_sequence(cell, E)
-        return ad.sum_all(all_h)
+        states, _ = run_sequence(cell, E)
+        return ad.sum_all(ad.concat_rows(states))
 
     return finite_diff_gradcheck(f, params, tol=tol)
 
@@ -302,13 +304,11 @@ def _check_classifier(seed: int, tol: float):
     for name, p in model.named_params().items():
         if name.endswith((".b_z", ".b_r", ".b_h", ".bias")):
             p.data = rng.uniform(-0.2, 0.2, p.data.shape)
-    from .data import Batch
 
     ids = np.array([[2, 3, 4, 5, 6], [6, 2, 3, 0, 0]], dtype=np.intp)
-    rev = np.array([[6, 5, 4, 3, 2], [3, 2, 6, 0, 0]], dtype=np.intp)
     mask = np.array([[1.0, 1, 1, 1, 1], [1, 1, 1, 0, 0]])
     labels = np.array([1.0, 0.0])
-    batch = Batch(ids=ids, rev_ids=rev, mask=mask, labels=labels)
+    batch = Batch(ids=ids, mask=mask, labels=labels)
     params = model.named_params()
 
     def f():
@@ -331,14 +331,9 @@ def _gradcheck_jobs(base_seed: int, tol: float):
 
 def run_gradcheck(base_seed: int = 0, tol: float = 1e-4,
                   emit=print) -> tuple[bool, dict[str, float]]:
-    jobs = _gradcheck_jobs(base_seed, tol)
-    workers = os.environ.get("CRU_THREADS")
-    max_workers = max(1, int(workers)) if workers else min(8, os.cpu_count() or 1)
     results: dict[str, list] = {}
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futs = [(name, pool.submit(fn)) for name, fn in jobs]
-        for name, fut in futs:
-            results.setdefault(name, []).append(fut.result())
+    for name, fn in _gradcheck_jobs(base_seed, tol):
+        results.setdefault(name, []).append(fn())
 
     worst: dict[str, float] = {}
     failing: list[str] = []
@@ -370,7 +365,8 @@ def cmd_infer(args) -> int:
     tokens = tokenize(text)
     if not tokens:
         raise ConfigError("no tokens after tokenization; give non-empty text")
-    p = model.forward_tokens(vocab.encode(tokens)).item()
+    (batch,) = batch_and_pad(encode_corpus(vocab, [Sample(tokens, 0)]), 1)
+    p = float(model.forward_batch(batch).data[0])
     label = "POS" if p >= 0.5 else "NEG"
     print(f"probability={p:.6f} label={label}")
     return 0

@@ -279,10 +279,9 @@ def encode_corpus(vocab: Vocab, samples: list[Sample]) -> list[EncodedSample]:
 
 @dataclass
 class Batch:
-    ids: np.ndarray      # (B, n) intp, padded with pad_id
-    rev_ids: np.ndarray  # (B, n) tokens reversed within each row, pads kept last
-    mask: np.ndarray     # (B, n) float64, 1 over true tokens
-    labels: np.ndarray   # (B,) float64
+    ids: np.ndarray     # (B, n) intp, padded with pad_id
+    mask: np.ndarray    # (B, n) float64, 1 over true tokens
+    labels: np.ndarray  # (B,) float64
 
     @property
     def size(self) -> int:
@@ -314,14 +313,12 @@ def batch_and_pad(samples: list[EncodedSample], batch_size: int,
         width = max(len(s.ids) for s in group)
         b = len(group)
         ids = np.full((b, width), pad_id, dtype=np.intp)
-        rev = np.full((b, width), pad_id, dtype=np.intp)
         mask = np.zeros((b, width))
         labels = np.zeros(b)
         for row, s in enumerate(group):
             n = len(s.ids)
             ids[row, :n] = s.ids
-            rev[row, :n] = s.ids[::-1]
             mask[row, :n] = 1.0
             labels[row] = float(s.label)
-        batches.append(Batch(ids=ids, rev_ids=rev, mask=mask, labels=labels))
+        batches.append(Batch(ids=ids, mask=mask, labels=labels))
     return batches

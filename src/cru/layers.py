@@ -65,19 +65,6 @@ class EmbeddingTable:
         return cls(Tensor(w, requires_grad=trainable))
 
 
-def embed_lookup(table: EmbeddingTable, ids) -> Tensor:
-    """ids (n,) -> (n, d) or ids (B, n) -> flattened (B*n, d) reshaped back."""
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.size == 0:
-        raise ContractError("embed_lookup needs at least one token id")
-    if idx.ndim == 1:
-        return ad.take_rows(table.weights, idx)
-    if idx.ndim == 2:
-        flat = ad.take_rows(table.weights, idx.reshape(-1))
-        return ad.reshape(flat, (idx.shape[0], idx.shape[1], table.dim))
-    raise DimensionError(f"token ids need rank 1 or 2, got shape {idx.shape}")
-
-
 # --------------------------------------------------------------------------
 # Convolution bank
 # --------------------------------------------------------------------------
@@ -117,7 +104,7 @@ class ConvBank:
 
 
 def same_length_conv(bank: ConvBank, x: Tensor) -> Tensor:
-    """Convolve (n, d_in) -> (n, d_out) (or batched), then bias + activation."""
+    """Convolve (B, n, d_in) -> (B, n, d_out), then bias + activation."""
     y = ad.conv1d_same(x, bank.filters)
     y = ad.bias_add(y, bank.bias)
     return ad.activation(bank.activation, y)
@@ -153,20 +140,14 @@ class DenseLayer:
 
 
 def dense_forward(layer: DenseLayer, x: Tensor) -> Tensor:
-    """(d_in,) -> (d_out,) or (B, d_in) -> (B, d_out)."""
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = ad.reshape(x, (1, x.shape[0]))
+    """(B, d_in) -> (B, d_out)."""
     if x.ndim != 2 or x.shape[1] != layer.weights.shape[1]:
         raise DimensionError(
             f"dense input {x.shape} does not match weights {layer.weights.shape}"
         )
     y = ad.matmul(x, ad.transpose(layer.weights))
     y = ad.bias_add(y, layer.bias)
-    y = ad.activation(layer.activation, y)
-    if squeeze:
-        y = ad.reshape(y, (y.shape[1],))
-    return y
+    return ad.activation(layer.activation, y)
 
 
 # --------------------------------------------------------------------------
@@ -183,20 +164,12 @@ def make_dropout_mask(rng: np.random.Generator, shape: tuple[int, ...],
 
 
 def dropout_apply(x: Tensor, rate: float, train: bool,
-                  rng: np.random.Generator | None = None,
-                  mask: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout: identity when eval or rate == 0.
-
-    A precomputed mask may be passed when two paths must share one draw.
-    """
+                  rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout: identity when eval or rate == 0."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x
-    if mask is None:
-        if rng is None:
-            raise ContractError("training-mode dropout needs an rng or a mask")
-        mask = make_dropout_mask(rng, x.shape, rate)
-    if mask.shape != x.shape:
-        raise DimensionError(f"dropout mask {mask.shape} does not match input {x.shape}")
-    return ad.mul(x, Tensor(mask))
+    if rng is None:
+        raise ContractError("training-mode dropout needs an rng")
+    return ad.mul(x, Tensor(make_dropout_mask(rng, x.shape, rate)))

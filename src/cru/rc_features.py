@@ -14,7 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError
+from .recurrent import run_sequence
 
 
 @dataclass
@@ -77,8 +78,17 @@ def enrich_embeddings(base: Tensor, document: list[str],
 
 def encode_bidirectional_enriched(fwd_cell, bwd_cell,
                                   enriched: EnrichedEmbedding) -> Tensor:
-    """Per-position two-direction states over the widened rows, (n, 2*d_h)."""
-    from .recurrent import run_bidirectional
+    """Per-position two-direction states over the widened rows, (n, 2*d_h).
 
-    H, _ = run_bidirectional(fwd_cell, bwd_cell, enriched.combined)
-    return H
+    Row t pairs the forward state after token t with the backward state
+    after reading the document from its end back to token t.
+    """
+    if fwd_cell.hidden_dim != bwd_cell.hidden_dim:
+        raise ConfigError("directions must share hidden size")
+    X = enriched.combined
+    one_row = (1,) + X.shape
+    rev = np.arange(X.shape[0])[::-1]
+    fwd_states, _ = run_sequence(fwd_cell, ad.reshape(X, one_row))
+    bwd_states, _ = run_sequence(bwd_cell, ad.reshape(ad.take_rows(X, rev), one_row))
+    return ad.concat_cols([ad.concat_rows(fwd_states),
+                           ad.take_rows(ad.concat_rows(bwd_states), rev)])

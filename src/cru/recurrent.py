@@ -122,69 +122,6 @@ def _recur_core(pz_t: Tensor, pr_t: Tensor, ph_t: Tensor, h_prev: Tensor,
     return ad.add(ad.mul(z, h_prev), ad.mul(ad.sub(1.0, z), g))
 
 
-def _lift_pair(x_t: Tensor, h_prev: Tensor) -> tuple[Tensor, Tensor, bool]:
-    if x_t.ndim == 1 and h_prev.ndim == 1:
-        return (ad.reshape(x_t, (1, x_t.shape[0])),
-                ad.reshape(h_prev, (1, h_prev.shape[0])), True)
-    if x_t.ndim == 2 and h_prev.ndim == 2:
-        return x_t, h_prev, False
-    raise DimensionError(
-        f"step inputs must both be rank 1 or both rank 2, got {x_t.shape} and {h_prev.shape}"
-    )
-
-
-def _maybe_squeeze(h: Tensor, squeezed: bool) -> Tensor:
-    return ad.reshape(h, (h.shape[1],)) if squeezed else h
-
-
-def gru_step(p: GruParams, x_t: Tensor, h_prev: Tensor) -> Tensor:
-    """Plain update: gate inputs are W_* x_t."""
-    if p.W is None:
-        raise ConfigError("gru_step needs W_z, W_r, W")
-    x2, h2, sq = _lift_pair(x_t, h_prev)
-    pz = ad.matmul(x2, ad.transpose(p.W_z))
-    pr = ad.matmul(x2, ad.transpose(p.W_r))
-    ph = ad.matmul(x2, ad.transpose(p.W))
-    h = _recur_core(pz, pr, ph, h2, ad.transpose(p.U_z), ad.transpose(p.U_r),
-                    ad.transpose(p.U), p)
-    return _maybe_squeeze(h, sq)
-
-
-def cru_deep_step(p: GruParams, cz_t: Tensor, cr_t: Tensor, ch_t: Tensor,
-                  h_prev: Tensor) -> Tensor:
-    """Deep update: the bank outputs are the gate inputs themselves."""
-    if p.W is not None:
-        raise ConfigError("deep update takes no W_* matrices")
-    for name, c in (("cz_t", cz_t), ("cr_t", cr_t), ("ch_t", ch_t)):
-        if c.shape[-1] != p.hidden_dim:
-            raise DimensionError(
-                f"{name} width {c.shape[-1]} must equal hidden size {p.hidden_dim}"
-            )
-    cz2, h2, sq = _lift_pair(cz_t, h_prev)
-    cr2, _, _ = _lift_pair(cr_t, h_prev)
-    ch2, _, _ = _lift_pair(ch_t, h_prev)
-    h = _recur_core(cz2, cr2, ch2, h2, ad.transpose(p.U_z), ad.transpose(p.U_r),
-                    ad.transpose(p.U), p)
-    return _maybe_squeeze(h, sq)
-
-
-def cru_deep_enhanced_step(p: GruParams, cz_t: Tensor, cr_t: Tensor, ch_t: Tensor,
-                           e_t: Tensor, h_prev: Tensor) -> Tensor:
-    """Enhanced update: gate inputs are W_* (C_*,t + e_t)."""
-    if p.W is None:
-        raise ConfigError("deep_enhanced update needs W_z, W_r, W")
-    e2, h2, sq = _lift_pair(e_t, h_prev)
-    cz2, _, _ = _lift_pair(cz_t, h_prev)
-    cr2, _, _ = _lift_pair(cr_t, h_prev)
-    ch2, _, _ = _lift_pair(ch_t, h_prev)
-    pz = ad.matmul(ad.add(cz2, e2), ad.transpose(p.W_z))
-    pr = ad.matmul(ad.add(cr2, e2), ad.transpose(p.W_r))
-    ph = ad.matmul(ad.add(ch2, e2), ad.transpose(p.W))
-    h = _recur_core(pz, pr, ph, h2, ad.transpose(p.U_z), ad.transpose(p.U_r),
-                    ad.transpose(p.U), p)
-    return _maybe_squeeze(h, sq)
-
-
 # --------------------------------------------------------------------------
 # Cells
 # --------------------------------------------------------------------------
@@ -199,8 +136,6 @@ class _Prepared:
     uzT: Tensor
     urT: Tensor
     uT: Tensor
-    steps: int
-    batch: int
 
 
 class _CellBase:
@@ -228,7 +163,7 @@ class _CellBase:
         p = self.params
         return _Prepared(pz=pz, pr=pr, ph=ph,
                          uzT=ad.transpose(p.U_z), urT=ad.transpose(p.U_r),
-                         uT=ad.transpose(p.U), steps=E.shape[1], batch=E.shape[0])
+                         uT=ad.transpose(p.U))
 
     def step(self, prep: _Prepared, t: int, h_prev: Tensor) -> Tensor:
         return _recur_core(ad.time_step(prep.pz, t), ad.time_step(prep.pr, t),
@@ -374,45 +309,27 @@ def make_cell(variant: str, rng: np.random.Generator, d_in: int, d_h: int,
 
 
 # --------------------------------------------------------------------------
-# Sequence runners
+# Sequence runner
 # --------------------------------------------------------------------------
 
-def run_sequence(cell: _CellBase, E: Tensor, h0: Tensor | None = None,
-                 mask: np.ndarray | None = None):
-    """Run a cell over an embedded sequence.
+def run_sequence(cell: _CellBase, E: Tensor, mask: np.ndarray | None = None):
+    """Run a cell over an embedded (B, n, d) batch from the zero state.
 
-    Single mode: E is (n, d) -> (all_h (n, d_h), final (d_h,)); no mask.
-    Batch mode: E is (B, n, d) -> (list of n (B, d_h) states, final (B, d_h));
-    mask (B, n) of 0/1 floats freezes finished rows, so padded batches match
-    per-sequence runs exactly. Convolutional variants read neighboring
-    positions, so callers must also zero the embedding rows at padded
-    positions (then the window sees the same zeros the same-length padding
-    provides on an unpadded run).
+    Returns (list of n (B, d_h) states, final (B, d_h)). A single sequence is
+    a batch of one. mask (B, n) of 0/1 floats freezes finished rows, so padded
+    batches match per-sequence runs exactly. Convolutional variants read
+    neighboring positions, so callers must also zero the embedding rows at
+    padded positions (then the window sees the same zeros the same-length
+    padding provides on an unpadded run).
     """
-    single = E.ndim == 2
-    if single:
-        if mask is not None:
-            raise ContractError("mask applies to batch mode only")
-        E = ad.reshape(E, (1,) + E.shape)
-    elif E.ndim != 3:
-        raise DimensionError(f"run_sequence needs rank 2 or 3, got {E.shape}")
-
+    prep = cell.prepare(E)
     b, n, _ = E.shape
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != (b, n):
             raise DimensionError(f"mask shape {mask.shape} does not match batch ({b},{n})")
 
-    prep = cell.prepare(E)
-    if h0 is None:
-        h = cell.init_state(b)
-    else:
-        h = ad.reshape(h0, (1, h0.shape[0])) if h0.ndim == 1 else h0
-        if h.shape != (b, cell.hidden_dim):
-            raise DimensionError(
-                f"h0 shape {h.shape} does not match ({b},{cell.hidden_dim})"
-            )
-
+    h = cell.init_state(b)
     states = []
     for t in range(n):
         h_new = cell.step(prep, t, h)
@@ -422,45 +339,4 @@ def run_sequence(cell: _CellBase, E: Tensor, h0: Tensor | None = None,
         else:
             h = h_new
         states.append(h)
-
-    if single:
-        all_h = ad.concat_rows(states)  # each state is (1, d_h)
-        return all_h, ad.reshape(h, (cell.hidden_dim,))
     return states, h
-
-
-def run_bidirectional(fwd: _CellBase, bwd: _CellBase, E: Tensor):
-    """Single-sequence two-direction encoding.
-
-    Returns (H, final): H (n, 2*d_h) pairs each position's forward state with
-    the backward state for the same position; final (2*d_h,) concatenates the
-    two last-step states.
-    """
-    if E.ndim != 2:
-        raise DimensionError(f"run_bidirectional needs (n, d), got {E.shape}")
-    if fwd.hidden_dim != bwd.hidden_dim:
-        raise ConfigError("directions must share hidden size")
-    all_f, final_f = run_sequence(fwd, E)
-    all_b_rev, final_b = run_sequence(bwd, ad.reverse_rows(E))
-    all_b = ad.reverse_rows(all_b_rev)
-    H = ad.concat_cols([all_f, all_b])
-    final = ad.concat_rows([final_f, final_b])
-    return H, final
-
-
-def run_bidirectional_batch(fwd: _CellBase, bwd: _CellBase, E: Tensor,
-                            E_rev: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Batched two-direction encoding returning final states only, (B, 2*d_h).
-
-    E_rev must hold each row's tokens in reverse order with padding kept at
-    the tail, so one (B, n) mask serves both directions.
-    """
-    if E.ndim != 3 or E.shape != E_rev.shape:
-        raise DimensionError(
-            f"batched inputs must be matching (B, n, d), got {E.shape} and {E_rev.shape}"
-        )
-    if fwd.hidden_dim != bwd.hidden_dim:
-        raise ConfigError("directions must share hidden size")
-    _, final_f = run_sequence(fwd, E, mask=mask)
-    _, final_b = run_sequence(bwd, E_rev, mask=mask)
-    return ad.concat_cols([final_f, final_b])

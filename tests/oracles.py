@@ -1,0 +1,35 @@
+"""Composed references that the batched paths are checked against.
+
+Each reference handles one unpadded sequence at a time and reverses it with
+plain numpy, so it shares no padding, masking or permutation code with the
+batched path it checks.
+"""
+
+import numpy as np
+
+from cru.autodiff import Tensor
+from cru.recurrent import run_sequence
+
+
+def run_row(cell, E):
+    """Run one unpadded (n, d) sequence as a batch of one.
+
+    Returns numpy arrays (all states (n, d_h), final state (d_h,)).
+    """
+    states, final = run_sequence(cell, Tensor(np.asarray(E)[None]))
+    return np.concatenate([s.data for s in states]), final.data[0]
+
+
+def forward_reference(model, ids) -> float:
+    """Eval-mode probability of one unpadded id sequence.
+
+    The forward cell reads the row, the backward cell reads it reversed, and
+    the fc (relu) and output (sigmoid) layers are applied in numpy.
+    """
+    E = model.embedding.weights.data[np.asarray(ids, dtype=np.intp)]
+    _, final_f = run_row(model.fwd_cell, E)
+    _, final_b = run_row(model.bwd_cell, E[::-1])
+    h = np.concatenate([final_f, final_b])
+    h = np.maximum(model.fc.weights.data @ h + model.fc.bias.data, 0.0)
+    z = model.out.weights.data @ h + model.out.bias.data
+    return float(1.0 / (1.0 + np.exp(-z[0])))

@@ -35,6 +35,7 @@ from cru.optim import Adam
 from cru.rc_features import count_of_query_word, doc_word_freq
 from cru.recurrent import (VARIANTS, DeepCell, DeepEnhancedCell, GruParams,
                            ShallowCell, make_cell, run_sequence)
+from oracles import run_row
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path(__file__).parent / "data" / "mr_sample"
@@ -82,11 +83,11 @@ def test_criterion_02_degeneracy_deep_enhanced_to_gru():
         zero = [ConvBank(Tensor(np.zeros((d, k, d))), Tensor(np.zeros(d)), "relu")
                 for _ in range(3)]
         enhanced = DeepEnhancedCell(*zero, gru.params)
-        E = Tensor(rng.standard_normal((n, d)))
-        hg, fg = run_sequence(gru, E)
-        he, fe = run_sequence(enhanced, E)
-        worst = max(worst, float(np.max(np.abs(hg.data - he.data))),
-                    float(np.max(np.abs(fg.data - fe.data))))
+        E = rng.standard_normal((n, d))
+        hg, fg = run_row(gru, E)
+        he, fe = run_row(enhanced, E)
+        worst = max(worst, float(np.max(np.abs(hg - he))),
+                    float(np.max(np.abs(fg - fe))))
     report(2, "deep-enhanced + zero banks == plain recurrence",
            worst < 1e-12, f"max_abs_step_diff={worst:.2e} over 100 random inputs")
 
@@ -110,11 +111,11 @@ def test_criterion_03_degeneracy_deep_to_shallow():
             U_z=params.U_z, U_r=params.U_r, U=params.U,
             b_z=params.b_z, b_r=params.b_r, b_h=params.b_h,
             W_z=eye(), W_r=eye(), W=eye()))
-        E = Tensor(rng.standard_normal((n, d)))
-        h1, f1 = run_sequence(deep, E)
-        h2, f2 = run_sequence(shallow, E)
-        worst = max(worst, float(np.max(np.abs(h1.data - h2.data))),
-                    float(np.max(np.abs(f1.data - f2.data))))
+        E = rng.standard_normal((n, d))
+        h1, f1 = run_row(deep, E)
+        h2, f2 = run_row(shallow, E)
+        worst = max(worst, float(np.max(np.abs(h1 - h2))),
+                    float(np.max(np.abs(f1 - f2))))
     report(3, "shared-bank deep == identity-gate shallow",
            worst < 1e-12, f"max_abs_step_diff={worst:.2e} over 100 random inputs")
 
@@ -130,8 +131,8 @@ def test_criterion_04_same_length_contract():
     for k in (1, 3, 5, 7):
         bank = ConvBank.init(rng, d, k, d, "relu")
         for n in range(1, 65):
-            out = same_length_conv(bank, Tensor(rng.standard_normal((n, d))))
-            assert out.shape == (n, d), (n, k, out.shape)
+            out = same_length_conv(bank, Tensor(rng.standard_normal((1, n, d))))
+            assert out.shape == (1, n, d), (n, k, out.shape)
             checked += 1
     report(4, "same-length convolution",
            checked == 256, f"output shape == input shape for all n in 1..64, "
@@ -152,8 +153,8 @@ def test_criterion_05_boundedness():
             n = int(rng.integers(1, 11))
             scale = float(rng.choice([0.3, 1.0, 3.0]))
             cell = make_cell(variant, rng, d, d, k=int(rng.choice([1, 3, 5])))
-            all_h, final = run_sequence(cell, Tensor(scale * rng.standard_normal((n, d))))
-            largest = max(largest, float(np.max(np.abs(all_h.data))))
+            all_h, _ = run_row(cell, scale * rng.standard_normal((n, d)))
+            largest = max(largest, float(np.max(np.abs(all_h))))
     report(5, "hidden-state boundedness",
            largest < 1.0, f"max |h| = 1 - {1.0 - largest:.1e} (strictly < 1) "
            f"across {per_variant} sequences x {len(VARIANTS)} variants, h0=0")
@@ -182,11 +183,11 @@ def test_criterion_06_masked_batch_equivalence():
             cell = make_cell(variant, rng, d, d, k=3)
             states, final = run_sequence(cell, Tensor(Eb), mask=mask)
             for row, E in enumerate(singles):
-                all_h, f = run_sequence(cell, Tensor(E))
-                worst = max(worst, float(np.max(np.abs(final.data[row] - f.data))))
+                all_h, f = run_row(cell, E)
+                worst = max(worst, float(np.max(np.abs(final.data[row] - f))))
                 for t in range(lengths[row]):
                     worst = max(worst,
-                                float(np.max(np.abs(states[t].data[row] - all_h.data[t]))))
+                                float(np.max(np.abs(states[t].data[row] - all_h[t]))))
     report(6, "masked-batch equivalence",
            worst < 1e-12, f"padded-batch vs per-sentence max_abs_diff={worst:.2e} "
            f"(25 mixed-length batches x {len(VARIANTS)} variants)")

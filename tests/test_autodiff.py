@@ -154,9 +154,8 @@ def test_elementwise_gradchecks():
     rng = rng_for(1)
     a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-    for op in ("add", "sub", "mul"):
-        check(lambda op=op: ad.sum_all(ad.elementwise(op, a, b)),
-              {"a": a, "b": b})
+    for op in (ad.add, ad.sub, ad.mul):
+        check(lambda op=op: ad.sum_all(op(a, b)), {"a": a, "b": b})
 
 
 def test_scalar_broadcast_gradcheck():
@@ -272,18 +271,6 @@ def test_concat_gradchecks():
                                     ad.concat_cols([a, c]))), {"a": a, "c": c})
 
 
-def test_stack_rows():
-    a = Tensor([1.0, 2.0], requires_grad=True)
-    b = Tensor([3.0, 4.0], requires_grad=True)
-    out = ad.stack_rows([a, b])
-    assert out.shape == (2, 2)
-    with Tape() as tape:
-        tape.backward(ad.sum_all(ad.mul(ad.stack_rows([a, b]), Tensor([[1.0, 2], [3, 4]]))))
-    assert np.allclose(a.grad, [1, 2]) and np.allclose(b.grad, [3, 4])
-    with pytest.raises(DimensionError):
-        ad.stack_rows([a, Tensor([1.0, 2.0, 3.0])])
-
-
 def test_take_rows_gather_and_duplicate_accumulation():
     w = Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
     out = ad.take_rows(w, [2, 0, 2])
@@ -305,22 +292,18 @@ def test_take_rows_range_check():
 
 
 def test_time_step_rank2_and_rank3():
-    x2 = Tensor(np.arange(6, dtype=float).reshape(3, 2), requires_grad=True)
-    assert np.allclose(ad.time_step(x2, 1).data, [2, 3])
+    # Only (B, n, d) batches have a time axis; a bare (n, d) sequence is rejected.
+    with pytest.raises(DimensionError):
+        ad.time_step(Tensor(np.zeros((3, 2))), 1)
     x3 = Tensor(np.arange(24, dtype=float).reshape(2, 3, 4), requires_grad=True)
-    assert ad.time_step(x3, 2).shape == (2, 4)
+    assert np.allclose(ad.time_step(x3, 2).data, x3.data[:, 2])
     with pytest.raises(IndexError):
-        ad.time_step(x2, 3)
+        ad.time_step(x3, 3)
     with Tape() as tape:
-        tape.backward(ad.sum_all(ad.time_step(x2, 1)))
-    assert np.allclose(x2.grad, [[0, 0], [1, 1], [0, 0]])
-
-
-def test_reverse_rows_value_and_grad():
-    x = Tensor(np.arange(6, dtype=float).reshape(3, 2), requires_grad=True)
-    assert np.allclose(ad.reverse_rows(x).data, x.data[::-1])
-    check(lambda: ad.sum_all(ad.mul(ad.reverse_rows(x), Tensor([[1.0, 2], [3, 4], [5, 6]]))),
-          {"x": x})
+        tape.backward(ad.sum_all(ad.time_step(x3, 1)))
+    expected = np.zeros((2, 3, 4))
+    expected[:, 1] = 1.0
+    assert np.allclose(x3.grad, expected)
 
 
 def test_bias_add_gradcheck():
@@ -363,7 +346,7 @@ def test_conv1d_same_matches_brute_force():
     for n, k in [(1, 1), (1, 3), (2, 5), (5, 3), (8, 7), (4, 1)]:
         x = rng.standard_normal((n, 3))
         f = rng.standard_normal((4, k, 3))
-        got = ad.conv1d_same(Tensor(x), Tensor(f)).data
+        got = ad.conv1d_same(Tensor(x[None]), Tensor(f)).data[0]
         assert np.allclose(got, conv_reference(x, f), atol=1e-12), (n, k)
 
 
@@ -373,13 +356,12 @@ def test_conv1d_same_batched_matches_per_sequence():
     f = rng.standard_normal((5, 3, 2))
     batched = ad.conv1d_same(Tensor(xs), Tensor(f)).data
     for b in range(3):
-        single = ad.conv1d_same(Tensor(xs[b]), Tensor(f)).data
-        assert np.allclose(batched[b], single, atol=1e-12)
+        assert np.allclose(batched[b], conv_reference(xs[b], f), atol=1e-12)
 
 
 def test_conv1d_same_gradcheck():
     rng = rng_for(9)
-    x = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+    x = Tensor(rng.standard_normal((1, 5, 2)), requires_grad=True)
     f = Tensor(rng.standard_normal((3, 3, 2)), requires_grad=True)
     check(lambda: ad.sum_all(ad.mul(ad.conv1d_same(x, f), ad.conv1d_same(x, f))),
           {"x": x, "f": f})
@@ -389,13 +371,13 @@ def test_conv1d_same_gradcheck():
 
 
 def test_conv1d_same_validation():
-    x = Tensor(np.zeros((4, 3)))
+    x = Tensor(np.zeros((1, 4, 3)))
     with pytest.raises(ConfigError):
         ad.conv1d_same(x, Tensor(np.zeros((2, 2, 3))))  # even window
     with pytest.raises(DimensionError):
         ad.conv1d_same(x, Tensor(np.zeros((2, 3, 4))))  # channel mismatch
-    with pytest.raises(DimensionError):
-        ad.conv1d_same(Tensor(np.zeros(4)), Tensor(np.zeros((2, 3, 4))))
+    with pytest.raises(DimensionError):  # a bare (n, d) sequence is not a batch
+        ad.conv1d_same(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 3, 3))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Binary named-tensor container: round trips and corruption handling."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,33 @@ def test_values_are_float64_little_endian(tmp_path):
     assert loaded["x"].dtype == np.float64
     assert np.array_equal(loaded["x"], [1.0, -2.0])
     assert path.read_bytes().startswith(MAGIC)
+
+
+def _corrupt_first_tensor(path, name_byte=None, dims=None):
+    """Overwrite the first name byte, or the first tensor's dims, in place."""
+    blob = bytearray(path.read_bytes())
+    at = len(MAGIC) + 4
+    (name_len,) = struct.unpack_from("<H", blob, at)
+    at += 2
+    if name_byte is not None:
+        blob[at] = name_byte
+    if dims is not None:
+        struct.pack_into(f"<{len(dims)}I", blob, at + name_len + 1, *dims)
+    path.write_bytes(bytes(blob))
+
+
+def test_non_utf8_name_raises_parse_error(tmp_path):
+    path = tmp_path / "t.bin"
+    save_tensors(path, {"w": np.ones(3)})
+    _corrupt_first_tensor(path, name_byte=0xFF)
+    with pytest.raises(ParseError, match="UTF-8"):
+        load_tensors(path)
+
+
+def test_huge_dims_raise_parse_error(tmp_path):
+    # 0xFFFFFFFF squared overflows a 64-bit element count.
+    path = tmp_path / "t.bin"
+    save_tensors(path, {"w": np.ones((2, 2))})
+    _corrupt_first_tensor(path, dims=(0xFFFFFFFF, 0xFFFFFFFF))
+    with pytest.raises(ParseError, match="truncated"):
+        load_tensors(path)

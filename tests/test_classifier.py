@@ -6,12 +6,14 @@ import pytest
 from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor
 from cru.classifier import (SentimentModel, TrainConfig, bce_loss, evaluate,
-                            forward_classify, load_checkpoint, save_checkpoint,
-                            seeded_rng, train_epoch, train_on_split)
+                            load_checkpoint, save_checkpoint, seeded_rng,
+                            train_epoch, train_on_split)
 from cru.data import Batch, Sample, Vocab, batch_and_pad, build_vocab, Corpus, \
     encode_corpus
 from cru.errors import ConfigError, ContractError, NumericError
 from cru.optim import Adam
+from cru.recurrent import VARIANTS
+from oracles import forward_reference
 
 
 def tiny_config(**kw):
@@ -31,14 +33,11 @@ def batch_from_rows(rows, labels):
     width = max(len(r) for r in rows)
     b = len(rows)
     ids = np.zeros((b, width), dtype=np.intp)
-    rev = np.zeros((b, width), dtype=np.intp)
     mask = np.zeros((b, width))
     for i, r in enumerate(rows):
         ids[i, :len(r)] = r
-        rev[i, :len(r)] = r[::-1]
         mask[i, :len(r)] = 1.0
-    return Batch(ids=ids, rev_ids=rev, mask=mask,
-                 labels=np.asarray(labels, dtype=float))
+    return Batch(ids=ids, mask=mask, labels=np.asarray(labels, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +87,7 @@ def test_all_zero_parameters_give_exactly_half():
     for p in model.named_params().values():
         p.data[:] = 0.0
     batch = batch_from_rows([[2, 3, 4], [5, 6]], [1, 0])
-    p = forward_classify(model, batch)
+    p = model.forward_batch(batch)
     assert np.all(p.data == 0.5)
 
 
@@ -103,31 +102,29 @@ def test_probabilities_strictly_inside_unit_interval():
 
 
 def test_batch_of_one_matches_unbatched_path():
-    for variant in ("gru", "shallow", "deep", "deep_enhanced"):
+    for variant in VARIANTS:
         model, _ = tiny_model(seed=5, variant=variant)
-        ids = np.array([2, 7, 3, 5, 4], dtype=np.intp)
-        single = model.forward_tokens(ids).item()
-        batched = model.forward_batch(batch_from_rows([list(ids)], [1])).data[0]
-        assert abs(single - batched) < 1e-12, variant
+        ids = [2, 7, 3, 5, 4]
+        batched = model.forward_batch(batch_from_rows([ids], [1])).data[0]
+        assert abs(forward_reference(model, ids) - batched) < 1e-12, variant
 
 
 def test_padded_batch_matches_per_sample_even_with_nonzero_pad_row():
     # Pretrained tables may carry a non-zero pad row; the forward pass zeroes
     # padded positions, so batching must not change any probability.
-    model, _ = tiny_model(seed=6)
-    model.embedding.weights.data[0] = 99.0
     rows = [[2, 3, 4, 5, 6, 7], [8, 2], [3]]
-    batch = batch_from_rows(rows, [1, 0, 1])
-    batched = model.forward_batch(batch).data
-    for i, row in enumerate(rows):
-        single = model.forward_tokens(np.array(row, dtype=np.intp)).item()
-        assert abs(batched[i] - single) < 1e-12
+    for variant in VARIANTS:
+        model, _ = tiny_model(seed=6, variant=variant)
+        model.embedding.weights.data[0] = 99.0
+        batched = model.forward_batch(batch_from_rows(rows, [1, 0, 1])).data
+        for i, row in enumerate(rows):
+            assert abs(batched[i] - forward_reference(model, row)) < 1e-12, variant
 
 
 def test_dropout_draws_are_shared_between_directions():
     # In train mode with dropout, the reversed direction must see the same
-    # dropped embeddings, so a batch of one still matches the single path
-    # when the same mask sequence is replayed.
+    # dropped embeddings, so replaying the same rng stream replays the same
+    # probabilities.
     model, _ = tiny_model(seed=7, dropout=0.5)
     ids = [2, 3, 4, 5]
     p1 = model.forward_batch(batch_from_rows([ids], [1]), train=True,

@@ -2,6 +2,7 @@
 
 import csv
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from cru import cli
+from cru.checkpoint import MAGIC
 from cru.classifier import SentimentModel, TrainConfig, save_checkpoint, seeded_rng
 from cru.cli import (build_parser, main, parse_kv_file, resolve_dataset,
                      resolve_train_config)
@@ -139,6 +141,15 @@ def test_train_stdout_reports_config_and_summary(tmp_path, capsys):
     assert "vocab size=" in out
     assert re.search(r"summary folds=1 mean_cv_accuracy=\d\.\d{4}", out)
 
+def test_train_logs_which_fold_is_the_checkpoint(tmp_path, capsys):
+    out_dir = tmp_path / "o"
+    argv = ["train", "--dataset", str(FIXTURE), *TINY_FLAGS, "--out", str(out_dir)]
+    argv[argv.index("--run-folds") + 1] = "2"
+    assert main(argv) == 0
+    line = f"checkpoint fold=1 path={out_dir / 'checkpoint'}"
+    assert line in capsys.readouterr().out.splitlines()
+    assert line in (out_dir / "train.log").read_text().splitlines()
+
 def test_train_is_deterministic_across_runs(tmp_path, capsys):
     assert run_tiny_train(tmp_path / "a") == 0
     assert run_tiny_train(tmp_path / "b") == 0
@@ -199,6 +210,21 @@ def test_infer_blank_text_exits_1(tmp_path, capsys):
     ckpt = make_zero_checkpoint(tmp_path)
     assert main(["infer", "--checkpoint", str(ckpt), "   "]) == 1
     assert "error:" in capsys.readouterr().err
+
+@pytest.mark.parametrize("corruption", ["non_utf8_name", "huge_dims"])
+def test_infer_corrupt_checkpoint_exits_1(tmp_path, capsys, corruption):
+    ckpt = make_zero_checkpoint(tmp_path)
+    blob = bytearray((ckpt / "params.bin").read_bytes())
+    at = len(MAGIC) + 4
+    (name_len,) = struct.unpack_from("<H", blob, at)
+    if corruption == "non_utf8_name":
+        blob[at + 2] = 0xFF
+    else:
+        struct.pack_into("<II", blob, at + 2 + name_len + 1, 0xFFFFFFFF, 0xFFFFFFFF)
+    (ckpt / "params.bin").write_bytes(bytes(blob))
+    assert main(["infer", "--checkpoint", str(ckpt), "a", "b"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 def test_infer_on_trained_checkpoint(trained_run, capsys):
     sentences = [

@@ -300,7 +300,6 @@ def test_batch_padding_width_and_mask():
     assert batch.width == 5
     assert batch.mask[0].sum() == 3 and batch.mask[1].sum() == 5
     assert list(batch.ids[0]) == [2, 3, 4, 0, 0]
-    assert list(batch.rev_ids[0]) == [4, 3, 2, 0, 0]
     assert list(batch.labels) == [0.0, 1.0]
 
 

@@ -7,8 +7,8 @@ from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor, finite_diff_gradcheck
 from cru.errors import ConfigError, ContractError, DimensionError
 from cru.layers import (PAD_ID, UNK_ID, ConvBank, DenseLayer, EmbeddingTable,
-                        dense_forward, dropout_apply, embed_lookup,
-                        glorot_uniform, make_dropout_mask, same_length_conv)
+                        dense_forward, dropout_apply, glorot_uniform,
+                        make_dropout_mask, same_length_conv)
 
 
 def rng_for(seed):
@@ -31,31 +31,33 @@ def test_embedding_needs_special_rows():
         EmbeddingTable(Tensor(np.zeros((1, 4))))
 
 
+# The lookup is the one forward_batch does: take_rows on the table's weights
+# with the flattened (B, n) ids.
+
 def test_embed_lookup_gathers_rows():
     table = EmbeddingTable.init(rng_for(1), 5, 3)
     ids = np.array([2, 4, 2])
-    out = embed_lookup(table, ids)
+    out = ad.take_rows(table.weights, ids)
     assert np.allclose(out.data, table.weights.data[ids])
 
 
 def test_embed_lookup_2d_ids():
     table = EmbeddingTable.init(rng_for(2), 5, 3)
     ids = np.array([[1, 2], [3, 4]])
-    out = embed_lookup(table, ids)
-    assert out.shape == (2, 2, 3)
+    out = ad.reshape(ad.take_rows(table.weights, ids.reshape(-1)), (2, 2, 3))
     assert np.allclose(out.data, table.weights.data[ids])
 
 
 def test_embed_lookup_rejects_empty():
     table = EmbeddingTable.init(rng_for(3), 5, 3)
     with pytest.raises(ContractError):
-        embed_lookup(table, np.array([], dtype=np.intp))
+        ad.take_rows(table.weights, np.array([], dtype=np.intp))
 
 
 def test_embed_lookup_gradient_accumulates_per_row():
     table = EmbeddingTable.init(rng_for(4), 5, 2)
     with Tape() as tape:
-        out = embed_lookup(table, np.array([3, 3, 1]))
+        out = ad.take_rows(table.weights, np.array([3, 3, 1]))
         tape.backward(ad.sum_all(out))
     g = table.weights.grad
     assert np.allclose(g[3], 2.0) and np.allclose(g[1], 1.0)
@@ -92,18 +94,18 @@ def test_same_length_conv_hand_oracle():
     f[0, 1, 1] = 10.0  # center, channel 1
     f[0, 2, 0] = 100.0  # right neighbor, channel 0
     bank = ConvBank(Tensor(f), Tensor(np.zeros(1)), "identity")
-    out = same_length_conv(bank, Tensor(x))
+    out = same_length_conv(bank, Tensor(x[None]))
     # position 0: left pad (0) + 10*x[0,1] + 100*x[1,0] = 0 + 0 + 0 = 0
     # position 1: 1*x[0,0] + 10*x[1,1] + 100*x[2,0] = 1 + 10 + 200 = 211
     # position 2: 1*x[1,0] + 10*x[2,1] + 100*pad = 0
-    assert np.allclose(out.data, [[0.0], [211.0], [0.0]])
+    assert np.allclose(out.data, [[[0.0], [211.0], [0.0]]])
 
 
 def test_same_length_conv_applies_bias_then_activation():
-    x = np.zeros((2, 2))
+    x = np.zeros((1, 2, 2))
     bank = ConvBank(Tensor(np.zeros((3, 1, 2))), Tensor([-1.0, 0.5, 2.0]), "relu")
     out = same_length_conv(bank, Tensor(x))
-    assert np.allclose(out.data, np.tile([0.0, 0.5, 2.0], (2, 1)))
+    assert np.allclose(out.data, np.tile([0.0, 0.5, 2.0], (1, 2, 1)))
 
 
 def test_same_length_conv_shape_contract():
@@ -111,14 +113,14 @@ def test_same_length_conv_shape_contract():
     for n in (1, 2, 7, 16):
         for k in (1, 3, 5):
             bank = ConvBank.init(rng, d_out=4, k=k, d_in=4)
-            out = same_length_conv(bank, Tensor(rng.standard_normal((n, 4))))
-            assert out.shape == (n, 4)
+            out = same_length_conv(bank, Tensor(rng.standard_normal((2, n, 4))))
+            assert out.shape == (2, n, 4)
 
 
 def test_same_length_conv_gradcheck():
     rng = rng_for(6)
     bank = ConvBank.init(rng, 3, 3, 2, activation="tanh")
-    x = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 5, 2)), requires_grad=True)
     params = {"filters": bank.filters, "bias": bank.bias, "x": x}
     report = finite_diff_gradcheck(
         lambda: ad.sum_all(ad.mul(same_length_conv(bank, x),
@@ -138,20 +140,12 @@ def test_dense_forward_matches_numpy():
     assert np.allclose(out.data, x @ layer.weights.data.T + layer.bias.data)
 
 
-def test_dense_forward_rank1_round_trip():
-    rng = rng_for(8)
-    layer = DenseLayer.init(rng, 3, 4)
-    x = rng.standard_normal(4)
-    out = dense_forward(layer, Tensor(x))
-    assert out.shape == (3,)
-    batched = dense_forward(layer, Tensor(x[None, :]))
-    assert np.allclose(out.data, batched.data[0])
-
-
 def test_dense_forward_shape_mismatch():
     layer = DenseLayer.init(rng_for(9), 3, 4)
     with pytest.raises(DimensionError):
         dense_forward(layer, Tensor(np.zeros((2, 5))))
+    with pytest.raises(DimensionError):  # a bare vector is not a batch
+        dense_forward(layer, Tensor(np.zeros(4)))
 
 
 def test_dense_gradcheck():
@@ -209,16 +203,11 @@ def test_dropout_needs_rng_or_mask_in_train_mode():
 
 
 def test_dropout_with_explicit_mask_and_gradient():
+    # The mask is drawn from the rng; replaying the stream reproduces it.
     x = Tensor(np.ones((2, 2)), requires_grad=True)
-    mask = np.array([[2.0, 0.0], [0.0, 2.0]])
+    mask = make_dropout_mask(rng_for(15), (2, 2), 0.5)
     with Tape() as tape:
-        out = dropout_apply(x, 0.5, train=True, mask=mask)
+        out = dropout_apply(x, 0.5, train=True, rng=rng_for(15))
         tape.backward(ad.sum_all(out))
     assert np.allclose(out.data, mask)
     assert np.allclose(x.grad, mask)
-
-
-def test_dropout_mask_shape_must_match():
-    with pytest.raises(DimensionError):
-        dropout_apply(Tensor(np.ones((2, 2))), 0.5, train=True,
-                      mask=np.ones((3, 2)))

@@ -10,7 +10,8 @@ from cru.autodiff import Tape, Tensor
 from cru.errors import ContractError, DimensionError
 from cru.rc_features import (ClozeSample, count_of_query_word, doc_word_freq,
                              encode_bidirectional_enriched, enrich_embeddings)
-from cru.recurrent import make_cell, run_bidirectional
+from cru.recurrent import make_cell
+from oracles import run_row
 
 
 def rng_for(seed):
@@ -182,9 +183,21 @@ def test_encoder_delegates_to_bidirectional_runner():
     base = Tensor(rng.standard_normal((3, d)))
     enriched = enrich_embeddings(base, doc, ["cat"])
     H = encode_bidirectional_enriched(fwd, bwd, enriched)
-    H_ref, _ = run_bidirectional(fwd, bwd, enriched.combined)
+    all_f, _ = run_row(fwd, enriched.combined.data)
+    all_b, _ = run_row(bwd, enriched.combined.data[::-1])
     assert H.shape == (3, 2 * d_h)
-    assert np.max(np.abs(H.data - H_ref.data)) < 1e-12
+    assert np.max(np.abs(H.data - np.concatenate([all_f, all_b[::-1]], axis=1))) < 1e-12
+
+    # Gradients flow back through both reversals.
+    from cru.autodiff import finite_diff_gradcheck
+
+    base.requires_grad = True
+    weights = Tensor(rng.standard_normal((3, 2 * d_h)))
+    params = {"base": base, **fwd.named_params("fwd."), **bwd.named_params("bwd.")}
+    report = finite_diff_gradcheck(
+        lambda: ad.sum_all(ad.mul(encode_bidirectional_enriched(
+            fwd, bwd, enrich_embeddings(base, doc, ["cat"])), weights)), params)
+    assert report.passed, (report.worst(), report.max_rel_err)
 
 
 def test_encoder_single_row_pairs_the_two_directions():
@@ -194,11 +207,9 @@ def test_encoder_single_row_pairs_the_two_directions():
     base = Tensor(rng.standard_normal((1, 2)))
     enriched = enrich_embeddings(base, ["x"], ["x"])
     H = encode_bidirectional_enriched(fwd, bwd, enriched)
-    from cru.recurrent import run_sequence
-
-    _, f = run_sequence(fwd, enriched.combined)
-    _, b = run_sequence(bwd, enriched.combined)
-    assert np.allclose(H.data[0], np.concatenate([f.data, b.data]), atol=1e-12)
+    _, f = run_row(fwd, enriched.combined.data)
+    _, b = run_row(bwd, enriched.combined.data)
+    assert np.allclose(H.data[0], np.concatenate([f, b]), atol=1e-12)
 
 
 def test_encoder_zero_cells_give_zero_states():

@@ -9,11 +9,10 @@ from cru import autodiff as ad
 from cru.autodiff import Tensor, finite_diff_gradcheck
 from cru.errors import ConfigError, ContractError, DimensionError
 from cru.layers import ConvBank, same_length_conv
+from cru.rc_features import encode_bidirectional_enriched, enrich_embeddings
 from cru.recurrent import (DeepCell, DeepEnhancedCell, GruCell, GruParams,
-                           ShallowCell, VARIANTS, cru_deep_enhanced_step,
-                           cru_deep_step, gru_step, make_cell,
-                           run_bidirectional, run_bidirectional_batch,
-                           run_sequence)
+                           ShallowCell, VARIANTS, make_cell, run_sequence)
+from oracles import run_row
 
 
 def rng_for(seed):
@@ -34,6 +33,18 @@ def ref_step(p: GruParams, pz, pr, ph, h):
 
 def ref_gru(p: GruParams, x, h):
     return ref_step(p, p.W_z.data @ x, p.W_r.data @ x, p.W.data @ x, h)
+
+
+def one_step(cell, x, h):
+    """One update through cell.prepare + cell.step: x (B, d), h (B, d_h)."""
+    prep = cell.prepare(Tensor(np.asarray(x)[:, None, :]))
+    return cell.step(prep, 0, Tensor(h)).data
+
+
+def linear_banks(A):
+    """Width-1 identity-activation banks: bank i maps a step input x to A[i] @ x."""
+    return [ConvBank(Tensor(a[:, None, :]), Tensor(np.zeros(a.shape[0])), "identity")
+            for a in A]
 
 
 # ---------------------------------------------------------------------------
@@ -61,18 +72,19 @@ def test_gru_params_deep_form_has_no_input_dim():
 
 
 # ---------------------------------------------------------------------------
-# Step functions against the numpy oracle
+# One step of each cell against the numpy oracle
 # ---------------------------------------------------------------------------
 
 def test_gru_step_matches_reference():
     rng = rng_for(2)
     p = GruParams.init(rng, 3, 4)
+    cell = GruCell(p)
     for trial in range(20):
         x = rng.standard_normal(3)
         h = np.clip(rng.standard_normal(4) * 0.5, -0.99, 0.99)
-        got = gru_step(p, Tensor(x), Tensor(h))
-        assert got.shape == (4,)
-        assert np.allclose(got.data, ref_gru(p, x, h), atol=1e-12)
+        got = one_step(cell, x[None], h[None])
+        assert got.shape == (1, 4)
+        assert np.allclose(got[0], ref_gru(p, x, h), atol=1e-12)
 
 
 def test_gru_step_batched_rows_match_single():
@@ -80,9 +92,9 @@ def test_gru_step_batched_rows_match_single():
     p = GruParams.init(rng, 3, 4)
     X = rng.standard_normal((5, 3))
     H = rng.standard_normal((5, 4)) * 0.5
-    got = gru_step(p, Tensor(X), Tensor(H))
+    got = one_step(GruCell(p), X, H)
     for b in range(5):
-        assert np.allclose(got.data[b], ref_gru(p, X[b], H[b]), atol=1e-12)
+        assert np.allclose(got[b], ref_gru(p, X[b], H[b]), atol=1e-12)
 
 
 def test_update_gate_blends_toward_previous_state():
@@ -93,15 +105,15 @@ def test_update_gate_blends_toward_previous_state():
     p.b_z.data[:] = 50.0
     x = rng.standard_normal(3)
     h = rng.standard_normal(4) * 0.5
-    out = gru_step(p, Tensor(x), Tensor(h))
-    assert np.allclose(out.data, h, atol=1e-9)
+    out = one_step(GruCell(p), x[None], h[None])[0]
+    assert np.allclose(out, h, atol=1e-9)
     # And b_z -> -inf makes the output the candidate state alone.
     p.b_z.data[:] = -50.0
-    out2 = gru_step(p, Tensor(x), Tensor(h))
+    out2 = one_step(GruCell(p), x[None], h[None])[0]
     g = np.tanh(p.W.data @ x
                 + p.U.data @ (sig(p.W_r.data @ x + p.U_r.data @ h + p.b_r.data) * h)
                 + p.b_h.data)
-    assert np.allclose(out2.data, g, atol=1e-9)
+    assert np.allclose(out2, g, atol=1e-9)
 
 
 def test_reset_gate_cuts_recurrent_candidate_path():
@@ -111,99 +123,101 @@ def test_reset_gate_cuts_recurrent_candidate_path():
     p.b_r.data[:] = -50.0
     x = rng.standard_normal(3)
     h = rng.standard_normal(4) * 0.5
-    out = gru_step(p, Tensor(x), Tensor(h))
+    out = one_step(GruCell(p), x[None], h[None])[0]
     z = sig(p.W_z.data @ x + p.U_z.data @ h + p.b_z.data)
     g = np.tanh(p.W.data @ x + p.b_h.data)  # U @ (0*h) vanishes
-    assert np.allclose(out.data, z * h + (1 - z) * g, atol=1e-9)
+    assert np.allclose(out, z * h + (1 - z) * g, atol=1e-9)
 
 
 def test_deep_step_matches_reference_and_validates():
     rng = rng_for(6)
     p = GruParams.init(rng, None, 4)
-    cz, cr, ch = rng.standard_normal((3, 4))
+    A = rng.standard_normal((3, 4, 4))
+    banks = linear_banks(A)
+    x = rng.standard_normal(4)
     h = rng.standard_normal(4) * 0.5
-    got = cru_deep_step(p, Tensor(cz), Tensor(cr), Tensor(ch), Tensor(h))
-    assert np.allclose(got.data, ref_step(p, cz, cr, ch, h), atol=1e-12)
-    with pytest.raises(DimensionError):
-        cru_deep_step(p, Tensor(np.zeros(3)), Tensor(cr), Tensor(ch), Tensor(h))
+    got = one_step(DeepCell(*banks, p), x[None], h[None])[0]
+    assert np.allclose(got, ref_step(p, A[0] @ x, A[1] @ x, A[2] @ x, h), atol=1e-12)
+    narrow = linear_banks(rng.standard_normal((1, 3, 4)))[0]
+    with pytest.raises(ConfigError):  # bank width must equal hidden size
+        DeepCell(narrow, banks[1], banks[2], p)
     p_full = GruParams.init(rng, 4, 4)
     with pytest.raises(ConfigError):
-        cru_deep_step(p_full, Tensor(cz), Tensor(cr), Tensor(ch), Tensor(h))
+        DeepCell(*banks, p_full)
 
 
 def test_deep_enhanced_step_matches_reference():
     rng = rng_for(7)
     p = GruParams.init(rng, 3, 4)
-    cz, cr, ch = rng.standard_normal((3, 3))
+    A = rng.standard_normal((3, 3, 3))
+    banks = linear_banks(A)
     e = rng.standard_normal(3)
     h = rng.standard_normal(4) * 0.5
-    got = cru_deep_enhanced_step(p, Tensor(cz), Tensor(cr), Tensor(ch),
-                                 Tensor(e), Tensor(h))
-    expected = ref_step(p, p.W_z.data @ (cz + e), p.W_r.data @ (cr + e),
-                        p.W.data @ (ch + e), h)
-    assert np.allclose(got.data, expected, atol=1e-12)
+    got = one_step(DeepEnhancedCell(*banks, p), e[None], h[None])[0]
+    expected = ref_step(p, p.W_z.data @ (A[0] @ e + e), p.W_r.data @ (A[1] @ e + e),
+                        p.W.data @ (A[2] @ e + e), h)
+    assert np.allclose(got, expected, atol=1e-12)
     p_deep = GruParams.init(rng, None, 4)
     with pytest.raises(ConfigError):
-        cru_deep_enhanced_step(p_deep, Tensor(cz), Tensor(cr), Tensor(ch),
-                               Tensor(e), Tensor(h))
+        DeepEnhancedCell(*banks, p_deep)
 
 
 # ---------------------------------------------------------------------------
-# Cells agree with the step functions they batch up
+# Whole sequences agree with the numpy oracle stepped by hand
 # ---------------------------------------------------------------------------
 
 def test_gru_cell_equals_stepwise_loop():
     rng = rng_for(8)
     cell = make_cell("gru", rng, 3, 4)
     E = rng.standard_normal((6, 3))
-    all_h, final = run_sequence(cell, Tensor(E))
+    all_h, final = run_row(cell, E)
     h = np.zeros(4)
     for t in range(6):
-        h = gru_step(cell.params, Tensor(E[t]), Tensor(h)).data
-        assert np.allclose(all_h.data[t], h, atol=1e-12)
-    assert np.allclose(final.data, h, atol=1e-12)
+        h = ref_gru(cell.params, E[t], h)
+        assert np.allclose(all_h[t], h, atol=1e-12)
+    assert np.allclose(final, h, atol=1e-12)
 
 
 def test_shallow_cell_equals_conv_then_gru():
     rng = rng_for(9)
     cell = make_cell("shallow", rng, 3, 5)
     E = rng.standard_normal((4, 3))
-    all_h, _ = run_sequence(cell, Tensor(E))
-    C = same_length_conv(cell.bank, Tensor(E)).data
+    all_h, _ = run_row(cell, E)
+    C = same_length_conv(cell.bank, Tensor(E[None])).data[0]
     h = np.zeros(5)
     for t in range(4):
         h = ref_gru(cell.params, C[t], h)
-        assert np.allclose(all_h.data[t], h, atol=1e-12)
+        assert np.allclose(all_h[t], h, atol=1e-12)
 
 
 def test_deep_cell_equals_three_convs_plus_step():
     rng = rng_for(10)
     cell = make_cell("deep", rng, 4, 4)
     E = rng.standard_normal((5, 4))
-    all_h, _ = run_sequence(cell, Tensor(E))
-    cz = same_length_conv(cell.conv_z, Tensor(E)).data
-    cr = same_length_conv(cell.conv_r, Tensor(E)).data
-    ch = same_length_conv(cell.conv_h, Tensor(E)).data
+    all_h, _ = run_row(cell, E)
+    cz = same_length_conv(cell.conv_z, Tensor(E[None])).data[0]
+    cr = same_length_conv(cell.conv_r, Tensor(E[None])).data[0]
+    ch = same_length_conv(cell.conv_h, Tensor(E[None])).data[0]
     h = np.zeros(4)
     for t in range(5):
         h = ref_step(cell.params, cz[t], cr[t], ch[t], h)
-        assert np.allclose(all_h.data[t], h, atol=1e-12)
+        assert np.allclose(all_h[t], h, atol=1e-12)
 
 
 def test_deep_enhanced_cell_equals_conv_plus_step():
     rng = rng_for(11)
     cell = make_cell("deep_enhanced", rng, 3, 4)
     E = rng.standard_normal((5, 3))
-    all_h, _ = run_sequence(cell, Tensor(E))
+    all_h, _ = run_row(cell, E)
     p = cell.params
-    cz = same_length_conv(cell.conv_z, Tensor(E)).data
-    cr = same_length_conv(cell.conv_r, Tensor(E)).data
-    ch = same_length_conv(cell.conv_h, Tensor(E)).data
+    cz = same_length_conv(cell.conv_z, Tensor(E[None])).data[0]
+    cr = same_length_conv(cell.conv_r, Tensor(E[None])).data[0]
+    ch = same_length_conv(cell.conv_h, Tensor(E[None])).data[0]
     h = np.zeros(4)
     for t in range(5):
         h = ref_step(p, p.W_z.data @ (cz[t] + E[t]), p.W_r.data @ (cr[t] + E[t]),
                      p.W.data @ (ch[t] + E[t]), h)
-        assert np.allclose(all_h.data[t], h, atol=1e-12)
+        assert np.allclose(all_h[t], h, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +232,10 @@ def test_deep_enhanced_with_zero_banks_is_gru():
     de = DeepEnhancedCell(*zero, gru.params)
     for trial in range(10):
         E = rng.standard_normal((6, 4))
-        hg, fg = run_sequence(gru, Tensor(E))
-        hd, fd = run_sequence(de, Tensor(E))
-        assert np.max(np.abs(hg.data - hd.data)) < 1e-12
-        assert np.max(np.abs(fg.data - fd.data)) < 1e-12
+        hg, fg = run_row(gru, E)
+        hd, fd = run_row(de, E)
+        assert np.max(np.abs(hg - hd)) < 1e-12
+        assert np.max(np.abs(fg - fd)) < 1e-12
 
 
 def test_deep_with_shared_banks_is_shallow_with_identity_w():
@@ -237,10 +251,10 @@ def test_deep_with_shared_banks_is_shallow_with_identity_w():
         W_z=eye(), W_r=eye(), W=eye()))
     for trial in range(10):
         E = rng.standard_normal((5, d))
-        h1, f1 = run_sequence(deep, Tensor(E))
-        h2, f2 = run_sequence(shallow, Tensor(E))
-        assert np.max(np.abs(h1.data - h2.data)) < 1e-12
-        assert np.max(np.abs(f1.data - f2.data)) < 1e-12
+        h1, f1 = run_row(deep, E)
+        h2, f2 = run_row(shallow, E)
+        assert np.max(np.abs(h1 - h2)) < 1e-12
+        assert np.max(np.abs(f1 - f2)) < 1e-12
 
 
 def test_shallow_with_identity_window_is_gru():
@@ -252,9 +266,9 @@ def test_shallow_with_identity_window_is_gru():
                      "identity")
     shallow = ShallowCell(ident, gru.params)
     E = rng.standard_normal((7, 4))
-    hg, _ = run_sequence(gru, Tensor(E))
-    hs, _ = run_sequence(shallow, Tensor(E))
-    assert np.max(np.abs(hg.data - hs.data)) < 1e-12
+    hg, _ = run_row(gru, E)
+    hs, _ = run_row(shallow, E)
+    assert np.max(np.abs(hg - hs)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +301,6 @@ def test_named_params_cover_each_variant():
 # Sequence runner
 # ---------------------------------------------------------------------------
 
-def test_run_sequence_single_matches_batch_of_one():
-    rng = rng_for(17)
-    for variant in VARIANTS:
-        cell = make_cell(variant, rng, 3, 3)
-        E = rng.standard_normal((5, 3))
-        all_h, final = run_sequence(cell, Tensor(E))
-        states, final_b = run_sequence(cell, Tensor(E[None]))
-        assert np.max(np.abs(final.data - final_b.data[0])) < 1e-12
-        for t, s in enumerate(states):
-            assert np.max(np.abs(all_h.data[t] - s.data[0])) < 1e-12
-
-
 def test_run_sequence_masked_batch_matches_per_sequence():
     rng = rng_for(18)
     for variant in VARIANTS:
@@ -312,8 +314,8 @@ def test_run_sequence_masked_batch_matches_per_sequence():
             mask[i, :len(s)] = 1.0
         _, finals = run_sequence(cell, Tensor(Eb), mask=mask)
         for i, s in enumerate(seqs):
-            _, f = run_sequence(cell, Tensor(s))
-            assert np.max(np.abs(finals.data[i] - f.data)) < 1e-12, variant
+            _, f = run_row(cell, s)
+            assert np.max(np.abs(finals.data[i] - f)) < 1e-12, variant
 
 
 def test_mask_alone_shields_non_conv_recurrence_from_pad_garbage():
@@ -326,35 +328,33 @@ def test_mask_alone_shields_non_conv_recurrence_from_pad_garbage():
     Eb[0, :3] = s
     mask = np.array([[1.0, 1, 1, 0, 0, 0]])
     _, finals = run_sequence(cell, Tensor(Eb), mask=mask)
-    _, f = run_sequence(cell, Tensor(s))
-    assert np.max(np.abs(finals.data[0] - f.data)) < 1e-12
+    _, f = run_row(cell, s)
+    assert np.max(np.abs(finals.data[0] - f)) < 1e-12
 
 
 def test_run_sequence_initial_state():
+    # Every row starts from the zero state.
     rng = rng_for(19)
     cell = make_cell("gru", rng, 3, 4)
-    E = rng.standard_normal((3, 3))
-    h0 = rng.standard_normal(4) * 0.3
-    _, final = run_sequence(cell, Tensor(E), h0=Tensor(h0))
-    h = h0
-    for t in range(3):
-        h = ref_gru(cell.params, E[t], h)
-    assert np.allclose(final.data, h, atol=1e-12)
+    E = rng.standard_normal((2, 3, 3))
+    _, final = run_sequence(cell, Tensor(E))
+    for row in range(2):
+        h = np.zeros(4)
+        for t in range(3):
+            h = ref_gru(cell.params, E[row, t], h)
+        assert np.allclose(final.data[row], h, atol=1e-12)
 
 
 def test_run_sequence_errors():
     rng = rng_for(20)
     cell = make_cell("gru", rng, 3, 4)
-    E = Tensor(rng.standard_normal((3, 3)))
-    with pytest.raises(ContractError):
-        run_sequence(cell, E, mask=np.ones((1, 3)))
+    with pytest.raises(DimensionError):  # a bare (n, d) sequence is not a batch
+        run_sequence(cell, Tensor(rng.standard_normal((3, 3))))
     with pytest.raises(DimensionError):
         run_sequence(cell, Tensor(rng.standard_normal(3)))
     with pytest.raises(DimensionError):
         run_sequence(cell, Tensor(rng.standard_normal((2, 3, 3))),
                      mask=np.ones((2, 4)))
-    with pytest.raises(DimensionError):
-        run_sequence(cell, E, h0=Tensor(np.zeros(5)))
     with pytest.raises(ContractError):
         run_sequence(cell, Tensor(np.zeros((1, 0, 3))))
 
@@ -362,9 +362,9 @@ def test_run_sequence_errors():
 def test_single_step_sequence():
     rng = rng_for(21)
     cell = make_cell("deep_enhanced", rng, 3, 3)
-    E = rng.standard_normal((1, 3))
-    all_h, final = run_sequence(cell, Tensor(E))
-    assert all_h.shape == (1, 3) and final.shape == (3,)
+    E = rng.standard_normal((1, 1, 3))
+    states, final = run_sequence(cell, Tensor(E))
+    assert len(states) == 1 and states[0].shape == (1, 3) and final.shape == (1, 3)
 
 
 def test_hidden_states_stay_in_unit_interval():
@@ -374,8 +374,8 @@ def test_hidden_states_stay_in_unit_interval():
         for trial in range(25):
             n = int(rng.integers(1, 12))
             E = rng.standard_normal((n, 4)) * 3.0
-            all_h, _ = run_sequence(cell, Tensor(E))
-            assert np.all(np.abs(all_h.data) < 1.0), variant
+            all_h, _ = run_row(cell, E)
+            assert np.all(np.abs(all_h) < 1.0), variant
 
 
 # ---------------------------------------------------------------------------
@@ -383,31 +383,37 @@ def test_hidden_states_stay_in_unit_interval():
 # ---------------------------------------------------------------------------
 
 def test_run_bidirectional_structure():
+    # The per-position encoder pairs each position's forward state with the
+    # backward state for the same position; checked against numpy loops.
     rng = rng_for(23)
-    fwd = make_cell("gru", rng, 3, 4)
-    bwd = make_cell("gru", rng, 3, 4)
-    E = rng.standard_normal((5, 3))
-    H, final = run_bidirectional(fwd, bwd, Tensor(E))
-    assert H.shape == (5, 8) and final.shape == (8,)
-    all_f, final_f = run_sequence(fwd, Tensor(E))
-    all_b, final_b = run_sequence(bwd, Tensor(E[::-1].copy()))
-    assert np.allclose(H.data[:, :4], all_f.data, atol=1e-12)
-    assert np.allclose(H.data[:, 4:], all_b.data[::-1], atol=1e-12)
-    assert np.allclose(final.data, np.concatenate([final_f.data, final_b.data]),
-                       atol=1e-12)
+    fwd = make_cell("gru", rng, 5, 4)
+    bwd = make_cell("gru", rng, 5, 4)
+    enriched = enrich_embeddings(Tensor(rng.standard_normal((5, 3))),
+                                 ["a", "b", "a", "c", "d"], ["a"])
+    X = enriched.combined.data
+    H = encode_bidirectional_enriched(fwd, bwd, enriched)
+    assert H.shape == (5, 8)
+    h_f, h_b = np.zeros(4), np.zeros(4)
+    for t in range(5):
+        h_f = ref_gru(fwd.params, X[t], h_f)
+        h_b = ref_gru(bwd.params, X[4 - t], h_b)
+        assert np.allclose(H.data[t, :4], h_f, atol=1e-12)
+        assert np.allclose(H.data[4 - t, 4:], h_b, atol=1e-12)
 
 
 def test_run_bidirectional_errors():
     rng = rng_for(24)
-    fwd = make_cell("gru", rng, 3, 4)
-    bwd = make_cell("gru", rng, 3, 5)
+    fwd = make_cell("gru", rng, 5, 4)
+    bwd = make_cell("gru", rng, 5, 5)
+    enriched = enrich_embeddings(Tensor(rng.standard_normal((4, 3))),
+                                 ["a", "b", "c", "d"], ["a"])
     with pytest.raises(ConfigError):
-        run_bidirectional(fwd, bwd, Tensor(rng.standard_normal((4, 3))))
-    with pytest.raises(DimensionError):
-        run_bidirectional(fwd, fwd, Tensor(rng.standard_normal((2, 4, 3))))
+        encode_bidirectional_enriched(fwd, bwd, enriched)
 
 
 def test_run_bidirectional_batch_matches_single():
+    # One (B, n) mask serves both directions when each row is reversed in
+    # place with its padding kept at the tail, as forward_batch does.
     rng = rng_for(25)
     fwd = make_cell("shallow", rng, 3, 4)
     bwd = make_cell("shallow", rng, 3, 4)
@@ -420,10 +426,11 @@ def test_run_bidirectional_batch_matches_single():
         Eb[i, :len(s)] = s
         Er[i, :len(s)] = s[::-1]
         mask[i, :len(s)] = 1.0
-    finals = run_bidirectional_batch(fwd, bwd, Tensor(Eb), Tensor(Er), mask)
+    _, final_f = run_sequence(fwd, Tensor(Eb), mask)
+    _, final_b = run_sequence(bwd, Tensor(Er), mask)
     for i, s in enumerate(seqs):
-        _, single = run_bidirectional(fwd, bwd, Tensor(s))
-        assert np.max(np.abs(finals.data[i] - single.data)) < 1e-12
+        assert np.max(np.abs(final_f.data[i] - run_row(fwd, s)[1])) < 1e-12
+        assert np.max(np.abs(final_b.data[i] - run_row(bwd, s[::-1])[1])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +441,11 @@ def test_sequence_gradcheck_per_variant():
     rng = rng_for(26)
     for variant in VARIANTS:
         cell = make_cell(variant, rng, 3, 3)
-        E = Tensor(0.5 * rng.standard_normal((4, 3)), requires_grad=True)
+        E = Tensor(0.5 * rng.standard_normal((1, 4, 3)), requires_grad=True)
         params = dict(cell.named_params())
         params["E"] = E
         report = finite_diff_gradcheck(
-            lambda: ad.sum_all(run_sequence(cell, E)[0]), params)
+            lambda: ad.sum_all(ad.concat_rows(run_sequence(cell, E)[0])), params)
         assert report.passed, (variant, report.worst(), report.max_rel_err)
 
 
