@@ -186,7 +186,8 @@ class Tape:
                 continue  # not reachable backward from the loss
             t = node.tensor
             if t.requires_grad:
-                t.grad = g.copy() if t.grad is None else t.grad + g
+                # g is a fresh buffer this pass owns, so the leaf can keep it.
+                t.grad = g if t.grad is None else t.grad + g
             if node.apply is not None:
                 input_ids = node.input_ids
 
@@ -513,19 +514,22 @@ def conv1d_same(x: Tensor, filters: Tensor) -> Tensor:
         raise ContractError("conv1d_same needs at least one step")
     pad = (k - 1) // 2
 
+    # im2col: row (b, i) of win holds the k padded steps around step i, in
+    # the (j, c) order of filters.reshape, so one matmul does the whole conv.
     xp = np.zeros((b, n + k - 1, d_in))
     xp[:, pad:pad + n, :] = x.data
-    win = np.stack([xp[:, j:j + n, :] for j in range(k)], axis=2)  # (B,n,k,c)
-    out = Tensor(np.einsum("ojc,bijc->bio", filters.data, win))
+    win = np.stack([xp[:, j:j + n, :] for j in range(k)], axis=2).reshape(b * n, k * d_in)
+    f2 = filters.data.reshape(d_out, k * d_in)
+    out = Tensor((win @ f2.T).reshape(b, n, d_out))
 
     def apply(g, emit):
-        d_filters = np.einsum("bio,bijc->ojc", g, win)
-        d_win = np.einsum("bio,ojc->bijc", g, filters.data)
-        d_xp = np.zeros_like(xp)
+        g2 = g.reshape(b * n, d_out)
+        d_win = (g2 @ f2).reshape(b, n, k, d_in)
+        d_xp = np.zeros((b, n + k - 1, d_in))
         for j in range(k):
             d_xp[:, j:j + n, :] += d_win[:, :, j, :]
         emit(0, d_xp[:, pad:pad + n, :])
-        emit(1, d_filters)
+        emit(1, (g2.T @ win).reshape(d_out, k, d_in))
 
     return _emit_op("conv1d_same", (x, filters), out, apply)
 

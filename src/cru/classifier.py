@@ -6,6 +6,9 @@ of one.
 
 from __future__ import annotations
 
+import os
+import shutil
+import uuid
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -300,17 +303,43 @@ def train_on_split(train_samples: list[Sample], test_samples: list[Sample],
 
 def save_checkpoint(out_dir, model: SentimentModel, config: TrainConfig,
                     vocab: Vocab, optimizer: Adam | None = None) -> None:
+    """Write params.bin, vocab.txt and config.txt to out_dir, atomically.
+
+    The files are written into a temporary sibling directory that is then
+    renamed to out_dir; an existing checkpoint is moved aside first and
+    removed after. A failed save leaves the previous checkpoint in place.
+    """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tensors = {name: t.data for name, t in model.named_params().items()}
-    if optimizer is not None:
-        for key, arr in optimizer.state_dict().items():
-            tensors[f"optim.{key}"] = arr
-    save_tensors(out / "params.bin", tensors)
-    vocab.save(out / "vocab.txt")
-    kv = config.to_kv()
-    lines = [f"{k}={v}" for k, v in kv.items()]
-    (out / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if out.exists() and not out.is_dir():
+        raise FileExistsError(f"{out} exists and is not a directory")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    token = uuid.uuid4().hex
+    tmp = out.with_name(f".{out.name}.tmp-{token}")
+    old = out.with_name(f".{out.name}.old-{token}") if out.exists() else None
+    tmp.mkdir()
+    try:
+        tensors = {name: t.data for name, t in model.named_params().items()}
+        if optimizer is not None:
+            for key, arr in optimizer.state_dict().items():
+                tensors[f"optim.{key}"] = arr
+        save_tensors(tmp / "params.bin", tensors)
+        vocab.save(tmp / "vocab.txt")
+        kv = config.to_kv()
+        lines = [f"{k}={v}" for k, v in kv.items()]
+        (tmp / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if old is not None:
+            os.replace(out, old)
+        try:
+            os.replace(tmp, out)
+        except BaseException:
+            if old is not None:
+                os.replace(old, out)
+            raise
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if old is not None:
+        shutil.rmtree(old)
 
 
 def load_checkpoint(ckpt_dir) -> tuple[SentimentModel, TrainConfig, Vocab]:

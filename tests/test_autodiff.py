@@ -87,6 +87,26 @@ def test_gradients_accumulate_across_backward_calls():
     assert a.grad is None
 
 
+def test_leaf_gradients_own_their_memory():
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    with Tape() as tape:
+        loss = ad.sum_all(ad.mul(ad.add(a, b), ad.add(a, b)))
+        tape.backward(loss)
+        arrays = [node.tensor.data for node in tape.nodes]
+        assert not np.shares_memory(a.grad, b.grad)
+        for arr in arrays:
+            assert not np.shares_memory(a.grad, arr)
+            assert not np.shares_memory(b.grad, arr)
+        first = a.grad
+        g1 = first.copy()
+        tape.backward(loss)
+    # Accumulation makes a new array; the first pass's gradient is untouched.
+    assert np.array_equal(a.grad, 2 * g1)
+    assert np.array_equal(b.grad, 2 * g1)
+    assert np.array_equal(first, g1)
+
+
 def test_constants_get_no_gradient():
     a = Tensor([1.0, 2.0], requires_grad=True)
     c = Tensor([5.0, 6.0])  # constant
@@ -368,6 +388,14 @@ def test_conv1d_same_gradcheck():
     xb = Tensor(rng.standard_normal((2, 4, 2)), requires_grad=True)
     check(lambda: ad.sum_all(ad.mul(ad.conv1d_same(xb, f), ad.conv1d_same(xb, f))),
           {"xb": xb, "f": f})
+    # Edges: a width-1 window, a window wider than a one-step sequence, and a
+    # batch whose output width differs from its input width.
+    for shape_x, shape_f in [((2, 3, 2), (4, 1, 2)), ((2, 1, 3), (2, 5, 3)),
+                             ((3, 6, 4), (2, 3, 4))]:
+        xe = Tensor(rng.standard_normal(shape_x), requires_grad=True)
+        fe = Tensor(rng.standard_normal(shape_f), requires_grad=True)
+        check(lambda: ad.sum_all(ad.mul(ad.conv1d_same(xe, fe), ad.conv1d_same(xe, fe))),
+              {"x": xe, "f": fe})
 
 
 def test_conv1d_same_validation():

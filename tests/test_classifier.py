@@ -323,6 +323,40 @@ def test_checkpoint_round_trip_reproduces_probabilities(tmp_path):
                           loaded.forward_batch(batch).data)
 
 
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    train, test, vocab = toy_split()
+    config = tiny_config(epochs=1, batch_size=2)
+    model, _ = train_on_split(train, test, config, vocab)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, model, config, vocab)
+    before = {name: (ckpt / name).read_bytes()
+              for name in ("params.bin", "vocab.txt", "config.txt")}
+    first = {name: t.data.copy() for name, t in model.named_params().items()}
+
+    def broken_save(path, tensors):
+        path.write_bytes(b"partial")
+        raise OSError("disk full")
+
+    for t in model.named_params().values():
+        t.data = t.data + 1.0
+    monkeypatch.setattr("cru.classifier.save_tensors", broken_save)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(ckpt, model, config, vocab)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+    for name, data in before.items():
+        assert (ckpt / name).read_bytes() == data
+    for name, t in load_checkpoint(ckpt)[0].named_params().items():
+        assert np.array_equal(t.data, first[name])
+
+    # A save that succeeds replaces the old checkpoint and leaves no sibling.
+    monkeypatch.undo()
+    save_checkpoint(ckpt, model, config, vocab)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+    saved = model.named_params()
+    for name, t in load_checkpoint(ckpt)[0].named_params().items():
+        assert np.array_equal(t.data, saved[name].data)
+
+
 def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
     train, test, vocab = toy_split()
     config = tiny_config(epochs=1, batch_size=2)
