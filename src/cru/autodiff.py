@@ -120,7 +120,6 @@ class Node:
     nid: int
     op: str
     input_ids: tuple
-    inputs: tuple
     tensor: Tensor
     apply: Callable | None  # apply(grad_out, emit); None for leaves
 
@@ -146,7 +145,7 @@ class Tape:
         nid = self._ids.get(id(t))
         if nid is None and t.requires_grad:
             nid = len(self.nodes)
-            self.nodes.append(Node(nid, "leaf", (), (), t, None))
+            self.nodes.append(Node(nid, "leaf", (), t, None))
             self._ids[id(t)] = nid
         return nid
 
@@ -158,7 +157,7 @@ class Tape:
         nid = len(self.nodes)
         # Append-only construction keeps the list topologically ordered.
         assert all(i is None or i < nid for i in input_ids)
-        self.nodes.append(Node(nid, op, input_ids, tuple(inputs), out, apply))
+        self.nodes.append(Node(nid, op, input_ids, out, apply))
         self._ids[id(out)] = nid
 
     def backward(self, loss: Tensor) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_tensors, save_tensors
-from .data import Batch, EncodedSample, Sample, Vocab, batch_and_pad, encode_corpus
+from .data import Batch, Sample, Vocab, batch_and_pad, encode_corpus
 from .errors import ConfigError, ContractError, NumericError
 from .layers import DenseLayer, EmbeddingTable, dense_forward, dropout_apply
 from .optim import Adam, l2_penalty
@@ -181,9 +181,11 @@ class SentimentModel:
         E = ad.reshape(flat, (b, n, d))
         E_rev = ad.reshape(ad.take_rows(flat, perm.reshape(-1)), (b, n, d))
 
-        mask = None if np.all(batch.mask == 1.0) else batch.mask
-        _, final_f = run_sequence(self.fwd_cell, E, mask)
-        _, final_b = run_sequence(self.bwd_cell, E_rev, mask)
+        # Rows run on over their padding; row r's final state is its state at
+        # step lengths[r] - 1, row (lengths[r] - 1) * b + r of the stacked states.
+        last = (lengths - 1) * b + np.arange(b)
+        final_f = ad.take_rows(ad.concat_rows(run_sequence(self.fwd_cell, E)), last)
+        final_b = ad.take_rows(ad.concat_rows(run_sequence(self.bwd_cell, E_rev)), last)
         h = ad.concat_cols([final_f, final_b])
 
         h = dense_forward(self.fc, h)
@@ -224,6 +226,8 @@ def train_epoch(model: SentimentModel, optimizer: Adam, batches: list[Batch],
                 tape.backward(loss)
         except NumericError as exc:
             raise NumericError(f"non-finite value while training batch {i}: {exc}") from exc
+        # Free every forward tensor and closure before Adam makes its temporaries.
+        del tape
         optimizer.clip_gradients(config.clip_norm)
         optimizer.step()
         optimizer.zero_grad()

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, finite_diff_gradcheck
-from .classifier import (SentimentModel, TrainConfig, _TAG_EMBED, bce_loss,
-                         load_checkpoint, save_checkpoint, seeded_rng,
+from .classifier import (SentimentModel, TrainConfig, _TAG_EMBED, _eval_metrics,
+                         bce_loss, load_checkpoint, save_checkpoint, seeded_rng,
                          train_on_split)
 from .data import (FORMATS, Batch, Corpus, Sample, batch_and_pad, build_vocab,
                    encode_corpus, load_corpus, load_document_corpus,
@@ -249,15 +249,8 @@ def cmd_eval(args) -> int:
     if test_corpus is not None:
         corpus = test_corpus
     batches = batch_and_pad(encode_corpus(vocab, corpus.samples), config.batch_size)
-    total, correct = 0, 0
-    loss_sum = 0.0
-    for batch in batches:
-        p = model.forward_batch(batch, train=False)
-        loss_sum += bce_loss(p, batch.labels).item() * batch.size
-        correct += int(np.sum((p.data >= 0.5) == (batch.labels == 1.0)))
-        total += batch.size
-    acc, loss = correct / total, loss_sum / total
-    print(f"eval samples={total} loss={loss:.6f} accuracy={acc:.4f}")
+    loss, acc = _eval_metrics(model, batches)
+    print(f"eval samples={len(corpus.samples)} loss={loss:.6f} accuracy={acc:.4f}")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -283,8 +276,7 @@ def _check_cell(variant: str, seed: int, tol: float):
     params["E"] = E
 
     def f():
-        states, _ = run_sequence(cell, E)
-        return ad.sum_all(ad.concat_rows(states))
+        return ad.sum_all(ad.concat_rows(run_sequence(cell, E)))
 
     return finite_diff_gradcheck(f, params, tol=tol)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -279,7 +279,7 @@ def encode_corpus(vocab: Vocab, samples: list[Sample]) -> list[EncodedSample]:
 
 @dataclass
 class Batch:
-    ids: np.ndarray     # (B, n) intp, padded with pad_id
+    ids: np.ndarray     # (B, n) intp, padded with PAD_ID
     mask: np.ndarray    # (B, n) float64, 1 over true tokens
     labels: np.ndarray  # (B,) float64
 
@@ -293,7 +293,6 @@ class Batch:
 
 
 def batch_and_pad(samples: list[EncodedSample], batch_size: int,
-                  pad_id: int = PAD_ID,
                   rng: np.random.Generator | None = None) -> list[Batch]:
     """Group samples into batches, each padded to its own longest sequence.
 
@@ -312,7 +311,7 @@ def batch_and_pad(samples: list[EncodedSample], batch_size: int,
         group = ordered[at:at + batch_size]
         width = max(len(s.ids) for s in group)
         b = len(group)
-        ids = np.full((b, width), pad_id, dtype=np.intp)
+        ids = np.full((b, width), PAD_ID, dtype=np.intp)
         mask = np.zeros((b, width))
         labels = np.zeros(b)
         for row, s in enumerate(group):

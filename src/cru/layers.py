@@ -40,8 +40,6 @@ class EmbeddingTable:
     """Token-id -> row lookup. Rows 0 and 1 are reserved for pad and unk."""
 
     weights: Tensor  # (V, d)
-    pad_id: int = PAD_ID
-    unk_id: int = UNK_ID
 
     def __post_init__(self):
         if self.weights.ndim != 2:
@@ -58,11 +56,10 @@ class EmbeddingTable:
         return self.weights.shape[1]
 
     @classmethod
-    def init(cls, rng: np.random.Generator, vocab_size: int, dim: int,
-             scale: float = 0.05, trainable: bool = True) -> "EmbeddingTable":
-        w = rng.uniform(-scale, scale, size=(vocab_size, dim))
+    def init(cls, rng: np.random.Generator, vocab_size: int, dim: int) -> "EmbeddingTable":
+        w = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
         w[PAD_ID] = 0.0
-        return cls(Tensor(w, requires_grad=trainable))
+        return cls(Tensor(w, requires_grad=True))
 
 
 # --------------------------------------------------------------------------

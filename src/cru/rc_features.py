@@ -88,7 +88,7 @@ def encode_bidirectional_enriched(fwd_cell, bwd_cell,
     X = enriched.combined
     one_row = (1,) + X.shape
     rev = np.arange(X.shape[0])[::-1]
-    fwd_states, _ = run_sequence(fwd_cell, ad.reshape(X, one_row))
-    bwd_states, _ = run_sequence(bwd_cell, ad.reshape(ad.take_rows(X, rev), one_row))
+    fwd_states = run_sequence(fwd_cell, ad.reshape(X, one_row))
+    bwd_states = run_sequence(bwd_cell, ad.reshape(ad.take_rows(X, rev), one_row))
     return ad.concat_cols([ad.concat_rows(fwd_states),
                            ad.take_rows(ad.concat_rows(bwd_states), rev)])

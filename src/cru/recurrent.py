@@ -286,7 +286,7 @@ class DeepEnhancedCell(_ThreeBankCell):
 
 
 def make_cell(variant: str, rng: np.random.Generator, d_in: int, d_h: int,
-              k: int = 3, conv_activation: str = "relu"):
+              k: int = 3):
     """Build a freshly initialized cell of the given variant."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -295,9 +295,9 @@ def make_cell(variant: str, rng: np.random.Generator, d_in: int, d_h: int,
     if variant == "gru":
         return GruCell(GruParams.init(rng, d_in, d_h))
     if variant == "shallow":
-        bank = ConvBank.init(rng, d_in, k, d_in, conv_activation)
+        bank = ConvBank.init(rng, d_in, k, d_in)
         return ShallowCell(bank, GruParams.init(rng, d_in, d_h))
-    banks = [ConvBank.init(rng, d_in, k, d_in, conv_activation) for _ in range(3)]
+    banks = [ConvBank.init(rng, d_in, k, d_in) for _ in range(3)]
     if variant == "deep":
         if d_h != d_in:
             raise ConfigError(
@@ -312,31 +312,21 @@ def make_cell(variant: str, rng: np.random.Generator, d_in: int, d_h: int,
 # Sequence runner
 # --------------------------------------------------------------------------
 
-def run_sequence(cell: _CellBase, E: Tensor, mask: np.ndarray | None = None):
+def run_sequence(cell: _CellBase, E: Tensor) -> list[Tensor]:
     """Run a cell over an embedded (B, n, d) batch from the zero state.
 
-    Returns (list of n (B, d_h) states, final (B, d_h)). A single sequence is
-    a batch of one. mask (B, n) of 0/1 floats freezes finished rows, so padded
-    batches match per-sequence runs exactly. Convolutional variants read
-    neighboring positions, so callers must also zero the embedding rows at
-    padded positions (then the window sees the same zeros the same-length
-    padding provides on an unpadded run).
+    Returns the n (B, d_h) states; a single sequence is a batch of one. Rows
+    of a padded batch run on over their padding, so a shorter row's final
+    state is its state at step length - 1. That state equals the one-row run
+    of the unpadded sequence as long as the pads sit at the tail and the
+    padded embedding rows are zero: a state depends only on the steps up to
+    it, and a convolution window near the tail then sees the same zeros as
+    the same-length padding of the unpadded run.
     """
     prep = cell.prepare(E)
-    b, n, _ = E.shape
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != (b, n):
-            raise DimensionError(f"mask shape {mask.shape} does not match batch ({b},{n})")
-
-    h = cell.init_state(b)
+    h = cell.init_state(E.shape[0])
     states = []
-    for t in range(n):
-        h_new = cell.step(prep, t, h)
-        if mask is not None and not np.all(mask[:, t] == 1.0):
-            col = np.broadcast_to(mask[:, t][:, None], (b, cell.hidden_dim)).copy()
-            h = ad.add(ad.mul(Tensor(col), h_new), ad.mul(Tensor(1.0 - col), h))
-        else:
-            h = h_new
+    for t in range(E.shape[1]):
+        h = cell.step(prep, t, h)
         states.append(h)
-    return states, h
+    return states

@@ -18,8 +18,9 @@ def run_row(cell, E):
 
     Returns numpy arrays (all states (n, d_h), final state (d_h,)).
     """
-    states, final = run_sequence(cell, Tensor(np.asarray(E)[None]))
-    return np.concatenate([s.data for s in states]), final.data[0]
+    states = run_sequence(cell, Tensor(np.asarray(E)[None]))
+    all_h = np.concatenate([s.data for s in states])
+    return all_h, all_h[-1]
 
 
 def forward_reference(model, ids) -> float:

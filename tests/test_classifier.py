@@ -1,5 +1,7 @@
 """Model forward paths, loss, training loops, and checkpoint round trips."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,20 @@ def test_padded_batch_matches_per_sample_even_with_nonzero_pad_row():
             assert abs(batched[i] - forward_reference(model, row)) < 1e-12, variant
 
 
+def test_padding_records_no_extra_tape_nodes():
+    # Rows run on over their padding and each direction picks the final
+    # states with one gather, so padding adds no per-step ops to the tape.
+    for variant in VARIANTS:
+        model, _ = tiny_model(seed=12, variant=variant)
+        counts = []
+        for rows in ([[2, 3, 4, 5], [6, 7, 8, 2], [3, 4, 5, 6]],
+                     [[2, 3, 4, 5], [6], [3, 4]]):
+            with Tape() as tape:
+                model.forward_batch(batch_from_rows(rows, [1, 0, 1]))
+            counts.append(len(tape))
+        assert counts[0] == counts[1], variant
+
+
 def test_dropout_draws_are_shared_between_directions():
     # In train mode with dropout, the reversed direction must see the same
     # dropped embeddings, so replaying the same rng stream replays the same
@@ -218,6 +234,31 @@ def test_train_epoch_is_deterministic():
         metrics.append([train_epoch(model, opt, [batch], config,
                                     rng=seeded_rng(1, 2, 3)) for _ in range(3)])
     assert metrics[0] == metrics[1]
+
+
+def test_tape_is_released_before_the_optimizer_runs(monkeypatch):
+    # Clipping and Adam must not run while the tape still holds every
+    # forward tensor and backward closure of the batch.
+    tapes, alive = [], []
+
+    class TrackedTape(Tape):
+        def __enter__(self):
+            tapes.append(weakref.ref(self))
+            return super().__enter__()
+
+    clip = Adam.clip_gradients
+
+    def checked_clip(self, max_norm):
+        alive.append(tapes[-1]() is not None)
+        return clip(self, max_norm)
+
+    monkeypatch.setattr(ad, "Tape", TrackedTape)
+    monkeypatch.setattr(Adam, "clip_gradients", checked_clip)
+    model, config = tiny_model(seed=13)
+    opt = Adam(model.named_params(), lr=config.lr)
+    batch = batch_from_rows([[2, 3, 4], [5, 6]], [1, 0])
+    train_epoch(model, opt, [batch, batch], config, rng=None)
+    assert alive == [False, False]
 
 
 def test_train_epoch_names_batch_on_non_finite():

@@ -1,4 +1,4 @@
-"""Property tests: a padded, masked batch equals one-row batches of its rows,
+"""Property tests: a zero-padded batch equals one-row batches of its rows,
 and the im2col convolution equals its einsum reference."""
 
 import numpy as np
@@ -28,14 +28,12 @@ def test_run_sequence_masked_batch_equals_rows(case):
     cell = make_cell(variant, rng, d, d)
     width = max(lengths)
     Eb = np.zeros((len(lengths), width, d))
-    mask = np.zeros((len(lengths), width))
     for row, n in enumerate(lengths):
         Eb[row, :n] = rng.standard_normal((n, d))
-        mask[row, :n] = 1.0
-    states, final = run_sequence(cell, Tensor(Eb), mask=mask)
+    states = run_sequence(cell, Tensor(Eb))
     for row, n in enumerate(lengths):
-        one, one_final = run_sequence(cell, Tensor(Eb[row:row + 1, :n]))
-        assert np.max(np.abs(final.data[row] - one_final.data[0])) < 1e-12
+        one = run_sequence(cell, Tensor(Eb[row:row + 1, :n]))
+        assert np.max(np.abs(states[n - 1].data[row] - one[-1].data[0])) < 1e-12
         for t in range(n):
             assert np.max(np.abs(states[t].data[row] - one[t].data[0])) < 1e-12
 

@@ -1,5 +1,5 @@
 """Recurrent cells: step math against a hand-rolled numpy reference, the
-variant-reduction identities, masking, and the two-direction runners.
+variant-reduction identities, padded batches, and the two-direction runners.
 """
 
 import numpy as np
@@ -302,34 +302,34 @@ def test_named_params_cover_each_variant():
 # ---------------------------------------------------------------------------
 
 def test_run_sequence_masked_batch_matches_per_sequence():
+    # A zero-padded row's state at step length - 1 is its one-row final state.
     rng = rng_for(18)
     for variant in VARIANTS:
         cell = make_cell(variant, rng, 3, 3)
         seqs = [rng.standard_normal((n, 3)) for n in (2, 5, 1)]
         width = max(len(s) for s in seqs)
         Eb = np.zeros((3, width, 3))
-        mask = np.zeros((3, width))
         for i, s in enumerate(seqs):
             Eb[i, :len(s)] = s
-            mask[i, :len(s)] = 1.0
-        _, finals = run_sequence(cell, Tensor(Eb), mask=mask)
+        states = run_sequence(cell, Tensor(Eb))
+        assert len(states) == width
         for i, s in enumerate(seqs):
             _, f = run_row(cell, s)
-            assert np.max(np.abs(finals.data[i] - f)) < 1e-12, variant
+            assert np.max(np.abs(states[len(s) - 1].data[i] - f)) < 1e-12, variant
 
 
 def test_mask_alone_shields_non_conv_recurrence_from_pad_garbage():
-    # Without convolution no step reads its neighbors, so the mask by itself
-    # makes padded content irrelevant — even non-zero garbage.
+    # Without convolution no step reads its neighbors, so a row's states up
+    # to its length ignore whatever follows — even non-zero garbage.
     rng = rng_for(30)
     cell = make_cell("gru", rng, 3, 4)
     s = rng.standard_normal((3, 3))
     Eb = rng.standard_normal((1, 6, 3)) * 9.0  # garbage everywhere
     Eb[0, :3] = s
-    mask = np.array([[1.0, 1, 1, 0, 0, 0]])
-    _, finals = run_sequence(cell, Tensor(Eb), mask=mask)
-    _, f = run_row(cell, s)
-    assert np.max(np.abs(finals.data[0] - f)) < 1e-12
+    states = run_sequence(cell, Tensor(Eb))
+    all_h, _ = run_row(cell, s)
+    for t in range(3):
+        assert np.max(np.abs(states[t].data[0] - all_h[t])) < 1e-12
 
 
 def test_run_sequence_initial_state():
@@ -337,7 +337,7 @@ def test_run_sequence_initial_state():
     rng = rng_for(19)
     cell = make_cell("gru", rng, 3, 4)
     E = rng.standard_normal((2, 3, 3))
-    _, final = run_sequence(cell, Tensor(E))
+    final = run_sequence(cell, Tensor(E))[-1]
     for row in range(2):
         h = np.zeros(4)
         for t in range(3):
@@ -352,9 +352,6 @@ def test_run_sequence_errors():
         run_sequence(cell, Tensor(rng.standard_normal((3, 3))))
     with pytest.raises(DimensionError):
         run_sequence(cell, Tensor(rng.standard_normal(3)))
-    with pytest.raises(DimensionError):
-        run_sequence(cell, Tensor(rng.standard_normal((2, 3, 3))),
-                     mask=np.ones((2, 4)))
     with pytest.raises(ContractError):
         run_sequence(cell, Tensor(np.zeros((1, 0, 3))))
 
@@ -363,8 +360,8 @@ def test_single_step_sequence():
     rng = rng_for(21)
     cell = make_cell("deep_enhanced", rng, 3, 3)
     E = rng.standard_normal((1, 1, 3))
-    states, final = run_sequence(cell, Tensor(E))
-    assert len(states) == 1 and states[0].shape == (1, 3) and final.shape == (1, 3)
+    states = run_sequence(cell, Tensor(E))
+    assert len(states) == 1 and states[0].shape == (1, 3)
 
 
 def test_hidden_states_stay_in_unit_interval():
@@ -412,8 +409,9 @@ def test_run_bidirectional_errors():
 
 
 def test_run_bidirectional_batch_matches_single():
-    # One (B, n) mask serves both directions when each row is reversed in
-    # place with its padding kept at the tail, as forward_batch does.
+    # Each row's state at step length - 1 is its final state in both
+    # directions when the row is reversed in place with its padding kept at
+    # the tail, as forward_batch does.
     rng = rng_for(25)
     fwd = make_cell("shallow", rng, 3, 4)
     bwd = make_cell("shallow", rng, 3, 4)
@@ -421,16 +419,15 @@ def test_run_bidirectional_batch_matches_single():
     width = 4
     Eb = np.zeros((2, width, 3))
     Er = np.zeros((2, width, 3))
-    mask = np.zeros((2, width))
     for i, s in enumerate(seqs):
         Eb[i, :len(s)] = s
         Er[i, :len(s)] = s[::-1]
-        mask[i, :len(s)] = 1.0
-    _, final_f = run_sequence(fwd, Tensor(Eb), mask)
-    _, final_b = run_sequence(bwd, Tensor(Er), mask)
+    states_f = run_sequence(fwd, Tensor(Eb))
+    states_b = run_sequence(bwd, Tensor(Er))
     for i, s in enumerate(seqs):
-        assert np.max(np.abs(final_f.data[i] - run_row(fwd, s)[1])) < 1e-12
-        assert np.max(np.abs(final_b.data[i] - run_row(bwd, s[::-1])[1])) < 1e-12
+        last = len(s) - 1
+        assert np.max(np.abs(states_f[last].data[i] - run_row(fwd, s)[1])) < 1e-12
+        assert np.max(np.abs(states_b[last].data[i] - run_row(bwd, s[::-1])[1])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -445,20 +442,24 @@ def test_sequence_gradcheck_per_variant():
         params = dict(cell.named_params())
         params["E"] = E
         report = finite_diff_gradcheck(
-            lambda: ad.sum_all(ad.concat_rows(run_sequence(cell, E)[0])), params)
+            lambda: ad.sum_all(ad.concat_rows(run_sequence(cell, E))), params)
         assert report.passed, (variant, report.worst(), report.max_rel_err)
 
 
 def test_masked_batch_gradcheck():
+    # Gradients through the per-row gather of the state at step length - 1,
+    # the way forward_batch picks each row's final state.
     rng = rng_for(27)
     cell = make_cell("deep_enhanced", rng, 3, 3)
     Eb = Tensor(0.5 * rng.standard_normal((2, 4, 3)), requires_grad=True)
-    mask = np.array([[1.0, 1, 1, 1], [1, 1, 0, 0]])
+    Eb.data[1, 2:] = 0.0  # zero pads, as forward_batch makes them
+    lengths = np.array([4, 2])
+    last = (lengths - 1) * 2 + np.arange(2)
     params = dict(cell.named_params())
     params["E"] = Eb
 
     def f():
-        _, finals = run_sequence(cell, Eb, mask=mask)
+        finals = ad.take_rows(ad.concat_rows(run_sequence(cell, Eb)), last)
         return ad.sum_all(finals)
 
     report = finite_diff_gradcheck(f, params)
