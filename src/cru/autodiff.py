@@ -190,7 +190,7 @@ class Tape:
             if node.apply is not None:
                 input_ids = node.input_ids
 
-                def emit(i: int, grad, rows=None, where=None) -> None:
+                def emit(i: int, grad, rows=None) -> None:
                     nid = input_ids[i]
                     if nid is None:
                         return  # constant input
@@ -199,8 +199,6 @@ class Tape:
                         cur = buf[nid] = np.zeros_like(nodes[nid].tensor.data)
                     if rows is not None:
                         np.add.at(cur, rows, grad)
-                    elif where is not None:
-                        cur[where] += grad
                     else:
                         cur += grad
 
@@ -297,10 +295,20 @@ def mul(a, b) -> Tensor:
     return _emit_op("mul", (a, b), out, apply)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
+def _sigmoid(d: Array) -> Array:
+    # exp of a non-positive argument only, so large |d| cannot overflow:
+    # 1 / (1 + e) where d >= 0 and e / (1 + e) elsewhere, as max(e, d >= 0)
+    # is 1 or e. In place, because fresh temporaries cost more than the math
+    # at the (B, d_h) sizes of one scan step.
     e = np.exp(-np.abs(d))
-    out = Tensor(np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e)))
+    y = np.maximum(e, d >= 0)
+    e += 1.0
+    y /= e
+    return y
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = Tensor(_sigmoid(x.data))
     y = out.data
 
     def apply(g, emit):
@@ -399,29 +407,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _emit_op("reshape", (x,), out, apply)
 
 
-def concat_rows(parts: Iterable[Tensor]) -> Tensor:
-    """Concatenate along the leading axis; trailing dims must agree."""
-    parts = [_coerce(p) for p in parts]
-    if not parts:
-        raise ContractError("concat_rows needs at least one part")
-    first = parts[0]
-    for p in parts[1:]:
-        if p.ndim != first.ndim or p.shape[1:] != first.shape[1:]:
-            raise DimensionError(
-                f"concat_rows: trailing dims differ, {first.shape} vs {p.shape}"
-            )
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-    sizes = [p.shape[0] for p in parts]
-
-    def apply(g, emit):
-        at = 0
-        for i, n in enumerate(sizes):
-            emit(i, g[at:at + n])
-            at += n
-
-    return _emit_op("concat_rows", parts, out, apply)
-
-
 def concat_cols(parts: Iterable[Tensor]) -> Tensor:
     """Concatenate along the last axis; leading dims must agree."""
     parts = [_coerce(p) for p in parts]
@@ -461,22 +446,6 @@ def take_rows(x: Tensor, ids) -> Tensor:
         emit(0, g, rows=idx)
 
     return _emit_op("take_rows", (x,), out, apply)
-
-
-def time_step(x: Tensor, t: int) -> Tensor:
-    """Select step t along the time axis: (B, n, d) -> (B, d)."""
-    if x.ndim != 3:
-        raise DimensionError(f"time_step needs rank 3, got shape {x.shape}")
-    n = x.shape[1]
-    if not 0 <= t < n:
-        raise IndexError(f"step {t} out of range [0, {n})")
-    where = (slice(None), t)
-    out = Tensor(x.data[where])
-
-    def apply(g, emit):
-        emit(0, g, where=where)
-
-    return _emit_op("time_step", (x,), out, apply)
 
 
 def bias_add(x: Tensor, v: Tensor) -> Tensor:
@@ -531,6 +500,80 @@ def conv1d_same(x: Tensor, filters: Tensor) -> Tensor:
         emit(1, (g2.T @ win).reshape(d_out, k, d_in))
 
     return _emit_op("conv1d_same", (x, filters), out, apply)
+
+
+def gru_scan(pz: Tensor, pr: Tensor, ph: Tensor, U_z: Tensor, U_r: Tensor,
+             U: Tensor, b_z: Tensor, b_r: Tensor, b_h: Tensor) -> Tensor:
+    """The GRU recurrence over precomputed gate inputs, as one tape node.
+
+    pz, pr, ph: (B, n, d_h) gate inputs; U_*: (d_h, d_h); b_*: (d_h,). From
+    h_{-1} = 0, step t computes
+
+      z = sigmoid(pz_t + h U_z^T + b_z),  r = sigmoid(pr_t + h U_r^T + b_r)
+      g = tanh(ph_t + (r * h) U^T + b_h),  h_t = z * h + (1 - z) * g
+
+    and the result holds every h_t, (B, n, d_h). Both gates that read h_{t-1}
+    share one (d_h, 2 d_h) matmul. Backward is a reverse loop that carries
+    dh through two small matmuls per step; the weight and bias gradients are
+    formed after it, each with one (B*n)-row matmul or sum.
+    """
+    if pz.ndim != 3 or pz.shape[1] < 1:
+        raise DimensionError(f"gru_scan needs (B, n, d_h) gate inputs with n >= 1, "
+                             f"got {pz.shape}")
+    b, n, d_h = pz.shape
+    for name, t, shape in (("pr", pr, pz.shape), ("ph", ph, pz.shape),
+                           ("U_z", U_z, (d_h, d_h)), ("U_r", U_r, (d_h, d_h)),
+                           ("U", U, (d_h, d_h)), ("b_z", b_z, (d_h,)),
+                           ("b_r", b_r, (d_h,)), ("b_h", b_h, (d_h,))):
+        if t.shape != shape:
+            raise DimensionError(f"gru_scan: {name} must have shape {shape}, got {t.shape}")
+
+    # The z and r columns sit side by side, so one sigmoid covers both gates.
+    pzr = np.concatenate([pz.data, pr.data], axis=2)
+    b_zr = np.concatenate([b_z.data, b_r.data])
+    u_zr = np.concatenate([U_z.data, U_r.data])  # (2 d_h, d_h)
+    u = U.data
+    H = np.empty((b, n, d_h))
+    ZR = np.empty((b, n, 2 * d_h))
+    G = np.empty((b, n, d_h))
+    h = np.zeros((b, d_h))
+    for t in range(n):
+        zr = ZR[:, t] = _sigmoid(pzr[:, t] + h @ u_zr.T + b_zr)
+        z, r = zr[:, :d_h], zr[:, d_h:]
+        g = G[:, t] = np.tanh(ph.data[:, t] + (r * h) @ u.T + b_h.data)
+        h = H[:, t] = z * h + (1.0 - z) * g
+    out = Tensor(H)
+
+    def apply(gout, emit):
+        H_prev = np.zeros_like(H)
+        H_prev[:, 1:] = H[:, :-1]
+        dA_zr = np.empty_like(ZR)  # gradients at the gates' pre-activations
+        dA_g = np.empty_like(G)
+        dh = np.zeros((b, d_h))
+        for t in reversed(range(n)):
+            dh = dh + gout[:, t]
+            h_prev, zr, g = H_prev[:, t], ZR[:, t], G[:, t]
+            z, r = zr[:, :d_h], zr[:, d_h:]
+            da_g = dA_g[:, t] = dh * (1.0 - z) * (1.0 - g * g)
+            d_rh = da_g @ u  # gradient at r * h_prev
+            d_zr = np.concatenate([dh * (h_prev - g), d_rh * h_prev], axis=1)
+            da_zr = dA_zr[:, t] = d_zr * zr * (1.0 - zr)
+            dh = dh * z + d_rh * r + da_zr @ u_zr
+        emit(0, dA_zr[..., :d_h])
+        emit(1, dA_zr[..., d_h:])
+        emit(2, dA_g)
+        flat_zr = dA_zr.reshape(b * n, 2 * d_h)
+        flat_g = dA_g.reshape(b * n, d_h)
+        d_u_zr = flat_zr.T @ H_prev.reshape(b * n, d_h)
+        emit(3, d_u_zr[:d_h])
+        emit(4, d_u_zr[d_h:])
+        emit(5, flat_g.T @ (ZR[..., d_h:] * H_prev).reshape(b * n, d_h))
+        d_b_zr = flat_zr.sum(axis=0)
+        emit(6, d_b_zr[:d_h])
+        emit(7, d_b_zr[d_h:])
+        emit(8, flat_g.sum(axis=0))
+
+    return _emit_op("gru_scan", (pz, pr, ph, U_z, U_r, U, b_z, b_r, b_h), out, apply)
 
 
 # --------------------------------------------------------------------------

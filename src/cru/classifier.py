@@ -175,6 +175,9 @@ class SentimentModel:
         # The reversed path reuses the exact dropped embeddings, permuted so
         # each row's tokens run backward with pads staying at the tail.
         lengths = batch.mask.sum(axis=1).astype(np.intp)
+        if np.any(lengths < 1):
+            row = int(np.argmax(lengths < 1))
+            raise ContractError(f"batch row {row} has no tokens")
         perm = np.arange(b * n, dtype=np.intp).reshape(b, n)
         for row, ln in enumerate(lengths):
             perm[row, :ln] = perm[row, :ln][::-1]
@@ -182,10 +185,12 @@ class SentimentModel:
         E_rev = ad.reshape(ad.take_rows(flat, perm.reshape(-1)), (b, n, d))
 
         # Rows run on over their padding; row r's final state is its state at
-        # step lengths[r] - 1, row (lengths[r] - 1) * b + r of the stacked states.
-        last = (lengths - 1) * b + np.arange(b)
-        final_f = ad.take_rows(ad.concat_rows(run_sequence(self.fwd_cell, E)), last)
-        final_b = ad.take_rows(ad.concat_rows(run_sequence(self.bwd_cell, E_rev)), last)
+        # step lengths[r] - 1, row r * n + lengths[r] - 1 of the flattened states.
+        last = np.arange(b) * n + lengths - 1
+        flat_shape = (b * n, self.fwd_cell.hidden_dim)
+        final_f = ad.take_rows(ad.reshape(run_sequence(self.fwd_cell, E), flat_shape), last)
+        final_b = ad.take_rows(ad.reshape(run_sequence(self.bwd_cell, E_rev), flat_shape),
+                               last)
         h = ad.concat_cols([final_f, final_b])
 
         h = dense_forward(self.fc, h)

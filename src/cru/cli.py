@@ -271,12 +271,17 @@ def _check_cell(variant: str, seed: int, tol: float):
     d_h = d if variant == "deep" else 4
     n = 5
     cell = make_cell(variant, rng, d_in=d, d_h=d_h, k=3)
-    E = Tensor(0.5 * rng.standard_normal((1, n, d)), requires_grad=True)
+    # A ragged two-row batch (lengths n and n - 2), zero-padded as
+    # forward_batch pads it; the loss reads only the true steps.
+    E = Tensor(0.5 * rng.standard_normal((2, n, d)), requires_grad=True)
+    E.data[1, n - 2:] = 0.0
+    true_rows = np.concatenate([np.arange(n), n + np.arange(n - 2)])
     params = dict(cell.named_params())
     params["E"] = E
 
     def f():
-        return ad.sum_all(ad.concat_rows(run_sequence(cell, E)))
+        states = ad.reshape(run_sequence(cell, E), (2 * n, d_h))
+        return ad.sum_all(ad.take_rows(states, true_rows))
 
     return finite_diff_gradcheck(f, params, tol=tol)
 

@@ -86,9 +86,10 @@ def encode_bidirectional_enriched(fwd_cell, bwd_cell,
     if fwd_cell.hidden_dim != bwd_cell.hidden_dim:
         raise ConfigError("directions must share hidden size")
     X = enriched.combined
+    n, d_h = X.shape[0], fwd_cell.hidden_dim
     one_row = (1,) + X.shape
-    rev = np.arange(X.shape[0])[::-1]
-    fwd_states = run_sequence(fwd_cell, ad.reshape(X, one_row))
-    bwd_states = run_sequence(bwd_cell, ad.reshape(ad.take_rows(X, rev), one_row))
-    return ad.concat_cols([ad.concat_rows(fwd_states),
-                           ad.take_rows(ad.concat_rows(bwd_states), rev)])
+    rev = np.arange(n)[::-1]
+    fwd_states = ad.reshape(run_sequence(fwd_cell, ad.reshape(X, one_row)), (n, d_h))
+    bwd_states = ad.reshape(
+        run_sequence(bwd_cell, ad.reshape(ad.take_rows(X, rev), one_row)), (n, d_h))
+    return ad.concat_cols([fwd_states, ad.take_rows(bwd_states, rev)])

@@ -17,8 +17,9 @@ with the update/reset/candidate recurrence
 
 Because the banks always map d channels to d channels (the convolution is
 same-shape over the embedding), the deep variant needs hidden size == d.
-Gate inputs are precomputed for the whole sequence in ``prepare``, so the
-step loop only does the three small recurrent matmuls.
+Gate inputs are precomputed for the whole sequence in ``prepare``; the
+recurrence itself is one ``autodiff.gru_scan`` node per direction, whose
+forward and backward loops do only the small matmuls that read h_{t-1}.
 """
 
 from __future__ import annotations
@@ -110,36 +111,11 @@ class GruParams:
 
 
 # --------------------------------------------------------------------------
-# Shared recurrence
-# --------------------------------------------------------------------------
-
-def _recur_core(pz_t: Tensor, pr_t: Tensor, ph_t: Tensor, h_prev: Tensor,
-                uzT: Tensor, urT: Tensor, uT: Tensor, p: GruParams) -> Tensor:
-    """One update from precomputed gate inputs; all tensors are (B, d_h)."""
-    z = ad.sigmoid(ad.bias_add(ad.add(pz_t, ad.matmul(h_prev, uzT)), p.b_z))
-    r = ad.sigmoid(ad.bias_add(ad.add(pr_t, ad.matmul(h_prev, urT)), p.b_r))
-    g = ad.tanh(ad.bias_add(ad.add(ph_t, ad.matmul(ad.mul(r, h_prev), uT)), p.b_h))
-    return ad.add(ad.mul(z, h_prev), ad.mul(ad.sub(1.0, z), g))
-
-
-# --------------------------------------------------------------------------
 # Cells
 # --------------------------------------------------------------------------
 
-@dataclass
-class _Prepared:
-    """Whole-sequence gate inputs plus transposed recurrence weights."""
-
-    pz: Tensor  # (B, n, d_h)
-    pr: Tensor
-    ph: Tensor
-    uzT: Tensor
-    urT: Tensor
-    uT: Tensor
-
-
 class _CellBase:
-    """Common step loop; subclasses provide gate-input preparation."""
+    """Common recurrence; subclasses provide gate-input preparation."""
 
     variant: str
 
@@ -153,25 +129,13 @@ class _CellBase:
     def _gate_inputs(self, E: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         raise NotImplementedError
 
-    def prepare(self, E: Tensor) -> _Prepared:
-        """Precompute gate inputs for a (B, n, d) embedded batch."""
+    def prepare(self, E: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """The (B, n, d_h) gate inputs (P_z, P_r, P_h) of a (B, n, d) batch."""
         if E.ndim != 3:
             raise DimensionError(f"prepare needs a (B, n, d) batch, got {E.shape}")
         if E.shape[1] < 1:
             raise ContractError("sequence must have at least one step")
-        pz, pr, ph = self._gate_inputs(E)
-        p = self.params
-        return _Prepared(pz=pz, pr=pr, ph=ph,
-                         uzT=ad.transpose(p.U_z), urT=ad.transpose(p.U_r),
-                         uT=ad.transpose(p.U))
-
-    def step(self, prep: _Prepared, t: int, h_prev: Tensor) -> Tensor:
-        return _recur_core(ad.time_step(prep.pz, t), ad.time_step(prep.pr, t),
-                           ad.time_step(prep.ph, t), h_prev,
-                           prep.uzT, prep.urT, prep.uT, self.params)
-
-    def init_state(self, batch: int) -> Tensor:
-        return Tensor(np.zeros((batch, self.hidden_dim)))
+        return self._gate_inputs(E)
 
     def named_params(self, prefix: str = "") -> dict[str, Tensor]:
         return self.params.named(prefix)
@@ -312,21 +276,16 @@ def make_cell(variant: str, rng: np.random.Generator, d_in: int, d_h: int,
 # Sequence runner
 # --------------------------------------------------------------------------
 
-def run_sequence(cell: _CellBase, E: Tensor) -> list[Tensor]:
+def run_sequence(cell: _CellBase, E: Tensor) -> Tensor:
     """Run a cell over an embedded (B, n, d) batch from the zero state.
 
-    Returns the n (B, d_h) states; a single sequence is a batch of one. Rows
-    of a padded batch run on over their padding, so a shorter row's final
-    state is its state at step length - 1. That state equals the one-row run
-    of the unpadded sequence as long as the pads sit at the tail and the
-    padded embedding rows are zero: a state depends only on the steps up to
-    it, and a convolution window near the tail then sees the same zeros as
-    the same-length padding of the unpadded run.
+    Returns every step's state as one (B, n, d_h) tensor; a single sequence
+    is a batch of one. Rows of a padded batch run on over their padding, so a
+    shorter row's final state is its state at step length - 1. That state
+    equals the one-row run of the unpadded sequence as long as the pads sit
+    at the tail and the padded embedding rows are zero: a state depends only
+    on the steps up to it, and a convolution window near the tail then sees
+    the same zeros as the same-length padding of the unpadded run.
     """
-    prep = cell.prepare(E)
-    h = cell.init_state(E.shape[0])
-    states = []
-    for t in range(E.shape[1]):
-        h = cell.step(prep, t, h)
-        states.append(h)
-    return states
+    p = cell.params
+    return ad.gru_scan(*cell.prepare(E), p.U_z, p.U_r, p.U, p.b_z, p.b_r, p.b_h)

@@ -4,11 +4,14 @@ checked against.
 Each sequence reference handles one unpadded sequence at a time and reverses
 it with plain numpy, so it shares no padding, masking or permutation code
 with the batched path it checks. ``conv1d_same_einsum`` is the einsum
-convolution that the im2col ``ad.conv1d_same`` replaced.
+convolution that the im2col ``ad.conv1d_same`` replaced, and
+``gru_scan_composed`` is the per-step recurrence of ``ad`` ops that the fused
+``ad.gru_scan`` replaced.
 """
 
 import numpy as np
 
+from cru import autodiff as ad
 from cru.autodiff import Tensor
 from cru.recurrent import run_sequence
 
@@ -18,9 +21,29 @@ def run_row(cell, E):
 
     Returns numpy arrays (all states (n, d_h), final state (d_h,)).
     """
-    states = run_sequence(cell, Tensor(np.asarray(E)[None]))
-    all_h = np.concatenate([s.data for s in states])
+    all_h = run_sequence(cell, Tensor(np.asarray(E)[None])).data[0]
     return all_h, all_h[-1]
+
+
+def gru_scan_composed(pz, pr, ph, U_z, U_r, U, b_z, b_r, b_h):
+    """``ad.gru_scan`` built from per-step ``ad`` ops, about 20 nodes a step.
+
+    Step t's gate inputs are rows r * n + t of the flattened (B * n, d_h)
+    inputs; the n (B, d_h) states are stacked back into (B, n, d_h).
+    """
+    b, n, d_h = pz.shape
+    flat = [ad.reshape(p, (b * n, d_h)) for p in (pz, pr, ph)]
+    uzT, urT, uT = ad.transpose(U_z), ad.transpose(U_r), ad.transpose(U)
+    h = Tensor(np.zeros((b, d_h)))
+    states = []
+    for t in range(n):
+        pz_t, pr_t, ph_t = (ad.take_rows(f, np.arange(b) * n + t) for f in flat)
+        z = ad.sigmoid(ad.bias_add(ad.add(pz_t, ad.matmul(h, uzT)), b_z))
+        r = ad.sigmoid(ad.bias_add(ad.add(pr_t, ad.matmul(h, urT)), b_r))
+        g = ad.tanh(ad.bias_add(ad.add(ph_t, ad.matmul(ad.mul(r, h), uT)), b_h))
+        h = ad.add(ad.mul(z, h), ad.mul(ad.sub(1.0, z), g))
+        states.append(h)
+    return ad.reshape(ad.concat_cols(states), (b, n, d_h))
 
 
 def forward_reference(model, ids) -> float:

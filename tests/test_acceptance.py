@@ -182,11 +182,11 @@ def test_criterion_06_masked_batch_equivalence():
             states = run_sequence(cell, Tensor(Eb))
             for row, E in enumerate(singles):
                 all_h, f = run_row(cell, E)
-                final = states[lengths[row] - 1].data[row]
+                final = states.data[row, lengths[row] - 1]
                 worst = max(worst, float(np.max(np.abs(final - f))))
                 for t in range(lengths[row]):
                     worst = max(worst,
-                                float(np.max(np.abs(states[t].data[row] - all_h[t]))))
+                                float(np.max(np.abs(states.data[row, t] - all_h[t]))))
     report(6, "padded-batch equivalence",
            worst < 1e-12, f"padded-batch vs per-sentence max_abs_diff={worst:.2e} "
            f"(25 mixed-length batches x {len(VARIANTS)} variants)")

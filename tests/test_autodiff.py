@@ -266,16 +266,12 @@ def test_reshape_transpose_gradcheck():
     check(lambda: ad.sum_all(ad.mul(ad.transpose(x), ad.transpose(x))), {"x": x})
 
 
-def test_concat_rows_and_cols():
+def test_concat_cols():
     a = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.full((1, 3), 2.0), requires_grad=True)
-    out = ad.concat_rows([a, b])
-    assert out.shape == (3, 3)
     c = Tensor(np.ones((2, 2)), requires_grad=True)
-    out2 = ad.concat_cols([a, c])
-    assert out2.shape == (2, 5)
-    with pytest.raises(DimensionError):
-        ad.concat_rows([a, c])
+    out = ad.concat_cols([a, c])
+    assert out.shape == (2, 5)
     with pytest.raises(DimensionError):
         ad.concat_cols([a, b])
 
@@ -283,10 +279,7 @@ def test_concat_rows_and_cols():
 def test_concat_gradchecks():
     rng = rng_for(5)
     a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-    b = Tensor(rng.standard_normal((1, 3)), requires_grad=True)
     c = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
-    check(lambda: ad.sum_all(ad.mul(ad.concat_rows([a, b]),
-                                    ad.concat_rows([a, b]))), {"a": a, "b": b})
     check(lambda: ad.sum_all(ad.mul(ad.concat_cols([a, c]),
                                     ad.concat_cols([a, c]))), {"a": a, "c": c})
 
@@ -309,21 +302,6 @@ def test_take_rows_range_check():
         ad.take_rows(w, [0, 4])
     with pytest.raises(ContractError):
         ad.take_rows(w, [])
-
-
-def test_time_step_rank2_and_rank3():
-    # Only (B, n, d) batches have a time axis; a bare (n, d) sequence is rejected.
-    with pytest.raises(DimensionError):
-        ad.time_step(Tensor(np.zeros((3, 2))), 1)
-    x3 = Tensor(np.arange(24, dtype=float).reshape(2, 3, 4), requires_grad=True)
-    assert np.allclose(ad.time_step(x3, 2).data, x3.data[:, 2])
-    with pytest.raises(IndexError):
-        ad.time_step(x3, 3)
-    with Tape() as tape:
-        tape.backward(ad.sum_all(ad.time_step(x3, 1)))
-    expected = np.zeros((2, 3, 4))
-    expected[:, 1] = 1.0
-    assert np.allclose(x3.grad, expected)
 
 
 def test_bias_add_gradcheck():
@@ -406,6 +384,44 @@ def test_conv1d_same_validation():
         ad.conv1d_same(x, Tensor(np.zeros((2, 3, 4))))  # channel mismatch
     with pytest.raises(DimensionError):  # a bare (n, d) sequence is not a batch
         ad.conv1d_same(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 3, 3))))
+
+
+def scan_inputs(rng, b, n, d_h):
+    gates = [Tensor(rng.standard_normal((b, n, d_h)), requires_grad=True) for _ in range(3)]
+    weights = [Tensor(0.6 * rng.standard_normal((d_h, d_h)), requires_grad=True)
+               for _ in range(3)]
+    biases = [Tensor(rng.uniform(-0.5, 0.5, d_h), requires_grad=True) for _ in range(3)]
+    return gates + weights + biases
+
+
+def test_gru_scan_gradcheck():
+    # A ragged batch (lengths 4 and 2) with zeroed gate inputs past row 1's
+    # end; the readout weights only true steps, as forward_batch does.
+    rng = rng_for(16)
+    inputs = scan_inputs(rng, 2, 4, 3)
+    for gate in inputs[:3]:
+        gate.data[1, 2:] = 0.0
+    readout = rng.standard_normal((2, 4, 3))
+    readout[1, 2:] = 0.0
+    names = ["pz", "pr", "ph", "U_z", "U_r", "U", "b_z", "b_r", "b_h"]
+    check(lambda: ad.sum_all(ad.mul(ad.gru_scan(*inputs), Tensor(readout))),
+          dict(zip(names, inputs)))
+
+
+def test_gru_scan_validation():
+    rng = rng_for(17)
+    inputs = scan_inputs(rng, 2, 3, 4)
+    assert ad.gru_scan(*inputs).shape == (2, 3, 4)
+    with pytest.raises(DimensionError):  # a bare (n, d_h) sequence is not a batch
+        ad.gru_scan(Tensor(np.zeros((3, 4))), *inputs[1:])
+    with pytest.raises(DimensionError):
+        ad.gru_scan(Tensor(np.zeros((2, 0, 4))), *inputs[1:])
+    with pytest.raises(DimensionError):  # gate inputs disagree
+        ad.gru_scan(inputs[0], Tensor(np.zeros((2, 2, 4))), *inputs[2:])
+    with pytest.raises(DimensionError):
+        ad.gru_scan(*inputs[:3], Tensor(np.zeros((4, 3))), *inputs[4:])
+    with pytest.raises(DimensionError):
+        ad.gru_scan(*inputs[:8], Tensor(np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,28 @@ def test_padding_records_no_extra_tape_nodes():
         assert counts[0] == counts[1], variant
 
 
+def test_tape_size_does_not_grow_with_width():
+    # The recurrence is one tape node per direction, whatever the width.
+    rng = np.random.default_rng(3)
+    for variant in VARIANTS:
+        model, _ = tiny_model(seed=13, variant=variant)
+        counts = []
+        for width in (3, 30):
+            rows = [list(rng.integers(2, 9, size=width)), [4, 5]]
+            with Tape() as tape:
+                model.forward_batch(batch_from_rows(rows, [1, 0]))
+            counts.append(len(tape))
+        assert counts[0] == counts[1], (variant, counts)
+
+
+def test_zero_length_row_is_a_contract_error():
+    model, _ = tiny_model(seed=14)
+    batch = batch_from_rows([[2, 3, 4], [5]], [1, 0])
+    batch.mask[1] = 0.0
+    with pytest.raises(ContractError, match="row 1"):
+        model.forward_batch(batch)
+
+
 def test_dropout_draws_are_shared_between_directions():
     # In train mode with dropout, the reversed direction must see the same
     # dropped embeddings, so replaying the same rng stream replays the same

@@ -1,5 +1,6 @@
 """Property tests: a zero-padded batch equals one-row batches of its rows,
-and the im2col convolution equals its einsum reference."""
+the im2col convolution equals its einsum reference, and the fused GRU scan
+equals its per-step composed reference."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -10,7 +11,7 @@ from cru.autodiff import Tape, Tensor
 from cru.classifier import SentimentModel, TrainConfig, seeded_rng
 from cru.data import EncodedSample, batch_and_pad
 from cru.recurrent import VARIANTS, make_cell, run_sequence
-from oracles import conv1d_same_einsum
+from oracles import conv1d_same_einsum, gru_scan_composed
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -30,12 +31,12 @@ def test_run_sequence_masked_batch_equals_rows(case):
     Eb = np.zeros((len(lengths), width, d))
     for row, n in enumerate(lengths):
         Eb[row, :n] = rng.standard_normal((n, d))
-    states = run_sequence(cell, Tensor(Eb))
+    states = run_sequence(cell, Tensor(Eb)).data
     for row, n in enumerate(lengths):
-        one = run_sequence(cell, Tensor(Eb[row:row + 1, :n]))
-        assert np.max(np.abs(states[n - 1].data[row] - one[-1].data[0])) < 1e-12
+        one = run_sequence(cell, Tensor(Eb[row:row + 1, :n])).data
+        assert np.max(np.abs(states[row, n - 1] - one[0, -1])) < 1e-12
         for t in range(n):
-            assert np.max(np.abs(states[t].data[row] - one[t].data[0])) < 1e-12
+            assert np.max(np.abs(states[row, t] - one[0, t])) < 1e-12
 
 
 @PROPERTY
@@ -73,5 +74,38 @@ def test_conv1d_same_equals_einsum_reference(case):
         tape.backward(ad.sum_all(ad.mul(out, Tensor(G))))
     ref_out, ref_dx, ref_df = conv1d_same_einsum(x.data, f.data, G)
     for got, ref in [(out.data, ref_out), (x.grad, ref_dx), (f.grad, ref_df)]:
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@PROPERTY
+@given(cases)
+@example(("gru", [1], 0))
+@example(("deep_enhanced", [9, 1, 4], 1))
+def test_gru_scan_equals_composed_reference(case):
+    # Gate inputs come from each variant's prepare on a zero-padded ragged
+    # batch; they become leaves so their gradients can be compared too.
+    variant, lengths, seed = case
+    rng = np.random.Generator(np.random.PCG64(seed))
+    d = 3
+    cell = make_cell(variant, rng, d, d)
+    p = cell.params
+    for b in (p.b_z, p.b_r, p.b_h):
+        b.data = rng.uniform(-0.5, 0.5, d)
+    Eb = np.zeros((len(lengths), max(lengths), d))
+    for row, n in enumerate(lengths):
+        Eb[row, :n] = rng.standard_normal((n, d))
+    gates = [Tensor(x.data, requires_grad=True) for x in cell.prepare(Tensor(Eb))]
+    inputs = [*gates, p.U_z, p.U_r, p.U, p.b_z, p.b_r, p.b_h]
+    G = Tensor(rng.standard_normal(gates[0].shape))
+    results = []
+    for scan in (ad.gru_scan, gru_scan_composed):
+        for x in inputs:
+            x.zero_grad()
+        with Tape() as tape:
+            out = scan(*inputs)
+            tape.backward(ad.sum_all(ad.mul(out, G)))
+        results.append([out.data] + [x.grad for x in inputs])
+    for got, ref in zip(*results):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

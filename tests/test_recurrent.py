@@ -35,10 +35,14 @@ def ref_gru(p: GruParams, x, h):
     return ref_step(p, p.W_z.data @ x, p.W_r.data @ x, p.W.data @ x, h)
 
 
-def one_step(cell, x, h):
-    """One update through cell.prepare + cell.step: x (B, d), h (B, d_h)."""
-    prep = cell.prepare(Tensor(np.asarray(x)[:, None, :]))
-    return cell.step(prep, 0, Tensor(h)).data
+def one_step(cell, x_prev, x):
+    """Run the two-step batch [x_prev, x], each (B, d), through run_sequence.
+
+    Returns (h, out): the step-0 state, which step 1 reads as its previous
+    state, and the step-1 state.
+    """
+    states = run_sequence(cell, Tensor(np.stack([x_prev, x], axis=1))).data
+    return states[:, 0], states[:, 1]
 
 
 def linear_banks(A):
@@ -80,36 +84,40 @@ def test_gru_step_matches_reference():
     p = GruParams.init(rng, 3, 4)
     cell = GruCell(p)
     for trial in range(20):
-        x = rng.standard_normal(3)
-        h = np.clip(rng.standard_normal(4) * 0.5, -0.99, 0.99)
-        got = one_step(cell, x[None], h[None])
+        x_prev, x = rng.standard_normal((2, 3))
+        h, got = one_step(cell, x_prev[None], x[None])
         assert got.shape == (1, 4)
-        assert np.allclose(got[0], ref_gru(p, x, h), atol=1e-12)
+        assert np.allclose(h[0], ref_gru(p, x_prev, np.zeros(4)), atol=1e-12)
+        assert np.allclose(got[0], ref_gru(p, x, h[0]), atol=1e-12)
 
 
 def test_gru_step_batched_rows_match_single():
     rng = rng_for(3)
     p = GruParams.init(rng, 3, 4)
+    X_prev = rng.standard_normal((5, 3))
     X = rng.standard_normal((5, 3))
-    H = rng.standard_normal((5, 4)) * 0.5
-    got = one_step(GruCell(p), X, H)
+    H, got = one_step(GruCell(p), X_prev, X)
     for b in range(5):
         assert np.allclose(got[b], ref_gru(p, X[b], H[b]), atol=1e-12)
 
 
 def test_update_gate_blends_toward_previous_state():
-    # Pushing b_z to +inf makes z -> 1, so the state must freeze at h_prev;
-    # this pins the gate convention (z multiplies the previous state).
+    # Input channel 0 drives the update gate alone: z -> 0 at step 0, so the
+    # step-0 state is a plain candidate, then z -> 1 at step 1, so the state
+    # must freeze at h_prev; this pins the gate convention (z multiplies the
+    # previous state).
     rng = rng_for(4)
     p = GruParams.init(rng, 3, 4)
-    p.b_z.data[:] = 50.0
-    x = rng.standard_normal(3)
-    h = rng.standard_normal(4) * 0.5
-    out = one_step(GruCell(p), x[None], h[None])[0]
+    p.W_z.data[:] = 0.0
+    p.W_z.data[:, 0] = 50.0
+    x_prev = np.array([-1.0, *rng.standard_normal(2)])
+    x = np.array([1.0, *rng.standard_normal(2)])
+    h, out = (a[0] for a in one_step(GruCell(p), x_prev[None], x[None]))
+    assert np.max(np.abs(h)) > 0.1
     assert np.allclose(out, h, atol=1e-9)
-    # And b_z -> -inf makes the output the candidate state alone.
-    p.b_z.data[:] = -50.0
-    out2 = one_step(GruCell(p), x[None], h[None])[0]
+    # And z -> 0 makes the output the candidate state alone.
+    x[0] = -1.0
+    h, out2 = (a[0] for a in one_step(GruCell(p), x_prev[None], x[None]))
     g = np.tanh(p.W.data @ x
                 + p.U.data @ (sig(p.W_r.data @ x + p.U_r.data @ h + p.b_r.data) * h)
                 + p.b_h.data)
@@ -121,9 +129,8 @@ def test_reset_gate_cuts_recurrent_candidate_path():
     rng = rng_for(5)
     p = GruParams.init(rng, 3, 4)
     p.b_r.data[:] = -50.0
-    x = rng.standard_normal(3)
-    h = rng.standard_normal(4) * 0.5
-    out = one_step(GruCell(p), x[None], h[None])[0]
+    x_prev, x = rng.standard_normal((2, 3))
+    h, out = (a[0] for a in one_step(GruCell(p), x_prev[None], x[None]))
     z = sig(p.W_z.data @ x + p.U_z.data @ h + p.b_z.data)
     g = np.tanh(p.W.data @ x + p.b_h.data)  # U @ (0*h) vanishes
     assert np.allclose(out, z * h + (1 - z) * g, atol=1e-9)
@@ -134,9 +141,8 @@ def test_deep_step_matches_reference_and_validates():
     p = GruParams.init(rng, None, 4)
     A = rng.standard_normal((3, 4, 4))
     banks = linear_banks(A)
-    x = rng.standard_normal(4)
-    h = rng.standard_normal(4) * 0.5
-    got = one_step(DeepCell(*banks, p), x[None], h[None])[0]
+    x_prev, x = rng.standard_normal((2, 4))
+    h, got = (a[0] for a in one_step(DeepCell(*banks, p), x_prev[None], x[None]))
     assert np.allclose(got, ref_step(p, A[0] @ x, A[1] @ x, A[2] @ x, h), atol=1e-12)
     narrow = linear_banks(rng.standard_normal((1, 3, 4)))[0]
     with pytest.raises(ConfigError):  # bank width must equal hidden size
@@ -151,9 +157,8 @@ def test_deep_enhanced_step_matches_reference():
     p = GruParams.init(rng, 3, 4)
     A = rng.standard_normal((3, 3, 3))
     banks = linear_banks(A)
-    e = rng.standard_normal(3)
-    h = rng.standard_normal(4) * 0.5
-    got = one_step(DeepEnhancedCell(*banks, p), e[None], h[None])[0]
+    e_prev, e = rng.standard_normal((2, 3))
+    h, got = (a[0] for a in one_step(DeepEnhancedCell(*banks, p), e_prev[None], e[None]))
     expected = ref_step(p, p.W_z.data @ (A[0] @ e + e), p.W_r.data @ (A[1] @ e + e),
                         p.W.data @ (A[2] @ e + e), h)
     assert np.allclose(got, expected, atol=1e-12)
@@ -312,10 +317,10 @@ def test_run_sequence_masked_batch_matches_per_sequence():
         for i, s in enumerate(seqs):
             Eb[i, :len(s)] = s
         states = run_sequence(cell, Tensor(Eb))
-        assert len(states) == width
+        assert states.shape == (3, width, 3)
         for i, s in enumerate(seqs):
             _, f = run_row(cell, s)
-            assert np.max(np.abs(states[len(s) - 1].data[i] - f)) < 1e-12, variant
+            assert np.max(np.abs(states.data[i, len(s) - 1] - f)) < 1e-12, variant
 
 
 def test_mask_alone_shields_non_conv_recurrence_from_pad_garbage():
@@ -329,7 +334,7 @@ def test_mask_alone_shields_non_conv_recurrence_from_pad_garbage():
     states = run_sequence(cell, Tensor(Eb))
     all_h, _ = run_row(cell, s)
     for t in range(3):
-        assert np.max(np.abs(states[t].data[0] - all_h[t])) < 1e-12
+        assert np.max(np.abs(states.data[0, t] - all_h[t])) < 1e-12
 
 
 def test_run_sequence_initial_state():
@@ -337,12 +342,12 @@ def test_run_sequence_initial_state():
     rng = rng_for(19)
     cell = make_cell("gru", rng, 3, 4)
     E = rng.standard_normal((2, 3, 3))
-    final = run_sequence(cell, Tensor(E))[-1]
+    final = run_sequence(cell, Tensor(E)).data[:, -1]
     for row in range(2):
         h = np.zeros(4)
         for t in range(3):
             h = ref_gru(cell.params, E[row, t], h)
-        assert np.allclose(final.data[row], h, atol=1e-12)
+        assert np.allclose(final[row], h, atol=1e-12)
 
 
 def test_run_sequence_errors():
@@ -361,7 +366,7 @@ def test_single_step_sequence():
     cell = make_cell("deep_enhanced", rng, 3, 3)
     E = rng.standard_normal((1, 1, 3))
     states = run_sequence(cell, Tensor(E))
-    assert len(states) == 1 and states[0].shape == (1, 3)
+    assert states.shape == (1, 1, 3)
 
 
 def test_hidden_states_stay_in_unit_interval():
@@ -426,8 +431,8 @@ def test_run_bidirectional_batch_matches_single():
     states_b = run_sequence(bwd, Tensor(Er))
     for i, s in enumerate(seqs):
         last = len(s) - 1
-        assert np.max(np.abs(states_f[last].data[i] - run_row(fwd, s)[1])) < 1e-12
-        assert np.max(np.abs(states_b[last].data[i] - run_row(bwd, s[::-1])[1])) < 1e-12
+        assert np.max(np.abs(states_f.data[i, last] - run_row(fwd, s)[1])) < 1e-12
+        assert np.max(np.abs(states_b.data[i, last] - run_row(bwd, s[::-1])[1])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +447,7 @@ def test_sequence_gradcheck_per_variant():
         params = dict(cell.named_params())
         params["E"] = E
         report = finite_diff_gradcheck(
-            lambda: ad.sum_all(ad.concat_rows(run_sequence(cell, E))), params)
+            lambda: ad.sum_all(run_sequence(cell, E)), params)
         assert report.passed, (variant, report.worst(), report.max_rel_err)
 
 
@@ -454,12 +459,12 @@ def test_masked_batch_gradcheck():
     Eb = Tensor(0.5 * rng.standard_normal((2, 4, 3)), requires_grad=True)
     Eb.data[1, 2:] = 0.0  # zero pads, as forward_batch makes them
     lengths = np.array([4, 2])
-    last = (lengths - 1) * 2 + np.arange(2)
+    last = np.arange(2) * 4 + lengths - 1
     params = dict(cell.named_params())
     params["E"] = Eb
 
     def f():
-        finals = ad.take_rows(ad.concat_rows(run_sequence(cell, Eb)), last)
+        finals = ad.take_rows(ad.reshape(run_sequence(cell, Eb), (8, 3)), last)
         return ad.sum_all(finals)
 
     report = finite_diff_gradcheck(f, params)
