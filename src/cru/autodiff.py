@@ -195,10 +195,16 @@ class Tape:
                     if nid is None:
                         return  # constant input
                     cur = buf[nid]
-                    if cur is None:
-                        cur = buf[nid] = np.zeros_like(nodes[nid].tensor.data)
+                    shape = nodes[nid].tensor.shape
                     if rows is not None:
+                        if cur is None:
+                            cur = buf[nid] = np.zeros(shape)
                         np.add.at(cur, rows, grad)
+                    elif grad.shape != shape:
+                        raise ContractError(f"{node.op}: gradient of shape {grad.shape} "
+                                            f"for an input of shape {shape}")
+                    elif cur is None:
+                        buf[nid] = np.array(grad)  # a copy: grad may be a read-only view
                     else:
                         cur += grad
 

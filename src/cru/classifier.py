@@ -20,7 +20,7 @@ from .checkpoint import load_tensors, save_tensors
 from .data import Batch, Sample, Vocab, batch_and_pad, encode_corpus
 from .errors import ConfigError, ContractError, NumericError
 from .layers import DenseLayer, EmbeddingTable, dense_forward, dropout_apply
-from .optim import Adam, l2_penalty
+from .optim import Adam
 from .recurrent import VARIANTS, make_cell, run_sequence
 
 # Seed-stream tags so every randomness consumer gets an independent generator.
@@ -102,13 +102,9 @@ class TrainConfig:
             if raw == "":
                 typed[f.name] = None
                 continue
+            kind = float if f.type == "float" else str if f.type.startswith("str") else int
             try:
-                if f.name in ("variant", "pretrained"):
-                    typed[f.name] = raw
-                elif f.name in ("dropout", "lr", "l2", "clip_norm"):
-                    typed[f.name] = float(raw)
-                else:
-                    typed[f.name] = int(raw)
+                typed[f.name] = kind(raw)
             except ValueError:
                 raise ConfigError(f"bad value for {f.name}: {raw!r}") from None
         unknown = set(kv) - {f.name for f in fields(cls)}
@@ -226,18 +222,17 @@ def train_epoch(model: SentimentModel, optimizer: Adam, batches: list[Batch],
             with ad.Tape() as tape:
                 p = model.forward_batch(batch, train=True, rng=rng)
                 loss = bce_loss(p, batch.labels)
-                if config.l2 > 0:
-                    loss = ad.add(loss, l2_penalty(model.embedding.weights, config.l2))
                 tape.backward(loss)
+            # Free every forward tensor and closure before the optimizer's sweeps.
+            del tape
+            # The embedding's L2 term is off the tape: the norm pass adds it.
+            optimizer.clip_gradients(config.clip_norm, {"embedding.weights": config.l2})
         except NumericError as exc:
             raise NumericError(f"non-finite value while training batch {i}: {exc}") from exc
-        # Free every forward tensor and closure before Adam makes its temporaries.
-        del tape
-        optimizer.clip_gradients(config.clip_norm)
         optimizer.step()
         optimizer.zero_grad()
         b = batch.size
-        total_loss += loss.item() * b
+        total_loss += (loss.item() + optimizer.penalty) * b
         correct += int(np.sum((p.data >= 0.5) == (batch.labels == 1.0)))
         count += b
     return total_loss / count, correct / count

@@ -1,30 +1,23 @@
-"""Adam, global-norm gradient clipping, and the embedding L2 penalty."""
+"""Adam with global-norm clipping and L2 terms, in two sweeps over blocks of
+``BLOCK_ROWS`` leading rows, so that a block's temporaries stay in cache (Lam,
+Rothberg & Wolf, ASPLOS 1991): the norm pass, ``clip_gradients``, and the
+update pass, ``step`` (Kingma & Ba, arXiv:1412.6980).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, NumericError
+
+BLOCK_ROWS = 256
 
 
-def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so their joint L2 norm is <= max_norm.
-
-    Returns the pre-clip global norm.
-    """
-    if max_norm <= 0:
-        raise ConfigError(f"max_norm must be positive, got {max_norm}")
-    total = 0.0
-    for g in grads:
-        total += float(np.sum(g * g))
-    norm = float(np.sqrt(total))
-    if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads:
-            g *= scale
-    return norm
+def _blocks(x: np.ndarray) -> list[np.ndarray]:
+    """Views of x's blocks of BLOCK_ROWS leading rows; a scalar is one block."""
+    x = np.atleast_1d(x)
+    return [x[s:s + BLOCK_ROWS] for s in range(0, len(x), BLOCK_ROWS)]
 
 
 class Adam:
@@ -52,36 +45,67 @@ class Adam:
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in items}
         self.v = {n: np.zeros_like(p.data) for n, p in items}
+        self.penalty = 0.0  # sum of lam * ||W||^2 found by the last norm pass
+        self._scale: float | None = None  # clip factor for the next step
 
     def step(self) -> None:
-        """Apply one update from the .grad buffers (missing grads are zero)."""
+        """One update from the .grad buffers (missing grads are zero), clip scale first."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
+        scale, self._scale = self._scale, None
         for name, p in self.params:
             g = p.grad
             if g is None:
                 continue
             if g.shape != p.data.shape:
-                raise ContractError(
-                    f"gradient shape {g.shape} does not match parameter "
-                    f"{name} {p.data.shape}"
-                )
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+                raise ContractError(f"gradient shape {g.shape} does not match "
+                                    f"parameter {name} {p.data.shape}")
+            blocks = list(zip(*map(_blocks, (g, self.m[name], self.v[name], p.data))))
+            a_buf, c_buf = np.empty_like(blocks[0][0]), np.empty_like(blocks[0][0])
+            for gb, mb, vb, wb in blocks:
+                if scale is not None:
+                    gb *= scale
+                # Written through two buffers: fresh temporaries cost more than the math.
+                a, c = a_buf[:len(gb)], c_buf[:len(gb)]
+                mb *= self.beta1
+                mb += np.multiply(gb, 1.0 - self.beta1, out=a)
+                vb *= self.beta2
+                vb += np.multiply(np.multiply(gb, 1.0 - self.beta2, out=a), gb, out=a)
+                np.add(np.sqrt(np.divide(vb, c2, out=a), out=a), self.eps, out=a)
+                wb -= np.divide(np.multiply(np.divide(mb, c1, out=c), self.lr, out=c), a, out=c)
 
     def zero_grad(self) -> None:
         for _, p in self.params:
             p.zero_grad()
 
-    def clip_gradients(self, max_norm: float) -> float:
-        grads = [p.grad for _, p in self.params if p.grad is not None]
-        return clip_global_norm(grads, max_norm)
+    def clip_gradients(self, max_norm: float, l2: dict[str, float] | None = None) -> float:
+        """Norm pass, once per step: add 2 * l2[name] * W to each named gradient,
+        keep the sum of l2[name] * ||W||^2 in self.penalty, return the pre-clip
+        norm. The next step() scales the gradients to a joint norm <= max_norm."""
+        if max_norm <= 0:
+            raise ConfigError(f"max_norm must be positive, got {max_norm}")
+        l2 = l2 or {}
+        if set(l2) - set(self.m) or any(lam < 0 for lam in l2.values()):
+            raise ConfigError(f"l2 must map parameter names to coefficients >= 0, got {l2}")
+        total = penalty = 0.0
+        for name, p in self.params:
+            lam = l2.get(name, 0.0)
+            if p.grad is None and lam > 0:
+                p.grad = np.zeros_like(p.data)
+            if p.grad is None:
+                continue
+            for gb, wb in zip(_blocks(p.grad), _blocks(p.data)):
+                if lam > 0:
+                    gb += (2.0 * lam) * wb
+                    penalty += lam * float(np.vdot(wb, wb))
+                total += float(np.vdot(gb, gb))
+        norm = float(np.sqrt(total))
+        if not np.isfinite(norm + penalty):
+            raise NumericError(f"gradient norm {norm} or L2 term {penalty} is not finite")
+        self.penalty = penalty
+        self._scale = max_norm / norm if norm > max_norm else None
+        return norm
 
     def state_dict(self) -> dict[str, np.ndarray]:
         out = {"step_count": np.array(float(self.t))}
@@ -105,12 +129,3 @@ class Adam:
                         f"expected {store[name].shape}"
                     )
                 store[name] = state[key].astype(np.float64).copy()
-
-
-def l2_penalty(weights: Tensor, lam: float) -> Tensor:
-    """lam * sum(w^2), recorded on the tape so it regularizes through the loss."""
-    if lam < 0:
-        raise ConfigError(f"l2 coefficient must be >= 0, got {lam}")
-    if lam == 0.0:
-        return Tensor(0.0)
-    return ad.mul(ad.sum_all(ad.mul(weights, weights)), lam)

@@ -6,13 +6,16 @@ it with plain numpy, so it shares no padding, masking or permutation code
 with the batched path it checks. ``conv1d_same_einsum`` is the einsum
 convolution that the im2col ``ad.conv1d_same`` replaced, and
 ``gru_scan_composed`` is the per-step recurrence of ``ad`` ops that the fused
-``ad.gru_scan`` replaced.
+``ad.gru_scan`` replaced. ``dense_update`` is the training step from before
+the optimizer's blocked sweeps: the L2 term on the tape (``l2_penalty``),
+``clip_global_norm``, and Adam over whole arrays.
 """
 
 import numpy as np
 
 from cru import autodiff as ad
-from cru.autodiff import Tensor
+from cru.autodiff import Tape, Tensor
+from cru.classifier import bce_loss
 from cru.recurrent import run_sequence
 
 
@@ -80,3 +83,55 @@ def conv1d_same_einsum(x, filters, g):
     for j in range(k):
         d_xp[:, j:j + n, :] += d_win[:, :, j, :]
     return out, d_xp[:, pad:pad + n, :], d_filters
+
+
+def l2_penalty(weights, lam):
+    """lam * sum(w^2), recorded on the tape."""
+    if lam == 0.0:
+        return Tensor(0.0)
+    return ad.mul(ad.sum_all(ad.mul(weights, weights)), lam)
+
+
+def clip_global_norm(grads, max_norm):
+    """Scale the arrays in place so their joint L2 norm is <= max_norm.
+
+    Returns the pre-clip global norm.
+    """
+    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    if norm > max_norm:
+        for g in grads:
+            g *= max_norm / norm
+    return norm
+
+
+def dense_update(model, batches, config, rng, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One training step per batch, as ``train_epoch`` took it with the L2
+    term on the tape and one whole-array Adam update per parameter.
+
+    Returns (reported loss of each step, Adam's m and v by parameter name);
+    the model's parameters are updated in place.
+    """
+    params = model.named_params()
+    m = {n: np.zeros_like(p.data) for n, p in params.items()}
+    v = {n: np.zeros_like(p.data) for n, p in params.items()}
+    losses = []
+    for t, batch in enumerate(batches, start=1):
+        with Tape() as tape:
+            p = model.forward_batch(batch, train=True, rng=rng)
+            loss = bce_loss(p, batch.labels)
+            if config.l2 > 0:
+                loss = ad.add(loss, l2_penalty(model.embedding.weights, config.l2))
+            tape.backward(loss)
+        losses.append(loss.item())
+        grads = {n: q.grad for n, q in params.items() if q.grad is not None}
+        clip_global_norm(list(grads.values()), config.clip_norm)
+        c1 = 1.0 - beta1 ** t
+        c2 = 1.0 - beta2 ** t
+        for n, g in grads.items():
+            m[n] *= beta1
+            m[n] += (1.0 - beta1) * g
+            v[n] *= beta2
+            v[n] += (1.0 - beta2) * g * g
+            params[n].data -= config.lr * (m[n] / c1) / (np.sqrt(v[n] / c2) + eps)
+            params[n].zero_grad()
+    return losses, m, v

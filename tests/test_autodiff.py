@@ -107,6 +107,35 @@ def test_leaf_gradients_own_their_memory():
     assert np.array_equal(first, g1)
 
 
+def test_first_gradient_is_a_writable_copy():
+    # add sends its own gradient buffer to both inputs, and sum_all sends a
+    # read-only broadcast view; the leaf must own a writable array either way.
+    x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+    with Tape() as tape:
+        y = ad.add(x, x)
+        tape.backward(ad.sum_all(ad.mul(y, Tensor([[1.0, 2.0], [3.0, 4.0]]))))
+        views = [node.tensor.data for node in tape.nodes]
+    assert np.array_equal(x.grad, [[2.0, 4.0], [6.0, 8.0]])
+    z = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    with Tape() as tape:
+        tape.backward(ad.sum_all(z))
+        views += [node.tensor.data for node in tape.nodes]
+    assert np.array_equal(z.grad, [1.0, 1.0, 1.0])
+    for g in (x.grad, z.grad):
+        assert g.flags.writeable and g.base is None
+        assert not any(np.shares_memory(g, arr) for arr in views)
+    z.grad += 1.0
+    assert np.array_equal(z.grad, [2.0, 2.0, 2.0])
+
+
+def test_gradient_of_the_wrong_shape_is_a_contract_error():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        out = ad._emit_op("bad", (x,), Tensor(3.0), lambda g, emit: emit(0, np.ones(3)))
+        with pytest.raises(ContractError, match=r"bad: gradient of shape \(3,\)"):
+            tape.backward(out)
+
+
 def test_constants_get_no_gradient():
     a = Tensor([1.0, 2.0], requires_grad=True)
     c = Tensor([5.0, 6.0])  # constant

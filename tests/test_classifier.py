@@ -270,9 +270,9 @@ def test_tape_is_released_before_the_optimizer_runs(monkeypatch):
 
     clip = Adam.clip_gradients
 
-    def checked_clip(self, max_norm):
+    def checked_clip(self, max_norm, l2):
         alive.append(tapes[-1]() is not None)
-        return clip(self, max_norm)
+        return clip(self, max_norm, l2)
 
     monkeypatch.setattr(ad, "Tape", TrackedTape)
     monkeypatch.setattr(Adam, "clip_gradients", checked_clip)
@@ -289,6 +289,17 @@ def test_train_epoch_names_batch_on_non_finite():
     opt = Adam(model.named_params(), lr=config.lr)
     batches = [batch_from_rows([[2, 2]], [1]), batch_from_rows([[3, 4]], [0])]
     with pytest.raises(NumericError, match="batch 1"):
+        train_epoch(model, opt, batches, config, rng=None)
+
+
+def test_train_epoch_names_batch_on_non_finite_row_it_never_reads():
+    # The L2 term covers the whole table, so a NaN in a row no batch looks up
+    # still stops training at the first batch.
+    model, config = tiny_model(seed=11, l2=1e-3)
+    model.embedding.weights.data[7, 0] = np.nan
+    opt = Adam(model.named_params(), lr=config.lr)
+    batches = [batch_from_rows([[2, 3]], [1]), batch_from_rows([[4]], [0])]
+    with pytest.raises(NumericError, match="non-finite value while training batch 0: "):
         train_epoch(model, opt, batches, config, rng=None)
 
 

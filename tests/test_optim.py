@@ -1,12 +1,13 @@
-"""Adam update math, global-norm clipping, and the embedding L2 term."""
+"""Adam update math, and the norm pass that clips and adds the L2 term."""
 
 import numpy as np
 import pytest
 
 from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor
-from cru.errors import ConfigError, ContractError
-from cru.optim import Adam, clip_global_norm, l2_penalty
+from cru.errors import ConfigError, ContractError, NumericError
+from cru.optim import BLOCK_ROWS, Adam
+from oracles import l2_penalty
 
 
 def make_param(values):
@@ -133,44 +134,57 @@ def test_adam_state_round_trip_errors():
 
 
 # ---------------------------------------------------------------------------
-# Clipping
+# Clipping: clip_gradients finds the scale, the next step applies it
 # ---------------------------------------------------------------------------
 
+def clip_and_step(grads, max_norm):
+    """Run the norm pass and one step; returns (pre-clip norm, clipped grads)."""
+    params = {f"p{i}": make_param(np.zeros_like(g)) for i, g in enumerate(grads)}
+    for p, g in zip(params.values(), grads):
+        p.grad = g
+    opt = Adam(params)
+    norm = opt.clip_gradients(max_norm)
+    opt.step()
+    return norm, [p.grad for p in params.values()]
+
+
 def test_clip_noop_under_threshold():
-    g = [np.array([0.3, 0.4])]  # norm 0.5
-    norm = clip_global_norm(g, 5.0)
+    norm, (g,) = clip_and_step([np.array([0.3, 0.4])], 5.0)  # norm 0.5
     assert norm == pytest.approx(0.5)
-    assert np.allclose(g[0], [0.3, 0.4])
+    assert np.allclose(g, [0.3, 0.4])
 
 
 def test_clip_scales_to_max_norm():
-    g = [np.array([3.0, 4.0]), np.array([0.0, 12.0])]  # norm 13
-    norm = clip_global_norm(g, 5.0)
+    norm, g = clip_and_step([np.array([3.0, 4.0]), np.array([0.0, 12.0])], 5.0)
     assert norm == pytest.approx(13.0)
     total = np.sqrt(sum(float(np.sum(x * x)) for x in g))
     assert total == pytest.approx(5.0)
 
 
 def test_clip_is_idempotent():
-    g = [np.array([30.0, 40.0])]
-    clip_global_norm(g, 5.0)
-    after_first = g[0].copy()
-    clip_global_norm(g, 5.0)
-    assert np.allclose(g[0], after_first, atol=1e-12)
+    p = make_param([0.0, 0.0])
+    p.grad = np.array([30.0, 40.0])
+    opt = Adam({"p": p})
+    opt.clip_gradients(5.0)
+    opt.step()
+    after_first = p.grad.copy()
+    assert opt.clip_gradients(5.0) == pytest.approx(5.0)
+    opt.step()
+    assert np.allclose(p.grad, after_first, atol=1e-12)
 
 
 def test_clip_preserves_direction():
     original = np.array([6.0, -8.0])
-    g = [original.copy()]
-    clip_global_norm(g, 5.0)
-    ratio = g[0] / original
+    _, (g,) = clip_and_step([original.copy()], 5.0)
+    ratio = g / original
     assert np.allclose(ratio, ratio[0])
     assert ratio[0] > 0
 
 
 def test_clip_rejects_nonpositive_norm():
+    opt = Adam({"p": make_param([1.0])})
     with pytest.raises(ConfigError):
-        clip_global_norm([np.ones(2)], 0.0)
+        opt.clip_gradients(0.0)
 
 
 def test_optimizer_clip_helper():
@@ -179,31 +193,85 @@ def test_optimizer_clip_helper():
     p.grad = np.array([30.0, 40.0])
     pre = opt.clip_gradients(5.0)
     assert pre == pytest.approx(50.0)
+    assert np.array_equal(p.grad, [30.0, 40.0])  # the scale waits for step()
+    opt.step()
     assert np.linalg.norm(p.grad) == pytest.approx(5.0)
 
 
+def test_clip_scale_is_spent_by_one_step():
+    p = make_param([0.0, 0.0])
+    opt = Adam({"p": p})
+    p.grad = np.array([30.0, 40.0])
+    opt.clip_gradients(5.0)
+    opt.step()
+    p.grad = np.array([30.0, 40.0])
+    opt.step()  # no clip_gradients call before it: the gradient is used as is
+    assert np.array_equal(p.grad, [30.0, 40.0])
+
+
+def test_clip_rejects_non_finite_norm():
+    p = make_param([1.0, 2.0])
+    opt = Adam({"p": p})
+    p.grad = np.array([np.inf, 0.0])
+    with pytest.raises(NumericError, match="not finite"):
+        opt.clip_gradients(5.0)
+
+
 # ---------------------------------------------------------------------------
-# L2 penalty
+# L2 term, folded into the norm pass
 # ---------------------------------------------------------------------------
 
 def test_l2_penalty_value_and_gradient():
     w = make_param([[1.0, -2.0], [0.5, 0.0]])
-    pen = l2_penalty(w, 0.01)
-    assert pen.item() == pytest.approx(0.01 * (1 + 4 + 0.25))
-    with Tape() as tape:
-        tape.backward(l2_penalty(w, 0.01))
+    w.grad = np.zeros((2, 2))
+    opt = Adam({"w": w})
+    opt.clip_gradients(1e3, {"w": 0.01})
+    assert opt.penalty == pytest.approx(0.01 * (1 + 4 + 0.25))
     assert np.allclose(w.grad, 0.02 * w.data)
 
 
 def test_l2_penalty_zero_lambda_detached():
     w = make_param([1.0])
-    with Tape() as tape:
-        pen = l2_penalty(w, 0.0)
-        tape.backward(pen)
-    assert pen.item() == 0.0
+    opt = Adam({"w": w})
+    assert opt.clip_gradients(5.0, {"w": 0.0}) == 0.0
+    assert opt.penalty == 0.0
     assert w.grad is None
 
 
 def test_l2_penalty_rejects_negative():
-    with pytest.raises(ConfigError):
-        l2_penalty(make_param([1.0]), -0.1)
+    opt = Adam({"w": make_param([1.0])})
+    with pytest.raises(ConfigError, match="l2 must map"):
+        opt.clip_gradients(5.0, {"w": -0.1})
+    with pytest.raises(ConfigError, match="l2 must map"):
+        opt.clip_gradients(5.0, {"u": 0.1})
+
+
+@pytest.mark.parametrize("rows", [3, BLOCK_ROWS, BLOCK_ROWS + 5])
+def test_norm_pass_gradient_equals_tape_l2_gradient(rows):
+    # The gradient the norm pass assembles is that of the loss with the L2
+    # term on the tape, and so are its norm and the term's value.
+    rng = np.random.Generator(np.random.PCG64(rows))
+    w = make_param(rng.standard_normal((rows, 3)))
+    u = make_param(rng.standard_normal((3, 2)))
+    ids = rng.integers(0, rows, size=7)
+    x = rng.standard_normal((7, 2))
+
+    def data_loss():
+        return ad.sum_all(ad.mul(ad.matmul(ad.take_rows(w, ids), u), Tensor(x)))
+
+    with Tape() as tape:
+        ref = ad.add(data_loss(), l2_penalty(w, 0.3))
+        tape.backward(ref)
+    ref_grads = [w.grad, u.grad]
+    ref_norm = np.sqrt(sum(float(np.sum(g * g)) for g in ref_grads))
+    w.zero_grad()
+    u.zero_grad()
+    with Tape() as tape:
+        loss = data_loss()
+        tape.backward(loss)
+    opt = Adam({"w": w, "u": u})
+    norm = opt.clip_gradients(1e6, {"w": 0.3})
+    for got, want in zip([w.grad, u.grad], ref_grads):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert abs(norm - ref_norm) <= 1e-12 * ref_norm
+    assert abs(loss.item() + opt.penalty - ref.item()) <= 1e-12 * abs(ref.item())

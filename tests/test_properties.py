@@ -1,6 +1,7 @@
 """Property tests: a zero-padded batch equals one-row batches of its rows,
-the im2col convolution equals its einsum reference, and the fused GRU scan
-equals its per-step composed reference."""
+the im2col convolution equals its einsum reference, the fused GRU scan
+equals its per-step composed reference, and training with the optimizer's
+blocked sweeps equals the dense update with the L2 term on the tape."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor
-from cru.classifier import SentimentModel, TrainConfig, seeded_rng
+from cru.classifier import SentimentModel, TrainConfig, seeded_rng, train_epoch
 from cru.data import EncodedSample, batch_and_pad
+from cru.optim import BLOCK_ROWS, Adam
 from cru.recurrent import VARIANTS, make_cell, run_sequence
-from oracles import conv1d_same_einsum, gru_scan_composed
+from oracles import conv1d_same_einsum, dense_update, gru_scan_composed
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -109,3 +111,47 @@ def test_gru_scan_equals_composed_reference(case):
     for got, ref in zip(*results):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+sweep_cases = st.tuples(st.sampled_from(VARIANTS),
+                        st.integers(3, 3 * BLOCK_ROWS),
+                        st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=4),
+                                 min_size=3, max_size=3),
+                        st.sampled_from([0.0, 1e-3, 0.5]),
+                        st.sampled_from([1e-3, 1e3]),
+                        st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(sweep_cases)
+@example(("gru", 9, [[3, 1], [2], [4, 4, 1]], 0.5, 1e-3, 0))
+@example(("gru", BLOCK_ROWS, [[5, 2], [1, 3], [2]], 1e-3, 1e3, 1))
+@example(("deep_enhanced", 2 * BLOCK_ROWS + 7, [[6], [2, 5], [3, 3]], 0.5, 1e3, 2))
+def test_blocked_sweeps_equal_dense_update(case):
+    # Three train_epoch steps against the same steps with the L2 term on the
+    # tape, whole-array clipping and whole-array Adam. Each batch's ids come
+    # from three table rows, so rows repeat within and across its rows.
+    variant, vocab, batch_lengths, l2, clip_norm, seed = case
+    rng = np.random.Generator(np.random.PCG64(seed))
+    config = TrainConfig(variant=variant, embed_dim=3, hidden_dim=3, fc_dim=4,
+                         dropout=0.3, lr=0.01, l2=l2, clip_norm=clip_norm,
+                         vocab_cap=None, pretrained=None)
+    batches = []
+    for lengths in batch_lengths:
+        pool = rng.integers(2, vocab, size=3)
+        samples = [EncodedSample(rng.choice(pool, size=n), int(rng.integers(2)))
+                   for n in lengths]
+        batches += batch_and_pad(samples, len(samples))
+    models = [SentimentModel.build(config, vocab_size=vocab, rng=seeded_rng(seed, 1))
+              for _ in range(2)]
+    opt = Adam(models[0].named_params(), lr=config.lr)
+    drop = seeded_rng(seed, 2)
+    losses = [train_epoch(models[0], opt, [b], config, drop)[0] for b in batches]
+    ref_losses, ref_m, ref_v = dense_update(models[1], batches, config, seeded_rng(seed, 2))
+    for got, ref in zip(losses, ref_losses):
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+    ref_params = models[1].named_params()
+    for name, p in models[0].named_params().items():
+        for got, ref in [(p.data, ref_params[name].data), (opt.m[name], ref_m[name]),
+                         (opt.v[name], ref_v[name])]:
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
