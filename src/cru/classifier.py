@@ -102,9 +102,13 @@ class TrainConfig:
             if raw == "":
                 typed[f.name] = None
                 continue
-            kind = float if f.type == "float" else str if f.type.startswith("str") else int
             try:
-                typed[f.name] = kind(raw)
+                if f.name in ("variant", "pretrained"):
+                    typed[f.name] = raw
+                elif f.name in ("dropout", "lr", "l2", "clip_norm"):
+                    typed[f.name] = float(raw)
+                else:
+                    typed[f.name] = int(raw)
             except ValueError:
                 raise ConfigError(f"bad value for {f.name}: {raw!r}") from None
         unknown = set(kv) - {f.name for f in fields(cls)}

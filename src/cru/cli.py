@@ -36,30 +36,39 @@ DATASET_DEFAULTS: dict[str, dict[str, str]] = {
              "lr": "0.001", "vocab_cap": "50000"},
 }
 
-# Training flags: argparse destination -> (TrainConfig field, add_argument
-# keywords). The flag is the destination with "-" for "_".
-_TRAIN_FLAGS: dict[str, tuple[str, dict]] = {
-    "variant": ("variant", dict(choices=VARIANTS)),
-    "filter": ("filter_k", dict(type=int, help="convolution window width (odd)")),
-    "embed": ("embed_dim", dict(type=int, help="embedding width")),
-    "hidden": ("hidden_dim", dict(type=int, help="hidden state width")),
-    "dropout": ("dropout", dict(type=float)),
-    "lr": ("lr", dict(type=float)),
-    "l2": ("l2", dict(type=float)),
-    "batch": ("batch_size", dict(type=int)),
-    "epochs": ("epochs", dict(type=int)),
-    "seed": ("seed", dict(type=int)),
-    "vocab_cap": ("vocab_cap", dict(type=int)),
-    "pretrained": ("pretrained", dict(help="text word-vector file")),
-    "fc_dim": ("fc_dim", dict(type=int)),
-    "folds": ("folds", dict(type=int, help="cross-validation fold count")),
-    "run_folds": ("run_folds", dict(type=int, help="train only the first N folds")),
+# CLI destination -> TrainConfig field
+_FLAG_FIELDS = {
+    "variant": "variant", "filter": "filter_k", "embed": "embed_dim",
+    "hidden": "hidden_dim", "dropout": "dropout", "lr": "lr", "l2": "l2",
+    "batch": "batch_size", "epochs": "epochs", "seed": "seed",
+    "vocab_cap": "vocab_cap", "pretrained": "pretrained", "fc_dim": "fc_dim",
+    "folds": "folds", "run_folds": "run_folds",
 }
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
         raise ConfigError(message)
+
+
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--variant", choices=VARIANTS)
+    p.add_argument("--filter", type=int, help="convolution window width (odd)")
+    p.add_argument("--embed", type=int, help="embedding width")
+    p.add_argument("--hidden", type=int, help="hidden state width")
+    p.add_argument("--dropout", type=float)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--l2", type=float)
+    p.add_argument("--batch", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--vocab-cap", type=int, dest="vocab_cap")
+    p.add_argument("--pretrained", help="text word-vector file")
+    p.add_argument("--fc-dim", type=int, dest="fc_dim")
+    p.add_argument("--folds", type=int, help="cross-validation fold count")
+    p.add_argument("--run-folds", type=int, dest="run_folds",
+                   help="train only the first N folds")
+    p.add_argument("--config", help="flat key=value config file")
 
 
 def build_parser() -> _Parser:
@@ -71,9 +80,7 @@ def build_parser() -> _Parser:
                        help="dataset directory, or a name looked up under data/")
     train.add_argument("--format", choices=FORMATS)
     train.add_argument("--out", default=None, help="output directory")
-    for dest, (_, kw) in _TRAIN_FLAGS.items():
-        train.add_argument("--" + dest.replace("_", "-"), dest=dest, **kw)
-    train.add_argument("--config", help="flat key=value config file")
+    _add_train_flags(train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     ev.add_argument("--checkpoint", required=True)
@@ -138,7 +145,7 @@ def resolve_train_config(args) -> TrainConfig:
         if unknown:
             raise ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
         kv.update(file_kv)
-    for flag, (field, _) in _TRAIN_FLAGS.items():
+    for flag, field in _FLAG_FIELDS.items():
         val = getattr(args, flag, None)
         if val is not None:
             kv[field] = str(val)

@@ -154,6 +154,9 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.itos)
 
+    def __contains__(self, token: str) -> bool:
+        return token in self.stoi
+
     def encode(self, tokens: list[str]) -> np.ndarray:
         return np.array([self.stoi.get(t, UNK_ID) for t in tokens], dtype=np.intp)
 

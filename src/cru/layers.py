@@ -87,6 +87,10 @@ class ConvBank:
         if self.activation not in ad.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
 
+    @property
+    def width(self) -> int:
+        return self.filters.shape[1]
+
     @classmethod
     def init(cls, rng: np.random.Generator, d_out: int, k: int, d_in: int,
              activation: str = "relu") -> "ConvBank":

@@ -20,6 +20,13 @@ def _blocks(x: np.ndarray) -> list[np.ndarray]:
     return [x[s:s + BLOCK_ROWS] for s in range(0, len(x), BLOCK_ROWS)]
 
 
+def l2_penalty(grad: np.ndarray, weights: np.ndarray, lam: float) -> float:
+    """Add 2 * lam * weights, the gradient of lam * ||weights||^2, to grad in
+    place and return lam * ||weights||^2. The norm pass calls it per block."""
+    grad += (2.0 * lam) * weights
+    return lam * float(np.vdot(weights, weights))
+
+
 class Adam:
     """Moment-tracking optimizer over named parameters.
 
@@ -97,8 +104,7 @@ class Adam:
                 continue
             for gb, wb in zip(_blocks(p.grad), _blocks(p.data)):
                 if lam > 0:
-                    gb += (2.0 * lam) * wb
-                    penalty += lam * float(np.vdot(wb, wb))
+                    penalty += l2_penalty(gb, wb, lam)
                 total += float(np.vdot(gb, gb))
         norm = float(np.sqrt(total))
         if not np.isfinite(norm + penalty):
