@@ -190,16 +190,20 @@ class Tape:
             if node.apply is not None:
                 input_ids = node.input_ids
 
-                def emit(i: int, grad, rows=None) -> None:
+                def emit(i: int, grad, rows=None, unique=False) -> None:
                     nid = input_ids[i]
                     if nid is None:
                         return  # constant input
                     cur = buf[nid]
                     shape = nodes[nid].tensor.shape
                     if rows is not None:
-                        if cur is None:
+                        fresh = cur is None
+                        if fresh:
                             cur = buf[nid] = np.zeros(shape)
-                        np.add.at(cur, rows, grad)
+                        if fresh and unique:
+                            cur[rows] = grad  # nothing to accumulate
+                        else:
+                            np.add.at(cur, rows, grad)
                     elif grad.shape != shape:
                         raise ContractError(f"{node.op}: gradient of shape {grad.shape} "
                                             f"for an input of shape {shape}")
@@ -237,17 +241,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         emit(1, a.data.T @ g)
 
     return _emit_op("matmul", (a, b), out, apply)
-
-
-def transpose(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise DimensionError(f"transpose needs rank 2, got shape {x.shape}")
-    out = Tensor(x.data.T.copy())
-
-    def apply(g, emit):
-        emit(0, g.T)
-
-    return _emit_op("transpose", (x,), out, apply)
 
 
 def _check_elementwise(op: str, a: Tensor, b: Tensor) -> None:
@@ -437,7 +430,11 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
 
 
 def take_rows(x: Tensor, ids) -> Tensor:
-    """Gather rows of a matrix; backward accumulates into duplicate rows."""
+    """Gather rows of a matrix; backward accumulates into duplicate rows.
+
+    Ids without repeats (the reversed path's permutation) scatter into a fresh
+    gradient by plain assignment, several times faster than ``np.add.at``.
+    """
     if x.ndim != 2:
         raise DimensionError(f"take_rows needs rank 2, got shape {x.shape}")
     idx = np.asarray(ids, dtype=np.intp).reshape(-1)
@@ -447,9 +444,10 @@ def take_rows(x: Tensor, ids) -> Tensor:
         bad = idx[(idx < 0) | (idx >= x.shape[0])][0]
         raise IndexError(f"row id {bad} out of range [0, {x.shape[0]})")
     out = Tensor(x.data[idx])
+    unique = np.bincount(idx).max() == 1
 
     def apply(g, emit):
-        emit(0, g, rows=idx)
+        emit(0, g, rows=idx, unique=unique)
 
     return _emit_op("take_rows", (x,), out, apply)
 
@@ -508,78 +506,135 @@ def conv1d_same(x: Tensor, filters: Tensor) -> Tensor:
     return _emit_op("conv1d_same", (x, filters), out, apply)
 
 
-def gru_scan(pz: Tensor, pr: Tensor, ph: Tensor, U_z: Tensor, U_r: Tensor,
-             U: Tensor, b_z: Tensor, b_r: Tensor, b_h: Tensor) -> Tensor:
+def project(xs: Sequence[Tensor], ws: Sequence[Tensor]) -> Tensor:
+    """Input projections [x_0 W_0^T | x_1 W_1^T | ...] side by side.
+
+    xs: inputs of one shape (..., d); ws: (d_i, d) weights; the result is
+    (..., sum d_i). One input shared by every weight takes one matmul against
+    the weights stacked row-wise, and the backward splits dW back into them;
+    otherwise input i is projected by weight i into its own output columns.
+    """
+    xs, ws = list(xs), list(ws)
+    if not ws or len(xs) not in (1, len(ws)):
+        raise ContractError(f"project: {len(xs)} inputs for {len(ws)} weights")
+    if xs[0].ndim < 2:
+        raise DimensionError(f"project needs inputs of rank 2 or 3, got {xs[0].shape}")
+    shape, d = xs[0].shape, xs[0].shape[-1]
+    bad = [x.shape for x in xs if x.shape != shape]
+    bad += [w.shape for w in ws if w.ndim != 2 or w.shape[1] != d]
+    if bad:
+        raise DimensionError(f"project: shape {bad[0]} does not chain with {shape}")
+    ends = np.cumsum([w.shape[0] for w in ws])
+    cols = [slice(e - w.shape[0], e) for e, w in zip(ends, ws)]
+    flats = [x.data.reshape(-1, d) for x in xs]
+    if len(xs) == 1:
+        parts = [(flats[0], np.concatenate([w.data for w in ws]), slice(None))]
+    else:
+        parts = [(x, w.data, c) for x, w, c in zip(flats, ws, cols)]
+    out = np.empty((flats[0].shape[0], ends[-1]))
+    for x, w, c in parts:
+        np.matmul(x, w.T, out=out[:, c])
+
+    def apply(g, emit):
+        g = g.reshape(-1, ends[-1])
+        for i, (x, w, c) in enumerate(parts):
+            emit(i, (g[:, c] @ w).reshape(shape))
+        d_w = np.concatenate([g[:, c].T @ x for x, _, c in parts])
+        for i, c in enumerate(cols):
+            emit(len(xs) + i, d_w[c])
+
+    return _emit_op("project", xs + ws, Tensor(out.reshape(*shape[:-1], ends[-1])), apply)
+
+
+def gru_scan(P: Tensor, U_z: Tensor, U_r: Tensor, U: Tensor, b_z: Tensor,
+             b_r: Tensor, b_h: Tensor) -> Tensor:
     """The GRU recurrence over precomputed gate inputs, as one tape node.
 
-    pz, pr, ph: (B, n, d_h) gate inputs; U_*: (d_h, d_h); b_*: (d_h,). From
-    h_{-1} = 0, step t computes
+    P: (B, n, 3 d_h) gate inputs laid out [P_z | P_r | P_h]; U_*: (d_h, d_h);
+    b_*: (d_h,). From h_{-1} = 0, step t computes
 
-      z = sigmoid(pz_t + h U_z^T + b_z),  r = sigmoid(pr_t + h U_r^T + b_r)
-      g = tanh(ph_t + (r * h) U^T + b_h),  h_t = z * h + (1 - z) * g
+      z = sigmoid(P_z,t + h U_z^T + b_z),  r = sigmoid(P_r,t + h U_r^T + b_r)
+      g = tanh(P_h,t + (r * h) U^T + b_h),  h_t = z * h + (1 - z) * g
 
     and the result holds every h_t, (B, n, d_h). Both gates that read h_{t-1}
-    share one (d_h, 2 d_h) matmul. Backward is a reverse loop that carries
-    dh through two small matmuls per step; the weight and bias gradients are
-    formed after it, each with one (B*n)-row matmul or sum.
+    share one (d_h, 2 d_h) matmul. Backward is a reverse loop that carries dh
+    through two small matmuls per step and writes every gate's gradient into
+    one (B, n, 3 d_h) array, emitted as it is; the weight and bias gradients
+    are formed after it, each with one (B*n)-row matmul or sum.
     """
-    if pz.ndim != 3 or pz.shape[1] < 1:
-        raise DimensionError(f"gru_scan needs (B, n, d_h) gate inputs with n >= 1, "
-                             f"got {pz.shape}")
-    b, n, d_h = pz.shape
-    for name, t, shape in (("pr", pr, pz.shape), ("ph", ph, pz.shape),
-                           ("U_z", U_z, (d_h, d_h)), ("U_r", U_r, (d_h, d_h)),
-                           ("U", U, (d_h, d_h)), ("b_z", b_z, (d_h,)),
-                           ("b_r", b_r, (d_h,)), ("b_h", b_h, (d_h,))):
+    if P.ndim != 3 or P.shape[1] < 1:
+        raise DimensionError(f"gru_scan needs (B, n, 3 d_h) gate inputs with n >= 1, "
+                             f"got {P.shape}")
+    b, n, _ = P.shape
+    d_h = U.shape[0] if U.ndim == 2 else -1
+    for name, t, shape in (("P", P, (b, n, 3 * d_h)), ("U_z", U_z, (d_h, d_h)),
+                           ("U_r", U_r, (d_h, d_h)), ("U", U, (d_h, d_h)),
+                           ("b_z", b_z, (d_h,)), ("b_r", b_r, (d_h,)),
+                           ("b_h", b_h, (d_h,))):
         if t.shape != shape:
             raise DimensionError(f"gru_scan: {name} must have shape {shape}, got {t.shape}")
 
     # The z and r columns sit side by side, so one sigmoid covers both gates.
-    pzr = np.concatenate([pz.data, pr.data], axis=2)
+    # Each step touches its strided time slice of a (B, n, .) array once and
+    # works through out= in (B, .) buffers, where an op costs a third as much.
+    zr_cols, h_cols = slice(0, 2 * d_h), slice(2 * d_h, None)
     b_zr = np.concatenate([b_z.data, b_r.data])
     u_zr = np.concatenate([U_z.data, U_r.data])  # (2 d_h, d_h)
     u = U.data
     H = np.empty((b, n, d_h))
-    ZR = np.empty((b, n, 2 * d_h))
-    G = np.empty((b, n, d_h))
-    h = np.zeros((b, d_h))
+    A = np.empty((b, n, 3 * d_h))  # [z | r | g] at every step
+    h, rh, g, tmp = (np.zeros((b, d_h)) for _ in range(4))  # h carries h_{t-1}
+    a_zr = np.empty((b, 2 * d_h))
     for t in range(n):
-        zr = ZR[:, t] = _sigmoid(pzr[:, t] + h @ u_zr.T + b_zr)
-        z, r = zr[:, :d_h], zr[:, d_h:]
-        g = G[:, t] = np.tanh(ph.data[:, t] + (r * h) @ u.T + b_h.data)
-        h = H[:, t] = z * h + (1.0 - z) * g
+        np.matmul(h, u_zr.T, out=a_zr)
+        a_zr += P.data[:, t, zr_cols]
+        a_zr += b_zr
+        zr = A[:, t, zr_cols] = _sigmoid(a_zr)
+        z = zr[:, :d_h]
+        np.matmul(np.multiply(zr[:, d_h:], h, out=rh), u.T, out=g)
+        g += P.data[:, t, h_cols]
+        g += b_h.data
+        A[:, t, h_cols] = np.tanh(g, out=g)
+        g *= np.subtract(1.0, z, out=tmp)
+        h *= z
+        h += g  # z * h + (1 - z) * g
+        H[:, t] = h
     out = Tensor(H)
 
     def apply(gout, emit):
+        dA = np.empty((b, n, 3 * d_h))  # gradients at the gates' pre-activations
+        a, da, c = np.empty((b, 3 * d_h)), np.empty((b, 3 * d_h)), np.empty((b, 2 * d_h))
+        dh, h, d_rh, tmp = (np.zeros((b, d_h)) for _ in range(4))
+        zr, z, r, g = a[:, zr_cols], a[:, :d_h], a[:, d_h:2 * d_h], a[:, h_cols]
+        da_zr, da_g = da[:, zr_cols], da[:, h_cols]
+        for t in reversed(range(n)):
+            dh += gout[:, t]
+            a[...] = A[:, t]
+            h[...] = H[:, t - 1] if t else 0.0
+            np.multiply(np.subtract(1.0, z, out=tmp), dh, out=tmp)
+            np.subtract(1.0, np.multiply(g, g, out=da_g), out=da_g)
+            np.matmul(np.multiply(tmp, da_g, out=da_g), u, out=d_rh)  # at r * h
+            np.multiply(np.subtract(h, g, out=da[:, :d_h]), dh, out=da[:, :d_h])
+            np.multiply(d_rh, h, out=da[:, d_h:2 * d_h])
+            da_zr *= zr
+            da_zr *= np.subtract(1.0, zr, out=c)
+            dA[:, t] = da
+            dh *= z
+            dh += np.multiply(d_rh, r, out=tmp)
+            dh += np.matmul(da_zr, u_zr, out=tmp)
+        emit(0, dA)
+        flat = dA.reshape(b * n, 3 * d_h)
         H_prev = np.zeros_like(H)
         H_prev[:, 1:] = H[:, :-1]
-        dA_zr = np.empty_like(ZR)  # gradients at the gates' pre-activations
-        dA_g = np.empty_like(G)
-        dh = np.zeros((b, d_h))
-        for t in reversed(range(n)):
-            dh = dh + gout[:, t]
-            h_prev, zr, g = H_prev[:, t], ZR[:, t], G[:, t]
-            z, r = zr[:, :d_h], zr[:, d_h:]
-            da_g = dA_g[:, t] = dh * (1.0 - z) * (1.0 - g * g)
-            d_rh = da_g @ u  # gradient at r * h_prev
-            d_zr = np.concatenate([dh * (h_prev - g), d_rh * h_prev], axis=1)
-            da_zr = dA_zr[:, t] = d_zr * zr * (1.0 - zr)
-            dh = dh * z + d_rh * r + da_zr @ u_zr
-        emit(0, dA_zr[..., :d_h])
-        emit(1, dA_zr[..., d_h:])
-        emit(2, dA_g)
-        flat_zr = dA_zr.reshape(b * n, 2 * d_h)
-        flat_g = dA_g.reshape(b * n, d_h)
-        d_u_zr = flat_zr.T @ H_prev.reshape(b * n, d_h)
-        emit(3, d_u_zr[:d_h])
-        emit(4, d_u_zr[d_h:])
-        emit(5, flat_g.T @ (ZR[..., d_h:] * H_prev).reshape(b * n, d_h))
-        d_b_zr = flat_zr.sum(axis=0)
-        emit(6, d_b_zr[:d_h])
-        emit(7, d_b_zr[d_h:])
-        emit(8, flat_g.sum(axis=0))
+        RH = A[..., d_h:2 * d_h] * H_prev  # r * h_{t-1}, which U multiplies
+        d_u = np.concatenate([flat[:, zr_cols].T @ H_prev.reshape(b * n, d_h),
+                              flat[:, h_cols].T @ RH.reshape(b * n, d_h)])
+        d_b = flat.sum(axis=0)
+        for i in range(3):
+            emit(1 + i, d_u[i * d_h:(i + 1) * d_h])
+            emit(4 + i, d_b[i * d_h:(i + 1) * d_h])
 
-    return _emit_op("gru_scan", (pz, pr, ph, U_z, U_r, U, b_z, b_r, b_h), out, apply)
+    return _emit_op("gru_scan", (P, U_z, U_r, U, b_z, b_r, b_h), out, apply)
 
 
 # --------------------------------------------------------------------------

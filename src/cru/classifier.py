@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_tensors, save_tensors
-from .data import Batch, Sample, Vocab, batch_and_pad, encode_corpus
+from .data import Batch, Sample, Vocab, batch_and_pad, encode_corpus, parse_kv_file
 from .errors import ConfigError, ContractError, NumericError
 from .layers import DenseLayer, EmbeddingTable, dense_forward, dropout_apply
 from .optim import Adam
@@ -355,15 +355,7 @@ def load_checkpoint(ckpt_dir) -> tuple[SentimentModel, TrainConfig, Vocab]:
     for name in ("params.bin", "vocab.txt", "config.txt"):
         if not (ckpt / name).is_file():
             raise FileNotFoundError(f"{ckpt}: missing {name}")
-    kv = {}
-    for line in (ckpt / "config.txt").read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{ckpt}/config.txt: bad line {line!r}")
-        k, v = line.split("=", 1)
-        kv[k.strip()] = v.strip()
-    config = TrainConfig.from_kv(kv)
+    config = TrainConfig.from_kv(parse_kv_file(ckpt / "config.txt"))
     vocab = Vocab.load(ckpt / "vocab.txt")
 
     model = SentimentModel.build(config, len(vocab), seeded_rng(config.seed, _TAG_INIT))

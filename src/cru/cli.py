@@ -21,7 +21,7 @@ from .classifier import (SentimentModel, TrainConfig, _TAG_EMBED, _eval_metrics,
                          train_on_split)
 from .data import (FORMATS, Batch, Corpus, Sample, batch_and_pad, build_vocab,
                    encode_corpus, load_corpus, load_document_corpus,
-                   load_pretrained_embeddings, make_folds, tokenize)
+                   load_pretrained_embeddings, make_folds, parse_kv_file, tokenize)
 from .errors import ConfigError, ContractError, NumericError, ParseError
 from .recurrent import VARIANTS, make_cell, run_sequence
 
@@ -106,20 +106,6 @@ def build_parser() -> _Parser:
 # --------------------------------------------------------------------------
 # Config resolution
 # --------------------------------------------------------------------------
-
-def parse_kv_file(path) -> dict[str, str]:
-    kv: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
-                                  start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-        k, v = stripped.split("=", 1)
-        kv[k.strip()] = v.strip()
-    return kv
-
 
 def resolve_dataset(dataset: str, fmt: str | None) -> tuple[Path, str]:
     """A bare known name maps to data/<name>; otherwise the path is literal."""

@@ -73,6 +73,28 @@ def _read_lines(path: Path) -> list[str]:
     return text.splitlines()
 
 
+def read_utf8(path) -> str:
+    """The text of a configuration, vocabulary or checkpoint file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not valid UTF-8") from None
+
+
+def parse_kv_file(path) -> dict[str, str]:
+    """``key=value`` lines; blank lines and ``#`` comments are skipped."""
+    kv: dict[str, str] = {}
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+        k, v = stripped.split("=", 1)
+        kv[k.strip()] = v.strip()
+    return kv
+
+
 def _samples_from_lines(lines: list[str], label: int, origin: str) -> list[Sample]:
     out = []
     for i, line in enumerate(lines, start=1):
@@ -168,7 +190,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_utf8(path).splitlines()
         if lines[:2] != ["<pad>", "<unk>"]:
             raise ParseError(f"{path}: vocabulary must start with <pad>, <unk>")
         return cls(lines[2:])

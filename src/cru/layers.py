@@ -142,7 +142,7 @@ def dense_forward(layer: DenseLayer, x: Tensor) -> Tensor:
         raise DimensionError(
             f"dense input {x.shape} does not match weights {layer.weights.shape}"
         )
-    y = ad.matmul(x, ad.transpose(layer.weights))
+    y = ad.project([x], [layer.weights])
     y = ad.bias_add(y, layer.bias)
     return ad.activation(layer.activation, y)
 

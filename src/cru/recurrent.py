@@ -17,9 +17,13 @@ with the update/reset/candidate recurrence
 
 Because the banks always map d channels to d channels (the convolution is
 same-shape over the embedding), the deep variant needs hidden size == d.
-Gate inputs are precomputed for the whole sequence in ``prepare``; the
-recurrence itself is one ``autodiff.gru_scan`` node per direction, whose
-forward and backward loops do only the small matmuls that read h_{t-1}.
+``prepare`` computes the gate inputs of the whole sequence as one
+(B, n, 3 d_h) tensor laid out [P_z | P_r | P_h]: ``gru`` and ``shallow`` with
+one ``autodiff.project`` matmul against the stacked [W_z; W_r; W], ``deep``
+by concatenating its three banks, and ``deep_enhanced`` with one matmul per
+bank written side by side. The recurrence itself is one ``autodiff.gru_scan``
+node per direction, whose forward and backward loops do only the carry's
+work: the small matmuls that read h_{t-1} and the elementwise gate algebra.
 """
 
 from __future__ import annotations
@@ -126,11 +130,11 @@ class _CellBase:
     def hidden_dim(self) -> int:
         return self.params.hidden_dim
 
-    def _gate_inputs(self, E: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    def _gate_inputs(self, E: Tensor) -> Tensor:
         raise NotImplementedError
 
-    def prepare(self, E: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """The (B, n, d_h) gate inputs (P_z, P_r, P_h) of a (B, n, d) batch."""
+    def prepare(self, E: Tensor) -> Tensor:
+        """The (B, n, 3 d_h) gate inputs [P_z | P_r | P_h] of a (B, n, d) batch."""
         if E.ndim != 3:
             raise DimensionError(f"prepare needs a (B, n, d) batch, got {E.shape}")
         if E.shape[1] < 1:
@@ -141,13 +145,6 @@ class _CellBase:
         return self.params.named(prefix)
 
 
-def _project(E: Tensor, w: Tensor) -> Tensor:
-    """(B, n, d) x (d_h, d) -> (B, n, d_h) via one flat matmul."""
-    b, n, d = E.shape
-    flat = ad.reshape(E, (b * n, d))
-    return ad.reshape(ad.matmul(flat, ad.transpose(w)), (b, n, w.shape[0]))
-
-
 class GruCell(_CellBase):
     variant = "gru"
 
@@ -155,7 +152,7 @@ class GruCell(_CellBase):
         p = self.params
         if p.W is None:
             raise ConfigError("gru cell needs W_z, W_r, W")
-        return _project(E, p.W_z), _project(E, p.W_r), _project(E, p.W)
+        return ad.project([E], [p.W_z, p.W_r, p.W])
 
 
 class ShallowCell(_CellBase):
@@ -176,8 +173,7 @@ class ShallowCell(_CellBase):
 
     def _gate_inputs(self, E):
         p = self.params
-        c = same_length_conv(self.bank, E)
-        return _project(c, p.W_z), _project(c, p.W_r), _project(c, p.W)
+        return ad.project([same_length_conv(self.bank, E)], [p.W_z, p.W_r, p.W])
 
     def named_params(self, prefix: str = "") -> dict[str, Tensor]:
         out = self.params.named(prefix)
@@ -218,9 +214,9 @@ class DeepCell(_ThreeBankCell):
                 )
 
     def _gate_inputs(self, E):
-        return (same_length_conv(self.conv_z, E),
-                same_length_conv(self.conv_r, E),
-                same_length_conv(self.conv_h, E))
+        return ad.concat_cols([same_length_conv(self.conv_z, E),
+                               same_length_conv(self.conv_r, E),
+                               same_length_conv(self.conv_h, E)])
 
 
 class DeepEnhancedCell(_ThreeBankCell):
@@ -241,12 +237,9 @@ class DeepEnhancedCell(_ThreeBankCell):
 
     def _gate_inputs(self, E):
         p = self.params
-        cz = same_length_conv(self.conv_z, E)
-        cr = same_length_conv(self.conv_r, E)
-        ch = same_length_conv(self.conv_h, E)
-        return (_project(ad.add(cz, E), p.W_z),
-                _project(ad.add(cr, E), p.W_r),
-                _project(ad.add(ch, E), p.W))
+        banks = (self.conv_z, self.conv_r, self.conv_h)
+        return ad.project([ad.add(same_length_conv(c, E), E) for c in banks],
+                          [p.W_z, p.W_r, p.W])
 
 
 def make_cell(variant: str, rng: np.random.Generator, d_in: int, d_h: int,
@@ -288,4 +281,4 @@ def run_sequence(cell: _CellBase, E: Tensor) -> Tensor:
     the same zeros as the same-length padding of the unpadded run.
     """
     p = cell.params
-    return ad.gru_scan(*cell.prepare(E), p.U_z, p.U_r, p.U, p.b_z, p.b_r, p.b_h)
+    return ad.gru_scan(cell.prepare(E), p.U_z, p.U_r, p.U, p.b_z, p.b_r, p.b_h)

@@ -4,11 +4,13 @@ checked against.
 Each sequence reference handles one unpadded sequence at a time and reverses
 it with plain numpy, so it shares no padding, masking or permutation code
 with the batched path it checks. ``conv1d_same_einsum`` is the einsum
-convolution that the im2col ``ad.conv1d_same`` replaced, and
+convolution that the im2col ``ad.conv1d_same`` replaced.
 ``gru_scan_composed`` is the per-step recurrence of ``ad`` ops that the fused
-``ad.gru_scan`` replaced. ``dense_update`` is the training step from before
-the optimizer's blocked sweeps: the L2 term on the tape (``l2_penalty``),
-``clip_global_norm``, and Adam over whole arrays.
+``ad.gru_scan`` replaced, and ``prepare_per_gate`` the three per-gate inputs
+each cell prepared before its gate inputs became one (B, n, 3 d_h) tensor;
+both use the ``transpose`` op kept here. ``dense_update`` is the training
+step from before the optimizer's blocked sweeps: the L2 term on the tape
+(``l2_penalty``), ``clip_global_norm``, and Adam over whole arrays.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ import numpy as np
 from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor
 from cru.classifier import bce_loss
+from cru.layers import same_length_conv
 from cru.recurrent import run_sequence
 
 
@@ -28,15 +31,50 @@ def run_row(cell, E):
     return all_h, all_h[-1]
 
 
-def gru_scan_composed(pz, pr, ph, U_z, U_r, U, b_z, b_r, b_h):
+def transpose(x):
+    """x^T on the tape: the op the old projection chain and the composed scan
+    use, which no path in ``cru`` needs since ``ad.project`` reads W^T as a
+    view."""
+    if x.ndim != 2:
+        raise ValueError(f"transpose needs rank 2, got shape {x.shape}")
+    return ad._emit_op("transpose", (x,), Tensor(x.data.T.copy()),
+                       lambda g, emit: emit(0, g.T))
+
+
+def _project(E, w):
+    """(B, n, d) x (d_h, d) -> (B, n, d_h) via one flat matmul."""
+    b, n, d = E.shape
+    flat = ad.reshape(E, (b * n, d))
+    return ad.reshape(ad.matmul(flat, transpose(w)), (b, n, w.shape[0]))
+
+
+def prepare_per_gate(cell, E):
+    """The (B, n, d_h) gate inputs (P_z, P_r, P_h) of a cell, one per gate."""
+    p = cell.params
+    if cell.variant == "gru":
+        return _project(E, p.W_z), _project(E, p.W_r), _project(E, p.W)
+    if cell.variant == "shallow":
+        c = same_length_conv(cell.bank, E)
+        return _project(c, p.W_z), _project(c, p.W_r), _project(c, p.W)
+    banks = [same_length_conv(c, E) for c in (cell.conv_z, cell.conv_r, cell.conv_h)]
+    if cell.variant == "deep":
+        return tuple(banks)
+    return tuple(_project(ad.add(c, E), w) for c, w in zip(banks, (p.W_z, p.W_r, p.W)))
+
+
+def gru_scan_composed(P, U_z, U_r, U, b_z, b_r, b_h):
     """``ad.gru_scan`` built from per-step ``ad`` ops, about 20 nodes a step.
 
-    Step t's gate inputs are rows r * n + t of the flattened (B * n, d_h)
-    inputs; the n (B, d_h) states are stacked back into (B, n, d_h).
+    The (B, n, 3 d_h) gate inputs are split into their three (B * n, d_h)
+    column blocks; step t's gate inputs are rows r * n + t of each block, and
+    the n (B, d_h) states are stacked back into (B, n, d_h).
     """
-    b, n, d_h = pz.shape
-    flat = [ad.reshape(p, (b * n, d_h)) for p in (pz, pr, ph)]
-    uzT, urT, uT = ad.transpose(U_z), ad.transpose(U_r), ad.transpose(U)
+    b, n, three_d_h = P.shape
+    d_h = three_d_h // 3
+    cols = transpose(ad.reshape(P, (b * n, three_d_h)))
+    flat = [transpose(ad.take_rows(cols, np.arange(i * d_h, (i + 1) * d_h)))
+            for i in range(3)]
+    uzT, urT, uT = transpose(U_z), transpose(U_r), transpose(U)
     h = Tensor(np.zeros((b, d_h)))
     states = []
     for t in range(n):

@@ -10,6 +10,7 @@ import pytest
 from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor, active_tape, finite_diff_gradcheck
 from cru.errors import ConfigError, ContractError, DimensionError, NumericError
+from oracles import transpose
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -292,7 +293,7 @@ def test_reshape_transpose_gradcheck():
     x = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
     check(lambda: ad.sum_all(ad.mul(ad.reshape(x, (3, 4)),
                                     ad.reshape(x, (3, 4)))), {"x": x})
-    check(lambda: ad.sum_all(ad.mul(ad.transpose(x), ad.transpose(x))), {"x": x})
+    check(lambda: ad.sum_all(ad.mul(transpose(x), transpose(x))), {"x": x})
 
 
 def test_concat_cols():
@@ -323,6 +324,28 @@ def test_take_rows_gather_and_duplicate_accumulation():
     expected[2] = 2.0  # picked twice
     expected[0] = 1.0
     assert np.allclose(w.grad, expected)
+
+
+def test_take_rows_scatter_equals_add_at():
+    # A permutation scatters by assignment and ids with repeats by np.add.at;
+    # a second gather of the same matrix accumulates onto the first.
+    rng = rng_for(20)
+    for ids in (rng.permutation(6), np.array([4, 1, 4, 4, 0]), np.arange(6)[::-1]):
+        for second in (None, rng.permutation(6)):
+            w = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+            G1 = rng.standard_normal((ids.size, 3))
+            G2 = rng.standard_normal((6, 3))
+            with Tape() as tape:
+                loss = ad.sum_all(ad.mul(ad.take_rows(w, ids), Tensor(G1)))
+                if second is not None:
+                    loss = ad.add(loss, ad.sum_all(ad.mul(ad.take_rows(w, second),
+                                                          Tensor(G2))))
+                tape.backward(loss)
+            expected = np.zeros((6, 3))  # in the tape's reverse order
+            if second is not None:
+                np.add.at(expected, second, G2)
+            np.add.at(expected, ids, G1)
+            assert np.array_equal(w.grad, expected), (ids, second)
 
 
 def test_take_rows_range_check():
@@ -416,11 +439,11 @@ def test_conv1d_same_validation():
 
 
 def scan_inputs(rng, b, n, d_h):
-    gates = [Tensor(rng.standard_normal((b, n, d_h)), requires_grad=True) for _ in range(3)]
+    P = Tensor(rng.standard_normal((b, n, 3 * d_h)), requires_grad=True)
     weights = [Tensor(0.6 * rng.standard_normal((d_h, d_h)), requires_grad=True)
                for _ in range(3)]
     biases = [Tensor(rng.uniform(-0.5, 0.5, d_h), requires_grad=True) for _ in range(3)]
-    return gates + weights + biases
+    return [P] + weights + biases
 
 
 def test_gru_scan_gradcheck():
@@ -428,11 +451,10 @@ def test_gru_scan_gradcheck():
     # end; the readout weights only true steps, as forward_batch does.
     rng = rng_for(16)
     inputs = scan_inputs(rng, 2, 4, 3)
-    for gate in inputs[:3]:
-        gate.data[1, 2:] = 0.0
+    inputs[0].data[1, 2:] = 0.0
     readout = rng.standard_normal((2, 4, 3))
     readout[1, 2:] = 0.0
-    names = ["pz", "pr", "ph", "U_z", "U_r", "U", "b_z", "b_r", "b_h"]
+    names = ["P", "U_z", "U_r", "U", "b_z", "b_r", "b_h"]
     check(lambda: ad.sum_all(ad.mul(ad.gru_scan(*inputs), Tensor(readout))),
           dict(zip(names, inputs)))
 
@@ -441,16 +463,61 @@ def test_gru_scan_validation():
     rng = rng_for(17)
     inputs = scan_inputs(rng, 2, 3, 4)
     assert ad.gru_scan(*inputs).shape == (2, 3, 4)
-    with pytest.raises(DimensionError):  # a bare (n, d_h) sequence is not a batch
-        ad.gru_scan(Tensor(np.zeros((3, 4))), *inputs[1:])
+    with pytest.raises(DimensionError):  # a bare (n, 3 d_h) sequence is not a batch
+        ad.gru_scan(Tensor(np.zeros((3, 12))), *inputs[1:])
     with pytest.raises(DimensionError):
-        ad.gru_scan(Tensor(np.zeros((2, 0, 4))), *inputs[1:])
-    with pytest.raises(DimensionError):  # gate inputs disagree
-        ad.gru_scan(inputs[0], Tensor(np.zeros((2, 2, 4))), *inputs[2:])
+        ad.gru_scan(Tensor(np.zeros((2, 0, 12))), *inputs[1:])
+    for width in (4, 8, 13):  # the gate inputs are not 3 * d_h wide
+        with pytest.raises(DimensionError):
+            ad.gru_scan(Tensor(np.zeros((2, 3, width))), *inputs[1:])
     with pytest.raises(DimensionError):
-        ad.gru_scan(*inputs[:3], Tensor(np.zeros((4, 3))), *inputs[4:])
+        ad.gru_scan(inputs[0], Tensor(np.zeros((4, 3))), *inputs[2:])
     with pytest.raises(DimensionError):
-        ad.gru_scan(*inputs[:8], Tensor(np.zeros(3)))
+        ad.gru_scan(*inputs[:6], Tensor(np.zeros(3)))
+
+
+def test_project_gradcheck():
+    # One input shared by three weights of unequal widths, and one input per
+    # weight; each against a finite-difference gradient.
+    rng = rng_for(18)
+    xs = [Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True) for _ in range(3)]
+    ws = [Tensor(rng.standard_normal((w, 4)), requires_grad=True) for w in (2, 3, 1)]
+    readout = Tensor(rng.standard_normal((2, 3, 6)))
+    for inputs in (xs[:1], xs):
+        params = {f"x{i}": x for i, x in enumerate(inputs)}
+        params.update({f"w{i}": w for i, w in enumerate(ws)})
+        check(lambda: ad.sum_all(ad.mul(ad.project(inputs, ws), readout)), params)
+    # A (B, d) batch, as a dense layer projects it.
+    x2 = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    check(lambda: ad.sum_all(ad.mul(ad.project([x2], ws[1:2]), Tensor(np.ones((3, 3))))),
+          {"x": x2, "w": ws[1]})
+
+
+def test_project_equals_separate_matmuls():
+    rng = rng_for(19)
+    xs = [rng.standard_normal((2, 3, 4)) for _ in range(3)]
+    ws = [rng.standard_normal((5, 4)) for _ in range(3)]
+    shared = ad.project([Tensor(xs[0])], [Tensor(w) for w in ws]).data
+    each = ad.project([Tensor(x) for x in xs], [Tensor(w) for w in ws]).data
+    assert shared.shape == each.shape == (2, 3, 15)
+    for i, w in enumerate(ws):
+        assert np.allclose(shared[..., 5 * i:5 * (i + 1)], xs[0] @ w.T, rtol=1e-13)
+        assert np.allclose(each[..., 5 * i:5 * (i + 1)], xs[i] @ w.T, rtol=1e-13)
+
+
+def test_project_validation():
+    x = Tensor(np.zeros((2, 3, 4)))
+    w = Tensor(np.zeros((5, 4)))
+    with pytest.raises(ContractError):  # two inputs for three weights
+        ad.project([x, x], [w, w, w])
+    with pytest.raises(ContractError):
+        ad.project([x], [])
+    with pytest.raises(DimensionError):  # a bare vector is not a batch
+        ad.project([Tensor(np.zeros(4))], [w])
+    with pytest.raises(DimensionError):  # the weight does not chain
+        ad.project([x], [w, Tensor(np.zeros((5, 3)))])
+    with pytest.raises(DimensionError):  # the inputs disagree
+        ad.project([x, Tensor(np.zeros((2, 2, 4)))], [w, w])
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,22 @@ def test_tape_size_does_not_grow_with_width():
         assert counts[0] == counts[1], (variant, counts)
 
 
+def test_training_tape_is_small_and_does_not_grow_with_width():
+    # A gru training step (dropout on, so both dropout masks are recorded)
+    # recorded 79 nodes when each gate had its own projection chain and the
+    # scan took three gate-input tensors.
+    rng = np.random.default_rng(4)
+    model, _ = tiny_model(seed=15, variant="gru", dropout=0.3)
+    counts = []
+    for width in (3, 30):
+        b = batch_from_rows([list(rng.integers(2, 9, size=width)), [4, 5]], [1, 0])
+        with Tape() as tape:
+            bce_loss(model.forward_batch(b, train=True, rng=np.random.default_rng(0)),
+                     b.labels)
+        counts.append(len(tape))
+    assert counts[0] == counts[1] < 79, counts
+
+
 def test_zero_length_row_is_a_contract_error():
     model, _ = tiny_model(seed=14)
     batch = batch_from_rows([[2, 3, 4], [5]], [1, 0])
@@ -429,6 +445,37 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     saved = model.named_params()
     for name, t in load_checkpoint(ckpt)[0].named_params().items():
         assert np.array_equal(t.data, saved[name].data)
+
+
+# The tensors a checkpoint stores, in order, for embed 3, hidden 5 (3 for
+# deep), fc 6 and a vocabulary of 7: a change to how gate inputs are computed
+# must not rename or reshape any of them.
+_GATES = [("W_z", (5, 3)), ("W_r", (5, 3)), ("W", (5, 3))]
+_RECURRENCE = [("U_z", (5, 5)), ("U_r", (5, 5)), ("U", (5, 5)),
+               ("b_z", (5,)), ("b_r", (5,)), ("b_h", (5,))]
+_BANKS = [(f"conv_{g}.{p}", shape) for g in "zrh"
+          for p, shape in (("filters", (3, 3, 3)), ("bias", (3,)))]
+_CELLS = {
+    "gru": _GATES + _RECURRENCE,
+    "shallow": _GATES + _RECURRENCE + [("conv.filters", (3, 3, 3)), ("conv.bias", (3,))],
+    "deep": [(name, tuple(3 for _ in shape)) for name, shape in _RECURRENCE] + _BANKS,
+    "deep_enhanced": _GATES + _RECURRENCE + _BANKS,
+}
+
+
+def test_stored_tensor_names_and_shapes_are_pinned():
+    for variant, cell in _CELLS.items():
+        config = TrainConfig(variant=variant, embed_dim=3,
+                             hidden_dim=3 if variant == "deep" else 5, fc_dim=6)
+        model = SentimentModel.build(config, 7, seeded_rng(0, 1))
+        d_fc = 2 * config.hidden_dim
+        expected = ([("embedding.weights", (7, 3))]
+                    + [(f"{side}.{name}", shape) for side in ("fwd", "bwd")
+                       for name, shape in cell]
+                    + [("fc.weights", (6, d_fc)), ("fc.bias", (6,)),
+                       ("out.weights", (1, 6)), ("out.bias", (1,))])
+        got = [(name, t.shape) for name, t in model.named_params().items()]
+        assert got == expected, variant
 
 
 def test_checkpoint_shape_mismatch_names_tensor(tmp_path):

@@ -226,6 +226,22 @@ def test_infer_corrupt_checkpoint_exits_1(tmp_path, capsys, corruption):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
 
+def test_non_utf8_config_file_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_bytes(b"lr=0.01\nvariant=gru\xff\n")
+    code = main(["train", "--dataset", str(FIXTURE), *TINY_FLAGS,
+                 "--config", str(cfg), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {cfg}: not valid UTF-8\n"
+
+@pytest.mark.parametrize("name", ["config.txt", "vocab.txt"])
+def test_non_utf8_checkpoint_text_file_exits_1(tmp_path, capsys, name):
+    ckpt = make_zero_checkpoint(tmp_path)
+    (ckpt / name).write_bytes((ckpt / name).read_bytes() + b"\xc3\x28\n")
+    assert main(["infer", "--checkpoint", str(ckpt), "a", "b"]) == 1
+    assert capsys.readouterr().err == f"error: {ckpt / name}: not valid UTF-8\n"
+
 def test_infer_on_trained_checkpoint(trained_run, capsys):
     sentences = [
         "a joyful and generous picture with real insight",

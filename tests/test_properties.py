@@ -1,7 +1,9 @@
 """Property tests: a zero-padded batch equals one-row batches of its rows,
-the im2col convolution equals its einsum reference, the fused GRU scan
-equals its per-step composed reference, and training with the optimizer's
-blocked sweeps equals the dense update with the L2 term on the tape."""
+the im2col convolution equals its einsum reference, every cell's single
+gate-input tensor equals its three per-gate inputs side by side, the fused
+GRU scan equals its per-step composed reference, and training with the
+optimizer's blocked sweeps equals the dense update with the L2 term on the
+tape."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -13,7 +15,7 @@ from cru.classifier import SentimentModel, TrainConfig, seeded_rng, train_epoch
 from cru.data import EncodedSample, batch_and_pad
 from cru.optim import BLOCK_ROWS, Adam
 from cru.recurrent import VARIANTS, make_cell, run_sequence
-from oracles import conv1d_same_einsum, dense_update, gru_scan_composed
+from oracles import conv1d_same_einsum, dense_update, gru_scan_composed, prepare_per_gate
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -81,6 +83,33 @@ def test_conv1d_same_equals_einsum_reference(case):
 
 
 @PROPERTY
+@given(st.tuples(st.sampled_from(VARIANTS), st.integers(1, 3), st.integers(1, 6),
+                 st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1)))
+@example(("gru", 1, 1, 1, 1, 0))
+@example(("deep_enhanced", 3, 5, 2, 4, 1))
+def test_prepare_equals_per_gate_inputs_side_by_side(case):
+    # Values and the gradients of E and of every parameter that prepare reads.
+    variant, b, n, d, d_h, seed = case
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cell = make_cell(variant, rng, d, d if variant == "deep" else d_h)
+    E = Tensor(rng.standard_normal((b, n, d)), requires_grad=True)
+    recurrence = {"U_z", "U_r", "U", "b_z", "b_r", "b_h"}
+    leaves = [E] + [t for name, t in cell.named_params().items() if name not in recurrence]
+    G = Tensor(rng.standard_normal((b, n, 3 * cell.hidden_dim)))
+    results = []
+    for prepare in (cell.prepare, lambda x: ad.concat_cols(prepare_per_gate(cell, x))):
+        for x in leaves:
+            x.zero_grad()
+        with Tape() as tape:
+            out = prepare(E)
+            tape.backward(ad.sum_all(ad.mul(out, G)))
+        results.append([out.data] + [x.grad for x in leaves])
+    for got, ref in zip(*results):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@PROPERTY
 @given(cases)
 @example(("gru", [1], 0))
 @example(("deep_enhanced", [9, 1, 4], 1))
@@ -97,9 +126,9 @@ def test_gru_scan_equals_composed_reference(case):
     Eb = np.zeros((len(lengths), max(lengths), d))
     for row, n in enumerate(lengths):
         Eb[row, :n] = rng.standard_normal((n, d))
-    gates = [Tensor(x.data, requires_grad=True) for x in cell.prepare(Tensor(Eb))]
-    inputs = [*gates, p.U_z, p.U_r, p.U, p.b_z, p.b_r, p.b_h]
-    G = Tensor(rng.standard_normal(gates[0].shape))
+    P = Tensor(cell.prepare(Tensor(Eb)).data, requires_grad=True)
+    inputs = [P, p.U_z, p.U_r, p.U, p.b_z, p.b_r, p.b_h]
+    G = Tensor(rng.standard_normal(Eb.shape))
     results = []
     for scan in (ad.gru_scan, gru_scan_composed):
         for x in inputs:
