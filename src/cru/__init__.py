@@ -21,6 +21,6 @@ from .optim import Adam
 from .rc_features import (ClozeSample, EnrichedEmbedding, count_of_query_word,
                           doc_word_freq, encode_bidirectional_enriched,
                           enrich_embeddings)
-from .recurrent import GruParams, VARIANTS, make_cell, run_sequence
+from .recurrent import GruParams, Packing, VARIANTS, make_cell, pack, run_sequence
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -190,7 +191,10 @@ class Tape:
             if node.apply is not None:
                 input_ids = node.input_ids
 
-                def emit(i: int, grad, rows=None, unique=False) -> None:
+                def emit(i: int, grad, rows=None, unique=False, owned=False) -> None:
+                    # rows: grad holds only these rows of the input's gradient,
+                    # and unique says they have no repeats. owned: grad is a
+                    # fresh array that nothing else holds, so it needs no copy.
                     nid = input_ids[i]
                     if nid is None:
                         return  # constant input
@@ -200,15 +204,19 @@ class Tape:
                         fresh = cur is None
                         if fresh:
                             cur = buf[nid] = np.zeros(shape)
-                        if fresh and unique:
+                        if not unique:
+                            np.add.at(cur, rows, grad)
+                        elif fresh:
                             cur[rows] = grad  # nothing to accumulate
                         else:
-                            np.add.at(cur, rows, grad)
+                            cur[rows] += grad  # no repeats, so no update is lost
                     elif grad.shape != shape:
                         raise ContractError(f"{node.op}: gradient of shape {grad.shape} "
                                             f"for an input of shape {shape}")
                     elif cur is None:
-                        buf[nid] = np.array(grad)  # a copy: grad may be a read-only view
+                        # Otherwise a copy: grad may be a read-only view or an
+                        # array the op keeps.
+                        buf[nid] = grad if owned else np.array(grad)
                     else:
                         cur += grad
 
@@ -432,8 +440,9 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
 def take_rows(x: Tensor, ids) -> Tensor:
     """Gather rows of a matrix; backward accumulates into duplicate rows.
 
-    Ids without repeats (the reversed path's permutation) scatter into a fresh
-    gradient by plain assignment, several times faster than ``np.add.at``.
+    Ids without repeats (the packed orders of a batch) scatter by plain
+    assignment into a fresh gradient and by one indexed ``+=`` onto an existing
+    one, each several times faster than ``np.add.at``.
     """
     if x.ndim != 2:
         raise DimensionError(f"take_rows needs rank 2, got shape {x.shape}")
@@ -538,7 +547,7 @@ def project(xs: Sequence[Tensor], ws: Sequence[Tensor]) -> Tensor:
     def apply(g, emit):
         g = g.reshape(-1, ends[-1])
         for i, (x, w, c) in enumerate(parts):
-            emit(i, (g[:, c] @ w).reshape(shape))
+            emit(i, (g[:, c] @ w).reshape(shape), owned=True)
         d_w = np.concatenate([g[:, c].T @ x for x, _, c in parts])
         for i, c in enumerate(cols):
             emit(len(xs) + i, d_w[c])
@@ -546,93 +555,108 @@ def project(xs: Sequence[Tensor], ws: Sequence[Tensor]) -> Tensor:
     return _emit_op("project", xs + ws, Tensor(out.reshape(*shape[:-1], ends[-1])), apply)
 
 
-def gru_scan(P: Tensor, U_z: Tensor, U_r: Tensor, U: Tensor, b_z: Tensor,
+def gru_scan(P: Tensor, batch_sizes, U_z: Tensor, U_r: Tensor, U: Tensor, b_z: Tensor,
              b_r: Tensor, b_h: Tensor) -> Tensor:
-    """The GRU recurrence over precomputed gate inputs, as one tape node.
+    """The GRU recurrence over packed gate inputs, as one tape node.
 
-    P: (B, n, 3 d_h) gate inputs laid out [P_z | P_r | P_h]; U_*: (d_h, d_h);
-    b_*: (d_h,). From h_{-1} = 0, step t computes
+    P: (T, 3 d_h) gate inputs laid out [P_z | P_r | P_h], in time-major packed
+    order: step t owns the contiguous block of k_t = batch_sizes[t] rows that
+    starts at row k_0 + ... + k_{t-1}, the sizes never increase, and row j of
+    a block continues row j of the block before. U_*: (d_h, d_h); b_*: (d_h,).
+    From h_{-1} = 0, each row of step t computes
 
       z = sigmoid(P_z,t + h U_z^T + b_z),  r = sigmoid(P_r,t + h U_r^T + b_r)
       g = tanh(P_h,t + (r * h) U^T + b_h),  h_t = z * h + (1 - z) * g
 
-    and the result holds every h_t, (B, n, d_h). Both gates that read h_{t-1}
-    share one (d_h, 2 d_h) matmul. Backward is a reverse loop that carries dh
-    through two small matmuls per step and writes every gate's gradient into
-    one (B, n, 3 d_h) array, emitted as it is; the weight and bias gradients
-    are formed after it, each with one (B*n)-row matmul or sum.
+    and the result holds every h_t, (T, d_h), in P's order. Both gates that
+    read h_{t-1} share one (d_h, 2 d_h) matmul, and h_{t-1} is the first k_t
+    rows of the block before, so every step reads and writes contiguous
+    blocks. Backward is a reverse loop that carries dh through two small
+    matmuls per step and writes every gate's gradient into one (T, 3 d_h)
+    array, emitted as it is; the weight and bias gradients are formed after
+    it, each with one T-row matmul or sum.
     """
-    if P.ndim != 3 or P.shape[1] < 1:
-        raise DimensionError(f"gru_scan needs (B, n, 3 d_h) gate inputs with n >= 1, "
-                             f"got {P.shape}")
-    b, n, _ = P.shape
+    sizes = np.asarray(batch_sizes).reshape(-1).tolist()
+    if not sizes or sizes[-1] < 1 or any(x < y for x, y in zip(sizes, sizes[1:])):
+        raise ContractError(f"gru_scan: batch_sizes must be positive and non-increasing, "
+                            f"got {sizes}")
+    b, total = sizes[0], sum(sizes)
     d_h = U.shape[0] if U.ndim == 2 else -1
-    for name, t, shape in (("P", P, (b, n, 3 * d_h)), ("U_z", U_z, (d_h, d_h)),
+    for name, t, shape in (("P", P, (total, 3 * d_h)), ("U_z", U_z, (d_h, d_h)),
                            ("U_r", U_r, (d_h, d_h)), ("U", U, (d_h, d_h)),
                            ("b_z", b_z, (d_h,)), ("b_r", b_r, (d_h,)),
                            ("b_h", b_h, (d_h,))):
         if t.shape != shape:
             raise DimensionError(f"gru_scan: {name} must have shape {shape}, got {t.shape}")
+    # Block t starts at starts[t]; the block before it starts at prevs[t] of
+    # H0, whose first b rows are the zero state h_{-1}.
+    starts = list(accumulate(sizes[:-1], initial=0))
+    prevs = [0] + [b + s for s in starts[:-1]]
 
     # The z and r columns sit side by side, so one sigmoid covers both gates.
-    # Each step touches its strided time slice of a (B, n, .) array once and
-    # works through out= in (B, .) buffers, where an op costs a third as much.
+    # Each step works through out= in (k_t, .) prefixes of buffers allocated
+    # once, where an op costs a third as much as on a fresh array.
     zr_cols, h_cols = slice(0, 2 * d_h), slice(2 * d_h, None)
-    b_zr = np.concatenate([b_z.data, b_r.data])
+    b_zr, b_g = np.concatenate([b_z.data, b_r.data]), b_h.data
     u_zr = np.concatenate([U_z.data, U_r.data])  # (2 d_h, d_h)
-    u = U.data
-    H = np.empty((b, n, d_h))
-    A = np.empty((b, n, 3 * d_h))  # [z | r | g] at every step
-    h, rh, g, tmp = (np.zeros((b, d_h)) for _ in range(4))  # h carries h_{t-1}
-    a_zr = np.empty((b, 2 * d_h))
-    for t in range(n):
-        np.matmul(h, u_zr.T, out=a_zr)
-        a_zr += P.data[:, t, zr_cols]
+    u, u_zr_t, u_t = U.data, u_zr.T, U.data.T
+    H0 = np.empty((b + total, d_h))
+    H0[:b] = 0.0
+    H = H0[b:]
+    A = np.empty((total, 3 * d_h))  # [z | r | g] of every packed row
+    rh_buf, g_buf, tmp_buf = (np.empty((b, d_h)) for _ in range(3))
+    zr_buf = np.empty((b, 2 * d_h))
+    for k, lo, prev in zip(sizes, starts, prevs):
+        hi = lo + k
+        h, h_t = H0[prev:prev + k], H[lo:hi]
+        a_zr, g, tmp = zr_buf[:k], g_buf[:k], tmp_buf[:k]
+        np.matmul(h, u_zr_t, out=a_zr)
+        a_zr += P.data[lo:hi, zr_cols]
         a_zr += b_zr
-        zr = A[:, t, zr_cols] = _sigmoid(a_zr)
+        zr = A[lo:hi, zr_cols] = _sigmoid(a_zr)
         z = zr[:, :d_h]
-        np.matmul(np.multiply(zr[:, d_h:], h, out=rh), u.T, out=g)
-        g += P.data[:, t, h_cols]
-        g += b_h.data
-        A[:, t, h_cols] = np.tanh(g, out=g)
+        np.matmul(np.multiply(zr[:, d_h:], h, out=rh_buf[:k]), u_t, out=g)
+        g += P.data[lo:hi, h_cols]
+        g += b_g
+        A[lo:hi, h_cols] = np.tanh(g, out=g)
         g *= np.subtract(1.0, z, out=tmp)
-        h *= z
-        h += g  # z * h + (1 - z) * g
-        H[:, t] = h
+        np.add(np.multiply(h, z, out=h_t), g, out=h_t)  # z * h + (1 - z) * g
     out = Tensor(H)
 
     def apply(gout, emit):
-        dA = np.empty((b, n, 3 * d_h))  # gradients at the gates' pre-activations
-        a, da, c = np.empty((b, 3 * d_h)), np.empty((b, 3 * d_h)), np.empty((b, 2 * d_h))
-        dh, h, d_rh, tmp = (np.zeros((b, d_h)) for _ in range(4))
-        zr, z, r, g = a[:, zr_cols], a[:, :d_h], a[:, d_h:2 * d_h], a[:, h_cols]
-        da_zr, da_g = da[:, zr_cols], da[:, h_cols]
-        for t in reversed(range(n)):
-            dh += gout[:, t]
-            a[...] = A[:, t]
-            h[...] = H[:, t - 1] if t else 0.0
+        dA = np.empty((total, 3 * d_h))  # gradients at the gates' pre-activations
+        H_prev = np.empty((total, d_h))  # h_{t-1} of every packed row
+        dh_buf = np.zeros((b, d_h))
+        d_rh_buf, tmp_buf, c_buf = np.empty((b, d_h)), np.empty((b, d_h)), np.empty((b, 2 * d_h))
+        for k, lo, prev in zip(reversed(sizes), reversed(starts), reversed(prevs)):
+            hi = lo + k
+            a, da = A[lo:hi], dA[lo:hi]
+            zr, z, r, g = a[:, zr_cols], a[:, :d_h], a[:, d_h:2 * d_h], a[:, h_cols]
+            da_zr, da_z, da_r, da_g = (da[:, zr_cols], da[:, :d_h], da[:, d_h:2 * d_h],
+                                       da[:, h_cols])
+            h = H_prev[lo:hi]
+            h[...] = H0[prev:prev + k]
+            # Rows k_{t+1}..k_t end at step t, so their dh is still zero here.
+            dh, tmp, d_rh = dh_buf[:k], tmp_buf[:k], d_rh_buf[:k]
+            dh += gout[lo:hi]
             np.multiply(np.subtract(1.0, z, out=tmp), dh, out=tmp)
             np.subtract(1.0, np.multiply(g, g, out=da_g), out=da_g)
             np.matmul(np.multiply(tmp, da_g, out=da_g), u, out=d_rh)  # at r * h
-            np.multiply(np.subtract(h, g, out=da[:, :d_h]), dh, out=da[:, :d_h])
-            np.multiply(d_rh, h, out=da[:, d_h:2 * d_h])
+            np.multiply(np.subtract(h, g, out=da_z), dh, out=da_z)
+            np.multiply(d_rh, h, out=da_r)
             da_zr *= zr
-            da_zr *= np.subtract(1.0, zr, out=c)
-            dA[:, t] = da
+            da_zr *= np.subtract(1.0, zr, out=c_buf[:k])
             dh *= z
             dh += np.multiply(d_rh, r, out=tmp)
             dh += np.matmul(da_zr, u_zr, out=tmp)
-        emit(0, dA)
-        flat = dA.reshape(b * n, 3 * d_h)
-        H_prev = np.zeros_like(H)
-        H_prev[:, 1:] = H[:, :-1]
-        RH = A[..., d_h:2 * d_h] * H_prev  # r * h_{t-1}, which U multiplies
-        d_u = np.concatenate([flat[:, zr_cols].T @ H_prev.reshape(b * n, d_h),
-                              flat[:, h_cols].T @ RH.reshape(b * n, d_h)])
-        d_b = flat.sum(axis=0)
+        RH = A[:, d_h:2 * d_h] * H_prev  # r * h_{t-1}, which U multiplies
+        d_u = np.concatenate([dA[:, zr_cols].T @ H_prev, dA[:, h_cols].T @ RH])
+        d_b = dA.sum(axis=0)
         for i in range(3):
             emit(1 + i, d_u[i * d_h:(i + 1) * d_h])
             emit(4 + i, d_b[i * d_h:(i + 1) * d_h])
+        # Handed over without a copy, so only once nothing here reads it.
+        emit(0, dA, owned=True)
 
     return _emit_op("gru_scan", (P, U_z, U_r, U, b_z, b_r, b_h), out, apply)
 

@@ -1,7 +1,7 @@
 """Bidirectional sentiment classifier: embed -> recurrent pair -> fc -> sigmoid.
 
-There is one forward path, over padded batches; a single sentence is a batch
-of one.
+There is one forward path, over padded batches run in a packed layout; a
+single sentence is a batch of one.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .data import Batch, Sample, Vocab, batch_and_pad, encode_corpus, parse_kv_f
 from .errors import ConfigError, ContractError, NumericError
 from .layers import DenseLayer, EmbeddingTable, dense_forward, dropout_apply
 from .optim import Adam
-from .recurrent import VARIANTS, make_cell, run_sequence
+from .recurrent import VARIANTS, make_cell, pack, run_sequence
 
 # Seed-stream tags so every randomness consumer gets an independent generator.
 _TAG_INIT, _TAG_DROPOUT, _TAG_SHUFFLE, _TAG_FOLDS, _TAG_EMBED = 1, 2, 3, 4, 5
@@ -163,34 +163,14 @@ class SentimentModel:
                       rng: np.random.Generator | None = None) -> Tensor:
         """Probabilities (B,) for a padded batch."""
         b, n = batch.ids.shape
-        d = self.embedding.dim
 
         flat = ad.take_rows(self.embedding.weights, batch.ids.reshape(-1))
         flat = dropout_apply(flat, self.dropout, train, rng)
-        # Zero padded positions so convolution windows near the tail see the
-        # same zeros an unpadded run would.
-        pad_mask = np.repeat(batch.mask.reshape(-1)[:, None], d, axis=1)
-        flat = ad.mul(flat, Tensor(pad_mask))
-
-        # The reversed path reuses the exact dropped embeddings, permuted so
-        # each row's tokens run backward with pads staying at the tail.
-        lengths = batch.mask.sum(axis=1).astype(np.intp)
-        if np.any(lengths < 1):
-            row = int(np.argmax(lengths < 1))
-            raise ContractError(f"batch row {row} has no tokens")
-        perm = np.arange(b * n, dtype=np.intp).reshape(b, n)
-        for row, ln in enumerate(lengths):
-            perm[row, :ln] = perm[row, :ln][::-1]
-        E = ad.reshape(flat, (b, n, d))
-        E_rev = ad.reshape(ad.take_rows(flat, perm.reshape(-1)), (b, n, d))
-
-        # Rows run on over their padding; row r's final state is its state at
-        # step lengths[r] - 1, row r * n + lengths[r] - 1 of the flattened states.
-        last = np.arange(b) * n + lengths - 1
-        flat_shape = (b * n, self.fwd_cell.hidden_dim)
-        final_f = ad.take_rows(ad.reshape(run_sequence(self.fwd_cell, E), flat_shape), last)
-        final_b = ad.take_rows(ad.reshape(run_sequence(self.bwd_cell, E_rev), flat_shape),
-                               last)
+        # Both directions read the same dropped embeddings, each in its own
+        # packed order; the reversed one reads every row from its end.
+        fwd, bwd = pack(batch.mask.sum(axis=1).astype(np.intp), n)
+        final_f = ad.take_rows(run_sequence(self.fwd_cell, flat, fwd), fwd.last)
+        final_b = ad.take_rows(run_sequence(self.bwd_cell, flat, bwd), bwd.last)
         h = ad.concat_cols([final_f, final_b])
 
         h = dense_forward(self.fc, h)

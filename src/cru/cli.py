@@ -23,7 +23,7 @@ from .data import (FORMATS, Batch, Corpus, Sample, batch_and_pad, build_vocab,
                    encode_corpus, load_corpus, load_document_corpus,
                    load_pretrained_embeddings, make_folds, parse_kv_file, tokenize)
 from .errors import ConfigError, ContractError, NumericError, ParseError
-from .recurrent import VARIANTS, make_cell, run_sequence
+from .recurrent import VARIANTS, make_cell, pack, run_sequence
 
 # Per-dataset defaults (embedding width, hidden width, dropout, learning
 # rate, vocabulary cap) applied whenever a flag is not given explicitly.
@@ -256,17 +256,16 @@ def _check_cell(variant: str, seed: int, tol: float):
     d_h = d if variant == "deep" else 4
     n = 5
     cell = make_cell(variant, rng, d_in=d, d_h=d_h, k=3)
-    # A ragged two-row batch (lengths n and n - 2), zero-padded as
-    # forward_batch pads it; the loss reads only the true steps.
-    E = Tensor(0.5 * rng.standard_normal((2, n, d)), requires_grad=True)
-    E.data[1, n - 2:] = 0.0
-    true_rows = np.concatenate([np.arange(n), n + np.arange(n - 2)])
+    # A ragged two-row batch (lengths n and n - 2), zero-padded and packed as
+    # forward_batch packs it; the loss reads every packed state.
+    E = Tensor(0.5 * rng.standard_normal((2 * n, d)), requires_grad=True)
+    E.data[2 * n - 2:] = 0.0
+    packing, _ = pack([n, n - 2], n)
     params = dict(cell.named_params())
     params["E"] = E
 
     def f():
-        states = ad.reshape(run_sequence(cell, E), (2 * n, d_h))
-        return ad.sum_all(ad.take_rows(states, true_rows))
+        return ad.sum_all(run_sequence(cell, E, packing))
 
     return finite_diff_gradcheck(f, params, tol=tol)
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, DimensionError
-from .recurrent import run_sequence
+from .recurrent import pack, run_sequence
 
 
 @dataclass
@@ -86,10 +86,8 @@ def encode_bidirectional_enriched(fwd_cell, bwd_cell,
     if fwd_cell.hidden_dim != bwd_cell.hidden_dim:
         raise ConfigError("directions must share hidden size")
     X = enriched.combined
-    n, d_h = X.shape[0], fwd_cell.hidden_dim
-    one_row = (1,) + X.shape
+    n = X.shape[0]
+    fwd, bwd = pack([n], n)
     rev = np.arange(n)[::-1]
-    fwd_states = ad.reshape(run_sequence(fwd_cell, ad.reshape(X, one_row)), (n, d_h))
-    bwd_states = ad.reshape(
-        run_sequence(bwd_cell, ad.reshape(ad.take_rows(X, rev), one_row)), (n, d_h))
-    return ad.concat_cols([fwd_states, ad.take_rows(bwd_states, rev)])
+    return ad.concat_cols([run_sequence(fwd_cell, X, fwd),
+                           ad.take_rows(run_sequence(bwd_cell, X, bwd), rev)])

@@ -6,9 +6,11 @@ it with plain numpy, so it shares no padding, masking or permutation code
 with the batched path it checks. ``conv1d_same_einsum`` is the einsum
 convolution that the im2col ``ad.conv1d_same`` replaced.
 ``gru_scan_composed`` is the per-step recurrence of ``ad`` ops that the fused
-``ad.gru_scan`` replaced, and ``prepare_per_gate`` the three per-gate inputs
-each cell prepared before its gate inputs became one (B, n, 3 d_h) tensor;
-both use the ``transpose`` op kept here. ``dense_update`` is the training
+scan replaced, ``gru_scan_padded`` the fused scan over a padded batch that
+the packed ``ad.gru_scan`` replaced, and ``prepare_per_gate`` the three
+per-gate inputs each cell prepared, over the padded batch, before its gate
+inputs became one packed tensor; the composed references use the
+``transpose`` op kept here. ``dense_update`` is the training
 step from before the optimizer's blocked sweeps: the L2 term on the tape
 (``l2_penalty``), ``clip_global_norm``, and Adam over whole arrays.
 """
@@ -19,7 +21,7 @@ from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor
 from cru.classifier import bce_loss
 from cru.layers import same_length_conv
-from cru.recurrent import run_sequence
+from cru.recurrent import pack, run_sequence
 
 
 def run_row(cell, E):
@@ -27,8 +29,30 @@ def run_row(cell, E):
 
     Returns numpy arrays (all states (n, d_h), final state (d_h,)).
     """
-    all_h = run_sequence(cell, Tensor(np.asarray(E)[None])).data[0]
+    E = np.asarray(E)
+    all_h = run_sequence(cell, Tensor(E), pack([len(E)], len(E))[0]).data
     return all_h, all_h[-1]
+
+
+def padded_states(states, packing):
+    """Packed (T, d_h) states placed at (row, step) of a (B, n, d_h) array.
+
+    Step t of a reversed packing is the row's t-th token read from its end.
+    Positions past a row's length hold NaN.
+    """
+    b, n = packing.shape
+    out = np.full((b * n, states.shape[1]), np.nan)
+    out[np.arange(b * n) if packing.order is None else packing.order] = states
+    return out.reshape(b, n, -1)
+
+
+def run_padded(cell, Eb, lengths, reverse=False):
+    """Run a zero-padded (B, n, d) batch whose rows hold ``lengths`` tokens in
+    one direction; returns ``padded_states`` as a numpy array."""
+    b, n, d = Eb.shape
+    packing = pack(lengths, n)[1 if reverse else 0]
+    states = run_sequence(cell, Tensor(np.asarray(Eb).reshape(b * n, d)), packing)
+    return padded_states(states.data, packing)
 
 
 def transpose(x):
@@ -85,6 +109,97 @@ def gru_scan_composed(P, U_z, U_r, U, b_z, b_r, b_h):
         h = ad.add(ad.mul(z, h), ad.mul(ad.sub(1.0, z), g))
         states.append(h)
     return ad.reshape(ad.concat_cols(states), (b, n, d_h))
+
+
+def gru_scan_padded(P, U_z, U_r, U, b_z, b_r, b_h):
+    """``ad.gru_scan`` over a padded batch, as it ran before packing: every
+    row runs out to the batch width, and one tape node holds the whole scan.
+
+    P: (B, n, 3 d_h) gate inputs laid out [P_z | P_r | P_h]; U_*: (d_h, d_h);
+    b_*: (d_h,). From h_{-1} = 0, step t computes
+
+      z = sigmoid(P_z,t + h U_z^T + b_z),  r = sigmoid(P_r,t + h U_r^T + b_r)
+      g = tanh(P_h,t + (r * h) U^T + b_h),  h_t = z * h + (1 - z) * g
+
+    and the result holds every h_t, (B, n, d_h). Both gates that read h_{t-1}
+    share one (d_h, 2 d_h) matmul. Backward is a reverse loop that carries dh
+    through two small matmuls per step and writes every gate's gradient into
+    one (B, n, 3 d_h) array, emitted as it is; the weight and bias gradients
+    are formed after it, each with one (B*n)-row matmul or sum.
+    """
+    if P.ndim != 3 or P.shape[1] < 1:
+        raise ValueError(f"gru_scan needs (B, n, 3 d_h) gate inputs with n >= 1, "
+                             f"got {P.shape}")
+    b, n, _ = P.shape
+    d_h = U.shape[0] if U.ndim == 2 else -1
+    for name, t, shape in (("P", P, (b, n, 3 * d_h)), ("U_z", U_z, (d_h, d_h)),
+                           ("U_r", U_r, (d_h, d_h)), ("U", U, (d_h, d_h)),
+                           ("b_z", b_z, (d_h,)), ("b_r", b_r, (d_h,)),
+                           ("b_h", b_h, (d_h,))):
+        if t.shape != shape:
+            raise ValueError(f"gru_scan: {name} must have shape {shape}, got {t.shape}")
+
+    # The z and r columns sit side by side, so one sigmoid covers both gates.
+    # Each step touches its strided time slice of a (B, n, .) array once and
+    # works through out= in (B, .) buffers, where an op costs a third as much.
+    zr_cols, h_cols = slice(0, 2 * d_h), slice(2 * d_h, None)
+    b_zr = np.concatenate([b_z.data, b_r.data])
+    u_zr = np.concatenate([U_z.data, U_r.data])  # (2 d_h, d_h)
+    u = U.data
+    H = np.empty((b, n, d_h))
+    A = np.empty((b, n, 3 * d_h))  # [z | r | g] at every step
+    h, rh, g, tmp = (np.zeros((b, d_h)) for _ in range(4))  # h carries h_{t-1}
+    a_zr = np.empty((b, 2 * d_h))
+    for t in range(n):
+        np.matmul(h, u_zr.T, out=a_zr)
+        a_zr += P.data[:, t, zr_cols]
+        a_zr += b_zr
+        zr = A[:, t, zr_cols] = ad._sigmoid(a_zr)
+        z = zr[:, :d_h]
+        np.matmul(np.multiply(zr[:, d_h:], h, out=rh), u.T, out=g)
+        g += P.data[:, t, h_cols]
+        g += b_h.data
+        A[:, t, h_cols] = np.tanh(g, out=g)
+        g *= np.subtract(1.0, z, out=tmp)
+        h *= z
+        h += g  # z * h + (1 - z) * g
+        H[:, t] = h
+    out = Tensor(H)
+
+    def apply(gout, emit):
+        dA = np.empty((b, n, 3 * d_h))  # gradients at the gates' pre-activations
+        a, da, c = np.empty((b, 3 * d_h)), np.empty((b, 3 * d_h)), np.empty((b, 2 * d_h))
+        dh, h, d_rh, tmp = (np.zeros((b, d_h)) for _ in range(4))
+        zr, z, r, g = a[:, zr_cols], a[:, :d_h], a[:, d_h:2 * d_h], a[:, h_cols]
+        da_zr, da_g = da[:, zr_cols], da[:, h_cols]
+        for t in reversed(range(n)):
+            dh += gout[:, t]
+            a[...] = A[:, t]
+            h[...] = H[:, t - 1] if t else 0.0
+            np.multiply(np.subtract(1.0, z, out=tmp), dh, out=tmp)
+            np.subtract(1.0, np.multiply(g, g, out=da_g), out=da_g)
+            np.matmul(np.multiply(tmp, da_g, out=da_g), u, out=d_rh)  # at r * h
+            np.multiply(np.subtract(h, g, out=da[:, :d_h]), dh, out=da[:, :d_h])
+            np.multiply(d_rh, h, out=da[:, d_h:2 * d_h])
+            da_zr *= zr
+            da_zr *= np.subtract(1.0, zr, out=c)
+            dA[:, t] = da
+            dh *= z
+            dh += np.multiply(d_rh, r, out=tmp)
+            dh += np.matmul(da_zr, u_zr, out=tmp)
+        emit(0, dA)
+        flat = dA.reshape(b * n, 3 * d_h)
+        H_prev = np.zeros_like(H)
+        H_prev[:, 1:] = H[:, :-1]
+        RH = A[..., d_h:2 * d_h] * H_prev  # r * h_{t-1}, which U multiplies
+        d_u = np.concatenate([flat[:, zr_cols].T @ H_prev.reshape(b * n, d_h),
+                              flat[:, h_cols].T @ RH.reshape(b * n, d_h)])
+        d_b = flat.sum(axis=0)
+        for i in range(3):
+            emit(1 + i, d_u[i * d_h:(i + 1) * d_h])
+            emit(4 + i, d_b[i * d_h:(i + 1) * d_h])
+
+    return ad._emit_op("gru_scan", (P, U_z, U_r, U, b_z, b_r, b_h), out, apply)
 
 
 def forward_reference(model, ids) -> float:

@@ -438,8 +438,9 @@ def test_conv1d_same_validation():
         ad.conv1d_same(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 3, 3))))
 
 
-def scan_inputs(rng, b, n, d_h):
-    P = Tensor(rng.standard_normal((b, n, 3 * d_h)), requires_grad=True)
+def scan_inputs(rng, sizes, d_h):
+    """Packed gate inputs for batch_sizes ``sizes``, then the six weights."""
+    P = Tensor(rng.standard_normal((sum(sizes), 3 * d_h)), requires_grad=True)
     weights = [Tensor(0.6 * rng.standard_normal((d_h, d_h)), requires_grad=True)
                for _ in range(3)]
     biases = [Tensor(rng.uniform(-0.5, 0.5, d_h), requires_grad=True) for _ in range(3)]
@@ -447,33 +448,80 @@ def scan_inputs(rng, b, n, d_h):
 
 
 def test_gru_scan_gradcheck():
-    # A ragged batch (lengths 4 and 2) with zeroed gate inputs past row 1's
-    # end; the readout weights only true steps, as forward_batch does.
+    # A packed ragged batch: three rows, of lengths 4, 2 and 2, in four steps
+    # of 3, 3, 2 and 1 rows.
     rng = rng_for(16)
-    inputs = scan_inputs(rng, 2, 4, 3)
-    inputs[0].data[1, 2:] = 0.0
-    readout = rng.standard_normal((2, 4, 3))
-    readout[1, 2:] = 0.0
+    sizes = [3, 3, 2, 1]
+    inputs = scan_inputs(rng, sizes, 3)
+    readout = Tensor(rng.standard_normal((9, 3)))
     names = ["P", "U_z", "U_r", "U", "b_z", "b_r", "b_h"]
-    check(lambda: ad.sum_all(ad.mul(ad.gru_scan(*inputs), Tensor(readout))),
+    check(lambda: ad.sum_all(ad.mul(ad.gru_scan(inputs[0], sizes, *inputs[1:]), readout)),
           dict(zip(names, inputs)))
 
 
 def test_gru_scan_validation():
     rng = rng_for(17)
-    inputs = scan_inputs(rng, 2, 3, 4)
-    assert ad.gru_scan(*inputs).shape == (2, 3, 4)
-    with pytest.raises(DimensionError):  # a bare (n, 3 d_h) sequence is not a batch
-        ad.gru_scan(Tensor(np.zeros((3, 12))), *inputs[1:])
-    with pytest.raises(DimensionError):
-        ad.gru_scan(Tensor(np.zeros((2, 0, 12))), *inputs[1:])
+    inputs = scan_inputs(rng, [2, 2, 1], 4)
+    P, weights = inputs[0], inputs[1:]
+    assert ad.gru_scan(P, [2, 2, 1], *weights).shape == (5, 4)
+    for sizes in ([1, 2, 2], [2, 2, 0, 1], [3, 2, 0], [], [0]):  # rising, or empty steps
+        with pytest.raises((ContractError, DimensionError)):
+            ad.gru_scan(P, sizes, *weights)
+    for sizes in ([2, 2], [2, 2, 2], [4]):  # the sizes do not add up to P's rows
+        with pytest.raises(DimensionError):
+            ad.gru_scan(P, sizes, *weights)
+    with pytest.raises(DimensionError):  # a padded (B, n, 3 d_h) batch is not packed
+        ad.gru_scan(Tensor(np.zeros((1, 5, 12))), [1] * 5, *weights)
     for width in (4, 8, 13):  # the gate inputs are not 3 * d_h wide
         with pytest.raises(DimensionError):
-            ad.gru_scan(Tensor(np.zeros((2, 3, width))), *inputs[1:])
+            ad.gru_scan(Tensor(np.zeros((5, width))), [2, 2, 1], *weights)
     with pytest.raises(DimensionError):
-        ad.gru_scan(inputs[0], Tensor(np.zeros((4, 3))), *inputs[2:])
+        ad.gru_scan(P, [2, 2, 1], Tensor(np.zeros((4, 3))), *weights[1:])
     with pytest.raises(DimensionError):
-        ad.gru_scan(*inputs[:6], Tensor(np.zeros(3)))
+        ad.gru_scan(P, [2, 2, 1], *weights[:5], Tensor(np.zeros(3)))
+
+
+def test_owned_gradients_take_later_gradients_in_place():
+    # gru_scan's dA and project's dx are kept without a copy. A leaf used
+    # first by another op gets that op's gradient last, added into the kept
+    # array: its gradient must be the sum, and a second backward over the same
+    # tape must see every array the ops keep unchanged.
+    rng = rng_for(22)
+    sizes = [3, 2, 2]
+    inputs = scan_inputs(rng, sizes, 4)
+    x = Tensor(rng.standard_normal((7, 5)), requires_grad=True)
+    w = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+    G_scan, G_proj = Tensor(rng.standard_normal((7, 4))), Tensor(rng.standard_normal((7, 6)))
+    G_p, G_x = rng.standard_normal((7, 12)), rng.standard_normal((7, 5))
+
+    def loss(extra):
+        terms = []
+        if extra:  # recorded first, so reached last
+            terms += [ad.sum_all(ad.mul(inputs[0], Tensor(G_p))),
+                      ad.sum_all(ad.mul(x, Tensor(G_x)))]
+        terms += [ad.sum_all(ad.mul(ad.gru_scan(inputs[0], sizes, *inputs[1:]), G_scan)),
+                  ad.sum_all(ad.mul(ad.project([x], [w]), G_proj))]
+        total = terms[0]
+        for term in terms[1:]:
+            total = ad.add(total, term)
+        return total
+
+    with Tape() as tape:
+        tape.backward(loss(False))
+    alone = [inputs[0].grad, x.grad]
+    inputs[0].zero_grad()
+    x.zero_grad()
+    with Tape() as tape:
+        total = loss(True)
+        kept = [node.tensor.data.copy() for node in tape.nodes]
+        tape.backward(total)
+        first = [inputs[0].grad.copy(), x.grad.copy()]
+        tape.backward(total)
+        assert all(np.array_equal(node.tensor.data, k) for node, k in zip(tape.nodes, kept))
+    assert np.array_equal(first[0], alone[0] + G_p)
+    assert np.array_equal(first[1], alone[1] + G_x)
+    assert np.array_equal(inputs[0].grad, 2 * first[0])
+    assert np.array_equal(x.grad, 2 * first[1])
 
 
 def test_project_gradcheck():

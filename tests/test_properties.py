@@ -1,5 +1,6 @@
 """Property tests: a zero-padded batch equals one-row batches of its rows,
-the im2col convolution equals its einsum reference, every cell's single
+the packed run of either direction equals the padded scan it replaced, the
+im2col convolution equals its einsum reference, every cell's single
 gate-input tensor equals its three per-gate inputs side by side, the fused
 GRU scan equals its per-step composed reference, and training with the
 optimizer's blocked sweeps equals the dense update with the L2 term on the
@@ -14,8 +15,9 @@ from cru.autodiff import Tape, Tensor
 from cru.classifier import SentimentModel, TrainConfig, seeded_rng, train_epoch
 from cru.data import EncodedSample, batch_and_pad
 from cru.optim import BLOCK_ROWS, Adam
-from cru.recurrent import VARIANTS, make_cell, run_sequence
-from oracles import conv1d_same_einsum, dense_update, gru_scan_composed, prepare_per_gate
+from cru.recurrent import VARIANTS, make_cell, pack, run_sequence
+from oracles import (conv1d_same_einsum, dense_update, gru_scan_composed, gru_scan_padded,
+                     prepare_per_gate, run_padded, run_row)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -35,16 +37,89 @@ def test_run_sequence_masked_batch_equals_rows(case):
     Eb = np.zeros((len(lengths), width, d))
     for row, n in enumerate(lengths):
         Eb[row, :n] = rng.standard_normal((n, d))
-    states = run_sequence(cell, Tensor(Eb)).data
+    states = run_padded(cell, Eb, lengths)
     for row, n in enumerate(lengths):
-        one = run_sequence(cell, Tensor(Eb[row:row + 1, :n])).data
-        assert np.max(np.abs(states[row, n - 1] - one[0, -1])) < 1e-12
+        one, _ = run_row(cell, Eb[row, :n])
+        assert np.max(np.abs(states[row, n - 1] - one[-1])) < 1e-12
         for t in range(n):
-            assert np.max(np.abs(states[row, t] - one[0, t])) < 1e-12
+            assert np.max(np.abs(states[row, t] - one[t])) < 1e-12
+
+
+ragged = st.one_of(
+    st.lists(st.integers(1, 9), min_size=1, max_size=6),
+    st.tuples(st.integers(1, 6), st.integers(1, 9)).map(lambda bn: [bn[1]] * bn[0]),
+    st.integers(1, 6).map(lambda b: [1] * b),
+    st.tuples(st.integers(1, 6), st.integers(0, 5), st.integers(2, 9)).map(
+        lambda c: [c[2] if row == c[1] % c[0] else 1 for row in range(c[0])]),
+)
+
+
+def packed_positions(lengths):
+    """(row, step) of each packed row: the rows by non-increasing length,
+    ties in batch order, step after step."""
+    by_length = sorted(range(len(lengths)), key=lambda r: -lengths[r])
+    return [(r, t) for t in range(max(lengths)) for r in by_length if lengths[r] > t]
+
+
+@PROPERTY
+@given(st.tuples(st.sampled_from(VARIANTS), ragged, st.booleans(), st.integers(0, 2**32 - 1)))
+@example(("gru", [1], False, 0))
+@example(("deep_enhanced", [2, 9, 1, 9, 4], True, 1))
+@example(("shallow", [1, 1, 7, 1], True, 2))
+def test_packed_run_equals_padded_oracle(case):
+    # Either direction of a padded ragged batch in unsorted row order,
+    # against the padded per-gate preparation and the padded scan, fed the
+    # same batch rows reversed row by row in numpy for the reversed direction.
+    # States at every token, and the gradients of the batch rows and of
+    # every cell parameter, under a readout of the true steps only.
+    variant, lengths, reverse, seed = case
+    rng = np.random.Generator(np.random.PCG64(seed))
+    b, n, d = len(lengths), max(lengths), 3
+    cell = make_cell(variant, rng, d, d)
+    for bias in (cell.params.b_z, cell.params.b_r, cell.params.b_h):
+        bias.data = rng.uniform(-0.5, 0.5, d)
+    # The padding holds garbage, which neither path may read.
+    E = Tensor(rng.standard_normal((b * n, d)), requires_grad=True)
+    read = np.arange(b * n).reshape(b, n)  # the batch row at each oracle position
+    tokens = np.zeros((b, n, d))  # the oracle zeroes the padding, as the packed path does
+    for row, ln in enumerate(lengths):
+        tokens[row, :ln] = 1.0
+    if reverse:
+        for row, ln in enumerate(lengths):
+            read[row, :ln] = read[row, :ln][::-1]
+    G = rng.standard_normal((b, n, d))
+    positions = packed_positions(lengths)
+    G_packed = np.array([G[r, t] for r, t in positions])
+    for r in range(b):
+        G[r, lengths[r]:] = 0.0
+    leaves = [E] + list(cell.named_params().values())
+    p = cell.params
+    results = []
+    for packed in (True, False):
+        for x in leaves:
+            x.zero_grad()
+        with Tape() as tape:
+            if packed:
+                states = run_sequence(cell, E, pack(lengths, n)[reverse])
+                readout = G_packed
+            else:
+                X = ad.mul(ad.reshape(ad.take_rows(E, read.reshape(-1)), (b, n, d)),
+                           Tensor(tokens))
+                P = ad.concat_cols(prepare_per_gate(cell, X))
+                states = gru_scan_padded(P, p.U_z, p.U_r, p.U, p.b_z, p.b_r, p.b_h)
+                readout = G
+            tape.backward(ad.sum_all(ad.mul(states, Tensor(readout))))
+        if not packed:
+            states = Tensor(np.array([states.data[r, t] for r, t in positions]))
+        results.append([states.data] + [x.grad for x in leaves])
+    for got, ref in zip(*results):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @PROPERTY
 @given(cases)
+@example(("deep_enhanced", [2, 9, 1, 9, 4], 3))  # unsorted, with a tie
 def test_forward_batch_padded_equals_rows(case):
     variant, lengths, seed = case
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -88,16 +163,24 @@ def test_conv1d_same_equals_einsum_reference(case):
 @example(("gru", 1, 1, 1, 1, 0))
 @example(("deep_enhanced", 3, 5, 2, 4, 1))
 def test_prepare_equals_per_gate_inputs_side_by_side(case):
-    # Values and the gradients of E and of every parameter that prepare reads.
+    # Values and the gradients of E and of every parameter that prepare reads;
+    # the per-gate inputs of the padded batch are read in packed order.
     variant, b, n, d, d_h, seed = case
     rng = np.random.Generator(np.random.PCG64(seed))
     cell = make_cell(variant, rng, d, d if variant == "deep" else d_h)
-    E = Tensor(rng.standard_normal((b, n, d)), requires_grad=True)
+    E = Tensor(rng.standard_normal((b * n, d)), requires_grad=True)
+    packing, _ = pack([n] * b, n)
+    in_packed_order = np.array([r * n + t for r, t in packed_positions([n] * b)])
     recurrence = {"U_z", "U_r", "U", "b_z", "b_r", "b_h"}
     leaves = [E] + [t for name, t in cell.named_params().items() if name not in recurrence]
-    G = Tensor(rng.standard_normal((b, n, 3 * cell.hidden_dim)))
+    G = Tensor(rng.standard_normal((b * n, 3 * cell.hidden_dim)))
+
+    def per_gate(x):
+        gates = ad.concat_cols(prepare_per_gate(cell, ad.reshape(x, (b, n, d))))
+        return ad.take_rows(ad.reshape(gates, (b * n, 3 * cell.hidden_dim)), in_packed_order)
+
     results = []
-    for prepare in (cell.prepare, lambda x: ad.concat_cols(prepare_per_gate(cell, x))):
+    for prepare in (lambda x: cell.prepare(x, packing), per_gate):
         for x in leaves:
             x.zero_grad()
         with Tape() as tape:
@@ -115,7 +198,9 @@ def test_prepare_equals_per_gate_inputs_side_by_side(case):
 @example(("deep_enhanced", [9, 1, 4], 1))
 def test_gru_scan_equals_composed_reference(case):
     # Gate inputs come from each variant's prepare on a zero-padded ragged
-    # batch; they become leaves so their gradients can be compared too.
+    # batch; the padded ones are a leaf of the composed scan, and their packed
+    # rows a leaf of the packed scan, so their gradients can be compared too.
+    # The readout weights only true steps, as forward_batch does.
     variant, lengths, seed = case
     rng = np.random.Generator(np.random.PCG64(seed))
     d = 3
@@ -126,17 +211,31 @@ def test_gru_scan_equals_composed_reference(case):
     Eb = np.zeros((len(lengths), max(lengths), d))
     for row, n in enumerate(lengths):
         Eb[row, :n] = rng.standard_normal((n, d))
-    P = Tensor(cell.prepare(Tensor(Eb)).data, requires_grad=True)
-    inputs = [P, p.U_z, p.U_r, p.U, p.b_z, p.b_r, p.b_h]
-    G = Tensor(rng.standard_normal(Eb.shape))
+    P_pad = Tensor(ad.concat_cols(prepare_per_gate(cell, Tensor(Eb))).data,
+                   requires_grad=True)
+    positions = packed_positions(lengths)
+    P = Tensor(np.array([P_pad.data[r, t] for r, t in positions]), requires_grad=True)
+    sizes = pack(lengths, max(lengths))[0].batch_sizes
+    G = rng.standard_normal(Eb.shape)
+    for row, n in enumerate(lengths):
+        G[row, n:] = 0.0
+    G_packed = np.array([G[r, t] for r, t in positions])
+    weights = [p.U_z, p.U_r, p.U, p.b_z, p.b_r, p.b_h]
     results = []
-    for scan in (ad.gru_scan, gru_scan_composed):
-        for x in inputs:
+    for packed in (True, False):
+        for x in [P, P_pad] + weights:
             x.zero_grad()
         with Tape() as tape:
-            out = scan(*inputs)
-            tape.backward(ad.sum_all(ad.mul(out, G)))
-        results.append([out.data] + [x.grad for x in inputs])
+            if packed:
+                out = ad.gru_scan(P, sizes, *weights)
+                tape.backward(ad.sum_all(ad.mul(out, Tensor(G_packed))))
+                results.append([out.data, P.grad])
+            else:
+                out = gru_scan_composed(P_pad, *weights)
+                tape.backward(ad.sum_all(ad.mul(out, Tensor(G))))
+                results.append([np.array([out.data[r, t] for r, t in positions]),
+                                np.array([P_pad.grad[r, t] for r, t in positions])])
+        results[-1] += [x.grad for x in weights]
     for got, ref in zip(*results):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

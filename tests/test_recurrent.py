@@ -1,5 +1,6 @@
 """Recurrent cells: step math against a hand-rolled numpy reference, the
-variant-reduction identities, padded batches, and the two-direction runners.
+variant-reduction identities, packed padded batches, and the two-direction
+runners.
 """
 
 import numpy as np
@@ -11,8 +12,8 @@ from cru.errors import ConfigError, ContractError, DimensionError
 from cru.layers import ConvBank, same_length_conv
 from cru.rc_features import encode_bidirectional_enriched, enrich_embeddings
 from cru.recurrent import (DeepCell, DeepEnhancedCell, GruCell, GruParams,
-                           ShallowCell, VARIANTS, make_cell, run_sequence)
-from oracles import run_row
+                           ShallowCell, VARIANTS, make_cell, pack, run_sequence)
+from oracles import padded_states, run_padded, run_row
 
 
 def rng_for(seed):
@@ -41,7 +42,7 @@ def one_step(cell, x_prev, x):
     Returns (h, out): the step-0 state, which step 1 reads as its previous
     state, and the step-1 state.
     """
-    states = run_sequence(cell, Tensor(np.stack([x_prev, x], axis=1))).data
+    states = run_padded(cell, np.stack([x_prev, x], axis=1), [2] * len(x))
     return states[:, 0], states[:, 1]
 
 
@@ -303,6 +304,43 @@ def test_named_params_cover_each_variant():
 
 
 # ---------------------------------------------------------------------------
+# Packing
+# ---------------------------------------------------------------------------
+
+def test_pack_layout():
+    # Rows by length 1, 3, 0, 2 (ties keep batch order); step t's block holds
+    # the rows still running, and the reversed direction reads each row from
+    # its end.
+    fwd, bwd = pack([2, 4, 1, 4], 4)
+    assert fwd.shape == bwd.shape == (4, 4)
+    for p in (fwd, bwd):
+        assert p.batch_sizes.tolist() == [4, 3, 2, 2]
+        assert p.order.tolist() == [4, 12, 0, 8, 5, 13, 1, 6, 14, 7, 15]
+        assert p.last.tolist() == [6, 9, 3, 10]
+    assert fwd.flip is None and fwd.rows.tolist() == fwd.order.tolist()
+    assert bwd.flip.tolist() == [1, 0, 2, 3, 7, 6, 5, 4, 8, 9, 10, 11, 15, 14, 13, 12]
+    assert bwd.rows.tolist() == [7, 15, 1, 8, 6, 14, 0, 5, 13, 4, 12]
+
+
+def test_pack_of_one_full_row_is_the_identity():
+    fwd, bwd = pack([5], 5)
+    assert fwd.rows is None and fwd.order is None and fwd.flip is None
+    assert bwd.order is None and bwd.rows.tolist() == bwd.flip.tolist() == [4, 3, 2, 1, 0]
+    assert fwd.batch_sizes.tolist() == [1] * 5 and fwd.last.tolist() == [4]
+    one, rev = pack([1, 1, 1], 1)  # one token per row: nothing to reorder
+    assert one.rows is None and rev.rows is None and rev.flip is None
+
+
+def test_pack_validation():
+    with pytest.raises(ContractError, match="row 1 has no tokens"):
+        pack([2, 0], 2)
+    with pytest.raises(ContractError):
+        pack([], 2)
+    with pytest.raises(ContractError):  # a row longer than the batch
+        pack([3, 1], 2)
+
+
+# ---------------------------------------------------------------------------
 # Sequence runner
 # ---------------------------------------------------------------------------
 
@@ -316,11 +354,13 @@ def test_run_sequence_masked_batch_matches_per_sequence():
         Eb = np.zeros((3, width, 3))
         for i, s in enumerate(seqs):
             Eb[i, :len(s)] = s
-        states = run_sequence(cell, Tensor(Eb))
-        assert states.shape == (3, width, 3)
+        packing, _ = pack([2, 5, 1], width)
+        states = run_sequence(cell, Tensor(Eb.reshape(3 * width, 3)), packing)
+        assert states.shape == (8, 3)  # one state per token
+        states = padded_states(states.data, packing)
         for i, s in enumerate(seqs):
             _, f = run_row(cell, s)
-            assert np.max(np.abs(states.data[i, len(s) - 1] - f)) < 1e-12, variant
+            assert np.max(np.abs(states[i, len(s) - 1] - f)) < 1e-12, variant
 
 
 def test_mask_alone_shields_non_conv_recurrence_from_pad_garbage():
@@ -331,10 +371,10 @@ def test_mask_alone_shields_non_conv_recurrence_from_pad_garbage():
     s = rng.standard_normal((3, 3))
     Eb = rng.standard_normal((1, 6, 3)) * 9.0  # garbage everywhere
     Eb[0, :3] = s
-    states = run_sequence(cell, Tensor(Eb))
+    states = run_padded(cell, Eb, [3])
     all_h, _ = run_row(cell, s)
     for t in range(3):
-        assert np.max(np.abs(states.data[0, t] - all_h[t])) < 1e-12
+        assert np.max(np.abs(states[0, t] - all_h[t])) < 1e-12
 
 
 def test_run_sequence_initial_state():
@@ -342,7 +382,7 @@ def test_run_sequence_initial_state():
     rng = rng_for(19)
     cell = make_cell("gru", rng, 3, 4)
     E = rng.standard_normal((2, 3, 3))
-    final = run_sequence(cell, Tensor(E)).data[:, -1]
+    final = run_padded(cell, E, [3, 3])[:, -1]
     for row in range(2):
         h = np.zeros(4)
         for t in range(3):
@@ -353,20 +393,23 @@ def test_run_sequence_initial_state():
 def test_run_sequence_errors():
     rng = rng_for(20)
     cell = make_cell("gru", rng, 3, 4)
-    with pytest.raises(DimensionError):  # a bare (n, d) sequence is not a batch
-        run_sequence(cell, Tensor(rng.standard_normal((3, 3))))
+    packing, _ = pack([3, 2], 3)
+    with pytest.raises(DimensionError):  # the batch rows come flat, (B * n, d)
+        run_sequence(cell, Tensor(rng.standard_normal((2, 3, 3))), packing)
+    with pytest.raises(DimensionError):  # rows of a different batch
+        run_sequence(cell, Tensor(rng.standard_normal((5, 3))), packing)
     with pytest.raises(DimensionError):
-        run_sequence(cell, Tensor(rng.standard_normal(3)))
+        run_sequence(cell, Tensor(rng.standard_normal(3)), packing)
     with pytest.raises(ContractError):
-        run_sequence(cell, Tensor(np.zeros((1, 0, 3))))
+        run_sequence(cell, Tensor(np.zeros((0, 3))), pack([0], 0)[0])
 
 
 def test_single_step_sequence():
     rng = rng_for(21)
     cell = make_cell("deep_enhanced", rng, 3, 3)
-    E = rng.standard_normal((1, 1, 3))
-    states = run_sequence(cell, Tensor(E))
-    assert states.shape == (1, 1, 3)
+    E = rng.standard_normal((1, 3))
+    states = run_sequence(cell, Tensor(E), pack([1], 1)[0])
+    assert states.shape == (1, 3)
 
 
 def test_hidden_states_stay_in_unit_interval():
@@ -415,24 +458,22 @@ def test_run_bidirectional_errors():
 
 def test_run_bidirectional_batch_matches_single():
     # Each row's state at step length - 1 is its final state in both
-    # directions when the row is reversed in place with its padding kept at
-    # the tail, as forward_batch does.
+    # directions, the reversed packing reading the row from its end as
+    # forward_batch does.
     rng = rng_for(25)
     fwd = make_cell("shallow", rng, 3, 4)
     bwd = make_cell("shallow", rng, 3, 4)
     seqs = [rng.standard_normal((n, 3)) for n in (4, 2)]
     width = 4
     Eb = np.zeros((2, width, 3))
-    Er = np.zeros((2, width, 3))
     for i, s in enumerate(seqs):
         Eb[i, :len(s)] = s
-        Er[i, :len(s)] = s[::-1]
-    states_f = run_sequence(fwd, Tensor(Eb))
-    states_b = run_sequence(bwd, Tensor(Er))
+    states_f = run_padded(fwd, Eb, [4, 2])
+    states_b = run_padded(bwd, Eb, [4, 2], reverse=True)
     for i, s in enumerate(seqs):
         last = len(s) - 1
-        assert np.max(np.abs(states_f.data[i, last] - run_row(fwd, s)[1])) < 1e-12
-        assert np.max(np.abs(states_b.data[i, last] - run_row(bwd, s[::-1])[1])) < 1e-12
+        assert np.max(np.abs(states_f[i, last] - run_row(fwd, s)[1])) < 1e-12
+        assert np.max(np.abs(states_b[i, last] - run_row(bwd, s[::-1])[1])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -443,29 +484,29 @@ def test_sequence_gradcheck_per_variant():
     rng = rng_for(26)
     for variant in VARIANTS:
         cell = make_cell(variant, rng, 3, 3)
-        E = Tensor(0.5 * rng.standard_normal((1, 4, 3)), requires_grad=True)
+        E = Tensor(0.5 * rng.standard_normal((4, 3)), requires_grad=True)
+        packing, _ = pack([4], 4)
         params = dict(cell.named_params())
         params["E"] = E
         report = finite_diff_gradcheck(
-            lambda: ad.sum_all(run_sequence(cell, E)), params)
+            lambda: ad.sum_all(run_sequence(cell, E, packing)), params)
         assert report.passed, (variant, report.worst(), report.max_rel_err)
 
 
 def test_masked_batch_gradcheck():
-    # Gradients through the per-row gather of the state at step length - 1,
-    # the way forward_batch picks each row's final state.
+    # Gradients through both packings and the per-row gather of each row's
+    # final state, the way forward_batch picks it.
     rng = rng_for(27)
     cell = make_cell("deep_enhanced", rng, 3, 3)
-    Eb = Tensor(0.5 * rng.standard_normal((2, 4, 3)), requires_grad=True)
-    Eb.data[1, 2:] = 0.0  # zero pads, as forward_batch makes them
-    lengths = np.array([4, 2])
-    last = np.arange(2) * 4 + lengths - 1
+    Eb = Tensor(0.5 * rng.standard_normal((8, 3)), requires_grad=True)
+    Eb.data[6:] = 0.0  # zero pads of row 1, as forward_batch makes them
+    packings = pack([4, 2], 4)
     params = dict(cell.named_params())
     params["E"] = Eb
 
     def f():
-        finals = ad.take_rows(ad.reshape(run_sequence(cell, Eb), (8, 3)), last)
-        return ad.sum_all(finals)
+        finals = [ad.take_rows(run_sequence(cell, Eb, p), p.last) for p in packings]
+        return ad.sum_all(ad.concat_cols(finals))
 
     report = finite_diff_gradcheck(f, params)
     assert report.passed, report.per_param
