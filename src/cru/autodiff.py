@@ -192,12 +192,17 @@ class Tape:
                 input_ids = node.input_ids
 
                 def emit(i: int, grad, rows=None, unique=False, owned=False) -> None:
-                    # rows: grad holds only these rows of the input's gradient,
-                    # and unique says they have no repeats. owned: grad is a
-                    # fresh array that nothing else holds, so it needs no copy.
+                    # grad may be a function that makes the gradient; it is
+                    # called only for an input with a tape node, so no
+                    # gradient of a constant is ever formed. rows: grad holds
+                    # only these rows of the input's gradient, and unique says
+                    # they have no repeats. owned: grad is a fresh array that
+                    # nothing else holds, so it needs no copy.
                     nid = input_ids[i]
                     if nid is None:
                         return  # constant input
+                    if callable(grad):
+                        grad = grad()
                     cur = buf[nid]
                     shape = nodes[nid].tensor.shape
                     if rows is not None:
@@ -245,8 +250,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def apply(g, emit):
-        emit(0, g @ b.data.T)
-        emit(1, a.data.T @ g)
+        emit(0, lambda: g @ b.data.T)
+        emit(1, lambda: a.data.T @ g)
 
     return _emit_op("matmul", (a, b), out, apply)
 
@@ -272,8 +277,8 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def apply(g, emit):
-        emit(0, _reduce_to(g, a.shape))
-        emit(1, _reduce_to(g, b.shape))
+        emit(0, lambda: _reduce_to(g, a.shape))
+        emit(1, lambda: _reduce_to(g, b.shape))
 
     return _emit_op("add", (a, b), out, apply)
 
@@ -284,8 +289,8 @@ def sub(a, b) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def apply(g, emit):
-        emit(0, _reduce_to(g, a.shape))
-        emit(1, _reduce_to(-g, b.shape))
+        emit(0, lambda: _reduce_to(g, a.shape))
+        emit(1, lambda: _reduce_to(-g, b.shape))
 
     return _emit_op("sub", (a, b), out, apply)
 
@@ -296,8 +301,8 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def apply(g, emit):
-        emit(0, _reduce_to(g * b.data, a.shape))
-        emit(1, _reduce_to(g * a.data, b.shape))
+        emit(0, lambda: _reduce_to(g * b.data, a.shape))
+        emit(1, lambda: _reduce_to(g * a.data, b.shape))
 
     return _emit_op("mul", (a, b), out, apply)
 
@@ -469,48 +474,63 @@ def bias_add(x: Tensor, v: Tensor) -> Tensor:
 
     def apply(g, emit):
         emit(0, g)
-        emit(1, g.reshape(-1, v.shape[0]).sum(axis=0))
+        emit(1, lambda: g.reshape(-1, v.shape[0]).sum(axis=0))
 
     return _emit_op("bias_add", (x, v), out, apply)
 
 
-def conv1d_same(x: Tensor, filters: Tensor) -> Tensor:
-    """Same-length 1-D convolution over the time axis with full-width filters.
+def conv1d_same(x: Tensor, filters: Tensor, window) -> Tensor:
+    """Same-length 1-D convolution of packed rows with full-width filters.
 
-    x: (B, n, d_in); filters: (d_out, k, d_in) with odd k. Each sequence is
-    zero-padded by (k-1)/2 steps on each end, so the output has exactly n
-    steps. No bias, no nonlinearity.
+    x: (T, d_in), the rows of one or more sequences; filters: (d_out, k, d_in)
+    with odd k; window: (T, k) row ids, as ``Packing.window(k)`` builds them.
+    Slot j of row i names the row that holds the same sequence's step
+    j - (k-1)/2 steps after row i's, or T where that step lies outside the
+    sequence, which reads as zero: the sequence's same-length zero padding.
+    Output row i is the sum over j of filter tap j times the row in slot j:
+    (T, d_out). No bias, no nonlinearity.
+
+    The forward gathers the windows (im2col) and does one matmul. A window
+    index is symmetric: row p is in slot j of row q exactly when q is in slot
+    k-1-j of p. So the input gradient is the same gather of the output
+    gradient, multiplied by the filters with their taps reversed, and needs
+    no scatter.
     """
     if filters.ndim != 3:
         raise DimensionError(f"filters need rank 3, got shape {filters.shape}")
     d_out, k, d_in = filters.shape
     if k % 2 == 0 or k < 1:
         raise ConfigError(f"filter window must be odd and >= 1, got {k}")
-    if x.ndim != 3 or x.shape[-1] != d_in:
+    if x.ndim != 2 or x.shape[1] != d_in:
         raise DimensionError(
             f"conv1d_same: input shape {x.shape} does not match filters {filters.shape}"
         )
-    b, n, _ = x.shape
-    if n < 1:
-        raise ContractError("conv1d_same needs at least one step")
-    pad = (k - 1) // 2
+    total = x.shape[0]
+    if total < 1:
+        raise ContractError("conv1d_same needs at least one row")
+    window = np.asarray(window)
+    if window.shape != (total, k) or window.dtype.kind not in "iu":
+        raise DimensionError(f"conv1d_same: window must be ({total}, {k}) row ids, "
+                             f"got {window.shape} of {window.dtype}")
+    if window.min() < 0 or window.max() > total:
+        raise ContractError(f"conv1d_same: window ids must lie in [0, {total}]")
 
-    # im2col: row (b, i) of win holds the k padded steps around step i, in
-    # the (j, c) order of filters.reshape, so one matmul does the whole conv.
-    xp = np.zeros((b, n + k - 1, d_in))
-    xp[:, pad:pad + n, :] = x.data
-    win = np.stack([xp[:, j:j + n, :] for j in range(k)], axis=2).reshape(b * n, k * d_in)
+    def im2col(rows):
+        # Row T of the padded copy is the zero that out-of-sequence slots read.
+        padded = np.empty((total + 1, rows.shape[1]))
+        padded[:total] = rows
+        padded[total] = 0.0
+        return padded[window].reshape(total, k * rows.shape[1])
+
+    win = im2col(x.data)
     f2 = filters.data.reshape(d_out, k * d_in)
-    out = Tensor((win @ f2.T).reshape(b, n, d_out))
+    out = Tensor(win @ f2.T)
 
     def apply(g, emit):
-        g2 = g.reshape(b * n, d_out)
-        d_win = (g2 @ f2).reshape(b, n, k, d_in)
-        d_xp = np.zeros((b, n + k - 1, d_in))
-        for j in range(k):
-            d_xp[:, j:j + n, :] += d_win[:, :, j, :]
-        emit(0, d_xp[:, pad:pad + n, :])
-        emit(1, (g2.T @ win).reshape(d_out, k, d_in))
+        # Tap-reversed filters: row (j, o) holds filter o's tap k-1-j.
+        emit(0, lambda: im2col(g) @ filters.data[:, ::-1].transpose(1, 0, 2).reshape(
+            k * d_out, d_in), owned=True)
+        emit(1, lambda: (g.T @ win).reshape(d_out, k, d_in), owned=True)
 
     return _emit_op("conv1d_same", (x, filters), out, apply)
 
@@ -547,7 +567,7 @@ def project(xs: Sequence[Tensor], ws: Sequence[Tensor]) -> Tensor:
     def apply(g, emit):
         g = g.reshape(-1, ends[-1])
         for i, (x, w, c) in enumerate(parts):
-            emit(i, (g[:, c] @ w).reshape(shape), owned=True)
+            emit(i, lambda w=w, c=c: (g[:, c] @ w).reshape(shape), owned=True)
         d_w = np.concatenate([g[:, c].T @ x for x, _, c in parts])
         for i, c in enumerate(cols):
             emit(len(xs) + i, d_w[c])

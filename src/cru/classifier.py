@@ -163,14 +163,17 @@ class SentimentModel:
                       rng: np.random.Generator | None = None) -> Tensor:
         """Probabilities (B,) for a padded batch."""
         b, n = batch.ids.shape
-
-        flat = ad.take_rows(self.embedding.weights, batch.ids.reshape(-1))
-        flat = dropout_apply(flat, self.dropout, train, rng)
+        lengths = batch.mask.sum(axis=1).astype(np.intp)
+        fwd, bwd = pack(lengths)
+        tokens = (np.arange(n) < lengths[:, None]).reshape(-1)
+        # Only the tokens' rows are looked up. Their dropout mask is drawn
+        # over all b * n positions, so the draws do not depend on the padding.
+        E = ad.take_rows(self.embedding.weights, batch.ids.reshape(-1)[tokens])
+        E = dropout_apply(E, self.dropout, train, rng, rows=tokens)
         # Both directions read the same dropped embeddings, each in its own
         # packed order; the reversed one reads every row from its end.
-        fwd, bwd = pack(batch.mask.sum(axis=1).astype(np.intp), n)
-        final_f = ad.take_rows(run_sequence(self.fwd_cell, flat, fwd), fwd.last)
-        final_b = ad.take_rows(run_sequence(self.bwd_cell, flat, bwd), bwd.last)
+        final_f = ad.take_rows(run_sequence(self.fwd_cell, E, fwd), fwd.last)
+        final_b = ad.take_rows(run_sequence(self.bwd_cell, E, bwd), bwd.last)
         h = ad.concat_cols([final_f, final_b])
 
         h = dense_forward(self.fc, h)

@@ -250,17 +250,18 @@ def cmd_eval(args) -> int:
 # gradcheck
 # --------------------------------------------------------------------------
 
-def _check_cell(variant: str, seed: int, tol: float):
+def _check_cell(variant: str, seed: int, tol: float, reverse: bool = False):
     rng = seeded_rng(seed, 11)
     d = 3 if variant in ("deep", "deep_enhanced") else 4
     d_h = d if variant == "deep" else 4
     n = 5
     cell = make_cell(variant, rng, d_in=d, d_h=d_h, k=3)
-    # A ragged two-row batch (lengths n and n - 2), zero-padded and packed as
-    # forward_batch packs it; the loss reads every packed state.
-    E = Tensor(0.5 * rng.standard_normal((2 * n, d)), requires_grad=True)
-    E.data[2 * n - 2:] = 0.0
-    packing, _ = pack([n, n - 2], n)
+    # The token rows of a ragged two-row batch (lengths n and n - 2), packed
+    # in one direction as forward_batch packs it; the loss reads every packed
+    # state. The reversed packing's convolution windows cross each row's ends
+    # backwards.
+    E = Tensor(0.5 * rng.standard_normal((2 * n, d))[:2 * n - 2], requires_grad=True)
+    packing = pack([n, n - 2])[reverse]
     params = dict(cell.named_params())
     params["E"] = E
 
@@ -303,7 +304,9 @@ def _gradcheck_jobs(base_seed: int, tol: float):
     jobs = []
     for variant in VARIANTS:
         for s in range(5):
-            jobs.append((variant, lambda v=variant, s=s: _check_cell(v, base_seed + s, tol)))
+            for reverse in (False, True):
+                jobs.append((variant, lambda v=variant, s=s, r=reverse:
+                             _check_cell(v, base_seed + s, tol, r)))
     for s in range(5):
         jobs.append(("classifier", lambda s=s: _check_classifier(base_seed + s, tol)))
     return jobs

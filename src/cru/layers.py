@@ -100,9 +100,10 @@ class ConvBank:
                    activation)
 
 
-def same_length_conv(bank: ConvBank, x: Tensor) -> Tensor:
-    """Convolve (B, n, d_in) -> (B, n, d_out), then bias + activation."""
-    y = ad.conv1d_same(x, bank.filters)
+def same_length_conv(bank: ConvBank, x: Tensor, window) -> Tensor:
+    """Convolve packed rows (T, d_in) -> (T, d_out) over a (T, k) window
+    index (``Packing.window``), then bias + activation."""
+    y = ad.conv1d_same(x, bank.filters, window)
     y = ad.bias_add(y, bank.bias)
     return ad.activation(bank.activation, y)
 
@@ -161,12 +162,26 @@ def make_dropout_mask(rng: np.random.Generator, shape: tuple[int, ...],
 
 
 def dropout_apply(x: Tensor, rate: float, train: bool,
-                  rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: identity when eval or rate == 0."""
+                  rng: np.random.Generator | None = None,
+                  rows: np.ndarray | None = None) -> Tensor:
+    """Inverted dropout: identity when eval or rate == 0.
+
+    rows, a boolean vector, says that the matrix x holds only the selected
+    rows of a matrix with len(rows) rows: the mask is drawn over that whole
+    matrix, so the draws do not depend on the selection, and x gets its
+    selected rows.
+    """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x
     if rng is None:
         raise ContractError("training-mode dropout needs an rng")
-    return ad.mul(x, Tensor(make_dropout_mask(rng, x.shape, rate)))
+    if rows is None:
+        return ad.mul(x, Tensor(make_dropout_mask(rng, x.shape, rate)))
+    if (x.ndim != 2 or rows.dtype != bool or rows.ndim != 1
+            or np.count_nonzero(rows) != x.shape[0]):
+        raise DimensionError(f"dropout rows select {np.count_nonzero(rows)} of "
+                             f"{rows.size} rows for an input of shape {x.shape}")
+    mask = make_dropout_mask(rng, (rows.size, x.shape[1]), rate)
+    return ad.mul(x, Tensor(mask[rows]))

@@ -87,7 +87,7 @@ def encode_bidirectional_enriched(fwd_cell, bwd_cell,
         raise ConfigError("directions must share hidden size")
     X = enriched.combined
     n = X.shape[0]
-    fwd, bwd = pack([n], n)
+    fwd, bwd = pack([n])
     rev = np.arange(n)[::-1]
     return ad.concat_cols([run_sequence(fwd_cell, X, fwd),
                            ad.take_rows(run_sequence(bwd_cell, X, bwd), rev)])

@@ -18,23 +18,23 @@ with the update/reset/candidate recurrence
 Because the banks always map d channels to d channels (the convolution is
 same-shape over the embedding), the deep variant needs hidden size == d.
 
-A padded (B, n) batch runs in a packed, time-major layout (``pack``): its
-rows sorted by non-increasing length, step t owns the contiguous block of the
-k_t rows that still have a token at t, so the T = sum(lengths) packed rows
-are exactly the batch's tokens. Each direction has its own packing; the
-reversed one reads every row from its last token back to its first. A single
-sequence is a batch of one, whose forward packing is the identity.
-``prepare`` computes a direction's gate inputs as one (T, 3 d_h) tensor laid
-out [P_z | P_r | P_h]: ``gru`` gathers the packed embeddings and projects them
-with one ``autodiff.project`` matmul against the stacked [W_z; W_r; W]. The
-banks of the other variants convolve over the padded layout, whose zero tail
-their windows need, and only their outputs are gathered into packed order:
-``shallow`` projects its gathered bank like ``gru``, ``deep`` gathers its
-three banks side by side, and ``deep_enhanced`` gathers each bank plus the
-embedding and projects each with its own weight. The recurrence is one
-``autodiff.gru_scan`` node per direction, whose loops touch only the k_t
-rows of each step and do only the carry's work: the small matmuls that read
-h_{t-1} and the elementwise gate algebra.
+A batch runs in a packed, time-major layout (``pack``): its rows sorted by
+non-increasing length, step t owns the contiguous block of the k_t rows that
+still have a token at t, so the T = sum(lengths) packed rows are exactly the
+batch's tokens, and no padded position is ever stored or computed. Each
+direction has its own packing; the reversed one reads every row from its last
+token back to its first. A single sequence is a batch of one, whose forward
+packing is the identity. ``prepare`` gathers a direction's packed rows and
+computes its gate inputs as one (T, 3 d_h) tensor laid out [P_z | P_r | P_h]:
+``gru`` projects them with one ``autodiff.project`` matmul against the stacked
+[W_z; W_r; W]. The banks of the other variants convolve the packed rows
+through a window index (``Packing.window``) that reads zeros past each row's
+ends, as the row's same-length padding would: ``shallow`` projects its bank
+like ``gru``, ``deep`` puts its three banks side by side, and
+``deep_enhanced`` adds the embedding to each bank and projects each with its
+own weight. The recurrence is one ``autodiff.gru_scan`` node per direction,
+whose loops touch only the k_t rows of each step and do only the carry's
+work: the small matmuls that read h_{t-1} and the elementwise gate algebra.
 """
 
 from __future__ import annotations
@@ -131,58 +131,66 @@ class GruParams:
 
 @dataclass(frozen=True)
 class Packing:
-    """One direction's time-major packed layout of a padded (B, n) batch.
+    """One direction's time-major packed layout of a batch's tokens.
 
-    Batch row r * n + t holds step t of row r. Packed row j of step t's block
-    holds step t of the j-th longest row (ties in batch order), read in this
-    direction. An index that would be the identity is None.
+    The batch's T tokens come as token rows in batch order: row 0's tokens,
+    then row 1's, and so on. Packed row i of step t's block holds step t of the
+    i-th longest row (ties in batch order), read in this direction. An index
+    that would be the identity is None.
     """
 
-    shape: tuple[int, int]      # (B, n) of the padded batch
     batch_sizes: np.ndarray     # k_t, the rows still running at step t
-    rows: np.ndarray | None     # (T,) the batch row each packed row reads
-    flip: np.ndarray | None     # (B * n,) the batch row at each position of
-                                # this direction's padded layout
-    order: np.ndarray | None    # (T,) the padded-layout position of each packed row
+    rows: np.ndarray | None     # (T,) the token row each packed row reads
     last: np.ndarray            # (B,) the packed row of each row's final state
-    tokens: np.ndarray          # (B * n,) padded-layout positions that hold a
-                                # token, the same in either direction
+    windows: dict               # convolution window index by width, which
+                                # both directions share, as they share batch_sizes
+
+    @property
+    def size(self) -> int:
+        """T, the number of tokens."""
+        return int(self.batch_sizes.sum())
 
     def gather(self, E: Tensor) -> Tensor:
-        """Packed rows (T, d) of batch rows E (B * n, d)."""
+        """Packed rows (T, d) of token rows E (T, d)."""
         return E if self.rows is None else ad.take_rows(E, self.rows)
 
-    def padded(self, E: Tensor) -> Tensor:
-        """This direction's padded layout (B, n, d) of batch rows E (B * n, d),
-        with zero padding, which is what convolution windows near a row's end
-        read in the same-length padding of the unpadded row."""
-        X = E if self.flip is None else ad.take_rows(E, self.flip)
-        X = ad.mul(X, Tensor(np.repeat(self.tokens[:, None], E.shape[1], axis=1)))
-        return ad.reshape(X, (*self.shape, E.shape[1]))
+    def window(self, k: int) -> np.ndarray:
+        """The (T, k) window index of a width-k same-length convolution over
+        the packed rows (``autodiff.conv1d_same``).
 
-    def from_padded(self, X: Tensor) -> Tensor:
-        """Packed rows (T, c) of this direction's padded layout X (B, n, c)."""
-        flat = ad.reshape(X, (self.shape[0] * self.shape[1], X.shape[2]))
-        return flat if self.order is None else ad.take_rows(flat, self.order)
+        Slot j of packed row i at step t holds the packed row of the same
+        row's step t + j - (k-1)/2 where the row has that step, and T
+        otherwise: the zero of the unpadded row's same-length padding. Built
+        once per width for both directions.
+        """
+        win = self.windows.get(k)
+        if win is None:
+            sizes, pad = self.batch_sizes, (k - 1) // 2
+            # Step s is entry s + pad; the pad steps on either side hold no rows.
+            held = np.zeros(sizes.size + 2 * pad, dtype=np.intp)
+            held[pad:pad + sizes.size] = sizes
+            starts = np.cumsum(held) - held
+            step = np.repeat(np.arange(pad, pad + sizes.size), sizes)
+            place = (np.arange(step.size) - starts[step])[:, None]  # i, within its block
+            steps = step[:, None] + np.arange(-pad, pad + 1)  # each slot's step
+            win = np.where(held[steps] > place, starts[steps] + place, step.size)
+            self.windows[k] = win
+        return win
 
 
-def pack(lengths, width: int) -> tuple[Packing, Packing]:
-    """The forward and the reversed packing of a padded batch.
+def pack(lengths) -> tuple[Packing, Packing]:
+    """The forward and the reversed packing of a batch whose row r holds
+    lengths[r] tokens.
 
-    Row r of the (B, width) batch holds lengths[r] tokens, then padding. The
-    reversed direction reads each row from its last token back to its first,
-    with the padding still at the tail of its padded layout.
+    The reversed direction reads each row from its last token back to its
+    first.
     """
     lengths = np.asarray(lengths, dtype=np.intp).reshape(-1)
     if lengths.size < 1:
         raise ContractError("a batch needs at least one row")
-    shortest, longest = lengths.min(), lengths.max()
-    if shortest < 1:
+    if lengths.min() < 1:
         raise ContractError(f"batch row {int(np.argmax(lengths < 1))} has no tokens")
-    if longest > width:
-        raise ContractError(f"batch row {int(np.argmax(lengths > width))} has more than "
-                            f"{width} tokens")
-    b = lengths.size
+    b, longest = lengths.size, lengths.max()
     by_length = np.argsort(-lengths, kind="stable")  # the rows, longest first
     rank = np.empty(b, dtype=np.intp)
     rank[by_length] = np.arange(b)  # each row's place in that order
@@ -191,19 +199,13 @@ def pack(lengths, width: int) -> tuple[Packing, Packing]:
     step = np.repeat(np.arange(longest), sizes)  # the step of each packed row
     row = by_length[np.arange(step.size) - np.repeat(starts, sizes)]  # and its row
     last = starts[lengths - 1] + rank
-    t, ln = np.arange(width), lengths[:, None]
-    tokens = t < ln
-    # Packed order is batch order only for one unpadded row or one step, and
-    # a reversal moves nothing when no row has two tokens.
-    order = None if (b == 1 and shortest == width) or width == 1 else row * width + step
-    flip = None if longest == 1 else (
-        np.arange(b)[:, None] * width + np.where(tokens, ln - 1 - t, t)).reshape(-1)
-
-    def direction(flip):
-        rows = order if flip is None else flip if order is None else flip[order]
-        return Packing((b, width), sizes, rows, flip, order, last, tokens.reshape(-1))
-
-    return direction(None), direction(flip)
+    first = (np.cumsum(lengths) - lengths)[row]  # the token row of its first token
+    # Packed order is batch order for one row or one step, and a reversal
+    # moves nothing when no row has two tokens.
+    fwd = None if b == 1 or longest == 1 else first + step
+    bwd = fwd if longest == 1 else first + lengths[row] - 1 - step
+    windows: dict = {}
+    return (Packing(sizes, fwd, last, windows), Packing(sizes, bwd, last, windows))
 
 
 # --------------------------------------------------------------------------
@@ -222,20 +224,20 @@ class _CellBase:
     def hidden_dim(self) -> int:
         return self.params.hidden_dim
 
-    def _gate_inputs(self, E: Tensor, packing: Packing) -> Tensor:
+    def _gate_inputs(self, X: Tensor, packing: Packing) -> Tensor:
+        """Gate inputs of the packed rows X (T, d)."""
         raise NotImplementedError
 
     def prepare(self, E: Tensor, packing: Packing) -> Tensor:
         """The (T, 3 d_h) packed gate inputs [P_z | P_r | P_h] of one direction.
 
-        E holds the batch rows (B * n, d) of a padded batch, as ``Packing``
-        numbers them.
+        E holds the batch's token rows (T, d), as ``Packing`` numbers them;
+        each variant reads only their packed rows.
         """
-        b, n = packing.shape
-        if E.ndim != 2 or E.shape[0] != b * n:
-            raise DimensionError(f"prepare needs the {b * n} rows of a ({b}, {n}) batch, "
-                                 f"got {E.shape}")
-        return self._gate_inputs(E, packing)
+        if E.ndim != 2 or E.shape[0] != packing.size:
+            raise DimensionError(f"prepare needs the {packing.size} token rows of the "
+                                 f"batch, got {E.shape}")
+        return self._gate_inputs(packing.gather(E), packing)
 
     def named_params(self, prefix: str = "") -> dict[str, Tensor]:
         return self.params.named(prefix)
@@ -244,11 +246,11 @@ class _CellBase:
 class GruCell(_CellBase):
     variant = "gru"
 
-    def _gate_inputs(self, E, packing):
+    def _gate_inputs(self, X, packing):
         p = self.params
         if p.W is None:
             raise ConfigError("gru cell needs W_z, W_r, W")
-        return ad.project([packing.gather(E)], [p.W_z, p.W_r, p.W])
+        return ad.project([X], [p.W_z, p.W_r, p.W])
 
 
 class ShallowCell(_CellBase):
@@ -267,10 +269,10 @@ class ShallowCell(_CellBase):
             )
         self.bank = bank
 
-    def _gate_inputs(self, E, packing):
+    def _gate_inputs(self, X, packing):
         p = self.params
-        C = same_length_conv(self.bank, packing.padded(E))
-        return ad.project([packing.from_padded(C)], [p.W_z, p.W_r, p.W])
+        C = same_length_conv(self.bank, X, packing.window(self.bank.width))
+        return ad.project([C], [p.W_z, p.W_r, p.W])
 
     def named_params(self, prefix: str = "") -> dict[str, Tensor]:
         out = self.params.named(prefix)
@@ -310,11 +312,9 @@ class DeepCell(_ThreeBankCell):
                     f"{tag} gives {bank.filters.shape[0]}, hidden is {params.hidden_dim}"
                 )
 
-    def _gate_inputs(self, E, packing):
-        X = packing.padded(E)
-        return packing.from_padded(ad.concat_cols([same_length_conv(self.conv_z, X),
-                                                   same_length_conv(self.conv_r, X),
-                                                   same_length_conv(self.conv_h, X)]))
+    def _gate_inputs(self, X, packing):
+        return ad.concat_cols([same_length_conv(c, X, packing.window(c.width))
+                               for c in (self.conv_z, self.conv_r, self.conv_h)])
 
 
 class DeepEnhancedCell(_ThreeBankCell):
@@ -333,11 +333,10 @@ class DeepEnhancedCell(_ThreeBankCell):
                     f"W_* input width {params.input_dim}"
                 )
 
-    def _gate_inputs(self, E, packing):
+    def _gate_inputs(self, X, packing):
         p = self.params
-        X = packing.padded(E)
         banks = (self.conv_z, self.conv_r, self.conv_h)
-        return ad.project([packing.from_padded(ad.add(same_length_conv(c, X), X))
+        return ad.project([ad.add(same_length_conv(c, X, packing.window(c.width)), X)
                            for c in banks], [p.W_z, p.W_r, p.W])
 
 
@@ -369,15 +368,15 @@ def make_cell(variant: str, rng: np.random.Generator, d_in: int, d_h: int,
 # --------------------------------------------------------------------------
 
 def run_sequence(cell: _CellBase, E: Tensor, packing: Packing) -> Tensor:
-    """Run a cell from the zero state over one direction of a padded batch.
+    """Run a cell from the zero state over one direction of a batch.
 
-    E holds the batch rows (B * n, d), row r * n + t for step t of row r; a
-    single sequence is a batch of one. Returns the state after every token as
-    one (T, d_h) tensor in the packing's order, so row r's final state is
-    packed row ``packing.last[r]``. Only tokens are run, and what E holds at
-    padded positions is never read: a state depends only on the steps up to
-    it, and the convolutions read zero padding (``Packing.padded``), so each
-    row's states equal those of its unpadded one-row run.
+    E holds the batch's token rows (T, d): row 0's tokens, then row 1's, and
+    so on; a single sequence is a batch of one. Returns the state after every
+    token as one (T, d_h) tensor in the packing's order, so row r's final
+    state is packed row ``packing.last[r]``. A state depends only on the
+    steps up to it, and a convolution window reads zeros past a row's ends
+    (``Packing.window``), so each row's states equal those of its one-row
+    run.
     """
     p = cell.params
     return ad.gru_scan(cell.prepare(E, packing), packing.batch_sizes,

@@ -4,7 +4,9 @@ checked against.
 Each sequence reference handles one unpadded sequence at a time and reverses
 it with plain numpy, so it shares no padding, masking or permutation code
 with the batched path it checks. ``conv1d_same_einsum`` is the einsum
-convolution that the im2col ``ad.conv1d_same`` replaced.
+convolution that the im2col convolution replaced, and ``conv1d_same_padded``
+that im2col convolution over a zero-padded batch, which the packed
+``ad.conv1d_same`` replaced.
 ``gru_scan_composed`` is the per-step recurrence of ``ad`` ops that the fused
 scan replaced, ``gru_scan_padded`` the fused scan over a padded batch that
 the packed ``ad.gru_scan`` replaced, and ``prepare_per_gate`` the three
@@ -20,7 +22,6 @@ import numpy as np
 from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor
 from cru.classifier import bce_loss
-from cru.layers import same_length_conv
 from cru.recurrent import pack, run_sequence
 
 
@@ -30,29 +31,42 @@ def run_row(cell, E):
     Returns numpy arrays (all states (n, d_h), final state (d_h,)).
     """
     E = np.asarray(E)
-    all_h = run_sequence(cell, Tensor(E), pack([len(E)], len(E))[0]).data
+    all_h = run_sequence(cell, Tensor(E), pack([len(E)])[0]).data
     return all_h, all_h[-1]
 
 
-def padded_states(states, packing):
+def packed_positions(lengths):
+    """(row, step) of each packed row: the rows by non-increasing length,
+    ties in batch order, step after step."""
+    by_length = sorted(range(len(lengths)), key=lambda r: -lengths[r])
+    return [(r, t) for t in range(max(lengths)) for r in by_length if lengths[r] > t]
+
+
+def token_positions(lengths, n):
+    """The positions r * n + t of a (B, n) batch that hold tokens, in batch
+    order: the rows that ``run_sequence`` takes."""
+    return np.array([r * n + t for r, ln in enumerate(lengths) for t in range(ln)])
+
+
+def padded_states(states, lengths, n):
     """Packed (T, d_h) states placed at (row, step) of a (B, n, d_h) array.
 
     Step t of a reversed packing is the row's t-th token read from its end.
     Positions past a row's length hold NaN.
     """
-    b, n = packing.shape
-    out = np.full((b * n, states.shape[1]), np.nan)
-    out[np.arange(b * n) if packing.order is None else packing.order] = states
-    return out.reshape(b, n, -1)
+    out = np.full((len(lengths), n, states.shape[1]), np.nan)
+    for (r, t), h in zip(packed_positions(lengths), states):
+        out[r, t] = h
+    return out
 
 
 def run_padded(cell, Eb, lengths, reverse=False):
     """Run a zero-padded (B, n, d) batch whose rows hold ``lengths`` tokens in
     one direction; returns ``padded_states`` as a numpy array."""
     b, n, d = Eb.shape
-    packing = pack(lengths, n)[1 if reverse else 0]
-    states = run_sequence(cell, Tensor(np.asarray(Eb).reshape(b * n, d)), packing)
-    return padded_states(states.data, packing)
+    E = np.asarray(Eb).reshape(b * n, d)[token_positions(lengths, n)]
+    states = run_sequence(cell, Tensor(E), pack(lengths)[1 if reverse else 0])
+    return padded_states(states.data, lengths, n)
 
 
 def transpose(x):
@@ -72,15 +86,51 @@ def _project(E, w):
     return ad.reshape(ad.matmul(flat, transpose(w)), (b, n, w.shape[0]))
 
 
+def conv1d_same_padded(x, filters):
+    """``ad.conv1d_same`` over a zero-padded batch, as it ran before packing.
+
+    x: (B, n, d_in); filters: (d_out, k, d_in) with odd k. Each sequence is
+    zero-padded by (k-1)/2 steps on each end, so the output has exactly n
+    steps: im2col over the padded steps, then one matmul. No bias, no
+    nonlinearity.
+    """
+    d_out, k, d_in = filters.shape
+    b, n, _ = x.shape
+    pad = (k - 1) // 2
+    xp = np.zeros((b, n + k - 1, d_in))
+    xp[:, pad:pad + n, :] = x.data
+    win = np.stack([xp[:, j:j + n, :] for j in range(k)], axis=2).reshape(b * n, k * d_in)
+    f2 = filters.data.reshape(d_out, k * d_in)
+    out = Tensor((win @ f2.T).reshape(b, n, d_out))
+
+    def apply(g, emit):
+        g2 = g.reshape(b * n, d_out)
+        d_win = (g2 @ f2).reshape(b, n, k, d_in)
+        d_xp = np.zeros((b, n + k - 1, d_in))
+        for j in range(k):
+            d_xp[:, j:j + n, :] += d_win[:, :, j, :]
+        emit(0, d_xp[:, pad:pad + n, :])
+        emit(1, (g2.T @ win).reshape(d_out, k, d_in))
+
+    return ad._emit_op("conv1d_same", (x, filters), out, apply)
+
+
+def same_length_conv_padded(bank, x):
+    """``layers.same_length_conv`` over a zero-padded (B, n, d_in) batch."""
+    y = ad.bias_add(conv1d_same_padded(x, bank.filters), bank.bias)
+    return ad.activation(bank.activation, y)
+
+
 def prepare_per_gate(cell, E):
-    """The (B, n, d_h) gate inputs (P_z, P_r, P_h) of a cell, one per gate."""
+    """The (B, n, d_h) gate inputs (P_z, P_r, P_h) of a cell, one per gate,
+    over a zero-padded (B, n, d) batch."""
     p = cell.params
     if cell.variant == "gru":
         return _project(E, p.W_z), _project(E, p.W_r), _project(E, p.W)
     if cell.variant == "shallow":
-        c = same_length_conv(cell.bank, E)
+        c = same_length_conv_padded(cell.bank, E)
         return _project(c, p.W_z), _project(c, p.W_r), _project(c, p.W)
-    banks = [same_length_conv(c, E) for c in (cell.conv_z, cell.conv_r, cell.conv_h)]
+    banks = [same_length_conv_padded(c, E) for c in (cell.conv_z, cell.conv_r, cell.conv_h)]
     if cell.variant == "deep":
         return tuple(banks)
     return tuple(_project(ad.add(c, E), w) for c, w in zip(banks, (p.W_z, p.W_r, p.W)))

@@ -34,7 +34,7 @@ from cru.layers import ConvBank, same_length_conv
 from cru.optim import Adam
 from cru.rc_features import count_of_query_word, doc_word_freq
 from cru.recurrent import (VARIANTS, DeepCell, DeepEnhancedCell, GruParams,
-                           ShallowCell, make_cell)
+                           ShallowCell, make_cell, pack)
 from oracles import run_padded, run_row
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -131,8 +131,9 @@ def test_criterion_04_same_length_contract():
     for k in (1, 3, 5, 7):
         bank = ConvBank.init(rng, d, k, d, "relu")
         for n in range(1, 65):
-            out = same_length_conv(bank, Tensor(rng.standard_normal((1, n, d))))
-            assert out.shape == (1, n, d), (n, k, out.shape)
+            out = same_length_conv(bank, Tensor(rng.standard_normal((n, d))),
+                                   pack([n])[0].window(k))
+            assert out.shape == (n, d), (n, k, out.shape)
             checked += 1
     report(4, "same-length convolution",
            checked == 256, f"output shape == input shape for all n in 1..64, "

@@ -10,7 +10,8 @@ import pytest
 from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor, active_tape, finite_diff_gradcheck
 from cru.errors import ConfigError, ContractError, DimensionError, NumericError
-from oracles import transpose
+from cru.recurrent import pack
+from oracles import packed_positions, transpose
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -145,6 +146,37 @@ def test_constants_get_no_gradient():
         tape.backward(loss)
     assert np.allclose(a.grad, c.data)
     assert c.grad is None
+
+
+class CountingArray(np.ndarray):
+    """An array that counts the ufunc calls (products included) it takes
+    part in."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        CountingArray.calls += 1
+        inputs = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_constant_inputs_get_no_gradient_products():
+    # The gradient a constant would get (g * x for a mask, x^T g for a fixed
+    # weight) is never formed: x takes part only in the forward product.
+    rng = rng_for(3)
+    for op, const in ((ad.mul, Tensor(rng.standard_normal((4, 3)))),
+                      (ad.matmul, Tensor(rng.standard_normal((3, 2))))):
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        x.data = x.data.view(CountingArray)
+        CountingArray.calls = 0
+        with Tape() as tape:
+            y = op(x, const)
+            assert CountingArray.calls == 1
+            tape.backward(ad.sum_all(y))
+        assert CountingArray.calls == 1, op.__name__
+        assert const.grad is None
+        expect = const.data if op is ad.mul else np.tile(const.data.sum(axis=1), (4, 1))
+        assert np.allclose(x.grad, expect)
 
 
 def test_reuse_of_intermediate_accumulates():
@@ -391,51 +423,77 @@ def conv_reference(x: np.ndarray, filters: np.ndarray) -> np.ndarray:
     return out
 
 
+def packed_conv(x, f, lengths, reverse=False):
+    """conv1d_same over one direction's packed rows of the token rows x."""
+    packing = pack(lengths)[reverse]
+    return ad.conv1d_same(packing.gather(x), f, packing.window(f.shape[1]))
+
+
 def test_conv1d_same_matches_brute_force():
+    # A single sequence is a packing of one row.
     rng = rng_for(7)
     for n, k in [(1, 1), (1, 3), (2, 5), (5, 3), (8, 7), (4, 1)]:
         x = rng.standard_normal((n, 3))
         f = rng.standard_normal((4, k, 3))
-        got = ad.conv1d_same(Tensor(x[None]), Tensor(f)).data[0]
+        got = ad.conv1d_same(Tensor(x), Tensor(f), pack([n])[0].window(k)).data
         assert np.allclose(got, conv_reference(x, f), atol=1e-12), (n, k)
 
 
 def test_conv1d_same_batched_matches_per_sequence():
+    # Ragged rows in either direction: each packed row is its own row's
+    # convolution at that step, the reversed direction reading the row
+    # reversed.
     rng = rng_for(8)
-    xs = rng.standard_normal((3, 6, 2))
+    lengths = [6, 2, 4]
+    xs = [rng.standard_normal((n, 2)) for n in lengths]
     f = rng.standard_normal((5, 3, 2))
-    batched = ad.conv1d_same(Tensor(xs), Tensor(f)).data
-    for b in range(3):
-        assert np.allclose(batched[b], conv_reference(xs[b], f), atol=1e-12)
+    for reverse in (False, True):
+        batched = packed_conv(Tensor(np.concatenate(xs)), Tensor(f), lengths, reverse).data
+        for (b, t), got in zip(packed_positions(lengths), batched):
+            seq = xs[b][::-1] if reverse else xs[b]
+            assert np.allclose(got, conv_reference(seq, f)[t], atol=1e-12)
 
 
 def test_conv1d_same_gradcheck():
     rng = rng_for(9)
-    x = Tensor(rng.standard_normal((1, 5, 2)), requires_grad=True)
+    x = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
     f = Tensor(rng.standard_normal((3, 3, 2)), requires_grad=True)
-    check(lambda: ad.sum_all(ad.mul(ad.conv1d_same(x, f), ad.conv1d_same(x, f))),
+    check(lambda: ad.sum_all(ad.mul(packed_conv(x, f, [5]), packed_conv(x, f, [5]))),
           {"x": x, "f": f})
-    xb = Tensor(rng.standard_normal((2, 4, 2)), requires_grad=True)
-    check(lambda: ad.sum_all(ad.mul(ad.conv1d_same(xb, f), ad.conv1d_same(xb, f))),
-          {"xb": xb, "f": f})
-    # Edges: a width-1 window, a window wider than a one-step sequence, and a
-    # batch whose output width differs from its input width.
-    for shape_x, shape_f in [((2, 3, 2), (4, 1, 2)), ((2, 1, 3), (2, 5, 3)),
-                             ((3, 6, 4), (2, 3, 4))]:
-        xe = Tensor(rng.standard_normal(shape_x), requires_grad=True)
+    xb = Tensor(rng.standard_normal((6, 2)), requires_grad=True)
+    for reverse in (False, True):
+        check(lambda: ad.sum_all(ad.mul(packed_conv(xb, f, [4, 2], reverse),
+                                        packed_conv(xb, f, [4, 2], reverse))),
+              {"xb": xb, "f": f})
+    # Edges: a width-1 window, a window wider than one-step rows, and a
+    # ragged batch whose output width differs from its input width.
+    for lengths, shape_f in [([3, 3], (4, 1, 2)), ([1, 1], (2, 5, 3)),
+                             ([6, 1, 4], (2, 3, 4))]:
+        xe = Tensor(rng.standard_normal((sum(lengths), shape_f[2])), requires_grad=True)
         fe = Tensor(rng.standard_normal(shape_f), requires_grad=True)
-        check(lambda: ad.sum_all(ad.mul(ad.conv1d_same(xe, fe), ad.conv1d_same(xe, fe))),
-              {"x": xe, "f": fe})
+        for reverse in (False, True):
+            check(lambda: ad.sum_all(ad.mul(packed_conv(xe, fe, lengths, reverse),
+                                            packed_conv(xe, fe, lengths, reverse))),
+                  {"x": xe, "f": fe})
 
 
 def test_conv1d_same_validation():
-    x = Tensor(np.zeros((1, 4, 3)))
+    x = Tensor(np.zeros((4, 3)))
+    window = pack([4])[0].window(3)
     with pytest.raises(ConfigError):
-        ad.conv1d_same(x, Tensor(np.zeros((2, 2, 3))))  # even window
+        ad.conv1d_same(x, Tensor(np.zeros((2, 2, 3))), window)  # even window
     with pytest.raises(DimensionError):
-        ad.conv1d_same(x, Tensor(np.zeros((2, 3, 4))))  # channel mismatch
-    with pytest.raises(DimensionError):  # a bare (n, d) sequence is not a batch
-        ad.conv1d_same(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 3, 3))))
+        ad.conv1d_same(x, Tensor(np.zeros((2, 3, 4))), window)  # channel mismatch
+    with pytest.raises(DimensionError):  # a padded (B, n, d) batch is not packed rows
+        ad.conv1d_same(Tensor(np.zeros((1, 4, 3))), Tensor(np.zeros((2, 3, 3))), window)
+    with pytest.raises(DimensionError):  # the window of a different width
+        ad.conv1d_same(x, Tensor(np.zeros((2, 3, 3))), pack([4])[0].window(5))
+    with pytest.raises(DimensionError):  # the window of a different batch
+        ad.conv1d_same(x, Tensor(np.zeros((2, 3, 3))), pack([3])[0].window(3))
+    with pytest.raises(DimensionError):  # window ids must be integers
+        ad.conv1d_same(x, Tensor(np.zeros((2, 3, 3))), window.astype(np.float64))
+    with pytest.raises(ContractError):  # a row id past the zero row
+        ad.conv1d_same(x, Tensor(np.zeros((2, 3, 3))), window + 2)
 
 
 def scan_inputs(rng, sizes, d_h):

@@ -9,6 +9,7 @@ from cru.errors import ConfigError, ContractError, DimensionError
 from cru.layers import (PAD_ID, UNK_ID, ConvBank, DenseLayer, EmbeddingTable,
                         dense_forward, dropout_apply, glorot_uniform,
                         make_dropout_mask, same_length_conv)
+from cru.recurrent import pack
 
 
 def rng_for(seed):
@@ -94,18 +95,18 @@ def test_same_length_conv_hand_oracle():
     f[0, 1, 1] = 10.0  # center, channel 1
     f[0, 2, 0] = 100.0  # right neighbor, channel 0
     bank = ConvBank(Tensor(f), Tensor(np.zeros(1)), "identity")
-    out = same_length_conv(bank, Tensor(x[None]))
+    out = same_length_conv(bank, Tensor(x), pack([3])[0].window(3))
     # position 0: left pad (0) + 10*x[0,1] + 100*x[1,0] = 0 + 0 + 0 = 0
     # position 1: 1*x[0,0] + 10*x[1,1] + 100*x[2,0] = 1 + 10 + 200 = 211
     # position 2: 1*x[1,0] + 10*x[2,1] + 100*pad = 0
-    assert np.allclose(out.data, [[[0.0], [211.0], [0.0]]])
+    assert np.allclose(out.data, [[0.0], [211.0], [0.0]])
 
 
 def test_same_length_conv_applies_bias_then_activation():
-    x = np.zeros((1, 2, 2))
+    x = np.zeros((2, 2))
     bank = ConvBank(Tensor(np.zeros((3, 1, 2))), Tensor([-1.0, 0.5, 2.0]), "relu")
-    out = same_length_conv(bank, Tensor(x))
-    assert np.allclose(out.data, np.tile([0.0, 0.5, 2.0], (1, 2, 1)))
+    out = same_length_conv(bank, Tensor(x), pack([2])[0].window(1))
+    assert np.allclose(out.data, np.tile([0.0, 0.5, 2.0], (2, 1)))
 
 
 def test_same_length_conv_shape_contract():
@@ -113,18 +114,21 @@ def test_same_length_conv_shape_contract():
     for n in (1, 2, 7, 16):
         for k in (1, 3, 5):
             bank = ConvBank.init(rng, d_out=4, k=k, d_in=4)
-            out = same_length_conv(bank, Tensor(rng.standard_normal((2, n, 4))))
-            assert out.shape == (2, n, 4)
+            packing = pack([n, n])[0]
+            out = same_length_conv(bank, Tensor(rng.standard_normal((2 * n, 4))),
+                                   packing.window(k))
+            assert out.shape == (2 * n, 4)
 
 
 def test_same_length_conv_gradcheck():
     rng = rng_for(6)
     bank = ConvBank.init(rng, 3, 3, 2, activation="tanh")
-    x = Tensor(rng.standard_normal((2, 5, 2)), requires_grad=True)
+    x = Tensor(rng.standard_normal((10, 2)), requires_grad=True)
+    window = pack([5, 5])[0].window(3)
     params = {"filters": bank.filters, "bias": bank.bias, "x": x}
     report = finite_diff_gradcheck(
-        lambda: ad.sum_all(ad.mul(same_length_conv(bank, x),
-                                  same_length_conv(bank, x))), params)
+        lambda: ad.sum_all(ad.mul(same_length_conv(bank, x, window),
+                                  same_length_conv(bank, x, window))), params)
     assert report.passed, report.per_param
 
 
@@ -211,3 +215,19 @@ def test_dropout_with_explicit_mask_and_gradient():
         tape.backward(ad.sum_all(out))
     assert np.allclose(out.data, mask)
     assert np.allclose(x.grad, mask)
+
+
+def test_dropout_of_selected_rows_draws_over_the_whole_matrix():
+    # The token rows of a padded batch get exactly the mask entries that a
+    # mask over all its positions gives them, and the rows must match.
+    rng = rng_for(16)
+    X = rng.standard_normal((6, 4))
+    rows = np.array([True, True, False, True, False, False])
+    full = dropout_apply(Tensor(X), 0.5, train=True, rng=rng_for(17)).data
+    part = dropout_apply(Tensor(X[rows]), 0.5, train=True, rng=rng_for(17), rows=rows)
+    assert np.array_equal(part.data, full[rows])
+    with pytest.raises(DimensionError):  # two rows for three selected
+        dropout_apply(Tensor(X[:2]), 0.5, train=True, rng=rng_for(17), rows=rows)
+    with pytest.raises(DimensionError):  # a selection is a boolean vector
+        dropout_apply(Tensor(X[:3]), 0.5, train=True, rng=rng_for(17),
+                      rows=np.array([0, 1, 3]))

@@ -1,6 +1,7 @@
 """Property tests: a zero-padded batch equals one-row batches of its rows,
 the packed run of either direction equals the padded scan it replaced, the
-im2col convolution equals its einsum reference, every cell's single
+packed convolution equals its einsum reference and the padded convolution
+it replaced, every cell's single
 gate-input tensor equals its three per-gate inputs side by side, the fused
 GRU scan equals its per-step composed reference, and training with the
 optimizer's blocked sweeps equals the dense update with the L2 term on the
@@ -16,8 +17,9 @@ from cru.classifier import SentimentModel, TrainConfig, seeded_rng, train_epoch
 from cru.data import EncodedSample, batch_and_pad
 from cru.optim import BLOCK_ROWS, Adam
 from cru.recurrent import VARIANTS, make_cell, pack, run_sequence
-from oracles import (conv1d_same_einsum, dense_update, gru_scan_composed, gru_scan_padded,
-                     prepare_per_gate, run_padded, run_row)
+from oracles import (conv1d_same_einsum, conv1d_same_padded, dense_update, gru_scan_composed,
+                     gru_scan_padded, packed_positions, prepare_per_gate, run_padded, run_row,
+                     token_positions)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -52,13 +54,6 @@ ragged = st.one_of(
     st.tuples(st.integers(1, 6), st.integers(0, 5), st.integers(2, 9)).map(
         lambda c: [c[2] if row == c[1] % c[0] else 1 for row in range(c[0])]),
 )
-
-
-def packed_positions(lengths):
-    """(row, step) of each packed row: the rows by non-increasing length,
-    ties in batch order, step after step."""
-    by_length = sorted(range(len(lengths)), key=lambda r: -lengths[r])
-    return [(r, t) for t in range(max(lengths)) for r in by_length if lengths[r] > t]
 
 
 @PROPERTY
@@ -100,7 +95,8 @@ def test_packed_run_equals_padded_oracle(case):
             x.zero_grad()
         with Tape() as tape:
             if packed:
-                states = run_sequence(cell, E, pack(lengths, n)[reverse])
+                token_rows = ad.take_rows(E, token_positions(lengths, n))
+                states = run_sequence(cell, token_rows, pack(lengths)[reverse])
                 readout = G_packed
             else:
                 X = ad.mul(ad.reshape(ad.take_rows(E, read.reshape(-1)), (b, n, d)),
@@ -143,16 +139,73 @@ conv_cases = st.tuples(st.integers(1, 4), st.integers(1, 9), st.sampled_from([1,
 @example((2, 1, 7, 3, 2, 0))  # the padding (3 steps) is wider than the sequence
 @example((1, 2, 7, 1, 5, 1))
 def test_conv1d_same_equals_einsum_reference(case):
+    # b rows of n tokens each, packed time-major: packed row t * b + r holds
+    # step t of row r.
     b, n, k, d_in, d_out, seed = case
     rng = np.random.Generator(np.random.PCG64(seed))
-    x = Tensor(rng.standard_normal((b, n, d_in)), requires_grad=True)
+    x = Tensor(rng.standard_normal((n * b, d_in)), requires_grad=True)
     f = Tensor(rng.standard_normal((d_out, k, d_in)), requires_grad=True)
-    G = rng.standard_normal((b, n, d_out))
+    G = rng.standard_normal((n * b, d_out))
     with Tape() as tape:
-        out = ad.conv1d_same(x, f)
+        out = ad.conv1d_same(x, f, pack([n] * b)[0].window(k))
         tape.backward(ad.sum_all(ad.mul(out, Tensor(G))))
-    ref_out, ref_dx, ref_df = conv1d_same_einsum(x.data, f.data, G)
-    for got, ref in [(out.data, ref_out), (x.grad, ref_dx), (f.grad, ref_df)]:
+
+    def batch_major(a):
+        return a.reshape(n, b, -1).transpose(1, 0, 2)
+
+    ref_out, ref_dx, ref_df = conv1d_same_einsum(batch_major(x.data), f.data, batch_major(G))
+    for got, ref in [(batch_major(out.data), ref_out), (batch_major(x.grad), ref_dx),
+                     (f.grad, ref_df)]:
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@PROPERTY
+@given(st.tuples(ragged, st.sampled_from([1, 3, 5, 7]), st.booleans(), st.integers(1, 4),
+                 st.integers(1, 4), st.integers(0, 2**32 - 1)))
+@example(([1, 2, 1], 7, True, 2, 3, 0))  # every row shorter than the padding
+@example(([3, 3, 3], 5, False, 1, 2, 1))
+@example(([2, 9, 1, 9, 4], 3, True, 3, 3, 2))
+def test_packed_conv_equals_padded_oracle(case):
+    # One direction's packed rows of a ragged batch in unsorted row order,
+    # against the padded im2col convolution of the same direction's
+    # zero-padded batch, read at the tokens: the output, and the gradients of
+    # the token rows and the filters.
+    lengths, k, reverse, d_in, d_out, seed = case
+    rng = np.random.Generator(np.random.PCG64(seed))
+    b, n = len(lengths), max(lengths)
+    x = Tensor(rng.standard_normal((sum(lengths), d_in)), requires_grad=True)
+    f = Tensor(rng.standard_normal((d_out, k, d_in)), requires_grad=True)
+    # The token row at each padded position of this direction, and its mask.
+    first = np.cumsum(lengths) - lengths
+    read = np.zeros((b, n), dtype=np.intp)
+    tokens = np.zeros((b, n, d_in))
+    for r, ln in enumerate(lengths):
+        steps = np.arange(ln)
+        read[r, :ln] = first[r] + (ln - 1 - steps if reverse else steps)
+        tokens[r, :ln] = 1.0
+    positions = packed_positions(lengths)
+    G = rng.standard_normal((len(positions), d_out))
+    G_pad = np.zeros((b, n, d_out))
+    for (r, t), g in zip(positions, G):
+        G_pad[r, t] = g
+    results = []
+    for packed in (True, False):
+        for leaf in (x, f):
+            leaf.zero_grad()
+        with Tape() as tape:
+            if packed:
+                packing = pack(lengths)[reverse]
+                out = ad.conv1d_same(packing.gather(x), f, packing.window(k))
+                tape.backward(ad.sum_all(ad.mul(out, Tensor(G))))
+            else:
+                X = ad.mul(ad.reshape(ad.take_rows(x, read.reshape(-1)), (b, n, d_in)),
+                           Tensor(tokens))
+                out = conv1d_same_padded(X, f)
+                tape.backward(ad.sum_all(ad.mul(out, Tensor(G_pad))))
+                out = Tensor(np.array([out.data[r, t] for r, t in positions]))
+        results.append([out.data, x.grad, f.grad])
+    for got, ref in zip(*results):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -169,7 +222,7 @@ def test_prepare_equals_per_gate_inputs_side_by_side(case):
     rng = np.random.Generator(np.random.PCG64(seed))
     cell = make_cell(variant, rng, d, d if variant == "deep" else d_h)
     E = Tensor(rng.standard_normal((b * n, d)), requires_grad=True)
-    packing, _ = pack([n] * b, n)
+    packing, _ = pack([n] * b)
     in_packed_order = np.array([r * n + t for r, t in packed_positions([n] * b)])
     recurrence = {"U_z", "U_r", "U", "b_z", "b_r", "b_h"}
     leaves = [E] + [t for name, t in cell.named_params().items() if name not in recurrence]
@@ -215,7 +268,7 @@ def test_gru_scan_equals_composed_reference(case):
                    requires_grad=True)
     positions = packed_positions(lengths)
     P = Tensor(np.array([P_pad.data[r, t] for r, t in positions]), requires_grad=True)
-    sizes = pack(lengths, max(lengths))[0].batch_sizes
+    sizes = pack(lengths)[0].batch_sizes
     G = rng.standard_normal(Eb.shape)
     for row, n in enumerate(lengths):
         G[row, n:] = 0.0

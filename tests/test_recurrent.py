@@ -13,7 +13,7 @@ from cru.layers import ConvBank, same_length_conv
 from cru.rc_features import encode_bidirectional_enriched, enrich_embeddings
 from cru.recurrent import (DeepCell, DeepEnhancedCell, GruCell, GruParams,
                            ShallowCell, VARIANTS, make_cell, pack, run_sequence)
-from oracles import padded_states, run_padded, run_row
+from oracles import padded_states, run_padded, run_row, token_positions
 
 
 def rng_for(seed):
@@ -22,6 +22,11 @@ def rng_for(seed):
 
 def sig(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def conv_row(bank, E):
+    """The bank's same-length convolution of one unpadded (n, d) sequence."""
+    return same_length_conv(bank, Tensor(E), pack([len(E)])[0].window(bank.width)).data
 
 
 def ref_step(p: GruParams, pz, pr, ph, h):
@@ -189,7 +194,7 @@ def test_shallow_cell_equals_conv_then_gru():
     cell = make_cell("shallow", rng, 3, 5)
     E = rng.standard_normal((4, 3))
     all_h, _ = run_row(cell, E)
-    C = same_length_conv(cell.bank, Tensor(E[None])).data[0]
+    C = conv_row(cell.bank, E)
     h = np.zeros(5)
     for t in range(4):
         h = ref_gru(cell.params, C[t], h)
@@ -201,9 +206,7 @@ def test_deep_cell_equals_three_convs_plus_step():
     cell = make_cell("deep", rng, 4, 4)
     E = rng.standard_normal((5, 4))
     all_h, _ = run_row(cell, E)
-    cz = same_length_conv(cell.conv_z, Tensor(E[None])).data[0]
-    cr = same_length_conv(cell.conv_r, Tensor(E[None])).data[0]
-    ch = same_length_conv(cell.conv_h, Tensor(E[None])).data[0]
+    cz, cr, ch = (conv_row(c, E) for c in (cell.conv_z, cell.conv_r, cell.conv_h))
     h = np.zeros(4)
     for t in range(5):
         h = ref_step(cell.params, cz[t], cr[t], ch[t], h)
@@ -216,9 +219,7 @@ def test_deep_enhanced_cell_equals_conv_plus_step():
     E = rng.standard_normal((5, 3))
     all_h, _ = run_row(cell, E)
     p = cell.params
-    cz = same_length_conv(cell.conv_z, Tensor(E[None])).data[0]
-    cr = same_length_conv(cell.conv_r, Tensor(E[None])).data[0]
-    ch = same_length_conv(cell.conv_h, Tensor(E[None])).data[0]
+    cz, cr, ch = (conv_row(c, E) for c in (cell.conv_z, cell.conv_r, cell.conv_h))
     h = np.zeros(4)
     for t in range(5):
         h = ref_step(p, p.W_z.data @ (cz[t] + E[t]), p.W_r.data @ (cr[t] + E[t]),
@@ -311,33 +312,37 @@ def test_pack_layout():
     # Rows by length 1, 3, 0, 2 (ties keep batch order); step t's block holds
     # the rows still running, and the reversed direction reads each row from
     # its end.
-    fwd, bwd = pack([2, 4, 1, 4], 4)
-    assert fwd.shape == bwd.shape == (4, 4)
+    # Token rows: row 0 holds 0-1, row 1 holds 2-5, row 2 holds 6 and row 3
+    # holds 7-10.
+    fwd, bwd = pack([2, 4, 1, 4])
     for p in (fwd, bwd):
-        assert p.batch_sizes.tolist() == [4, 3, 2, 2]
-        assert p.order.tolist() == [4, 12, 0, 8, 5, 13, 1, 6, 14, 7, 15]
+        assert p.batch_sizes.tolist() == [4, 3, 2, 2] and p.size == 11
         assert p.last.tolist() == [6, 9, 3, 10]
-    assert fwd.flip is None and fwd.rows.tolist() == fwd.order.tolist()
-    assert bwd.flip.tolist() == [1, 0, 2, 3, 7, 6, 5, 4, 8, 9, 10, 11, 15, 14, 13, 12]
-    assert bwd.rows.tolist() == [7, 15, 1, 8, 6, 14, 0, 5, 13, 4, 12]
+    assert fwd.rows.tolist() == [2, 7, 0, 6, 3, 8, 1, 4, 9, 5, 10]
+    assert bwd.rows.tolist() == [5, 10, 1, 6, 4, 9, 0, 3, 8, 2, 7]
+    # Slot j reads step t + j - 1 of the same row, or the zero row 11; both
+    # directions share the window, and build it once.
+    window = fwd.window(3)
+    assert window.tolist() == [[11, 0, 4], [11, 1, 5], [11, 2, 6], [11, 3, 11],
+                               [0, 4, 7], [1, 5, 8], [2, 6, 11],
+                               [4, 7, 9], [5, 8, 10], [7, 9, 11], [8, 10, 11]]
+    assert bwd.window(3) is window
+    assert fwd.window(1).tolist() == [[i] for i in range(11)]
 
 
 def test_pack_of_one_full_row_is_the_identity():
-    fwd, bwd = pack([5], 5)
-    assert fwd.rows is None and fwd.order is None and fwd.flip is None
-    assert bwd.order is None and bwd.rows.tolist() == bwd.flip.tolist() == [4, 3, 2, 1, 0]
+    fwd, bwd = pack([5])
+    assert fwd.rows is None and bwd.rows.tolist() == [4, 3, 2, 1, 0]
     assert fwd.batch_sizes.tolist() == [1] * 5 and fwd.last.tolist() == [4]
-    one, rev = pack([1, 1, 1], 1)  # one token per row: nothing to reorder
-    assert one.rows is None and rev.rows is None and rev.flip is None
+    one, rev = pack([1, 1, 1])  # one token per row: nothing to reorder
+    assert one.rows is None and rev.rows is None
 
 
 def test_pack_validation():
     with pytest.raises(ContractError, match="row 1 has no tokens"):
-        pack([2, 0], 2)
+        pack([2, 0])
     with pytest.raises(ContractError):
-        pack([], 2)
-    with pytest.raises(ContractError):  # a row longer than the batch
-        pack([3, 1], 2)
+        pack([])
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +359,11 @@ def test_run_sequence_masked_batch_matches_per_sequence():
         Eb = np.zeros((3, width, 3))
         for i, s in enumerate(seqs):
             Eb[i, :len(s)] = s
-        packing, _ = pack([2, 5, 1], width)
-        states = run_sequence(cell, Tensor(Eb.reshape(3 * width, 3)), packing)
+        packing, _ = pack([2, 5, 1])
+        E = Eb.reshape(3 * width, 3)[token_positions([2, 5, 1], width)]
+        states = run_sequence(cell, Tensor(E), packing)
         assert states.shape == (8, 3)  # one state per token
-        states = padded_states(states.data, packing)
+        states = padded_states(states.data, [2, 5, 1], width)
         for i, s in enumerate(seqs):
             _, f = run_row(cell, s)
             assert np.max(np.abs(states[i, len(s) - 1] - f)) < 1e-12, variant
@@ -393,22 +399,22 @@ def test_run_sequence_initial_state():
 def test_run_sequence_errors():
     rng = rng_for(20)
     cell = make_cell("gru", rng, 3, 4)
-    packing, _ = pack([3, 2], 3)
-    with pytest.raises(DimensionError):  # the batch rows come flat, (B * n, d)
-        run_sequence(cell, Tensor(rng.standard_normal((2, 3, 3))), packing)
-    with pytest.raises(DimensionError):  # rows of a different batch
-        run_sequence(cell, Tensor(rng.standard_normal((5, 3))), packing)
+    packing, _ = pack([3, 2])
+    with pytest.raises(DimensionError):  # the token rows come flat, (T, d)
+        run_sequence(cell, Tensor(rng.standard_normal((1, 5, 3))), packing)
+    with pytest.raises(DimensionError):  # the padded rows (B * n, d) of the batch
+        run_sequence(cell, Tensor(rng.standard_normal((6, 3))), packing)
     with pytest.raises(DimensionError):
         run_sequence(cell, Tensor(rng.standard_normal(3)), packing)
     with pytest.raises(ContractError):
-        run_sequence(cell, Tensor(np.zeros((0, 3))), pack([0], 0)[0])
+        run_sequence(cell, Tensor(np.zeros((0, 3))), pack([0])[0])
 
 
 def test_single_step_sequence():
     rng = rng_for(21)
     cell = make_cell("deep_enhanced", rng, 3, 3)
     E = rng.standard_normal((1, 3))
-    states = run_sequence(cell, Tensor(E), pack([1], 1)[0])
+    states = run_sequence(cell, Tensor(E), pack([1])[0])
     assert states.shape == (1, 3)
 
 
@@ -485,7 +491,7 @@ def test_sequence_gradcheck_per_variant():
     for variant in VARIANTS:
         cell = make_cell(variant, rng, 3, 3)
         E = Tensor(0.5 * rng.standard_normal((4, 3)), requires_grad=True)
-        packing, _ = pack([4], 4)
+        packing, _ = pack([4])
         params = dict(cell.named_params())
         params["E"] = E
         report = finite_diff_gradcheck(
@@ -498,9 +504,8 @@ def test_masked_batch_gradcheck():
     # final state, the way forward_batch picks it.
     rng = rng_for(27)
     cell = make_cell("deep_enhanced", rng, 3, 3)
-    Eb = Tensor(0.5 * rng.standard_normal((8, 3)), requires_grad=True)
-    Eb.data[6:] = 0.0  # zero pads of row 1, as forward_batch makes them
-    packings = pack([4, 2], 4)
+    Eb = Tensor(0.5 * rng.standard_normal((8, 3))[:6], requires_grad=True)  # the tokens
+    packings = pack([4, 2])
     params = dict(cell.named_params())
     params["E"] = Eb
 
