@@ -7,13 +7,21 @@ as plain numpy forward computations, which is what evaluation and the
 finite-difference oracle use.
 
 A tape and its tensors are a single-threaded unit of work; the active-tape
-stack is thread-local, so distinct tapes may run on distinct threads.
+stack is thread-local, so distinct tapes may run on distinct threads. Every
+op records and runs its backward on the thread that called it. The one
+exception to single-threaded work is inside ``gru_scan``: it may run the numpy
+loops of its second direction on one worker thread that the process shares,
+while the calling thread runs the first direction's and waits for both. The
+worker runs numpy on arrays only, never a tape op, so the threads that share
+it still each see only their own tape.
 """
 
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
@@ -575,110 +583,210 @@ def project(xs: Sequence[Tensor], ws: Sequence[Tensor]) -> Tensor:
     return _emit_op("project", xs + ws, Tensor(out.reshape(*shape[:-1], ends[-1])), apply)
 
 
-def gru_scan(P: Tensor, batch_sizes, U_z: Tensor, U_r: Tensor, U: Tensor, b_z: Tensor,
-             b_r: Tensor, b_h: Tensor) -> Tensor:
-    """The GRU recurrence over packed gate inputs, as one tape node.
+# gru_scan runs its directions concurrently only when one step's h U^T has at
+# least this many multiply-adds, k_0 d_h^2. numpy's ufunc loops release the
+# GIL only over more than 500 elements (NPY_BEGIN_THREADS_THRESHOLDED in
+# numpy/_core/include/numpy/ndarraytypes.h), so at k_0 d_h <= 500 nearly every
+# op of a loop holds it, and a second thread can only wait. Above that, each
+# op that releases it hands the GIL between the threads, which pays only when
+# the step's matmuls outweigh its ~20 elementwise ops. On a 2-CPU VM, whole
+# gru training steps at hidden widths 32-256 took 1.0-2.1 times as long
+# concurrently as in turn below 2^19, and 0.77-1.02 times as long from it up.
+_CONCURRENT_STEP_WORK = 2 ** 19
 
-    P: (T, 3 d_h) gate inputs laid out [P_z | P_r | P_h], in time-major packed
-    order: step t owns the contiguous block of k_t = batch_sizes[t] rows that
-    starts at row k_0 + ... + k_{t-1}, the sizes never increase, and row j of
-    a block continues row j of the block before. U_*: (d_h, d_h); b_*: (d_h,).
+_WORKER: ThreadPoolExecutor | None = None
+_WORKER_LOCK = threading.Lock()
+
+
+def _worker() -> ThreadPoolExecutor:
+    """The one worker thread that runs scan loops beside the calling thread,
+    started on first use."""
+    global _WORKER
+    with _WORKER_LOCK:
+        if _WORKER is None:
+            _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cru-scan")
+        return _WORKER
+
+
+def _run_loops(loops: Sequence[Callable[[], None]], concurrent: bool) -> None:
+    """Run every loop: the first on this thread and the rest on the worker if
+    concurrent, otherwise one after another on this thread."""
+    if not concurrent:
+        for loop in loops:
+            loop()
+        return
+    pending = [_worker().submit(loop) for loop in loops[1:]]
+    try:
+        loops[0]()
+    finally:
+        # The worker's loops write arrays that this thread hands on, so they
+        # must finish even when this thread's loop failed.
+        wait(pending)
+    for future in pending:
+        future.result()
+
+
+def _scan_forward(P, u_zr_t, u_t, b_zr, b_g, H0, A, steps, zr_buf, g_buf, rh_buf, tmp_buf):
+    """One direction's forward loop of ``gru_scan``: numpy on arrays only.
+
+    H0: (b + T, d_h), whose first b rows are the zero state h_{-1}; the loop
+    writes every h_t into the rows after them, and every [z | r | g] into A.
+    """
+    d_h = u_t.shape[0]
+    zr_cols, h_cols = slice(0, 2 * d_h), slice(2 * d_h, None)
+    H = H0[len(H0) - len(P):]
+    # The z and r columns sit side by side, so one sigmoid covers both gates.
+    # Each step works through out= in (k_t, .) prefixes of the buffers, where
+    # an op costs a third as much as on a fresh array.
+    for k, lo, prev in steps:
+        hi = lo + k
+        h, h_t = H0[prev:prev + k], H[lo:hi]
+        a_zr, g, tmp = zr_buf[:k], g_buf[:k], tmp_buf[:k]
+        np.matmul(h, u_zr_t, out=a_zr)
+        a_zr += P[lo:hi, zr_cols]
+        a_zr += b_zr
+        zr = A[lo:hi, zr_cols] = _sigmoid(a_zr)
+        z = zr[:, :d_h]
+        np.matmul(np.multiply(zr[:, d_h:], h, out=rh_buf[:k]), u_t, out=g)
+        g += P[lo:hi, h_cols]
+        g += b_g
+        A[lo:hi, h_cols] = np.tanh(g, out=g)
+        g *= np.subtract(1.0, z, out=tmp)
+        np.add(np.multiply(h, z, out=h_t), g, out=h_t)  # z * h + (1 - z) * g
+
+
+def _scan_backward(gout, A, H0, u_zr, u, steps, dA, d_u, d_b, H_prev, dh_buf, d_rh_buf,
+                   tmp_buf, c_buf):
+    """One direction's backward loop of ``gru_scan``: numpy on arrays only.
+
+    Writes the gradients at the gates' pre-activations into dA, and those of
+    [U_z; U_r; U] and [b_z | b_r | b_h] into d_u and d_b. dh_buf starts at
+    zero.
+    """
+    d_h = u.shape[0]
+    zr_cols, h_cols = slice(0, 2 * d_h), slice(2 * d_h, None)
+    for k, lo, prev in reversed(steps):
+        hi = lo + k
+        a, da = A[lo:hi], dA[lo:hi]
+        zr, z, r, g = a[:, zr_cols], a[:, :d_h], a[:, d_h:2 * d_h], a[:, h_cols]
+        da_zr, da_z, da_r, da_g = (da[:, zr_cols], da[:, :d_h], da[:, d_h:2 * d_h],
+                                   da[:, h_cols])
+        h = H_prev[lo:hi]
+        h[...] = H0[prev:prev + k]
+        # Rows k_{t+1}..k_t end at step t, so their dh is still zero here.
+        dh, tmp, d_rh = dh_buf[:k], tmp_buf[:k], d_rh_buf[:k]
+        dh += gout[lo:hi]
+        np.multiply(np.subtract(1.0, z, out=tmp), dh, out=tmp)
+        np.subtract(1.0, np.multiply(g, g, out=da_g), out=da_g)
+        np.matmul(np.multiply(tmp, da_g, out=da_g), u, out=d_rh)  # at r * h
+        np.multiply(np.subtract(h, g, out=da_z), dh, out=da_z)
+        np.multiply(d_rh, h, out=da_r)
+        da_zr *= zr
+        da_zr *= np.subtract(1.0, zr, out=c_buf[:k])
+        dh *= z
+        dh += np.multiply(d_rh, r, out=tmp)
+        dh += np.matmul(da_zr, u_zr, out=tmp)
+    np.matmul(dA[:, zr_cols].T, H_prev, out=d_u[:2 * d_h])
+    H_prev *= A[:, d_h:2 * d_h]  # now r * h_{t-1}, which U multiplies
+    np.matmul(dA[:, h_cols].T, H_prev, out=d_u[2 * d_h:])
+    np.sum(dA, axis=0, out=d_b)
+
+
+_SCAN_INPUTS = ("P", "U_z", "U_r", "U", "b_z", "b_r", "b_h")
+
+
+def gru_scan(directions: Sequence[Sequence[Tensor]], batch_sizes) -> Tensor:
+    """The GRU recurrence of one or more directions over packed gate inputs,
+    as one tape node.
+
+    directions: one (P, U_z, U_r, U, b_z, b_r, b_h) per direction, of one
+    hidden width d_h. P: (T, 3 d_h) gate inputs laid out [P_z | P_r | P_h],
+    in time-major packed order: step t owns the contiguous block of
+    k_t = batch_sizes[t] rows that starts at row k_0 + ... + k_{t-1}, the
+    sizes never increase, and row j of a block continues row j of the block
+    before. Every direction shares batch_sizes. U_*: (d_h, d_h); b_*: (d_h,).
     From h_{-1} = 0, each row of step t computes
 
       z = sigmoid(P_z,t + h U_z^T + b_z),  r = sigmoid(P_r,t + h U_r^T + b_r)
       g = tanh(P_h,t + (r * h) U^T + b_h),  h_t = z * h + (1 - z) * g
 
-    and the result holds every h_t, (T, d_h), in P's order. Both gates that
-    read h_{t-1} share one (d_h, 2 d_h) matmul, and h_{t-1} is the first k_t
-    rows of the block before, so every step reads and writes contiguous
-    blocks. Backward is a reverse loop that carries dh through two small
-    matmuls per step and writes every gate's gradient into one (T, 3 d_h)
-    array, emitted as it is; the weight and bias gradients are formed after
-    it, each with one T-row matmul or sum.
+    and the result holds every h_t of every direction side by side,
+    (T, D d_h): direction i's states fill columns i d_h to (i + 1) d_h, in
+    its own P's order. Both gates that read h_{t-1} share one (d_h, 2 d_h)
+    matmul, and h_{t-1} is the first k_t rows of the block before, so every
+    step reads and writes contiguous blocks. Backward is a reverse loop that
+    carries dh through two small matmuls per step and writes every gate's
+    gradient into one (T, 3 d_h) array per direction, emitted as it is; the
+    weight and bias gradients are formed after it, each with one T-row matmul
+    or sum.
+
+    The directions share nothing but the step sizes. When there are several
+    and the first step's h U^T has at least ``_CONCURRENT_STEP_WORK``
+    multiply-adds, direction 0's loops, forward and backward, run on the
+    calling thread and the others' on one worker thread, in numpy and BLAS
+    calls that release the GIL. Every array the loops write is allocated
+    here first, and the worker runs numpy on arrays only, never a tape op or
+    another function of this package. Each direction's arithmetic is the
+    same either way, so the results are too.
     """
+    directions = [tuple(d) for d in directions]
+    if not directions or any(len(d) != len(_SCAN_INPUTS) for d in directions):
+        raise ContractError(f"gru_scan: each direction needs {', '.join(_SCAN_INPUTS)}")
     sizes = np.asarray(batch_sizes).reshape(-1).tolist()
     if not sizes or sizes[-1] < 1 or any(x < y for x, y in zip(sizes, sizes[1:])):
         raise ContractError(f"gru_scan: batch_sizes must be positive and non-increasing, "
                             f"got {sizes}")
     b, total = sizes[0], sum(sizes)
-    d_h = U.shape[0] if U.ndim == 2 else -1
-    for name, t, shape in (("P", P, (total, 3 * d_h)), ("U_z", U_z, (d_h, d_h)),
-                           ("U_r", U_r, (d_h, d_h)), ("U", U, (d_h, d_h)),
-                           ("b_z", b_z, (d_h,)), ("b_r", b_r, (d_h,)),
-                           ("b_h", b_h, (d_h,))):
-        if t.shape != shape:
-            raise DimensionError(f"gru_scan: {name} must have shape {shape}, got {t.shape}")
+    U0 = directions[0][3]
+    d_h = U0.shape[0] if U0.ndim == 2 else -1
+    shapes = ((total, 3 * d_h),) + ((d_h, d_h),) * 3 + ((d_h,),) * 3
+    for i, direction in enumerate(directions):
+        for name, t, shape in zip(_SCAN_INPUTS, direction, shapes):
+            if t.shape != shape:
+                raise DimensionError(f"gru_scan: direction {i}'s {name} must have shape "
+                                     f"{shape}, got {t.shape}")
     # Block t starts at starts[t]; the block before it starts at prevs[t] of
     # H0, whose first b rows are the zero state h_{-1}.
     starts = list(accumulate(sizes[:-1], initial=0))
     prevs = [0] + [b + s for s in starts[:-1]]
+    steps = list(zip(sizes, starts, prevs))
+    concurrent = len(directions) > 1 and b * d_h * d_h >= _CONCURRENT_STEP_WORK
 
-    # The z and r columns sit side by side, so one sigmoid covers both gates.
-    # Each step works through out= in (k_t, .) prefixes of buffers allocated
-    # once, where an op costs a third as much as on a fresh array.
-    zr_cols, h_cols = slice(0, 2 * d_h), slice(2 * d_h, None)
-    b_zr, b_g = np.concatenate([b_z.data, b_r.data]), b_h.data
-    u_zr = np.concatenate([U_z.data, U_r.data])  # (2 d_h, d_h)
-    u, u_zr_t, u_t = U.data, u_zr.T, U.data.T
-    H0 = np.empty((b + total, d_h))
+    # Each direction writes its states straight into its own columns of H0.
+    H0 = np.empty((b + total, len(directions) * d_h))
     H0[:b] = 0.0
-    H = H0[b:]
-    A = np.empty((total, 3 * d_h))  # [z | r | g] of every packed row
-    rh_buf, g_buf, tmp_buf = (np.empty((b, d_h)) for _ in range(3))
-    zr_buf = np.empty((b, 2 * d_h))
-    for k, lo, prev in zip(sizes, starts, prevs):
-        hi = lo + k
-        h, h_t = H0[prev:prev + k], H[lo:hi]
-        a_zr, g, tmp = zr_buf[:k], g_buf[:k], tmp_buf[:k]
-        np.matmul(h, u_zr_t, out=a_zr)
-        a_zr += P.data[lo:hi, zr_cols]
-        a_zr += b_zr
-        zr = A[lo:hi, zr_cols] = _sigmoid(a_zr)
-        z = zr[:, :d_h]
-        np.matmul(np.multiply(zr[:, d_h:], h, out=rh_buf[:k]), u_t, out=g)
-        g += P.data[lo:hi, h_cols]
-        g += b_g
-        A[lo:hi, h_cols] = np.tanh(g, out=g)
-        g *= np.subtract(1.0, z, out=tmp)
-        np.add(np.multiply(h, z, out=h_t), g, out=h_t)  # z * h + (1 - z) * g
-    out = Tensor(H)
+    cols = [slice(i * d_h, (i + 1) * d_h) for i in range(len(directions))]
+    As = [np.empty((total, 3 * d_h)) for _ in directions]  # [z | r | g] of every row
+    u_zrs = [np.concatenate([d[1].data, d[2].data]) for d in directions]  # (2 d_h, d_h)
+    us = [d[3].data for d in directions]
+    loops = []
+    for (P, _, _, _, b_z, b_r, b_h), u_zr, u, c, A in zip(directions, u_zrs, us, cols, As):
+        scratch = [np.empty((b, 2 * d_h))] + [np.empty((b, d_h)) for _ in range(3)]
+        loops.append(partial(_scan_forward, P.data, u_zr.T, u.T,
+                             np.concatenate([b_z.data, b_r.data]), b_h.data, H0[:, c], A,
+                             steps, *scratch))
+    _run_loops(loops, concurrent)
+    out = Tensor(H0[b:])
 
     def apply(gout, emit):
-        dA = np.empty((total, 3 * d_h))  # gradients at the gates' pre-activations
-        H_prev = np.empty((total, d_h))  # h_{t-1} of every packed row
-        dh_buf = np.zeros((b, d_h))
-        d_rh_buf, tmp_buf, c_buf = np.empty((b, d_h)), np.empty((b, d_h)), np.empty((b, 2 * d_h))
-        for k, lo, prev in zip(reversed(sizes), reversed(starts), reversed(prevs)):
-            hi = lo + k
-            a, da = A[lo:hi], dA[lo:hi]
-            zr, z, r, g = a[:, zr_cols], a[:, :d_h], a[:, d_h:2 * d_h], a[:, h_cols]
-            da_zr, da_z, da_r, da_g = (da[:, zr_cols], da[:, :d_h], da[:, d_h:2 * d_h],
-                                       da[:, h_cols])
-            h = H_prev[lo:hi]
-            h[...] = H0[prev:prev + k]
-            # Rows k_{t+1}..k_t end at step t, so their dh is still zero here.
-            dh, tmp, d_rh = dh_buf[:k], tmp_buf[:k], d_rh_buf[:k]
-            dh += gout[lo:hi]
-            np.multiply(np.subtract(1.0, z, out=tmp), dh, out=tmp)
-            np.subtract(1.0, np.multiply(g, g, out=da_g), out=da_g)
-            np.matmul(np.multiply(tmp, da_g, out=da_g), u, out=d_rh)  # at r * h
-            np.multiply(np.subtract(h, g, out=da_z), dh, out=da_z)
-            np.multiply(d_rh, h, out=da_r)
-            da_zr *= zr
-            da_zr *= np.subtract(1.0, zr, out=c_buf[:k])
-            dh *= z
-            dh += np.multiply(d_rh, r, out=tmp)
-            dh += np.matmul(da_zr, u_zr, out=tmp)
-        RH = A[:, d_h:2 * d_h] * H_prev  # r * h_{t-1}, which U multiplies
-        d_u = np.concatenate([dA[:, zr_cols].T @ H_prev, dA[:, h_cols].T @ RH])
-        d_b = dA.sum(axis=0)
-        for i in range(3):
-            emit(1 + i, d_u[i * d_h:(i + 1) * d_h])
-            emit(4 + i, d_b[i * d_h:(i + 1) * d_h])
-        # Handed over without a copy, so only once nothing here reads it.
-        emit(0, dA, owned=True)
+        grads, loops = [], []
+        for u_zr, u, c, A in zip(u_zrs, us, cols, As):
+            grad = np.empty((total, 3 * d_h)), np.empty((3 * d_h, d_h)), np.empty(3 * d_h)
+            scratch = ([np.empty((total, d_h)), np.zeros((b, d_h))]
+                       + [np.empty((b, d_h)) for _ in range(2)] + [np.empty((b, 2 * d_h))])
+            loops.append(partial(_scan_backward, gout[:, c], A, H0[:, c], u_zr, u, steps,
+                                 *grad, *scratch))
+            grads.append(grad)
+        _run_loops(loops, concurrent)
+        for i, (dA, d_u, d_b) in enumerate(grads):
+            at = i * len(_SCAN_INPUTS)
+            for j in range(3):
+                emit(at + 1 + j, d_u[j * d_h:(j + 1) * d_h])
+                emit(at + 4 + j, d_b[j * d_h:(j + 1) * d_h])
+            # Handed over without a copy, so only once nothing here reads it.
+            emit(at, dA, owned=True)
 
-    return _emit_op("gru_scan", (P, U_z, U_r, U, b_z, b_r, b_h), out, apply)
+    return _emit_op("gru_scan", [t for d in directions for t in d], out, apply)
 
 
 # --------------------------------------------------------------------------

@@ -70,7 +70,9 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             raise ParseError(f"{path}: truncated checkpoint")
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=at).reshape(shape)
         at += nbytes
-        out[name] = arr.astype(np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise ParseError(f"{path}: tensor {name} holds non-finite entries")
+        out[name] = arr.astype(np.float64)  # a fresh array, not a view of blob
     if at != len(blob):
         raise ParseError(f"{path}: {len(blob) - at} trailing bytes after last tensor")
     return out

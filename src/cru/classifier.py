@@ -171,10 +171,11 @@ class SentimentModel:
         E = ad.take_rows(self.embedding.weights, batch.ids.reshape(-1)[tokens])
         E = dropout_apply(E, self.dropout, train, rng, rows=tokens)
         # Both directions read the same dropped embeddings, each in its own
-        # packed order; the reversed one reads every row from its end.
-        final_f = ad.take_rows(run_sequence(self.fwd_cell, E, fwd), fwd.last)
-        final_b = ad.take_rows(run_sequence(self.bwd_cell, E, bwd), bwd.last)
-        h = ad.concat_cols([final_f, final_b])
+        # packed order; the reversed one reads every row from its end. Their
+        # states sit side by side, and the packings share each row's last
+        # packed row, so one gather reads both final states.
+        states = run_sequence((self.fwd_cell, self.bwd_cell), E, (fwd, bwd))
+        h = ad.take_rows(states, fwd.last)
 
         h = dense_forward(self.fc, h)
         h = dropout_apply(h, self.dropout, train, rng)
@@ -351,5 +352,5 @@ def load_checkpoint(ckpt_dir) -> tuple[SentimentModel, TrainConfig, Vocab]:
                 f"checkpoint tensor {name} has shape {stored[name].shape}, "
                 f"model expects {tensor.data.shape}"
             )
-        tensor.data = stored[name].copy()
+        tensor.data = stored[name]  # load_tensors returns fresh arrays
     return model, config, vocab

@@ -250,23 +250,24 @@ def cmd_eval(args) -> int:
 # gradcheck
 # --------------------------------------------------------------------------
 
-def _check_cell(variant: str, seed: int, tol: float, reverse: bool = False):
+def _check_cell(variant: str, seed: int, tol: float):
     rng = seeded_rng(seed, 11)
     d = 3 if variant in ("deep", "deep_enhanced") else 4
     d_h = d if variant == "deep" else 4
     n = 5
-    cell = make_cell(variant, rng, d_in=d, d_h=d_h, k=3)
-    # The token rows of a ragged two-row batch (lengths n and n - 2), packed
-    # in one direction as forward_batch packs it; the loss reads every packed
-    # state. The reversed packing's convolution windows cross each row's ends
-    # backwards.
+    # The token rows of a ragged two-row batch (lengths n and n - 2), run in
+    # both directions by one scan, as forward_batch runs them; the loss reads
+    # every packed state of both. The reversed packing's convolution windows
+    # cross each row's ends backwards. The forward cell and E are drawn as
+    # for a one-direction check, the reversed direction's cell after them.
+    cells = [make_cell(variant, rng, d_in=d, d_h=d_h, k=3)]
     E = Tensor(0.5 * rng.standard_normal((2 * n, d))[:2 * n - 2], requires_grad=True)
-    packing = pack([n, n - 2])[reverse]
-    params = dict(cell.named_params())
-    params["E"] = E
+    cells.append(make_cell(variant, rng, d_in=d, d_h=d_h, k=3))
+    packings = pack([n, n - 2])
+    params = {**cells[0].named_params("fwd."), **cells[1].named_params("bwd."), "E": E}
 
     def f():
-        return ad.sum_all(run_sequence(cell, E, packing))
+        return ad.sum_all(run_sequence(cells, E, packings))
 
     return finite_diff_gradcheck(f, params, tol=tol)
 
@@ -304,9 +305,7 @@ def _gradcheck_jobs(base_seed: int, tol: float):
     jobs = []
     for variant in VARIANTS:
         for s in range(5):
-            for reverse in (False, True):
-                jobs.append((variant, lambda v=variant, s=s, r=reverse:
-                             _check_cell(v, base_seed + s, tol, r)))
+            jobs.append((variant, lambda v=variant, s=s: _check_cell(v, base_seed + s, tol)))
     for s in range(5):
         jobs.append(("classifier", lambda s=s: _check_classifier(base_seed + s, tol)))
     return jobs

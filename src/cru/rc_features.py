@@ -89,5 +89,7 @@ def encode_bidirectional_enriched(fwd_cell, bwd_cell,
     n = X.shape[0]
     fwd, bwd = pack([n])
     rev = np.arange(n)[::-1]
-    return ad.concat_cols([run_sequence(fwd_cell, X, fwd),
-                           ad.take_rows(run_sequence(bwd_cell, X, bwd), rev)])
+    # Two calls, not one: the backward states must be put back in position
+    # order before they are joined.
+    return ad.concat_cols([run_sequence([fwd_cell], X, [fwd]),
+                           ad.take_rows(run_sequence([bwd_cell], X, [bwd]), rev)])

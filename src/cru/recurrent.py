@@ -32,9 +32,14 @@ through a window index (``Packing.window``) that reads zeros past each row's
 ends, as the row's same-length padding would: ``shallow`` projects its bank
 like ``gru``, ``deep`` puts its three banks side by side, and
 ``deep_enhanced`` adds the embedding to each bank and projects each with its
-own weight. The recurrence is one ``autodiff.gru_scan`` node per direction,
-whose loops touch only the k_t rows of each step and do only the carry's
-work: the small matmuls that read h_{t-1} and the elementwise gate algebra.
+own weight. ``run_sequence`` prepares each direction's gate inputs on the
+calling thread and runs the recurrence of every direction as one
+``autodiff.gru_scan`` node, whose loops touch only the k_t rows of each step
+and do only the carry's work: the small matmuls that read h_{t-1} and the
+elementwise gate algebra. The directions share nothing but their step sizes,
+so at a large enough step the scan runs the second direction's loops on its
+worker thread while the first runs on the calling thread, and writes their
+states side by side, (T, 2 d_h).
 """
 
 from __future__ import annotations
@@ -367,17 +372,30 @@ def make_cell(variant: str, rng: np.random.Generator, d_in: int, d_h: int,
 # Sequence runner
 # --------------------------------------------------------------------------
 
-def run_sequence(cell: _CellBase, E: Tensor, packing: Packing) -> Tensor:
-    """Run a cell from the zero state over one direction of a batch.
+def run_sequence(cells, E: Tensor, packings) -> Tensor:
+    """Run each cell from the zero state over its direction of a batch.
 
-    E holds the batch's token rows (T, d): row 0's tokens, then row 1's, and
-    so on; a single sequence is a batch of one. Returns the state after every
-    token as one (T, d_h) tensor in the packing's order, so row r's final
-    state is packed row ``packing.last[r]``. A state depends only on the
-    steps up to it, and a convolution window reads zeros past a row's ends
-    (``Packing.window``), so each row's states equal those of its one-row
-    run.
+    cells[i] runs over packings[i], and every packing must have the same step
+    sizes: those of one batch, as the forward and reversed packings of
+    ``pack`` do. E holds the batch's token rows (T, d): row 0's tokens, then
+    row 1's, and so on; a single sequence is a batch of one. Returns the
+    state after every token as one (T, D d_h) tensor, cell i's states in
+    columns i d_h to (i + 1) d_h, each in its own packing's order, so row r's
+    final states are packed row ``packing.last[r]``, which both directions
+    of a batch share. A state depends only on the steps up to it, and a
+    convolution window reads zeros past a row's ends (``Packing.window``),
+    so each row's states equal those of its one-row run.
+
+    Each cell prepares its gate inputs on this thread; the recurrence of all
+    of them is one ``autodiff.gru_scan`` node, which may run the second
+    direction's loops on its worker thread.
     """
-    p = cell.params
-    return ad.gru_scan(cell.prepare(E, packing), packing.batch_sizes,
-                       p.U_z, p.U_r, p.U, p.b_z, p.b_r, p.b_h)
+    cells, packings = list(cells), list(packings)
+    if not cells or len(cells) != len(packings):
+        raise ContractError(f"run_sequence: {len(cells)} cells for {len(packings)} packings")
+    sizes = packings[0].batch_sizes
+    if any(not np.array_equal(p.batch_sizes, sizes) for p in packings[1:]):
+        raise ContractError("run_sequence: the packings are of different batches")
+    return ad.gru_scan([(cell.prepare(E, packing), cell.params.U_z, cell.params.U_r,
+                         cell.params.U, cell.params.b_z, cell.params.b_r, cell.params.b_h)
+                        for cell, packing in zip(cells, packings)], sizes)

@@ -31,7 +31,7 @@ def run_row(cell, E):
     Returns numpy arrays (all states (n, d_h), final state (d_h,)).
     """
     E = np.asarray(E)
-    all_h = run_sequence(cell, Tensor(E), pack([len(E)])[0]).data
+    all_h = run_sequence([cell], Tensor(E), [pack([len(E)])[0]]).data
     return all_h, all_h[-1]
 
 
@@ -65,7 +65,7 @@ def run_padded(cell, Eb, lengths, reverse=False):
     one direction; returns ``padded_states`` as a numpy array."""
     b, n, d = Eb.shape
     E = np.asarray(Eb).reshape(b * n, d)[token_positions(lengths, n)]
-    states = run_sequence(cell, Tensor(E), pack(lengths)[1 if reverse else 0])
+    states = run_sequence([cell], Tensor(E), [pack(lengths)[1 if reverse else 0]])
     return padded_states(states.data, lengths, n)
 
 

@@ -3,6 +3,7 @@ and the shape/validity contracts of each primitive.
 """
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -505,51 +506,116 @@ def scan_inputs(rng, sizes, d_h):
     return [P] + weights + biases
 
 
+SCAN_NAMES = ["P", "U_z", "U_r", "U", "b_z", "b_r", "b_h"]
+
+
 def test_gru_scan_gradcheck():
     # A packed ragged batch: three rows, of lengths 4, 2 and 2, in four steps
-    # of 3, 3, 2 and 1 rows.
+    # of 3, 3, 2 and 1 rows; one direction alone, then two with their own
+    # inputs and weights in one call.
     rng = rng_for(16)
     sizes = [3, 3, 2, 1]
-    inputs = scan_inputs(rng, sizes, 3)
-    readout = Tensor(rng.standard_normal((9, 3)))
-    names = ["P", "U_z", "U_r", "U", "b_z", "b_r", "b_h"]
-    check(lambda: ad.sum_all(ad.mul(ad.gru_scan(inputs[0], sizes, *inputs[1:]), readout)),
-          dict(zip(names, inputs)))
+    directions = [scan_inputs(rng, sizes, 3) for _ in range(2)]
+    for count in (1, 2):
+        readout = Tensor(rng.standard_normal((9, 3 * count)))
+        params = {f"{i}.{name}": t for i, d in enumerate(directions[:count])
+                  for name, t in zip(SCAN_NAMES, d)}
+        check(lambda: ad.sum_all(ad.mul(ad.gru_scan(directions[:count], sizes), readout)),
+              params)
 
 
 def test_gru_scan_validation():
     rng = rng_for(17)
     inputs = scan_inputs(rng, [2, 2, 1], 4)
     P, weights = inputs[0], inputs[1:]
-    assert ad.gru_scan(P, [2, 2, 1], *weights).shape == (5, 4)
+    assert ad.gru_scan([inputs], [2, 2, 1]).shape == (5, 4)
+    assert ad.gru_scan([inputs, inputs], [2, 2, 1]).shape == (5, 8)
     for sizes in ([1, 2, 2], [2, 2, 0, 1], [3, 2, 0], [], [0]):  # rising, or empty steps
         with pytest.raises((ContractError, DimensionError)):
-            ad.gru_scan(P, sizes, *weights)
+            ad.gru_scan([inputs], sizes)
     for sizes in ([2, 2], [2, 2, 2], [4]):  # the sizes do not add up to P's rows
         with pytest.raises(DimensionError):
-            ad.gru_scan(P, sizes, *weights)
+            ad.gru_scan([inputs], sizes)
     with pytest.raises(DimensionError):  # a padded (B, n, 3 d_h) batch is not packed
-        ad.gru_scan(Tensor(np.zeros((1, 5, 12))), [1] * 5, *weights)
+        ad.gru_scan([[Tensor(np.zeros((1, 5, 12)))] + weights], [1] * 5)
     for width in (4, 8, 13):  # the gate inputs are not 3 * d_h wide
         with pytest.raises(DimensionError):
-            ad.gru_scan(Tensor(np.zeros((5, width))), [2, 2, 1], *weights)
+            ad.gru_scan([[Tensor(np.zeros((5, width)))] + weights], [2, 2, 1])
     with pytest.raises(DimensionError):
-        ad.gru_scan(P, [2, 2, 1], Tensor(np.zeros((4, 3))), *weights[1:])
+        ad.gru_scan([[P, Tensor(np.zeros((4, 3)))] + weights[1:]], [2, 2, 1])
     with pytest.raises(DimensionError):
-        ad.gru_scan(P, [2, 2, 1], *weights[:5], Tensor(np.zeros(3)))
+        ad.gru_scan([[P] + weights[:5] + [Tensor(np.zeros(3))]], [2, 2, 1])
+    with pytest.raises(ContractError):  # no direction
+        ad.gru_scan([], [2, 2, 1])
+    with pytest.raises(ContractError):  # a direction without its biases
+        ad.gru_scan([inputs, inputs[:4]], [2, 2, 1])
+    # A second direction whose inputs do not match the first's: another
+    # hidden width, gate inputs of another batch, or one wrong weight.
+    other = scan_inputs(rng, [2, 2, 1], 3)
+    for second in (other, [P] + other[1:], [other[0]] + weights,
+                   [P, Tensor(np.zeros((4, 5)))] + weights[1:],
+                   [Tensor(np.zeros((4, 12)))] + weights):
+        with pytest.raises(DimensionError, match="direction 1"):
+            ad.gru_scan([inputs, second], [2, 2, 1])
+
+
+class CountingPool:
+    """Stands in for the scan's worker: counts the loops given to it."""
+
+    def __init__(self):
+        self.submitted = 0
+        self.pool = ThreadPoolExecutor(max_workers=1)
+
+    def submit(self, fn):
+        self.submitted += 1
+        return self.pool.submit(fn)
+
+
+@pytest.mark.parametrize("b, d_h, concurrent", [(32, 128, True), (2, 4, False)])
+def test_two_directions_equal_two_one_direction_scans(monkeypatch, b, d_h, concurrent):
+    # One call over two directions against one call per direction, bit for
+    # bit: the states, each direction's gate-input gradient and all twelve
+    # weight gradients. At b = 32, d_h = 128 the second direction's loops run
+    # on the worker; at b = 2, d_h = 4 everything runs on this thread.
+    rng = rng_for(31)
+    lengths = rng.integers(1, 41, size=b)  # loops long enough for a race to show
+    sizes = pack(lengths)[0].batch_sizes
+    total = int(sizes.sum())
+    directions = [scan_inputs(rng, sizes, d_h) for _ in range(2)]
+    G = rng.standard_normal((total, 2 * d_h))
+    pool = CountingPool()
+    monkeypatch.setattr(ad, "_WORKER", pool)
+    results = []
+    for together in (True, False):
+        for t in directions[0] + directions[1]:
+            t.zero_grad()
+        with Tape() as tape:
+            if together:
+                states = ad.gru_scan(directions, sizes)
+            else:
+                states = ad.concat_cols([ad.gru_scan([d], sizes) for d in directions])
+            tape.backward(ad.sum_all(ad.mul(states, Tensor(G))))
+        results.append([states.data] + [t.grad for t in directions[0] + directions[1]])
+    for got, ref in zip(*results):
+        assert np.array_equal(got, ref)
+    assert pool.submitted == (2 if concurrent else 0)  # one forward, one backward
+    pool.pool.shutdown()
 
 
 def test_owned_gradients_take_later_gradients_in_place():
     # gru_scan's dA and project's dx are kept without a copy. A leaf used
     # first by another op gets that op's gradient last, added into the kept
     # array: its gradient must be the sum, and a second backward over the same
-    # tape must see every array the ops keep unchanged.
+    # tape must see every array the ops keep unchanged. Both scan directions
+    # read the same gate inputs, so the second direction's dA lands on the
+    # first's.
     rng = rng_for(22)
     sizes = [3, 2, 2]
     inputs = scan_inputs(rng, sizes, 4)
+    second = [inputs[0]] + scan_inputs(rng, sizes, 4)[1:]
     x = Tensor(rng.standard_normal((7, 5)), requires_grad=True)
     w = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
-    G_scan, G_proj = Tensor(rng.standard_normal((7, 4))), Tensor(rng.standard_normal((7, 6)))
+    G_scan, G_proj = Tensor(rng.standard_normal((7, 8))), Tensor(rng.standard_normal((7, 6)))
     G_p, G_x = rng.standard_normal((7, 12)), rng.standard_normal((7, 5))
 
     def loss(extra):
@@ -557,7 +623,7 @@ def test_owned_gradients_take_later_gradients_in_place():
         if extra:  # recorded first, so reached last
             terms += [ad.sum_all(ad.mul(inputs[0], Tensor(G_p))),
                       ad.sum_all(ad.mul(x, Tensor(G_x)))]
-        terms += [ad.sum_all(ad.mul(ad.gru_scan(inputs[0], sizes, *inputs[1:]), G_scan)),
+        terms += [ad.sum_all(ad.mul(ad.gru_scan([inputs, second], sizes), G_scan)),
                   ad.sum_all(ad.mul(ad.project([x], [w]), G_proj))]
         total = terms[0]
         for term in terms[1:]:

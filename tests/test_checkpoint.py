@@ -99,3 +99,21 @@ def test_huge_dims_raise_parse_error(tmp_path):
     _corrupt_first_tensor(path, dims=(0xFFFFFFFF, 0xFFFFFFFF))
     with pytest.raises(ParseError, match="truncated"):
         load_tensors(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_tensor_raises_parse_error(tmp_path, bad):
+    path = tmp_path / "t.bin"
+    save_tensors(path, {"w": np.ones(3), "out.bias": np.array([0.5, bad])})
+    with pytest.raises(ParseError, match=r"t\.bin: tensor out\.bias holds non-finite entries"):
+        load_tensors(path)
+
+
+def test_loaded_tensors_are_fresh_writable_arrays(tmp_path):
+    # load_checkpoint keeps these arrays as the parameters without a copy.
+    path = tmp_path / "t.bin"
+    save_tensors(path, {"a": np.ones((2, 3)), "b": np.zeros(4)})
+    loaded = load_tensors(path)
+    for arr in loaded.values():
+        assert arr.flags.writeable and arr.flags.owndata
+    assert not np.shares_memory(loaded["a"], loaded["b"])

@@ -1,5 +1,7 @@
 """Model forward paths, loss, training loops, and checkpoint round trips."""
 
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -124,8 +126,8 @@ def test_padded_batch_matches_per_sample_even_with_nonzero_pad_row():
 
 
 def test_padding_records_no_extra_tape_nodes():
-    # Rows run on over their padding and each direction picks the final
-    # states with one gather, so padding adds no per-step ops to the tape.
+    # Only the tokens run, and one gather picks both directions' final
+    # states, so padding adds no per-step ops to the tape.
     for variant in VARIANTS:
         model, _ = tiny_model(seed=12, variant=variant)
         counts = []
@@ -138,7 +140,7 @@ def test_padding_records_no_extra_tape_nodes():
 
 
 def test_tape_size_does_not_grow_with_width():
-    # The recurrence is one tape node per direction, whatever the width.
+    # The recurrence is one tape node for both directions, whatever the width.
     rng = np.random.default_rng(3)
     for variant in VARIANTS:
         model, _ = tiny_model(seed=13, variant=variant)
@@ -272,6 +274,72 @@ def test_train_epoch_is_deterministic():
         metrics.append([train_epoch(model, opt, [batch], config,
                                     rng=seeded_rng(1, 2, 3)) for _ in range(3)])
     assert metrics[0] == metrics[1]
+
+
+WIDE_ROWS = [[2, 3, 4, 5, 6, 7], [8, 2, 3, 4, 5], [6, 7, 8, 2, 3], [4, 5, 6, 7],
+             [8, 2, 3], [4, 5, 6], [7, 8], [2]]
+
+
+def train_wide(seed, steps):
+    """The parameters of a gru model after ``steps`` training steps on an
+    8-row batch at d = 256, where the scan runs its directions concurrently."""
+    config = tiny_config(variant="gru", embed_dim=256, hidden_dim=256, dropout=0.2)
+    model = SentimentModel.build(config, vocab_size=9, rng=seeded_rng(seed, 1))
+    opt = Adam(model.named_params(), lr=config.lr)
+    batch = batch_from_rows(WIDE_ROWS, [1, 0] * 4)
+    for step in range(steps):
+        train_epoch(model, opt, [batch], config, rng=seeded_rng(seed, 2, step))
+    return {name: t.data.copy() for name, t in model.named_params().items()}
+
+
+def test_training_on_several_threads_equals_training_in_turn():
+    # Distinct tapes may run on distinct threads, and their scans share the
+    # one worker thread. Three threads on two CPUs, with a short switch
+    # interval, must give every model exactly the parameters it gets alone.
+    assert len(WIDE_ROWS) * 256 ** 2 >= ad._CONCURRENT_STEP_WORK
+    seeds = (1, 2, 3)
+    alone = [train_wide(seed, 2) for seed in seeds]
+    together = [None] * len(seeds)
+    start = threading.Barrier(len(seeds))
+
+    def run(i):
+        start.wait(timeout=60)
+        together[i] = train_wide(seeds[i], 2)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(seeds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for params, ref in zip(together, alone):
+        assert params is not None and params.keys() == ref.keys()
+        for name in ref:
+            assert np.array_equal(params[name], ref[name]), name
+
+
+class RaisingPool:
+    """Stands in for the scan's worker and fails on any work given to it."""
+
+    def submit(self, fn):
+        raise AssertionError("work submitted to the scan's worker")
+
+
+def test_single_sentence_never_uses_the_worker(monkeypatch):
+    # A one-row batch at the mr width (d = 200) runs both directions on the
+    # calling thread, forward and backward; 32 rows of it use the worker.
+    model, _ = tiny_model(seed=16, variant="deep_enhanced", embed_dim=200, hidden_dim=200)
+    monkeypatch.setattr(ad, "_WORKER", RaisingPool())
+    one = batch_from_rows([[2, 3, 4, 5, 6, 7, 8]], [1])
+    with Tape() as tape:
+        tape.backward(bce_loss(model.forward_batch(one), one.labels))
+    with pytest.raises(AssertionError, match="worker"):
+        model.forward_batch(batch_from_rows([[2, 3, 4, 5, 6, 7, 8]] * 32, [1] * 32))
 
 
 def test_tape_is_released_before_the_optimizer_runs(monkeypatch):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cru import cli
-from cru.checkpoint import MAGIC
+from cru.checkpoint import MAGIC, load_tensors, save_tensors
 from cru.classifier import SentimentModel, TrainConfig, save_checkpoint, seeded_rng
 from cru.cli import (build_parser, main, parse_kv_file, resolve_dataset,
                      resolve_train_config)
@@ -225,6 +225,17 @@ def test_infer_corrupt_checkpoint_exits_1(tmp_path, capsys, corruption):
     assert main(["infer", "--checkpoint", str(ckpt), "a", "b"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+def test_infer_non_finite_checkpoint_exits_1(tmp_path, capsys):
+    # A NaN in a stored tensor is a malformed file, not a numeric failure of
+    # the run: one line that names the file and the tensor, and exit 1.
+    ckpt = make_zero_checkpoint(tmp_path)
+    tensors = load_tensors(ckpt / "params.bin")
+    tensors["out.bias"] = np.array([np.nan])
+    save_tensors(ckpt / "params.bin", tensors)
+    assert main(["infer", "--checkpoint", str(ckpt), "fine", "movie"]) == 1
+    assert capsys.readouterr().err == (f"error: {ckpt / 'params.bin'}: tensor out.bias "
+                                       "holds non-finite entries\n")
 
 def test_non_utf8_config_file_exits_1(tmp_path, capsys):
     cfg = tmp_path / "c.txt"

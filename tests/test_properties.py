@@ -96,7 +96,7 @@ def test_packed_run_equals_padded_oracle(case):
         with Tape() as tape:
             if packed:
                 token_rows = ad.take_rows(E, token_positions(lengths, n))
-                states = run_sequence(cell, token_rows, pack(lengths)[reverse])
+                states = run_sequence([cell], token_rows, [pack(lengths)[reverse]])
                 readout = G_packed
             else:
                 X = ad.mul(ad.reshape(ad.take_rows(E, read.reshape(-1)), (b, n, d)),
@@ -246,49 +246,61 @@ def test_prepare_equals_per_gate_inputs_side_by_side(case):
 
 
 @PROPERTY
-@given(cases)
-@example(("gru", [1], 0))
-@example(("deep_enhanced", [9, 1, 4], 1))
-def test_gru_scan_equals_composed_reference(case):
-    # Gate inputs come from each variant's prepare on a zero-padded ragged
-    # batch; the padded ones are a leaf of the composed scan, and their packed
-    # rows a leaf of the packed scan, so their gradients can be compared too.
-    # The readout weights only true steps, as forward_batch does.
+@given(cases, st.integers(1, 2))
+@example(("gru", [1], 0), 1)
+@example(("deep_enhanced", [9, 1, 4], 1), 2)
+def test_gru_scan_equals_composed_reference(case, count):
+    # One or two directions, each with its own cell. Gate inputs come from
+    # each cell's prepare on a zero-padded ragged batch; the padded ones are a
+    # leaf of the composed scan, and their packed rows a leaf of the packed
+    # scan, so their gradients can be compared too. The readout weights only
+    # true steps, as forward_batch does.
     variant, lengths, seed = case
     rng = np.random.Generator(np.random.PCG64(seed))
     d = 3
-    cell = make_cell(variant, rng, d, d)
-    p = cell.params
-    for b in (p.b_z, p.b_r, p.b_h):
-        b.data = rng.uniform(-0.5, 0.5, d)
+    cells = []
+    for _ in range(count):
+        cells.append(make_cell(variant, rng, d, d))
+        for b in (cells[-1].params.b_z, cells[-1].params.b_r, cells[-1].params.b_h):
+            b.data = rng.uniform(-0.5, 0.5, d)
     Eb = np.zeros((len(lengths), max(lengths), d))
     for row, n in enumerate(lengths):
         Eb[row, :n] = rng.standard_normal((n, d))
-    P_pad = Tensor(ad.concat_cols(prepare_per_gate(cell, Tensor(Eb))).data,
-                   requires_grad=True)
     positions = packed_positions(lengths)
-    P = Tensor(np.array([P_pad.data[r, t] for r, t in positions]), requires_grad=True)
     sizes = pack(lengths)[0].batch_sizes
-    G = rng.standard_normal(Eb.shape)
-    for row, n in enumerate(lengths):
-        G[row, n:] = 0.0
-    G_packed = np.array([G[r, t] for r, t in positions])
-    weights = [p.U_z, p.U_r, p.U, p.b_z, p.b_r, p.b_h]
+    P_pads, Ps, weights, Gs = [], [], [], []
+    for cell in cells:
+        p = cell.params
+        P_pads.append(Tensor(ad.concat_cols(prepare_per_gate(cell, Tensor(Eb))).data,
+                             requires_grad=True))
+        Ps.append(Tensor(np.array([P_pads[-1].data[r, t] for r, t in positions]),
+                         requires_grad=True))
+        weights.append([p.U_z, p.U_r, p.U, p.b_z, p.b_r, p.b_h])
+        G = rng.standard_normal(Eb.shape)
+        for row, n in enumerate(lengths):
+            G[row, n:] = 0.0
+        Gs.append(G)
+    G_packed = np.concatenate([np.array([G[r, t] for r, t in positions]) for G in Gs], axis=1)
     results = []
     for packed in (True, False):
-        for x in [P, P_pad] + weights:
+        for x in Ps + P_pads + [w for ws in weights for w in ws]:
             x.zero_grad()
         with Tape() as tape:
             if packed:
-                out = ad.gru_scan(P, sizes, *weights)
+                out = ad.gru_scan([[P] + ws for P, ws in zip(Ps, weights)], sizes)
                 tape.backward(ad.sum_all(ad.mul(out, Tensor(G_packed))))
-                results.append([out.data, P.grad])
+                results.append([x for i, P in enumerate(Ps)
+                                for x in (out.data[:, i * d:(i + 1) * d], P.grad)])
             else:
-                out = gru_scan_composed(P_pad, *weights)
-                tape.backward(ad.sum_all(ad.mul(out, Tensor(G))))
-                results.append([np.array([out.data[r, t] for r, t in positions]),
-                                np.array([P_pad.grad[r, t] for r, t in positions])])
-        results[-1] += [x.grad for x in weights]
+                outs = [gru_scan_composed(P, *ws) for P, ws in zip(P_pads, weights)]
+                loss = ad.sum_all(ad.mul(outs[0], Tensor(Gs[0])))
+                for out, G in zip(outs[1:], Gs[1:]):
+                    loss = ad.add(loss, ad.sum_all(ad.mul(out, Tensor(G))))
+                tape.backward(loss)
+                results.append([x for out, P in zip(outs, P_pads)
+                                for x in (np.array([out.data[r, t] for r, t in positions]),
+                                          np.array([P.grad[r, t] for r, t in positions]))])
+        results[-1] += [w.grad for ws in weights for w in ws]
     for got, ref in zip(*results):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -361,7 +361,7 @@ def test_run_sequence_masked_batch_matches_per_sequence():
             Eb[i, :len(s)] = s
         packing, _ = pack([2, 5, 1])
         E = Eb.reshape(3 * width, 3)[token_positions([2, 5, 1], width)]
-        states = run_sequence(cell, Tensor(E), packing)
+        states = run_sequence([cell], Tensor(E), [packing])
         assert states.shape == (8, 3)  # one state per token
         states = padded_states(states.data, [2, 5, 1], width)
         for i, s in enumerate(seqs):
@@ -401,20 +401,29 @@ def test_run_sequence_errors():
     cell = make_cell("gru", rng, 3, 4)
     packing, _ = pack([3, 2])
     with pytest.raises(DimensionError):  # the token rows come flat, (T, d)
-        run_sequence(cell, Tensor(rng.standard_normal((1, 5, 3))), packing)
+        run_sequence([cell], Tensor(rng.standard_normal((1, 5, 3))), [packing])
     with pytest.raises(DimensionError):  # the padded rows (B * n, d) of the batch
-        run_sequence(cell, Tensor(rng.standard_normal((6, 3))), packing)
+        run_sequence([cell], Tensor(rng.standard_normal((6, 3))), [packing])
     with pytest.raises(DimensionError):
-        run_sequence(cell, Tensor(rng.standard_normal(3)), packing)
+        run_sequence([cell], Tensor(rng.standard_normal(3)), [packing])
     with pytest.raises(ContractError):
-        run_sequence(cell, Tensor(np.zeros((0, 3))), pack([0])[0])
+        run_sequence([cell], Tensor(np.zeros((0, 3))), [pack([0])[0]])
+    E = Tensor(rng.standard_normal((5, 3)))
+    with pytest.raises(ContractError):  # one packing for two cells
+        run_sequence([cell, cell], E, [packing])
+    with pytest.raises(ContractError):
+        run_sequence([], E, [])
+    with pytest.raises(ContractError):  # directions of two different batches
+        run_sequence([cell, cell], E, [packing, pack([4, 1])[1]])
+    with pytest.raises(DimensionError):  # directions of different hidden widths
+        run_sequence([cell, make_cell("gru", rng, 3, 5)], E, pack([3, 2]))
 
 
 def test_single_step_sequence():
     rng = rng_for(21)
     cell = make_cell("deep_enhanced", rng, 3, 3)
     E = rng.standard_normal((1, 3))
-    states = run_sequence(cell, Tensor(E), pack([1])[0])
+    states = run_sequence([cell], Tensor(E), [pack([1])[0]])
     assert states.shape == (1, 3)
 
 
@@ -495,13 +504,14 @@ def test_sequence_gradcheck_per_variant():
         params = dict(cell.named_params())
         params["E"] = E
         report = finite_diff_gradcheck(
-            lambda: ad.sum_all(run_sequence(cell, E, packing)), params)
+            lambda: ad.sum_all(run_sequence([cell], E, [packing])), params)
         assert report.passed, (variant, report.worst(), report.max_rel_err)
 
 
 def test_masked_batch_gradcheck():
-    # Gradients through both packings and the per-row gather of each row's
-    # final state, the way forward_batch picks it.
+    # Gradients through both packings in one scan and the per-row gather of
+    # each row's final states, the way forward_batch picks them. One cell runs
+    # both directions, so each of its parameters takes two gradients.
     rng = rng_for(27)
     cell = make_cell("deep_enhanced", rng, 3, 3)
     Eb = Tensor(0.5 * rng.standard_normal((8, 3))[:6], requires_grad=True)  # the tokens
@@ -510,8 +520,8 @@ def test_masked_batch_gradcheck():
     params["E"] = Eb
 
     def f():
-        finals = [ad.take_rows(run_sequence(cell, Eb, p), p.last) for p in packings]
-        return ad.sum_all(ad.concat_cols(finals))
+        return ad.sum_all(ad.take_rows(run_sequence([cell, cell], Eb, packings),
+                                       packings[0].last))
 
     report = finite_diff_gradcheck(f, params)
     assert report.passed, report.per_param
