@@ -8,12 +8,12 @@ finite-difference oracle use.
 
 A tape and its tensors are a single-threaded unit of work; the active-tape
 stack is thread-local, so distinct tapes may run on distinct threads. Every
-op records and runs its backward on the thread that called it. The one
-exception to single-threaded work is inside ``gru_scan``: it may run the numpy
-loops of its second direction on one worker thread that the process shares,
-while the calling thread runs the first direction's and waits for both. The
-worker runs numpy on arrays only, never a tape op, so the threads that share
-it still each see only their own tape.
+op records and runs its backward on the thread that called it. The ops that
+take several directions side by side (``conv1d_same``, ``project`` and
+``gru_scan``) may run the numpy of the second direction on one worker thread
+that the process shares, while the calling thread runs the first and waits
+for both. The worker runs numpy on arrays only, never a tape op, so the
+threads that share it still each see only their own tape.
 """
 
 from __future__ import annotations
@@ -315,59 +315,47 @@ def mul(a, b) -> Tensor:
     return _emit_op("mul", (a, b), out, apply)
 
 
-def _sigmoid(d: Array) -> Array:
+def _sigmoid(d: Array, out: Array | None = None) -> Array:
     # exp of a non-positive argument only, so large |d| cannot overflow:
     # 1 / (1 + e) where d >= 0 and e / (1 + e) elsewhere, as max(e, d >= 0)
     # is 1 or e. In place, because fresh temporaries cost more than the math
-    # at the (B, d_h) sizes of one scan step.
+    # at the (B, d_h) sizes of one scan step; out may be d itself.
     e = np.exp(-np.abs(d))
-    y = np.maximum(e, d >= 0)
+    y = np.maximum(e, d >= 0, out=out)
     e += 1.0
     y /= e
     return y
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out = Tensor(_sigmoid(x.data))
-    y = out.data
-
-    def apply(g, emit):
-        emit(0, g * y * (1.0 - y))
-
-    return _emit_op("sigmoid", (x,), out, apply)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = Tensor(np.tanh(x.data))
-    y = out.data
-
-    def apply(g, emit):
-        emit(0, g * (1.0 - y * y))
-
-    return _emit_op("tanh", (x,), out, apply)
-
-
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
-    # Subgradient at 0 is defined as 0.
-    mask = x.data > 0.0
-
-    def apply(g, emit):
-        emit(0, g * mask)
-
-    return _emit_op("relu", (x,), out, apply)
-
-
-def identity(x: Tensor) -> Tensor:
-    return x
-
-
-ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "identity": identity,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu": relu,
+# Each activation in place on y, and g times its derivative at the output y,
+# written into da and returned, with tmp as scratch, in the order its op has
+# always formed it. The subgradient of relu at 0 is 0.
+_POINTWISE = {
+    "identity": (lambda y: y, lambda g, y, da, tmp: np.positive(g, out=da)),
+    "sigmoid": (lambda y: _sigmoid(y, out=y),
+                lambda g, y, da, tmp: np.multiply(np.multiply(g, y, out=da),
+                                                  np.subtract(1.0, y, out=tmp), out=da)),
+    "tanh": (lambda y: np.tanh(y, out=y),
+             lambda g, y, da, tmp: np.multiply(
+                 g, np.subtract(1.0, np.multiply(y, y, out=tmp), out=tmp), out=da)),
+    "relu": (lambda y: np.maximum(y, 0.0, out=y),
+             lambda g, y, da, tmp: np.multiply(g, np.greater(y, 0.0, out=tmp), out=da)),
 }
+
+
+def _pointwise(kind: str, x: Tensor) -> Tensor:
+    out = Tensor(_POINTWISE[kind][0](np.array(x.data)))
+    y = out.data
+
+    def apply(g, emit):
+        emit(0, _POINTWISE[kind][1](g, y, np.empty(y.shape), np.empty(y.shape)), owned=True)
+
+    return _emit_op(kind, (x,), out, apply)
+
+
+sigmoid, tanh, relu = (partial(_pointwise, kind) for kind in ("sigmoid", "tanh", "relu"))
+ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
+    "identity": lambda x: x, "sigmoid": sigmoid, "tanh": tanh, "relu": relu}
 
 
 def activation(kind: str, x: Tensor) -> Tensor:
@@ -451,25 +439,28 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
 
 
 def take_rows(x: Tensor, ids) -> Tensor:
-    """Gather rows of a matrix; backward accumulates into duplicate rows.
-
-    Ids without repeats (the packed orders of a batch) scatter by plain
-    assignment into a fresh gradient and by one indexed ``+=`` onto an existing
-    one, each several times faster than ``np.add.at``.
-    """
+    """Gather rows of a matrix: ids (N,) give (N, d), and ids (N, D) the D
+    gathers side by side, (N, D d). Backward accumulates into repeated rows;
+    ids without repeats (a direction's packed order) scatter by assignment
+    into a fresh gradient or indexed ``+=``, faster than ``np.add.at``."""
     if x.ndim != 2:
         raise DimensionError(f"take_rows needs rank 2, got shape {x.shape}")
-    idx = np.asarray(ids, dtype=np.intp).reshape(-1)
+    idx = np.asarray(ids, dtype=np.intp)
+    if idx.ndim not in (1, 2):
+        raise DimensionError(f"take_rows needs ids of rank 1 or 2, got shape {idx.shape}")
     if idx.size == 0:
         raise ContractError("take_rows needs at least one index")
     if np.any(idx < 0) or np.any(idx >= x.shape[0]):
         bad = idx[(idx < 0) | (idx >= x.shape[0])][0]
         raise IndexError(f"row id {bad} out of range [0, {x.shape[0]})")
-    out = Tensor(x.data[idx])
-    unique = np.bincount(idx).max() == 1
+    # (N, D, d) in memory, so the side-by-side layout is a reshape of it.
+    out = Tensor(x.data[idx].reshape(len(idx), -1))
+    cols = idx.reshape(len(idx), -1).T
+    unique = [np.bincount(c).max() == 1 for c in cols]
 
     def apply(g, emit):
-        emit(0, g, rows=idx, unique=unique)
+        for j, (c, once) in enumerate(zip(cols, unique)):
+            emit(0, g[:, j * x.shape[1]:(j + 1) * x.shape[1]], rows=c, unique=once)
 
     return _emit_op("take_rows", (x,), out, apply)
 
@@ -487,34 +478,44 @@ def bias_add(x: Tensor, v: Tensor) -> Tensor:
     return _emit_op("bias_add", (x, v), out, apply)
 
 
-def conv1d_same(x: Tensor, filters: Tensor, window) -> Tensor:
-    """Same-length 1-D convolution of packed rows with full-width filters.
+def conv1d_same(x: Tensor, banks: Sequence[Sequence[tuple[Tensor, Tensor]]], window,
+                activation: str = "identity", residual: bool = False) -> Tensor:
+    """Same-length 1-D convolution banks of packed rows, m per direction,
+    each followed by its bias and activation, and by the add of its input if
+    residual (then d_out == d_in).
 
-    x: (T, d_in), the rows of one or more sequences; filters: (d_out, k, d_in)
-    with odd k; window: (T, k) row ids, as ``Packing.window(k)`` builds them.
-    Slot j of row i names the row that holds the same sequence's step
-    j - (k-1)/2 steps after row i's, or T where that step lies outside the
-    sequence, which reads as zero: the sequence's same-length zero padding.
-    Output row i is the sum over j of filter tap j times the row in slot j:
-    (T, d_out). No bias, no nonlinearity.
+    x: (T, D d_in), direction i's packed rows in its own columns; banks: per
+    direction, m (filters (d_out, k, d_in), bias (d_out,)) of one shape, odd
+    k; window: (T, k) row ids (``Packing.window(k)``): slot j of row i names
+    the row of the same sequence j - (k-1)/2 steps on, or T, the zero of its
+    same-length padding, where that step is outside it. Bank j of direction
+    i fills columns (i m + j) d_out to (i m + j + 1) d_out of (T, D m d_out).
 
-    The forward gathers the windows (im2col) and does one matmul. A window
-    index is symmetric: row p is in slot j of row q exactly when q is in slot
-    k-1-j of p. So the input gradient is the same gather of the output
-    gradient, multiplied by the filters with their taps reversed, and needs
-    no scatter.
+    A direction gathers its windows once (im2col), then takes one matmul per
+    bank. A window index is symmetric (p is in slot j of q exactly when q is
+    in slot k-1-j of p), so dx is the same gather of the gradient times the
+    tap-reversed filters: no scatter. Results are bit for bit those of the
+    per-bank ops fused here. From ``_CONCURRENT_MATMUL_WORK`` multiply-adds
+    per direction, direction 1 runs on the worker thread, as in ``gru_scan``.
     """
+    groups = [list(g) for g in banks]
+    pairs = [pair for g in groups for pair in g]
+    if not pairs or any(len(g) != len(groups[0]) for g in groups):
+        raise ContractError("conv1d_same needs one or more banks, as many per direction")
+    if activation not in _POINTWISE:
+        raise ConfigError(f"unknown activation {activation!r}")
+    filters = pairs[0][0]
     if filters.ndim != 3:
         raise DimensionError(f"filters need rank 3, got shape {filters.shape}")
     d_out, k, d_in = filters.shape
-    if k % 2 == 0 or k < 1:
+    if k % 2 == 0:
         raise ConfigError(f"filter window must be odd and >= 1, got {k}")
-    if x.ndim != 2 or x.shape[1] != d_in:
-        raise DimensionError(
-            f"conv1d_same: input shape {x.shape} does not match filters {filters.shape}"
-        )
-    total = x.shape[0]
-    if total < 1:
+    D, m = len(groups), len(groups[0])
+    bad = [f.shape for f, b in pairs if f.shape != filters.shape or b.shape != (d_out,)]
+    if bad or x.ndim != 2 or x.shape[1] != D * d_in or (residual and d_out != d_in):
+        raise DimensionError(f"conv1d_same: input {x.shape} and banks of filters "
+                             f"{(bad or [filters.shape])[0]} do not match for {D} directions")
+    if (total := x.shape[0]) < 1:
         raise ContractError("conv1d_same needs at least one row")
     window = np.asarray(window)
     if window.shape != (total, k) or window.dtype.kind not in "iu":
@@ -522,65 +523,119 @@ def conv1d_same(x: Tensor, filters: Tensor, window) -> Tensor:
                              f"got {window.shape} of {window.dtype}")
     if window.min() < 0 or window.max() > total:
         raise ContractError(f"conv1d_same: window ids must lie in [0, {total}]")
+    concurrent = D > 1 and total * k * d_in * m * d_out >= _CONCURRENT_MATMUL_WORK
+    act, act_grad = _POINTWISE[activation]
+    # Bank q = i m + j is bank j of direction i: its columns and its filters.
+    cols = [slice(q * d_out, (q + 1) * d_out) for q in range(D * m)]
+    f2s = [f.data.reshape(d_out, k * d_in) for f, _ in pairs]
+    xs = [x.data[:, i * d_in:(i + 1) * d_in] for i in range(D)]
+    out = np.empty((total, D * m * d_out))
+    Y = np.empty_like(out) if residual else out  # the activations
+    wins = [np.empty((total, k * d_in)) for _ in groups]
+    pads = [np.empty((total + 1, max(d_in, d_out))) for _ in groups]
 
-    def im2col(rows):
-        # Row T of the padded copy is the zero that out-of-sequence slots read.
-        padded = np.empty((total + 1, rows.shape[1]))
+    # The loops below run numpy on arrays allocated here only.
+    def im2col(rows, padded, win):
+        padded = padded[:, :rows.shape[1]]
         padded[:total] = rows
         padded[total] = 0.0
-        return padded[window].reshape(total, k * rows.shape[1])
+        # The ids lie in [0, T], so "clip" clips nothing; it only spares
+        # np.take a buffered copy of its output.
+        np.take(padded, window, axis=0, out=win.reshape(total, k, -1), mode="clip")
 
-    win = im2col(x.data)
-    f2 = filters.data.reshape(d_out, k * d_in)
-    out = Tensor(win @ f2.T)
+    def forward(i):
+        im2col(xs[i], pads[i], wins[i])
+        for q in range(i * m, (i + 1) * m):
+            y = np.matmul(wins[i], f2s[q].T, out=Y[:, cols[q]])
+            act(np.add(y, pairs[q][1].data, out=y))
+            if residual:
+                np.add(y, xs[i], out=out[:, cols[q]])
+
+    _run_loops([partial(forward, i) for i in range(D)], concurrent)
 
     def apply(g, emit):
-        # Tap-reversed filters: row (j, o) holds filter o's tap k-1-j.
-        emit(0, lambda: im2col(g) @ filters.data[:, ::-1].transpose(1, 0, 2).reshape(
-            k * d_out, d_in), owned=True)
-        emit(1, lambda: (g.T @ win).reshape(d_out, k, d_in), owned=True)
+        dx = np.zeros(x.shape)
+        d_fs, d_bs = [np.empty((d_out, k * d_in)) for _ in pairs], [np.empty(d_out) for _ in pairs]
+        scratch = [[np.empty((total, w)) for w in (d_out, d_out, k * d_out, d_in)] for _ in groups]
+        # Tap-reversed filters: row (t, o) holds filter o's tap k-1-t.
+        f_revs = [f.data[:, ::-1].transpose(1, 0, 2).reshape(k * d_out, d_in) for f, _ in pairs]
 
-    return _emit_op("conv1d_same", (x, filters), out, apply)
+        def backward(i):
+            da, tmp, g_win, dx_q = scratch[i]
+            dxi = dx[:, i * d_in:(i + 1) * d_in]
+            # Last bank first, the order in which a tape reaches the per-bank
+            # ops, so dx adds up in the same order.
+            for q in reversed(range(i * m, (i + 1) * m)):
+                if residual:
+                    dxi += g[:, cols[q]]
+                act_grad(g[:, cols[q]], Y[:, cols[q]], da, tmp)
+                np.sum(da, axis=0, out=d_bs[q])
+                np.matmul(da.T, wins[i], out=d_fs[q])
+                im2col(da, pads[i], g_win)
+                dxi += np.matmul(g_win, f_revs[q], out=dx_q)
+
+        _run_loops([partial(backward, i) for i in range(D)], concurrent)
+        for q, (d_f, d_b) in enumerate(zip(d_fs, d_bs)):
+            emit(1 + 2 * q, d_f.reshape(filters.shape), owned=True)
+            emit(2 + 2 * q, d_b, owned=True)
+        emit(0, dx, owned=True)
+
+    return _emit_op("conv1d_same", [x] + [t for pair in pairs for t in pair], Tensor(out),
+                    apply)
 
 
-def project(xs: Sequence[Tensor], ws: Sequence[Tensor]) -> Tensor:
-    """Input projections [x_0 W_0^T | x_1 W_1^T | ...] side by side.
+def _matmuls(parts) -> None:
+    """np.matmul(a, b, out=c) for each (a, b, c): numpy on arrays only."""
+    for a, b, c in parts:
+        np.matmul(a, b, out=c)
 
-    xs: inputs of one shape (..., d); ws: (d_i, d) weights; the result is
-    (..., sum d_i). One input shared by every weight takes one matmul against
-    the weights stacked row-wise, and the backward splits dW back into them;
-    otherwise input i is projected by weight i into its own output columns.
+
+def project(x: Tensor, weights: Sequence[Sequence[Tensor]]) -> Tensor:
+    """Input projections of G column blocks of x, side by side.
+
+    x: (..., G c); weights: a group of (d_j, c) weights per block, of one set
+    of shapes. Group i projects block i with one matmul against its weights
+    stacked, [x_i W_i0^T | x_i W_i1^T | ...], into columns i s to (i + 1) s
+    of the (..., G s) result, s = sum d_j. A direction's gru gate inputs are
+    one group of three weights, deep_enhanced's three groups of one. From
+    ``_CONCURRENT_MATMUL_WORK`` multiply-adds per half, the second half of
+    the groups runs on the worker thread, as in ``gru_scan``.
     """
-    xs, ws = list(xs), list(ws)
-    if not ws or len(xs) not in (1, len(ws)):
-        raise ContractError(f"project: {len(xs)} inputs for {len(ws)} weights")
-    if xs[0].ndim < 2:
-        raise DimensionError(f"project needs inputs of rank 2 or 3, got {xs[0].shape}")
-    shape, d = xs[0].shape, xs[0].shape[-1]
-    bad = [x.shape for x in xs if x.shape != shape]
-    bad += [w.shape for w in ws if w.ndim != 2 or w.shape[1] != d]
-    if bad:
-        raise DimensionError(f"project: shape {bad[0]} does not chain with {shape}")
-    ends = np.cumsum([w.shape[0] for w in ws])
-    cols = [slice(e - w.shape[0], e) for e, w in zip(ends, ws)]
-    flats = [x.data.reshape(-1, d) for x in xs]
-    if len(xs) == 1:
-        parts = [(flats[0], np.concatenate([w.data for w in ws]), slice(None))]
-    else:
-        parts = [(x, w.data, c) for x, w, c in zip(flats, ws, cols)]
-    out = np.empty((flats[0].shape[0], ends[-1]))
-    for x, w, c in parts:
-        np.matmul(x, w.T, out=out[:, c])
+    groups = [list(g) for g in weights]
+    if not groups or not groups[0]:
+        raise ContractError("project needs a group of one or more weights per block")
+    shapes = [w.shape for w in groups[0]]
+    G, width = len(groups), x.shape[-1] if x.ndim else 0
+    c = width // G
+    if (x.ndim < 2 or width % G or any(len(s) != 2 or s[1] != c for s in shapes)
+            or any([w.shape for w in g] != shapes for g in groups)):
+        raise DimensionError(f"project: input {x.shape} (rank 2 or 3) does not chain with "
+                             f"{G} groups of weights {[[w.shape for w in g] for g in groups]}")
+    ends = np.cumsum([w[0] for w in shapes])
+    s, half = int(ends[-1]), (G + 1) // 2
+    flat = x.data.reshape(-1, width)
+    xs = [flat[:, i * c:(i + 1) * c] for i in range(G)]
+    mats = [np.concatenate([w.data for w in g]) if len(g) > 1 else g[0].data for g in groups]
+    out = np.empty((len(flat), G * s))
+    concurrent = G > 1 and len(flat) * width * s // 2 >= _CONCURRENT_MATMUL_WORK
+    parts = [(xi, w.T, out[:, i * s:(i + 1) * s]) for i, (xi, w) in enumerate(zip(xs, mats))]
+    _run_loops([partial(_matmuls, parts[:half]), partial(_matmuls, parts[half:])], concurrent)
 
     def apply(g, emit):
-        g = g.reshape(-1, ends[-1])
-        for i, (x, w, c) in enumerate(parts):
-            emit(i, lambda w=w, c=c: (g[:, c] @ w).reshape(shape), owned=True)
-        d_w = np.concatenate([g[:, c].T @ x for x, _, c in parts])
-        for i, c in enumerate(cols):
-            emit(len(xs) + i, d_w[c])
+        g, dx = g.reshape(-1, G * s), np.empty(flat.shape)
+        d_ws = [np.empty((s, c)) for _ in groups]
+        parts = [[(g[:, i * s:(i + 1) * s], w, dx[:, i * c:(i + 1) * c]),
+                  (g[:, i * s:(i + 1) * s].T, xi, d_w)]
+                 for i, (xi, w, d_w) in enumerate(zip(xs, mats, d_ws))]
+        _run_loops([partial(_matmuls, sum(parts[:half], [])),
+                    partial(_matmuls, sum(parts[half:], []))], concurrent)
+        for i, d_w in enumerate(d_ws):
+            for j, (e, w) in enumerate(zip(ends, shapes)):
+                emit(1 + i * len(shapes) + j, d_w[e - w[0]:e], owned=len(shapes) == 1)
+        emit(0, dx.reshape(x.shape), owned=True)
 
-    return _emit_op("project", xs + ws, Tensor(out.reshape(*shape[:-1], ends[-1])), apply)
+    return _emit_op("project", [x] + [w for g in groups for w in g],
+                    Tensor(out.reshape(*x.shape[:-1], G * s)), apply)
 
 
 # gru_scan runs its directions concurrently only when one step's h U^T has at
@@ -594,17 +649,25 @@ def project(xs: Sequence[Tensor], ws: Sequence[Tensor]) -> Tensor:
 # concurrently as in turn below 2^19, and 0.77-1.02 times as long from it up.
 _CONCURRENT_STEP_WORK = 2 ** 19
 
+# project and conv1d_same run their directions concurrently from this many
+# multiply-adds on each thread. On a 2-CPU VM their forward and backward took
+# 0.82-2.3 times as long as in turn below 2^22 and 0.55-0.94 from it up, but
+# with 2^22 single requests of 12-60 tokens at width 200 took up to 1.6 times
+# as long end to end: a late wake-up of the worker costs milliseconds. From
+# 2^25 an op's forward and backward take over ~20 ms, and no such request does.
+_CONCURRENT_MATMUL_WORK = 2 ** 25
+
 _WORKER: ThreadPoolExecutor | None = None
 _WORKER_LOCK = threading.Lock()
 
 
 def _worker() -> ThreadPoolExecutor:
-    """The one worker thread that runs scan loops beside the calling thread,
-    started on first use."""
+    """The one worker thread that runs a direction's numpy beside the calling
+    thread, started on first use."""
     global _WORKER
     with _WORKER_LOCK:
         if _WORKER is None:
-            _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cru-scan")
+            _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cru-worker")
         return _WORKER
 
 
@@ -692,42 +755,37 @@ def _scan_backward(gout, A, H0, u_zr, u, steps, dA, d_u, d_b, H_prev, dh_buf, d_
     np.sum(dA, axis=0, out=d_b)
 
 
-_SCAN_INPUTS = ("P", "U_z", "U_r", "U", "b_z", "b_r", "b_h")
+_SCAN_INPUTS = ("U_z", "U_r", "U", "b_z", "b_r", "b_h")
 
 
-def gru_scan(directions: Sequence[Sequence[Tensor]], batch_sizes) -> Tensor:
+def gru_scan(P: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes) -> Tensor:
     """The GRU recurrence of one or more directions over packed gate inputs,
     as one tape node.
 
-    directions: one (P, U_z, U_r, U, b_z, b_r, b_h) per direction, of one
-    hidden width d_h. P: (T, 3 d_h) gate inputs laid out [P_z | P_r | P_h],
-    in time-major packed order: step t owns the contiguous block of
-    k_t = batch_sizes[t] rows that starts at row k_0 + ... + k_{t-1}, the
-    sizes never increase, and row j of a block continues row j of the block
-    before. Every direction shares batch_sizes. U_*: (d_h, d_h); b_*: (d_h,).
-    From h_{-1} = 0, each row of step t computes
+    P: (T, D 3 d_h), direction i's [P_z | P_r | P_h] in columns 3 i d_h to
+    3 (i + 1) d_h, in time-major packed order: step t owns the contiguous
+    block of k_t = batch_sizes[t] rows after the blocks before it, the sizes
+    never increase, and row j of a block continues row j of the block before.
+    directions: one (U_z, U_r, U, b_z, b_r, b_h) per direction, of one width
+    d_h; U_*: (d_h, d_h); b_*: (d_h,). From h_{-1} = 0, each row computes
 
       z = sigmoid(P_z,t + h U_z^T + b_z),  r = sigmoid(P_r,t + h U_r^T + b_r)
       g = tanh(P_h,t + (r * h) U^T + b_h),  h_t = z * h + (1 - z) * g
 
-    and the result holds every h_t of every direction side by side,
-    (T, D d_h): direction i's states fill columns i d_h to (i + 1) d_h, in
-    its own P's order. Both gates that read h_{t-1} share one (d_h, 2 d_h)
-    matmul, and h_{t-1} is the first k_t rows of the block before, so every
-    step reads and writes contiguous blocks. Backward is a reverse loop that
-    carries dh through two small matmuls per step and writes every gate's
-    gradient into one (T, 3 d_h) array per direction, emitted as it is; the
-    weight and bias gradients are formed after it, each with one T-row matmul
-    or sum.
+    and the result holds every h_t side by side, (T, D d_h), direction i's
+    in columns i d_h to (i + 1) d_h. Both gates that read h_{t-1} share one
+    (d_h, 2 d_h) matmul, and h_{t-1} is the first k_t rows of the block
+    before, so every step reads and writes contiguous blocks. Backward is a
+    reverse loop that carries dh through two small matmuls per step and
+    writes each direction's gate gradients into its columns of one dP; the
+    weight and bias gradients are formed after it, each one T-row matmul or sum.
 
-    The directions share nothing but the step sizes. When there are several
-    and the first step's h U^T has at least ``_CONCURRENT_STEP_WORK``
-    multiply-adds, direction 0's loops, forward and backward, run on the
-    calling thread and the others' on one worker thread, in numpy and BLAS
-    calls that release the GIL. Every array the loops write is allocated
-    here first, and the worker runs numpy on arrays only, never a tape op or
-    another function of this package. Each direction's arithmetic is the
-    same either way, so the results are too.
+    When the first step's h U^T has at least ``_CONCURRENT_STEP_WORK``
+    multiply-adds, direction 0's loops run on the calling thread and the
+    others' on the worker thread, forward and backward, in numpy and BLAS
+    calls that release the GIL. Every array the loops write is allocated here
+    first. Each direction's arithmetic is the same either way, and so are the
+    results.
     """
     directions = [tuple(d) for d in directions]
     if not directions or any(len(d) != len(_SCAN_INPUTS) for d in directions):
@@ -736,10 +794,12 @@ def gru_scan(directions: Sequence[Sequence[Tensor]], batch_sizes) -> Tensor:
     if not sizes or sizes[-1] < 1 or any(x < y for x, y in zip(sizes, sizes[1:])):
         raise ContractError(f"gru_scan: batch_sizes must be positive and non-increasing, "
                             f"got {sizes}")
-    b, total = sizes[0], sum(sizes)
-    U0 = directions[0][3]
-    d_h = U0.shape[0] if U0.ndim == 2 else -1
-    shapes = ((total, 3 * d_h),) + ((d_h, d_h),) * 3 + ((d_h,),) * 3
+    b, total, D = sizes[0], sum(sizes), len(directions)
+    d_h = directions[0][2].shape[0] if directions[0][2].ndim == 2 else -1
+    if P.shape != (total, D * 3 * d_h):
+        raise DimensionError(f"gru_scan: P must have shape {(total, D * 3 * d_h)} for {D} "
+                             f"directions of width {d_h}, got {P.shape}")
+    shapes = ((d_h, d_h),) * 3 + ((d_h,),) * 3
     for i, direction in enumerate(directions):
         for name, t, shape in zip(_SCAN_INPUTS, direction, shapes):
             if t.shape != shape:
@@ -750,43 +810,39 @@ def gru_scan(directions: Sequence[Sequence[Tensor]], batch_sizes) -> Tensor:
     starts = list(accumulate(sizes[:-1], initial=0))
     prevs = [0] + [b + s for s in starts[:-1]]
     steps = list(zip(sizes, starts, prevs))
-    concurrent = len(directions) > 1 and b * d_h * d_h >= _CONCURRENT_STEP_WORK
+    concurrent = D > 1 and b * d_h * d_h >= _CONCURRENT_STEP_WORK
 
     # Each direction writes its states straight into its own columns of H0.
-    H0 = np.empty((b + total, len(directions) * d_h))
+    H0 = np.empty((b + total, D * d_h))
     H0[:b] = 0.0
-    cols = [slice(i * d_h, (i + 1) * d_h) for i in range(len(directions))]
+    cols = [slice(i * d_h, (i + 1) * d_h) for i in range(D)]
+    gates = [slice(3 * i * d_h, 3 * (i + 1) * d_h) for i in range(D)]
     As = [np.empty((total, 3 * d_h)) for _ in directions]  # [z | r | g] of every row
-    u_zrs = [np.concatenate([d[1].data, d[2].data]) for d in directions]  # (2 d_h, d_h)
-    us = [d[3].data for d in directions]
-    loops = []
-    for (P, _, _, _, b_z, b_r, b_h), u_zr, u, c, A in zip(directions, u_zrs, us, cols, As):
-        scratch = [np.empty((b, 2 * d_h))] + [np.empty((b, d_h)) for _ in range(3)]
-        loops.append(partial(_scan_forward, P.data, u_zr.T, u.T,
-                             np.concatenate([b_z.data, b_r.data]), b_h.data, H0[:, c], A,
-                             steps, *scratch))
-    _run_loops(loops, concurrent)
+    u_zrs = [np.concatenate([d[0].data, d[1].data]) for d in directions]  # (2 d_h, d_h)
+    us = [d[2].data for d in directions]
+    _run_loops([partial(_scan_forward, P.data[:, gates[i]], u_zrs[i].T, us[i].T,
+                        np.concatenate([d[3].data, d[4].data]), d[5].data, H0[:, cols[i]],
+                        As[i], steps, np.empty((b, 2 * d_h)),
+                        *(np.empty((b, d_h)) for _ in range(3)))
+                for i, d in enumerate(directions)], concurrent)
     out = Tensor(H0[b:])
 
     def apply(gout, emit):
-        grads, loops = [], []
-        for u_zr, u, c, A in zip(u_zrs, us, cols, As):
-            grad = np.empty((total, 3 * d_h)), np.empty((3 * d_h, d_h)), np.empty(3 * d_h)
-            scratch = ([np.empty((total, d_h)), np.zeros((b, d_h))]
-                       + [np.empty((b, d_h)) for _ in range(2)] + [np.empty((b, 2 * d_h))])
-            loops.append(partial(_scan_backward, gout[:, c], A, H0[:, c], u_zr, u, steps,
-                                 *grad, *scratch))
-            grads.append(grad)
-        _run_loops(loops, concurrent)
-        for i, (dA, d_u, d_b) in enumerate(grads):
-            at = i * len(_SCAN_INPUTS)
+        dP = np.empty(P.shape)
+        grads = [(np.empty((3 * d_h, d_h)), np.empty(3 * d_h)) for _ in directions]
+        _run_loops([partial(_scan_backward, gout[:, cols[i]], As[i], H0[:, cols[i]], u_zrs[i],
+                            us[i], steps, dP[:, gates[i]], *grads[i], np.empty((total, d_h)),
+                            np.zeros((b, d_h)), np.empty((b, d_h)), np.empty((b, d_h)),
+                            np.empty((b, 2 * d_h))) for i in range(D)], concurrent)
+        for i, (d_u, d_b) in enumerate(grads):
+            at = 1 + i * len(_SCAN_INPUTS)
             for j in range(3):
-                emit(at + 1 + j, d_u[j * d_h:(j + 1) * d_h])
-                emit(at + 4 + j, d_b[j * d_h:(j + 1) * d_h])
-            # Handed over without a copy, so only once nothing here reads it.
-            emit(at, dA, owned=True)
+                emit(at + j, d_u[j * d_h:(j + 1) * d_h])
+                emit(at + 3 + j, d_b[j * d_h:(j + 1) * d_h])
+        # Handed over without a copy, so only once nothing here reads it.
+        emit(0, dP, owned=True)
 
-    return _emit_op("gru_scan", [t for d in directions for t in d], out, apply)
+    return _emit_op("gru_scan", [P] + [t for d in directions for t in d], out, apply)
 
 
 # --------------------------------------------------------------------------

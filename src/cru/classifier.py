@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import time
 import uuid
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -22,6 +23,10 @@ from .errors import ConfigError, ContractError, NumericError
 from .layers import DenseLayer, EmbeddingTable, dense_forward, dropout_apply
 from .optim import Adam
 from .recurrent import VARIANTS, make_cell, pack, run_sequence
+
+# The telemetry that train_epoch reports, with the format it is written in.
+TELEMETRY = (("seconds", ".6f"), ("tokens_per_s", ".1f"), ("grad_norm", ".6f"),
+             ("clip_frac", ".4f"))
 
 # Seed-stream tags so every randomness consumer gets an independent generator.
 _TAG_INIT, _TAG_DROPOUT, _TAG_SHUFFLE, _TAG_FOLDS, _TAG_EMBED = 1, 2, 3, 4, 5
@@ -164,18 +169,17 @@ class SentimentModel:
         """Probabilities (B,) for a padded batch."""
         b, n = batch.ids.shape
         lengths = batch.mask.sum(axis=1).astype(np.intp)
-        fwd, bwd = pack(lengths)
+        packing = pack(lengths)
         tokens = (np.arange(n) < lengths[:, None]).reshape(-1)
         # Only the tokens' rows are looked up. Their dropout mask is drawn
         # over all b * n positions, so the draws do not depend on the padding.
         E = ad.take_rows(self.embedding.weights, batch.ids.reshape(-1)[tokens])
         E = dropout_apply(E, self.dropout, train, rng, rows=tokens)
-        # Both directions read the same dropped embeddings, each in its own
-        # packed order; the reversed one reads every row from its end. Their
-        # states sit side by side, and the packings share each row's last
-        # packed row, so one gather reads both final states.
-        states = run_sequence((self.fwd_cell, self.bwd_cell), E, (fwd, bwd))
-        h = ad.take_rows(states, fwd.last)
+        # Both directions read the dropped embeddings, each in its packed
+        # order, and their states sit side by side. The directions share each
+        # row's last packed row, so one gather reads both final states.
+        states = run_sequence((self.fwd_cell, self.bwd_cell), E, packing)
+        h = ad.take_rows(states, packing.last)
 
         h = dense_forward(self.fc, h)
         h = dropout_apply(h, self.dropout, train, rng)
@@ -199,12 +203,17 @@ def bce_loss(p: Tensor, y: np.ndarray) -> Tensor:
 
 
 def train_epoch(model: SentimentModel, optimizer: Adam, batches: list[Batch],
-                config: TrainConfig,
-                rng: np.random.Generator | None) -> tuple[float, float]:
-    """One pass over the batches; returns (mean loss, train accuracy)."""
+                config: TrainConfig, rng: np.random.Generator | None,
+                stats: dict | None = None) -> tuple[float, float]:
+    """One pass over the batches; returns (mean loss, train accuracy), and
+    puts the epoch's ``TELEMETRY`` into stats if given: its wall seconds,
+    tokens per second, mean pre-clip gradient norm and fraction of steps
+    clipped."""
+    start = time.perf_counter()
     total_loss = 0.0
     correct = 0
     count = 0
+    norms = []
     for i, batch in enumerate(batches):
         try:
             with ad.Tape() as tape:
@@ -214,7 +223,8 @@ def train_epoch(model: SentimentModel, optimizer: Adam, batches: list[Batch],
             # Free every forward tensor and closure before the optimizer's sweeps.
             del tape
             # The embedding's L2 term is off the tape: the norm pass adds it.
-            optimizer.clip_gradients(config.clip_norm, {"embedding.weights": config.l2})
+            norms.append(optimizer.clip_gradients(config.clip_norm,
+                                                  {"embedding.weights": config.l2}))
         except NumericError as exc:
             raise NumericError(f"non-finite value while training batch {i}: {exc}") from exc
         optimizer.step()
@@ -223,6 +233,12 @@ def train_epoch(model: SentimentModel, optimizer: Adam, batches: list[Batch],
         total_loss += (loss.item() + optimizer.penalty) * b
         correct += int(np.sum((p.data >= 0.5) == (batch.labels == 1.0)))
         count += b
+    if stats is not None:
+        seconds = time.perf_counter() - start
+        stats.update(seconds=seconds,
+                     tokens_per_s=sum(int(b.mask.sum()) for b in batches) / seconds,
+                     grad_norm=float(np.mean(norms)),
+                     clip_frac=float(np.mean([n > config.clip_norm for n in norms])))
     return total_loss / count, correct / count
 
 
@@ -275,8 +291,9 @@ def train_on_split(train_samples: list[Sample], test_samples: list[Sample],
         shuffle_rng = seeded_rng(config.seed, _TAG_SHUFFLE, fold, epoch)
         drop_rng = seeded_rng(config.seed, _TAG_DROPOUT, fold, epoch)
         batches = batch_and_pad(train_enc, config.batch_size, rng=shuffle_rng)
-        loss, acc = train_epoch(model, optimizer, batches, config, drop_rng)
-        rows = [dict(epoch=epoch, fold=fold, split="train", loss=loss, accuracy=acc)]
+        stats: dict = {}
+        loss, acc = train_epoch(model, optimizer, batches, config, drop_rng, stats)
+        rows = [dict(epoch=epoch, fold=fold, split="train", loss=loss, accuracy=acc, **stats)]
         if test_batches:
             t_loss, t_acc = _eval_metrics(model, test_batches)
             rows.append(dict(epoch=epoch, fold=fold, split="test",
@@ -285,7 +302,8 @@ def train_on_split(train_samples: list[Sample], test_samples: list[Sample],
         if log_fn is not None:
             for r in rows:
                 log_fn("epoch={epoch} fold={fold} split={split} "
-                       "loss={loss:.6f} accuracy={accuracy:.4f}".format(**r))
+                       "loss={loss:.6f} accuracy={accuracy:.4f}".format(**r)
+                       + "".join(f" {k}={r[k]:{f}}" for k, f in TELEMETRY if k in r))
     return model, history
 
 

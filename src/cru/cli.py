@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, finite_diff_gradcheck
-from .classifier import (SentimentModel, TrainConfig, _TAG_EMBED, _eval_metrics,
+from .classifier import (TELEMETRY, SentimentModel, TrainConfig, _TAG_EMBED, _eval_metrics,
                          bce_loss, load_checkpoint, save_checkpoint, seeded_rng,
                          train_on_split)
 from .data import (FORMATS, Batch, Corpus, Sample, batch_and_pad, build_vocab,
@@ -210,10 +210,13 @@ def cmd_train(args) -> int:
 
     with open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "fold", "split", "loss", "accuracy"])
+        # Test rows leave the training telemetry empty.
+        writer.writerow(["epoch", "fold", "split", "loss", "accuracy"]
+                        + [k for k, _ in TELEMETRY])
         for r in history:
             writer.writerow([r["epoch"], r["fold"], r["split"],
-                             f"{r['loss']:.6f}", f"{r['accuracy']:.6f}"])
+                             f"{r['loss']:.6f}", f"{r['accuracy']:.6f}"]
+                            + [format(r[k], f) if k in r else "" for k, f in TELEMETRY])
     # The last model trained is the one saved.
     emit(f"checkpoint fold={ckpt_fold} path={out_dir / 'checkpoint'}")
     save_checkpoint(out_dir / "checkpoint", model, config, vocab)
@@ -255,19 +258,17 @@ def _check_cell(variant: str, seed: int, tol: float):
     d = 3 if variant in ("deep", "deep_enhanced") else 4
     d_h = d if variant == "deep" else 4
     n = 5
-    # The token rows of a ragged two-row batch (lengths n and n - 2), run in
-    # both directions by one scan, as forward_batch runs them; the loss reads
-    # every packed state of both. The reversed packing's convolution windows
-    # cross each row's ends backwards. The forward cell and E are drawn as
-    # for a one-direction check, the reversed direction's cell after them.
+    # A ragged two-row batch (lengths n and n - 2) run in both directions, as
+    # forward_batch runs it; the loss reads every packed state. The forward
+    # cell and E are drawn first, as for a one-direction check.
     cells = [make_cell(variant, rng, d_in=d, d_h=d_h, k=3)]
     E = Tensor(0.5 * rng.standard_normal((2 * n, d))[:2 * n - 2], requires_grad=True)
     cells.append(make_cell(variant, rng, d_in=d, d_h=d_h, k=3))
-    packings = pack([n, n - 2])
+    packing = pack([n, n - 2])
     params = {**cells[0].named_params("fwd."), **cells[1].named_params("bwd."), "E": E}
 
     def f():
-        return ad.sum_all(run_sequence(cells, E, packings))
+        return ad.sum_all(run_sequence(cells, E, packing))
 
     return finite_diff_gradcheck(f, params, tol=tol)
 

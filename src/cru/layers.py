@@ -100,12 +100,16 @@ class ConvBank:
                    activation)
 
 
-def same_length_conv(bank: ConvBank, x: Tensor, window) -> Tensor:
-    """Convolve packed rows (T, d_in) -> (T, d_out) over a (T, k) window
-    index (``Packing.window``), then bias + activation."""
-    y = ad.conv1d_same(x, bank.filters, window)
-    y = ad.bias_add(y, bank.bias)
-    return ad.activation(bank.activation, y)
+def same_length_conv(banks, x: Tensor, window, residual: bool = False) -> Tensor:
+    """Convolve packed rows (T, D d_in) with m banks per direction, of one
+    shape and activation, over a (T, k) window index (``Packing.window``),
+    then bias, activation and, if residual, the input: one
+    ``autodiff.conv1d_same`` op. Returns (T, D m d_out)."""
+    kinds = {bank.activation for g in banks for bank in g}
+    if len(kinds) > 1:
+        raise ConfigError(f"one convolution needs one activation, got {sorted(kinds)}")
+    return ad.conv1d_same(x, [[(bank.filters, bank.bias) for bank in g] for g in banks],
+                          window, kinds.pop() if kinds else "identity", residual)
 
 
 # --------------------------------------------------------------------------
@@ -143,7 +147,7 @@ def dense_forward(layer: DenseLayer, x: Tensor) -> Tensor:
         raise DimensionError(
             f"dense input {x.shape} does not match weights {layer.weights.shape}"
         )
-    y = ad.project([x], [layer.weights])
+    y = ad.project(x, [[layer.weights]])
     y = ad.bias_add(y, layer.bias)
     return ad.activation(layer.activation, y)
 

@@ -87,9 +87,8 @@ def encode_bidirectional_enriched(fwd_cell, bwd_cell,
         raise ConfigError("directions must share hidden size")
     X = enriched.combined
     n = X.shape[0]
-    fwd, bwd = pack([n])
     rev = np.arange(n)[::-1]
     # Two calls, not one: the backward states must be put back in position
     # order before they are joined.
-    return ad.concat_cols([run_sequence([fwd_cell], X, [fwd]),
-                           ad.take_rows(run_sequence([bwd_cell], X, [bwd]), rev)])
+    return ad.concat_cols([run_sequence([fwd_cell], X, pack([n], (False,))),
+                           ad.take_rows(run_sequence([bwd_cell], X, pack([n], (True,))), rev)])

@@ -15,31 +15,26 @@ with the update/reset/candidate recurrence
   g_t = tanh(P_h,t + U (r_t * h_{t-1}) + b_h)
   h_t = z_t * h_{t-1} + (1 - z_t) * g_t
 
-Because the banks always map d channels to d channels (the convolution is
+Because the banks map d channels to d channels (the convolution is
 same-shape over the embedding), the deep variant needs hidden size == d.
 
 A batch runs in a packed, time-major layout (``pack``): its rows sorted by
 non-increasing length, step t owns the contiguous block of the k_t rows that
 still have a token at t, so the T = sum(lengths) packed rows are exactly the
-batch's tokens, and no padded position is ever stored or computed. Each
-direction has its own packing; the reversed one reads every row from its last
-token back to its first. A single sequence is a batch of one, whose forward
-packing is the identity. ``prepare`` gathers a direction's packed rows and
-computes its gate inputs as one (T, 3 d_h) tensor laid out [P_z | P_r | P_h]:
-``gru`` projects them with one ``autodiff.project`` matmul against the stacked
-[W_z; W_r; W]. The banks of the other variants convolve the packed rows
-through a window index (``Packing.window``) that reads zeros past each row's
-ends, as the row's same-length padding would: ``shallow`` projects its bank
-like ``gru``, ``deep`` puts its three banks side by side, and
-``deep_enhanced`` adds the embedding to each bank and projects each with its
-own weight. ``run_sequence`` prepares each direction's gate inputs on the
-calling thread and runs the recurrence of every direction as one
-``autodiff.gru_scan`` node, whose loops touch only the k_t rows of each step
-and do only the carry's work: the small matmuls that read h_{t-1} and the
-elementwise gate algebra. The directions share nothing but their step sizes,
-so at a large enough step the scan runs the second direction's loops on its
-worker thread while the first runs on the calling thread, and writes their
-states side by side, (T, 2 d_h).
+batch's tokens. One ``Packing`` holds the (T, D) row index of every
+direction; a reversed one reads each row from its last token back to its
+first. A single sequence is a batch of one.
+
+The directions travel side by side, as column blocks, through the whole
+path. ``prepare`` gathers [X_0 | X_1] with one ``take_rows``; the variant's
+banks then convolve every direction in one ``conv1d_same`` op, through a
+window index (``Packing.window``) that reads zeros past each row's ends, with
+each bank's bias and activation and deep_enhanced's residual add fused in;
+one ``project`` op multiplies by [W_z; W_r; W]. ``run_sequence`` feeds the
+(T, D 3 d_h) gate inputs to one ``gru_scan`` node and returns the states
+side by side, (T, D d_h). Above a work threshold, each of these ops runs the
+second direction's numpy on the ``autodiff`` worker thread while the calling
+thread runs the first.
 """
 
 from __future__ import annotations
@@ -51,7 +46,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, DimensionError
-from .layers import ConvBank, same_length_conv
+from .layers import ConvBank, glorot_uniform, same_length_conv
 
 VARIANTS = ("gru", "shallow", "deep", "deep_enhanced")
 
@@ -75,26 +70,15 @@ class GruParams:
     W: Tensor | None = None
 
     def __post_init__(self):
-        d_h = self.U.shape[0] if self.U.ndim == 2 else -1
-        for name in ("U_z", "U_r", "U"):
-            u = getattr(self, name)
-            if u.shape != (d_h, d_h):
-                raise DimensionError(f"{name} must be square ({d_h},{d_h}), got {u.shape}")
-        for name in ("b_z", "b_r", "b_h"):
-            b = getattr(self, name)
-            if b.shape != (d_h,):
-                raise DimensionError(f"{name} must have shape ({d_h},), got {b.shape}")
         ws = [self.W_z, self.W_r, self.W]
-        if any(w is not None for w in ws):
-            if any(w is None for w in ws):
-                raise ConfigError("W_z, W_r, W must be given together or not at all")
-            d_in = self.W.shape[1]
-            for name in ("W_z", "W_r", "W"):
-                w = getattr(self, name)
-                if w.shape != (d_h, d_in):
-                    raise DimensionError(
-                        f"{name} must have shape ({d_h},{d_in}), got {w.shape}"
-                    )
+        if any(w is None for w in ws) and any(w is not None for w in ws):
+            raise ConfigError("W_z, W_r, W must be given together or not at all")
+        d_h = self.U.shape[0] if self.U.ndim == 2 else -1
+        d_in = self.W.shape[-1] if self.W is not None else None
+        for name, t in self.named().items():
+            shape = (d_h,) if name[0] == "b" else (d_h, d_in if name[0] == "W" else d_h)
+            if t.shape != shape:
+                raise DimensionError(f"{name} must have shape {shape}, got {t.shape}")
 
     @property
     def hidden_dim(self) -> int:
@@ -106,28 +90,18 @@ class GruParams:
 
     @classmethod
     def init(cls, rng: np.random.Generator, d_in: int | None, d_h: int) -> "GruParams":
-        from .layers import glorot_uniform
-
         def weight(shape):
             return Tensor(glorot_uniform(rng, shape), requires_grad=True)
 
-        def bias():
-            return Tensor(np.zeros(d_h), requires_grad=True)
-
-        kw = {}
-        if d_in is not None:
-            kw = {"W_z": weight((d_h, d_in)), "W_r": weight((d_h, d_in)),
-                  "W": weight((d_h, d_in))}
-        return cls(U_z=weight((d_h, d_h)), U_r=weight((d_h, d_h)), U=weight((d_h, d_h)),
-                   b_z=bias(), b_r=bias(), b_h=bias(), **kw)
+        # The W_* are drawn before the U_*.
+        kw = {} if d_in is None else {n: weight((d_h, d_in)) for n in ("W_z", "W_r", "W")}
+        return cls(**{n: weight((d_h, d_h)) for n in ("U_z", "U_r", "U")},
+                   **{n: Tensor(np.zeros(d_h), requires_grad=True)
+                      for n in ("b_z", "b_r", "b_h")}, **kw)
 
     def named(self, prefix: str = "") -> dict[str, Tensor]:
-        out = {}
-        for name in ("W_z", "W_r", "W", "U_z", "U_r", "U", "b_z", "b_r", "b_h"):
-            t = getattr(self, name)
-            if t is not None:
-                out[prefix + name] = t
-        return out
+        names = ("W_z", "W_r", "W", "U_z", "U_r", "U", "b_z", "b_r", "b_h")
+        return {prefix + n: getattr(self, n) for n in names if getattr(self, n) is not None}
 
 
 # --------------------------------------------------------------------------
@@ -136,38 +110,39 @@ class GruParams:
 
 @dataclass(frozen=True)
 class Packing:
-    """One direction's time-major packed layout of a batch's tokens.
+    """The time-major packed layout of a batch's T tokens in D directions.
 
-    The batch's T tokens come as token rows in batch order: row 0's tokens,
-    then row 1's, and so on. Packed row i of step t's block holds step t of the
-    i-th longest row (ties in batch order), read in this direction. An index
-    that would be the identity is None.
+    Token rows come in batch order: row 0's tokens, then row 1's, and so on.
+    Packed row i of step t's block holds step t of the i-th longest row (ties
+    in batch order); rows[i, j] is the token row that direction j reads
+    there, or rows is None for one direction that reads them in order.
     """
 
     batch_sizes: np.ndarray     # k_t, the rows still running at step t
-    rows: np.ndarray | None     # (T,) the token row each packed row reads
+    rows: np.ndarray | None     # (T, D) the token row each packed row reads
     last: np.ndarray            # (B,) the packed row of each row's final state
-    windows: dict               # convolution window index by width, which
-                                # both directions share, as they share batch_sizes
+    windows: dict               # convolution window index by width
 
     @property
     def size(self) -> int:
         """T, the number of tokens."""
         return int(self.batch_sizes.sum())
 
+    @property
+    def directions(self) -> int:
+        return 1 if self.rows is None else self.rows.shape[1]
+
     def gather(self, E: Tensor) -> Tensor:
-        """Packed rows (T, d) of token rows E (T, d)."""
+        """Every direction's packed rows of token rows E (T, d), side by side:
+        [X_0 | X_1 | ...], (T, D d)."""
         return E if self.rows is None else ad.take_rows(E, self.rows)
 
     def window(self, k: int) -> np.ndarray:
         """The (T, k) window index of a width-k same-length convolution over
-        the packed rows (``autodiff.conv1d_same``).
-
-        Slot j of packed row i at step t holds the packed row of the same
-        row's step t + j - (k-1)/2 where the row has that step, and T
-        otherwise: the zero of the unpadded row's same-length padding. Built
-        once per width for both directions.
-        """
+        the packed rows (``autodiff.conv1d_same``) of any direction: slot j
+        of packed row i at step t holds the packed row of the same row's step
+        t + j - (k-1)/2, or T, the zero of its same-length padding, where the
+        row has no such step."""
         win = self.windows.get(k)
         if win is None:
             sizes, pad = self.batch_sizes, (k - 1) // 2
@@ -183,16 +158,13 @@ class Packing:
         return win
 
 
-def pack(lengths) -> tuple[Packing, Packing]:
-    """The forward and the reversed packing of a batch whose row r holds
-    lengths[r] tokens.
-
-    The reversed direction reads each row from its last token back to its
-    first.
-    """
+def pack(lengths, reverse=(False, True)) -> Packing:
+    """The packing of a batch whose row r holds lengths[r] tokens, with one
+    direction per entry of reverse: by default a forward and a reversed one,
+    which reads each row from its last token back to its first."""
     lengths = np.asarray(lengths, dtype=np.intp).reshape(-1)
-    if lengths.size < 1:
-        raise ContractError("a batch needs at least one row")
+    if lengths.size < 1 or len(reverse) < 1:
+        raise ContractError("a packing needs at least one row and one direction")
     if lengths.min() < 1:
         raise ContractError(f"batch row {int(np.argmax(lengths < 1))} has no tokens")
     b, longest = lengths.size, lengths.max()
@@ -203,14 +175,14 @@ def pack(lengths) -> tuple[Packing, Packing]:
     starts = np.cumsum(sizes) - sizes  # the first packed row of each step
     step = np.repeat(np.arange(longest), sizes)  # the step of each packed row
     row = by_length[np.arange(step.size) - np.repeat(starts, sizes)]  # and its row
-    last = starts[lengths - 1] + rank
     first = (np.cumsum(lengths) - lengths)[row]  # the token row of its first token
+    rows = np.stack([first + lengths[row] - 1 - step if r else first + step
+                     for r in reverse], axis=1)
     # Packed order is batch order for one row or one step, and a reversal
     # moves nothing when no row has two tokens.
-    fwd = None if b == 1 or longest == 1 else first + step
-    bwd = fwd if longest == 1 else first + lengths[row] - 1 - step
-    windows: dict = {}
-    return (Packing(sizes, fwd, last, windows), Packing(sizes, bwd, last, windows))
+    if len(reverse) == 1 and (longest == 1 or (b == 1 and not reverse[0])):
+        rows = None
+    return Packing(sizes, rows, starts[lengths - 1] + rank, {})
 
 
 # --------------------------------------------------------------------------
@@ -218,87 +190,86 @@ def pack(lengths) -> tuple[Packing, Packing]:
 # --------------------------------------------------------------------------
 
 class _CellBase:
-    """Common recurrence; subclasses provide gate-input preparation."""
+    """A GRU cell whose variant prepares its gate inputs from its banks: none
+    (gru), one (shallow), or three (deep and deep_enhanced)."""
 
     variant: str
+    bank_names: tuple[str, ...] = ()  # the banks' parameter names
 
-    def __init__(self, params: GruParams):
-        self.params = params
+    def __init__(self, params: GruParams, *banks: ConvBank):
+        deep = self.variant == "deep"
+        if (params.W is None) != deep:
+            raise ConfigError("deep cell takes no W_* matrices" if deep
+                              else f"{self.variant} cell needs W_z, W_r, W")
+        width = params.hidden_dim if deep else params.input_dim
+        for tag, bank in zip(self.bank_names, banks):
+            if bank.filters.shape[0] != width:
+                raise (ConfigError if deep else DimensionError)(
+                    f"{self.variant}: {tag} output width {bank.filters.shape[0]} does not "
+                    f"match the {'hidden' if deep else 'W_* input'} width {width}")
+        self.params, self.banks = params, banks
 
     @property
     def hidden_dim(self) -> int:
         return self.params.hidden_dim
 
-    def _gate_inputs(self, X: Tensor, packing: Packing) -> Tensor:
-        """Gate inputs of the packed rows X (T, d)."""
-        raise NotImplementedError
+    @staticmethod
+    def prepare(cells, E: Tensor, packing: Packing) -> Tensor:
+        """The packed gate inputs of one cell per direction of packing, side
+        by side: (T, D 3 d_h), direction i's [P_z | P_r | P_h] in columns
+        3 i d_h to 3 (i + 1) d_h, from the batch's token rows E (T, d).
 
-    def prepare(self, E: Tensor, packing: Packing) -> Tensor:
-        """The (T, 3 d_h) packed gate inputs [P_z | P_r | P_h] of one direction.
-
-        E holds the batch's token rows (T, d), as ``Packing`` numbers them;
-        each variant reads only their packed rows.
+        One ``take_rows`` gathers every direction's packed rows, then each op
+        of the variant's rule takes every direction in one call: the banks'
+        convolution, and the projection by [W_z; W_r; W], which deep skips
+        and deep_enhanced applies to each bank's output plus its input.
         """
+        cells = list(cells)
+        if len(cells) != packing.directions or len({type(c) for c in cells}) != 1:
+            raise ContractError(f"{len(cells)} cells of variants "
+                                f"{sorted({c.variant for c in cells})} for a packing of "
+                                f"{packing.directions} directions")
         if E.ndim != 2 or E.shape[0] != packing.size:
             raise DimensionError(f"prepare needs the {packing.size} token rows of the "
                                  f"batch, got {E.shape}")
-        return self._gate_inputs(packing.gather(E), packing)
+        X, variant, banks = packing.gather(E), cells[0].variant, cells[0].banks
+        if banks:
+            X = same_length_conv([c.banks for c in cells], X, packing.window(banks[0].width),
+                                 residual=variant == "deep_enhanced")
+        if variant == "deep":
+            return X
+        ws = [[c.params.W_z, c.params.W_r, c.params.W] for c in cells]
+        return ad.project(X, [[w] for g in ws for w in g] if variant == "deep_enhanced" else ws)
 
     def named_params(self, prefix: str = "") -> dict[str, Tensor]:
-        return self.params.named(prefix)
+        out = self.params.named(prefix)
+        for tag, bank in zip(self.bank_names, self.banks):
+            out[f"{prefix}{tag}.filters"] = bank.filters
+            out[f"{prefix}{tag}.bias"] = bank.bias
+        return out
 
 
 class GruCell(_CellBase):
     variant = "gru"
 
-    def _gate_inputs(self, X, packing):
-        p = self.params
-        if p.W is None:
-            raise ConfigError("gru cell needs W_z, W_r, W")
-        return ad.project([X], [p.W_z, p.W_r, p.W])
-
 
 class ShallowCell(_CellBase):
     """One bank contextualizes the sequence; the recurrence is unchanged."""
 
-    variant = "shallow"
+    variant, bank_names = "shallow", ("conv",)
 
     def __init__(self, bank: ConvBank, params: GruParams):
-        super().__init__(params)
-        if params.W is None:
-            raise ConfigError("shallow cell needs W_z, W_r, W")
-        if bank.filters.shape[0] != params.input_dim:
-            raise DimensionError(
-                f"bank output width {bank.filters.shape[0]} does not match "
-                f"W_* input width {params.input_dim}"
-            )
+        super().__init__(params, bank)
         self.bank = bank
-
-    def _gate_inputs(self, X, packing):
-        p = self.params
-        C = same_length_conv(self.bank, X, packing.window(self.bank.width))
-        return ad.project([C], [p.W_z, p.W_r, p.W])
-
-    def named_params(self, prefix: str = "") -> dict[str, Tensor]:
-        out = self.params.named(prefix)
-        out[prefix + "conv.filters"] = self.bank.filters
-        out[prefix + "conv.bias"] = self.bank.bias
-        return out
 
 
 class _ThreeBankCell(_CellBase):
+    bank_names = ("conv_z", "conv_r", "conv_h")
+
     def __init__(self, conv_z: ConvBank, conv_r: ConvBank, conv_h: ConvBank,
                  params: GruParams):
-        super().__init__(params)
+        super().__init__(params, conv_z, conv_r, conv_h)
         self.conv_z, self.conv_r, self.conv_h = conv_z, conv_r, conv_h
-
-    def named_params(self, prefix: str = "") -> dict[str, Tensor]:
-        out = self.params.named(prefix)
-        for tag, bank in (("conv_z", self.conv_z), ("conv_r", self.conv_r),
-                          ("conv_h", self.conv_h)):
-            out[f"{prefix}{tag}.filters"] = bank.filters
-            out[f"{prefix}{tag}.bias"] = bank.bias
-        return out
 
 
 class DeepCell(_ThreeBankCell):
@@ -306,43 +277,11 @@ class DeepCell(_ThreeBankCell):
 
     variant = "deep"
 
-    def __init__(self, conv_z, conv_r, conv_h, params):
-        super().__init__(conv_z, conv_r, conv_h, params)
-        if params.W is not None:
-            raise ConfigError("deep cell takes no W_* matrices")
-        for tag, bank in (("conv_z", conv_z), ("conv_r", conv_r), ("conv_h", conv_h)):
-            if bank.filters.shape[0] != params.hidden_dim:
-                raise ConfigError(
-                    f"deep variant needs hidden size == bank width; "
-                    f"{tag} gives {bank.filters.shape[0]}, hidden is {params.hidden_dim}"
-                )
-
-    def _gate_inputs(self, X, packing):
-        return ad.concat_cols([same_length_conv(c, X, packing.window(c.width))
-                               for c in (self.conv_z, self.conv_r, self.conv_h)])
-
 
 class DeepEnhancedCell(_ThreeBankCell):
     """Per-gate banks, with W_* projecting bank output + raw embedding."""
 
     variant = "deep_enhanced"
-
-    def __init__(self, conv_z, conv_r, conv_h, params):
-        super().__init__(conv_z, conv_r, conv_h, params)
-        if params.W is None:
-            raise ConfigError("deep_enhanced cell needs W_z, W_r, W")
-        for tag, bank in (("conv_z", conv_z), ("conv_r", conv_r), ("conv_h", conv_h)):
-            if bank.filters.shape[0] != params.input_dim:
-                raise DimensionError(
-                    f"{tag} output width {bank.filters.shape[0]} does not match "
-                    f"W_* input width {params.input_dim}"
-                )
-
-    def _gate_inputs(self, X, packing):
-        p = self.params
-        banks = (self.conv_z, self.conv_r, self.conv_h)
-        return ad.project([ad.add(same_length_conv(c, X, packing.window(c.width)), X)
-                           for c in banks], [p.W_z, p.W_r, p.W])
 
 
 def make_cell(variant: str, rng: np.random.Generator, d_in: int, d_h: int,
@@ -352,50 +291,32 @@ def make_cell(variant: str, rng: np.random.Generator, d_in: int, d_h: int,
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if d_in < 1 or d_h < 1:
         raise ConfigError(f"dims must be positive, got d_in={d_in}, d_h={d_h}")
-    if variant == "gru":
-        return GruCell(GruParams.init(rng, d_in, d_h))
-    if variant == "shallow":
-        bank = ConvBank.init(rng, d_in, k, d_in)
-        return ShallowCell(bank, GruParams.init(rng, d_in, d_h))
-    banks = [ConvBank.init(rng, d_in, k, d_in) for _ in range(3)]
-    if variant == "deep":
-        if d_h != d_in:
-            raise ConfigError(
-                f"deep variant needs hidden size == embedding size, "
-                f"got {d_h} and {d_in}"
-            )
-        return DeepCell(*banks, GruParams.init(rng, None, d_h))
-    return DeepEnhancedCell(*banks, GruParams.init(rng, d_in, d_h))
+    if variant == "deep" and d_h != d_in:
+        raise ConfigError(f"deep variant needs hidden size == embedding size, "
+                          f"got {d_h} and {d_in}")
+    cls = {"gru": GruCell, "shallow": ShallowCell, "deep": DeepCell,
+           "deep_enhanced": DeepEnhancedCell}[variant]
+    banks = [ConvBank.init(rng, d_in, k, d_in) for _ in cls.bank_names]
+    return cls(*banks, GruParams.init(rng, None if variant == "deep" else d_in, d_h))
 
 
 # --------------------------------------------------------------------------
 # Sequence runner
 # --------------------------------------------------------------------------
 
-def run_sequence(cells, E: Tensor, packings) -> Tensor:
-    """Run each cell from the zero state over its direction of a batch.
+def run_sequence(cells, E: Tensor, packing: Packing) -> Tensor:
+    """Run cell i from the zero state over direction i of a batch's token
+    rows E (T, d); a single sequence is a batch of one.
 
-    cells[i] runs over packings[i], and every packing must have the same step
-    sizes: those of one batch, as the forward and reversed packings of
-    ``pack`` do. E holds the batch's token rows (T, d): row 0's tokens, then
-    row 1's, and so on; a single sequence is a batch of one. Returns the
-    state after every token as one (T, D d_h) tensor, cell i's states in
-    columns i d_h to (i + 1) d_h, each in its own packing's order, so row r's
-    final states are packed row ``packing.last[r]``, which both directions
-    of a batch share. A state depends only on the steps up to it, and a
-    convolution window reads zeros past a row's ends (``Packing.window``),
-    so each row's states equal those of its one-row run.
-
-    Each cell prepares its gate inputs on this thread; the recurrence of all
-    of them is one ``autodiff.gru_scan`` node, which may run the second
-    direction's loops on its worker thread.
+    Returns every token's states side by side, (T, D d_h), cell i's in
+    columns i d_h to (i + 1) d_h in its direction's packed order, so row r's
+    final states are packed row ``packing.last[r]`` in every direction. A
+    state depends only on the steps up to it, and a convolution window reads
+    zeros past a row's ends, so each row's states equal those of its one-row
+    run. ``_CellBase.prepare`` makes every direction's gate inputs, and one
+    ``autodiff.gru_scan`` node runs the recurrence of all of them.
     """
-    cells, packings = list(cells), list(packings)
-    if not cells or len(cells) != len(packings):
-        raise ContractError(f"run_sequence: {len(cells)} cells for {len(packings)} packings")
-    sizes = packings[0].batch_sizes
-    if any(not np.array_equal(p.batch_sizes, sizes) for p in packings[1:]):
-        raise ContractError("run_sequence: the packings are of different batches")
-    return ad.gru_scan([(cell.prepare(E, packing), cell.params.U_z, cell.params.U_r,
-                         cell.params.U, cell.params.b_z, cell.params.b_r, cell.params.b_h)
-                        for cell, packing in zip(cells, packings)], sizes)
+    cells = list(cells)
+    return ad.gru_scan(_CellBase.prepare(cells, E, packing),
+                       [(p.U_z, p.U_r, p.U, p.b_z, p.b_r, p.b_h)
+                        for p in (cell.params for cell in cells)], packing.batch_sizes)

@@ -6,7 +6,13 @@ it with plain numpy, so it shares no padding, masking or permutation code
 with the batched path it checks. ``conv1d_same_einsum`` is the einsum
 convolution that the im2col convolution replaced, and ``conv1d_same_padded``
 that im2col convolution over a zero-padded batch, which the packed
-``ad.conv1d_same`` replaced.
+``ad.conv1d_same`` replaced. ``conv1d_same_packed`` is that packed
+convolution as it ran before it took banks, biases, activations and
+directions, and ``conv_banks_composed`` one direction of ``ad.conv1d_same``
+composed of it and the per-bank ops that it fuses.
+``gate_inputs_per_direction`` is deep_enhanced's gather, convolution and
+projection with one call of each per direction, as they ran before the
+directions went side by side.
 ``gru_scan_composed`` is the per-step recurrence of ``ad`` ops that the fused
 scan replaced, ``gru_scan_padded`` the fused scan over a padded batch that
 the packed ``ad.gru_scan`` replaced, and ``prepare_per_gate`` the three
@@ -31,7 +37,7 @@ def run_row(cell, E):
     Returns numpy arrays (all states (n, d_h), final state (d_h,)).
     """
     E = np.asarray(E)
-    all_h = run_sequence([cell], Tensor(E), [pack([len(E)])[0]]).data
+    all_h = run_sequence([cell], Tensor(E), pack([len(E)], (False,))).data
     return all_h, all_h[-1]
 
 
@@ -65,7 +71,7 @@ def run_padded(cell, Eb, lengths, reverse=False):
     one direction; returns ``padded_states`` as a numpy array."""
     b, n, d = Eb.shape
     E = np.asarray(Eb).reshape(b * n, d)[token_positions(lengths, n)]
-    states = run_sequence([cell], Tensor(E), [pack(lengths)[1 if reverse else 0]])
+    states = run_sequence([cell], Tensor(E), pack(lengths, (reverse,)))
     return padded_states(states.data, lengths, n)
 
 
@@ -113,6 +119,52 @@ def conv1d_same_padded(x, filters):
         emit(1, (g2.T @ win).reshape(d_out, k, d_in))
 
     return ad._emit_op("conv1d_same", (x, filters), out, apply)
+
+
+def conv1d_same_packed(x, filters, window):
+    """One bank of one direction of ``ad.conv1d_same``, without bias or
+    activation: im2col through the (T, k) window index, then one matmul."""
+    d_out, k, d_in = filters.shape
+    total = x.shape[0]
+
+    def im2col(rows):
+        # Row T of the padded copy is the zero that out-of-sequence slots read.
+        padded = np.empty((total + 1, rows.shape[1]))
+        padded[:total] = rows
+        padded[total] = 0.0
+        return padded[window].reshape(total, k * rows.shape[1])
+
+    win = im2col(x.data)
+    out = Tensor(win @ filters.data.reshape(d_out, k * d_in).T)
+
+    def apply(g, emit):
+        # Tap-reversed filters: row (j, o) holds filter o's tap k-1-j.
+        emit(0, lambda: im2col(g) @ filters.data[:, ::-1].transpose(1, 0, 2).reshape(
+            k * d_out, d_in), owned=True)
+        emit(1, lambda: (g.T @ win).reshape(d_out, k, d_in), owned=True)
+
+    return ad._emit_op("conv1d_same", (x, filters), out, apply)
+
+
+def conv_banks_composed(x, banks, window, activation, residual):
+    """One direction of ``ad.conv1d_same`` from per-bank ops: each bank's
+    ``conv1d_same_packed``, ``bias_add``, activation and, if residual, the
+    add of x, side by side."""
+    outs = []
+    for filters, bias in banks:
+        y = ad.activation(activation, ad.bias_add(conv1d_same_packed(x, filters, window), bias))
+        outs.append(ad.add(y, x) if residual else y)
+    return ad.concat_cols(outs)
+
+
+def gate_inputs_per_direction(E, packing, banks, weights, window):
+    """deep_enhanced's gate inputs from one gather, one ``ad.conv1d_same``
+    and one ``ad.project`` per direction, joined side by side: returns the
+    convolution's output and the gate inputs."""
+    convs = [ad.conv1d_same(ad.take_rows(E, packing.rows[:, i]), [g], window, "relu",
+                            residual=True) for i, g in enumerate(banks)]
+    gates = [ad.project(c, [[w] for w in ws]) for c, ws in zip(convs, weights)]
+    return ad.concat_cols(convs), ad.concat_cols(gates)
 
 
 def same_length_conv_padded(bank, x):

@@ -131,8 +131,8 @@ def test_criterion_04_same_length_contract():
     for k in (1, 3, 5, 7):
         bank = ConvBank.init(rng, d, k, d, "relu")
         for n in range(1, 65):
-            out = same_length_conv(bank, Tensor(rng.standard_normal((n, d))),
-                                   pack([n])[0].window(k))
+            out = same_length_conv([[bank]], Tensor(rng.standard_normal((n, d))),
+                                   pack([n]).window(k))
             assert out.shape == (n, d), (n, k, out.shape)
             checked += 1
     report(4, "same-length convolution",

@@ -11,8 +11,8 @@ import pytest
 from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor, active_tape, finite_diff_gradcheck
 from cru.errors import ConfigError, ContractError, DimensionError, NumericError
-from cru.recurrent import pack
-from oracles import packed_positions, transpose
+from cru.recurrent import make_cell, pack, run_sequence
+from oracles import conv_banks_composed, gate_inputs_per_direction, packed_positions, transpose
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -424,10 +424,16 @@ def conv_reference(x: np.ndarray, filters: np.ndarray) -> np.ndarray:
     return out
 
 
+def conv(x, f, window):
+    """A bare convolution: one bank of one direction, with a zero bias and no
+    activation."""
+    return ad.conv1d_same(x, [[(f, Tensor(np.zeros(f.shape[0])))]], window)
+
+
 def packed_conv(x, f, lengths, reverse=False):
     """conv1d_same over one direction's packed rows of the token rows x."""
-    packing = pack(lengths)[reverse]
-    return ad.conv1d_same(packing.gather(x), f, packing.window(f.shape[1]))
+    packing = pack(lengths, (reverse,))
+    return conv(packing.gather(x), f, packing.window(f.shape[1]))
 
 
 def test_conv1d_same_matches_brute_force():
@@ -436,7 +442,7 @@ def test_conv1d_same_matches_brute_force():
     for n, k in [(1, 1), (1, 3), (2, 5), (5, 3), (8, 7), (4, 1)]:
         x = rng.standard_normal((n, 3))
         f = rng.standard_normal((4, k, 3))
-        got = ad.conv1d_same(Tensor(x), Tensor(f), pack([n])[0].window(k)).data
+        got = conv(Tensor(x), Tensor(f), pack([n]).window(k)).data
         assert np.allclose(got, conv_reference(x, f), atol=1e-12), (n, k)
 
 
@@ -480,21 +486,202 @@ def test_conv1d_same_gradcheck():
 
 def test_conv1d_same_validation():
     x = Tensor(np.zeros((4, 3)))
-    window = pack([4])[0].window(3)
+    window = pack([4]).window(3)
     with pytest.raises(ConfigError):
-        ad.conv1d_same(x, Tensor(np.zeros((2, 2, 3))), window)  # even window
+        conv(x, Tensor(np.zeros((2, 2, 3))), window)  # even window
     with pytest.raises(DimensionError):
-        ad.conv1d_same(x, Tensor(np.zeros((2, 3, 4))), window)  # channel mismatch
+        conv(x, Tensor(np.zeros((2, 3, 4))), window)  # channel mismatch
     with pytest.raises(DimensionError):  # a padded (B, n, d) batch is not packed rows
-        ad.conv1d_same(Tensor(np.zeros((1, 4, 3))), Tensor(np.zeros((2, 3, 3))), window)
+        conv(Tensor(np.zeros((1, 4, 3))), Tensor(np.zeros((2, 3, 3))), window)
     with pytest.raises(DimensionError):  # the window of a different width
-        ad.conv1d_same(x, Tensor(np.zeros((2, 3, 3))), pack([4])[0].window(5))
+        conv(x, Tensor(np.zeros((2, 3, 3))), pack([4]).window(5))
     with pytest.raises(DimensionError):  # the window of a different batch
-        ad.conv1d_same(x, Tensor(np.zeros((2, 3, 3))), pack([3])[0].window(3))
+        conv(x, Tensor(np.zeros((2, 3, 3))), pack([3]).window(3))
     with pytest.raises(DimensionError):  # window ids must be integers
-        ad.conv1d_same(x, Tensor(np.zeros((2, 3, 3))), window.astype(np.float64))
+        conv(x, Tensor(np.zeros((2, 3, 3))), window.astype(np.float64))
     with pytest.raises(ContractError):  # a row id past the zero row
-        ad.conv1d_same(x, Tensor(np.zeros((2, 3, 3))), window + 2)
+        conv(x, Tensor(np.zeros((2, 3, 3))), window + 2)
+    # Banks of several directions: as many per direction, of one shape, with
+    # biases of their width, an input as wide as every direction's together,
+    # an output as wide as the input for the residual, and a known activation.
+    bank = (Tensor(np.zeros((3, 3, 3))), Tensor(np.zeros(3)))
+    x2 = Tensor(np.zeros((4, 6)))
+    with pytest.raises(ContractError):
+        ad.conv1d_same(x2, [[bank], [bank, bank]], window)
+    with pytest.raises(ContractError):
+        ad.conv1d_same(x2, [], window)
+    with pytest.raises(DimensionError):
+        ad.conv1d_same(x2, [[bank], [(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros(2)))]],
+                       window)
+    with pytest.raises(DimensionError):
+        ad.conv1d_same(x2, [[bank], [(bank[0], Tensor(np.zeros(2)))]], window)
+    with pytest.raises(DimensionError):  # three directions' worth of banks
+        ad.conv1d_same(x2, [[bank]] * 3, window)
+    with pytest.raises(DimensionError):
+        ad.conv1d_same(x2, [[(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros(2)))]] * 2,
+                       window, residual=True)
+    with pytest.raises(ConfigError):
+        ad.conv1d_same(x2, [[bank]] * 2, window, activation="swish")
+
+
+def conv_banks(rng, directions, m, d_in, d_out, k):
+    """m random (filters, bias) leaves per direction."""
+    return [[(Tensor(rng.standard_normal((d_out, k, d_in)) / np.sqrt(k * d_in),
+                     requires_grad=True),
+              Tensor(rng.uniform(-0.5, 0.5, d_out), requires_grad=True)) for _ in range(m)]
+            for _ in range(directions)]
+
+
+def named_banks(banks):
+    return {f"{i}.{j}.{name}": t for i, g in enumerate(banks) for j, pair in enumerate(g)
+            for name, t in zip(("filters", "bias"), pair)}
+
+
+def test_conv1d_same_fused_gradcheck():
+    # Two directions of three banks each, with biases, an activation and the
+    # residual add, over both packed directions of a ragged batch; then one
+    # bank of one direction for every activation.
+    rng = rng_for(32)
+    packing = pack([4, 1, 3])
+    x = Tensor(rng.standard_normal((8, 3)), requires_grad=True)
+    banks = conv_banks(rng, 2, 3, 3, 3, 3)
+    readout = Tensor(rng.standard_normal((8, 18)))
+    for activation in ("relu", "tanh"):
+        check(lambda: ad.sum_all(ad.mul(ad.conv1d_same(
+            packing.gather(x), banks, packing.window(3), activation, residual=True), readout)),
+            {"x": x, **named_banks(banks)})
+    reversed_window = pack([4, 1, 3], (True,)).window(3)
+    for activation in ad.ACTIVATIONS:
+        bank = conv_banks(rng, 1, 1, 3, 2, 3)
+        readout = Tensor(rng.standard_normal((8, 2)))
+        check(lambda: ad.sum_all(ad.mul(ad.conv1d_same(x, bank, reversed_window, activation),
+                                        readout)), {"x": x, **named_banks(bank)})
+
+
+@pytest.mark.parametrize("activation, residual", [("relu", True), ("relu", False),
+                                                  ("tanh", True), ("sigmoid", False),
+                                                  ("identity", True)])
+def test_conv1d_same_equals_composed_banks(activation, residual):
+    # Bit for bit, the fused op against each direction's banks composed of
+    # the per-bank ops it replaced (convolution, bias, activation, residual
+    # add): the output and every gradient.
+    rng = rng_for(35)
+    packing = pack([5, 2, 7, 1])
+    window = packing.window(3)
+    xs = [Tensor(rng.standard_normal((15, 4)), requires_grad=True) for _ in range(2)]
+    banks = conv_banks(rng, 2, 3, 4, 4, 3)
+    leaves = xs + [t for g in banks for pair in g for t in pair]
+    G = Tensor(rng.standard_normal((15, 24)))
+    results = []
+    for fused in (True, False):
+        for t in leaves:
+            t.zero_grad()
+        with Tape() as tape:
+            if fused:
+                out = ad.conv1d_same(ad.concat_cols(xs), banks, window, activation, residual)
+            else:
+                out = ad.concat_cols([conv_banks_composed(x, g, window, activation, residual)
+                                      for x, g in zip(xs, banks)])
+            tape.backward(ad.sum_all(ad.mul(out, G)))
+        results.append([out.data] + [t.grad for t in leaves])
+    for got, ref in zip(*results):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("rows, d, concurrent", [(64, 128, True), (3, 4, False)])
+def test_two_directions_equal_one_direction_convs_and_projections(monkeypatch, rows, d,
+                                                                  concurrent):
+    # deep_enhanced's gate inputs: one gather, convolution and projection
+    # over both directions, against one of each per direction, bit for bit:
+    # the gate inputs and the gradients of the token rows and of every
+    # filter, bias and weight. At 64 rows of width 128 each op runs its second
+    # direction on the worker, forward and backward; at 3 rows of width 4
+    # everything runs on this thread.
+    rng = rng_for(33)
+    packing = pack(rng.integers(11, 21, size=rows))
+    T, window = packing.size, packing.window(3)
+    assert (T * 3 * d * d >= ad._CONCURRENT_MATMUL_WORK) == concurrent  # project's share
+    E = Tensor(rng.standard_normal((T, d)), requires_grad=True)
+    banks = conv_banks(rng, 2, 3, d, d, 3)
+    ws = [[Tensor(rng.standard_normal((d, d)) / np.sqrt(d), requires_grad=True)
+           for _ in range(3)] for _ in range(2)]
+    leaves = [E] + [t for g in banks for pair in g for t in pair] + [w for g in ws for w in g]
+    G = Tensor(rng.standard_normal((T, 6 * d)))
+    pool = CountingPool()
+    monkeypatch.setattr(ad, "_WORKER", pool)
+    results = []
+    for together in (True, False):
+        for t in leaves:
+            t.zero_grad()
+        with Tape() as tape:
+            if together:
+                C = ad.conv1d_same(packing.gather(E), banks, window, "relu", residual=True)
+                P = ad.project(C, [[w] for g in ws for w in g])
+            else:
+                C, P = gate_inputs_per_direction(E, packing, banks, ws, window)
+            tape.backward(ad.sum_all(ad.mul(P, G)))
+        results.append([C.data, P.data] + [t.grad for t in leaves])
+        if together:  # conv and project, each forward and backward
+            assert pool.submitted == (4 if concurrent else 0)
+    for got, ref in zip(*results):
+        assert np.array_equal(got, ref)
+    pool.pool.shutdown()
+
+
+class NoAddAt:
+    """Stands in for np.add and fails on np.add.at."""
+
+    def __init__(self):
+        self.add = np.add
+
+    def __call__(self, *args, **kwargs):
+        return self.add(*args, **kwargs)
+
+    def __getattr__(self, name):
+        if name == "at":
+            raise AssertionError("np.add.at called")
+        return getattr(self.add, name)
+
+
+def test_two_direction_gather_scatters_without_add_at(monkeypatch):
+    # Each column of a packing's (T, D) index is a permutation of the token
+    # rows, so the gradient of the side-by-side gather scatters by assignment
+    # and indexed +=, through a whole two-direction run, forward and backward.
+    rng = rng_for(34)
+    cells = [make_cell("deep_enhanced", rng, 3, 3) for _ in range(2)]
+    E = Tensor(rng.standard_normal((9, 3)), requires_grad=True)
+    packing = pack([4, 2, 3])
+    monkeypatch.setattr(np, "add", NoAddAt())
+    with Tape() as tape:
+        tape.backward(ad.sum_all(run_sequence(cells, E, packing)))
+    assert E.grad is not None and np.all(np.isfinite(E.grad))
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    with pytest.raises(AssertionError, match="np.add.at"):  # ids with repeats use it
+        with Tape() as tape:
+            tape.backward(ad.sum_all(ad.take_rows(w, [1, 1])))
+
+
+def test_take_rows_side_by_side_equals_one_gather_per_column():
+    # ids (N, D) of permutations give the D gathers side by side, bit for
+    # bit, and so does the gradient.
+    rng = rng_for(36)
+    ids = np.stack([rng.permutation(6), rng.permutation(6)], axis=1)
+    w = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+    G = Tensor(rng.standard_normal((6, 6)))
+    results = []
+    for together in (True, False):
+        w.zero_grad()
+        with Tape() as tape:
+            if together:
+                out = ad.take_rows(w, ids)
+            else:
+                out = ad.concat_cols([ad.take_rows(w, c) for c in ids.T])
+            tape.backward(ad.sum_all(ad.mul(out, G)))
+        results.append((out.data, w.grad))
+    assert np.array_equal(results[0][0], results[1][0])
+    assert np.array_equal(results[0][1], results[1][1])
+    with pytest.raises(DimensionError):
+        ad.take_rows(w, np.zeros((2, 2, 2), dtype=int))
 
 
 def scan_inputs(rng, sizes, d_h):
@@ -509,6 +696,13 @@ def scan_inputs(rng, sizes, d_h):
 SCAN_NAMES = ["P", "U_z", "U_r", "U", "b_z", "b_r", "b_h"]
 
 
+def scan(directions, sizes):
+    """gru_scan over directions given as [P] + weights each: their gate
+    inputs side by side, then their weights."""
+    return ad.gru_scan(ad.concat_cols([d[0] for d in directions]),
+                       [d[1:] for d in directions], sizes)
+
+
 def test_gru_scan_gradcheck():
     # A packed ragged batch: three rows, of lengths 4, 2 and 2, in four steps
     # of 3, 3, 2 and 1 rows; one direction alone, then two with their own
@@ -520,7 +714,7 @@ def test_gru_scan_gradcheck():
         readout = Tensor(rng.standard_normal((9, 3 * count)))
         params = {f"{i}.{name}": t for i, d in enumerate(directions[:count])
                   for name, t in zip(SCAN_NAMES, d)}
-        check(lambda: ad.sum_all(ad.mul(ad.gru_scan(directions[:count], sizes), readout)),
+        check(lambda: ad.sum_all(ad.mul(scan(directions[:count], sizes), readout)),
               params)
 
 
@@ -528,35 +722,40 @@ def test_gru_scan_validation():
     rng = rng_for(17)
     inputs = scan_inputs(rng, [2, 2, 1], 4)
     P, weights = inputs[0], inputs[1:]
-    assert ad.gru_scan([inputs], [2, 2, 1]).shape == (5, 4)
-    assert ad.gru_scan([inputs, inputs], [2, 2, 1]).shape == (5, 8)
+    assert ad.gru_scan(P, [weights], [2, 2, 1]).shape == (5, 4)
+    assert scan([inputs, inputs], [2, 2, 1]).shape == (5, 8)
     for sizes in ([1, 2, 2], [2, 2, 0, 1], [3, 2, 0], [], [0]):  # rising, or empty steps
         with pytest.raises((ContractError, DimensionError)):
-            ad.gru_scan([inputs], sizes)
+            ad.gru_scan(P, [weights], sizes)
     for sizes in ([2, 2], [2, 2, 2], [4]):  # the sizes do not add up to P's rows
         with pytest.raises(DimensionError):
-            ad.gru_scan([inputs], sizes)
+            ad.gru_scan(P, [weights], sizes)
     with pytest.raises(DimensionError):  # a padded (B, n, 3 d_h) batch is not packed
-        ad.gru_scan([[Tensor(np.zeros((1, 5, 12)))] + weights], [1] * 5)
+        ad.gru_scan(Tensor(np.zeros((1, 5, 12))), [weights], [1] * 5)
     for width in (4, 8, 13):  # the gate inputs are not 3 * d_h wide
         with pytest.raises(DimensionError):
-            ad.gru_scan([[Tensor(np.zeros((5, width)))] + weights], [2, 2, 1])
+            ad.gru_scan(Tensor(np.zeros((5, width))), [weights], [2, 2, 1])
     with pytest.raises(DimensionError):
-        ad.gru_scan([[P, Tensor(np.zeros((4, 3)))] + weights[1:]], [2, 2, 1])
+        ad.gru_scan(P, [[Tensor(np.zeros((4, 3)))] + weights[1:]], [2, 2, 1])
     with pytest.raises(DimensionError):
-        ad.gru_scan([[P] + weights[:5] + [Tensor(np.zeros(3))]], [2, 2, 1])
+        ad.gru_scan(P, [weights[:5] + [Tensor(np.zeros(3))]], [2, 2, 1])
     with pytest.raises(ContractError):  # no direction
-        ad.gru_scan([], [2, 2, 1])
+        ad.gru_scan(P, [], [2, 2, 1])
     with pytest.raises(ContractError):  # a direction without its biases
-        ad.gru_scan([inputs, inputs[:4]], [2, 2, 1])
-    # A second direction whose inputs do not match the first's: another
-    # hidden width, gate inputs of another batch, or one wrong weight.
+        ad.gru_scan(P, [weights, weights[:3]], [2, 2, 1])
+    # A second direction whose weights do not match the first's: another
+    # hidden width, or one wrong weight.
     other = scan_inputs(rng, [2, 2, 1], 3)
-    for second in (other, [P] + other[1:], [other[0]] + weights,
-                   [P, Tensor(np.zeros((4, 5)))] + weights[1:],
-                   [Tensor(np.zeros((4, 12)))] + weights):
+    two = Tensor(np.zeros((5, 24)))
+    for second in (other[1:], [Tensor(np.zeros((4, 5)))] + weights[1:],
+                   weights[:4] + [Tensor(np.zeros(5))] + weights[5:]):
         with pytest.raises(DimensionError, match="direction 1"):
-            ad.gru_scan([inputs, second], [2, 2, 1])
+            ad.gru_scan(two, [weights, second], [2, 2, 1])
+    # Gate inputs that are not two directions' worth: one direction's, a
+    # second direction of another width, or another batch's.
+    for P2 in (P, Tensor(np.zeros((5, 21))), Tensor(np.zeros((4, 24)))):
+        with pytest.raises(DimensionError, match="P must have shape"):
+            ad.gru_scan(P2, [weights, weights], [2, 2, 1])
 
 
 class CountingPool:
@@ -579,7 +778,7 @@ def test_two_directions_equal_two_one_direction_scans(monkeypatch, b, d_h, concu
     # on the worker; at b = 2, d_h = 4 everything runs on this thread.
     rng = rng_for(31)
     lengths = rng.integers(1, 41, size=b)  # loops long enough for a race to show
-    sizes = pack(lengths)[0].batch_sizes
+    sizes = pack(lengths).batch_sizes
     total = int(sizes.sum())
     directions = [scan_inputs(rng, sizes, d_h) for _ in range(2)]
     G = rng.standard_normal((total, 2 * d_h))
@@ -591,9 +790,9 @@ def test_two_directions_equal_two_one_direction_scans(monkeypatch, b, d_h, concu
             t.zero_grad()
         with Tape() as tape:
             if together:
-                states = ad.gru_scan(directions, sizes)
+                states = scan(directions, sizes)
             else:
-                states = ad.concat_cols([ad.gru_scan([d], sizes) for d in directions])
+                states = ad.concat_cols([scan([d], sizes) for d in directions])
             tape.backward(ad.sum_all(ad.mul(states, Tensor(G))))
         results.append([states.data] + [t.grad for t in directions[0] + directions[1]])
     for got, ref in zip(*results):
@@ -603,12 +802,12 @@ def test_two_directions_equal_two_one_direction_scans(monkeypatch, b, d_h, concu
 
 
 def test_owned_gradients_take_later_gradients_in_place():
-    # gru_scan's dA and project's dx are kept without a copy. A leaf used
+    # gru_scan's dP and project's dx are kept without a copy. A leaf used
     # first by another op gets that op's gradient last, added into the kept
     # array: its gradient must be the sum, and a second backward over the same
     # tape must see every array the ops keep unchanged. Both scan directions
-    # read the same gate inputs, so the second direction's dA lands on the
-    # first's.
+    # read the same gate inputs, so the second direction's block of dP lands
+    # on the first's.
     rng = rng_for(22)
     sizes = [3, 2, 2]
     inputs = scan_inputs(rng, sizes, 4)
@@ -623,8 +822,8 @@ def test_owned_gradients_take_later_gradients_in_place():
         if extra:  # recorded first, so reached last
             terms += [ad.sum_all(ad.mul(inputs[0], Tensor(G_p))),
                       ad.sum_all(ad.mul(x, Tensor(G_x)))]
-        terms += [ad.sum_all(ad.mul(ad.gru_scan([inputs, second], sizes), G_scan)),
-                  ad.sum_all(ad.mul(ad.project([x], [w]), G_proj))]
+        terms += [ad.sum_all(ad.mul(scan([inputs, second], sizes), G_scan)),
+                  ad.sum_all(ad.mul(ad.project(x, [[w]]), G_proj))]
         total = terms[0]
         for term in terms[1:]:
             total = ad.add(total, term)
@@ -649,19 +848,24 @@ def test_owned_gradients_take_later_gradients_in_place():
 
 
 def test_project_gradcheck():
-    # One input shared by three weights of unequal widths, and one input per
-    # weight; each against a finite-difference gradient.
+    # One input shared by three weights of unequal widths, three inputs with
+    # a weight each, and two directions with three weights each; each against
+    # a finite-difference gradient.
     rng = rng_for(18)
     xs = [Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True) for _ in range(3)]
     ws = [Tensor(rng.standard_normal((w, 4)), requires_grad=True) for w in (2, 3, 1)]
-    readout = Tensor(rng.standard_normal((2, 3, 6)))
-    for inputs in (xs[:1], xs):
-        params = {f"x{i}": x for i, x in enumerate(inputs)}
-        params.update({f"w{i}": w for i, w in enumerate(ws)})
-        check(lambda: ad.sum_all(ad.mul(ad.project(inputs, ws), readout)), params)
+    us = [Tensor(rng.standard_normal(w.shape), requires_grad=True) for w in ws]
+    vs = [Tensor(rng.standard_normal((3, 4)), requires_grad=True) for _ in range(3)]
+    named = lambda prefix, ts: {f"{prefix}{i}": t for i, t in enumerate(ts)}
+    for inputs, groups, width in ((xs[:1], [ws], 6), (xs, [[v] for v in vs], 9),
+                                  (xs[:2], [ws, us], 12)):
+        readout = Tensor(rng.standard_normal((2, 3, width)))
+        params = {**named("x", inputs), **named("w", [w for g in groups for w in g])}
+        check(lambda: ad.sum_all(ad.mul(ad.project(ad.concat_cols(inputs), groups),
+                                        readout)), params)
     # A (B, d) batch, as a dense layer projects it.
     x2 = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    check(lambda: ad.sum_all(ad.mul(ad.project([x2], ws[1:2]), Tensor(np.ones((3, 3))))),
+    check(lambda: ad.sum_all(ad.mul(ad.project(x2, [ws[1:2]]), Tensor(np.ones((3, 3))))),
           {"x": x2, "w": ws[1]})
 
 
@@ -669,8 +873,8 @@ def test_project_equals_separate_matmuls():
     rng = rng_for(19)
     xs = [rng.standard_normal((2, 3, 4)) for _ in range(3)]
     ws = [rng.standard_normal((5, 4)) for _ in range(3)]
-    shared = ad.project([Tensor(xs[0])], [Tensor(w) for w in ws]).data
-    each = ad.project([Tensor(x) for x in xs], [Tensor(w) for w in ws]).data
+    shared = ad.project(Tensor(xs[0]), [[Tensor(w) for w in ws]]).data
+    each = ad.project(Tensor(np.concatenate(xs, axis=-1)), [[Tensor(w)] for w in ws]).data
     assert shared.shape == each.shape == (2, 3, 15)
     for i, w in enumerate(ws):
         assert np.allclose(shared[..., 5 * i:5 * (i + 1)], xs[0] @ w.T, rtol=1e-13)
@@ -680,16 +884,20 @@ def test_project_equals_separate_matmuls():
 def test_project_validation():
     x = Tensor(np.zeros((2, 3, 4)))
     w = Tensor(np.zeros((5, 4)))
-    with pytest.raises(ContractError):  # two inputs for three weights
-        ad.project([x, x], [w, w, w])
+    with pytest.raises(DimensionError):  # two inputs for three groups
+        ad.project(Tensor(np.zeros((2, 3, 8))), [[w], [w], [w]])
     with pytest.raises(ContractError):
-        ad.project([x], [])
+        ad.project(x, [[]])
+    with pytest.raises(ContractError):
+        ad.project(x, [])
     with pytest.raises(DimensionError):  # a bare vector is not a batch
-        ad.project([Tensor(np.zeros(4))], [w])
+        ad.project(Tensor(np.zeros(4)), [[w]])
     with pytest.raises(DimensionError):  # the weight does not chain
-        ad.project([x], [w, Tensor(np.zeros((5, 3)))])
-    with pytest.raises(DimensionError):  # the inputs disagree
-        ad.project([x, Tensor(np.zeros((2, 2, 4)))], [w, w])
+        ad.project(x, [[w, Tensor(np.zeros((5, 3)))]])
+    with pytest.raises(DimensionError):  # the groups' weights disagree
+        ad.project(Tensor(np.zeros((2, 3, 8))), [[w], [Tensor(np.zeros((3, 4)))]])
+    with pytest.raises(DimensionError):  # the input does not split into groups
+        ad.project(Tensor(np.zeros((2, 3, 9))), [[w], [w]])
 
 
 # ---------------------------------------------------------------------------

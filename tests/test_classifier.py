@@ -3,6 +3,7 @@
 import sys
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -280,66 +281,119 @@ WIDE_ROWS = [[2, 3, 4, 5, 6, 7], [8, 2, 3, 4, 5], [6, 7, 8, 2, 3], [4, 5, 6, 7],
              [8, 2, 3], [4, 5, 6], [7, 8], [2]]
 
 
-def train_wide(seed, steps):
-    """The parameters of a gru model after ``steps`` training steps on an
-    8-row batch at d = 256, where the scan runs its directions concurrently."""
-    config = tiny_config(variant="gru", embed_dim=256, hidden_dim=256, dropout=0.2)
+def train_wide(seed, steps, variant="gru", copies=1):
+    """The parameters of a model after ``steps`` training steps at d = 256 on
+    a batch of ``copies`` times the 8 rows, where the scan runs its
+    directions concurrently, and at 8 copies deep_enhanced's convolution
+    and projection do too."""
+    config = tiny_config(variant=variant, embed_dim=256, hidden_dim=256, dropout=0.2)
     model = SentimentModel.build(config, vocab_size=9, rng=seeded_rng(seed, 1))
     opt = Adam(model.named_params(), lr=config.lr)
-    batch = batch_from_rows(WIDE_ROWS, [1, 0] * 4)
+    batch = batch_from_rows(WIDE_ROWS * copies, [1, 0] * 4 * copies)
     for step in range(steps):
         train_epoch(model, opt, [batch], config, rng=seeded_rng(seed, 2, step))
     return {name: t.data.copy() for name, t in model.named_params().items()}
 
 
 def test_training_on_several_threads_equals_training_in_turn():
-    # Distinct tapes may run on distinct threads, and their scans share the
-    # one worker thread. Three threads on two CPUs, with a short switch
-    # interval, must give every model exactly the parameters it gets alone.
+    # Distinct tapes may run on distinct threads, and their ops share the one
+    # worker thread. Three threads on two CPUs, with a short switch interval,
+    # must give every model exactly the parameters it gets alone: gru models,
+    # then deep_enhanced ones, whose convolution and projection use the
+    # worker too.
+    tokens = sum(len(row) for row in WIDE_ROWS)
     assert len(WIDE_ROWS) * 256 ** 2 >= ad._CONCURRENT_STEP_WORK
+    assert 8 * tokens * 3 * 256 ** 2 >= ad._CONCURRENT_MATMUL_WORK  # project's share
     seeds = (1, 2, 3)
-    alone = [train_wide(seed, 2) for seed in seeds]
-    together = [None] * len(seeds)
-    start = threading.Barrier(len(seeds))
+    for variant, copies in (("gru", 1), ("deep_enhanced", 8)):
+        alone = [train_wide(seed, 2, variant, copies) for seed in seeds]
+        together = [None] * len(seeds)
+        start = threading.Barrier(len(seeds))
 
-    def run(i):
-        start.wait(timeout=60)
-        together[i] = train_wide(seeds[i], 2)
+        def run(i):
+            start.wait(timeout=60)
+            together[i] = train_wide(seeds[i], 2, variant, copies)
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(seeds))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for params, ref in zip(together, alone):
-        assert params is not None and params.keys() == ref.keys()
-        for name in ref:
-            assert np.array_equal(params[name], ref[name]), name
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(seeds))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for params, ref in zip(together, alone):
+            assert params is not None and params.keys() == ref.keys()
+            for name in ref:
+                assert np.array_equal(params[name], ref[name]), (variant, name)
 
 
-class RaisingPool:
-    """Stands in for the scan's worker and fails on any work given to it."""
+class RecordingPool:
+    """Stands in for the worker: records the functions given to it, and
+    fails on any if it is to refuse work."""
+
+    def __init__(self, refuse=False):
+        self.refuse, self.submitted = refuse, []
+        self.pool = ThreadPoolExecutor(max_workers=1)
 
     def submit(self, fn):
-        raise AssertionError("work submitted to the scan's worker")
+        self.submitted.append(getattr(fn, "func", fn).__qualname__)
+        if self.refuse:
+            raise AssertionError("work submitted to the worker")
+        return self.pool.submit(fn)
 
 
 def test_single_sentence_never_uses_the_worker(monkeypatch):
-    # A one-row batch at the mr width (d = 200) runs both directions on the
-    # calling thread, forward and backward; 32 rows of it use the worker.
+    # A one-row batch at the mr width (d = 200), of 7 tokens or of 60, the
+    # longest mr sentence, runs both directions of every op on the calling
+    # thread, forward and backward: the convolution, the projection and the
+    # scan. 32 rows of 12 tokens use the worker in each.
     model, _ = tiny_model(seed=16, variant="deep_enhanced", embed_dim=200, hidden_dim=200)
-    monkeypatch.setattr(ad, "_WORKER", RaisingPool())
-    one = batch_from_rows([[2, 3, 4, 5, 6, 7, 8]], [1])
+    monkeypatch.setattr(ad, "_WORKER", RecordingPool(refuse=True))
+    for n in (7, 60):
+        one = batch_from_rows([[2 + t % 7 for t in range(n)]], [1])
+        with Tape() as tape:
+            tape.backward(bce_loss(model.forward_batch(one), one.labels))
+    pool = RecordingPool()
+    monkeypatch.setattr(ad, "_WORKER", pool)
+    many = batch_from_rows([[2, 3, 4, 5, 6, 7, 8, 2, 3, 4, 5, 6]] * 32, [1] * 32)
     with Tape() as tape:
-        tape.backward(bce_loss(model.forward_batch(one), one.labels))
-    with pytest.raises(AssertionError, match="worker"):
-        model.forward_batch(batch_from_rows([[2, 3, 4, 5, 6, 7, 8]] * 32, [1] * 32))
+        tape.backward(bce_loss(model.forward_batch(many), many.labels))
+    assert sorted(set(pool.submitted)) == [
+        "_matmuls", "_scan_backward", "_scan_forward",
+        "conv1d_same.<locals>.apply.<locals>.backward", "conv1d_same.<locals>.forward"]
+    pool.pool.shutdown()
+
+
+def test_train_epoch_reports_its_telemetry(monkeypatch):
+    # The mean of the pre-clip norms clip_gradients returned, the fraction of
+    # them above clip_norm, the wall time and the token rate, while the
+    # returned loss and accuracy stay those of a run without stats.
+    norms = []
+    clip = Adam.clip_gradients
+
+    def recorded(self, max_norm, l2):
+        norms.append(clip(self, max_norm, l2))
+        return norms[-1]
+
+    batches = [batch_from_rows([[2, 3], [4, 5, 6]], [1, 0]),
+               batch_from_rows([[7], [8, 2, 3, 4]], [0, 1]),
+               batch_from_rows([[5, 6, 7]], [1])]
+    results = []
+    for stats in (None, {}):
+        model, config = tiny_model(seed=14, clip_norm=0.45)
+        results.append(train_epoch(model, Adam(model.named_params(), lr=config.lr), batches,
+                                   config, rng=None, stats=stats))
+        monkeypatch.setattr(Adam, "clip_gradients", recorded)
+    assert results[0] == results[1]
+    assert len(norms) == 3 and any(n > 0.45 for n in norms) and not all(n > 0.45 for n in norms)
+    assert stats["grad_norm"] == pytest.approx(np.mean(norms), rel=1e-15)
+    assert stats["clip_frac"] == pytest.approx(np.mean([n > 0.45 for n in norms]))
+    assert stats["seconds"] > 0
+    assert stats["tokens_per_s"] == pytest.approx(13 / stats["seconds"])
 
 
 def test_tape_is_released_before_the_optimizer_runs(monkeypatch):
@@ -444,7 +498,11 @@ def test_train_on_split_history_schema_and_determinism():
     config = tiny_config(epochs=3, batch_size=2, dropout=0.1)
     _, h1 = train_on_split(train, test, config, vocab, fold=2)
     _, h2 = train_on_split(train, test, config, vocab, fold=2)
-    assert h1 == h2
+    # Equal but for the wall-time telemetry of the train rows.
+    timed = ("seconds", "tokens_per_s")
+    assert all(k in r for r in h1 if r["split"] == "train" for k in timed)
+    assert [{k: v for k, v in r.items() if k not in timed} for r in h1] == \
+        [{k: v for k, v in r.items() if k not in timed} for r in h2]
     assert len(h1) == 6  # train + test rows per epoch
     assert {r["split"] for r in h1} == {"train", "test"}
     assert all(r["fold"] == 2 for r in h1)

@@ -128,7 +128,9 @@ def test_train_writes_artifacts(trained_run, capsys):
 
     with open(trained_run / "metrics.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["epoch", "fold", "split", "loss", "accuracy"]
+    # The first five columns as they always were, then the training telemetry.
+    assert rows[0] == ["epoch", "fold", "split", "loss", "accuracy",
+                       "seconds", "tokens_per_s", "grad_norm", "clip_frac"]
     assert len(rows) == 3  # header + (train, test) for the single epoch
     for row in rows[1:]:
         assert row[1] == "0" and row[2] in ("train", "test")
@@ -154,9 +156,42 @@ def test_train_is_deterministic_across_runs(tmp_path, capsys):
     assert run_tiny_train(tmp_path / "a") == 0
     assert run_tiny_train(tmp_path / "b") == 0
     capsys.readouterr()
-    a = (tmp_path / "a" / "metrics.csv").read_bytes()
-    b = (tmp_path / "b" / "metrics.csv").read_bytes()
-    assert a == b
+    a = (tmp_path / "a" / "metrics.csv").read_text().splitlines()
+    b = (tmp_path / "b" / "metrics.csv").read_text().splitlines()
+    # Every column but the wall-time ones (seconds, tokens_per_s), byte for
+    # byte: the losses, accuracies and gradient norms.
+    timed = lambda line: [v for i, v in enumerate(line.split(",")) if i not in (5, 6)]
+    assert a[0] == b[0] and len(a) == len(b) == 3
+    assert [timed(line) for line in a] == [timed(line) for line in b]
+
+
+def test_train_reports_telemetry_per_epoch(tmp_path, capsys):
+    # Two epochs: each train row of metrics.csv and its train.log line carry
+    # the epoch's wall time, token rate, mean pre-clip gradient norm and clip
+    # fraction; the test rows leave them empty.
+    out_dir = tmp_path / "o"
+    argv = ["train", "--dataset", str(FIXTURE), *TINY_FLAGS, "--out", str(out_dir)]
+    argv[argv.index("--epochs") + 1] = "2"
+    assert main(argv) == 0
+    capsys.readouterr()
+    with open(out_dir / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["epoch"], r["split"]) for r in rows] == [
+        ("1", "train"), ("1", "test"), ("2", "train"), ("2", "test")]
+    log = (out_dir / "train.log").read_text()
+    for r in rows:
+        keys = ("seconds", "tokens_per_s", "grad_norm", "clip_frac")
+        if r["split"] == "test":
+            assert all(r[k] == "" for k in keys)
+            continue
+        seconds, rate = float(r["seconds"]), float(r["tokens_per_s"])
+        norm, frac = float(r["grad_norm"]), float(r["clip_frac"])
+        assert seconds > 0 and rate > 0 and norm > 0 and 0.0 <= frac <= 1.0
+        line = re.search(rf"epoch={r['epoch']} fold=0 split=train .*", log).group(0)
+        fields = dict(kv.split("=") for kv in line.split())
+        assert {k: float(fields[k]) for k in keys} == pytest.approx(
+            {"seconds": seconds, "tokens_per_s": rate, "grad_norm": norm, "clip_frac": frac},
+            rel=1e-3, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_same_length_conv_hand_oracle():
     f[0, 1, 1] = 10.0  # center, channel 1
     f[0, 2, 0] = 100.0  # right neighbor, channel 0
     bank = ConvBank(Tensor(f), Tensor(np.zeros(1)), "identity")
-    out = same_length_conv(bank, Tensor(x), pack([3])[0].window(3))
+    out = same_length_conv([[bank]], Tensor(x), pack([3]).window(3))
     # position 0: left pad (0) + 10*x[0,1] + 100*x[1,0] = 0 + 0 + 0 = 0
     # position 1: 1*x[0,0] + 10*x[1,1] + 100*x[2,0] = 1 + 10 + 200 = 211
     # position 2: 1*x[1,0] + 10*x[2,1] + 100*pad = 0
@@ -105,7 +105,7 @@ def test_same_length_conv_hand_oracle():
 def test_same_length_conv_applies_bias_then_activation():
     x = np.zeros((2, 2))
     bank = ConvBank(Tensor(np.zeros((3, 1, 2))), Tensor([-1.0, 0.5, 2.0]), "relu")
-    out = same_length_conv(bank, Tensor(x), pack([2])[0].window(1))
+    out = same_length_conv([[bank]], Tensor(x), pack([2]).window(1))
     assert np.allclose(out.data, np.tile([0.0, 0.5, 2.0], (2, 1)))
 
 
@@ -114,8 +114,8 @@ def test_same_length_conv_shape_contract():
     for n in (1, 2, 7, 16):
         for k in (1, 3, 5):
             bank = ConvBank.init(rng, d_out=4, k=k, d_in=4)
-            packing = pack([n, n])[0]
-            out = same_length_conv(bank, Tensor(rng.standard_normal((2 * n, 4))),
+            packing = pack([n, n])
+            out = same_length_conv([[bank]], Tensor(rng.standard_normal((2 * n, 4))),
                                    packing.window(k))
             assert out.shape == (2 * n, 4)
 
@@ -124,11 +124,11 @@ def test_same_length_conv_gradcheck():
     rng = rng_for(6)
     bank = ConvBank.init(rng, 3, 3, 2, activation="tanh")
     x = Tensor(rng.standard_normal((10, 2)), requires_grad=True)
-    window = pack([5, 5])[0].window(3)
+    window = pack([5, 5]).window(3)
     params = {"filters": bank.filters, "bias": bank.bias, "x": x}
     report = finite_diff_gradcheck(
-        lambda: ad.sum_all(ad.mul(same_length_conv(bank, x, window),
-                                  same_length_conv(bank, x, window))), params)
+        lambda: ad.sum_all(ad.mul(same_length_conv([[bank]], x, window),
+                                  same_length_conv([[bank]], x, window))), params)
     assert report.passed, report.per_param
 
 

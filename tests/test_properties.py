@@ -16,7 +16,7 @@ from cru.autodiff import Tape, Tensor
 from cru.classifier import SentimentModel, TrainConfig, seeded_rng, train_epoch
 from cru.data import EncodedSample, batch_and_pad
 from cru.optim import BLOCK_ROWS, Adam
-from cru.recurrent import VARIANTS, make_cell, pack, run_sequence
+from cru.recurrent import VARIANTS, _CellBase, make_cell, pack, run_sequence
 from oracles import (conv1d_same_einsum, conv1d_same_padded, dense_update, gru_scan_composed,
                      gru_scan_padded, packed_positions, prepare_per_gate, run_padded, run_row,
                      token_positions)
@@ -96,7 +96,7 @@ def test_packed_run_equals_padded_oracle(case):
         with Tape() as tape:
             if packed:
                 token_rows = ad.take_rows(E, token_positions(lengths, n))
-                states = run_sequence([cell], token_rows, [pack(lengths)[reverse]])
+                states = run_sequence([cell], token_rows, pack(lengths, (reverse,)))
                 readout = G_packed
             else:
                 X = ad.mul(ad.reshape(ad.take_rows(E, read.reshape(-1)), (b, n, d)),
@@ -147,7 +147,7 @@ def test_conv1d_same_equals_einsum_reference(case):
     f = Tensor(rng.standard_normal((d_out, k, d_in)), requires_grad=True)
     G = rng.standard_normal((n * b, d_out))
     with Tape() as tape:
-        out = ad.conv1d_same(x, f, pack([n] * b)[0].window(k))
+        out = ad.conv1d_same(x, [[(f, Tensor(np.zeros(d_out)))]], pack([n] * b).window(k))
         tape.backward(ad.sum_all(ad.mul(out, Tensor(G))))
 
     def batch_major(a):
@@ -195,8 +195,9 @@ def test_packed_conv_equals_padded_oracle(case):
             leaf.zero_grad()
         with Tape() as tape:
             if packed:
-                packing = pack(lengths)[reverse]
-                out = ad.conv1d_same(packing.gather(x), f, packing.window(k))
+                packing = pack(lengths, (reverse,))
+                out = ad.conv1d_same(packing.gather(x), [[(f, Tensor(np.zeros(d_out)))]],
+                                     packing.window(k))
                 tape.backward(ad.sum_all(ad.mul(out, Tensor(G))))
             else:
                 X = ad.mul(ad.reshape(ad.take_rows(x, read.reshape(-1)), (b, n, d_in)),
@@ -222,7 +223,7 @@ def test_prepare_equals_per_gate_inputs_side_by_side(case):
     rng = np.random.Generator(np.random.PCG64(seed))
     cell = make_cell(variant, rng, d, d if variant == "deep" else d_h)
     E = Tensor(rng.standard_normal((b * n, d)), requires_grad=True)
-    packing, _ = pack([n] * b)
+    packing = pack([n] * b, (False,))
     in_packed_order = np.array([r * n + t for r, t in packed_positions([n] * b)])
     recurrence = {"U_z", "U_r", "U", "b_z", "b_r", "b_h"}
     leaves = [E] + [t for name, t in cell.named_params().items() if name not in recurrence]
@@ -233,7 +234,7 @@ def test_prepare_equals_per_gate_inputs_side_by_side(case):
         return ad.take_rows(ad.reshape(gates, (b * n, 3 * cell.hidden_dim)), in_packed_order)
 
     results = []
-    for prepare in (lambda x: cell.prepare(x, packing), per_gate):
+    for prepare in (lambda x: _CellBase.prepare([cell], x, packing), per_gate):
         for x in leaves:
             x.zero_grad()
         with Tape() as tape:
@@ -267,7 +268,7 @@ def test_gru_scan_equals_composed_reference(case, count):
     for row, n in enumerate(lengths):
         Eb[row, :n] = rng.standard_normal((n, d))
     positions = packed_positions(lengths)
-    sizes = pack(lengths)[0].batch_sizes
+    sizes = pack(lengths).batch_sizes
     P_pads, Ps, weights, Gs = [], [], [], []
     for cell in cells:
         p = cell.params
@@ -287,7 +288,7 @@ def test_gru_scan_equals_composed_reference(case, count):
             x.zero_grad()
         with Tape() as tape:
             if packed:
-                out = ad.gru_scan([[P] + ws for P, ws in zip(Ps, weights)], sizes)
+                out = ad.gru_scan(ad.concat_cols(Ps), weights, sizes)
                 tape.backward(ad.sum_all(ad.mul(out, Tensor(G_packed))))
                 results.append([x for i, P in enumerate(Ps)
                                 for x in (out.data[:, i * d:(i + 1) * d], P.grad)])

@@ -26,7 +26,7 @@ def sig(x):
 
 def conv_row(bank, E):
     """The bank's same-length convolution of one unpadded (n, d) sequence."""
-    return same_length_conv(bank, Tensor(E), pack([len(E)])[0].window(bank.width)).data
+    return same_length_conv([[bank]], Tensor(E), pack([len(E)]).window(bank.width)).data
 
 
 def ref_step(p: GruParams, pz, pr, ph, h):
@@ -314,28 +314,37 @@ def test_pack_layout():
     # its end.
     # Token rows: row 0 holds 0-1, row 1 holds 2-5, row 2 holds 6 and row 3
     # holds 7-10.
-    fwd, bwd = pack([2, 4, 1, 4])
-    for p in (fwd, bwd):
-        assert p.batch_sizes.tolist() == [4, 3, 2, 2] and p.size == 11
-        assert p.last.tolist() == [6, 9, 3, 10]
-    assert fwd.rows.tolist() == [2, 7, 0, 6, 3, 8, 1, 4, 9, 5, 10]
-    assert bwd.rows.tolist() == [5, 10, 1, 6, 4, 9, 0, 3, 8, 2, 7]
-    # Slot j reads step t + j - 1 of the same row, or the zero row 11; both
-    # directions share the window, and build it once.
-    window = fwd.window(3)
+    packing = pack([2, 4, 1, 4])
+    assert packing.batch_sizes.tolist() == [4, 3, 2, 2] and packing.size == 11
+    assert packing.last.tolist() == [6, 9, 3, 10]
+    assert packing.directions == 2 and packing.rows.shape == (11, 2)
+    assert packing.rows[:, 0].tolist() == [2, 7, 0, 6, 3, 8, 1, 4, 9, 5, 10]
+    assert packing.rows[:, 1].tolist() == [5, 10, 1, 6, 4, 9, 0, 3, 8, 2, 7]
+    # One direction of either kind has the same layout.
+    for reverse in (False, True):
+        one = pack([2, 4, 1, 4], (reverse,))
+        assert one.batch_sizes.tolist() == [4, 3, 2, 2] and one.directions == 1
+        assert one.last.tolist() == [6, 9, 3, 10]
+        assert one.rows[:, 0].tolist() == packing.rows[:, int(reverse)].tolist()
+    # Slot j reads step t + j - 1 of the same row, or the zero row 11; every
+    # direction shares the window, and it is built once.
+    window = packing.window(3)
     assert window.tolist() == [[11, 0, 4], [11, 1, 5], [11, 2, 6], [11, 3, 11],
                                [0, 4, 7], [1, 5, 8], [2, 6, 11],
                                [4, 7, 9], [5, 8, 10], [7, 9, 11], [8, 10, 11]]
-    assert bwd.window(3) is window
-    assert fwd.window(1).tolist() == [[i] for i in range(11)]
+    assert packing.window(3) is window
+    assert packing.window(1).tolist() == [[i] for i in range(11)]
 
 
 def test_pack_of_one_full_row_is_the_identity():
-    fwd, bwd = pack([5])
-    assert fwd.rows is None and bwd.rows.tolist() == [4, 3, 2, 1, 0]
+    fwd, bwd = pack([5], (False,)), pack([5], (True,))
+    assert fwd.rows is None and bwd.rows[:, 0].tolist() == [4, 3, 2, 1, 0]
     assert fwd.batch_sizes.tolist() == [1] * 5 and fwd.last.tolist() == [4]
-    one, rev = pack([1, 1, 1])  # one token per row: nothing to reorder
+    assert pack([5]).rows.tolist() == [[0, 4], [1, 3], [2, 2], [3, 1], [4, 0]]
+    # One token per row: nothing to reorder.
+    one, rev = pack([1, 1, 1], (False,)), pack([1, 1, 1], (True,))
     assert one.rows is None and rev.rows is None
+    assert pack([1, 1, 1]).rows.tolist() == [[0, 0], [1, 1], [2, 2]]
 
 
 def test_pack_validation():
@@ -343,6 +352,8 @@ def test_pack_validation():
         pack([2, 0])
     with pytest.raises(ContractError):
         pack([])
+    with pytest.raises(ContractError):
+        pack([2], ())
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +370,9 @@ def test_run_sequence_masked_batch_matches_per_sequence():
         Eb = np.zeros((3, width, 3))
         for i, s in enumerate(seqs):
             Eb[i, :len(s)] = s
-        packing, _ = pack([2, 5, 1])
+        packing = pack([2, 5, 1], (False,))
         E = Eb.reshape(3 * width, 3)[token_positions([2, 5, 1], width)]
-        states = run_sequence([cell], Tensor(E), [packing])
+        states = run_sequence([cell], Tensor(E), packing)
         assert states.shape == (8, 3)  # one state per token
         states = padded_states(states.data, [2, 5, 1], width)
         for i, s in enumerate(seqs):
@@ -399,31 +410,35 @@ def test_run_sequence_initial_state():
 def test_run_sequence_errors():
     rng = rng_for(20)
     cell = make_cell("gru", rng, 3, 4)
-    packing, _ = pack([3, 2])
+    packing = pack([3, 2], (False,))
     with pytest.raises(DimensionError):  # the token rows come flat, (T, d)
-        run_sequence([cell], Tensor(rng.standard_normal((1, 5, 3))), [packing])
+        run_sequence([cell], Tensor(rng.standard_normal((1, 5, 3))), packing)
     with pytest.raises(DimensionError):  # the padded rows (B * n, d) of the batch
-        run_sequence([cell], Tensor(rng.standard_normal((6, 3))), [packing])
+        run_sequence([cell], Tensor(rng.standard_normal((6, 3))), packing)
     with pytest.raises(DimensionError):
-        run_sequence([cell], Tensor(rng.standard_normal(3)), [packing])
+        run_sequence([cell], Tensor(rng.standard_normal(3)), packing)
     with pytest.raises(ContractError):
-        run_sequence([cell], Tensor(np.zeros((0, 3))), [pack([0])[0]])
+        run_sequence([cell], Tensor(np.zeros((0, 3))), pack([0], (False,)))
     E = Tensor(rng.standard_normal((5, 3)))
-    with pytest.raises(ContractError):  # one packing for two cells
-        run_sequence([cell, cell], E, [packing])
+    with pytest.raises(ContractError):  # one direction for two cells
+        run_sequence([cell, cell], E, packing)
+    with pytest.raises(ContractError):  # two directions for one cell
+        run_sequence([cell], E, pack([3, 2]))
     with pytest.raises(ContractError):
-        run_sequence([], E, [])
-    with pytest.raises(ContractError):  # directions of two different batches
-        run_sequence([cell, cell], E, [packing, pack([4, 1])[1]])
+        run_sequence([], E, packing)
+    with pytest.raises(DimensionError):  # the token rows of a different batch
+        run_sequence([cell, cell], E, pack([4, 2]))
     with pytest.raises(DimensionError):  # directions of different hidden widths
         run_sequence([cell, make_cell("gru", rng, 3, 5)], E, pack([3, 2]))
+    with pytest.raises(ContractError):  # directions of different variants
+        run_sequence([cell, make_cell("shallow", rng, 3, 4)], E, pack([3, 2]))
 
 
 def test_single_step_sequence():
     rng = rng_for(21)
     cell = make_cell("deep_enhanced", rng, 3, 3)
     E = rng.standard_normal((1, 3))
-    states = run_sequence([cell], Tensor(E), [pack([1])[0]])
+    states = run_sequence([cell], Tensor(E), pack([1], (False,)))
     assert states.shape == (1, 3)
 
 
@@ -500,28 +515,28 @@ def test_sequence_gradcheck_per_variant():
     for variant in VARIANTS:
         cell = make_cell(variant, rng, 3, 3)
         E = Tensor(0.5 * rng.standard_normal((4, 3)), requires_grad=True)
-        packing, _ = pack([4])
+        packing = pack([4], (False,))
         params = dict(cell.named_params())
         params["E"] = E
         report = finite_diff_gradcheck(
-            lambda: ad.sum_all(run_sequence([cell], E, [packing])), params)
+            lambda: ad.sum_all(run_sequence([cell], E, packing)), params)
         assert report.passed, (variant, report.worst(), report.max_rel_err)
 
 
 def test_masked_batch_gradcheck():
-    # Gradients through both packings in one scan and the per-row gather of
+    # Gradients through both directions in one scan and the per-row gather of
     # each row's final states, the way forward_batch picks them. One cell runs
     # both directions, so each of its parameters takes two gradients.
     rng = rng_for(27)
     cell = make_cell("deep_enhanced", rng, 3, 3)
     Eb = Tensor(0.5 * rng.standard_normal((8, 3))[:6], requires_grad=True)  # the tokens
-    packings = pack([4, 2])
+    packing = pack([4, 2])
     params = dict(cell.named_params())
     params["E"] = Eb
 
     def f():
-        return ad.sum_all(ad.take_rows(run_sequence([cell, cell], Eb, packings),
-                                       packings[0].last))
+        return ad.sum_all(ad.take_rows(run_sequence([cell, cell], Eb, packing),
+                                       packing.last))
 
     report = finite_diff_gradcheck(f, params)
     assert report.passed, report.per_param
