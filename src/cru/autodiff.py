@@ -77,28 +77,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # Small operator sugar; floats are wrapped as constant scalars.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -199,13 +177,13 @@ class Tape:
             if node.apply is not None:
                 input_ids = node.input_ids
 
-                def emit(i: int, grad, rows=None, unique=False, owned=False) -> None:
+                def emit(i: int, grad, rows=None, owned=False) -> None:
                     # grad may be a function that makes the gradient; it is
                     # called only for an input with a tape node, so no
                     # gradient of a constant is ever formed. rows: grad holds
-                    # only these rows of the input's gradient, and unique says
-                    # they have no repeats. owned: grad is a fresh array that
-                    # nothing else holds, so it needs no copy.
+                    # only these rows of the input's gradient, which may
+                    # repeat. owned: grad is a fresh array that nothing else
+                    # holds, so it needs no copy.
                     nid = input_ids[i]
                     if nid is None:
                         return  # constant input
@@ -214,15 +192,9 @@ class Tape:
                     cur = buf[nid]
                     shape = nodes[nid].tensor.shape
                     if rows is not None:
-                        fresh = cur is None
-                        if fresh:
+                        if cur is None:
                             cur = buf[nid] = np.zeros(shape)
-                        if not unique:
-                            np.add.at(cur, rows, grad)
-                        elif fresh:
-                            cur[rows] = grad  # nothing to accumulate
-                        else:
-                            cur[rows] += grad  # no repeats, so no update is lost
+                        np.add.at(cur, rows, grad)
                     elif grad.shape != shape:
                         raise ContractError(f"{node.op}: gradient of shape {grad.shape} "
                                             f"for an input of shape {shape}")
@@ -354,14 +326,13 @@ def _pointwise(kind: str, x: Tensor) -> Tensor:
 
 
 sigmoid, tanh, relu = (partial(_pointwise, kind) for kind in ("sigmoid", "tanh", "relu"))
-ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "identity": lambda x: x, "sigmoid": sigmoid, "tanh": tanh, "relu": relu}
+ACTIVATIONS = tuple(_POINTWISE)
 
 
 def activation(kind: str, x: Tensor) -> Tensor:
-    if kind not in ACTIVATIONS:
+    if kind not in _POINTWISE:
         raise ConfigError(f"unknown activation {kind!r}")
-    return ACTIVATIONS[kind](x)
+    return x if kind == "identity" else _pointwise(kind, x)
 
 
 def log(x: Tensor) -> Tensor:
@@ -440,9 +411,10 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
 
 def take_rows(x: Tensor, ids) -> Tensor:
     """Gather rows of a matrix: ids (N,) give (N, d), and ids (N, D) the D
-    gathers side by side, (N, D d). Backward accumulates into repeated rows;
-    ids without repeats (a direction's packed order) scatter by assignment
-    into a fresh gradient or indexed ``+=``, faster than ``np.add.at``."""
+    gathers side by side, (N, D d). Backward accumulates into repeated rows.
+    A column that reads every row of x once (a direction's packed order) is
+    a permutation: its gradient is the gather of its columns of g through the
+    inverse permutation, one dense array, with no zero fill or scatter."""
     if x.ndim != 2:
         raise DimensionError(f"take_rows needs rank 2, got shape {x.shape}")
     idx = np.asarray(ids, dtype=np.intp)
@@ -455,12 +427,21 @@ def take_rows(x: Tensor, ids) -> Tensor:
         raise IndexError(f"row id {bad} out of range [0, {x.shape[0]})")
     # (N, D, d) in memory, so the side-by-side layout is a reshape of it.
     out = Tensor(x.data[idx].reshape(len(idx), -1))
+    n, d = x.shape
     cols = idx.reshape(len(idx), -1).T
-    unique = [np.bincount(c).max() == 1 for c in cols]
+    permutes = [len(c) == n and np.bincount(c).max() == 1 for c in cols]
 
     def apply(g, emit):
-        for j, (c, once) in enumerate(zip(cols, unique)):
-            emit(0, g[:, j * x.shape[1]:(j + 1) * x.shape[1]], rows=c, unique=once)
+        # One emit per column, in column order, so every row's gradient adds
+        # its terms in the same order whichever way a column is emitted.
+        for j, (c, perm) in enumerate(zip(cols, permutes)):
+            g_j = g[:, j * d:(j + 1) * d]
+            if perm:
+                inv = np.empty(n, dtype=np.intp)
+                inv[c] = np.arange(n)
+                emit(0, g_j[inv], owned=True)
+            else:
+                emit(0, g_j, rows=c)
 
     return _emit_op("take_rows", (x,), out, apply)
 

@@ -19,15 +19,10 @@ PAD_ID = 0
 UNK_ID = 1
 
 
-def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
-                   fan_in: int | None = None, fan_out: int | None = None) -> np.ndarray:
-    """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
-    if fan_in is None or fan_out is None:
-        if len(shape) < 2:
-            raise ConfigError(f"cannot infer fans from shape {shape}")
-        fan_out = shape[0] if fan_out is None else fan_out
-        fan_in = int(np.prod(shape[1:])) if fan_in is None else fan_in
-    a = np.sqrt(6.0 / (fan_in + fan_out))
+def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Glorot's Uniform(-a, a), a = sqrt(6 / (n_in + n_out)), with n_out =
+    shape[0] and n_in the product of the rest of the shape."""
+    a = np.sqrt(6.0 / (int(np.prod(shape[1:])) + shape[0]))
     return rng.uniform(-a, a, size=shape)
 
 
@@ -94,7 +89,7 @@ class ConvBank:
     @classmethod
     def init(cls, rng: np.random.Generator, d_out: int, k: int, d_in: int,
              activation: str = "relu") -> "ConvBank":
-        f = glorot_uniform(rng, (d_out, k, d_in), fan_in=k * d_in, fan_out=d_out)
+        f = glorot_uniform(rng, (d_out, k, d_in))
         return cls(Tensor(f, requires_grad=True),
                    Tensor(np.zeros(d_out), requires_grad=True),
                    activation)
@@ -135,7 +130,7 @@ class DenseLayer:
     @classmethod
     def init(cls, rng: np.random.Generator, d_out: int, d_in: int,
              activation: str = "identity") -> "DenseLayer":
-        w = glorot_uniform(rng, (d_out, d_in), fan_in=d_in, fan_out=d_out)
+        w = glorot_uniform(rng, (d_out, d_in))
         return cls(Tensor(w, requires_grad=True),
                    Tensor(np.zeros(d_out), requires_grad=True),
                    activation)

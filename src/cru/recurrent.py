@@ -1,7 +1,10 @@
 """Gated recurrent cells with convolutional gate-input variants.
 
-All four cells share one recurrence; they differ only in how the per-step
-gate inputs are prepared from the embedded sequence:
+There is one cell class, ``_CellBase(variant, params, banks)``, which
+``make_cell`` builds freshly initialized; the variant is a value. The four
+variants share one recurrence and differ only in how the per-step gate inputs
+are prepared from the embedded sequence, with no convolution bank, one, or
+one per gate (``_BANKS``):
 
   gru            P_* = E W_*^T                   (plain linear projection)
   shallow        P_* = C W_*^T, C = conv(E)      (one bank feeds all gates)
@@ -22,8 +25,8 @@ A batch runs in a packed, time-major layout (``pack``): its rows sorted by
 non-increasing length, step t owns the contiguous block of the k_t rows that
 still have a token at t, so the T = sum(lengths) packed rows are exactly the
 batch's tokens. One ``Packing`` holds the (T, D) row index of every
-direction; a reversed one reads each row from its last token back to its
-first. A single sequence is a batch of one.
+direction, also of a single one; a reversed direction reads each row from its
+last token back to its first. A single sequence is a batch of one.
 
 The directions travel side by side, as column blocks, through the whole
 path. ``prepare`` gathers [X_0 | X_1] with one ``take_rows``; the variant's
@@ -48,7 +51,10 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError, DimensionError
 from .layers import ConvBank, glorot_uniform, same_length_conv
 
-VARIANTS = ("gru", "shallow", "deep", "deep_enhanced")
+# Each variant's convolution banks, by parameter name.
+_BANKS = {"gru": (), "shallow": ("conv",), "deep": ("conv_z", "conv_r", "conv_h"),
+          "deep_enhanced": ("conv_z", "conv_r", "conv_h")}
+VARIANTS = tuple(_BANKS)
 
 
 # --------------------------------------------------------------------------
@@ -115,11 +121,11 @@ class Packing:
     Token rows come in batch order: row 0's tokens, then row 1's, and so on.
     Packed row i of step t's block holds step t of the i-th longest row (ties
     in batch order); rows[i, j] is the token row that direction j reads
-    there, or rows is None for one direction that reads them in order.
+    there.
     """
 
     batch_sizes: np.ndarray     # k_t, the rows still running at step t
-    rows: np.ndarray | None     # (T, D) the token row each packed row reads
+    rows: np.ndarray            # (T, D) the token row each packed row reads
     last: np.ndarray            # (B,) the packed row of each row's final state
     windows: dict               # convolution window index by width
 
@@ -130,12 +136,12 @@ class Packing:
 
     @property
     def directions(self) -> int:
-        return 1 if self.rows is None else self.rows.shape[1]
+        return self.rows.shape[1]
 
     def gather(self, E: Tensor) -> Tensor:
         """Every direction's packed rows of token rows E (T, d), side by side:
         [X_0 | X_1 | ...], (T, D d)."""
-        return E if self.rows is None else ad.take_rows(E, self.rows)
+        return ad.take_rows(E, self.rows)
 
     def window(self, k: int) -> np.ndarray:
         """The (T, k) window index of a width-k same-length convolution over
@@ -178,10 +184,6 @@ def pack(lengths, reverse=(False, True)) -> Packing:
     first = (np.cumsum(lengths) - lengths)[row]  # the token row of its first token
     rows = np.stack([first + lengths[row] - 1 - step if r else first + step
                      for r in reverse], axis=1)
-    # Packed order is batch order for one row or one step, and a reversal
-    # moves nothing when no row has two tokens.
-    if len(reverse) == 1 and (longest == 1 or (b == 1 and not reverse[0])):
-        rows = None
     return Packing(sizes, rows, starts[lengths - 1] + rank, {})
 
 
@@ -191,23 +193,26 @@ def pack(lengths, reverse=(False, True)) -> Packing:
 
 class _CellBase:
     """A GRU cell whose variant prepares its gate inputs from its banks: none
-    (gru), one (shallow), or three (deep and deep_enhanced)."""
+    (gru), one (shallow), or one per gate (deep and deep_enhanced)."""
 
-    variant: str
-    bank_names: tuple[str, ...] = ()  # the banks' parameter names
-
-    def __init__(self, params: GruParams, *banks: ConvBank):
-        deep = self.variant == "deep"
+    def __init__(self, variant: str, params: GruParams, banks=()):
+        if variant not in _BANKS:
+            raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        banks = tuple(banks)
+        if len(banks) != len(_BANKS[variant]):
+            raise ContractError(f"{variant} cell needs {len(_BANKS[variant])} banks, "
+                                f"got {len(banks)}")
+        deep = variant == "deep"
         if (params.W is None) != deep:
             raise ConfigError("deep cell takes no W_* matrices" if deep
-                              else f"{self.variant} cell needs W_z, W_r, W")
+                              else f"{variant} cell needs W_z, W_r, W")
         width = params.hidden_dim if deep else params.input_dim
-        for tag, bank in zip(self.bank_names, banks):
+        for tag, bank in zip(_BANKS[variant], banks):
             if bank.filters.shape[0] != width:
                 raise (ConfigError if deep else DimensionError)(
-                    f"{self.variant}: {tag} output width {bank.filters.shape[0]} does not "
+                    f"{variant}: {tag} output width {bank.filters.shape[0]} does not "
                     f"match the {'hidden' if deep else 'W_* input'} width {width}")
-        self.params, self.banks = params, banks
+        self.variant, self.params, self.banks = variant, params, banks
 
     @property
     def hidden_dim(self) -> int:
@@ -225,10 +230,10 @@ class _CellBase:
         and deep_enhanced applies to each bank's output plus its input.
         """
         cells = list(cells)
-        if len(cells) != packing.directions or len({type(c) for c in cells}) != 1:
-            raise ContractError(f"{len(cells)} cells of variants "
-                                f"{sorted({c.variant for c in cells})} for a packing of "
-                                f"{packing.directions} directions")
+        variants = {c.variant for c in cells}
+        if len(cells) != packing.directions or len(variants) != 1:
+            raise ContractError(f"{len(cells)} cells of variants {sorted(variants)} for a "
+                                f"packing of {packing.directions} directions")
         if E.ndim != 2 or E.shape[0] != packing.size:
             raise DimensionError(f"prepare needs the {packing.size} token rows of the "
                                  f"batch, got {E.shape}")
@@ -243,49 +248,14 @@ class _CellBase:
 
     def named_params(self, prefix: str = "") -> dict[str, Tensor]:
         out = self.params.named(prefix)
-        for tag, bank in zip(self.bank_names, self.banks):
+        for tag, bank in zip(_BANKS[self.variant], self.banks):
             out[f"{prefix}{tag}.filters"] = bank.filters
             out[f"{prefix}{tag}.bias"] = bank.bias
         return out
 
 
-class GruCell(_CellBase):
-    variant = "gru"
-
-
-class ShallowCell(_CellBase):
-    """One bank contextualizes the sequence; the recurrence is unchanged."""
-
-    variant, bank_names = "shallow", ("conv",)
-
-    def __init__(self, bank: ConvBank, params: GruParams):
-        super().__init__(params, bank)
-        self.bank = bank
-
-
-class _ThreeBankCell(_CellBase):
-    bank_names = ("conv_z", "conv_r", "conv_h")
-
-    def __init__(self, conv_z: ConvBank, conv_r: ConvBank, conv_h: ConvBank,
-                 params: GruParams):
-        super().__init__(params, conv_z, conv_r, conv_h)
-        self.conv_z, self.conv_r, self.conv_h = conv_z, conv_r, conv_h
-
-
-class DeepCell(_ThreeBankCell):
-    """Per-gate banks feed the recurrence directly; needs hidden == d."""
-
-    variant = "deep"
-
-
-class DeepEnhancedCell(_ThreeBankCell):
-    """Per-gate banks, with W_* projecting bank output + raw embedding."""
-
-    variant = "deep_enhanced"
-
-
 def make_cell(variant: str, rng: np.random.Generator, d_in: int, d_h: int,
-              k: int = 3):
+              k: int = 3) -> _CellBase:
     """Build a freshly initialized cell of the given variant."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -294,10 +264,10 @@ def make_cell(variant: str, rng: np.random.Generator, d_in: int, d_h: int,
     if variant == "deep" and d_h != d_in:
         raise ConfigError(f"deep variant needs hidden size == embedding size, "
                           f"got {d_h} and {d_in}")
-    cls = {"gru": GruCell, "shallow": ShallowCell, "deep": DeepCell,
-           "deep_enhanced": DeepEnhancedCell}[variant]
-    banks = [ConvBank.init(rng, d_in, k, d_in) for _ in cls.bank_names]
-    return cls(*banks, GruParams.init(rng, None if variant == "deep" else d_in, d_h))
+    # The banks are drawn before the recurrence weights.
+    banks = [ConvBank.init(rng, d_in, k, d_in) for _ in _BANKS[variant]]
+    return _CellBase(variant, GruParams.init(rng, None if variant == "deep" else d_in, d_h),
+                     banks)
 
 
 # --------------------------------------------------------------------------

@@ -180,9 +180,9 @@ def prepare_per_gate(cell, E):
     if cell.variant == "gru":
         return _project(E, p.W_z), _project(E, p.W_r), _project(E, p.W)
     if cell.variant == "shallow":
-        c = same_length_conv_padded(cell.bank, E)
+        c = same_length_conv_padded(cell.banks[0], E)
         return _project(c, p.W_z), _project(c, p.W_r), _project(c, p.W)
-    banks = [same_length_conv_padded(c, E) for c in (cell.conv_z, cell.conv_r, cell.conv_h)]
+    banks = [same_length_conv_padded(c, E) for c in cell.banks]
     if cell.variant == "deep":
         return tuple(banks)
     return tuple(_project(ad.add(c, E), w) for c, w in zip(banks, (p.W_z, p.W_r, p.W)))

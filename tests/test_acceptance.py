@@ -33,8 +33,7 @@ from cru.data import (Corpus, Sample, batch_and_pad, build_vocab,
 from cru.layers import ConvBank, same_length_conv
 from cru.optim import Adam
 from cru.rc_features import count_of_query_word, doc_word_freq
-from cru.recurrent import (VARIANTS, DeepCell, DeepEnhancedCell, GruParams,
-                           ShallowCell, make_cell, pack)
+from cru.recurrent import VARIANTS, GruParams, _CellBase, make_cell, pack
 from oracles import run_padded, run_row
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,7 +81,7 @@ def test_criterion_02_degeneracy_deep_enhanced_to_gru():
         gru = make_cell("gru", rng, d, d_h)
         zero = [ConvBank(Tensor(np.zeros((d, k, d))), Tensor(np.zeros(d)), "relu")
                 for _ in range(3)]
-        enhanced = DeepEnhancedCell(*zero, gru.params)
+        enhanced = _CellBase("deep_enhanced", gru.params, zero)
         E = rng.standard_normal((n, d))
         hg, fg = run_row(gru, E)
         he, fe = run_row(enhanced, E)
@@ -105,12 +104,12 @@ def test_criterion_03_degeneracy_deep_to_shallow():
         k = int(rng.choice([1, 3, 5]))
         bank = ConvBank.init(rng, d, k, d, "relu")
         params = GruParams.init(rng, None, d)
-        deep = DeepCell(bank, bank, bank, params)
+        deep = _CellBase("deep", params, [bank] * 3)
         eye = lambda: Tensor(np.eye(d))
-        shallow = ShallowCell(bank, GruParams(
+        shallow = _CellBase("shallow", GruParams(
             U_z=params.U_z, U_r=params.U_r, U=params.U,
             b_z=params.b_z, b_r=params.b_r, b_h=params.b_h,
-            W_z=eye(), W_r=eye(), W=eye()))
+            W_z=eye(), W_r=eye(), W=eye()), [bank])
         E = rng.standard_normal((n, d))
         h1, f1 = run_row(deep, E)
         h2, f2 = run_row(shallow, E)

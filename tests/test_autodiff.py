@@ -254,16 +254,6 @@ def test_elementwise_rejects_mismatched_shapes():
         ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
 
-def test_operator_sugar_matches_functions():
-    a = Tensor([1.0, 2.0])
-    b = Tensor([3.0, 4.0])
-    assert np.allclose((a + b).data, [4, 6])
-    assert np.allclose((a - b).data, [-2, -2])
-    assert np.allclose((a * b).data, [3, 8])
-    assert np.allclose((2.0 * a).data, [2, 4])
-    assert np.allclose((1.0 - a).data, [0, -1])
-
-
 # ---------------------------------------------------------------------------
 # Activations and scalar reductions
 # ---------------------------------------------------------------------------
@@ -360,13 +350,17 @@ def test_take_rows_gather_and_duplicate_accumulation():
 
 
 def test_take_rows_scatter_equals_add_at():
-    # A permutation scatters by assignment and ids with repeats by np.add.at;
-    # a second gather of the same matrix accumulates onto the first.
+    # A permutation's gradient is a dense gather and ids with repeats scatter
+    # by np.add.at; a second gather of the same matrix accumulates onto the
+    # first, and the columns of (N, 2) ids accumulate in column order.
     rng = rng_for(20)
-    for ids in (rng.permutation(6), np.array([4, 1, 4, 4, 0]), np.arange(6)[::-1]):
+    for ids in (rng.permutation(6), np.array([4, 1, 4, 4, 0]), np.arange(6)[::-1],
+                np.stack([rng.permutation(6), rng.permutation(6)], axis=1),
+                np.stack([rng.permutation(6), [5, 0, 5, 2, 2, 1]], axis=1)):
+        cols = ids.reshape(len(ids), -1).T
         for second in (None, rng.permutation(6)):
             w = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
-            G1 = rng.standard_normal((ids.size, 3))
+            G1 = rng.standard_normal((len(ids), 3 * len(cols)))
             G2 = rng.standard_normal((6, 3))
             with Tape() as tape:
                 loss = ad.sum_all(ad.mul(ad.take_rows(w, ids), Tensor(G1)))
@@ -377,7 +371,8 @@ def test_take_rows_scatter_equals_add_at():
             expected = np.zeros((6, 3))  # in the tape's reverse order
             if second is not None:
                 np.add.at(expected, second, G2)
-            np.add.at(expected, ids, G1)
+            for j, c in enumerate(cols):
+                np.add.at(expected, c, G1[:, 3 * j:3 * (j + 1)])
             assert np.array_equal(w.grad, expected), (ids, second)
 
 

@@ -11,8 +11,8 @@ from cru.autodiff import Tensor, finite_diff_gradcheck
 from cru.errors import ConfigError, ContractError, DimensionError
 from cru.layers import ConvBank, same_length_conv
 from cru.rc_features import encode_bidirectional_enriched, enrich_embeddings
-from cru.recurrent import (DeepCell, DeepEnhancedCell, GruCell, GruParams,
-                           ShallowCell, VARIANTS, make_cell, pack, run_sequence)
+from cru.recurrent import (GruParams, VARIANTS, _CellBase, make_cell, pack,
+                           run_sequence)
 from oracles import padded_states, run_padded, run_row, token_positions
 
 
@@ -88,7 +88,7 @@ def test_gru_params_deep_form_has_no_input_dim():
 def test_gru_step_matches_reference():
     rng = rng_for(2)
     p = GruParams.init(rng, 3, 4)
-    cell = GruCell(p)
+    cell = _CellBase("gru", p)
     for trial in range(20):
         x_prev, x = rng.standard_normal((2, 3))
         h, got = one_step(cell, x_prev[None], x[None])
@@ -102,7 +102,7 @@ def test_gru_step_batched_rows_match_single():
     p = GruParams.init(rng, 3, 4)
     X_prev = rng.standard_normal((5, 3))
     X = rng.standard_normal((5, 3))
-    H, got = one_step(GruCell(p), X_prev, X)
+    H, got = one_step(_CellBase("gru", p), X_prev, X)
     for b in range(5):
         assert np.allclose(got[b], ref_gru(p, X[b], H[b]), atol=1e-12)
 
@@ -118,12 +118,12 @@ def test_update_gate_blends_toward_previous_state():
     p.W_z.data[:, 0] = 50.0
     x_prev = np.array([-1.0, *rng.standard_normal(2)])
     x = np.array([1.0, *rng.standard_normal(2)])
-    h, out = (a[0] for a in one_step(GruCell(p), x_prev[None], x[None]))
+    h, out = (a[0] for a in one_step(_CellBase("gru", p), x_prev[None], x[None]))
     assert np.max(np.abs(h)) > 0.1
     assert np.allclose(out, h, atol=1e-9)
     # And z -> 0 makes the output the candidate state alone.
     x[0] = -1.0
-    h, out2 = (a[0] for a in one_step(GruCell(p), x_prev[None], x[None]))
+    h, out2 = (a[0] for a in one_step(_CellBase("gru", p), x_prev[None], x[None]))
     g = np.tanh(p.W.data @ x
                 + p.U.data @ (sig(p.W_r.data @ x + p.U_r.data @ h + p.b_r.data) * h)
                 + p.b_h.data)
@@ -136,7 +136,7 @@ def test_reset_gate_cuts_recurrent_candidate_path():
     p = GruParams.init(rng, 3, 4)
     p.b_r.data[:] = -50.0
     x_prev, x = rng.standard_normal((2, 3))
-    h, out = (a[0] for a in one_step(GruCell(p), x_prev[None], x[None]))
+    h, out = (a[0] for a in one_step(_CellBase("gru", p), x_prev[None], x[None]))
     z = sig(p.W_z.data @ x + p.U_z.data @ h + p.b_z.data)
     g = np.tanh(p.W.data @ x + p.b_h.data)  # U @ (0*h) vanishes
     assert np.allclose(out, z * h + (1 - z) * g, atol=1e-9)
@@ -148,14 +148,18 @@ def test_deep_step_matches_reference_and_validates():
     A = rng.standard_normal((3, 4, 4))
     banks = linear_banks(A)
     x_prev, x = rng.standard_normal((2, 4))
-    h, got = (a[0] for a in one_step(DeepCell(*banks, p), x_prev[None], x[None]))
+    h, got = (a[0] for a in one_step(_CellBase("deep", p, banks), x_prev[None], x[None]))
     assert np.allclose(got, ref_step(p, A[0] @ x, A[1] @ x, A[2] @ x, h), atol=1e-12)
     narrow = linear_banks(rng.standard_normal((1, 3, 4)))[0]
     with pytest.raises(ConfigError):  # bank width must equal hidden size
-        DeepCell(narrow, banks[1], banks[2], p)
+        _CellBase("deep", p, [narrow, banks[1], banks[2]])
     p_full = GruParams.init(rng, 4, 4)
     with pytest.raises(ConfigError):
-        DeepCell(*banks, p_full)
+        _CellBase("deep", p_full, banks)
+    with pytest.raises(ContractError):  # one bank per gate
+        _CellBase("deep", p, banks[:2])
+    with pytest.raises(ConfigError):
+        _CellBase("lstm", p, banks)
 
 
 def test_deep_enhanced_step_matches_reference():
@@ -164,13 +168,13 @@ def test_deep_enhanced_step_matches_reference():
     A = rng.standard_normal((3, 3, 3))
     banks = linear_banks(A)
     e_prev, e = rng.standard_normal((2, 3))
-    h, got = (a[0] for a in one_step(DeepEnhancedCell(*banks, p), e_prev[None], e[None]))
+    h, got = (a[0] for a in one_step(_CellBase("deep_enhanced", p, banks), e_prev[None], e[None]))
     expected = ref_step(p, p.W_z.data @ (A[0] @ e + e), p.W_r.data @ (A[1] @ e + e),
                         p.W.data @ (A[2] @ e + e), h)
     assert np.allclose(got, expected, atol=1e-12)
     p_deep = GruParams.init(rng, None, 4)
     with pytest.raises(ConfigError):
-        DeepEnhancedCell(*banks, p_deep)
+        _CellBase("deep_enhanced", p_deep, banks)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +198,7 @@ def test_shallow_cell_equals_conv_then_gru():
     cell = make_cell("shallow", rng, 3, 5)
     E = rng.standard_normal((4, 3))
     all_h, _ = run_row(cell, E)
-    C = conv_row(cell.bank, E)
+    C = conv_row(cell.banks[0], E)
     h = np.zeros(5)
     for t in range(4):
         h = ref_gru(cell.params, C[t], h)
@@ -206,7 +210,7 @@ def test_deep_cell_equals_three_convs_plus_step():
     cell = make_cell("deep", rng, 4, 4)
     E = rng.standard_normal((5, 4))
     all_h, _ = run_row(cell, E)
-    cz, cr, ch = (conv_row(c, E) for c in (cell.conv_z, cell.conv_r, cell.conv_h))
+    cz, cr, ch = (conv_row(c, E) for c in cell.banks)
     h = np.zeros(4)
     for t in range(5):
         h = ref_step(cell.params, cz[t], cr[t], ch[t], h)
@@ -219,7 +223,7 @@ def test_deep_enhanced_cell_equals_conv_plus_step():
     E = rng.standard_normal((5, 3))
     all_h, _ = run_row(cell, E)
     p = cell.params
-    cz, cr, ch = (conv_row(c, E) for c in (cell.conv_z, cell.conv_r, cell.conv_h))
+    cz, cr, ch = (conv_row(c, E) for c in cell.banks)
     h = np.zeros(4)
     for t in range(5):
         h = ref_step(p, p.W_z.data @ (cz[t] + E[t]), p.W_r.data @ (cr[t] + E[t]),
@@ -236,7 +240,7 @@ def test_deep_enhanced_with_zero_banks_is_gru():
     gru = make_cell("gru", rng, 4, 4)
     zero = [ConvBank(Tensor(np.zeros((4, 3, 4))), Tensor(np.zeros(4)), "relu")
             for _ in range(3)]
-    de = DeepEnhancedCell(*zero, gru.params)
+    de = _CellBase("deep_enhanced", gru.params, zero)
     for trial in range(10):
         E = rng.standard_normal((6, 4))
         hg, fg = run_row(gru, E)
@@ -250,12 +254,12 @@ def test_deep_with_shared_banks_is_shallow_with_identity_w():
     d = 4
     bank = ConvBank.init(rng, d, 3, d, "relu")
     deep_params = GruParams.init(rng, None, d)
-    deep = DeepCell(bank, bank, bank, deep_params)
+    deep = _CellBase("deep", deep_params, [bank] * 3)
     eye = lambda: Tensor(np.eye(d), requires_grad=True)
-    shallow = ShallowCell(bank, GruParams(
+    shallow = _CellBase("shallow", GruParams(
         U_z=deep_params.U_z, U_r=deep_params.U_r, U=deep_params.U,
         b_z=deep_params.b_z, b_r=deep_params.b_r, b_h=deep_params.b_h,
-        W_z=eye(), W_r=eye(), W=eye()))
+        W_z=eye(), W_r=eye(), W=eye()), [bank])
     for trial in range(10):
         E = rng.standard_normal((5, d))
         h1, f1 = run_row(deep, E)
@@ -271,7 +275,7 @@ def test_shallow_with_identity_window_is_gru():
     gru = make_cell("gru", rng, 4, 5)
     ident = ConvBank(Tensor(np.eye(4)[:, None, :]), Tensor(np.zeros(4)),
                      "identity")
-    shallow = ShallowCell(ident, gru.params)
+    shallow = _CellBase("shallow", gru.params, [ident])
     E = rng.standard_normal((7, 4))
     hg, _ = run_row(gru, E)
     hs, _ = run_row(shallow, E)
@@ -338,12 +342,13 @@ def test_pack_layout():
 
 def test_pack_of_one_full_row_is_the_identity():
     fwd, bwd = pack([5], (False,)), pack([5], (True,))
-    assert fwd.rows is None and bwd.rows[:, 0].tolist() == [4, 3, 2, 1, 0]
+    assert fwd.rows[:, 0].tolist() == [0, 1, 2, 3, 4]
+    assert bwd.rows[:, 0].tolist() == [4, 3, 2, 1, 0]
     assert fwd.batch_sizes.tolist() == [1] * 5 and fwd.last.tolist() == [4]
     assert pack([5]).rows.tolist() == [[0, 4], [1, 3], [2, 2], [3, 1], [4, 0]]
     # One token per row: nothing to reorder.
     one, rev = pack([1, 1, 1], (False,)), pack([1, 1, 1], (True,))
-    assert one.rows is None and rev.rows is None
+    assert one.rows[:, 0].tolist() == rev.rows[:, 0].tolist() == [0, 1, 2]
     assert pack([1, 1, 1]).rows.tolist() == [[0, 0], [1, 1], [2, 2]]
 
 
