@@ -472,7 +472,7 @@ def conv1d_same(x: Tensor, banks: Sequence[Sequence[tuple[Tensor, Tensor]]], win
     same-length padding, where that step is outside it. Bank j of direction
     i fills columns (i m + j) d_out to (i m + j + 1) d_out of (T, D m d_out).
 
-    A direction gathers its windows once (im2col), then takes one matmul per
+    A direction gathers its window rows once (im2col), then takes one matmul per
     bank. A window index is symmetric (p is in slot j of q exactly when q is
     in slot k-1-j of p), so dx is the same gather of the gradient times the
     tap-reversed filters: no scatter. Results are bit for bit those of the
@@ -638,18 +638,9 @@ _CONCURRENT_STEP_WORK = 2 ** 19
 # 2^25 an op's forward and backward take over ~20 ms, and no such request does.
 _CONCURRENT_MATMUL_WORK = 2 ** 25
 
-_WORKER: ThreadPoolExecutor | None = None
-_WORKER_LOCK = threading.Lock()
-
-
-def _worker() -> ThreadPoolExecutor:
-    """The one worker thread that runs a direction's numpy beside the calling
-    thread, started on first use."""
-    global _WORKER
-    with _WORKER_LOCK:
-        if _WORKER is None:
-            _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cru-worker")
-        return _WORKER
+# The one worker thread that runs a direction's numpy beside the calling
+# thread; the executor starts it on the first submit.
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cru-worker")
 
 
 def _run_loops(loops: Sequence[Callable[[], None]], concurrent: bool) -> None:
@@ -659,7 +650,7 @@ def _run_loops(loops: Sequence[Callable[[], None]], concurrent: bool) -> None:
         for loop in loops:
             loop()
         return
-    pending = [_worker().submit(loop) for loop in loops[1:]]
+    pending = [_WORKER.submit(loop) for loop in loops[1:]]
     try:
         loops[0]()
     finally:
@@ -856,8 +847,8 @@ def finite_diff_gradcheck(f, params, h: float = 1e-5, tol: float = 1e-4) -> Grad
     so disable dropout before checking. Relative error per entry is
     |a - b| / max(|a|, |b|, 1e-8).
     """
-    if h <= 0:
-        raise ConfigError(f"finite-difference step must be positive, got {h}")
+    if not 0 < h < np.inf:
+        raise ConfigError(f"finite-difference step must be positive and finite, got {h}")
     items = list(params.items()) if isinstance(params, dict) else list(params)
 
     base1, base2 = _scalar(f()), _scalar(f())

@@ -29,7 +29,7 @@ TELEMETRY = (("seconds", ".6f"), ("tokens_per_s", ".1f"), ("grad_norm", ".6f"),
              ("clip_frac", ".4f"))
 
 # Seed-stream tags so every randomness consumer gets an independent generator.
-_TAG_INIT, _TAG_DROPOUT, _TAG_SHUFFLE, _TAG_FOLDS, _TAG_EMBED = 1, 2, 3, 4, 5
+_TAG_INIT, _TAG_DROPOUT, _TAG_SHUFFLE, _TAG_EMBED = 1, 2, 3, 5
 
 
 def seeded_rng(seed: int, *tags: int) -> np.random.Generator:
@@ -71,12 +71,15 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 must be >= 0, got {self.l2}")
-        if self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+        # Written so that NaN fails each float check.
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.l2 < np.inf:
+            raise ConfigError(f"l2 must be >= 0 and finite, got {self.l2}")
+        if not 0 < self.clip_norm < np.inf:
+            raise ConfigError(f"clip_norm must be positive and finite, got {self.clip_norm}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.variant == "deep" and self.hidden_dim != self.embed_dim:
             raise ConfigError(
                 f"deep fusion requires hidden == embed, got hidden={self.hidden_dim} "
@@ -99,21 +102,16 @@ class TrainConfig:
 
     @classmethod
     def from_kv(cls, kv: dict[str, str]) -> "TrainConfig":
+        """Parse each value by its field's annotation; "" is None where the
+        field may be None."""
         typed = {}
         for f in fields(cls):
             if f.name not in kv:
                 continue
-            raw = kv[f.name]
-            if raw == "":
-                typed[f.name] = None
-                continue
+            raw, (kind, *optional) = kv[f.name], f.type.split(" | ")
             try:
-                if f.name in ("variant", "pretrained"):
-                    typed[f.name] = raw
-                elif f.name in ("dropout", "lr", "l2", "clip_norm"):
-                    typed[f.name] = float(raw)
-                else:
-                    typed[f.name] = int(raw)
+                typed[f.name] = (None if optional and raw == ""
+                                 else {"str": str, "int": int, "float": float}[kind](raw))
             except ValueError:
                 raise ConfigError(f"bad value for {f.name}: {raw!r}") from None
         unknown = set(kv) - {f.name for f in fields(cls)}
@@ -142,10 +140,10 @@ class SentimentModel:
         config.validate()
         if embedding is None:
             embedding = EmbeddingTable.init(rng, vocab_size, config.embed_dim)
-        if embedding.dim != config.embed_dim:
+        if embedding.weights.shape != (vocab_size, config.embed_dim):
             raise ConfigError(
-                f"embedding width {embedding.dim} does not match embed_dim "
-                f"{config.embed_dim}"
+                f"embedding table of shape {embedding.weights.shape} does not match "
+                f"the vocabulary size {vocab_size} and embed_dim {config.embed_dim}"
             )
         fwd = make_cell(config.variant, rng, config.embed_dim, config.hidden_dim,
                         config.filter_k)
@@ -360,8 +358,14 @@ def load_checkpoint(ckpt_dir) -> tuple[SentimentModel, TrainConfig, Vocab]:
     config = TrainConfig.from_kv(parse_kv_file(ckpt / "config.txt"))
     vocab = Vocab.load(ckpt / "vocab.txt")
 
-    model = SentimentModel.build(config, len(vocab), seeded_rng(config.seed, _TAG_INIT))
     stored = load_tensors(ckpt / "params.bin")
+    if "embedding.weights" not in stored:
+        raise ConfigError("checkpoint is missing tensor embedding.weights")
+    # The model is built around the stored table; the tensors drawn for the
+    # rest are overwritten below.
+    model = SentimentModel.build(
+        config, len(vocab), seeded_rng(config.seed, _TAG_INIT),
+        embedding=EmbeddingTable(Tensor(stored["embedding.weights"], requires_grad=True)))
     for name, tensor in model.named_params().items():
         if name not in stored:
             raise ConfigError(f"checkpoint is missing tensor {name}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from .classifier import (TELEMETRY, SentimentModel, TrainConfig, _TAG_EMBED, _ev
 from .data import (FORMATS, Batch, Corpus, Sample, batch_and_pad, build_vocab,
                    encode_corpus, load_corpus, load_document_corpus,
                    load_pretrained_embeddings, make_folds, parse_kv_file, tokenize)
-from .errors import ConfigError, ContractError, NumericError, ParseError
+from .errors import ConfigError, CruError, NumericError
 from .recurrent import VARIANTS, make_cell, pack, run_sequence
 
 # Per-dataset defaults (embedding width, hidden width, dropout, learning
@@ -36,30 +37,23 @@ DATASET_DEFAULTS: dict[str, dict[str, str]] = {
              "lr": "0.001", "vocab_cap": "50000"},
 }
 
-# CLI destination -> TrainConfig field
-_FLAG_FIELDS = {
-    "variant": "variant", "filter": "filter_k", "embed": "embed_dim",
-    "hidden": "hidden_dim", "dropout": "dropout", "lr": "lr", "l2": "l2",
-    "batch": "batch_size", "epochs": "epochs", "seed": "seed",
-    "vocab_cap": "vocab_cap", "pretrained": "pretrained", "fc_dim": "fc_dim",
-    "folds": "folds", "run_folds": "run_folds",
-}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
         raise ConfigError(message)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per TrainConfig field but clip_norm, each stored under its
+    field's name."""
     p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--filter", type=int, help="convolution window width (odd)")
-    p.add_argument("--embed", type=int, help="embedding width")
-    p.add_argument("--hidden", type=int, help="hidden state width")
+    p.add_argument("--filter", type=int, dest="filter_k",
+                   help="convolution window width (odd)")
+    p.add_argument("--embed", type=int, dest="embed_dim", help="embedding width")
+    p.add_argument("--hidden", type=int, dest="hidden_dim", help="hidden state width")
     p.add_argument("--dropout", type=float)
     p.add_argument("--lr", type=float)
     p.add_argument("--l2", type=float)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--batch", type=int, dest="batch_size")
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--vocab-cap", type=int, dest="vocab_cap")
@@ -131,10 +125,10 @@ def resolve_train_config(args) -> TrainConfig:
         if unknown:
             raise ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
         kv.update(file_kv)
-    for flag, field in _FLAG_FIELDS.items():
-        val = getattr(args, flag, None)
+    for f in fields(TrainConfig):
+        val = getattr(args, f.name, None)
         if val is not None:
-            kv[field] = str(val)
+            kv[f.name] = str(val)
     return TrainConfig.from_kv(kv)
 
 
@@ -181,32 +175,25 @@ def cmd_train(args) -> int:
             seeded_rng(config.seed, _TAG_EMBED))
         emit(f"pretrained file={config.pretrained} coverage={coverage:.4f}")
 
+    samples = train_corpus.samples
+    if test_corpus is not None:
+        splits = [(samples, test_corpus.samples)]
+    else:
+        plan = make_folds(len(samples), config.folds, config.seed)
+        splits = [([samples[i] for i in plan.train_indices(fold)],
+                   [samples[i] for i in plan.test_indices(fold)])
+                  for fold in range(config.run_folds or config.folds)]
     history: list[dict] = []
     accuracies: list[float] = []
-    if test_corpus is not None:
-        model, rows = train_on_split(train_corpus.samples, test_corpus.samples,
-                                     config, vocab, fold=0,
+    for fold, (tr, te) in enumerate(splits):
+        model, rows = train_on_split(tr, te, config, vocab, fold=fold,
                                      base_embedding=base_embedding, log_fn=emit)
         history.extend(rows)
-        ckpt_fold = 0
-        final_acc = [r for r in rows if r["split"] == "test"][-1]["accuracy"]
-        accuracies.append(final_acc)
-        emit(f"summary split=test accuracy={final_acc:.4f}")
+        accuracies.append([r for r in rows if r["split"] == "test"][-1]["accuracy"])
+    if test_corpus is not None:
+        emit(f"summary split=test accuracy={accuracies[0]:.4f}")
     else:
-        plan = make_folds(len(train_corpus.samples), config.folds, config.seed)
-        n_run = config.run_folds or config.folds
-        samples = train_corpus.samples
-        model = None
-        for fold in range(n_run):
-            tr = [samples[i] for i in plan.train_indices(fold)]
-            te = [samples[i] for i in plan.test_indices(fold)]
-            model, rows = train_on_split(tr, te, config, vocab, fold=fold,
-                                         base_embedding=base_embedding, log_fn=emit)
-            history.extend(rows)
-            accuracies.append([r for r in rows if r["split"] == "test"][-1]["accuracy"])
-        ckpt_fold = n_run - 1
-        mean_acc = float(np.mean(accuracies))
-        emit(f"summary folds={n_run} mean_cv_accuracy={mean_acc:.4f}")
+        emit(f"summary folds={len(splits)} mean_cv_accuracy={float(np.mean(accuracies)):.4f}")
 
     with open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -218,7 +205,7 @@ def cmd_train(args) -> int:
                              f"{r['loss']:.6f}", f"{r['accuracy']:.6f}"]
                             + [format(r[k], f) if k in r else "" for k, f in TELEMETRY])
     # The last model trained is the one saved.
-    emit(f"checkpoint fold={ckpt_fold} path={out_dir / 'checkpoint'}")
+    emit(f"checkpoint fold={len(splits) - 1} path={out_dir / 'checkpoint'}")
     save_checkpoint(out_dir / "checkpoint", model, config, vocab)
     log_path.write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     emit(f"artifacts checkpoint={out_dir / 'checkpoint'} "
@@ -334,6 +321,8 @@ def run_gradcheck(base_seed: int = 0, tol: float = 1e-4,
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     ok, _ = run_gradcheck(args.seed, args.tol)
     return 0 if ok else 4
 
@@ -389,12 +378,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (ConfigError, ContractError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except CruError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

@@ -176,9 +176,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.itos)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.stoi
-
     def encode(self, tokens: list[str]) -> np.ndarray:
         return np.array([self.stoi.get(t, UNK_ID) for t in tokens], dtype=np.intp)
 
@@ -246,9 +243,12 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int,
             if idx is None or idx in (PAD_ID, UNK_ID):
                 continue
             try:
-                weights[idx] = [float(v) for v in values]
+                row = [float(v) for v in values]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if not np.all(np.isfinite(row)):
+                raise ParseError(f"{path}:{lineno}: vector of {token!r} holds non-finite values")
+            weights[idx] = row
             found += 1
     denom = max(len(vocab) - 2, 1)
     table = EmbeddingTable(Tensor(weights, requires_grad=True))

@@ -37,12 +37,13 @@ class Adam:
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        if lr < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {lr}")
+        # Written so that NaN fails each float check.
+        if not 0 <= lr < np.inf:
+            raise ConfigError(f"learning rate must be >= 0 and finite, got {lr}")
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ConfigError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if eps <= 0:
-            raise ConfigError(f"eps must be positive, got {eps}")
+        if not 0 < eps < np.inf:
+            raise ConfigError(f"eps must be positive and finite, got {eps}")
         items = list(params.items()) if isinstance(params, dict) else list(params)
         names = [n for n, _ in items]
         if len(set(names)) != len(names):
@@ -90,11 +91,12 @@ class Adam:
         """Norm pass, once per step: add 2 * l2[name] * W to each named gradient,
         keep the sum of l2[name] * ||W||^2 in self.penalty, return the pre-clip
         norm. The next step() scales the gradients to a joint norm <= max_norm."""
-        if max_norm <= 0:
-            raise ConfigError(f"max_norm must be positive, got {max_norm}")
+        if not 0 < max_norm < np.inf:
+            raise ConfigError(f"max_norm must be positive and finite, got {max_norm}")
         l2 = l2 or {}
-        if set(l2) - set(self.m) or any(lam < 0 for lam in l2.values()):
-            raise ConfigError(f"l2 must map parameter names to coefficients >= 0, got {l2}")
+        if set(l2) - set(self.m) or not all(0 <= lam < np.inf for lam in l2.values()):
+            raise ConfigError(f"l2 must map parameter names to finite coefficients >= 0, "
+                              f"got {l2}")
         total = penalty = 0.0
         for name, p in self.params:
             lam = l2.get(name, 0.0)

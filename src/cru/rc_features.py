@@ -50,16 +50,7 @@ def count_of_query_word(document: list[str], query: list[str]) -> np.ndarray:
     return np.array([float(counts[tok]) for tok in document])
 
 
-@dataclass
-class EnrichedEmbedding:
-    base: Tensor          # (n, d)
-    freq: np.ndarray      # (n,)
-    coq: np.ndarray       # (n,)
-    combined: Tensor      # (n, d + 2)
-
-
-def enrich_embeddings(base: Tensor, document: list[str],
-                      query: list[str]) -> EnrichedEmbedding:
+def enrich_embeddings(base: Tensor, document: list[str], query: list[str]) -> Tensor:
     """Append freq and coq columns to the base rows: (n, d) -> (n, d+2)."""
     if base.ndim != 2:
         raise DimensionError(f"base embeddings need rank 2, got {base.shape}")
@@ -68,27 +59,25 @@ def enrich_embeddings(base: Tensor, document: list[str],
             f"{base.shape[0]} embedding rows do not align with "
             f"{len(document)} document tokens"
         )
-    freq = doc_word_freq(document)
-    coq = count_of_query_word(document, query)
-    combined = ad.concat_cols([base,
-                               Tensor(freq[:, None]),
-                               Tensor(coq[:, None])])
-    return EnrichedEmbedding(base=base, freq=freq, coq=coq, combined=combined)
+    return ad.concat_cols([base,
+                           Tensor(doc_word_freq(document)[:, None]),
+                           Tensor(count_of_query_word(document, query)[:, None])])
 
 
-def encode_bidirectional_enriched(fwd_cell, bwd_cell,
-                                  enriched: EnrichedEmbedding) -> Tensor:
-    """Per-position two-direction states over the widened rows, (n, 2*d_h).
+def encode_bidirectional_enriched(fwd_cell, bwd_cell, X: Tensor) -> Tensor:
+    """Per-position two-direction states over the widened rows X (n, d+2),
+    (n, 2*d_h).
 
     Row t pairs the forward state after token t with the backward state
     after reading the document from its end back to token t.
     """
     if fwd_cell.hidden_dim != bwd_cell.hidden_dim:
         raise ConfigError("directions must share hidden size")
-    X = enriched.combined
     n = X.shape[0]
-    rev = np.arange(n)[::-1]
-    # Two calls, not one: the backward states must be put back in position
-    # order before they are joined.
-    return ad.concat_cols([run_sequence([fwd_cell], X, pack([n], (False,))),
-                           ad.take_rows(run_sequence([bwd_cell], X, pack([n], (True,))), rev)])
+    # Packed row i holds the forward state at token i and the backward state
+    # at token n-1-i; read as (2n, d_h) rows, the pair for token t is rows 2t
+    # and 2(n-1-t)+1.
+    states = ad.reshape(run_sequence([fwd_cell, bwd_cell], X, pack([n])),
+                        (2 * n, fwd_cell.hidden_dim))
+    t = np.arange(n)
+    return ad.take_rows(states, np.stack([2 * t, 2 * (n - 1 - t) + 1], axis=1))

@@ -127,7 +127,6 @@ class Packing:
     batch_sizes: np.ndarray     # k_t, the rows still running at step t
     rows: np.ndarray            # (T, D) the token row each packed row reads
     last: np.ndarray            # (B,) the packed row of each row's final state
-    windows: dict               # convolution window index by width
 
     @property
     def size(self) -> int:
@@ -138,30 +137,21 @@ class Packing:
     def directions(self) -> int:
         return self.rows.shape[1]
 
-    def gather(self, E: Tensor) -> Tensor:
-        """Every direction's packed rows of token rows E (T, d), side by side:
-        [X_0 | X_1 | ...], (T, D d)."""
-        return ad.take_rows(E, self.rows)
-
     def window(self, k: int) -> np.ndarray:
         """The (T, k) window index of a width-k same-length convolution over
         the packed rows (``autodiff.conv1d_same``) of any direction: slot j
         of packed row i at step t holds the packed row of the same row's step
         t + j - (k-1)/2, or T, the zero of its same-length padding, where the
         row has no such step."""
-        win = self.windows.get(k)
-        if win is None:
-            sizes, pad = self.batch_sizes, (k - 1) // 2
-            # Step s is entry s + pad; the pad steps on either side hold no rows.
-            held = np.zeros(sizes.size + 2 * pad, dtype=np.intp)
-            held[pad:pad + sizes.size] = sizes
-            starts = np.cumsum(held) - held
-            step = np.repeat(np.arange(pad, pad + sizes.size), sizes)
-            place = (np.arange(step.size) - starts[step])[:, None]  # i, within its block
-            steps = step[:, None] + np.arange(-pad, pad + 1)  # each slot's step
-            win = np.where(held[steps] > place, starts[steps] + place, step.size)
-            self.windows[k] = win
-        return win
+        sizes, pad = self.batch_sizes, (k - 1) // 2
+        # Step s is entry s + pad; the pad steps on either side hold no rows.
+        held = np.zeros(sizes.size + 2 * pad, dtype=np.intp)
+        held[pad:pad + sizes.size] = sizes
+        starts = np.cumsum(held) - held
+        step = np.repeat(np.arange(pad, pad + sizes.size), sizes)
+        place = (np.arange(step.size) - starts[step])[:, None]  # i, within its block
+        steps = step[:, None] + np.arange(-pad, pad + 1)  # each slot's step
+        return np.where(held[steps] > place, starts[steps] + place, step.size)
 
 
 def pack(lengths, reverse=(False, True)) -> Packing:
@@ -184,7 +174,7 @@ def pack(lengths, reverse=(False, True)) -> Packing:
     first = (np.cumsum(lengths) - lengths)[row]  # the token row of its first token
     rows = np.stack([first + lengths[row] - 1 - step if r else first + step
                      for r in reverse], axis=1)
-    return Packing(sizes, rows, starts[lengths - 1] + rank, {})
+    return Packing(sizes, rows, starts[lengths - 1] + rank)
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +227,7 @@ class _CellBase:
         if E.ndim != 2 or E.shape[0] != packing.size:
             raise DimensionError(f"prepare needs the {packing.size} token rows of the "
                                  f"batch, got {E.shape}")
-        X, variant, banks = packing.gather(E), cells[0].variant, cells[0].banks
+        X, variant, banks = ad.take_rows(E, packing.rows), cells[0].variant, cells[0].banks
         if banks:
             X = same_length_conv([c.banks for c in cells], X, packing.window(banks[0].width),
                                  residual=variant == "deep_enhanced")

@@ -21,6 +21,9 @@ inputs became one packed tensor; the composed references use the
 ``transpose`` op kept here. ``dense_update`` is the training
 step from before the optimizer's blocked sweeps: the L2 term on the tape
 (``l2_penalty``), ``clip_global_norm``, and Adam over whole arrays.
+``encode_two_runs`` is the cloze encoder as it ran before it took both
+directions in one run: one one-direction run each, the backward states put
+back in position order by a reversal gather, and the two joined.
 """
 
 import numpy as np
@@ -39,6 +42,14 @@ def run_row(cell, E):
     E = np.asarray(E)
     all_h = run_sequence([cell], Tensor(E), pack([len(E)], (False,))).data
     return all_h, all_h[-1]
+
+
+def encode_two_runs(fwd_cell, bwd_cell, X):
+    """(n, 2 d_h) per-position states of X (n, d) from two one-direction runs."""
+    n = X.shape[0]
+    return ad.concat_cols([run_sequence([fwd_cell], X, pack([n], (False,))),
+                           ad.take_rows(run_sequence([bwd_cell], X, pack([n], (True,))),
+                                        np.arange(n)[::-1])])
 
 
 def packed_positions(lengths):

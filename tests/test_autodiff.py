@@ -428,7 +428,7 @@ def conv(x, f, window):
 def packed_conv(x, f, lengths, reverse=False):
     """conv1d_same over one direction's packed rows of the token rows x."""
     packing = pack(lengths, (reverse,))
-    return conv(packing.gather(x), f, packing.window(f.shape[1]))
+    return conv(ad.take_rows(x, packing.rows), f, packing.window(f.shape[1]))
 
 
 def test_conv1d_same_matches_brute_force():
@@ -543,7 +543,8 @@ def test_conv1d_same_fused_gradcheck():
     readout = Tensor(rng.standard_normal((8, 18)))
     for activation in ("relu", "tanh"):
         check(lambda: ad.sum_all(ad.mul(ad.conv1d_same(
-            packing.gather(x), banks, packing.window(3), activation, residual=True), readout)),
+            ad.take_rows(x, packing.rows), banks, packing.window(3), activation,
+            residual=True), readout)),
             {"x": x, **named_banks(banks)})
     reversed_window = pack([4, 1, 3], (True,)).window(3)
     for activation in ad.ACTIVATIONS:
@@ -610,7 +611,8 @@ def test_two_directions_equal_one_direction_convs_and_projections(monkeypatch, r
             t.zero_grad()
         with Tape() as tape:
             if together:
-                C = ad.conv1d_same(packing.gather(E), banks, window, "relu", residual=True)
+                C = ad.conv1d_same(ad.take_rows(E, packing.rows), banks, window, "relu",
+                                   residual=True)
                 P = ad.project(C, [[w] for g in ws for w in g])
             else:
                 C, P = gate_inputs_per_direction(E, packing, banks, ws, window)
@@ -913,6 +915,9 @@ def test_gradcheck_detects_nondeterminism():
 def test_gradcheck_rejects_bad_step():
     with pytest.raises(ConfigError):
         finite_diff_gradcheck(lambda: Tensor(0.0), {}, h=0.0)
+    for h in (np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            finite_diff_gradcheck(lambda: Tensor(0.0), {}, h=h)
 
 
 def test_gradcheck_flags_wrong_gradient():

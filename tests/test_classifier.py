@@ -66,6 +66,12 @@ def test_config_validation_errors():
         tiny_config(vocab_cap=2)
     with pytest.raises(ConfigError):
         tiny_config(run_folds=11)
+    # NaN fails every float check, and a seed must be >= 0.
+    for bad in (dict(lr=np.nan), dict(lr=np.inf), dict(l2=np.nan), dict(l2=np.inf),
+                dict(clip_norm=np.nan), dict(clip_norm=np.inf), dict(dropout=np.nan),
+                dict(seed=-1)):
+        with pytest.raises(ConfigError):
+            tiny_config(**bad)
 
 
 def test_config_kv_round_trip():
@@ -81,6 +87,10 @@ def test_config_kv_rejects_garbage():
         TrainConfig.from_kv({"epochs": "three"})
     with pytest.raises(ConfigError):
         TrainConfig.from_kv({"window": "3"})
+    # Only a field that may be None takes "".
+    assert TrainConfig.from_kv({"run_folds": ""}).run_folds is None
+    with pytest.raises(ConfigError):
+        TrainConfig.from_kv({"lr": ""})
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +205,10 @@ def test_build_rejects_mismatched_embedding():
     from cru.layers import EmbeddingTable
 
     config = tiny_config(embed_dim=4)
-    table = EmbeddingTable.init(seeded_rng(0, 2), 9, 6)
-    with pytest.raises(ConfigError):
-        SentimentModel.build(config, 9, seeded_rng(0, 1), embedding=table)
+    for rows, width in ((9, 6), (8, 4)):
+        table = EmbeddingTable.init(seeded_rng(0, 2), rows, width)
+        with pytest.raises(ConfigError):
+            SentimentModel.build(config, 9, seeded_rng(0, 1), embedding=table)
 
 
 def test_named_params_have_expected_prefixes():
@@ -615,6 +626,34 @@ def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
     (tmp_path / "ckpt" / "config.txt").write_text(cfg)
     with pytest.raises(ConfigError, match=r"tensor \w+[.\w]* has shape"):
         load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_vocab_one_token_short_is_config_error(tmp_path):
+    train, test, vocab = toy_split()
+    config = tiny_config(epochs=1, batch_size=2)
+    model, _ = train_on_split(train, test, config, vocab)
+    save_checkpoint(tmp_path / "ckpt", model, config, vocab)
+    vocab_file = tmp_path / "ckpt" / "vocab.txt"
+    vocab_file.write_text("\n".join(vocab.itos[:-1]) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="embedding table"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_missing_tensor_is_config_error(tmp_path):
+    from cru.checkpoint import load_tensors, save_tensors
+
+    train, test, vocab = toy_split()
+    config = tiny_config(epochs=1, batch_size=2)
+    model, _ = train_on_split(train, test, config, vocab)
+    save_checkpoint(tmp_path / "ckpt", model, config, vocab)
+    params = tmp_path / "ckpt" / "params.bin"
+    for name in ("embedding.weights", "fc.bias"):
+        tensors = load_tensors(params)
+        del tensors[name]
+        save_tensors(params, tensors)
+        with pytest.raises(ConfigError, match=f"missing tensor {name}"):
+            load_checkpoint(tmp_path / "ckpt")
+        save_checkpoint(tmp_path / "ckpt", model, config, vocab)
 
 
 def test_checkpoint_missing_file(tmp_path):

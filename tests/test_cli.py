@@ -361,6 +361,57 @@ def test_numeric_error_maps_to_exit_3(monkeypatch, capsys):
     assert main(["gradcheck"]) == 3
     assert "numeric error" in capsys.readouterr().err
 
+def _train_with(*flags):
+    return lambda tmp_path: ["train", "--dataset", str(FIXTURE), *TINY_FLAGS, *flags,
+                             "--out", str(tmp_path / "run")]
+
+
+def _train_with_config(text):
+    def argv(tmp_path):
+        (tmp_path / "c.txt").write_text(text, encoding="utf-8")
+        return _train_with("--config", str(tmp_path / "c.txt"))(tmp_path)
+    return argv
+
+
+def _train_with_vectors(value):
+    def argv(tmp_path):
+        (tmp_path / "vec.txt").write_text(
+            "the" + " 0.5" * 8 + "\na " + value + " 0.5" * 7 + "\n", encoding="utf-8")
+        return _train_with("--pretrained", str(tmp_path / "vec.txt"))(tmp_path)
+    return argv
+
+
+def _infer_with_flat_embedding(tmp_path):
+    ckpt = make_zero_checkpoint(tmp_path)
+    tensors = load_tensors(ckpt / "params.bin")
+    tensors["embedding.weights"] = tensors["embedding.weights"].reshape(-1)
+    save_tensors(ckpt / "params.bin", tensors)
+    return ["infer", "--checkpoint", str(ckpt), "fine"]
+
+
+MALFORMED = {
+    "lr-nan": (_train_with("--lr", "nan"), "lr must be"),
+    "lr-inf": (_train_with("--lr", "inf"), "lr must be"),
+    "l2-nan": (_train_with("--l2", "nan"), "l2 must be"),
+    "train-seed-negative": (_train_with("--seed", "-1"), "seed must be"),
+    "config-clip-norm-nan": (_train_with_config("clip_norm=nan\n"), "clip_norm must be"),
+    "config-l2-empty": (_train_with_config("l2=\n"), "bad value for l2"),
+    "gradcheck-seed-negative": (lambda tmp_path: ["gradcheck", "--seed", "-1"],
+                                "seed must be"),
+    "vectors-nan": (_train_with_vectors("nan"), "vec.txt:2: "),
+    "vectors-inf": (_train_with_vectors("-inf"), "vec.txt:2: "),
+    "checkpoint-flat-embedding": (_infer_with_flat_embedding, "rank 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, case):
+    argv, message = MALFORMED[case]
+    assert main(argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+    assert "Traceback" not in err
+
 def test_missing_required_flag_exits_1(capsys):
     assert main(["train"]) == 1
     assert "error:" in capsys.readouterr().err

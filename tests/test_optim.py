@@ -86,6 +86,11 @@ def test_adam_validation():
         Adam({"p": p}, eps=0.0)
     with pytest.raises(ConfigError):
         Adam([("p", p), ("p", p)])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            Adam({"p": p}, lr=bad)
+        with pytest.raises(ConfigError):
+            Adam({"p": p}, eps=bad)
 
 
 def test_adam_shape_drift_detected():
@@ -183,8 +188,9 @@ def test_clip_preserves_direction():
 
 def test_clip_rejects_nonpositive_norm():
     opt = Adam({"p": make_param([1.0])})
-    with pytest.raises(ConfigError):
-        opt.clip_gradients(0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            opt.clip_gradients(bad)
 
 
 def test_optimizer_clip_helper():
@@ -240,8 +246,9 @@ def test_l2_penalty_zero_lambda_detached():
 
 def test_l2_penalty_rejects_negative():
     opt = Adam({"w": make_param([1.0])})
-    with pytest.raises(ConfigError, match="l2 must map"):
-        opt.clip_gradients(5.0, {"w": -0.1})
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="l2 must map"):
+            opt.clip_gradients(5.0, {"w": bad})
     with pytest.raises(ConfigError, match="l2 must map"):
         opt.clip_gradients(5.0, {"u": 0.1})
 

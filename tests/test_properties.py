@@ -5,7 +5,12 @@ it replaced, every cell's single
 gate-input tensor equals its three per-gate inputs side by side, the fused
 GRU scan equals its per-step composed reference, and training with the
 optimizer's blocked sweeps equals the dense update with the L2 term on the
-tape."""
+tape; and the settings and word-vector parsers, fed arbitrary text, raise
+only their documented errors."""
+
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -14,7 +19,8 @@ from hypothesis import strategies as st
 from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor
 from cru.classifier import SentimentModel, TrainConfig, seeded_rng, train_epoch
-from cru.data import EncodedSample, batch_and_pad
+from cru.data import EncodedSample, Vocab, batch_and_pad, load_pretrained_embeddings
+from cru.errors import ConfigError, ParseError
 from cru.optim import BLOCK_ROWS, Adam
 from cru.recurrent import VARIANTS, _CellBase, make_cell, pack, run_sequence
 from oracles import (conv1d_same_einsum, conv1d_same_padded, dense_update, gru_scan_composed,
@@ -196,8 +202,8 @@ def test_packed_conv_equals_padded_oracle(case):
         with Tape() as tape:
             if packed:
                 packing = pack(lengths, (reverse,))
-                out = ad.conv1d_same(packing.gather(x), [[(f, Tensor(np.zeros(d_out)))]],
-                                     packing.window(k))
+                out = ad.conv1d_same(ad.take_rows(x, packing.rows),
+                                     [[(f, Tensor(np.zeros(d_out)))]], packing.window(k))
                 tape.backward(ad.sum_all(ad.mul(out, Tensor(G))))
             else:
                 X = ad.mul(ad.reshape(ad.take_rows(x, read.reshape(-1)), (b, n, d_in)),
@@ -349,3 +355,38 @@ def test_blocked_sweeps_equal_dense_update(case):
         for got, ref in [(p.data, ref_params[name].data), (opt.m[name], ref_m[name]),
                          (opt.v[name], ref_v[name])]:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# Values a settings or vector file may hold: arbitrary text, and the strings
+# that parse as numbers outside every documented range.
+values = st.one_of(st.text(max_size=12),
+                   st.sampled_from(["nan", "-nan", "inf", "-inf", "-1", "1e400", "", "0"]))
+
+
+@PROPERTY
+@given(st.dictionaries(st.one_of(st.sampled_from(sorted(TrainConfig().to_kv())), st.text()),
+                       values, max_size=6))
+def test_config_parser_raises_only_config_errors(kv):
+    try:
+        config = TrainConfig.from_kv(kv)
+    except ConfigError:
+        return
+    for name in ("dropout", "lr", "l2", "clip_norm"):
+        assert math.isfinite(getattr(config, name)), name
+    assert config.seed >= 0
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "<unk>", "zz"]),
+                          st.lists(values, min_size=1, max_size=3)), max_size=4))
+def test_vector_parser_raises_only_parse_errors(lines):
+    vocab = Vocab(["a", "b"])
+    with tempfile.TemporaryDirectory() as tmp:
+        vec = Path(tmp) / "vec.txt"
+        vec.write_text("".join(" ".join([tok, *vals]) + "\n" for tok, vals in lines),
+                       encoding="utf-8")
+        try:
+            table, coverage = load_pretrained_embeddings(vec, vocab, 2, seeded_rng(0, 5))
+        except (ParseError, OSError):
+            return
+    assert np.all(np.isfinite(table.weights.data)) and 0 <= coverage <= 1

@@ -10,8 +10,8 @@ from cru.autodiff import Tape, Tensor
 from cru.errors import ContractError, DimensionError
 from cru.rc_features import (ClozeSample, count_of_query_word, doc_word_freq,
                              encode_bidirectional_enriched, enrich_embeddings)
-from cru.recurrent import make_cell
-from oracles import run_row
+from cru.recurrent import VARIANTS, make_cell
+from oracles import encode_two_runs, run_row
 
 
 def rng_for(seed):
@@ -126,7 +126,7 @@ def test_coq_brute_force_oracle():
 def test_enrich_single_row_example():
     base = Tensor([[0.1, 0.2]], requires_grad=True)
     out = enrich_embeddings(base, ["alone"], ["other"])
-    assert np.allclose(out.combined.data, [[0.1, 0.2, 1.0, 0.0]])
+    assert np.allclose(out.data, [[0.1, 0.2, 1.0, 0.0]])
 
 
 def test_enrich_width_is_d_plus_two():
@@ -135,7 +135,7 @@ def test_enrich_width_is_d_plus_two():
         doc = random_tokens(rng)
         base = Tensor(rng.standard_normal((len(doc), 5)))
         out = enrich_embeddings(base, doc, random_tokens(rng))
-        assert out.combined.shape == (len(doc), 7)
+        assert out.shape == (len(doc), 7)
 
 
 def test_enrich_alignment_mismatch():
@@ -150,10 +150,8 @@ def test_enrich_gradient_reaches_base_only():
     doc = ["a", "b", "a"]
     with Tape() as tape:
         out = enrich_embeddings(base, doc, ["a"])
-        tape.backward(ad.sum_all(out.combined))
+        tape.backward(ad.sum_all(out))
     assert np.array_equal(base.grad, np.ones((3, 2)))
-    # Feature columns are plain arrays: nothing to differentiate.
-    assert isinstance(out.freq, np.ndarray) and isinstance(out.coq, np.ndarray)
 
 
 def test_enrich_gradient_finite_difference():
@@ -165,7 +163,7 @@ def test_enrich_gradient_finite_difference():
 
     def f():
         out = enrich_embeddings(base, doc, ["b", "a"])
-        return ad.sum_all(ad.mul(out.combined, out.combined))
+        return ad.sum_all(ad.mul(out, out))
 
     assert finite_diff_gradcheck(f, {"base": base}).passed
 
@@ -183,8 +181,8 @@ def test_encoder_delegates_to_bidirectional_runner():
     base = Tensor(rng.standard_normal((3, d)))
     enriched = enrich_embeddings(base, doc, ["cat"])
     H = encode_bidirectional_enriched(fwd, bwd, enriched)
-    all_f, _ = run_row(fwd, enriched.combined.data)
-    all_b, _ = run_row(bwd, enriched.combined.data[::-1])
+    all_f, _ = run_row(fwd, enriched.data)
+    all_b, _ = run_row(bwd, enriched.data[::-1])
     assert H.shape == (3, 2 * d_h)
     assert np.max(np.abs(H.data - np.concatenate([all_f, all_b[::-1]], axis=1))) < 1e-12
 
@@ -207,8 +205,8 @@ def test_encoder_single_row_pairs_the_two_directions():
     base = Tensor(rng.standard_normal((1, 2)))
     enriched = enrich_embeddings(base, ["x"], ["x"])
     H = encode_bidirectional_enriched(fwd, bwd, enriched)
-    _, f = run_row(fwd, enriched.combined.data)
-    _, b = run_row(bwd, enriched.combined.data)
+    _, f = run_row(fwd, enriched.data)
+    _, b = run_row(bwd, enriched.data)
     assert np.allclose(H.data[0], np.concatenate([f, b]), atol=1e-12)
 
 
@@ -223,3 +221,27 @@ def test_encoder_zero_cells_give_zero_states():
     enriched = enrich_embeddings(base, ["a", "b", "c", "d", "e"], ["a"])
     H = encode_bidirectional_enriched(fwd, bwd, enriched)
     assert np.all(H.data == 0.0)
+
+
+def test_encoder_equals_two_one_direction_runs():
+    # The one two-direction run gives the states and every gradient of the
+    # two one-direction runs it replaced, bit for bit.
+    rng = rng_for(9)
+    for variant in VARIANTS:
+        fwd = make_cell(variant, rng, 5, 5)
+        bwd = make_cell(variant, rng, 5, 5)
+        for n in (1, 7, 40, 300):
+            doc = random_tokens(rng, n, n + 1)
+            base = Tensor(rng.standard_normal((n, 3)), requires_grad=True)
+            weights = Tensor(rng.standard_normal((n, 10)))
+            leaves = [base, *fwd.named_params().values(), *bwd.named_params().values()]
+            results = []
+            for encode in (encode_bidirectional_enriched, encode_two_runs):
+                for t in leaves:
+                    t.zero_grad()
+                with Tape() as tape:
+                    H = encode(fwd, bwd, enrich_embeddings(base, doc, ["the", "cat"]))
+                    tape.backward(ad.sum_all(ad.mul(H, weights)))
+                results.append([H.data] + [t.grad for t in leaves])
+            for got, ref in zip(*results):
+                assert np.array_equal(got, ref), (variant, n)
