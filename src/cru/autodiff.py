@@ -51,7 +51,7 @@ class Tensor:
         if not np.all(np.isfinite(self.data)):
             raise NumericError("tensor holds non-finite entries")
         self.requires_grad = requires_grad
-        self.grad: Array | None = None
+        self.grad: Array | RowGrad | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -76,6 +76,42 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
+
+
+class RowGrad:
+    """The gradient of a leaf that only row gathers read: the summed rows at
+    ``ids`` (unique, ascending), zero elsewhere. ``np.asarray``, and any
+    numpy op with an array, see the dense array; ``+`` of two RowGrads
+    stays row-sparse."""
+
+    __slots__ = ("shape", "ids", "rows")
+
+    def __init__(self, shape: tuple[int, ...], ids: Array, rows: Array):
+        self.shape, self.ids, self.rows = tuple(shape), ids, rows
+
+    @classmethod
+    def empty(cls, shape: tuple[int, ...]) -> "RowGrad":
+        return cls(shape, np.empty(0, dtype=np.intp), np.empty((0, *shape[1:])))
+
+    def add_rows(self, ids: Array, grad: Array) -> "RowGrad":
+        """This gradient plus grad's rows at ids, which may repeat. Each id's
+        terms are added after its current sum in order, as ``np.add.at``
+        into the dense array adds them, so every sum is the same bit for bit."""
+        union = np.union1d(self.ids, ids)
+        rows = np.zeros((len(union), *self.shape[1:]))
+        rows[np.searchsorted(union, self.ids)] = self.rows
+        np.add.at(rows, np.searchsorted(union, ids), grad)
+        return RowGrad(self.shape, union, rows)
+
+    def __array__(self, dtype=None, copy=None) -> Array:
+        out = np.zeros(self.shape, dtype=dtype)
+        np.atleast_1d(out)[self.ids] = self.rows
+        return out
+
+    def __add__(self, other):
+        if isinstance(other, RowGrad):
+            return self.add_rows(other.ids, other.rows)
+        return np.asarray(self) + other
 
 
 def _coerce(x) -> Tensor:
@@ -150,6 +186,8 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Populate .grad for every requires_grad tensor reachable from loss.
 
+        A leaf that only ``rows=`` gradients reach (a table read by
+        ``take_rows``) gets a ``RowGrad``; every other gradient is dense.
         Gradients accumulate across calls; reset with zero_grad between steps.
         """
         if loss.size != 1:
@@ -193,8 +231,14 @@ class Tape:
                     shape = nodes[nid].tensor.shape
                     if rows is not None:
                         if cur is None:
-                            cur = buf[nid] = np.zeros(shape)
-                        np.add.at(cur, rows, grad)
+                            # A leaf keeps only the rows it is given.
+                            cur = (RowGrad.empty(shape) if nodes[nid].apply is None
+                                   else np.zeros(shape))
+                        if isinstance(cur, RowGrad):
+                            cur = cur.add_rows(rows, grad)
+                        else:
+                            np.add.at(cur, rows, grad)
+                        buf[nid] = cur
                     elif grad.shape != shape:
                         raise ContractError(f"{node.op}: gradient of shape {grad.shape} "
                                             f"for an input of shape {shape}")
@@ -203,6 +247,8 @@ class Tape:
                         # array the op keeps.
                         buf[nid] = grad if owned else np.array(grad)
                     else:
+                        if isinstance(cur, RowGrad):
+                            cur = buf[nid] = np.asarray(cur)
                         cur += grad
 
                 node.apply(g, emit)
@@ -849,6 +895,8 @@ def finite_diff_gradcheck(f, params, h: float = 1e-5, tol: float = 1e-4) -> Grad
     """
     if not 0 < h < np.inf:
         raise ConfigError(f"finite-difference step must be positive and finite, got {h}")
+    if not 0 < tol < np.inf:
+        raise ConfigError(f"gradcheck tolerance must be positive and finite, got {tol}")
     items = list(params.items()) if isinstance(params, dict) else list(params)
 
     base1, base2 = _scalar(f()), _scalar(f())
@@ -867,7 +915,7 @@ def finite_diff_gradcheck(f, params, h: float = 1e-5, tol: float = 1e-4) -> Grad
 
     per_param: dict[str, float] = {}
     for name, p in items:
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+        analytic = np.asarray(p.grad) if p.grad is not None else np.zeros_like(p.data)
         numeric = np.zeros_like(p.data)
         flat = p.data.reshape(-1)
         num_flat = numeric.reshape(-1)

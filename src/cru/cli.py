@@ -323,6 +323,8 @@ def run_gradcheck(base_seed: int = 0, tol: float = 1e-4,
 def cmd_gradcheck(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    if not 0 < args.tol < np.inf:
+        raise ConfigError(f"tol must be positive and finite, got {args.tol}")
     ok, _ = run_gradcheck(args.seed, args.tol)
     return 0 if ok else 4
 
@@ -387,6 +389,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # Settings too large for this machine, such as a huge width.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -2,13 +2,16 @@
 ``BLOCK_ROWS`` leading rows, so that a block's temporaries stay in cache (Lam,
 Rothberg & Wolf, ASPLOS 1991): the norm pass, ``clip_gradients``, and the
 update pass, ``step`` (Kingma & Ba, arXiv:1412.6980).
+
+A ``RowGrad`` (the embedding table's gradient) is never made dense: each
+sweep writes a block's gradient into one reused block buffer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import RowGrad, Tensor
 from .errors import ConfigError, ContractError, NumericError
 
 BLOCK_ROWS = 256
@@ -18,6 +21,29 @@ def _blocks(x: np.ndarray) -> list[np.ndarray]:
     """Views of x's blocks of BLOCK_ROWS leading rows; a scalar is one block."""
     x = np.atleast_1d(x)
     return [x[s:s + BLOCK_ROWS] for s in range(0, len(x), BLOCK_ROWS)]
+
+
+def _grad_blocks(grad: np.ndarray | RowGrad, weights: np.ndarray, lam: float):
+    """Each block of grad + 2 * lam * weights, as _blocks splits them. A dense
+    grad is its own blocks (any L2 term is already in it, so lam is unused).
+    A RowGrad's block is written into one reused buffer, which the next block
+    overwrites: 2 * lam * W_b, then the block's rows added."""
+    if not isinstance(grad, RowGrad):
+        yield from _blocks(grad)
+        return
+    w_blocks = _blocks(weights)
+    buf = np.empty_like(w_blocks[0])
+    ends = np.searchsorted(grad.ids, np.arange(1, len(w_blocks) + 1) * BLOCK_ROWS)
+    start = 0
+    for i, wb in enumerate(w_blocks):
+        gb = buf[:len(wb)]
+        if lam > 0:
+            np.multiply(wb, 2.0 * lam, out=gb)
+        else:
+            gb.fill(0.0)
+        gb[grad.ids[start:ends[i]] - i * BLOCK_ROWS] += grad.rows[start:ends[i]]
+        start = ends[i]
+        yield gb
 
 
 def l2_penalty(grad: np.ndarray, weights: np.ndarray, lam: float) -> float:
@@ -54,14 +80,18 @@ class Adam:
         self.m = {n: np.zeros_like(p.data) for n, p in items}
         self.v = {n: np.zeros_like(p.data) for n, p in items}
         self.penalty = 0.0  # sum of lam * ||W||^2 found by the last norm pass
-        self._scale: float | None = None  # clip factor for the next step
+        # Clip factor and L2 coefficients of the last norm pass, for the next step.
+        self._scale: float | None = None
+        self._l2: dict[str, float] = {}
 
     def step(self) -> None:
-        """One update from the .grad buffers (missing grads are zero), clip scale first."""
+        """One update from the .grad buffers (missing grads are zero), clip
+        scale first. A RowGrad gets the last norm pass's L2 term here."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         scale, self._scale = self._scale, None
+        l2, self._l2 = self._l2, {}
         for name, p in self.params:
             g = p.grad
             if g is None:
@@ -69,9 +99,10 @@ class Adam:
             if g.shape != p.data.shape:
                 raise ContractError(f"gradient shape {g.shape} does not match "
                                     f"parameter {name} {p.data.shape}")
-            blocks = list(zip(*map(_blocks, (g, self.m[name], self.v[name], p.data))))
-            a_buf, c_buf = np.empty_like(blocks[0][0]), np.empty_like(blocks[0][0])
-            for gb, mb, vb, wb in blocks:
+            m_blocks = _blocks(self.m[name])
+            a_buf, c_buf = np.empty_like(m_blocks[0]), np.empty_like(m_blocks[0])
+            for gb, mb, vb, wb in zip(_grad_blocks(g, p.data, l2.get(name, 0.0)), m_blocks,
+                                      _blocks(self.v[name]), _blocks(p.data)):
                 if scale is not None:
                     gb *= scale
                 # Written through two buffers: fresh temporaries cost more than the math.
@@ -90,7 +121,9 @@ class Adam:
     def clip_gradients(self, max_norm: float, l2: dict[str, float] | None = None) -> float:
         """Norm pass, once per step: add 2 * l2[name] * W to each named gradient,
         keep the sum of l2[name] * ||W||^2 in self.penalty, return the pre-clip
-        norm. The next step() scales the gradients to a joint norm <= max_norm."""
+        norm. The next step() scales the gradients to a joint norm <= max_norm.
+        A dense gradient takes its L2 term in place; a RowGrad is left as it
+        is, and the next step() adds the term."""
         if not 0 < max_norm < np.inf:
             raise ConfigError(f"max_norm must be positive and finite, got {max_norm}")
         l2 = l2 or {}
@@ -101,10 +134,10 @@ class Adam:
         for name, p in self.params:
             lam = l2.get(name, 0.0)
             if p.grad is None and lam > 0:
-                p.grad = np.zeros_like(p.data)
+                p.grad = RowGrad.empty(p.data.shape)
             if p.grad is None:
                 continue
-            for gb, wb in zip(_blocks(p.grad), _blocks(p.data)):
+            for gb, wb in zip(_grad_blocks(p.grad, p.data, 0.0), _blocks(p.data)):
                 if lam > 0:
                     penalty += l2_penalty(gb, wb, lam)
                 total += float(np.vdot(gb, gb))
@@ -113,6 +146,7 @@ class Adam:
             raise NumericError(f"gradient norm {norm} or L2 term {penalty} is not finite")
         self.penalty = penalty
         self._scale = max_norm / norm if norm > max_norm else None
+        self._l2 = dict(l2)
         return norm
 
     def state_dict(self) -> dict[str, np.ndarray]:

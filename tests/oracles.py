@@ -389,7 +389,7 @@ def dense_update(model, batches, config, rng, beta1=0.9, beta2=0.999, eps=1e-8):
                 loss = ad.add(loss, l2_penalty(model.embedding.weights, config.l2))
             tape.backward(loss)
         losses.append(loss.item())
-        grads = {n: q.grad for n, q in params.items() if q.grad is not None}
+        grads = {n: np.asarray(q.grad) for n, q in params.items() if q.grad is not None}
         clip_global_norm(list(grads.values()), config.clip_norm)
         c1 = 1.0 - beta1 ** t
         c2 = 1.0 - beta2 ** t

@@ -376,6 +376,51 @@ def test_take_rows_scatter_equals_add_at():
             assert np.array_equal(w.grad, expected), (ids, second)
 
 
+def test_row_gathered_leaf_gets_row_gradient_equal_to_add_at():
+    # A leaf that only gathers with repeated ids read gets a RowGrad: its
+    # unique ids ascending, and bit for bit the np.add.at into zeros, in the
+    # tape's reverse order, that a dense gradient was. It holds for ids with
+    # repeats, two columns, a leaf gathered twice on one tape, and across two
+    # backward calls; a leaf that also gets a dense gradient gets an array.
+    rng = rng_for(22)
+    ids_a = np.array([4, 1, 4, 4, 0, 1])
+    ids_b = np.stack([[5, 0, 5, 2, 2, 1], [3, 3, 0, 1, 1, 1]], axis=1)
+    w = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
+    G_a = rng.standard_normal((6, 3))
+    G_b = rng.standard_normal((6, 6))
+    G_w = rng.standard_normal((7, 3))
+
+    def run(dense):
+        with Tape() as tape:
+            loss = ad.add(ad.sum_all(ad.mul(ad.take_rows(w, ids_a), Tensor(G_a))),
+                          ad.sum_all(ad.mul(ad.take_rows(w, ids_b), Tensor(G_b))))
+            if dense:
+                loss = ad.add(loss, ad.sum_all(ad.mul(w, Tensor(G_w))))
+            tape.backward(loss)
+
+    one = np.zeros((7, 3))  # in the tape's reverse order
+    for c, g in ((ids_b[:, 0], G_b[:, :3]), (ids_b[:, 1], G_b[:, 3:]), (ids_a, G_a)):
+        np.add.at(one, c, g)
+    run(dense=False)
+    assert isinstance(w.grad, ad.RowGrad) and w.grad.shape == (7, 3)
+    assert np.array_equal(w.grad.ids, [0, 1, 2, 3, 4, 5])
+    assert np.array_equal(np.asarray(w.grad), one)
+    run(dense=False)
+    assert isinstance(w.grad, ad.RowGrad)
+    assert np.array_equal(np.asarray(w.grad), one + one)
+
+    mixed = G_w.copy()
+    for c, g in ((ids_b[:, 0], G_b[:, :3]), (ids_b[:, 1], G_b[:, 3:]), (ids_a, G_a)):
+        np.add.at(mixed, c, g)
+    run(dense=True)
+    assert type(w.grad) is np.ndarray and np.array_equal(w.grad, (one + one) + mixed)
+    w.zero_grad()
+    run(dense=True)
+    assert type(w.grad) is np.ndarray and np.array_equal(w.grad, mixed)
+    run(dense=False)
+    assert type(w.grad) is np.ndarray and np.array_equal(w.grad, mixed + one)
+
+
 def test_take_rows_range_check():
     w = Tensor(np.zeros((4, 3)))
     with pytest.raises(IndexError):
@@ -918,6 +963,14 @@ def test_gradcheck_rejects_bad_step():
     for h in (np.nan, np.inf):
         with pytest.raises(ConfigError):
             finite_diff_gradcheck(lambda: Tensor(0.0), {}, h=h)
+
+
+def test_gradcheck_rejects_bad_tolerance():
+    # A NaN tolerance would fail no entry (e >= nan is false), so the check
+    # would pass whatever the gradients.
+    for tol in (0.0, -1e-4, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="tolerance"):
+            finite_diff_gradcheck(lambda: Tensor(0.0), {}, tol=tol)
 
 
 def test_gradcheck_flags_wrong_gradient():

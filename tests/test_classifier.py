@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -16,7 +17,7 @@ from cru.classifier import (SentimentModel, TrainConfig, bce_loss, evaluate,
 from cru.data import Batch, Sample, Vocab, batch_and_pad, build_vocab, Corpus, \
     encode_corpus
 from cru.errors import ConfigError, ContractError, NumericError
-from cru.optim import Adam
+from cru.optim import BLOCK_ROWS, Adam
 from cru.recurrent import VARIANTS
 from oracles import forward_reference
 
@@ -430,6 +431,63 @@ def test_tape_is_released_before_the_optimizer_runs(monkeypatch):
     batch = batch_from_rows([[2, 3, 4], [5, 6]], [1, 0])
     train_epoch(model, opt, [batch, batch], config, rng=None)
     assert alive == [False, False]
+
+
+@pytest.mark.parametrize("l2, clip_norm", [(0.0, 1e3), (0.5, 1e3), (0.5, 0.05)])
+def test_row_gradient_steps_equal_dense_gradient_steps(monkeypatch, l2, clip_norm):
+    # Three train_epoch steps with the table's row-sparse gradient leave every
+    # parameter and Adam's m and v bit for bit where the same steps leave
+    # them when each gradient is made dense before the norm pass. The table
+    # spans three sweep blocks, and ids repeat within and across batches.
+    batches = [batch_from_rows([[3, 300, 3, 515], [300, 9]], [1, 0]),
+               batch_from_rows([[515, 515, 2], [5]], [0, 1]),
+               batch_from_rows([[260, 3, 511, 512]], [1])]
+    clip = Adam.clip_gradients
+    runs = []
+    for densify in (False, True):
+        kinds = []
+
+        def norm_pass(self, max_norm, l2):
+            kinds.append(type(dict(self.params)["embedding.weights"].grad))
+            if densify:
+                for _, p in self.params:
+                    if p.grad is not None:
+                        p.grad = np.asarray(p.grad)
+            return clip(self, max_norm, l2)
+
+        monkeypatch.setattr(Adam, "clip_gradients", norm_pass)
+        config = tiny_config(variant="gru", l2=l2, clip_norm=clip_norm, dropout=0.3)
+        model = SentimentModel.build(config, vocab_size=2 * BLOCK_ROWS + 7,
+                                     rng=seeded_rng(5, 1))
+        opt = Adam(model.named_params(), lr=config.lr)
+        result = train_epoch(model, opt, batches, config, seeded_rng(5, 2))
+        assert kinds == [ad.RowGrad] * 3
+        runs.append((result, model.named_params(), opt))
+    (got, params, opt), (want, ref_params, ref_opt) = runs
+    assert got == want
+    for name, p in params.items():
+        assert np.array_equal(p.data, ref_params[name].data), name
+        assert np.array_equal(opt.m[name], ref_opt.m[name]), name
+        assert np.array_equal(opt.v[name], ref_opt.v[name]), name
+
+
+def test_train_step_builds_no_table_sized_gradient():
+    # One step at V = 50,000, d = 64 traces less than one V x d array above
+    # where it began: the table's gradient holds only the rows the batch
+    # read, and the norm and update passes write blocks of BLOCK_ROWS rows.
+    V, d = 50_000, 64
+    config = tiny_config(variant="gru", embed_dim=d, hidden_dim=8, l2=0.1)
+    model = SentimentModel.build(config, vocab_size=V, rng=seeded_rng(3, 1))
+    opt = Adam(model.named_params(), lr=config.lr)
+    batch = batch_from_rows([[2, V - 1, 7, 2], [V // 2, 3]], [1, 0])
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        train_epoch(model, opt, [batch], config, rng=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < V * d * 8
 
 
 def test_train_epoch_names_batch_on_non_finite():

@@ -398,6 +398,9 @@ MALFORMED = {
     "config-l2-empty": (_train_with_config("l2=\n"), "bad value for l2"),
     "gradcheck-seed-negative": (lambda tmp_path: ["gradcheck", "--seed", "-1"],
                                 "seed must be"),
+    "gradcheck-tol-nan": (lambda tmp_path: ["gradcheck", "--tol", "nan"], "tol must be"),
+    "gradcheck-tol-zero": (lambda tmp_path: ["gradcheck", "--tol", "0"], "tol must be"),
+    "train-embed-huge": (_train_with("--embed", "100000000000"), "out of memory"),
     "vectors-nan": (_train_with_vectors("nan"), "vec.txt:2: "),
     "vectors-inf": (_train_with_vectors("-inf"), "vec.txt:2: "),
     "checkpoint-flat-embedding": (_infer_with_flat_embedding, "rank 2"),

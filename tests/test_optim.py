@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cru import autodiff as ad
-from cru.autodiff import Tape, Tensor
+from cru.autodiff import RowGrad, Tape, Tensor
 from cru.errors import ConfigError, ContractError, NumericError
 from cru.optim import BLOCK_ROWS, Adam
 from oracles import l2_penalty
@@ -244,6 +244,24 @@ def test_l2_penalty_zero_lambda_detached():
     assert w.grad is None
 
 
+def test_missing_gradient_steps_on_its_l2_term_alone():
+    # A parameter with no gradient gets an empty RowGrad from a norm pass
+    # with lam > 0, and its step is the dense step on 2 lam W. A step with
+    # no norm pass before it adds no L2 term.
+    data = np.random.Generator(np.random.PCG64(3)).standard_normal((BLOCK_ROWS + 5, 3))
+    w, ref = make_param(data), make_param(data)
+    opt, ref_opt = Adam({"w": w}), Adam({"w": ref})
+    assert opt.clip_gradients(1e6, {"w": 0.3}) == pytest.approx(np.linalg.norm(0.6 * data))
+    assert isinstance(w.grad, RowGrad) and len(w.grad.ids) == 0
+    assert opt.penalty == pytest.approx(0.3 * np.sum(data * data))
+    for g in ((2.0 * 0.3) * data, np.zeros_like(data)):
+        ref.grad = g
+        opt.step()
+        ref_opt.step()
+        assert np.array_equal(w.data, ref.data)
+        assert np.array_equal(opt.m["w"], ref_opt.m["w"])
+
+
 def test_l2_penalty_rejects_negative():
     opt = Adam({"w": make_param([1.0])})
     for bad in (-0.1, np.nan, np.inf):
@@ -255,8 +273,10 @@ def test_l2_penalty_rejects_negative():
 
 @pytest.mark.parametrize("rows", [3, BLOCK_ROWS, BLOCK_ROWS + 5])
 def test_norm_pass_gradient_equals_tape_l2_gradient(rows):
-    # The gradient the norm pass assembles is that of the loss with the L2
-    # term on the tape, and so are its norm and the term's value.
+    # The norm pass and the step use the gradient of the loss with the L2
+    # term on the tape, and the pass finds that gradient's norm and the
+    # term's value. The table's gradient stays row-sparse (a RowGrad) and the
+    # step adds its L2 term, so the step is compared, not w.grad.
     rng = np.random.Generator(np.random.PCG64(rows))
     w = make_param(rng.standard_normal((rows, 3)))
     u = make_param(rng.standard_normal((3, 2)))
@@ -278,7 +298,14 @@ def test_norm_pass_gradient_equals_tape_l2_gradient(rows):
         tape.backward(loss)
     opt = Adam({"w": w, "u": u})
     norm = opt.clip_gradients(1e6, {"w": 0.3})
-    for got, want in zip([w.grad, u.grad], ref_grads):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert abs(norm - ref_norm) <= 1e-12 * ref_norm
     assert abs(loss.item() + opt.penalty - ref.item()) <= 1e-12 * abs(ref.item())
+    # First step: m = (1 - beta1) g, and a whole-array Adam step on g.
+    before = [w.data.copy(), u.data.copy()]
+    opt.step()
+    for name, p, p0, g in zip("wu", (w, u), before, ref_grads):
+        m = (1.0 - opt.beta1) * g
+        v = (1.0 - opt.beta2) * g * g
+        want = p0 - opt.lr * (m / (1.0 - opt.beta1)) / (np.sqrt(v / (1.0 - opt.beta2)) + opt.eps)
+        for got, ref in [(opt.m[name], m), (p.data, want)]:
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
