@@ -269,19 +269,6 @@ def _emit_op(op: str, inputs: Sequence[Tensor], out: Tensor, apply: Callable) ->
 # Primitive ops
 # --------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
-    out = Tensor(a.data @ b.data)
-
-    def apply(g, emit):
-        emit(0, lambda: g @ b.data.T)
-        emit(1, lambda: a.data.T @ g)
-
-    return _emit_op("matmul", (a, b), out, apply)
-
-
 def _check_elementwise(op: str, a: Tensor, b: Tensor) -> None:
     if a.shape != b.shape and a.size != 1 and b.size != 1:
         raise DimensionError(
@@ -371,7 +358,6 @@ def _pointwise(kind: str, x: Tensor) -> Tensor:
     return _emit_op(kind, (x,), out, apply)
 
 
-sigmoid, tanh, relu = (partial(_pointwise, kind) for kind in ("sigmoid", "tanh", "relu"))
 ACTIVATIONS = tuple(_POINTWISE)
 
 
@@ -874,11 +860,6 @@ class GradCheckReport:
     per_param: dict[str, float]
     max_rel_err: float
     passed: bool
-
-    def worst(self) -> str:
-        if not self.per_param:
-            return "<no parameters>"
-        return max(self.per_param, key=self.per_param.get)
 
 
 def _scalar(v) -> float:

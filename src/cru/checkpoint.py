@@ -62,6 +62,8 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         except UnicodeDecodeError:
             raise ParseError(f"{path}: tensor name is not valid UTF-8") from None
         at += name_len
+        if name in out:
+            raise ParseError(f"{path}: tensor {name} appears more than once")
         (rank,) = take("<B")
         shape = tuple(take("<I")[0] for _ in range(rank))
         n = math.prod(shape)  # Python ints, so huge dims cannot wrap negative

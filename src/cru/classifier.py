@@ -240,7 +240,8 @@ def train_epoch(model: SentimentModel, optimizer: Adam, batches: list[Batch],
     return total_loss / count, correct / count
 
 
-def _eval_metrics(model: SentimentModel, batches: list[Batch]) -> tuple[float, float]:
+def evaluate(model: SentimentModel, batches: list[Batch]) -> tuple[float, float]:
+    """(mean loss, accuracy) with threshold 0.5; ties predict positive."""
     if not batches:
         raise ContractError("evaluation needs at least one batch")
     total_loss = 0.0
@@ -254,11 +255,6 @@ def _eval_metrics(model: SentimentModel, batches: list[Batch]) -> tuple[float, f
         correct += int(np.sum((p.data >= 0.5) == (batch.labels == 1.0)))
         count += b
     return total_loss / count, correct / count
-
-
-def evaluate(model: SentimentModel, batches: list[Batch]) -> float:
-    """Accuracy with threshold 0.5; ties predict positive."""
-    return _eval_metrics(model, batches)[1]
 
 
 def train_on_split(train_samples: list[Sample], test_samples: list[Sample],
@@ -293,7 +289,7 @@ def train_on_split(train_samples: list[Sample], test_samples: list[Sample],
         loss, acc = train_epoch(model, optimizer, batches, config, drop_rng, stats)
         rows = [dict(epoch=epoch, fold=fold, split="train", loss=loss, accuracy=acc, **stats)]
         if test_batches:
-            t_loss, t_acc = _eval_metrics(model, test_batches)
+            t_loss, t_acc = evaluate(model, test_batches)
             rows.append(dict(epoch=epoch, fold=fold, split="test",
                              loss=t_loss, accuracy=t_acc))
         history.extend(rows)

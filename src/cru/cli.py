@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, finite_diff_gradcheck
-from .classifier import (TELEMETRY, SentimentModel, TrainConfig, _TAG_EMBED, _eval_metrics,
+from .classifier import (TELEMETRY, SentimentModel, TrainConfig, _TAG_EMBED, evaluate,
                          bce_loss, load_checkpoint, save_checkpoint, seeded_rng,
                          train_on_split)
 from .data import (FORMATS, Batch, Corpus, Sample, batch_and_pad, build_vocab,
@@ -164,8 +164,7 @@ def cmd_train(args) -> int:
     emit(f"data format={fmt} train_samples={len(train_corpus)}"
          + (f" test_samples={len(test_corpus)}" if test_corpus else ""))
 
-    vocab_source = Corpus(train_corpus.samples, fmt)
-    vocab = build_vocab(vocab_source, config.vocab_cap)
+    vocab = build_vocab(train_corpus, config.vocab_cap)
     emit(f"vocab size={len(vocab)}")
 
     base_embedding = None
@@ -224,7 +223,7 @@ def cmd_eval(args) -> int:
     if test_corpus is not None:
         corpus = test_corpus
     batches = batch_and_pad(encode_corpus(vocab, corpus.samples), config.batch_size)
-    loss, acc = _eval_metrics(model, batches)
+    loss, acc = evaluate(model, batches)
     print(f"eval samples={len(corpus.samples)} loss={loss:.6f} accuracy={acc:.4f}")
     if args.out:
         out_dir = Path(args.out)

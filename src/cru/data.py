@@ -223,11 +223,12 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int,
     """Copy rows for vocab tokens found in a text vector file.
 
     Every row starts uniform(-0.05, 0.05) (so missing tokens, pad, and unk are
-    random), then found rows are overwritten. Returns (table, coverage) where
-    coverage counts found tokens over the non-special vocabulary.
+    random), then found rows are overwritten; a token on several lines keeps
+    its last vector. Returns (table, coverage) where coverage counts distinct
+    found tokens over the non-special vocabulary.
     """
     weights = rng.uniform(-0.05, 0.05, size=(len(vocab), dim))
-    found = 0
+    found: set[int] = set()
     with open(path, "r", encoding="utf-8", errors="ignore") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split()
@@ -249,10 +250,10 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int,
             if not np.all(np.isfinite(row)):
                 raise ParseError(f"{path}:{lineno}: vector of {token!r} holds non-finite values")
             weights[idx] = row
-            found += 1
+            found.add(idx)
     denom = max(len(vocab) - 2, 1)
     table = EmbeddingTable(Tensor(weights, requires_grad=True))
-    return table, found / denom
+    return table, len(found) / denom
 
 
 # --------------------------------------------------------------------------
@@ -261,8 +262,6 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int,
 
 @dataclass
 class FoldPlan:
-    seed: int
-    k: int
     assignment: np.ndarray  # fold id per sample
 
     def test_indices(self, fold: int) -> np.ndarray:
@@ -282,7 +281,7 @@ def make_folds(n_samples: int, k: int, seed: int) -> FoldPlan:
     order = rng.permutation(n_samples)
     assignment = np.empty(n_samples, dtype=np.intp)
     assignment[order] = np.arange(n_samples) % k
-    return FoldPlan(seed=seed, k=k, assignment=assignment)
+    return FoldPlan(assignment)
 
 
 # --------------------------------------------------------------------------

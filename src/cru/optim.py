@@ -3,8 +3,10 @@
 Rothberg & Wolf, ASPLOS 1991): the norm pass, ``clip_gradients``, and the
 update pass, ``step`` (Kingma & Ba, arXiv:1412.6980).
 
-A ``RowGrad`` (the embedding table's gradient) is never made dense: each
-sweep writes a block's gradient into one reused block buffer.
+Both sweeps read each gradient block, with its L2 term added, through one
+block rule, ``_grad_blocks``, at the same coefficient. The norm pass writes
+into no gradient, and a ``RowGrad`` (the embedding table's gradient) is never
+made dense.
 """
 
 from __future__ import annotations
@@ -25,31 +27,35 @@ def _blocks(x: np.ndarray) -> list[np.ndarray]:
 
 def _grad_blocks(grad: np.ndarray | RowGrad, weights: np.ndarray, lam: float):
     """Each block of grad + 2 * lam * weights, as _blocks splits them. A dense
-    grad is its own blocks (any L2 term is already in it, so lam is unused).
-    A RowGrad's block is written into one reused buffer, which the next block
-    overwrites: 2 * lam * W_b, then the block's rows added."""
-    if not isinstance(grad, RowGrad):
+    grad at lam = 0 is its own blocks. Every other block is formed in one
+    reused buffer, which the next block overwrites: 2 * lam * W_b (zeros at
+    lam = 0), then the block's gradient added, its dense rows or a RowGrad's
+    rows."""
+    sparse = isinstance(grad, RowGrad)
+    if not sparse and lam == 0:
         yield from _blocks(grad)
         return
     w_blocks = _blocks(weights)
     buf = np.empty_like(w_blocks[0])
-    ends = np.searchsorted(grad.ids, np.arange(1, len(w_blocks) + 1) * BLOCK_ROWS)
-    start = 0
+    if sparse:
+        cuts = np.searchsorted(grad.ids, np.arange(len(w_blocks) + 1) * BLOCK_ROWS)
+    else:
+        g_blocks = _blocks(grad)
     for i, wb in enumerate(w_blocks):
         gb = buf[:len(wb)]
         if lam > 0:
             np.multiply(wb, 2.0 * lam, out=gb)
         else:
             gb.fill(0.0)
-        gb[grad.ids[start:ends[i]] - i * BLOCK_ROWS] += grad.rows[start:ends[i]]
-        start = ends[i]
+        if sparse:
+            gb[grad.ids[cuts[i]:cuts[i + 1]] - i * BLOCK_ROWS] += grad.rows[cuts[i]:cuts[i + 1]]
+        else:
+            gb += g_blocks[i]
         yield gb
 
 
-def l2_penalty(grad: np.ndarray, weights: np.ndarray, lam: float) -> float:
-    """Add 2 * lam * weights, the gradient of lam * ||weights||^2, to grad in
-    place and return lam * ||weights||^2. The norm pass calls it per block."""
-    grad += (2.0 * lam) * weights
+def l2_penalty(weights: np.ndarray, lam: float) -> float:
+    """lam * ||weights||^2. The norm pass calls it per block."""
     return lam * float(np.vdot(weights, weights))
 
 
@@ -85,8 +91,8 @@ class Adam:
         self._l2: dict[str, float] = {}
 
     def step(self) -> None:
-        """One update from the .grad buffers (missing grads are zero), clip
-        scale first. A RowGrad gets the last norm pass's L2 term here."""
+        """One update from the .grad buffers (missing grads are zero) with the
+        last norm pass's L2 terms added, clip scale first."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
@@ -119,11 +125,11 @@ class Adam:
             p.zero_grad()
 
     def clip_gradients(self, max_norm: float, l2: dict[str, float] | None = None) -> float:
-        """Norm pass, once per step: add 2 * l2[name] * W to each named gradient,
-        keep the sum of l2[name] * ||W||^2 in self.penalty, return the pre-clip
-        norm. The next step() scales the gradients to a joint norm <= max_norm.
-        A dense gradient takes its L2 term in place; a RowGrad is left as it
-        is, and the next step() adds the term."""
+        """Norm pass, once per step: return the pre-clip norm of the gradients
+        with 2 * l2[name] * W added to each named one, and keep the sum of
+        l2[name] * ||W||^2 in self.penalty. It writes into no gradient (a
+        named parameter with none gets an empty RowGrad): the next step()
+        adds the same L2 terms and scales the sum to a joint norm <= max_norm."""
         if not 0 < max_norm < np.inf:
             raise ConfigError(f"max_norm must be positive and finite, got {max_norm}")
         l2 = l2 or {}
@@ -137,9 +143,9 @@ class Adam:
                 p.grad = RowGrad.empty(p.data.shape)
             if p.grad is None:
                 continue
-            for gb, wb in zip(_grad_blocks(p.grad, p.data, 0.0), _blocks(p.data)):
+            for gb, wb in zip(_grad_blocks(p.grad, p.data, lam), _blocks(p.data)):
                 if lam > 0:
-                    penalty += l2_penalty(gb, wb, lam)
+                    penalty += l2_penalty(wb, lam)
                 total += float(np.vdot(gb, gb))
         norm = float(np.sqrt(total))
         if not np.isfinite(norm + penalty):

@@ -18,7 +18,7 @@ scan replaced, ``gru_scan_padded`` the fused scan over a padded batch that
 the packed ``ad.gru_scan`` replaced, and ``prepare_per_gate`` the three
 per-gate inputs each cell prepared, over the padded batch, before its gate
 inputs became one packed tensor; the composed references use the
-``transpose`` op kept here. ``dense_update`` is the training
+``transpose`` and ``matmul`` ops kept here. ``dense_update`` is the training
 step from before the optimizer's blocked sweeps: the L2 term on the tape
 (``l2_penalty``), ``clip_global_norm``, and Adam over whole arrays.
 ``encode_two_runs`` is the cloze encoder as it ran before it took both
@@ -31,6 +31,7 @@ import numpy as np
 from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor
 from cru.classifier import bce_loss
+from cru.errors import DimensionError
 from cru.recurrent import pack, run_sequence
 
 
@@ -96,11 +97,25 @@ def transpose(x):
                        lambda g, emit: emit(0, g.T))
 
 
+def matmul(a, b):
+    """a @ b on the tape: the op the old projection chain and the composed
+    scan use, which no path in ``cru`` needs since ``ad.project`` and
+    ``ad.gru_scan`` make their products inside one node."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
+
+    def apply(g, emit):
+        emit(0, lambda: g @ b.data.T)
+        emit(1, lambda: a.data.T @ g)
+
+    return ad._emit_op("matmul", (a, b), Tensor(a.data @ b.data), apply)
+
+
 def _project(E, w):
     """(B, n, d) x (d_h, d) -> (B, n, d_h) via one flat matmul."""
     b, n, d = E.shape
     flat = ad.reshape(E, (b * n, d))
-    return ad.reshape(ad.matmul(flat, transpose(w)), (b, n, w.shape[0]))
+    return ad.reshape(matmul(flat, transpose(w)), (b, n, w.shape[0]))
 
 
 def conv1d_same_padded(x, filters):
@@ -216,9 +231,9 @@ def gru_scan_composed(P, U_z, U_r, U, b_z, b_r, b_h):
     states = []
     for t in range(n):
         pz_t, pr_t, ph_t = (ad.take_rows(f, np.arange(b) * n + t) for f in flat)
-        z = ad.sigmoid(ad.bias_add(ad.add(pz_t, ad.matmul(h, uzT)), b_z))
-        r = ad.sigmoid(ad.bias_add(ad.add(pr_t, ad.matmul(h, urT)), b_r))
-        g = ad.tanh(ad.bias_add(ad.add(ph_t, ad.matmul(ad.mul(r, h), uT)), b_h))
+        z = ad.activation("sigmoid", ad.bias_add(ad.add(pz_t, matmul(h, uzT)), b_z))
+        r = ad.activation("sigmoid", ad.bias_add(ad.add(pr_t, matmul(h, urT)), b_r))
+        g = ad.activation("tanh", ad.bias_add(ad.add(ph_t, matmul(ad.mul(r, h), uT)), b_h))
         h = ad.add(ad.mul(z, h), ad.mul(ad.sub(1.0, z), g))
         states.append(h)
     return ad.reshape(ad.concat_cols(states), (b, n, d_h))

@@ -245,7 +245,7 @@ def test_criterion_08_overfit_small_corpus():
         shuffle_rng = seeded_rng(config.seed, _TAG_SHUFFLE, 0, epoch)
         batches = batch_and_pad(encoded, config.batch_size, rng=shuffle_rng)
         train_epoch(model, optimizer, batches, config, None)
-        accuracy = evaluate(model, eval_batches)
+        _, accuracy = evaluate(model, eval_batches)
         if accuracy == 1.0:
             break
     elapsed = time.monotonic() - t0

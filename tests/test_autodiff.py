@@ -12,7 +12,8 @@ from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor, active_tape, finite_diff_gradcheck
 from cru.errors import ConfigError, ContractError, DimensionError, NumericError
 from cru.recurrent import make_cell, pack, run_sequence
-from oracles import conv_banks_composed, gate_inputs_per_direction, packed_positions, transpose
+from oracles import (conv_banks_composed, gate_inputs_per_direction, matmul, packed_positions,
+                     transpose)
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -21,7 +22,7 @@ def rng_for(seed: int) -> np.random.Generator:
 
 def check(f, params, tol=1e-4):
     report = finite_diff_gradcheck(f, params, tol=tol)
-    assert report.passed, f"worst={report.worst()} err={report.max_rel_err:.3e}"
+    assert report.passed, f"per_param={report.per_param} err={report.max_rel_err:.3e}"
     return report
 
 
@@ -166,7 +167,7 @@ def test_constant_inputs_get_no_gradient_products():
     # weight) is never formed: x takes part only in the forward product.
     rng = rng_for(3)
     for op, const in ((ad.mul, Tensor(rng.standard_normal((4, 3)))),
-                      (ad.matmul, Tensor(rng.standard_normal((3, 2))))):
+                      (matmul, Tensor(rng.standard_normal((3, 2))))):
         x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         x.data = x.data.view(CountingArray)
         CountingArray.calls = 0
@@ -225,12 +226,12 @@ def test_matmul_gradcheck():
     rng = rng_for(0)
     a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-    check(lambda: ad.sum_all(ad.matmul(a, b)), {"a": a, "b": b})
+    check(lambda: ad.sum_all(matmul(a, b)), {"a": a, "b": b})
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(DimensionError, match=r"\(3, 4\).*\(3, 2\)"):
-        ad.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 2))))
+        matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 2))))
 
 
 def test_elementwise_gradchecks():
@@ -271,7 +272,7 @@ def test_activation_unknown_kind():
 
 
 def test_sigmoid_extremes_are_stable():
-    y = ad.sigmoid(Tensor([-1000.0, 0.0, 1000.0]))
+    y = ad.activation("sigmoid", Tensor([-1000.0, 0.0, 1000.0]))
     assert np.all(np.isfinite(y.data))
     assert y.data[0] == 0.0 and y.data[1] == 0.5 and y.data[2] == 1.0
 
@@ -279,7 +280,7 @@ def test_sigmoid_extremes_are_stable():
 def test_relu_subgradient_at_zero_is_zero():
     x = Tensor([0.0, -1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        tape.backward(ad.sum_all(ad.relu(x)))
+        tape.backward(ad.sum_all(ad.activation("relu", x)))
     assert np.allclose(x.grad, [0.0, 0.0, 1.0])
 
 

@@ -54,6 +54,16 @@ def test_truncated_file_raises(tmp_path):
         load_tensors(path)
 
 
+def test_duplicate_tensor_name_raises(tmp_path):
+    path = tmp_path / "t.bin"
+    save_tensors(path, {"w": np.ones(2)})
+    blob = path.read_bytes()
+    entry = blob[len(MAGIC) + 4:]
+    path.write_bytes(MAGIC + struct.pack("<I", 2) + entry + entry)
+    with pytest.raises(ParseError, match="tensor w appears more than once"):
+        load_tensors(path)
+
+
 def test_trailing_garbage_raises(tmp_path):
     path = tmp_path / "t.bin"
     save_tensors(path, {"w": np.ones(3)})

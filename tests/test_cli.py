@@ -389,6 +389,15 @@ def _infer_with_flat_embedding(tmp_path):
     return ["infer", "--checkpoint", str(ckpt), "fine"]
 
 
+def _infer_with_duplicate_tensor(tmp_path):
+    ckpt = make_zero_checkpoint(tmp_path)
+    blob = (ckpt / "params.bin").read_bytes()
+    (count,) = struct.unpack_from("<I", blob, len(MAGIC))
+    entries = blob[len(MAGIC) + 4:]  # every tensor, each written twice below
+    (ckpt / "params.bin").write_bytes(MAGIC + struct.pack("<I", 2 * count) + entries + entries)
+    return ["infer", "--checkpoint", str(ckpt), "fine"]
+
+
 MALFORMED = {
     "lr-nan": (_train_with("--lr", "nan"), "lr must be"),
     "lr-inf": (_train_with("--lr", "inf"), "lr must be"),
@@ -404,6 +413,7 @@ MALFORMED = {
     "vectors-nan": (_train_with_vectors("nan"), "vec.txt:2: "),
     "vectors-inf": (_train_with_vectors("-inf"), "vec.txt:2: "),
     "checkpoint-flat-embedding": (_infer_with_flat_embedding, "rank 2"),
+    "checkpoint-duplicate-tensor": (_infer_with_duplicate_tensor, "appears more than once"),
 }
 
 

@@ -203,6 +203,16 @@ def test_pretrained_copies_found_rows_and_reports_coverage(tmp_path):
     assert table.weights.requires_grad
 
 
+def test_pretrained_coverage_counts_each_token_once(tmp_path):
+    vocab = Vocab(["good", "bad"])
+    vec = tmp_path / "vec.txt"
+    vec.write_text("good 1 2\ngood 3 4\nbad 5 6\n", encoding="utf-8")
+    table, coverage = load_pretrained_embeddings(vec, vocab, 2, rng_for(0))
+    assert coverage == 1.0
+    assert np.array_equal(table.weights.data[vocab.stoi["good"]], [3.0, 4.0])  # the last line's
+    assert np.array_equal(table.weights.data[vocab.stoi["bad"]], [5.0, 6.0])
+
+
 def test_pretrained_dimension_mismatch_names_line(tmp_path):
     vocab = build_vocab(corpus_of("a b"))
     vec = tmp_path / "vec.txt"

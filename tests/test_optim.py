@@ -7,7 +7,7 @@ from cru import autodiff as ad
 from cru.autodiff import RowGrad, Tape, Tensor
 from cru.errors import ConfigError, ContractError, NumericError
 from cru.optim import BLOCK_ROWS, Adam
-from oracles import l2_penalty
+from oracles import l2_penalty, matmul
 
 
 def make_param(values):
@@ -228,12 +228,36 @@ def test_clip_rejects_non_finite_norm():
 # ---------------------------------------------------------------------------
 
 def test_l2_penalty_value_and_gradient():
-    w = make_param([[1.0, -2.0], [0.5, 0.0]])
-    w.grad = np.zeros((2, 2))
-    opt = Adam({"w": w})
-    opt.clip_gradients(1e3, {"w": 0.01})
-    assert opt.penalty == pytest.approx(0.01 * (1 + 4 + 0.25))
-    assert np.allclose(w.grad, 0.02 * w.data)
+    # A dense gradient with lam > 0: the norm pass leaves w.grad as it was,
+    # and the step is a twin's step on g + 2 lam W with no L2 term, clipped
+    # or not.
+    data = np.array([[1.0, -2.0], [0.5, 0.0]])
+    g = np.array([[0.25, 0.0], [-1.0, 3.0]])
+    for max_norm in (1e3, 0.01):
+        w, twin = make_param(data), make_param(data)
+        w.grad, twin.grad = g.copy(), g + (2.0 * 0.01) * data
+        opt, twin_opt = Adam({"w": w}), Adam({"w": twin})
+        assert opt.clip_gradients(max_norm, {"w": 0.01}) == twin_opt.clip_gradients(max_norm)
+        assert opt.penalty == pytest.approx(0.01 * (1 + 4 + 0.25))
+        assert np.array_equal(w.grad, g)
+        opt.step()
+        twin_opt.step()
+        for got, want in [(w.data, twin.data), (opt.m["w"], twin_opt.m["w"]),
+                          (opt.v["w"], twin_opt.v["w"])]:
+            assert np.array_equal(got, want)
+
+
+def test_norm_pass_writes_no_gradient():
+    rng = np.random.Generator(np.random.PCG64(5))
+    shape = (BLOCK_ROWS + 5, 3)
+    dense, table = make_param(rng.standard_normal(shape)), make_param(rng.standard_normal(shape))
+    dense.grad = rng.standard_normal(shape)
+    ids = np.array([0, 7, BLOCK_ROWS, BLOCK_ROWS + 4])
+    table.grad = RowGrad(shape, ids, rng.standard_normal((len(ids), 3)))
+    before = [dense.grad.copy(), table.grad.ids.copy(), table.grad.rows.copy()]
+    Adam({"dense": dense, "table": table}).clip_gradients(0.01, {"dense": 0.3, "table": 0.3})
+    for got, want in zip([dense.grad, table.grad.ids, table.grad.rows], before):
+        assert np.array_equal(got, want)
 
 
 def test_l2_penalty_zero_lambda_detached():
@@ -284,7 +308,7 @@ def test_norm_pass_gradient_equals_tape_l2_gradient(rows):
     x = rng.standard_normal((7, 2))
 
     def data_loss():
-        return ad.sum_all(ad.mul(ad.matmul(ad.take_rows(w, ids), u), Tensor(x)))
+        return ad.sum_all(ad.mul(matmul(ad.take_rows(w, ids), u), Tensor(x)))
 
     with Tape() as tape:
         ref = ad.add(data_loss(), l2_penalty(w, 0.3))

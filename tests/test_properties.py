@@ -379,6 +379,7 @@ def test_config_parser_raises_only_config_errors(kv):
 @PROPERTY
 @given(st.lists(st.tuples(st.sampled_from(["a", "b", "<unk>", "zz"]),
                           st.lists(values, min_size=1, max_size=3)), max_size=4))
+@example([("a", ["1", "2"]), ("a", ["3", "4"]), ("b", ["5", "6"])])  # a token on two lines
 def test_vector_parser_raises_only_parse_errors(lines):
     vocab = Vocab(["a", "b"])
     with tempfile.TemporaryDirectory() as tmp:

@@ -195,7 +195,7 @@ def test_encoder_delegates_to_bidirectional_runner():
     report = finite_diff_gradcheck(
         lambda: ad.sum_all(ad.mul(encode_bidirectional_enriched(
             fwd, bwd, enrich_embeddings(base, doc, ["cat"])), weights)), params)
-    assert report.passed, (report.worst(), report.max_rel_err)
+    assert report.passed, (report.per_param, report.max_rel_err)
 
 
 def test_encoder_single_row_pairs_the_two_directions():

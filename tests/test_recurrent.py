@@ -524,7 +524,7 @@ def test_sequence_gradcheck_per_variant():
         params["E"] = E
         report = finite_diff_gradcheck(
             lambda: ad.sum_all(run_sequence([cell], E, packing)), params)
-        assert report.passed, (variant, report.worst(), report.max_rel_err)
+        assert report.passed, (variant, report.per_param, report.max_rel_err)
 
 
 def test_masked_batch_gradcheck():
