@@ -18,7 +18,7 @@ from .errors import (ConfigError, ContractError, CruError, DimensionError,
                      NumericError, ParseError)
 from .layers import ConvBank, DenseLayer, EmbeddingTable, same_length_conv
 from .optim import Adam
-from .rc_features import (ClozeSample, count_of_query_word, doc_word_freq,
+from .rc_features import (count_of_query_word, doc_word_freq,
                           encode_bidirectional_enriched, enrich_embeddings)
 from .recurrent import GruParams, Packing, VARIANTS, make_cell, pack, run_sequence
 

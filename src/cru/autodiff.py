@@ -18,6 +18,7 @@ threads that share it still each see only their own tape.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -192,12 +193,10 @@ class Tape:
         """
         if loss.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-        loss_nid = self._ids.get(id(loss))
+        # A loss that no op recorded gets a leaf node here, which the loop
+        # below seeds; a constant one gets none and reaches no gradient.
+        loss_nid = self._node_id(loss)
         if loss_nid is None:
-            # The loss is an unrecorded leaf; dL/dL = 1 is the only gradient.
-            if loss.requires_grad:
-                seed = np.ones_like(loss.data)
-                loss.grad = seed if loss.grad is None else loss.grad + seed
             return
 
         nodes = self.nodes
@@ -677,12 +676,14 @@ _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cru-worker")
 
 def _run_loops(loops: Sequence[Callable[[], None]], concurrent: bool) -> None:
     """Run every loop: the first on this thread and the rest on the worker if
-    concurrent, otherwise one after another on this thread."""
+    concurrent, otherwise one after another on this thread. The worker runs
+    each loop in a copy of this thread's context, so numpy's error state
+    (``np.errstate``) is the same on both threads."""
     if not concurrent:
         for loop in loops:
             loop()
         return
-    pending = [_WORKER.submit(loop) for loop in loops[1:]]
+    pending = [_WORKER.submit(contextvars.copy_context().run, loop) for loop in loops[1:]]
     try:
         loops[0]()
     finally:
@@ -855,8 +856,6 @@ def gru_scan(P: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes) -> 
 
 @dataclass
 class GradCheckReport:
-    tol: float
-    h: float
     per_param: dict[str, float]
     max_rel_err: float
     passed: bool
@@ -866,19 +865,18 @@ def _scalar(v) -> float:
     return v.item() if isinstance(v, Tensor) else float(v)
 
 
-def finite_diff_gradcheck(f, params, h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
+def finite_diff_gradcheck(f, params: dict[str, Tensor], h: float = 1e-5,
+                          tol: float = 1e-4) -> GradCheckReport:
     """Compare tape gradients of a scalar function against central differences.
 
     f is a zero-argument callable evaluating the loss from the current values
-    of params (a dict or sequence of (name, Tensor)); it must be deterministic,
-    so disable dropout before checking. Relative error per entry is
-    |a - b| / max(|a|, |b|, 1e-8).
+    of params; it must be deterministic, so disable dropout before checking.
+    Relative error per entry is |a - b| / max(|a|, |b|, 1e-8).
     """
     if not 0 < h < np.inf:
         raise ConfigError(f"finite-difference step must be positive and finite, got {h}")
     if not 0 < tol < np.inf:
         raise ConfigError(f"gradcheck tolerance must be positive and finite, got {tol}")
-    items = list(params.items()) if isinstance(params, dict) else list(params)
 
     base1, base2 = _scalar(f()), _scalar(f())
     if base1 != base2:
@@ -886,7 +884,7 @@ def finite_diff_gradcheck(f, params, h: float = 1e-5, tol: float = 1e-4) -> Grad
             f"f is not deterministic: baseline evaluations differ ({base1!r} vs {base2!r})"
         )
 
-    for _, p in items:
+    for p in params.values():
         p.zero_grad()
     with Tape() as tape:
         loss = f()
@@ -895,7 +893,7 @@ def finite_diff_gradcheck(f, params, h: float = 1e-5, tol: float = 1e-4) -> Grad
         tape.backward(loss)
 
     per_param: dict[str, float] = {}
-    for name, p in items:
+    for name, p in params.items():
         analytic = np.asarray(p.grad) if p.grad is not None else np.zeros_like(p.data)
         numeric = np.zeros_like(p.data)
         flat = p.data.reshape(-1)
@@ -912,5 +910,4 @@ def finite_diff_gradcheck(f, params, h: float = 1e-5, tol: float = 1e-4) -> Grad
         per_param[name] = float(np.max(np.abs(analytic - numeric) / denom))
 
     max_rel = max(per_param.values()) if per_param else 0.0
-    return GradCheckReport(tol=tol, h=h, per_param=per_param,
-                           max_rel_err=max_rel, passed=max_rel < tol)
+    return GradCheckReport(per_param=per_param, max_rel_err=max_rel, passed=max_rel < tol)

@@ -247,9 +247,12 @@ def evaluate(model: SentimentModel, batches: list[Batch]) -> tuple[float, float]
     total_loss = 0.0
     correct = 0
     count = 0
-    for batch in batches:
-        p = model.forward_batch(batch, train=False)
-        loss = bce_loss(p, batch.labels)
+    for i, batch in enumerate(batches):
+        try:
+            p = model.forward_batch(batch, train=False)
+            loss = bce_loss(p, batch.labels)
+        except NumericError as exc:
+            raise NumericError(f"non-finite value while evaluating batch {i}: {exc}") from exc
         b = batch.size
         total_loss += loss.item() * b
         correct += int(np.sum((p.data >= 0.5) == (batch.labels == 1.0)))

@@ -20,21 +20,17 @@ from .autodiff import Tensor, finite_diff_gradcheck
 from .classifier import (TELEMETRY, SentimentModel, TrainConfig, _TAG_EMBED, evaluate,
                          bce_loss, load_checkpoint, save_checkpoint, seeded_rng,
                          train_on_split)
-from .data import (FORMATS, Batch, Corpus, Sample, batch_and_pad, build_vocab,
-                   encode_corpus, load_corpus, load_document_corpus,
-                   load_pretrained_embeddings, make_folds, parse_kv_file, tokenize)
+from .data import (FORMATS, Batch, Sample, batch_and_pad, build_vocab, encode_corpus,
+                   load_corpus, load_document_corpus, load_pretrained_embeddings,
+                   make_folds, parse_kv_file, read_lines, tokenize)
 from .errors import ConfigError, CruError, NumericError
 from .recurrent import VARIANTS, make_cell, pack, run_sequence
 
-# Per-dataset defaults (embedding width, hidden width, dropout, learning
-# rate, vocabulary cap) applied whenever a flag is not given explicitly.
+# Per-dataset settings that differ from TrainConfig's defaults (which are
+# mr's), applied whenever neither a flag nor the config file gives them.
 DATASET_DEFAULTS: dict[str, dict[str, str]] = {
-    "mr": {"embed_dim": "200", "hidden_dim": "200", "dropout": "0.3",
-           "lr": "0.0005"},
-    "subj": {"embed_dim": "200", "hidden_dim": "200", "dropout": "0.4",
-             "lr": "0.0005"},
-    "imdb": {"embed_dim": "256", "hidden_dim": "256", "dropout": "0.3",
-             "lr": "0.001", "vocab_cap": "50000"},
+    "subj": {"dropout": "0.4"},
+    "imdb": {"embed_dim": "256", "hidden_dim": "256", "lr": "0.001", "vocab_cap": "50000"},
 }
 
 class _Parser(argparse.ArgumentParser):
@@ -136,11 +132,9 @@ def resolve_train_config(args) -> TrainConfig:
 # train
 # --------------------------------------------------------------------------
 
-def _load_for_training(path: Path, fmt: str) -> tuple[Corpus, Corpus | None]:
-    if fmt == "imdb" and (path / "train").is_dir() and (path / "test").is_dir():
-        return (load_document_corpus(path / "train", fmt),
-                load_document_corpus(path / "test", fmt))
-    return load_corpus(path, fmt), None
+def _has_splits(path: Path, fmt: str) -> bool:
+    """Whether path is an imdb tree with fixed train/ and test/ splits."""
+    return fmt == "imdb" and (path / "train").is_dir() and (path / "test").is_dir()
 
 
 def cmd_train(args) -> int:
@@ -150,65 +144,68 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out) if args.out else Path("runs") / f"{fmt}-{config.variant}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    log_path = out_dir / "train.log"
-    log_lines: list[str] = []
+    # Line-buffered, so a run that fails keeps every line printed before.
+    with open(out_dir / "train.log", "w", encoding="utf-8", buffering=1) as log:
+        def emit(line: str) -> None:
+            print(line)
+            log.write(line + "\n")
 
-    def emit(line: str) -> None:
-        print(line)
-        log_lines.append(line)
+        for k, v in sorted(config.to_kv().items()):
+            emit(f"config {k}={v}")
 
-    for k, v in sorted(config.to_kv().items()):
-        emit(f"config {k}={v}")
+        if _has_splits(path, fmt):
+            train_corpus = load_document_corpus(path / "train")
+            test_corpus = load_document_corpus(path / "test")
+        else:
+            train_corpus, test_corpus = load_corpus(path, fmt), None
+        emit(f"data format={fmt} train_samples={len(train_corpus)}"
+             + (f" test_samples={len(test_corpus)}" if test_corpus else ""))
 
-    train_corpus, test_corpus = _load_for_training(path, fmt)
-    emit(f"data format={fmt} train_samples={len(train_corpus)}"
-         + (f" test_samples={len(test_corpus)}" if test_corpus else ""))
+        vocab = build_vocab(train_corpus, config.vocab_cap)
+        emit(f"vocab size={len(vocab)}")
 
-    vocab = build_vocab(train_corpus, config.vocab_cap)
-    emit(f"vocab size={len(vocab)}")
+        base_embedding = None
+        if config.pretrained:
+            base_embedding, coverage = load_pretrained_embeddings(
+                config.pretrained, vocab, config.embed_dim,
+                seeded_rng(config.seed, _TAG_EMBED))
+            emit(f"pretrained file={config.pretrained} coverage={coverage:.4f}")
 
-    base_embedding = None
-    if config.pretrained:
-        base_embedding, coverage = load_pretrained_embeddings(
-            config.pretrained, vocab, config.embed_dim,
-            seeded_rng(config.seed, _TAG_EMBED))
-        emit(f"pretrained file={config.pretrained} coverage={coverage:.4f}")
+        samples = train_corpus.samples
+        if test_corpus is not None:
+            splits = [(samples, test_corpus.samples)]
+        else:
+            plan = make_folds(len(samples), config.folds, config.seed)
+            splits = [([samples[i] for i in plan.train_indices(fold)],
+                       [samples[i] for i in plan.test_indices(fold)])
+                      for fold in range(config.run_folds or config.folds)]
+        history: list[dict] = []
+        accuracies: list[float] = []
+        for fold, (tr, te) in enumerate(splits):
+            model, rows = train_on_split(tr, te, config, vocab, fold=fold,
+                                         base_embedding=base_embedding, log_fn=emit)
+            history.extend(rows)
+            accuracies.append([r for r in rows if r["split"] == "test"][-1]["accuracy"])
+        if test_corpus is not None:
+            emit(f"summary split=test accuracy={accuracies[0]:.4f}")
+        else:
+            emit(f"summary folds={len(splits)} "
+                 f"mean_cv_accuracy={float(np.mean(accuracies)):.4f}")
 
-    samples = train_corpus.samples
-    if test_corpus is not None:
-        splits = [(samples, test_corpus.samples)]
-    else:
-        plan = make_folds(len(samples), config.folds, config.seed)
-        splits = [([samples[i] for i in plan.train_indices(fold)],
-                   [samples[i] for i in plan.test_indices(fold)])
-                  for fold in range(config.run_folds or config.folds)]
-    history: list[dict] = []
-    accuracies: list[float] = []
-    for fold, (tr, te) in enumerate(splits):
-        model, rows = train_on_split(tr, te, config, vocab, fold=fold,
-                                     base_embedding=base_embedding, log_fn=emit)
-        history.extend(rows)
-        accuracies.append([r for r in rows if r["split"] == "test"][-1]["accuracy"])
-    if test_corpus is not None:
-        emit(f"summary split=test accuracy={accuracies[0]:.4f}")
-    else:
-        emit(f"summary folds={len(splits)} mean_cv_accuracy={float(np.mean(accuracies)):.4f}")
-
-    with open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        # Test rows leave the training telemetry empty.
-        writer.writerow(["epoch", "fold", "split", "loss", "accuracy"]
-                        + [k for k, _ in TELEMETRY])
-        for r in history:
-            writer.writerow([r["epoch"], r["fold"], r["split"],
-                             f"{r['loss']:.6f}", f"{r['accuracy']:.6f}"]
-                            + [format(r[k], f) if k in r else "" for k, f in TELEMETRY])
-    # The last model trained is the one saved.
-    emit(f"checkpoint fold={len(splits) - 1} path={out_dir / 'checkpoint'}")
-    save_checkpoint(out_dir / "checkpoint", model, config, vocab)
-    log_path.write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-    emit(f"artifacts checkpoint={out_dir / 'checkpoint'} "
-         f"metrics={out_dir / 'metrics.csv'}")
+        with open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            # Test rows leave the training telemetry empty.
+            writer.writerow(["epoch", "fold", "split", "loss", "accuracy"]
+                            + [k for k, _ in TELEMETRY])
+            for r in history:
+                writer.writerow([r["epoch"], r["fold"], r["split"],
+                                 f"{r['loss']:.6f}", f"{r['accuracy']:.6f}"]
+                                + [format(r[k], f) if k in r else "" for k, f in TELEMETRY])
+        # The last model trained is the one saved.
+        emit(f"checkpoint fold={len(splits) - 1} path={out_dir / 'checkpoint'}")
+        save_checkpoint(out_dir / "checkpoint", model, config, vocab)
+        emit(f"artifacts checkpoint={out_dir / 'checkpoint'} "
+             f"metrics={out_dir / 'metrics.csv'}")
     return 0
 
 
@@ -219,9 +216,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, config, vocab = load_checkpoint(args.checkpoint)
     path, fmt = resolve_dataset(args.dataset, args.format)
-    corpus, test_corpus = _load_for_training(path, fmt)
-    if test_corpus is not None:
-        corpus = test_corpus
+    # A tree with fixed splits is scored on its test split only.
+    corpus = (load_document_corpus(path / "test") if _has_splits(path, fmt)
+              else load_corpus(path, fmt))
     batches = batch_and_pad(encode_corpus(vocab, corpus.samples), config.batch_size)
     loss, acc = evaluate(model, batches)
     print(f"eval samples={len(corpus.samples)} loss={loss:.6f} accuracy={acc:.4f}")
@@ -348,10 +345,8 @@ def cmd_infer(args) -> int:
 def cmd_rc_features(args) -> int:
     from .rc_features import count_of_query_word, doc_word_freq
 
-    doc_text = Path(args.document).read_text(encoding="utf-8", errors="ignore")
-    query_text = Path(args.query).read_text(encoding="utf-8", errors="ignore")
-    document = tokenize(doc_text)
-    query = tokenize(query_text)
+    document = tokenize(" ".join(read_lines(args.document)))
+    query = tokenize(" ".join(read_lines(args.query)))
     if not document or not query:
         raise ConfigError("document and query must both tokenize to >= 1 token")
     freq = doc_word_freq(document)
@@ -378,7 +373,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        # Every non-finite value becomes a NumericError through the Tensor
+        # check, so numpy's floating-point warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            return _DISPATCH[args.command](args)
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import string
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,14 +58,15 @@ class Sample:
 @dataclass
 class Corpus:
     samples: list[Sample]
-    source: str = ""
 
     def __len__(self) -> int:
         return len(self.samples)
 
 
-def _read_lines(path: Path) -> list[str]:
-    raw = path.read_bytes()
+def read_lines(path) -> list[str]:
+    """The lines of a free-text file, such as a corpus file: bytes that are
+    not UTF-8 are dropped, with one warning."""
+    raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError:
@@ -119,20 +121,20 @@ def _find_pair(root: Path) -> tuple[Path, Path]:
     )
 
 
-def load_line_corpus(root, source: str) -> Corpus:
+def load_line_corpus(root) -> Corpus:
     """Two-file layout: one file of positive lines, one of negative lines."""
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"{root}: not a directory")
     pos_path, neg_path = _find_pair(root)
-    samples = _samples_from_lines(_read_lines(pos_path), 1, str(pos_path))
-    samples += _samples_from_lines(_read_lines(neg_path), 0, str(neg_path))
+    samples = _samples_from_lines(read_lines(pos_path), 1, str(pos_path))
+    samples += _samples_from_lines(read_lines(neg_path), 0, str(neg_path))
     if not samples:
         raise ContractError(f"{root}: no usable samples")
-    return Corpus(samples, source)
+    return Corpus(samples)
 
 
-def load_document_corpus(root, source: str = "imdb") -> Corpus:
+def load_document_corpus(root) -> Corpus:
     """Directory-per-class layout: pos/ and neg/ hold one document per file."""
     root = Path(root)
     samples: list[Sample] = []
@@ -141,7 +143,7 @@ def load_document_corpus(root, source: str = "imdb") -> Corpus:
         if not d.is_dir():
             raise FileNotFoundError(f"{root}: missing class directory {sub}/")
         for path in sorted(d.glob("*.txt")):
-            text = " ".join(_read_lines(path))
+            text = " ".join(read_lines(path))
             tokens = tokenize(text)
             if not tokens:
                 log.warning("skipping empty document %s", path)
@@ -149,15 +151,15 @@ def load_document_corpus(root, source: str = "imdb") -> Corpus:
             samples.append(Sample(tokens, label))
     if not samples:
         raise ContractError(f"{root}: no usable samples")
-    return Corpus(samples, source)
+    return Corpus(samples)
 
 
 def load_corpus(path, fmt: str) -> Corpus:
     if fmt not in FORMATS:
         raise ConfigError(f"unknown dataset format {fmt!r}; expected one of {FORMATS}")
     if fmt == "imdb":
-        return load_document_corpus(path, fmt)
-    return load_line_corpus(path, fmt)
+        return load_document_corpus(path)
+    return load_line_corpus(path)
 
 
 # --------------------------------------------------------------------------
@@ -179,9 +181,6 @@ class Vocab:
     def encode(self, tokens: list[str]) -> np.ndarray:
         return np.array([self.stoi.get(t, UNK_ID) for t in tokens], dtype=np.intp)
 
-    def decode(self, ids) -> list[str]:
-        return [self.itos[int(i)] for i in ids]
-
     def save(self, path) -> None:
         Path(path).write_text("\n".join(self.itos) + "\n", encoding="utf-8")
 
@@ -199,16 +198,10 @@ def build_vocab(corpus: Corpus, max_size: int | None = None) -> Vocab:
         raise ContractError("cannot build a vocabulary from an empty corpus")
     if max_size is not None and max_size < 3:
         raise ConfigError(f"vocab cap must be >= 3 (pad, unk, one token), got {max_size}")
-    counts: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-    at = 0
-    for sample in corpus.samples:
-        for tok in sample.tokens:
-            counts[tok] = counts.get(tok, 0) + 1
-            if tok not in first_seen:
-                first_seen[tok] = at
-            at += 1
-    ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
+    # A Counter keeps its keys in first-occurrence order, and the sort is
+    # stable, so ties keep that order.
+    counts = Counter(tok for sample in corpus.samples for tok in sample.tokens)
+    ranked = sorted(counts, key=counts.__getitem__, reverse=True)
     if max_size is not None:
         ranked = ranked[:max_size - 2]
     return Vocab(ranked)
@@ -225,13 +218,17 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int,
     Every row starts uniform(-0.05, 0.05) (so missing tokens, pad, and unk are
     random), then found rows are overwritten; a token on several lines keeps
     its last vector. Returns (table, coverage) where coverage counts distinct
-    found tokens over the non-special vocabulary.
+    found tokens over the non-special vocabulary. Each line is decoded
+    strictly: a byte that is not UTF-8 is a ParseError naming its line.
     """
     weights = rng.uniform(-0.05, 0.05, size=(len(vocab), dim))
     found: set[int] = set()
-    with open(path, "r", encoding="utf-8", errors="ignore") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                parts = raw.decode("utf-8").split()
+            except UnicodeDecodeError:
+                raise ParseError(f"{path}:{lineno}: not valid UTF-8") from None
             if not parts:
                 continue
             token, values = parts[0], parts[1:]
@@ -307,10 +304,6 @@ class Batch:
     @property
     def size(self) -> int:
         return self.ids.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.ids.shape[1]
 
 
 def batch_and_pad(samples: list[EncodedSample], batch_size: int,

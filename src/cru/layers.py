@@ -42,14 +42,6 @@ class EmbeddingTable:
         if self.weights.shape[0] < 2:
             raise ConfigError("embedding table needs at least pad and unk rows")
 
-    @property
-    def vocab_size(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
-
     @classmethod
     def init(cls, rng: np.random.Generator, vocab_size: int, dim: int) -> "EmbeddingTable":
         w = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
@@ -151,19 +143,11 @@ def dense_forward(layer: DenseLayer, x: Tensor) -> Tensor:
 # Dropout
 # --------------------------------------------------------------------------
 
-def make_dropout_mask(rng: np.random.Generator, shape: tuple[int, ...],
-                      rate: float) -> np.ndarray:
-    """Inverted-dropout mask: entries are 0 or 1/(1-rate)."""
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(np.float64) / keep
-
-
 def dropout_apply(x: Tensor, rate: float, train: bool,
                   rng: np.random.Generator | None = None,
                   rows: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout: identity when eval or rate == 0.
+    """Inverted dropout: x times a mask whose entries are 0 or 1/(1-rate);
+    identity when eval or rate == 0.
 
     rows, a boolean vector, says that the matrix x holds only the selected
     rows of a matrix with len(rows) rows: the mask is drawn over that whole
@@ -176,11 +160,13 @@ def dropout_apply(x: Tensor, rate: float, train: bool,
         return x
     if rng is None:
         raise ContractError("training-mode dropout needs an rng")
-    if rows is None:
-        return ad.mul(x, Tensor(make_dropout_mask(rng, x.shape, rate)))
-    if (x.ndim != 2 or rows.dtype != bool or rows.ndim != 1
-            or np.count_nonzero(rows) != x.shape[0]):
-        raise DimensionError(f"dropout rows select {np.count_nonzero(rows)} of "
-                             f"{rows.size} rows for an input of shape {x.shape}")
-    mask = make_dropout_mask(rng, (rows.size, x.shape[1]), rate)
-    return ad.mul(x, Tensor(mask[rows]))
+    shape = x.shape
+    if rows is not None:
+        if (x.ndim != 2 or rows.dtype != bool or rows.ndim != 1
+                or np.count_nonzero(rows) != x.shape[0]):
+            raise DimensionError(f"dropout rows select {np.count_nonzero(rows)} of "
+                                 f"{rows.size} rows for an input of shape {x.shape}")
+        shape = (rows.size, x.shape[1])
+    keep = 1.0 - rate
+    mask = (rng.random(shape) < keep) / keep
+    return ad.mul(x, Tensor(mask if rows is None else mask[rows]))

@@ -67,7 +67,7 @@ class Adam:
     with bias-corrected m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t).
     """
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         # Written so that NaN fails each float check.
         if not 0 <= lr < np.inf:
@@ -76,15 +76,11 @@ class Adam:
             raise ConfigError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
         if not 0 < eps < np.inf:
             raise ConfigError(f"eps must be positive and finite, got {eps}")
-        items = list(params.items()) if isinstance(params, dict) else list(params)
-        names = [n for n, _ in items]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate parameter names")
-        self.params: list[tuple[str, Tensor]] = items
+        self.params: list[tuple[str, Tensor]] = list(params.items())
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {n: np.zeros_like(p.data) for n, p in items}
-        self.v = {n: np.zeros_like(p.data) for n, p in items}
+        self.m = {n: np.zeros_like(p.data) for n, p in self.params}
+        self.v = {n: np.zeros_like(p.data) for n, p in self.params}
         self.penalty = 0.0  # sum of lam * ||W||^2 found by the last norm pass
         # Clip factor and L2 coefficients of the last norm pass, for the next step.
         self._scale: float | None = None

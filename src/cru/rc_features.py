@@ -8,7 +8,6 @@ columns are constants — gradients flow only into the base embedding.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,21 +15,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, DimensionError
 from .recurrent import pack, run_sequence
-
-
-@dataclass
-class ClozeSample:
-    """A document/query pair whose answer is one word of the document."""
-
-    document: list[str]
-    query: list[str]
-    answer: str
-
-    def __post_init__(self):
-        if not self.document or not self.query:
-            raise ContractError("document and query must be non-empty")
-        if self.answer not in self.document:
-            raise ContractError(f"answer {self.answer!r} does not occur in the document")
 
 
 def doc_word_freq(document: list[str]) -> np.ndarray:
@@ -71,13 +55,13 @@ def encode_bidirectional_enriched(fwd_cell, bwd_cell, X: Tensor) -> Tensor:
     Row t pairs the forward state after token t with the backward state
     after reading the document from its end back to token t.
     """
-    if fwd_cell.hidden_dim != bwd_cell.hidden_dim:
+    d_h = fwd_cell.params.hidden_dim
+    if bwd_cell.params.hidden_dim != d_h:
         raise ConfigError("directions must share hidden size")
     n = X.shape[0]
     # Packed row i holds the forward state at token i and the backward state
     # at token n-1-i; read as (2n, d_h) rows, the pair for token t is rows 2t
     # and 2(n-1-t)+1.
-    states = ad.reshape(run_sequence([fwd_cell, bwd_cell], X, pack([n])),
-                        (2 * n, fwd_cell.hidden_dim))
+    states = ad.reshape(run_sequence([fwd_cell, bwd_cell], X, pack([n])), (2 * n, d_h))
     t = np.arange(n)
     return ad.take_rows(states, np.stack([2 * t, 2 * (n - 1 - t) + 1], axis=1))

@@ -204,10 +204,6 @@ class _CellBase:
                     f"match the {'hidden' if deep else 'W_* input'} width {width}")
         self.variant, self.params, self.banks = variant, params, banks
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.params.hidden_dim
-
     @staticmethod
     def prepare(cells, E: Tensor, packing: Packing) -> Tensor:
         """The packed gate inputs of one cell per direction of packing, side

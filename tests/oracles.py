@@ -24,6 +24,9 @@ step from before the optimizer's blocked sweeps: the L2 term on the tape
 ``encode_two_runs`` is the cloze encoder as it ran before it took both
 directions in one run: one one-direction run each, the backward states put
 back in position order by a reversal gather, and the two joined.
+``vocab_first_seen`` is ``build_vocab``'s ranking as it was written before
+it counted with a ``Counter``: ties broken by an explicit first-occurrence
+index.
 """
 
 import numpy as np
@@ -416,3 +419,19 @@ def dense_update(model, batches, config, rng, beta1=0.9, beta2=0.999, eps=1e-8):
             params[n].data -= config.lr * (m[n] / c1) / (np.sqrt(v[n] / c2) + eps)
             params[n].zero_grad()
     return losses, m, v
+
+
+def vocab_first_seen(corpus, max_size=None):
+    """The tokens of ``build_vocab(corpus, max_size)`` after pad and unk,
+    ranked by (frequency desc, first occurrence asc)."""
+    counts: dict[str, int] = {}
+    first_seen: dict[str, int] = {}
+    at = 0
+    for sample in corpus.samples:
+        for tok in sample.tokens:
+            counts[tok] = counts.get(tok, 0) + 1
+            if tok not in first_seen:
+                first_seen[tok] = at
+            at += 1
+    ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
+    return ranked if max_size is None else ranked[:max_size - 2]

@@ -271,7 +271,7 @@ def test_criterion_09_desk_scale_comparison():
         samples = ([Sample(tokenize(t), 1) for t in subjective]
                    + [Sample(tokenize(t), 0) for t in objective])
         source = "synthetic (tests/corpusgen.py)"
-    vocab = build_vocab(Corpus(samples, "subj"))
+    vocab = build_vocab(Corpus(samples))
     plan = make_folds(len(samples), 10, seed=0)
     train = [samples[i] for i in plan.train_indices(0)]
     test = [samples[i] for i in plan.test_indices(0)]

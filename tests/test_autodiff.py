@@ -76,7 +76,13 @@ def test_backward_on_leaf_loss():
     a = Tensor(2.0, requires_grad=True)
     with Tape() as tape:
         tape.backward(a)
-    assert a.grad == np.ones(())
+        assert a.grad == np.ones(())
+        tape.backward(a)  # gradients accumulate across calls
+    assert a.grad == 2 * np.ones(())
+    c = Tensor(2.0)
+    with Tape() as tape:
+        tape.backward(c)  # a constant loss reaches no gradient
+    assert c.grad is None and len(tape) == 0
 
 
 def test_gradients_accumulate_across_backward_calls():
@@ -801,6 +807,16 @@ def test_gru_scan_validation():
             ad.gru_scan(P2, [weights, weights], [2, 2, 1])
 
 
+def test_worker_runs_in_the_callers_numpy_error_state():
+    seen = []
+    loops = [lambda: seen.append(np.geterr()["over"]) for _ in range(2)]
+    with np.errstate(over="raise"):
+        ad._run_loops(loops, concurrent=True)
+    with np.errstate(over="ignore"):
+        ad._run_loops(loops, concurrent=True)
+    assert seen == ["raise", "raise", "ignore", "ignore"]
+
+
 class CountingPool:
     """Stands in for the scan's worker: counts the loops given to it."""
 
@@ -808,9 +824,9 @@ class CountingPool:
         self.submitted = 0
         self.pool = ThreadPoolExecutor(max_workers=1)
 
-    def submit(self, fn):
+    def submit(self, fn, *args):
         self.submitted += 1
-        return self.pool.submit(fn)
+        return self.pool.submit(fn, *args)
 
 
 @pytest.mark.parametrize("b, d_h, concurrent", [(32, 128, True), (2, 4, False)])

@@ -351,11 +351,12 @@ class RecordingPool:
         self.refuse, self.submitted = refuse, []
         self.pool = ThreadPoolExecutor(max_workers=1)
 
-    def submit(self, fn):
-        self.submitted.append(getattr(fn, "func", fn).__qualname__)
+    def submit(self, fn, *args):
+        loop = args[-1] if args else fn  # fn may be a context's run
+        self.submitted.append(getattr(loop, "func", loop).__qualname__)
         if self.refuse:
             raise AssertionError("work submitted to the worker")
-        return self.pool.submit(fn)
+        return self.pool.submit(fn, *args)
 
 
 def test_single_sentence_never_uses_the_worker(monkeypatch):

@@ -1,6 +1,7 @@
 """Command-line behavior: config resolution, exit codes, artifacts."""
 
 import csv
+import logging
 import re
 import struct
 import subprocess
@@ -124,7 +125,9 @@ def test_train_writes_artifacts(trained_run, capsys):
     assert (ckpt / "params.bin").is_file()
     assert (ckpt / "vocab.txt").is_file()
     assert (ckpt / "config.txt").is_file()
-    assert (trained_run / "train.log").read_text().strip()
+    # Every line printed lands in train.log, the last one too.
+    assert (trained_run / "train.log").read_text().splitlines()[-1].startswith(
+        f"artifacts checkpoint={ckpt} ")
 
     with open(trained_run / "metrics.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -213,6 +216,17 @@ def test_eval_reports_metrics_and_is_repeatable(trained_run, tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["epoch", "fold", "split", "loss", "accuracy"]
     assert rows[1][2] == "eval"
+
+def test_eval_scores_only_the_test_split_of_an_imdb_tree(trained_run, tmp_path, capsys):
+    # train/ has no neg/ directory: eval must not read it.
+    (tmp_path / "imdb" / "train" / "pos").mkdir(parents=True)
+    for cls, text in (("pos", "a fine film"), ("neg", "a dull film")):
+        (tmp_path / "imdb" / "test" / cls).mkdir(parents=True)
+        (tmp_path / "imdb" / "test" / cls / "0.txt").write_text(text, encoding="utf-8")
+    argv = ["eval", "--checkpoint", str(trained_run / "checkpoint"),
+            "--dataset", str(tmp_path / "imdb"), "--format", "imdb"]
+    assert main(argv) == 0
+    assert re.search(r"eval samples=2 loss=", capsys.readouterr().out)
 
 def test_eval_missing_checkpoint_exits_2(tmp_path, capsys):
     code = main(["eval", "--checkpoint", str(tmp_path / "nope"),
@@ -341,6 +355,16 @@ def test_rc_features_prints_tsv(tmp_path, capsys):
         "the\t0.500000\t1",
     ]
 
+def test_rc_features_drops_undecodable_bytes_with_a_warning(tmp_path, capsys, caplog):
+    doc = tmp_path / "doc.txt"
+    query = tmp_path / "q.txt"
+    doc.write_bytes(b"the c\xffat\n")
+    query.write_text("cat\n")
+    with caplog.at_level(logging.WARNING, logger="cru.data"):
+        assert main(["rc-features", "--document", str(doc), "--query", str(query)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["the\t0.500000\t0", "cat\t0.500000\t1"]
+    assert [r.message for r in caplog.records] == [f"dropped undecodable bytes in {doc}"]
+
 def test_rc_features_blank_query_exits_1(tmp_path, capsys):
     doc = tmp_path / "doc.txt"
     query = tmp_path / "q.txt"
@@ -361,6 +385,22 @@ def test_numeric_error_maps_to_exit_3(monkeypatch, capsys):
     assert main(["gradcheck"]) == 3
     assert "numeric error" in capsys.readouterr().err
 
+def test_failed_training_run_keeps_its_log_and_prints_one_line(tmp_path, capsys):
+    # An lr of 1e300 leaves weights near 1e300 after the first step, and the
+    # evaluation's forward overflows. numpy's own overflow warning stays
+    # silent: the NumericError is the one stderr line.
+    out_dir = tmp_path / "run"
+    argv = ["train", "--dataset", str(FIXTURE), "--format", "mr", "--epochs", "3",
+            "--folds", "2", "--run-folds", "1", "--embed", "8", "--hidden", "8",
+            "--fc-dim", "8", "--lr", "1e300", "--out", str(out_dir)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and err.count("\n") == 1
+    assert "while evaluating batch 0" in err
+    log = (out_dir / "train.log").read_text(encoding="utf-8").splitlines()
+    assert "config lr=1e+300" in log and "data format=mr train_samples=32" in log
+    assert any(line.startswith("vocab size=") for line in log)
+
 def _train_with(*flags):
     return lambda tmp_path: ["train", "--dataset", str(FIXTURE), *TINY_FLAGS, *flags,
                              "--out", str(tmp_path / "run")]
@@ -379,6 +419,11 @@ def _train_with_vectors(value):
             "the" + " 0.5" * 8 + "\na " + value + " 0.5" * 7 + "\n", encoding="utf-8")
         return _train_with("--pretrained", str(tmp_path / "vec.txt"))(tmp_path)
     return argv
+
+
+def _train_with_undecodable_vectors(tmp_path):
+    (tmp_path / "vec.txt").write_bytes(b"the" + b" 0.5" * 8 + b"\ngo\xffod" + b" 1" * 8 + b"\n")
+    return _train_with("--pretrained", str(tmp_path / "vec.txt"))(tmp_path)
 
 
 def _infer_with_flat_embedding(tmp_path):
@@ -412,6 +457,7 @@ MALFORMED = {
     "train-embed-huge": (_train_with("--embed", "100000000000"), "out of memory"),
     "vectors-nan": (_train_with_vectors("nan"), "vec.txt:2: "),
     "vectors-inf": (_train_with_vectors("-inf"), "vec.txt:2: "),
+    "vectors-not-utf8": (_train_with_undecodable_vectors, "vec.txt:2: not valid UTF-8"),
     "checkpoint-flat-embedding": (_infer_with_flat_embedding, "rank 2"),
     "checkpoint-duplicate-tensor": (_infer_with_duplicate_tensor, "appears more than once"),
 }

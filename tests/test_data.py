@@ -65,23 +65,22 @@ def write_pair(tmp_path, pos_lines, neg_lines, names=("pos.txt", "neg.txt")):
 
 def test_load_line_corpus_labels_and_order(tmp_path):
     write_pair(tmp_path, ["Good fun.", "Loved it"], ["Dull.", "A slog"])
-    corpus = load_line_corpus(tmp_path, "mr")
+    corpus = load_line_corpus(tmp_path)
     assert len(corpus) == 4
     assert [s.label for s in corpus.samples] == [1, 1, 0, 0]
     assert corpus.samples[0].tokens == ["good", "fun", "."]
-    assert corpus.source == "mr"
 
 
 def test_load_line_corpus_dot_pos_layout(tmp_path):
     write_pair(tmp_path, ["yay"], ["nay"], names=("quote.pos", "quote.neg"))
-    corpus = load_line_corpus(tmp_path, "subj")
+    corpus = load_line_corpus(tmp_path)
     assert len(corpus) == 2
 
 
 def test_load_line_corpus_skips_empty_lines(tmp_path, caplog):
     write_pair(tmp_path, ["good", "", "  "], ["bad"])
     with caplog.at_level(logging.WARNING, logger="cru.data"):
-        corpus = load_line_corpus(tmp_path, "mr")
+        corpus = load_line_corpus(tmp_path)
     assert len(corpus) == 2
     assert any("skipping empty line" in r.message for r in caplog.records)
 
@@ -90,14 +89,14 @@ def test_load_line_corpus_drops_undecodable_bytes(tmp_path, caplog):
     (tmp_path / "pos.txt").write_bytes(b"fine \xff\xfe film\n")
     (tmp_path / "neg.txt").write_text("bad film\n", encoding="utf-8")
     with caplog.at_level(logging.WARNING, logger="cru.data"):
-        corpus = load_line_corpus(tmp_path, "mr")
+        corpus = load_line_corpus(tmp_path)
     assert corpus.samples[0].tokens == ["fine", "film"]
     assert any("undecodable" in r.message for r in caplog.records)
 
 
 def test_load_line_corpus_missing_files(tmp_path):
     with pytest.raises(FileNotFoundError):
-        load_line_corpus(tmp_path, "mr")
+        load_line_corpus(tmp_path)
 
 
 def test_load_document_corpus(tmp_path):
@@ -167,8 +166,8 @@ def test_encode_decode_round_trip():
     vocab = build_vocab(corpus_of("alpha beta gamma delta"))
     for token in ("alpha", "beta", "gamma", "delta"):
         ids = vocab.encode([token])
-        assert vocab.decode(ids) == [token]
-    assert vocab.decode([0, 1]) == ["<pad>", "<unk>"]
+        assert [vocab.itos[i] for i in ids] == [token]
+    assert vocab.itos[:2] == ["<pad>", "<unk>"]
 
 
 def test_vocab_save_load_round_trip(tmp_path):
@@ -226,6 +225,15 @@ def test_pretrained_bad_float_names_line(tmp_path):
     vec = tmp_path / "vec.txt"
     vec.write_text("a 1.0 oops\n", encoding="utf-8")
     with pytest.raises(ParseError, match=":1"):
+        load_pretrained_embeddings(vec, vocab, 2, rng_for(0))
+
+
+def test_pretrained_invalid_utf8_names_line(tmp_path):
+    # The byte 0xff inside "good" must not be dropped to leave a known word.
+    vocab = Vocab(["good", "bad"])
+    vec = tmp_path / "vec.txt"
+    vec.write_bytes(b"bad 3 4\ngo\xffod 1 2\n")
+    with pytest.raises(ParseError, match=r"vec\.txt:2: not valid UTF-8"):
         load_pretrained_embeddings(vec, vocab, 2, rng_for(0))
 
 
@@ -307,7 +315,7 @@ def encode_lengths(lengths):
 def test_batch_padding_width_and_mask():
     samples = encode_lengths([3, 5])
     (batch,) = batch_and_pad(samples, batch_size=2)
-    assert batch.width == 5
+    assert batch.ids.shape[1] == 5
     assert batch.mask[0].sum() == 3 and batch.mask[1].sum() == 5
     assert list(batch.ids[0]) == [2, 3, 4, 0, 0]
     assert list(batch.labels) == [0.0, 1.0]
@@ -316,7 +324,7 @@ def test_batch_padding_width_and_mask():
 def test_batch_size_one_never_pads():
     batches = batch_and_pad(encode_lengths([4, 2, 7]), batch_size=1)
     assert all(b.mask.all() for b in batches)
-    assert [b.width for b in batches] == [4, 2, 7]
+    assert [b.ids.shape[1] for b in batches] == [4, 2, 7]
 
 
 def test_batches_preserve_total_samples():
@@ -326,7 +334,7 @@ def test_batches_preserve_total_samples():
 
 def test_batch_per_batch_max_width():
     batches = batch_and_pad(encode_lengths([2, 2, 9, 9]), batch_size=2)
-    assert [b.width for b in batches] == [2, 9]
+    assert [b.ids.shape[1] for b in batches] == [2, 9]
 
 
 def test_batch_shuffle_is_seeded_and_contents_preserved():

@@ -7,8 +7,7 @@ from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor, finite_diff_gradcheck
 from cru.errors import ConfigError, ContractError, DimensionError
 from cru.layers import (PAD_ID, UNK_ID, ConvBank, DenseLayer, EmbeddingTable,
-                        dense_forward, dropout_apply, glorot_uniform,
-                        make_dropout_mask, same_length_conv)
+                        dense_forward, dropout_apply, glorot_uniform, same_length_conv)
 from cru.recurrent import pack
 
 
@@ -24,7 +23,7 @@ def test_embedding_init_zeroes_pad_row():
     table = EmbeddingTable.init(rng_for(0), vocab_size=6, dim=4)
     assert np.all(table.weights.data[PAD_ID] == 0.0)
     assert table.weights.requires_grad
-    assert table.vocab_size == 6 and table.dim == 4
+    assert table.weights.shape == (6, 4)
 
 
 def test_embedding_needs_special_rows():
@@ -189,11 +188,11 @@ def test_dropout_rejects_rate_one():
     with pytest.raises(ConfigError):
         dropout_apply(Tensor(np.ones(3)), 1.0, train=True, rng=rng_for(13))
     with pytest.raises(ConfigError):
-        make_dropout_mask(rng_for(13), (3,), -0.1)
+        dropout_apply(Tensor(np.ones(3)), -0.1, train=True, rng=rng_for(13))
 
 
 def test_dropout_mask_values_are_zero_or_scaled():
-    mask = make_dropout_mask(rng_for(14), (1000,), 0.3)
+    mask = dropout_apply(Tensor(np.ones(1000)), 0.3, train=True, rng=rng_for(14)).data
     keep = 1.0 - 0.3
     vals = set(np.round(np.unique(mask), 12))
     assert vals <= {0.0, round(1.0 / keep, 12)}
@@ -209,7 +208,7 @@ def test_dropout_needs_rng_or_mask_in_train_mode():
 def test_dropout_with_explicit_mask_and_gradient():
     # The mask is drawn from the rng; replaying the stream reproduces it.
     x = Tensor(np.ones((2, 2)), requires_grad=True)
-    mask = make_dropout_mask(rng_for(15), (2, 2), 0.5)
+    mask = (rng_for(15).random((2, 2)) < 0.5) / 0.5
     with Tape() as tape:
         out = dropout_apply(x, 0.5, train=True, rng=rng_for(15))
         tape.backward(ad.sum_all(out))

@@ -69,7 +69,7 @@ def test_adam_lr_zero_never_moves_parameters():
 def test_adam_missing_grad_is_skipped():
     p = make_param([1.0])
     q = make_param([2.0])
-    opt = Adam([("p", p), ("q", q)], lr=0.1)
+    opt = Adam({"p": p, "q": q}, lr=0.1)
     p.grad = np.array([1.0])
     opt.step()
     assert not np.array_equal(p.data, [1.0])
@@ -84,8 +84,6 @@ def test_adam_validation():
         Adam({"p": p}, beta1=1.0)
     with pytest.raises(ConfigError):
         Adam({"p": p}, eps=0.0)
-    with pytest.raises(ConfigError):
-        Adam([("p", p), ("p", p)])
     for bad in (np.nan, np.inf):
         with pytest.raises(ConfigError):
             Adam({"p": p}, lr=bad)

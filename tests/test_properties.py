@@ -5,8 +5,9 @@ it replaced, every cell's single
 gate-input tensor equals its three per-gate inputs side by side, the fused
 GRU scan equals its per-step composed reference, and training with the
 optimizer's blocked sweeps equals the dense update with the L2 term on the
-tape; and the settings and word-vector parsers, fed arbitrary text, raise
-only their documented errors."""
+tape; ``build_vocab`` ranks as its first-occurrence reference; and the
+settings and word-vector parsers, fed arbitrary text, raise only their
+documented errors."""
 
 import math
 import tempfile
@@ -19,13 +20,14 @@ from hypothesis import strategies as st
 from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor
 from cru.classifier import SentimentModel, TrainConfig, seeded_rng, train_epoch
-from cru.data import EncodedSample, Vocab, batch_and_pad, load_pretrained_embeddings
+from cru.data import (Corpus, EncodedSample, Sample, Vocab, batch_and_pad, build_vocab,
+                      load_pretrained_embeddings)
 from cru.errors import ConfigError, ParseError
 from cru.optim import BLOCK_ROWS, Adam
 from cru.recurrent import VARIANTS, _CellBase, make_cell, pack, run_sequence
 from oracles import (conv1d_same_einsum, conv1d_same_padded, dense_update, gru_scan_composed,
                      gru_scan_padded, packed_positions, prepare_per_gate, run_padded, run_row,
-                     token_positions)
+                     token_positions, vocab_first_seen)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -233,11 +235,12 @@ def test_prepare_equals_per_gate_inputs_side_by_side(case):
     in_packed_order = np.array([r * n + t for r, t in packed_positions([n] * b)])
     recurrence = {"U_z", "U_r", "U", "b_z", "b_r", "b_h"}
     leaves = [E] + [t for name, t in cell.named_params().items() if name not in recurrence]
-    G = Tensor(rng.standard_normal((b * n, 3 * cell.hidden_dim)))
+    G = Tensor(rng.standard_normal((b * n, 3 * cell.params.hidden_dim)))
 
     def per_gate(x):
         gates = ad.concat_cols(prepare_per_gate(cell, ad.reshape(x, (b, n, d))))
-        return ad.take_rows(ad.reshape(gates, (b * n, 3 * cell.hidden_dim)), in_packed_order)
+        return ad.take_rows(ad.reshape(gates, (b * n, 3 * cell.params.hidden_dim)),
+                            in_packed_order)
 
     results = []
     for prepare in (lambda x: _CellBase.prepare([cell], x, packing), per_gate):
@@ -357,6 +360,17 @@ def test_blocked_sweeps_equal_dense_update(case):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@PROPERTY
+@given(st.lists(st.lists(st.text("abcd", min_size=1, max_size=2), max_size=8),
+                min_size=1, max_size=6),
+       st.one_of(st.none(), st.sampled_from([3, 5, 17]), st.integers(3, 12)))
+@example([["b", "a", "b", "a", "c"]], 3)  # a tie that the cap cuts
+@example([[], ["c"], ["a", "c", "a"]], None)
+def test_build_vocab_equals_first_seen_ranking(token_lists, cap):
+    corpus = Corpus([Sample(tokens, 1) for tokens in token_lists])
+    assert build_vocab(corpus, cap).itos == ["<pad>", "<unk>", *vocab_first_seen(corpus, cap)]
+
+
 # Values a settings or vector file may hold: arbitrary text, and the strings
 # that parse as numbers outside every documented range.
 values = st.one_of(st.text(max_size=12),
@@ -380,14 +394,18 @@ def test_config_parser_raises_only_config_errors(kv):
 @given(st.lists(st.tuples(st.sampled_from(["a", "b", "<unk>", "zz"]),
                           st.lists(values, min_size=1, max_size=3)), max_size=4))
 @example([("a", ["1", "2"]), ("a", ["3", "4"]), ("b", ["5", "6"])])  # a token on two lines
+@example([("\udcffa", ["1", "2"])])  # the byte 0xff, which is not UTF-8, before a token
 def test_vector_parser_raises_only_parse_errors(lines):
     vocab = Vocab(["a", "b"])
+    # A lone surrogate stands for the byte that surrogateescape writes for it.
+    data = "".join(" ".join([tok, *vals]) + "\n" for tok, vals in lines).encode(
+        "utf-8", "surrogateescape")
     with tempfile.TemporaryDirectory() as tmp:
         vec = Path(tmp) / "vec.txt"
-        vec.write_text("".join(" ".join([tok, *vals]) + "\n" for tok, vals in lines),
-                       encoding="utf-8")
+        vec.write_bytes(data)
         try:
             table, coverage = load_pretrained_embeddings(vec, vocab, 2, seeded_rng(0, 5))
         except (ParseError, OSError):
             return
+    data.decode("utf-8")  # a file that parses is UTF-8
     assert np.all(np.isfinite(table.weights.data)) and 0 <= coverage <= 1

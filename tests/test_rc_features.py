@@ -8,7 +8,7 @@ import pytest
 from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor
 from cru.errors import ContractError, DimensionError
-from cru.rc_features import (ClozeSample, count_of_query_word, doc_word_freq,
+from cru.rc_features import (count_of_query_word, doc_word_freq,
                              encode_bidirectional_enriched, enrich_embeddings)
 from cru.recurrent import VARIANTS, make_cell
 from oracles import encode_two_runs, run_row
@@ -24,20 +24,6 @@ WORDS = ["the", "cat", "sat", "on", "mat", "dog", "ran", "fast", "a", "big"]
 def random_tokens(rng, lo=1, hi=12):
     n = int(rng.integers(lo, hi))
     return [WORDS[i] for i in rng.integers(0, len(WORDS), size=n)]
-
-
-# ---------------------------------------------------------------------------
-# ClozeSample
-# ---------------------------------------------------------------------------
-
-def test_cloze_sample_validation():
-    ClozeSample(["a", "b"], ["q"], "b")
-    with pytest.raises(ContractError):
-        ClozeSample(["a", "b"], ["q"], "c")
-    with pytest.raises(ContractError):
-        ClozeSample([], ["q"], "a")
-    with pytest.raises(ContractError):
-        ClozeSample(["a"], [], "a")
 
 
 # ---------------------------------------------------------------------------
