@@ -602,18 +602,13 @@ def _matmuls(parts) -> None:
         np.matmul(a, b, out=c)
 
 
-def project(x: Tensor, weights: Sequence[Sequence[Tensor]]) -> Tensor:
-    """Input projections of G column blocks of x, side by side.
-
-    x: (..., G c); weights: a group of (d_j, c) weights per block, of one set
-    of shapes. Group i projects block i with one matmul against its weights
-    stacked, [x_i W_i0^T | x_i W_i1^T | ...], into columns i s to (i + 1) s
-    of the (..., G s) result, s = sum d_j. A direction's gru gate inputs are
-    one group of three weights, deep_enhanced's three groups of one. From
-    ``_CONCURRENT_MATMUL_WORK`` multiply-adds per half, the second half of
-    the groups runs on the worker thread, as in ``gru_scan``.
+def _project_forward(x: Tensor, groups: list[list[Tensor]]) -> tuple[Array, Callable]:
+    """The forward of ``project``: its (N, G s) result over the N rows of x
+    flattened, and its backward, ``backward(g, emit, at)``. That takes the
+    result's gradient g, emits the gradient of the j-th weight of the
+    flattened groups as input at + j, and returns the (N, G c) gradient of
+    x's rows. The backward holds x's blocks and the weights, not the result.
     """
-    groups = [list(g) for g in weights]
     if not groups or not groups[0]:
         raise ContractError("project needs a group of one or more weights per block")
     shapes = [w.shape for w in groups[0]]
@@ -623,31 +618,61 @@ def project(x: Tensor, weights: Sequence[Sequence[Tensor]]) -> Tensor:
             or any([w.shape for w in g] != shapes for g in groups)):
         raise DimensionError(f"project: input {x.shape} (rank 2 or 3) does not chain with "
                              f"{G} groups of weights {[[w.shape for w in g] for g in groups]}")
-    ends = np.cumsum([w[0] for w in shapes])
-    s, half = int(ends[-1]), (G + 1) // 2
     flat = x.data.reshape(-1, width)
     xs = [flat[:, i * c:(i + 1) * c] for i in range(G)]
     mats = [np.concatenate([w.data for w in g]) if len(g) > 1 else g[0].data for g in groups]
+    s = mats[0].shape[0]
     out = np.empty((len(flat), G * s))
     concurrent = G > 1 and len(flat) * width * s // 2 >= _CONCURRENT_MATMUL_WORK
-    parts = [(xi, w.T, out[:, i * s:(i + 1) * s]) for i, (xi, w) in enumerate(zip(xs, mats))]
-    _run_loops([partial(_matmuls, parts[:half]), partial(_matmuls, parts[half:])], concurrent)
+    _run_loops(_halves([[(xi, w.T, out[:, i * s:(i + 1) * s])]
+                        for i, (xi, w) in enumerate(zip(xs, mats))]), concurrent)
+    return out, partial(_project_backward, xs, mats, shapes, concurrent)
+
+
+def _project_backward(xs, mats, shapes, concurrent, g, emit, at, dx=None) -> Array:
+    """The backward of ``project``, writing x's gradient into dx if given;
+    see ``_project_forward``."""
+    G, (s, c) = len(mats), mats[0].shape
+    dx = np.empty((len(g), G * c)) if dx is None else dx
+    d_ws = [np.empty((s, c)) for _ in mats]
+    parts = [[(g[:, i * s:(i + 1) * s], w, dx[:, i * c:(i + 1) * c]),
+              (g[:, i * s:(i + 1) * s].T, xi, d_w)]
+             for i, (xi, w, d_w) in enumerate(zip(xs, mats, d_ws))]
+    _run_loops(_halves(parts), concurrent)
+    ends = np.cumsum([w[0] for w in shapes])
+    for i, d_w in enumerate(d_ws):
+        for j, (e, w) in enumerate(zip(ends, shapes)):
+            emit(at + i * len(shapes) + j, d_w[e - w[0]:e], owned=len(shapes) == 1)
+    return dx
+
+
+def _halves(parts) -> list[Callable[[], None]]:
+    """Two loops of matmuls, given each group's list of (a, b, out): the
+    first half of the groups', then the rest's."""
+    half = (len(parts) + 1) // 2
+    return [partial(_matmuls, sum(parts[:half], [])), partial(_matmuls, sum(parts[half:], []))]
+
+
+def project(x: Tensor, weights: Sequence[Sequence[Tensor]]) -> Tensor:
+    """Input projections of G column blocks of x, side by side.
+
+    x: (..., G c); weights: a group of (d_j, c) weights per block, of one set
+    of shapes. Group i projects block i with one matmul against its weights
+    stacked, [x_i W_i0^T | x_i W_i1^T | ...], into columns i s to (i + 1) s
+    of the (..., G s) result, s = sum d_j. A direction's gru gate inputs are
+    one group of three weights, deep_enhanced's three groups of one (which
+    ``gru_scan`` forms itself). From ``_CONCURRENT_MATMUL_WORK`` multiply-adds
+    per half, the second half of the groups runs on the worker thread, as in
+    ``gru_scan``.
+    """
+    groups = [list(g) for g in weights]
+    out, backward = _project_forward(x, groups)
 
     def apply(g, emit):
-        g, dx = g.reshape(-1, G * s), np.empty(flat.shape)
-        d_ws = [np.empty((s, c)) for _ in groups]
-        parts = [[(g[:, i * s:(i + 1) * s], w, dx[:, i * c:(i + 1) * c]),
-                  (g[:, i * s:(i + 1) * s].T, xi, d_w)]
-                 for i, (xi, w, d_w) in enumerate(zip(xs, mats, d_ws))]
-        _run_loops([partial(_matmuls, sum(parts[:half], [])),
-                    partial(_matmuls, sum(parts[half:], []))], concurrent)
-        for i, d_w in enumerate(d_ws):
-            for j, (e, w) in enumerate(zip(ends, shapes)):
-                emit(1 + i * len(shapes) + j, d_w[e - w[0]:e], owned=len(shapes) == 1)
-        emit(0, dx.reshape(x.shape), owned=True)
+        emit(0, backward(g.reshape(-1, g.shape[-1]), emit, 1).reshape(x.shape), owned=True)
 
     return _emit_op("project", [x] + [w for g in groups for w in g],
-                    Tensor(out.reshape(*x.shape[:-1], G * s)), apply)
+                    Tensor(out.reshape(*x.shape[:-1], -1)), apply)
 
 
 # gru_scan runs its directions concurrently only when one step's h U^T has at
@@ -763,9 +788,17 @@ def _scan_backward(gout, A, H0, u_zr, u, steps, dA, d_u, d_b, H_prev, dh_buf, d_
 _SCAN_INPUTS = ("U_z", "U_r", "U", "b_z", "b_r", "b_h")
 
 
-def gru_scan(P: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes) -> Tensor:
+def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
+             weights: Sequence[Sequence[Tensor]] | None = None) -> Tensor:
     """The GRU recurrence of one or more directions over packed gate inputs,
     as one tape node.
+
+    The gate inputs P are x itself or, given weights, ``project(x, weights)``,
+    formed with ``project``'s own forward and freed once the forward loop has
+    read them (gru and shallow pass one group [W_z, W_r, W] per direction,
+    deep_enhanced three groups of one). Then neither P nor its gradient dP
+    reaches a tape: the backward writes dP, hands it to ``project``'s own
+    backward for the gradients of x and of the weights, and frees it.
 
     P: (T, D 3 d_h), direction i's [P_z | P_r | P_h] in columns 3 i d_h to
     3 (i + 1) d_h, in time-major packed order: step t owns the contiguous
@@ -796,20 +829,22 @@ def gru_scan(P: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes) -> 
     if not directions or any(len(d) != len(_SCAN_INPUTS) for d in directions):
         raise ContractError(f"gru_scan: each direction needs {', '.join(_SCAN_INPUTS)}")
     sizes = np.asarray(batch_sizes).reshape(-1).tolist()
-    if not sizes or sizes[-1] < 1 or any(x < y for x, y in zip(sizes, sizes[1:])):
+    if not sizes or sizes[-1] < 1 or any(u < v for u, v in zip(sizes, sizes[1:])):
         raise ContractError(f"gru_scan: batch_sizes must be positive and non-increasing, "
                             f"got {sizes}")
     b, total, D = sizes[0], sum(sizes), len(directions)
     d_h = directions[0][2].shape[0] if directions[0][2].ndim == 2 else -1
-    if P.shape != (total, D * 3 * d_h):
-        raise DimensionError(f"gru_scan: P must have shape {(total, D * 3 * d_h)} for {D} "
-                             f"directions of width {d_h}, got {P.shape}")
     shapes = ((d_h, d_h),) * 3 + ((d_h,),) * 3
     for i, direction in enumerate(directions):
         for name, t, shape in zip(_SCAN_INPUTS, direction, shapes):
             if t.shape != shape:
                 raise DimensionError(f"gru_scan: direction {i}'s {name} must have shape "
                                      f"{shape}, got {t.shape}")
+    groups = [] if weights is None else [list(g) for g in weights]
+    P, project_backward = (x.data, None) if weights is None else _project_forward(x, groups)
+    if P.shape != (total, D * 3 * d_h):
+        raise DimensionError(f"gru_scan: P must have shape {(total, D * 3 * d_h)} for {D} "
+                             f"directions of width {d_h}, got {P.shape}")
     # Block t starts at starts[t]; the block before it starts at prevs[t] of
     # H0, whose first b rows are the zero state h_{-1}.
     starts = list(accumulate(sizes[:-1], initial=0))
@@ -825,18 +860,23 @@ def gru_scan(P: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes) -> 
     As = [np.empty((total, 3 * d_h)) for _ in directions]  # [z | r | g] of every row
     u_zrs = [np.concatenate([d[0].data, d[1].data]) for d in directions]  # (2 d_h, d_h)
     us = [d[2].data for d in directions]
-    _run_loops([partial(_scan_forward, P.data[:, gates[i]], u_zrs[i].T, us[i].T,
+    _run_loops([partial(_scan_forward, P[:, gates[i]], u_zrs[i].T, us[i].T,
                         np.concatenate([d[3].data, d[4].data]), d[5].data, H0[:, cols[i]],
                         As[i], steps, np.empty((b, 2 * d_h)),
                         *(np.empty((b, d_h)) for _ in range(3)))
                 for i, d in enumerate(directions)], concurrent)
-    out = Tensor(H0[b:])
+    del P  # freed here if formed here: a tape keeps x, not the gate inputs
 
     def apply(gout, emit):
-        dP = np.empty(P.shape)
+        dP = np.empty((total, D * 3 * d_h))
+        # One buffer holds each direction's h_{t-1} rows in the reverse loops,
+        # then x's gradient: one such array is allocated, not two in turn.
+        width = 0 if project_backward is None else x.shape[-1]
+        scratch = np.empty(total * max(D * d_h, width))
         grads = [(np.empty((3 * d_h, d_h)), np.empty(3 * d_h)) for _ in directions]
         _run_loops([partial(_scan_backward, gout[:, cols[i]], As[i], H0[:, cols[i]], u_zrs[i],
-                            us[i], steps, dP[:, gates[i]], *grads[i], np.empty((total, d_h)),
+                            us[i], steps, dP[:, gates[i]], *grads[i],
+                            scratch[i * total * d_h:(i + 1) * total * d_h].reshape(total, d_h),
                             np.zeros((b, d_h)), np.empty((b, d_h)), np.empty((b, d_h)),
                             np.empty((b, 2 * d_h))) for i in range(D)], concurrent)
         for i, (d_u, d_b) in enumerate(grads):
@@ -844,10 +884,15 @@ def gru_scan(P: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes) -> 
             for j in range(3):
                 emit(at + j, d_u[j * d_h:(j + 1) * d_h])
                 emit(at + 3 + j, d_b[j * d_h:(j + 1) * d_h])
-        # Handed over without a copy, so only once nothing here reads it.
-        emit(0, dP, owned=True)
+        # Handed over without a copy, so only once nothing here reads it. A dP
+        # formed from x's gradient is freed when this returns.
+        emit(0, dP if project_backward is None
+             else project_backward(dP, emit, 1 + D * len(_SCAN_INPUTS),
+                                   scratch[:total * width].reshape(total, width)).reshape(x.shape),
+             owned=True)
 
-    return _emit_op("gru_scan", [P] + [t for d in directions for t in d], out, apply)
+    return _emit_op("gru_scan", [x] + [t for d in directions for t in d]
+                    + [w for g in groups for w in g], Tensor(H0[b:]), apply)
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ParseError
 
 MAGIC = b"CRUT1\n"
+# The format stores a rank of up to 255; numpy arrays hold at most 64 axes.
+_MAX_NUMPY_RANK = 64
 
 
 def save_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:
@@ -65,6 +67,9 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         if name in out:
             raise ParseError(f"{path}: tensor {name} appears more than once")
         (rank,) = take("<B")
+        if rank > _MAX_NUMPY_RANK:
+            raise ParseError(f"{path}: tensor {name} has rank {rank}, above numpy's "
+                             f"{_MAX_NUMPY_RANK}")
         shape = tuple(take("<I")[0] for _ in range(rank))
         n = math.prod(shape)  # Python ints, so huge dims cannot wrap negative
         nbytes = n * 8

@@ -284,23 +284,26 @@ def train_on_split(train_samples: list[Sample], test_samples: list[Sample],
     test_batches = batch_and_pad(test_enc, config.batch_size) if test_enc else []
 
     history: list[dict] = []
+
+    def record(**r) -> None:
+        # Each row is logged as soon as it exists, so a failed evaluation
+        # still leaves the train row of its epoch in the log.
+        history.append(r)
+        if log_fn is not None:
+            log_fn("epoch={epoch} fold={fold} split={split} "
+                   "loss={loss:.6f} accuracy={accuracy:.4f}".format(**r)
+                   + "".join(f" {k}={r[k]:{f}}" for k, f in TELEMETRY if k in r))
+
     for epoch in range(1, config.epochs + 1):
         shuffle_rng = seeded_rng(config.seed, _TAG_SHUFFLE, fold, epoch)
         drop_rng = seeded_rng(config.seed, _TAG_DROPOUT, fold, epoch)
         batches = batch_and_pad(train_enc, config.batch_size, rng=shuffle_rng)
         stats: dict = {}
         loss, acc = train_epoch(model, optimizer, batches, config, drop_rng, stats)
-        rows = [dict(epoch=epoch, fold=fold, split="train", loss=loss, accuracy=acc, **stats)]
+        record(epoch=epoch, fold=fold, split="train", loss=loss, accuracy=acc, **stats)
         if test_batches:
             t_loss, t_acc = evaluate(model, test_batches)
-            rows.append(dict(epoch=epoch, fold=fold, split="test",
-                             loss=t_loss, accuracy=t_acc))
-        history.extend(rows)
-        if log_fn is not None:
-            for r in rows:
-                log_fn("epoch={epoch} fold={fold} split={split} "
-                       "loss={loss:.6f} accuracy={accuracy:.4f}".format(**r)
-                       + "".join(f" {k}={r[k]:{f}}" for k, f in TELEMETRY if k in r))
+            record(epoch=epoch, fold=fold, split="test", loss=t_loss, accuracy=t_acc)
     return model, history
 
 

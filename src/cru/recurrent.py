@@ -32,12 +32,14 @@ The directions travel side by side, as column blocks, through the whole
 path. ``prepare`` gathers [X_0 | X_1] with one ``take_rows``; the variant's
 banks then convolve every direction in one ``conv1d_same`` op, through a
 window index (``Packing.window``) that reads zeros past each row's ends, with
-each bank's bias and activation and deep_enhanced's residual add fused in;
-one ``project`` op multiplies by [W_z; W_r; W]. ``run_sequence`` feeds the
-(T, D 3 d_h) gate inputs to one ``gru_scan`` node and returns the states
-side by side, (T, D d_h). Above a work threshold, each of these ops runs the
-second direction's numpy on the ``autodiff`` worker thread while the calling
-thread runs the first.
+each bank's bias and activation and deep_enhanced's residual add fused in.
+``run_sequence`` hands that and [W_z; W_r; W] to one ``gru_scan`` node, which
+forms the (T, D 3 d_h) gate inputs with ``project``'s matmuls, runs the
+recurrence and returns the states side by side, (T, D d_h). The gate inputs
+and their gradient are formed and freed inside that node, so no tape holds
+them. Above a work threshold, each of these ops runs the second direction's
+numpy on the ``autodiff`` worker thread while the calling thread runs the
+first.
 """
 
 from __future__ import annotations
@@ -205,15 +207,18 @@ class _CellBase:
         self.variant, self.params, self.banks = variant, params, banks
 
     @staticmethod
-    def prepare(cells, E: Tensor, packing: Packing) -> Tensor:
-        """The packed gate inputs of one cell per direction of packing, side
-        by side: (T, D 3 d_h), direction i's [P_z | P_r | P_h] in columns
-        3 i d_h to 3 (i + 1) d_h, from the batch's token rows E (T, d).
+    def prepare(cells, E: Tensor, packing: Packing) -> tuple[Tensor, list | None]:
+        """What the gate inputs of one cell per direction of packing are
+        formed from, given the batch's token rows E (T, d): (X, weights),
+        where ``autodiff.project(X, weights)`` is the (T, D 3 d_h) gate inputs
+        side by side, direction i's [P_z | P_r | P_h] in columns 3 i d_h to
+        3 (i + 1) d_h. ``gru_scan`` forms and frees them itself. deep has no
+        projection: its X is the gate inputs, and its weights are None.
 
-        One ``take_rows`` gathers every direction's packed rows, then each op
-        of the variant's rule takes every direction in one call: the banks'
-        convolution, and the projection by [W_z; W_r; W], which deep skips
-        and deep_enhanced applies to each bank's output plus its input.
+        One ``take_rows`` gathers every direction's packed rows, then the
+        banks' convolution takes every direction in one call. The weights are
+        one group [W_z, W_r, W] per direction, or deep_enhanced's three
+        groups of one, which project each bank's output plus its input.
         """
         cells = list(cells)
         variants = {c.variant for c in cells}
@@ -228,9 +233,9 @@ class _CellBase:
             X = same_length_conv([c.banks for c in cells], X, packing.window(banks[0].width),
                                  residual=variant == "deep_enhanced")
         if variant == "deep":
-            return X
+            return X, None
         ws = [[c.params.W_z, c.params.W_r, c.params.W] for c in cells]
-        return ad.project(X, [[w] for g in ws for w in g] if variant == "deep_enhanced" else ws)
+        return X, [[w] for g in ws for w in g] if variant == "deep_enhanced" else ws
 
     def named_params(self, prefix: str = "") -> dict[str, Tensor]:
         out = self.params.named(prefix)
@@ -269,10 +274,12 @@ def run_sequence(cells, E: Tensor, packing: Packing) -> Tensor:
     final states are packed row ``packing.last[r]`` in every direction. A
     state depends only on the steps up to it, and a convolution window reads
     zeros past a row's ends, so each row's states equal those of its one-row
-    run. ``_CellBase.prepare`` makes every direction's gate inputs, and one
-    ``autodiff.gru_scan`` node runs the recurrence of all of them.
+    run. ``_CellBase.prepare`` makes what every direction's gate inputs are
+    formed from, and one ``autodiff.gru_scan`` node forms them, runs the
+    recurrence of all of them and frees them, so no tape holds them.
     """
     cells = list(cells)
-    return ad.gru_scan(_CellBase.prepare(cells, E, packing),
-                       [(p.U_z, p.U_r, p.U, p.b_z, p.b_r, p.b_h)
-                        for p in (cell.params for cell in cells)], packing.batch_sizes)
+    X, weights = _CellBase.prepare(cells, E, packing)
+    return ad.gru_scan(X, [(p.U_z, p.U_r, p.U, p.b_z, p.b_r, p.b_h)
+                           for p in (cell.params for cell in cells)],
+                       packing.batch_sizes, weights)

@@ -26,7 +26,9 @@ directions in one run: one one-direction run each, the backward states put
 back in position order by a reversal gather, and the two joined.
 ``vocab_first_seen`` is ``build_vocab``'s ranking as it was written before
 it counted with a ``Counter``: ties broken by an explicit first-occurrence
-index.
+index. ``project_then_scan`` is the gate-input projection as its own tape
+node, then the scan, as they ran before ``ad.gru_scan`` took the projection's
+weights and formed the gate inputs itself.
 """
 
 import numpy as np
@@ -240,6 +242,12 @@ def gru_scan_composed(P, U_z, U_r, U, b_z, b_r, b_h):
         h = ad.add(ad.mul(z, h), ad.mul(ad.sub(1.0, z), g))
         states.append(h)
     return ad.reshape(ad.concat_cols(states), (b, n, d_h))
+
+
+def project_then_scan(x, directions, batch_sizes, weights):
+    """``ad.gru_scan(x, directions, batch_sizes, weights)`` as two tape nodes:
+    the gate inputs ``ad.project(x, weights)``, then the scan over them."""
+    return ad.gru_scan(ad.project(x, weights), directions, batch_sizes)
 
 
 def gru_scan_padded(P, U_z, U_r, U, b_z, b_r, b_h):

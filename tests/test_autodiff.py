@@ -752,6 +752,15 @@ def scan(directions, sizes):
                        [d[1:] for d in directions], sizes)
 
 
+def gate_weights(rng, count, groups, c, d_h):
+    """Each of count directions' [W_z, W_r, W], (d_h, c) each, in project's
+    grouping: one group of three (gru), or three groups of one
+    (deep_enhanced)."""
+    ws = [[Tensor(rng.standard_normal((d_h, c)), requires_grad=True) for _ in range(3)]
+          for _ in range(count)]
+    return ws if groups == 1 else [[w] for g in ws for w in g]
+
+
 def test_gru_scan_gradcheck():
     # A packed ragged batch: three rows, of lengths 4, 2 and 2, in four steps
     # of 3, 3, 2 and 1 rows; one direction alone, then two with their own
@@ -805,6 +814,35 @@ def test_gru_scan_validation():
     for P2 in (P, Tensor(np.zeros((5, 21))), Tensor(np.zeros((4, 24)))):
         with pytest.raises(DimensionError, match="P must have shape"):
             ad.gru_scan(P2, [weights, weights], [2, 2, 1])
+    # Weights that do not make the gate inputs from x: the wrong width, too
+    # few, not chaining with x, or another batch's rows.
+    x = Tensor(rng.standard_normal((5, 3)))
+    assert ad.gru_scan(x, [weights], [2, 2, 1], gate_weights(rng, 1, 1, 3, 4)).shape == (5, 4)
+    for groups in (gate_weights(rng, 1, 1, 3, 5), [gate_weights(rng, 1, 1, 3, 4)[0][:2]],
+                   gate_weights(rng, 1, 1, 2, 4)):
+        with pytest.raises(DimensionError):
+            ad.gru_scan(x, [weights], [2, 2, 1], groups)
+    with pytest.raises(DimensionError, match="P must have shape"):
+        ad.gru_scan(x, [weights], [2, 1], gate_weights(rng, 1, 1, 3, 4))
+
+
+def test_gru_scan_with_weights_gradcheck():
+    # The scan forms its gate inputs from x, for both weight groupings and one
+    # or two directions, on the ragged batch above.
+    rng = rng_for(23)
+    sizes, c, d_h = [3, 3, 2, 1], 2, 3
+    for groups in (1, 3):
+        for count in (1, 2):
+            x = Tensor(rng.standard_normal((9, count * groups * c)), requires_grad=True)
+            directions = [scan_inputs(rng, sizes, d_h)[1:] for _ in range(count)]
+            weights = gate_weights(rng, count, groups, c, d_h)
+            readout = Tensor(rng.standard_normal((9, count * d_h)))
+            params = {"x": x, **{f"W{i}.{j}": w for i, g in enumerate(weights)
+                                 for j, w in enumerate(g)},
+                      **{f"{i}.{name}": t for i, d in enumerate(directions)
+                         for name, t in zip(SCAN_NAMES[1:], d)}}
+            check(lambda: ad.sum_all(ad.mul(ad.gru_scan(x, directions, sizes, weights),
+                                            readout)), params)
 
 
 def test_worker_runs_in_the_callers_numpy_error_state():

@@ -181,6 +181,21 @@ def test_training_tape_is_small_and_does_not_grow_with_width():
     assert counts[0] == counts[1] < 79, counts
 
 
+def test_training_tape_holds_no_gate_inputs():
+    # The scan forms the (T, D 3 d_h) gate inputs from its input and frees
+    # them, so no tape node keeps an array of their shape. deep has no
+    # projection: its gate inputs are the convolution's output.
+    rows = [[2, 3, 4, 5], [6, 7], [3, 4, 8]]
+    b = batch_from_rows(rows, [1, 0, 1])
+    for variant in ("gru", "shallow", "deep_enhanced"):
+        model, _ = tiny_model(seed=16, variant=variant, hidden_dim=5, dropout=0.3)
+        with Tape() as tape:
+            bce_loss(model.forward_batch(b, train=True, rng=np.random.default_rng(0)),
+                     b.labels)
+        shapes = {node.tensor.shape for node in tape.nodes}
+        assert (9, 2 * 5) in shapes and (9, 2 * 3 * 5) not in shapes, (variant, shapes)
+
+
 def test_zero_length_row_is_a_contract_error():
     model, _ = tiny_model(seed=14)
     batch = batch_from_rows([[2, 3, 4], [5]], [1, 0])

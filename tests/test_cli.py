@@ -400,6 +400,8 @@ def test_failed_training_run_keeps_its_log_and_prints_one_line(tmp_path, capsys)
     log = (out_dir / "train.log").read_text(encoding="utf-8").splitlines()
     assert "config lr=1e+300" in log and "data format=mr train_samples=32" in log
     assert any(line.startswith("vocab size=") for line in log)
+    # Epoch 1 trained before its evaluation failed, so its train row is logged.
+    assert any(line.startswith("epoch=1 fold=0 split=train ") for line in log)
 
 def _train_with(*flags):
     return lambda tmp_path: ["train", "--dataset", str(FIXTURE), *TINY_FLAGS, *flags,

@@ -3,13 +3,15 @@ the packed run of either direction equals the padded scan it replaced, the
 packed convolution equals its einsum reference and the padded convolution
 it replaced, every cell's single
 gate-input tensor equals its three per-gate inputs side by side, the fused
-GRU scan equals its per-step composed reference, and training with the
+GRU scan equals its per-step composed reference and, given the projection's
+weights, the projection then the scan, bit for bit; training with the
 optimizer's blocked sweeps equals the dense update with the L2 term on the
 tape; ``build_vocab`` ranks as its first-occurrence reference; and the
-settings and word-vector parsers, fed arbitrary text, raise only their
-documented errors."""
+settings, word-vector, vocabulary and checkpoint readers, fed arbitrary
+files, raise only their documented errors."""
 
 import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -19,15 +21,16 @@ from hypothesis import strategies as st
 
 from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor
+from cru.checkpoint import MAGIC, load_tensors
 from cru.classifier import SentimentModel, TrainConfig, seeded_rng, train_epoch
 from cru.data import (Corpus, EncodedSample, Sample, Vocab, batch_and_pad, build_vocab,
-                      load_pretrained_embeddings)
-from cru.errors import ConfigError, ParseError
+                      load_pretrained_embeddings, parse_kv_file)
+from cru.errors import ConfigError, CruError, ParseError
 from cru.optim import BLOCK_ROWS, Adam
 from cru.recurrent import VARIANTS, _CellBase, make_cell, pack, run_sequence
 from oracles import (conv1d_same_einsum, conv1d_same_padded, dense_update, gru_scan_composed,
-                     gru_scan_padded, packed_positions, prepare_per_gate, run_padded, run_row,
-                     token_positions, vocab_first_seen)
+                     gru_scan_padded, packed_positions, prepare_per_gate, project_then_scan,
+                     run_padded, run_row, token_positions, vocab_first_seen)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -225,8 +228,10 @@ def test_packed_conv_equals_padded_oracle(case):
 @example(("gru", 1, 1, 1, 1, 0))
 @example(("deep_enhanced", 3, 5, 2, 4, 1))
 def test_prepare_equals_per_gate_inputs_side_by_side(case):
-    # Values and the gradients of E and of every parameter that prepare reads;
-    # the per-gate inputs of the padded batch are read in packed order.
+    # Values and the gradients of E and of every parameter that prepare reads,
+    # through the projection of what it returns (the gate inputs that
+    # gru_scan forms); the per-gate inputs of the padded batch are read in
+    # packed order.
     variant, b, n, d, d_h, seed = case
     rng = np.random.Generator(np.random.PCG64(seed))
     cell = make_cell(variant, rng, d, d if variant == "deep" else d_h)
@@ -242,8 +247,12 @@ def test_prepare_equals_per_gate_inputs_side_by_side(case):
         return ad.take_rows(ad.reshape(gates, (b * n, 3 * cell.params.hidden_dim)),
                             in_packed_order)
 
+    def prepared(x):
+        X, weights = _CellBase.prepare([cell], x, packing)
+        return X if weights is None else ad.project(X, weights)
+
     results = []
-    for prepare in (lambda x: _CellBase.prepare([cell], x, packing), per_gate):
+    for prepare in (prepared, per_gate):
         for x in leaves:
             x.zero_grad()
         with Tape() as tape:
@@ -314,6 +323,43 @@ def test_gru_scan_equals_composed_reference(case, count):
     for got, ref in zip(*results):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@PROPERTY
+@given(st.sampled_from((1, 3)), st.integers(1, 2),
+       st.lists(st.integers(1, 7), min_size=1, max_size=5), st.integers(1, 4),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example(1, 1, [1], 1, 1, 0)
+@example(3, 2, [6, 1, 3], 2, 3, 1)
+def test_gru_scan_with_weights_equals_project_then_scan(groups, count, lengths, c, d_h, seed):
+    # The scan that forms its gate inputs from x, against the projection as
+    # its own node: states and the gradients of x and of every W, U and b,
+    # bit for bit. groups: one group [W_z, W_r, W] per direction (gru), or
+    # three groups of one (deep_enhanced); each direction reads its own
+    # columns of x, over a ragged packed batch.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    sizes = pack(lengths, (False,)).batch_sizes
+    total = sum(lengths)
+    x = Tensor(rng.standard_normal((total, count * groups * c)), requires_grad=True)
+    ws = [[Tensor(rng.standard_normal((d_h, c)), requires_grad=True) for _ in range(3)]
+          for _ in range(count)]
+    weights = ws if groups == 1 else [[w] for g in ws for w in g]
+    directions = [[Tensor(0.6 * rng.standard_normal((d_h, d_h)), requires_grad=True)
+                   for _ in range(3)]
+                  + [Tensor(rng.uniform(-0.5, 0.5, d_h), requires_grad=True) for _ in range(3)]
+                  for _ in range(count)]
+    leaves = [x] + [w for g in ws for w in g] + [t for d in directions for t in d]
+    G = Tensor(rng.standard_normal((total, count * d_h)))
+    results = []
+    for scan in (ad.gru_scan, project_then_scan):
+        for t in leaves:
+            t.zero_grad()
+        with Tape() as tape:
+            out = scan(x, directions, sizes, weights)
+            tape.backward(ad.sum_all(ad.mul(out, G)))
+        results.append([out.data] + [t.grad for t in leaves])
+    for got, ref in zip(*results):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 sweep_cases = st.tuples(st.sampled_from(VARIANTS),
@@ -409,3 +455,72 @@ def test_vector_parser_raises_only_parse_errors(lines):
             return
     data.decode("utf-8")  # a file that parses is UTF-8
     assert np.all(np.isfinite(table.weights.data)) and 0 <= coverage <= 1
+
+
+def tensor_record(name: bytes, shape, values) -> bytes:
+    """One tensor of the checkpoint layout, as written, whatever its fields."""
+    return (struct.pack("<H", len(name)) + name + struct.pack("<B", len(shape))
+            + b"".join(struct.pack("<I", n) for n in shape)
+            + b"".join(struct.pack("<d", v) for v in values))
+
+
+def written(data: bytes, read):
+    """read(path) of a file that holds data."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file"
+        path.write_bytes(data)
+        return read(path)
+
+
+records = st.lists(st.tuples(st.sampled_from([b"a", b"b", b"\xff", b""]),
+                             st.lists(st.integers(0, 3), max_size=66),
+                             st.lists(st.floats(), max_size=4)), max_size=3)
+
+
+@PROPERTY
+@given(records, st.integers(-1, 1), st.integers(0, 12), st.binary(max_size=4))
+@example([(b"a", [1] * 65, [0.5])], 0, 0, b"")  # above numpy's 64 dimensions
+@example([(b"a", [2], [0.5, float("nan")])], 0, 0, b"")
+@example([(b"a", [], [0.5]), (b"a", [], [0.5])], 0, 0, b"")  # a name twice
+def test_checkpoint_reader_raises_only_documented_errors(tensors, miscount, cut, tail):
+    # Records whose fields need not agree, a count off by one either way, the
+    # last bytes cut off and junk appended.
+    data = (MAGIC + struct.pack("<I", max(0, len(tensors) + miscount))
+            + b"".join(tensor_record(*t) for t in tensors))
+    data = data[:len(data) - cut] + tail
+    try:
+        out = written(data, load_tensors)
+    except (CruError, OSError):
+        return
+    assert all(a.dtype == np.float64 and np.all(np.isfinite(a)) for a in out.values())
+
+
+lines = st.lists(st.one_of(st.sampled_from(["<pad>", "<unk>", "a", "a", "k=v", "#", ""]),
+                           st.text(max_size=6)), max_size=6)
+
+
+@PROPERTY
+@given(lines)
+@example(["<pad>", "<unk>", "a", "a"])  # a duplicate token
+@example(["<pad>", "<unk>", "\udcff"])  # the byte 0xff, which is not UTF-8
+def test_vocabulary_reader_raises_only_documented_errors(lines):
+    data = "\n".join(lines).encode("utf-8", "surrogateescape")
+    try:
+        vocab = written(data, Vocab.load)
+    except (CruError, OSError):
+        return
+    assert vocab.itos[:2] == ["<pad>", "<unk>"] and len(vocab.stoi) == len(vocab)
+
+
+@PROPERTY
+@given(lines)
+@example(["a=1", "# c", "", " b = 2 "])
+@example(["k"])  # no "="
+@example(["k=\udcff"])  # the byte 0xff, which is not UTF-8
+def test_settings_file_reader_raises_only_documented_errors(lines):
+    data = "\n".join(lines).encode("utf-8", "surrogateescape")
+    try:
+        kv = written(data, parse_kv_file)
+    except (CruError, OSError):
+        return
+    assert all(k == k.strip() and v == v.strip() for k, v in kv.items())
