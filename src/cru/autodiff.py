@@ -9,11 +9,11 @@ finite-difference oracle use.
 A tape and its tensors are a single-threaded unit of work; the active-tape
 stack is thread-local, so distinct tapes may run on distinct threads. Every
 op records and runs its backward on the thread that called it. The ops that
-take several directions side by side (``conv1d_same``, ``project`` and
-``gru_scan``) may run the numpy of the second direction on one worker thread
-that the process shares, while the calling thread runs the first and waits
-for both. The worker runs numpy on arrays only, never a tape op, so the
-threads that share it still each see only their own tape.
+take several directions side by side (``conv1d_same`` and ``gru_scan``) may
+run the numpy of the second direction on one worker thread that the process
+shares, while the calling thread runs the first and waits for both. The
+worker runs numpy on arrays only, never a tape op, so the threads that share
+it still each see only their own tape.
 """
 
 from __future__ import annotations
@@ -268,14 +268,6 @@ def _emit_op(op: str, inputs: Sequence[Tensor], out: Tensor, apply: Callable) ->
 # Primitive ops
 # --------------------------------------------------------------------------
 
-def _check_elementwise(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
-        raise DimensionError(
-            f"{op}: shapes {a.shape} and {b.shape} differ "
-            "(only scalar-with-tensor broadcast is supported)"
-        )
-
-
 def _reduce_to(g: Array, shape: tuple[int, ...]) -> Array:
     # Undo scalar broadcast by total reduction; identity otherwise.
     if g.shape == shape:
@@ -283,33 +275,11 @@ def _reduce_to(g: Array, shape: tuple[int, ...]) -> Array:
     return np.sum(g).reshape(shape)
 
 
-def add(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _check_elementwise("add", a, b)
-    out = Tensor(a.data + b.data)
-
-    def apply(g, emit):
-        emit(0, lambda: _reduce_to(g, a.shape))
-        emit(1, lambda: _reduce_to(g, b.shape))
-
-    return _emit_op("add", (a, b), out, apply)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _check_elementwise("sub", a, b)
-    out = Tensor(a.data - b.data)
-
-    def apply(g, emit):
-        emit(0, lambda: _reduce_to(g, a.shape))
-        emit(1, lambda: _reduce_to(-g, b.shape))
-
-    return _emit_op("sub", (a, b), out, apply)
-
-
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    _check_elementwise("mul", a, b)
+    if a.shape != b.shape and a.size != 1 and b.size != 1:
+        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} differ "
+                             "(only scalar-with-tensor broadcast is supported)")
     out = Tensor(a.data * b.data)
 
     def apply(g, emit):
@@ -347,45 +317,7 @@ _POINTWISE = {
 }
 
 
-def _pointwise(kind: str, x: Tensor) -> Tensor:
-    out = Tensor(_POINTWISE[kind][0](np.array(x.data)))
-    y = out.data
-
-    def apply(g, emit):
-        emit(0, _POINTWISE[kind][1](g, y, np.empty(y.shape), np.empty(y.shape)), owned=True)
-
-    return _emit_op(kind, (x,), out, apply)
-
-
 ACTIVATIONS = tuple(_POINTWISE)
-
-
-def activation(kind: str, x: Tensor) -> Tensor:
-    if kind not in _POINTWISE:
-        raise ConfigError(f"unknown activation {kind!r}")
-    return x if kind == "identity" else _pointwise(kind, x)
-
-
-def log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0.0):
-        raise NumericError("log needs strictly positive input")
-    out = Tensor(np.log(x.data))
-
-    def apply(g, emit):
-        emit(0, g / x.data)
-
-    return _emit_op("log", (x,), out, apply)
-
-
-def clip_values(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp entries to [lo, hi]; gradient passes only where unclamped."""
-    out = Tensor(np.clip(x.data, lo, hi))
-    mask = (x.data > lo) & (x.data < hi)
-
-    def apply(g, emit):
-        emit(0, g * mask)
-
-    return _emit_op("clip", (x,), out, apply)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -397,14 +329,28 @@ def sum_all(x: Tensor) -> Tensor:
     return _emit_op("sum_all", (x,), out, apply)
 
 
-def mean_all(x: Tensor) -> Tensor:
-    out = Tensor(np.mean(x.data))
-    n = x.size
+def bce(p: Tensor, y) -> Tensor:
+    """Mean binary cross-entropy of probabilities p against labels y of p's
+    shape, as one node. p is clamped to [1e-7, 1 - 1e-7] first, and the clamp
+    passes no gradient where it clamps. Each number is formed in the order of
+    the clamp, log, product and mean ops this fuses, so it equals theirs bit
+    for bit."""
+    y = _coerce(y).data
+    if p.shape != y.shape:
+        raise DimensionError(f"bce: probabilities {p.shape} and labels {y.shape} differ")
+    lo, hi = 1e-7, 1.0 - 1e-7
+    pc = np.clip(p.data, lo, hi)
+    mask = (p.data > lo) & (p.data < hi)
+    neg_y, neg_pc = 1.0 - y, 1.0 - pc
+    out = Tensor(np.mean(y * np.log(pc) + neg_y * np.log(neg_pc)) * -1.0)
 
     def apply(g, emit):
-        emit(0, np.broadcast_to(g / n, x.shape))
+        c = (g * -1.0) / p.size
+        d_p = -((c * neg_y) / neg_pc)
+        d_p += (c * y) / pc
+        emit(0, d_p * mask, owned=True)
 
-    return _emit_op("mean_all", (x,), out, apply)
+    return _emit_op("bce", (p,), out, apply)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -475,19 +421,6 @@ def take_rows(x: Tensor, ids) -> Tensor:
                 emit(0, g_j, rows=c)
 
     return _emit_op("take_rows", (x,), out, apply)
-
-
-def bias_add(x: Tensor, v: Tensor) -> Tensor:
-    """Add a rank-1 vector to every row (last-axis slice) of x."""
-    if v.ndim != 1 or x.shape[-1] != v.shape[0]:
-        raise DimensionError(f"bias_add: shapes {x.shape} and {v.shape} do not align")
-    out = Tensor(x.data + v.data)
-
-    def apply(g, emit):
-        emit(0, g)
-        emit(1, lambda: g.reshape(-1, v.shape[0]).sum(axis=0))
-
-    return _emit_op("bias_add", (x, v), out, apply)
 
 
 def conv1d_same(x: Tensor, banks: Sequence[Sequence[tuple[Tensor, Tensor]]], window,
@@ -603,34 +536,42 @@ def _matmuls(parts) -> None:
 
 
 def _project_forward(x: Tensor, groups: list[list[Tensor]]) -> tuple[Array, Callable]:
-    """The forward of ``project``: its (N, G s) result over the N rows of x
-    flattened, and its backward, ``backward(g, emit, at)``. That takes the
-    result's gradient g, emits the gradient of the j-th weight of the
-    flattened groups as input at + j, and returns the (N, G c) gradient of
-    x's rows. The backward holds x's blocks and the weights, not the result.
+    """Input projections of G column blocks of x, side by side, and their
+    backward.
+
+    x: (N, G c); groups: a group of (d_j, c) weights per block, of one set of
+    shapes. Group i projects block i with one matmul against its weights
+    stacked, [x_i W_i0^T | x_i W_i1^T | ...], into columns i s to (i + 1) s
+    of the (N, G s) result, s = sum d_j. From ``_CONCURRENT_MATMUL_WORK``
+    multiply-adds per half, the second half of the groups runs on the worker
+    thread, forward and backward.
+
+    Returns the result and ``backward(g, emit, at)``. That takes the result's
+    gradient g, emits the gradient of the j-th weight of the flattened groups
+    as input at + j, and returns the (N, G c) gradient of x. The backward
+    holds x's blocks and the weights, not the result.
     """
     if not groups or not groups[0]:
-        raise ContractError("project needs a group of one or more weights per block")
+        raise ContractError("a projection needs a group of one or more weights per block")
     shapes = [w.shape for w in groups[0]]
     G, width = len(groups), x.shape[-1] if x.ndim else 0
     c = width // G
-    if (x.ndim < 2 or width % G or any(len(s) != 2 or s[1] != c for s in shapes)
+    if (x.ndim != 2 or width % G or any(len(s) != 2 or s[1] != c for s in shapes)
             or any([w.shape for w in g] != shapes for g in groups)):
-        raise DimensionError(f"project: input {x.shape} (rank 2 or 3) does not chain with "
+        raise DimensionError(f"projection: input {x.shape} (rank 2) does not chain with "
                              f"{G} groups of weights {[[w.shape for w in g] for g in groups]}")
-    flat = x.data.reshape(-1, width)
-    xs = [flat[:, i * c:(i + 1) * c] for i in range(G)]
+    xs = [x.data[:, i * c:(i + 1) * c] for i in range(G)]
     mats = [np.concatenate([w.data for w in g]) if len(g) > 1 else g[0].data for g in groups]
     s = mats[0].shape[0]
-    out = np.empty((len(flat), G * s))
-    concurrent = G > 1 and len(flat) * width * s // 2 >= _CONCURRENT_MATMUL_WORK
+    out = np.empty((len(x.data), G * s))
+    concurrent = G > 1 and len(x.data) * width * s // 2 >= _CONCURRENT_MATMUL_WORK
     _run_loops(_halves([[(xi, w.T, out[:, i * s:(i + 1) * s])]
                         for i, (xi, w) in enumerate(zip(xs, mats))]), concurrent)
     return out, partial(_project_backward, xs, mats, shapes, concurrent)
 
 
 def _project_backward(xs, mats, shapes, concurrent, g, emit, at, dx=None) -> Array:
-    """The backward of ``project``, writing x's gradient into dx if given;
+    """The backward of a projection, writing x's gradient into dx if given;
     see ``_project_forward``."""
     G, (s, c) = len(mats), mats[0].shape
     dx = np.empty((len(g), G * c)) if dx is None else dx
@@ -653,26 +594,28 @@ def _halves(parts) -> list[Callable[[], None]]:
     return [partial(_matmuls, sum(parts[:half], [])), partial(_matmuls, sum(parts[half:], []))]
 
 
-def project(x: Tensor, weights: Sequence[Sequence[Tensor]]) -> Tensor:
-    """Input projections of G column blocks of x, side by side.
-
-    x: (..., G c); weights: a group of (d_j, c) weights per block, of one set
-    of shapes. Group i projects block i with one matmul against its weights
-    stacked, [x_i W_i0^T | x_i W_i1^T | ...], into columns i s to (i + 1) s
-    of the (..., G s) result, s = sum d_j. A direction's gru gate inputs are
-    one group of three weights, deep_enhanced's three groups of one (which
-    ``gru_scan`` forms itself). From ``_CONCURRENT_MATMUL_WORK`` multiply-adds
-    per half, the second half of the groups runs on the worker thread, as in
-    ``gru_scan``.
-    """
-    groups = [list(g) for g in weights]
-    out, backward = _project_forward(x, groups)
+def dense(x: Tensor, W: Tensor, b: Tensor, activation: str = "identity") -> Tensor:
+    """activation(x W^T + b), (N, d_in) -> (N, d_out), as one node: the
+    product is ``_project_forward(x, [[W]])``, the bias is added in place and
+    the activation applied in place, as ``conv1d_same`` applies its own. The
+    pre-activation must be finite: a sigmoid would map an overflow to 1."""
+    if activation not in _POINTWISE:
+        raise ConfigError(f"unknown activation {activation!r}")
+    y, project_backward = _project_forward(x, [[W]])
+    if b.shape != (W.shape[0],):
+        raise DimensionError(f"dense: bias {b.shape} does not match weights {W.shape}")
+    y += b.data
+    if not np.all(np.isfinite(y)):
+        raise NumericError("dense layer's pre-activation holds non-finite entries")
+    act, act_grad = _POINTWISE[activation]
+    out = Tensor(act(y))
 
     def apply(g, emit):
-        emit(0, backward(g.reshape(-1, g.shape[-1]), emit, 1).reshape(x.shape), owned=True)
+        da = act_grad(g, y, np.empty(y.shape), np.empty(y.shape))
+        emit(2, lambda: da.sum(axis=0), owned=True)
+        emit(0, project_backward(da, emit, 1), owned=True)
 
-    return _emit_op("project", [x] + [w for g in groups for w in g],
-                    Tensor(out.reshape(*x.shape[:-1], -1)), apply)
+    return _emit_op("dense", (x, W, b), out, apply)
 
 
 # gru_scan runs its directions concurrently only when one step's h U^T has at
@@ -686,7 +629,7 @@ def project(x: Tensor, weights: Sequence[Sequence[Tensor]]) -> Tensor:
 # concurrently as in turn below 2^19, and 0.77-1.02 times as long from it up.
 _CONCURRENT_STEP_WORK = 2 ** 19
 
-# project and conv1d_same run their directions concurrently from this many
+# Projections and conv1d_same run their directions concurrently from this many
 # multiply-adds on each thread. On a 2-CPU VM their forward and backward took
 # 0.82-2.3 times as long as in turn below 2^22 and 0.55-0.94 from it up, but
 # with 2^22 single requests of 12-60 tokens at width 200 took up to 1.6 times
@@ -793,12 +736,13 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
     """The GRU recurrence of one or more directions over packed gate inputs,
     as one tape node.
 
-    The gate inputs P are x itself or, given weights, ``project(x, weights)``,
-    formed with ``project``'s own forward and freed once the forward loop has
-    read them (gru and shallow pass one group [W_z, W_r, W] per direction,
-    deep_enhanced three groups of one). Then neither P nor its gradient dP
-    reaches a tape: the backward writes dP, hands it to ``project``'s own
-    backward for the gradients of x and of the weights, and frees it.
+    The gate inputs P are x itself or, given weights, x's projections
+    (``_project_forward(x, weights)``), formed here and freed once the
+    forward loop has read them (gru and shallow pass one group [W_z, W_r, W]
+    per direction, deep_enhanced three groups of one). Then neither P nor its
+    gradient dP reaches a tape: the backward writes dP, hands it to the
+    projection's backward for the gradients of x and of the weights, and
+    frees it.
 
     P: (T, D 3 d_h), direction i's [P_z | P_r | P_h] in columns 3 i d_h to
     3 (i + 1) d_h, in time-major packed order: step t owns the contiguous
@@ -888,7 +832,7 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
         # formed from x's gradient is freed when this returns.
         emit(0, dP if project_backward is None
              else project_backward(dP, emit, 1 + D * len(_SCAN_INPUTS),
-                                   scratch[:total * width].reshape(total, width)).reshape(x.shape),
+                                   scratch[:total * width].reshape(total, width)),
              owned=True)
 
     return _emit_op("gru_scan", [x] + [t for d in directions for t in d]

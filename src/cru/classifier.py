@@ -190,14 +190,12 @@ class SentimentModel:
 # --------------------------------------------------------------------------
 
 def bce_loss(p: Tensor, y: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy with probabilities clamped to [1e-7, 1-1e-7]."""
+    """Mean binary cross-entropy with probabilities clamped to [1e-7, 1-1e-7]:
+    one ``autodiff.bce`` op."""
     y = np.asarray(y, dtype=np.float64)
     if p.shape != y.shape:
         raise ContractError(f"probabilities {p.shape} and labels {y.shape} differ")
-    pc = ad.clip_values(p, 1e-7, 1.0 - 1e-7)
-    pos = ad.mul(Tensor(y), ad.log(pc))
-    neg = ad.mul(Tensor(1.0 - y), ad.log(ad.sub(1.0, pc)))
-    return ad.mul(ad.mean_all(ad.add(pos, neg)), -1.0)
+    return ad.bce(p, y)
 
 
 def train_epoch(model: SentimentModel, optimizer: Adam, batches: list[Batch],

@@ -65,14 +65,18 @@ class Corpus:
 
 def read_lines(path) -> list[str]:
     """The lines of a free-text file, such as a corpus file: bytes that are
-    not UTF-8 are dropped, with one warning."""
+    not UTF-8 are dropped, with one warning. A line ends at a line feed only,
+    as ``load_pretrained_embeddings`` reads lines, so a form feed or U+2028
+    inside a corpus line does not split it; it loses one trailing carriage
+    return."""
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError:
         text = raw.decode("utf-8", errors="ignore")
         log.warning("dropped undecodable bytes in %s", path)
-    return text.splitlines()
+    lines = text.removesuffix("\n").split("\n") if text else []
+    return [line.removesuffix("\r") for line in lines]
 
 
 def read_utf8(path) -> str:

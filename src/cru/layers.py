@@ -129,14 +129,12 @@ class DenseLayer:
 
 
 def dense_forward(layer: DenseLayer, x: Tensor) -> Tensor:
-    """(B, d_in) -> (B, d_out)."""
+    """(B, d_in) -> (B, d_out): one ``autodiff.dense`` op."""
     if x.ndim != 2 or x.shape[1] != layer.weights.shape[1]:
         raise DimensionError(
             f"dense input {x.shape} does not match weights {layer.weights.shape}"
         )
-    y = ad.project(x, [[layer.weights]])
-    y = ad.bias_add(y, layer.bias)
-    return ad.activation(layer.activation, y)
+    return ad.dense(x, layer.weights, layer.bias, layer.activation)
 
 
 # --------------------------------------------------------------------------

@@ -34,12 +34,12 @@ banks then convolve every direction in one ``conv1d_same`` op, through a
 window index (``Packing.window``) that reads zeros past each row's ends, with
 each bank's bias and activation and deep_enhanced's residual add fused in.
 ``run_sequence`` hands that and [W_z; W_r; W] to one ``gru_scan`` node, which
-forms the (T, D 3 d_h) gate inputs with ``project``'s matmuls, runs the
-recurrence and returns the states side by side, (T, D d_h). The gate inputs
-and their gradient are formed and freed inside that node, so no tape holds
-them. Above a work threshold, each of these ops runs the second direction's
-numpy on the ``autodiff`` worker thread while the calling thread runs the
-first.
+forms the (T, D 3 d_h) gate inputs with the projection's matmuls
+(``autodiff._project_forward``), runs the recurrence and returns the states
+side by side, (T, D d_h). The gate inputs and their gradient are formed and
+freed inside that node, so no tape holds them. Above a work threshold, each
+of these ops runs the second direction's numpy on the ``autodiff`` worker
+thread while the calling thread runs the first.
 """
 
 from __future__ import annotations
@@ -210,10 +210,11 @@ class _CellBase:
     def prepare(cells, E: Tensor, packing: Packing) -> tuple[Tensor, list | None]:
         """What the gate inputs of one cell per direction of packing are
         formed from, given the batch's token rows E (T, d): (X, weights),
-        where ``autodiff.project(X, weights)`` is the (T, D 3 d_h) gate inputs
-        side by side, direction i's [P_z | P_r | P_h] in columns 3 i d_h to
-        3 (i + 1) d_h. ``gru_scan`` forms and frees them itself. deep has no
-        projection: its X is the gate inputs, and its weights are None.
+        whose projection ``autodiff._project_forward(X, weights)`` is the
+        (T, D 3 d_h) gate inputs side by side, direction i's [P_z | P_r | P_h]
+        in columns 3 i d_h to 3 (i + 1) d_h. ``gru_scan`` forms and frees them
+        itself. deep has no projection: its X is the gate inputs, and its
+        weights are None.
 
         One ``take_rows`` gathers every direction's packed rows, then the
         banks' convolution takes every direction in one call. The weights are

@@ -13,7 +13,7 @@ composed of it and the per-bank ops that it fuses.
 ``gate_inputs_per_direction`` is deep_enhanced's gather, convolution and
 projection with one call of each per direction, as they ran before the
 directions went side by side.
-``gru_scan_composed`` is the per-step recurrence of ``ad`` ops that the fused
+``gru_scan_composed`` is the per-step recurrence of tape ops that the fused
 scan replaced, ``gru_scan_padded`` the fused scan over a padded batch that
 the packed ``ad.gru_scan`` replaced, and ``prepare_per_gate`` the three
 per-gate inputs each cell prepared, over the padded batch, before its gate
@@ -29,6 +29,13 @@ it counted with a ``Counter``: ties broken by an explicit first-occurrence
 index. ``project_then_scan`` is the gate-input projection as its own tape
 node, then the scan, as they ran before ``ad.gru_scan`` took the projection's
 weights and formed the gate inputs itself.
+
+The tape ops ``add``, ``sub``, ``activation``, ``log``, ``clip_values``,
+``mean_all``, ``bias_add`` and ``project`` (``ad._project_forward`` as its
+own node, over x of rank 2 or 3) are the composed ops that ``cru`` ran before
+each head layer became one node; the composed references use them.
+``dense_composed`` is ``ad.dense`` and ``bce_composed`` is ``ad.bce`` built
+from them, as ``layers.dense_forward`` and ``classifier.bce_loss`` ran before.
 """
 
 import numpy as np
@@ -36,7 +43,7 @@ import numpy as np
 from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor
 from cru.classifier import bce_loss
-from cru.errors import DimensionError
+from cru.errors import ConfigError, DimensionError, NumericError
 from cru.recurrent import pack, run_sequence
 
 
@@ -94,7 +101,7 @@ def run_padded(cell, Eb, lengths, reverse=False):
 
 def transpose(x):
     """x^T on the tape: the op the old projection chain and the composed scan
-    use, which no path in ``cru`` needs since ``ad.project`` reads W^T as a
+    use, which no path in ``cru`` needs since the projections read W^T as a
     view."""
     if x.ndim != 2:
         raise ValueError(f"transpose needs rank 2, got shape {x.shape}")
@@ -104,7 +111,7 @@ def transpose(x):
 
 def matmul(a, b):
     """a @ b on the tape: the op the old projection chain and the composed
-    scan use, which no path in ``cru`` needs since ``ad.project`` and
+    scan use, which no path in ``cru`` needs since ``ad.dense`` and
     ``ad.gru_scan`` make their products inside one node."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
@@ -114,6 +121,114 @@ def matmul(a, b):
         emit(1, lambda: a.data.T @ g)
 
     return ad._emit_op("matmul", (a, b), Tensor(a.data @ b.data), apply)
+
+
+def _check_elementwise(op, a, b):
+    if a.shape != b.shape and a.size != 1 and b.size != 1:
+        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} differ "
+                             "(only scalar-with-tensor broadcast is supported)")
+
+
+def add(a, b):
+    """a + b on the tape, with ``ad.mul``'s scalar broadcast."""
+    a, b = ad._coerce(a), ad._coerce(b)
+    _check_elementwise("add", a, b)
+
+    def apply(g, emit):
+        emit(0, lambda: ad._reduce_to(g, a.shape))
+        emit(1, lambda: ad._reduce_to(g, b.shape))
+
+    return ad._emit_op("add", (a, b), Tensor(a.data + b.data), apply)
+
+
+def sub(a, b):
+    """a - b on the tape, with ``ad.mul``'s scalar broadcast."""
+    a, b = ad._coerce(a), ad._coerce(b)
+    _check_elementwise("sub", a, b)
+
+    def apply(g, emit):
+        emit(0, lambda: ad._reduce_to(g, a.shape))
+        emit(1, lambda: ad._reduce_to(-g, b.shape))
+
+    return ad._emit_op("sub", (a, b), Tensor(a.data - b.data), apply)
+
+
+def activation(kind, x):
+    """One of ``ad.ACTIVATIONS`` on the tape, through ``ad._POINTWISE``; the
+    identity records nothing."""
+    if kind not in ad.ACTIVATIONS:
+        raise ConfigError(f"unknown activation {kind!r}")
+    if kind == "identity":
+        return x
+    act, act_grad = ad._POINTWISE[kind]
+    out = Tensor(act(np.array(x.data)))
+    y = out.data
+
+    def apply(g, emit):
+        emit(0, act_grad(g, y, np.empty(y.shape), np.empty(y.shape)), owned=True)
+
+    return ad._emit_op(kind, (x,), out, apply)
+
+
+def log(x):
+    if np.any(x.data <= 0.0):
+        raise NumericError("log needs strictly positive input")
+    return ad._emit_op("log", (x,), Tensor(np.log(x.data)),
+                       lambda g, emit: emit(0, g / x.data))
+
+
+def clip_values(x, lo, hi):
+    """Clamp entries to [lo, hi]; gradient passes only where unclamped."""
+    mask = (x.data > lo) & (x.data < hi)
+    return ad._emit_op("clip", (x,), Tensor(np.clip(x.data, lo, hi)),
+                       lambda g, emit: emit(0, g * mask))
+
+
+def mean_all(x):
+    n = x.size
+    return ad._emit_op("mean_all", (x,), Tensor(np.mean(x.data)),
+                       lambda g, emit: emit(0, np.broadcast_to(g / n, x.shape)))
+
+
+def bias_add(x, v):
+    """Add a rank-1 vector to every row (last-axis slice) of x."""
+    if v.ndim != 1 or x.shape[-1] != v.shape[0]:
+        raise DimensionError(f"bias_add: shapes {x.shape} and {v.shape} do not align")
+
+    def apply(g, emit):
+        emit(0, g)
+        emit(1, lambda: g.reshape(-1, v.shape[0]).sum(axis=0))
+
+    return ad._emit_op("bias_add", (x, v), Tensor(x.data + v.data), apply)
+
+
+def project(x, weights):
+    """The projections of x's column blocks (``ad._project_forward``) as
+    their own tape node, over x of rank 2 or 3: (..., G c) -> (..., G s)."""
+    groups = [list(g) for g in weights]
+    out, backward = ad._project_forward(
+        Tensor(x.data.reshape(-1, x.shape[-1])) if x.ndim == 3 else x, groups)
+
+    def apply(g, emit):
+        emit(0, backward(g.reshape(-1, g.shape[-1]), emit, 1).reshape(x.shape), owned=True)
+
+    return ad._emit_op("project", [x] + [w for g in groups for w in g],
+                       Tensor(out.reshape(*x.shape[:-1], -1)), apply)
+
+
+def dense_composed(x, W, b, kind):
+    """``ad.dense`` as three tape nodes: ``project``, ``bias_add`` and the
+    activation (none for the identity)."""
+    return activation(kind, bias_add(project(x, [[W]]), b))
+
+
+def bce_composed(p, y):
+    """``ad.bce`` as nine tape nodes: the clamp, two logs, the products with
+    the labels, their sum, the mean and the sign."""
+    pc = clip_values(p, 1e-7, 1.0 - 1e-7)
+    pos = ad.mul(Tensor(y), log(pc))
+    neg = ad.mul(Tensor(1.0 - y), log(sub(1.0, pc)))
+    return ad.mul(mean_all(add(pos, neg)), -1.0)
 
 
 def _project(E, w):
@@ -177,31 +292,31 @@ def conv1d_same_packed(x, filters, window):
     return ad._emit_op("conv1d_same", (x, filters), out, apply)
 
 
-def conv_banks_composed(x, banks, window, activation, residual):
+def conv_banks_composed(x, banks, window, kind, residual):
     """One direction of ``ad.conv1d_same`` from per-bank ops: each bank's
     ``conv1d_same_packed``, ``bias_add``, activation and, if residual, the
     add of x, side by side."""
     outs = []
     for filters, bias in banks:
-        y = ad.activation(activation, ad.bias_add(conv1d_same_packed(x, filters, window), bias))
-        outs.append(ad.add(y, x) if residual else y)
+        y = activation(kind, bias_add(conv1d_same_packed(x, filters, window), bias))
+        outs.append(add(y, x) if residual else y)
     return ad.concat_cols(outs)
 
 
 def gate_inputs_per_direction(E, packing, banks, weights, window):
     """deep_enhanced's gate inputs from one gather, one ``ad.conv1d_same``
-    and one ``ad.project`` per direction, joined side by side: returns the
+    and one ``project`` per direction, joined side by side: returns the
     convolution's output and the gate inputs."""
     convs = [ad.conv1d_same(ad.take_rows(E, packing.rows[:, i]), [g], window, "relu",
                             residual=True) for i, g in enumerate(banks)]
-    gates = [ad.project(c, [[w] for w in ws]) for c, ws in zip(convs, weights)]
+    gates = [project(c, [[w] for w in ws]) for c, ws in zip(convs, weights)]
     return ad.concat_cols(convs), ad.concat_cols(gates)
 
 
 def same_length_conv_padded(bank, x):
     """``layers.same_length_conv`` over a zero-padded (B, n, d_in) batch."""
-    y = ad.bias_add(conv1d_same_padded(x, bank.filters), bank.bias)
-    return ad.activation(bank.activation, y)
+    y = bias_add(conv1d_same_padded(x, bank.filters), bank.bias)
+    return activation(bank.activation, y)
 
 
 def prepare_per_gate(cell, E):
@@ -216,7 +331,7 @@ def prepare_per_gate(cell, E):
     banks = [same_length_conv_padded(c, E) for c in cell.banks]
     if cell.variant == "deep":
         return tuple(banks)
-    return tuple(_project(ad.add(c, E), w) for c, w in zip(banks, (p.W_z, p.W_r, p.W)))
+    return tuple(_project(add(c, E), w) for c, w in zip(banks, (p.W_z, p.W_r, p.W)))
 
 
 def gru_scan_composed(P, U_z, U_r, U, b_z, b_r, b_h):
@@ -236,18 +351,18 @@ def gru_scan_composed(P, U_z, U_r, U, b_z, b_r, b_h):
     states = []
     for t in range(n):
         pz_t, pr_t, ph_t = (ad.take_rows(f, np.arange(b) * n + t) for f in flat)
-        z = ad.activation("sigmoid", ad.bias_add(ad.add(pz_t, matmul(h, uzT)), b_z))
-        r = ad.activation("sigmoid", ad.bias_add(ad.add(pr_t, matmul(h, urT)), b_r))
-        g = ad.activation("tanh", ad.bias_add(ad.add(ph_t, matmul(ad.mul(r, h), uT)), b_h))
-        h = ad.add(ad.mul(z, h), ad.mul(ad.sub(1.0, z), g))
+        z = activation("sigmoid", bias_add(add(pz_t, matmul(h, uzT)), b_z))
+        r = activation("sigmoid", bias_add(add(pr_t, matmul(h, urT)), b_r))
+        g = activation("tanh", bias_add(add(ph_t, matmul(ad.mul(r, h), uT)), b_h))
+        h = add(ad.mul(z, h), ad.mul(sub(1.0, z), g))
         states.append(h)
     return ad.reshape(ad.concat_cols(states), (b, n, d_h))
 
 
 def project_then_scan(x, directions, batch_sizes, weights):
     """``ad.gru_scan(x, directions, batch_sizes, weights)`` as two tape nodes:
-    the gate inputs ``ad.project(x, weights)``, then the scan over them."""
-    return ad.gru_scan(ad.project(x, weights), directions, batch_sizes)
+    the gate inputs ``project(x, weights)``, then the scan over them."""
+    return ad.gru_scan(project(x, weights), directions, batch_sizes)
 
 
 def gru_scan_padded(P, U_z, U_r, U, b_z, b_r, b_h):
@@ -412,7 +527,7 @@ def dense_update(model, batches, config, rng, beta1=0.9, beta2=0.999, eps=1e-8):
             p = model.forward_batch(batch, train=True, rng=rng)
             loss = bce_loss(p, batch.labels)
             if config.l2 > 0:
-                loss = ad.add(loss, l2_penalty(model.embedding.weights, config.l2))
+                loss = add(loss, l2_penalty(model.embedding.weights, config.l2))
             tape.backward(loss)
         losses.append(loss.item())
         grads = {n: np.asarray(q.grad) for n, q in params.items() if q.grad is not None}

@@ -12,8 +12,9 @@ from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor, active_tape, finite_diff_gradcheck
 from cru.errors import ConfigError, ContractError, DimensionError, NumericError
 from cru.recurrent import make_cell, pack, run_sequence
-from oracles import (conv_banks_composed, gate_inputs_per_direction, matmul, packed_positions,
-                     transpose)
+from oracles import (activation, add, bce_composed, bias_add, clip_values, conv_banks_composed,
+                     dense_composed, gate_inputs_per_direction, log, matmul, mean_all,
+                     packed_positions, project, sub, transpose)
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -101,7 +102,7 @@ def test_leaf_gradients_own_their_memory():
     a = Tensor([1.0, 2.0], requires_grad=True)
     b = Tensor([3.0, 4.0], requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(ad.mul(ad.add(a, b), ad.add(a, b)))
+        loss = ad.sum_all(ad.mul(add(a, b), add(a, b)))
         tape.backward(loss)
         arrays = [node.tensor.data for node in tape.nodes]
         assert not np.shares_memory(a.grad, b.grad)
@@ -122,7 +123,7 @@ def test_first_gradient_is_a_writable_copy():
     # read-only broadcast view; the leaf must own a writable array either way.
     x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
     with Tape() as tape:
-        y = ad.add(x, x)
+        y = add(x, x)
         tape.backward(ad.sum_all(ad.mul(y, Tensor([[1.0, 2.0], [3.0, 4.0]]))))
         views = [node.tensor.data for node in tape.nodes]
     assert np.array_equal(x.grad, [[2.0, 4.0], [6.0, 8.0]])
@@ -192,7 +193,7 @@ def test_reuse_of_intermediate_accumulates():
     a = Tensor(3.0, requires_grad=True)
     with Tape() as tape:
         y = ad.mul(a, a)          # a^2
-        loss = ad.add(y, y)       # 2 a^2
+        loss = add(y, y)       # 2 a^2
         tape.backward(loss)
     assert np.allclose(a.grad, 4 * a.data)
 
@@ -244,7 +245,7 @@ def test_elementwise_gradchecks():
     rng = rng_for(1)
     a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-    for op in (ad.add, ad.sub, ad.mul):
+    for op in (add, sub, ad.mul):
         check(lambda op=op: ad.sum_all(op(a, b)), {"a": a, "b": b})
 
 
@@ -253,12 +254,13 @@ def test_scalar_broadcast_gradcheck():
     a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     s = Tensor(0.7, requires_grad=True)
     check(lambda: ad.sum_all(ad.mul(a, s)), {"a": a, "s": s})
-    check(lambda: ad.sum_all(ad.sub(s, a)), {"a": a, "s": s})
+    check(lambda: ad.sum_all(sub(s, a)), {"a": a, "s": s})
 
 
 def test_elementwise_rejects_mismatched_shapes():
-    with pytest.raises(DimensionError):
-        ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+    for op in (add, ad.mul):
+        with pytest.raises(DimensionError):
+            op(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +271,16 @@ def test_activation_gradchecks():
     rng = rng_for(3)
     x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
     for kind in ("sigmoid", "tanh", "relu"):
-        check(lambda kind=kind: ad.sum_all(ad.activation(kind, x)), {"x": x})
+        check(lambda kind=kind: ad.sum_all(activation(kind, x)), {"x": x})
 
 
 def test_activation_unknown_kind():
     with pytest.raises(ConfigError):
-        ad.activation("softsign", Tensor([0.0]))
+        activation("softsign", Tensor([0.0]))
 
 
 def test_sigmoid_extremes_are_stable():
-    y = ad.activation("sigmoid", Tensor([-1000.0, 0.0, 1000.0]))
+    y = activation("sigmoid", Tensor([-1000.0, 0.0, 1000.0]))
     assert np.all(np.isfinite(y.data))
     assert y.data[0] == 0.0 and y.data[1] == 0.5 and y.data[2] == 1.0
 
@@ -286,21 +288,21 @@ def test_sigmoid_extremes_are_stable():
 def test_relu_subgradient_at_zero_is_zero():
     x = Tensor([0.0, -1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        tape.backward(ad.sum_all(ad.activation("relu", x)))
+        tape.backward(ad.sum_all(activation("relu", x)))
     assert np.allclose(x.grad, [0.0, 0.0, 1.0])
 
 
 def test_log_gradcheck_and_domain():
     x = Tensor([0.5, 1.5, 2.0], requires_grad=True)
-    check(lambda: ad.sum_all(ad.log(x)), {"x": x})
+    check(lambda: ad.sum_all(log(x)), {"x": x})
     with pytest.raises(NumericError):
-        ad.log(Tensor([1.0, 0.0]))
+        log(Tensor([1.0, 0.0]))
 
 
 def test_clip_values_gradient_only_interior():
     x = Tensor([-2.0, -1.0, 0.0, 1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        tape.backward(ad.sum_all(ad.clip_values(x, -1.0, 1.0)))
+        tape.backward(ad.sum_all(clip_values(x, -1.0, 1.0)))
     # Boundary values count as clamped: no gradient there.
     assert np.allclose(x.grad, [0, 0, 1, 0, 0])
 
@@ -308,9 +310,9 @@ def test_clip_values_gradient_only_interior():
 def test_sum_and_mean_values_and_grads():
     x = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
     assert ad.sum_all(x).item() == 15.0
-    assert ad.mean_all(x).item() == 2.5
+    assert mean_all(x).item() == 2.5
     with Tape() as tape:
-        tape.backward(ad.mean_all(x))
+        tape.backward(mean_all(x))
     assert np.allclose(x.grad, np.full((2, 3), 1 / 6))
 
 
@@ -372,7 +374,7 @@ def test_take_rows_scatter_equals_add_at():
             with Tape() as tape:
                 loss = ad.sum_all(ad.mul(ad.take_rows(w, ids), Tensor(G1)))
                 if second is not None:
-                    loss = ad.add(loss, ad.sum_all(ad.mul(ad.take_rows(w, second),
+                    loss = add(loss, ad.sum_all(ad.mul(ad.take_rows(w, second),
                                                           Tensor(G2))))
                 tape.backward(loss)
             expected = np.zeros((6, 3))  # in the tape's reverse order
@@ -399,10 +401,10 @@ def test_row_gathered_leaf_gets_row_gradient_equal_to_add_at():
 
     def run(dense):
         with Tape() as tape:
-            loss = ad.add(ad.sum_all(ad.mul(ad.take_rows(w, ids_a), Tensor(G_a))),
+            loss = add(ad.sum_all(ad.mul(ad.take_rows(w, ids_a), Tensor(G_a))),
                           ad.sum_all(ad.mul(ad.take_rows(w, ids_b), Tensor(G_b))))
             if dense:
-                loss = ad.add(loss, ad.sum_all(ad.mul(w, Tensor(G_w))))
+                loss = add(loss, ad.sum_all(ad.mul(w, Tensor(G_w))))
             tape.backward(loss)
 
     one = np.zeros((7, 3))  # in the tape's reverse order
@@ -440,13 +442,13 @@ def test_bias_add_gradcheck():
     rng = rng_for(6)
     x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     v = Tensor(rng.standard_normal(3), requires_grad=True)
-    check(lambda: ad.sum_all(ad.mul(ad.bias_add(x, v), ad.bias_add(x, v))),
+    check(lambda: ad.sum_all(ad.mul(bias_add(x, v), bias_add(x, v))),
           {"x": x, "v": v})
     x3 = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
-    check(lambda: ad.sum_all(ad.mul(ad.bias_add(x3, v), ad.bias_add(x3, v))),
+    check(lambda: ad.sum_all(ad.mul(bias_add(x3, v), bias_add(x3, v))),
           {"x3": x3, "v": v})
     with pytest.raises(DimensionError):
-        ad.bias_add(x, Tensor(np.zeros(4)))
+        bias_add(x, Tensor(np.zeros(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +667,7 @@ def test_two_directions_equal_one_direction_convs_and_projections(monkeypatch, r
             if together:
                 C = ad.conv1d_same(ad.take_rows(E, packing.rows), banks, window, "relu",
                                    residual=True)
-                P = ad.project(C, [[w] for g in ws for w in g])
+                P = project(C, [[w] for g in ws for w in g])
             else:
                 C, P = gate_inputs_per_direction(E, packing, banks, ws, window)
             tape.backward(ad.sum_all(ad.mul(P, G)))
@@ -899,7 +901,7 @@ def test_two_directions_equal_two_one_direction_scans(monkeypatch, b, d_h, concu
 
 
 def test_owned_gradients_take_later_gradients_in_place():
-    # gru_scan's dP and project's dx are kept without a copy. A leaf used
+    # gru_scan's dP and dense's dx are kept without a copy. A leaf used
     # first by another op gets that op's gradient last, added into the kept
     # array: its gradient must be the sum, and a second backward over the same
     # tape must see every array the ops keep unchanged. Both scan directions
@@ -911,6 +913,7 @@ def test_owned_gradients_take_later_gradients_in_place():
     second = [inputs[0]] + scan_inputs(rng, sizes, 4)[1:]
     x = Tensor(rng.standard_normal((7, 5)), requires_grad=True)
     w = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+    bias = Tensor(rng.standard_normal(6))
     G_scan, G_proj = Tensor(rng.standard_normal((7, 8))), Tensor(rng.standard_normal((7, 6)))
     G_p, G_x = rng.standard_normal((7, 12)), rng.standard_normal((7, 5))
 
@@ -920,10 +923,10 @@ def test_owned_gradients_take_later_gradients_in_place():
             terms += [ad.sum_all(ad.mul(inputs[0], Tensor(G_p))),
                       ad.sum_all(ad.mul(x, Tensor(G_x)))]
         terms += [ad.sum_all(ad.mul(scan([inputs, second], sizes), G_scan)),
-                  ad.sum_all(ad.mul(ad.project(x, [[w]]), G_proj))]
+                  ad.sum_all(ad.mul(ad.dense(x, w, bias), G_proj))]
         total = terms[0]
         for term in terms[1:]:
-            total = ad.add(total, term)
+            total = add(total, term)
         return total
 
     with Tape() as tape:
@@ -958,11 +961,11 @@ def test_project_gradcheck():
                                   (xs[:2], [ws, us], 12)):
         readout = Tensor(rng.standard_normal((2, 3, width)))
         params = {**named("x", inputs), **named("w", [w for g in groups for w in g])}
-        check(lambda: ad.sum_all(ad.mul(ad.project(ad.concat_cols(inputs), groups),
+        check(lambda: ad.sum_all(ad.mul(project(ad.concat_cols(inputs), groups),
                                         readout)), params)
     # A (B, d) batch, as a dense layer projects it.
     x2 = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    check(lambda: ad.sum_all(ad.mul(ad.project(x2, [ws[1:2]]), Tensor(np.ones((3, 3))))),
+    check(lambda: ad.sum_all(ad.mul(project(x2, [ws[1:2]]), Tensor(np.ones((3, 3))))),
           {"x": x2, "w": ws[1]})
 
 
@@ -970,8 +973,8 @@ def test_project_equals_separate_matmuls():
     rng = rng_for(19)
     xs = [rng.standard_normal((2, 3, 4)) for _ in range(3)]
     ws = [rng.standard_normal((5, 4)) for _ in range(3)]
-    shared = ad.project(Tensor(xs[0]), [[Tensor(w) for w in ws]]).data
-    each = ad.project(Tensor(np.concatenate(xs, axis=-1)), [[Tensor(w)] for w in ws]).data
+    shared = project(Tensor(xs[0]), [[Tensor(w) for w in ws]]).data
+    each = project(Tensor(np.concatenate(xs, axis=-1)), [[Tensor(w)] for w in ws]).data
     assert shared.shape == each.shape == (2, 3, 15)
     for i, w in enumerate(ws):
         assert np.allclose(shared[..., 5 * i:5 * (i + 1)], xs[0] @ w.T, rtol=1e-13)
@@ -982,19 +985,134 @@ def test_project_validation():
     x = Tensor(np.zeros((2, 3, 4)))
     w = Tensor(np.zeros((5, 4)))
     with pytest.raises(DimensionError):  # two inputs for three groups
-        ad.project(Tensor(np.zeros((2, 3, 8))), [[w], [w], [w]])
+        project(Tensor(np.zeros((2, 3, 8))), [[w], [w], [w]])
     with pytest.raises(ContractError):
-        ad.project(x, [[]])
+        project(x, [[]])
     with pytest.raises(ContractError):
-        ad.project(x, [])
+        project(x, [])
     with pytest.raises(DimensionError):  # a bare vector is not a batch
-        ad.project(Tensor(np.zeros(4)), [[w]])
+        project(Tensor(np.zeros(4)), [[w]])
     with pytest.raises(DimensionError):  # the weight does not chain
-        ad.project(x, [[w, Tensor(np.zeros((5, 3)))]])
+        project(x, [[w, Tensor(np.zeros((5, 3)))]])
     with pytest.raises(DimensionError):  # the groups' weights disagree
-        ad.project(Tensor(np.zeros((2, 3, 8))), [[w], [Tensor(np.zeros((3, 4)))]])
+        project(Tensor(np.zeros((2, 3, 8))), [[w], [Tensor(np.zeros((3, 4)))]])
     with pytest.raises(DimensionError):  # the input does not split into groups
-        ad.project(Tensor(np.zeros((2, 3, 9))), [[w], [w]])
+        project(Tensor(np.zeros((2, 3, 9))), [[w], [w]])
+
+
+# ---------------------------------------------------------------------------
+# Head ops: dense and bce
+# ---------------------------------------------------------------------------
+
+def same_bits(got, ref):
+    return got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kind", ad.ACTIVATIONS)
+def test_dense_equals_composed_project_bias_activation(kind):
+    # Bit for bit, the one dense node against project, bias_add and the
+    # activation as three nodes: the output and the gradients of x, W and b.
+    # x is also read by a second op, so its gradient adds two terms, and a
+    # zero row with a zero bias entry puts relu exactly at 0.
+    rng = rng_for(40)
+    x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    x.data[2] = 0.0
+    W = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    b.data[1] = 0.0
+    G, G_x = Tensor(rng.standard_normal((5, 3))), Tensor(rng.standard_normal((5, 4)))
+    results = []
+    for op in (ad.dense, dense_composed):
+        for t in (x, W, b):
+            t.zero_grad()
+        with Tape() as tape:
+            out = op(x, W, b, kind)
+            tape.backward(add(ad.sum_all(ad.mul(x, G_x)), ad.sum_all(ad.mul(out, G))))
+        results.append([out.data, x.grad, W.grad, b.grad])
+    for got, ref in zip(*results):
+        assert same_bits(got, ref), kind
+
+
+def test_dense_gradcheck():
+    rng = rng_for(41)
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    W = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    b = Tensor(rng.uniform(-0.5, 0.5, 2), requires_grad=True)
+    readout = Tensor(rng.standard_normal((4, 2)))
+    for kind in ad.ACTIVATIONS:
+        check(lambda kind=kind: ad.sum_all(ad.mul(ad.dense(x, W, b, kind), readout)),
+              {"x": x, "W": W, "b": b})
+
+
+def test_dense_validation():
+    x, W, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(4))
+    assert ad.dense(x, W, b, "relu").shape == (2, 4)
+    with pytest.raises(ConfigError):
+        ad.dense(x, W, b, "softsign")
+    with pytest.raises(DimensionError):  # the bias does not match the weights
+        ad.dense(x, W, Tensor(np.zeros(3)), "relu")
+    with pytest.raises(DimensionError):  # a bias of one entry does not broadcast
+        ad.dense(x, W, Tensor(np.zeros(1)), "relu")
+    with pytest.raises(DimensionError):  # x does not chain with W
+        ad.dense(x, Tensor(np.zeros((4, 2))), b, "relu")
+    with pytest.raises(DimensionError):  # x is not a (N, d_in) batch
+        ad.dense(Tensor(np.zeros((2, 2, 3))), W, b, "relu")
+
+
+@pytest.mark.parametrize("kind", ["sigmoid", "tanh"])
+def test_dense_overflow_is_a_numeric_error(kind):
+    # sigmoid and tanh map an infinite pre-activation to a finite 1, so the
+    # check must look at the pre-activation, as the composed project and
+    # bias_add outputs were checked: first the product overflows, then only
+    # the bias's add does. numpy's overflow warnings are silenced, as the
+    # CLI silences them.
+    for x, W, b in (([[1e200, 1e200], [0.5, 0.5]], [[1e200, 1e200]], [0.0]),
+                    ([[1e308], [0.5]], [[1.0]], [1e308])):
+        for op in (dense_composed, ad.dense):
+            with np.errstate(over="ignore"), pytest.raises(NumericError):
+                op(Tensor(x), Tensor(W), Tensor(b), kind)
+
+
+def test_bce_equals_composed_clip_log_mean():
+    # Bit for bit, the one bce node against its nine composed nodes: the
+    # loss and p's gradient, at, inside and beyond the clamp's bounds, for
+    # labels 0, 1 and in between, as the loss itself and scaled inside a
+    # larger loss (an upstream gradient other than 1).
+    lo, hi = 1e-7, 1.0 - 1e-7
+    p = Tensor([lo, hi, 0.0, 1.0, -0.5, 1.5, 1e-9, 1.0 - 1e-9, 0.3, 0.5, 0.9, 2e-7],
+               requires_grad=True)
+    for y in (np.tile([0.0, 1.0], 6), np.tile([1.0, 0.0, 0.25], 4)):
+        for scale in (None, 2.5):
+            results = []
+            for op in (ad.bce, bce_composed):
+                p.zero_grad()
+                with Tape() as tape:
+                    loss = op(p, y)
+                    tape.backward(loss if scale is None else ad.mul(loss, scale))
+                results.append([loss.data, p.grad])
+            for got, ref in zip(*results):
+                assert same_bits(got, ref), (y, scale)
+
+
+def test_bce_gradcheck():
+    # Inside the clamp's bounds, through a sigmoid dense layer as the
+    # classifier's output layer runs it.
+    rng = rng_for(42)
+    p = Tensor([0.2, 0.7, 0.95, 0.01, 0.5], requires_grad=True)
+    check(lambda: ad.bce(p, np.array([1.0, 0.0, 1.0, 0.0, 1.0])), {"p": p})
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    W = Tensor(rng.standard_normal((1, 3)), requires_grad=True)
+    b = Tensor(rng.uniform(-0.5, 0.5, 1), requires_grad=True)
+    y = np.array([1.0, 0.0, 0.0, 1.0])
+    check(lambda: ad.bce(ad.reshape(ad.dense(x, W, b, "sigmoid"), (4,)), y),
+          {"x": x, "W": W, "b": b})
+
+
+def test_bce_validation():
+    with pytest.raises(DimensionError):
+        ad.bce(Tensor([0.5]), np.array([1.0, 0.0]))
+    with pytest.raises(NumericError):
+        ad.bce(Tensor([0.5, 0.5]), np.array([1.0, np.nan]))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from cru.data import Batch, Sample, Vocab, batch_and_pad, build_vocab, Corpus, \
 from cru.errors import ConfigError, ContractError, NumericError
 from cru.optim import BLOCK_ROWS, Adam
 from cru.recurrent import VARIANTS
-from oracles import forward_reference
+from oracles import activation, forward_reference
 
 
 def tiny_config(**kw):
@@ -196,6 +196,21 @@ def test_training_tape_holds_no_gate_inputs():
         assert (9, 2 * 5) in shapes and (9, 2 * 3 * 5) not in shapes, (variant, shapes)
 
 
+def test_training_tape_holds_one_node_per_head_layer():
+    # After the recurrence: the final-state gather, the fc layer, its
+    # dropout, the output layer, the reshape and the loss, one node each.
+    # Composed of per-step ops, the head took 17 nodes.
+    b = batch_from_rows([[2, 3, 4, 5], [6, 7], [3, 4, 8]], [1, 0, 1])
+    for variant in VARIANTS:
+        model, _ = tiny_model(seed=16, variant=variant, dropout=0.3)
+        with Tape() as tape:
+            bce_loss(model.forward_batch(b, train=True, rng=np.random.default_rng(0)),
+                     b.labels)
+        ops = [node.op for node in tape.nodes if node.op != "leaf"]
+        assert ops[ops.index("gru_scan") + 1:] == ["take_rows", "dense", "mul", "dense",
+                                                   "reshape", "bce"], (variant, ops)
+
+
 def test_zero_length_row_is_a_contract_error():
     model, _ = tiny_model(seed=14)
     batch = batch_from_rows([[2, 3, 4], [5]], [1, 0])
@@ -254,7 +269,7 @@ def test_bce_gradient_through_sigmoid_is_p_minus_y():
     logits = Tensor([0.3, -1.2, 2.0], requires_grad=True)
     y = np.array([1.0, 0.0, 1.0])
     with Tape() as tape:
-        p = ad.activation("sigmoid", logits)
+        p = activation("sigmoid", logits)
         tape.backward(bce_loss(p, y))
     expected = (1.0 / 3.0) * (1.0 / (1.0 + np.exp(-logits.data)) - y)
     assert np.allclose(logits.grad, expected, atol=1e-12)

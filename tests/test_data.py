@@ -85,6 +85,23 @@ def test_load_line_corpus_skips_empty_lines(tmp_path, caplog):
     assert any("skipping empty line" in r.message for r in caplog.records)
 
 
+def test_load_line_corpus_ends_lines_at_line_feeds_only(tmp_path, caplog):
+    # Form feed, \v, \x1c-\x1e, U+0085, U+2028 and a lone \r end no line:
+    # each "\n" line is one sample, and the warning for an empty line names
+    # its line in the file.
+    (tmp_path / "pos.txt").write_text("a fine film\fbad acting\nwarm \u2028 heart\n",
+                                      encoding="utf-8")
+    (tmp_path / "neg.txt").write_text("dull\x1c\x1d\x1eslow\v\x85end\rflat\r\n\r\nbad\r\n",
+                                      encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="cru.data"):
+        corpus = load_line_corpus(tmp_path)
+    assert [(s.tokens, s.label) for s in corpus.samples] == [
+        (["a", "fine", "film", "bad", "acting"], 1), (["warm", "heart"], 1),
+        (["dull", "slow", "end", "flat"], 0), (["bad"], 0)]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipping empty line 2 of {tmp_path / 'neg.txt'}"]
+
+
 def test_load_line_corpus_drops_undecodable_bytes(tmp_path, caplog):
     (tmp_path / "pos.txt").write_bytes(b"fine \xff\xfe film\n")
     (tmp_path / "neg.txt").write_text("bad film\n", encoding="utf-8")

@@ -24,13 +24,15 @@ from cru.autodiff import Tape, Tensor
 from cru.checkpoint import MAGIC, load_tensors
 from cru.classifier import SentimentModel, TrainConfig, seeded_rng, train_epoch
 from cru.data import (Corpus, EncodedSample, Sample, Vocab, batch_and_pad, build_vocab,
-                      load_pretrained_embeddings, parse_kv_file)
+                      load_document_corpus, load_line_corpus, load_pretrained_embeddings,
+                      parse_kv_file, tokenize)
 from cru.errors import ConfigError, CruError, ParseError
 from cru.optim import BLOCK_ROWS, Adam
 from cru.recurrent import VARIANTS, _CellBase, make_cell, pack, run_sequence
-from oracles import (conv1d_same_einsum, conv1d_same_padded, dense_update, gru_scan_composed,
-                     gru_scan_padded, packed_positions, prepare_per_gate, project_then_scan,
-                     run_padded, run_row, token_positions, vocab_first_seen)
+from oracles import (add, conv1d_same_einsum, conv1d_same_padded, dense_update,
+                     gru_scan_composed, gru_scan_padded, packed_positions, prepare_per_gate,
+                     project, project_then_scan, run_padded, run_row, token_positions,
+                     vocab_first_seen)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -249,7 +251,7 @@ def test_prepare_equals_per_gate_inputs_side_by_side(case):
 
     def prepared(x):
         X, weights = _CellBase.prepare([cell], x, packing)
-        return X if weights is None else ad.project(X, weights)
+        return X if weights is None else project(X, weights)
 
     results = []
     for prepare in (prepared, per_gate):
@@ -314,7 +316,7 @@ def test_gru_scan_equals_composed_reference(case, count):
                 outs = [gru_scan_composed(P, *ws) for P, ws in zip(P_pads, weights)]
                 loss = ad.sum_all(ad.mul(outs[0], Tensor(Gs[0])))
                 for out, G in zip(outs[1:], Gs[1:]):
-                    loss = ad.add(loss, ad.sum_all(ad.mul(out, Tensor(G))))
+                    loss = add(loss, ad.sum_all(ad.mul(out, Tensor(G))))
                 tape.backward(loss)
                 results.append([x for out, P in zip(outs, P_pads)
                                 for x in (np.array([out.data[r, t] for r, t in positions]),
@@ -524,3 +526,55 @@ def test_settings_file_reader_raises_only_documented_errors(lines):
     except (CruError, OSError):
         return
     assert all(k == k.strip() and v == v.strip() for k, v in kv.items())
+
+
+# Corpus text: words, punctuation, every separator that str.splitlines ends
+# a line at (form feed, \v, \x1c-\x1e, U+0085, U+2028, U+2029, \r), and bytes
+# that are not UTF-8; or any bytes.
+corpus_bytes = st.one_of(
+    st.lists(st.sampled_from([b"a", b"film", b".", b" ", b"\n", b"\r", b"\r\n", b"\x0c",
+                              b"\x0b", b"\x1c", b"\x1d", b"\x1e", "\x85".encode(),
+                              "\u2028".encode(), "\u2029".encode(), b"\xff", b"\xe2\x80"]),
+             max_size=12).map(b"".join),
+    st.binary(max_size=24))
+
+
+def line_samples(data: bytes) -> list[list[str]]:
+    """The tokens of each line of data, split at b"\\n", that has a token."""
+    return [t for line in data.split(b"\n") if (t := tokenize(line.decode("utf-8", "ignore")))]
+
+
+@PROPERTY
+@given(corpus_bytes, corpus_bytes)
+@example("a fine film\x0cbad acting\nwarm \u2028 heart\n".encode(), b"a\r\n\r\n")
+def test_line_corpus_reader_raises_only_documented_errors(pos, neg):
+    # One sample per "\n" line that has a token, positives first.
+    expected = [(t, 1) for t in line_samples(pos)] + [(t, 0) for t in line_samples(neg)]
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "pos.txt").write_bytes(pos)
+        (Path(tmp) / "neg.txt").write_bytes(neg)
+        try:
+            corpus = load_line_corpus(tmp)
+        except (CruError, OSError):
+            assert not expected
+            return
+    assert [(s.tokens, s.label) for s in corpus.samples] == expected
+
+
+@PROPERTY
+@given(st.lists(corpus_bytes, max_size=3), st.lists(corpus_bytes, max_size=3))
+def test_document_corpus_reader_raises_only_documented_errors(pos, neg):
+    # One sample per document that has a token, its lines joined.
+    expected = [(t, label) for docs, label in ((pos, 1), (neg, 0)) for d in docs
+                if (t := tokenize(d.decode("utf-8", "ignore")))]
+    with tempfile.TemporaryDirectory() as tmp:
+        for sub, docs in (("pos", pos), ("neg", neg)):
+            (Path(tmp) / sub).mkdir()
+            for i, data in enumerate(docs):
+                (Path(tmp) / sub / f"{i}.txt").write_bytes(data)
+        try:
+            corpus = load_document_corpus(tmp)
+        except (CruError, OSError):
+            assert not expected
+            return
+    assert [(s.tokens, s.label) for s in corpus.samples] == expected
