@@ -20,7 +20,7 @@ from .autodiff import Tensor
 from .checkpoint import load_tensors, save_tensors
 from .data import Batch, Sample, Vocab, batch_and_pad, encode_corpus, parse_kv_file
 from .errors import ConfigError, ContractError, NumericError
-from .layers import DenseLayer, EmbeddingTable, dense_forward, dropout_apply
+from .layers import PAD_ID, DenseLayer, dense_forward, dropout_apply
 from .optim import Adam
 from .recurrent import VARIANTS, make_cell, pack, run_sequence
 
@@ -126,7 +126,7 @@ class TrainConfig:
 
 @dataclass
 class SentimentModel:
-    embedding: EmbeddingTable
+    embedding: Tensor  # (V, d)
     fwd_cell: object
     bwd_cell: object
     fc: DenseLayer
@@ -136,13 +136,17 @@ class SentimentModel:
     @classmethod
     def build(cls, config: TrainConfig, vocab_size: int,
               rng: np.random.Generator,
-              embedding: EmbeddingTable | None = None) -> "SentimentModel":
+              embedding: Tensor | None = None) -> "SentimentModel":
+        """A fresh model; its embedding table, unless given, is drawn from
+        Uniform(-0.05, 0.05) with a zero pad row."""
         config.validate()
         if embedding is None:
-            embedding = EmbeddingTable.init(rng, vocab_size, config.embed_dim)
-        if embedding.weights.shape != (vocab_size, config.embed_dim):
+            w = rng.uniform(-0.05, 0.05, size=(vocab_size, config.embed_dim))
+            w[PAD_ID] = 0.0
+            embedding = Tensor(w, requires_grad=True)
+        if embedding.shape != (vocab_size, config.embed_dim):
             raise ConfigError(
-                f"embedding table of shape {embedding.weights.shape} does not match "
+                f"embedding table of shape {embedding.shape} does not match "
                 f"the vocabulary size {vocab_size} and embed_dim {config.embed_dim}"
             )
         fwd = make_cell(config.variant, rng, config.embed_dim, config.hidden_dim,
@@ -155,7 +159,7 @@ class SentimentModel:
                    dropout=config.dropout)
 
     def named_params(self) -> dict[str, Tensor]:
-        params = {"embedding.weights": self.embedding.weights}
+        params = {"embedding.weights": self.embedding}
         params.update(self.fwd_cell.named_params("fwd."))
         params.update(self.bwd_cell.named_params("bwd."))
         params.update({"fc.weights": self.fc.weights, "fc.bias": self.fc.bias,
@@ -171,7 +175,7 @@ class SentimentModel:
         tokens = (np.arange(n) < lengths[:, None]).reshape(-1)
         # Only the tokens' rows are looked up. Their dropout mask is drawn
         # over all b * n positions, so the draws do not depend on the padding.
-        E = ad.take_rows(self.embedding.weights, batch.ids.reshape(-1)[tokens])
+        E = ad.take_rows(self.embedding, batch.ids.reshape(-1)[tokens])
         E = dropout_apply(E, self.dropout, train, rng, rows=tokens)
         # Both directions read the dropped embeddings, each in its packed
         # order, and their states sit side by side. The directions share each
@@ -192,9 +196,6 @@ class SentimentModel:
 def bce_loss(p: Tensor, y: np.ndarray) -> Tensor:
     """Mean binary cross-entropy with probabilities clamped to [1e-7, 1-1e-7]:
     one ``autodiff.bce`` op."""
-    y = np.asarray(y, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ContractError(f"probabilities {p.shape} and labels {y.shape} differ")
     return ad.bce(p, y)
 
 
@@ -260,7 +261,7 @@ def evaluate(model: SentimentModel, batches: list[Batch]) -> tuple[float, float]
 
 def train_on_split(train_samples: list[Sample], test_samples: list[Sample],
                    config: TrainConfig, vocab: Vocab, fold: int = 0,
-                   base_embedding: EmbeddingTable | None = None,
+                   base_embedding: Tensor | None = None,
                    log_fn=None) -> tuple[SentimentModel, list[dict]]:
     """Train one model on a train/test split; returns (model, history rows).
 
@@ -271,8 +272,7 @@ def train_on_split(train_samples: list[Sample], test_samples: list[Sample],
         raise ContractError("training split is empty")
     embedding = None
     if base_embedding is not None:
-        embedding = EmbeddingTable(Tensor(base_embedding.weights.data.copy(),
-                                          requires_grad=True))
+        embedding = Tensor(base_embedding.data.copy(), requires_grad=True)
     model = SentimentModel.build(config, len(vocab), seeded_rng(config.seed, _TAG_INIT, fold),
                                  embedding=embedding)
     optimizer = Adam(model.named_params(), lr=config.lr)
@@ -365,7 +365,7 @@ def load_checkpoint(ckpt_dir) -> tuple[SentimentModel, TrainConfig, Vocab]:
     # rest are overwritten below.
     model = SentimentModel.build(
         config, len(vocab), seeded_rng(config.seed, _TAG_INIT),
-        embedding=EmbeddingTable(Tensor(stored["embedding.weights"], requires_grad=True)))
+        embedding=Tensor(stored["embedding.weights"], requires_grad=True))
     for name, tensor in model.named_params().items():
         if name not in stored:
             raise ConfigError(f"checkpoint is missing tensor {name}")

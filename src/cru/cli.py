@@ -266,8 +266,7 @@ def _check_classifier(seed: int, tol: float):
     # defaults (0.05-scale embeddings, zero biases) leave some gradients near
     # the 1e-8 relative-error floor, where finite-difference roundoff
     # dominates and the comparison stops being informative.
-    model.embedding.weights.data = rng.uniform(-1.2, 1.2,
-                                               model.embedding.weights.shape)
+    model.embedding.data = rng.uniform(-1.2, 1.2, model.embedding.shape)
     for name, p in model.named_params().items():
         if name.endswith((".b_z", ".b_r", ".b_h", ".bias")):
             p.data = rng.uniform(-0.2, 0.2, p.data.shape)
@@ -319,8 +318,6 @@ def run_gradcheck(base_seed: int = 0, tol: float = 1e-4,
 def cmd_gradcheck(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
-    if not 0 < args.tol < np.inf:
-        raise ConfigError(f"tol must be positive and finite, got {args.tol}")
     ok, _ = run_gradcheck(args.seed, args.tol)
     return 0 if ok else 4
 

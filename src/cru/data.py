@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, ParseError
-from .layers import PAD_ID, UNK_ID, EmbeddingTable
+from .layers import PAD_ID, UNK_ID
 from .autodiff import Tensor
 
 log = logging.getLogger("cru.data")
@@ -216,7 +216,7 @@ def build_vocab(corpus: Corpus, max_size: int | None = None) -> Vocab:
 # --------------------------------------------------------------------------
 
 def load_pretrained_embeddings(path, vocab: Vocab, dim: int,
-                               rng: np.random.Generator) -> tuple[EmbeddingTable, float]:
+                               rng: np.random.Generator) -> tuple[Tensor, float]:
     """Copy rows for vocab tokens found in a text vector file.
 
     Every row starts uniform(-0.05, 0.05) (so missing tokens, pad, and unk are
@@ -253,8 +253,7 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int,
             weights[idx] = row
             found.add(idx)
     denom = max(len(vocab) - 2, 1)
-    table = EmbeddingTable(Tensor(weights, requires_grad=True))
-    return table, len(found) / denom
+    return Tensor(weights, requires_grad=True), len(found) / denom
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Embedding tables, convolution banks, dense layers, dropout.
+"""Convolution banks, dense layers, dropout.
 
-Parameter containers are plain dataclasses holding Tensors; the forward
-functions compose autodiff primitives so everything differentiates through
-the shared tape.
+The parameter records are plain dataclasses holding Tensors, and they check
+nothing: the ops that use their tensors (``autodiff.conv1d_same`` and
+``autodiff.dense``) check every shape, filter width and activation on every
+call, so a malformed record fails on its first use. An embedding table is a
+bare (V, d) Tensor whose rows PAD_ID and UNK_ID are pad and unk.
 """
 
 from __future__ import annotations
@@ -27,29 +29,6 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
 
 
 # --------------------------------------------------------------------------
-# Embeddings
-# --------------------------------------------------------------------------
-
-@dataclass
-class EmbeddingTable:
-    """Token-id -> row lookup. Rows 0 and 1 are reserved for pad and unk."""
-
-    weights: Tensor  # (V, d)
-
-    def __post_init__(self):
-        if self.weights.ndim != 2:
-            raise DimensionError(f"embedding weights need rank 2, got {self.weights.shape}")
-        if self.weights.shape[0] < 2:
-            raise ConfigError("embedding table needs at least pad and unk rows")
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, vocab_size: int, dim: int) -> "EmbeddingTable":
-        w = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
-        w[PAD_ID] = 0.0
-        return cls(Tensor(w, requires_grad=True))
-
-
-# --------------------------------------------------------------------------
 # Convolution bank
 # --------------------------------------------------------------------------
 
@@ -60,23 +39,6 @@ class ConvBank:
     filters: Tensor  # (d_out, k, d_in)
     bias: Tensor     # (d_out,)
     activation: str = "relu"
-
-    def __post_init__(self):
-        if self.filters.ndim != 3:
-            raise DimensionError(f"filters need rank 3, got {self.filters.shape}")
-        d_out, k, _ = self.filters.shape
-        if k % 2 == 0:
-            raise ConfigError(f"filter window must be odd, got {k}")
-        if self.bias.shape != (d_out,):
-            raise DimensionError(
-                f"bias shape {self.bias.shape} does not match {d_out} filters"
-            )
-        if self.activation not in ad.ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-
-    @property
-    def width(self) -> int:
-        return self.filters.shape[1]
 
     @classmethod
     def init(cls, rng: np.random.Generator, d_out: int, k: int, d_in: int,
@@ -109,16 +71,6 @@ class DenseLayer:
     bias: Tensor     # (d_out,)
     activation: str = "identity"
 
-    def __post_init__(self):
-        if self.weights.ndim != 2:
-            raise DimensionError(f"dense weights need rank 2, got {self.weights.shape}")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise DimensionError(
-                f"bias shape {self.bias.shape} does not match weights {self.weights.shape}"
-            )
-        if self.activation not in ad.ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-
     @classmethod
     def init(cls, rng: np.random.Generator, d_out: int, d_in: int,
              activation: str = "identity") -> "DenseLayer":
@@ -130,10 +82,6 @@ class DenseLayer:
 
 def dense_forward(layer: DenseLayer, x: Tensor) -> Tensor:
     """(B, d_in) -> (B, d_out): one ``autodiff.dense`` op."""
-    if x.ndim != 2 or x.shape[1] != layer.weights.shape[1]:
-        raise DimensionError(
-            f"dense input {x.shape} does not match weights {layer.weights.shape}"
-        )
     return ad.dense(x, layer.weights, layer.bias, layer.activation)
 
 

@@ -18,6 +18,10 @@ from .errors import ConfigError, ContractError, NumericError
 
 BLOCK_ROWS = 256
 
+# Adam's moment decay rates and denominator floor. They are fixed: a
+# checkpoint's optimizer state does not store them.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def _blocks(x: np.ndarray) -> list[np.ndarray]:
     """Views of x's blocks of BLOCK_ROWS leading rows; a scalar is one block."""
@@ -64,20 +68,16 @@ class Adam:
 
     update: m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2
             theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
-    with bias-corrected m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t).
+    with bias-corrected m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t), and
+    b1, b2, eps = BETA1, BETA2, EPS.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        # Written so that NaN fails each float check.
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
+        # Written so that NaN fails the check.
         if not 0 <= lr < np.inf:
             raise ConfigError(f"learning rate must be >= 0 and finite, got {lr}")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ConfigError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if not 0 < eps < np.inf:
-            raise ConfigError(f"eps must be positive and finite, got {eps}")
         self.params: list[tuple[str, Tensor]] = list(params.items())
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in self.params}
         self.v = {n: np.zeros_like(p.data) for n, p in self.params}
@@ -90,8 +90,8 @@ class Adam:
         """One update from the .grad buffers (missing grads are zero) with the
         last norm pass's L2 terms added, clip scale first."""
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         scale, self._scale = self._scale, None
         l2, self._l2 = self._l2, {}
         for name, p in self.params:
@@ -109,11 +109,11 @@ class Adam:
                     gb *= scale
                 # Written through two buffers: fresh temporaries cost more than the math.
                 a, c = a_buf[:len(gb)], c_buf[:len(gb)]
-                mb *= self.beta1
-                mb += np.multiply(gb, 1.0 - self.beta1, out=a)
-                vb *= self.beta2
-                vb += np.multiply(np.multiply(gb, 1.0 - self.beta2, out=a), gb, out=a)
-                np.add(np.sqrt(np.divide(vb, c2, out=a), out=a), self.eps, out=a)
+                mb *= BETA1
+                mb += np.multiply(gb, 1.0 - BETA1, out=a)
+                vb *= BETA2
+                vb += np.multiply(np.multiply(gb, 1.0 - BETA2, out=a), gb, out=a)
+                np.add(np.sqrt(np.divide(vb, c2, out=a), out=a), EPS, out=a)
                 wb -= np.divide(np.multiply(np.divide(mb, c1, out=c), self.lr, out=c), a, out=c)
 
     def zero_grad(self) -> None:

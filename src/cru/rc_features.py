@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ContractError, DimensionError
 from .recurrent import pack, run_sequence
 
 
@@ -55,13 +55,11 @@ def encode_bidirectional_enriched(fwd_cell, bwd_cell, X: Tensor) -> Tensor:
     Row t pairs the forward state after token t with the backward state
     after reading the document from its end back to token t.
     """
-    d_h = fwd_cell.params.hidden_dim
-    if bwd_cell.params.hidden_dim != d_h:
-        raise ConfigError("directions must share hidden size")
     n = X.shape[0]
     # Packed row i holds the forward state at token i and the backward state
     # at token n-1-i; read as (2n, d_h) rows, the pair for token t is rows 2t
     # and 2(n-1-t)+1.
-    states = ad.reshape(run_sequence([fwd_cell, bwd_cell], X, pack([n])), (2 * n, d_h))
+    states = run_sequence([fwd_cell, bwd_cell], X, pack([n]))
+    states = ad.reshape(states, (2 * n, states.shape[1] // 2))
     t = np.arange(n)
     return ad.take_rows(states, np.stack([2 * t, 2 * (n - 1 - t) + 1], axis=1))

@@ -65,7 +65,10 @@ VARIANTS = tuple(_BANKS)
 
 @dataclass
 class GruParams:
-    """Recurrence weights. W_* are absent for the deep variant."""
+    """Recurrence weights: U_* (d_h, d_h), b_* (d_h,) and W_* (d_h, d_in),
+    which are absent for the deep variant. The record checks only that the
+    W_* come together; ``autodiff.gru_scan`` checks the shapes of the U_* and
+    b_* and, through the projection it forms, of the W_*, on every call."""
 
     U_z: Tensor
     U_r: Tensor
@@ -81,20 +84,6 @@ class GruParams:
         ws = [self.W_z, self.W_r, self.W]
         if any(w is None for w in ws) and any(w is not None for w in ws):
             raise ConfigError("W_z, W_r, W must be given together or not at all")
-        d_h = self.U.shape[0] if self.U.ndim == 2 else -1
-        d_in = self.W.shape[-1] if self.W is not None else None
-        for name, t in self.named().items():
-            shape = (d_h,) if name[0] == "b" else (d_h, d_in if name[0] == "W" else d_h)
-            if t.shape != shape:
-                raise DimensionError(f"{name} must have shape {shape}, got {t.shape}")
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.U.shape[0]
-
-    @property
-    def input_dim(self) -> int | None:
-        return None if self.W is None else self.W.shape[1]
 
     @classmethod
     def init(cls, rng: np.random.Generator, d_in: int | None, d_h: int) -> "GruParams":
@@ -144,7 +133,9 @@ class Packing:
         the packed rows (``autodiff.conv1d_same``) of any direction: slot j
         of packed row i at step t holds the packed row of the same row's step
         t + j - (k-1)/2, or T, the zero of its same-length padding, where the
-        row has no such step."""
+        row has no such step. k is odd and >= 1."""
+        if k < 1 or k % 2 == 0:
+            raise ConfigError(f"filter window must be odd and >= 1, got {k}")
         sizes, pad = self.batch_sizes, (k - 1) // 2
         # Step s is entry s + pad; the pad steps on either side hold no rows.
         held = np.zeros(sizes.size + 2 * pad, dtype=np.intp)
@@ -198,12 +189,6 @@ class _CellBase:
         if (params.W is None) != deep:
             raise ConfigError("deep cell takes no W_* matrices" if deep
                               else f"{variant} cell needs W_z, W_r, W")
-        width = params.hidden_dim if deep else params.input_dim
-        for tag, bank in zip(_BANKS[variant], banks):
-            if bank.filters.shape[0] != width:
-                raise (ConfigError if deep else DimensionError)(
-                    f"{variant}: {tag} output width {bank.filters.shape[0]} does not "
-                    f"match the {'hidden' if deep else 'W_* input'} width {width}")
         self.variant, self.params, self.banks = variant, params, banks
 
     @staticmethod
@@ -231,7 +216,10 @@ class _CellBase:
                                  f"batch, got {E.shape}")
         X, variant, banks = ad.take_rows(E, packing.rows), cells[0].variant, cells[0].banks
         if banks:
-            X = same_length_conv([c.banks for c in cells], X, packing.window(banks[0].width),
+            # conv1d_same rejects filters that are not rank 3; no window is read then.
+            f = banks[0].filters
+            X = same_length_conv([c.banks for c in cells], X,
+                                 packing.window(f.shape[1] if f.ndim == 3 else 1),
                                  residual=variant == "deep_enhanced")
         if variant == "deep":
             return X, None
@@ -253,6 +241,8 @@ def make_cell(variant: str, rng: np.random.Generator, d_in: int, d_h: int,
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if d_in < 1 or d_h < 1:
         raise ConfigError(f"dims must be positive, got d_in={d_in}, d_h={d_h}")
+    if k < 1 or k % 2 == 0:
+        raise ConfigError(f"filter window must be odd and >= 1, got {k}")
     if variant == "deep" and d_h != d_in:
         raise ConfigError(f"deep variant needs hidden size == embedding size, "
                           f"got {d_h} and {d_in}")

@@ -462,7 +462,7 @@ def forward_reference(model, ids) -> float:
     The forward cell reads the row, the backward cell reads it reversed, and
     the fc (relu) and output (sigmoid) layers are applied in numpy.
     """
-    E = model.embedding.weights.data[np.asarray(ids, dtype=np.intp)]
+    E = model.embedding.data[np.asarray(ids, dtype=np.intp)]
     _, final_f = run_row(model.fwd_cell, E)
     _, final_b = run_row(model.bwd_cell, E[::-1])
     h = np.concatenate([final_f, final_b])
@@ -527,7 +527,7 @@ def dense_update(model, batches, config, rng, beta1=0.9, beta2=0.999, eps=1e-8):
             p = model.forward_batch(batch, train=True, rng=rng)
             loss = bce_loss(p, batch.labels)
             if config.l2 > 0:
-                loss = add(loss, l2_penalty(model.embedding.weights, config.l2))
+                loss = add(loss, l2_penalty(model.embedding, config.l2))
             tape.backward(loss)
         losses.append(loss.item())
         grads = {n: np.asarray(q.grad) for n, q in params.items() if q.grad is not None}

@@ -16,7 +16,7 @@ from cru.classifier import (SentimentModel, TrainConfig, bce_loss, evaluate,
                             train_epoch, train_on_split)
 from cru.data import Batch, Sample, Vocab, batch_and_pad, build_vocab, Corpus, \
     encode_corpus
-from cru.errors import ConfigError, ContractError, NumericError
+from cru.errors import ConfigError, ContractError, DimensionError, NumericError
 from cru.optim import BLOCK_ROWS, Adam
 from cru.recurrent import VARIANTS
 from oracles import activation, forward_reference
@@ -131,7 +131,7 @@ def test_padded_batch_matches_per_sample_even_with_nonzero_pad_row():
     rows = [[2, 3, 4, 5, 6, 7], [8, 2], [3]]
     for variant in VARIANTS:
         model, _ = tiny_model(seed=6, variant=variant)
-        model.embedding.weights.data[0] = 99.0
+        model.embedding.data[0] = 99.0
         batched = model.forward_batch(batch_from_rows(rows, [1, 0, 1])).data
         for i, row in enumerate(rows):
             assert abs(batched[i] - forward_reference(model, row)) < 1e-12, variant
@@ -233,11 +233,9 @@ def test_dropout_draws_are_shared_between_directions():
 
 
 def test_build_rejects_mismatched_embedding():
-    from cru.layers import EmbeddingTable
-
     config = tiny_config(embed_dim=4)
-    for rows, width in ((9, 6), (8, 4)):
-        table = EmbeddingTable.init(seeded_rng(0, 2), rows, width)
+    for shape in ((9, 6), (8, 4), (36,)):
+        table = Tensor(seeded_rng(0, 2).uniform(-0.05, 0.05, shape))
         with pytest.raises(ConfigError):
             SentimentModel.build(config, 9, seeded_rng(0, 1), embedding=table)
 
@@ -276,7 +274,7 @@ def test_bce_gradient_through_sigmoid_is_p_minus_y():
 
 
 def test_bce_shape_mismatch():
-    with pytest.raises(ContractError):
+    with pytest.raises(DimensionError):
         bce_loss(Tensor([0.5]), np.array([1.0, 0.0]))
 
 
@@ -523,7 +521,7 @@ def test_train_step_builds_no_table_sized_gradient():
 
 def test_train_epoch_names_batch_on_non_finite():
     model, config = tiny_model(seed=11)
-    model.embedding.weights.data[3, 0] = np.nan
+    model.embedding.data[3, 0] = np.nan
     opt = Adam(model.named_params(), lr=config.lr)
     batches = [batch_from_rows([[2, 2]], [1]), batch_from_rows([[3, 4]], [0])]
     with pytest.raises(NumericError, match="batch 1"):
@@ -534,7 +532,7 @@ def test_train_epoch_names_batch_on_non_finite_row_it_never_reads():
     # The L2 term covers the whole table, so a NaN in a row no batch looks up
     # still stops training at the first batch.
     model, config = tiny_model(seed=11, l2=1e-3)
-    model.embedding.weights.data[7, 0] = np.nan
+    model.embedding.data[7, 0] = np.nan
     opt = Adam(model.named_params(), lr=config.lr)
     batches = [batch_from_rows([[2, 3]], [1]), batch_from_rows([[4]], [0])]
     with pytest.raises(NumericError, match="non-finite value while training batch 0: "):
@@ -616,14 +614,12 @@ def test_train_on_split_requires_samples():
 
 
 def test_base_embedding_is_copied_not_shared():
-    from cru.layers import EmbeddingTable
-
     train, test, vocab = toy_split()
-    base = EmbeddingTable.init(seeded_rng(5, 5), len(vocab), 4)
-    snapshot = base.weights.data.copy()
+    base = Tensor(seeded_rng(5, 5).uniform(-0.05, 0.05, (len(vocab), 4)), requires_grad=True)
+    snapshot = base.data.copy()
     config = tiny_config(epochs=1, batch_size=2)
     train_on_split(train, test, config, vocab, base_embedding=base)
-    assert np.array_equal(base.weights.data, snapshot)
+    assert np.array_equal(base.data, snapshot)
 
 
 def test_checkpoint_round_trip_reproduces_probabilities(tmp_path):

@@ -1,15 +1,21 @@
 """Command-line behavior: config resolution, exit codes, artifacts."""
 
+import contextlib
 import csv
+import io
 import logging
 import re
+import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cru import cli
 from cru.checkpoint import MAGIC, load_tensors, save_tensors
@@ -454,13 +460,16 @@ MALFORMED = {
     "config-l2-empty": (_train_with_config("l2=\n"), "bad value for l2"),
     "gradcheck-seed-negative": (lambda tmp_path: ["gradcheck", "--seed", "-1"],
                                 "seed must be"),
-    "gradcheck-tol-nan": (lambda tmp_path: ["gradcheck", "--tol", "nan"], "tol must be"),
-    "gradcheck-tol-zero": (lambda tmp_path: ["gradcheck", "--tol", "0"], "tol must be"),
+    "gradcheck-tol-nan": (lambda tmp_path: ["gradcheck", "--tol", "nan"],
+                          "gradcheck tolerance must be"),
+    "gradcheck-tol-zero": (lambda tmp_path: ["gradcheck", "--tol", "0"],
+                           "gradcheck tolerance must be"),
     "train-embed-huge": (_train_with("--embed", "100000000000"), "out of memory"),
     "vectors-nan": (_train_with_vectors("nan"), "vec.txt:2: "),
     "vectors-inf": (_train_with_vectors("-inf"), "vec.txt:2: "),
     "vectors-not-utf8": (_train_with_undecodable_vectors, "vec.txt:2: not valid UTF-8"),
-    "checkpoint-flat-embedding": (_infer_with_flat_embedding, "rank 2"),
+    "checkpoint-flat-embedding": (_infer_with_flat_embedding,
+                                  "does not match the vocabulary size"),
     "checkpoint-duplicate-tensor": (_infer_with_duplicate_tensor, "appears more than once"),
 }
 
@@ -472,6 +481,48 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    assert main(["train", "--dataset", str(FIXTURE), *TINY_FLAGS, "--fc-dim", "8",
+                 "--out", str(out)]) == 0
+    return out / "checkpoint"
+
+
+CHECKPOINT_FILES = ("params.bin", "vocab.txt", "config.txt")
+
+
+# Replacement bytes: any, or the ones that settings and numbers are written in.
+replacements = st.one_of(st.binary(min_size=1, max_size=4),
+                         st.text("0123456789.-=#e_\n", min_size=1, max_size=4).map(str.encode))
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True, database=None)
+@given(st.sampled_from(CHECKPOINT_FILES), st.integers(0, 2**20), replacements)
+@example("vocab.txt", 1, b"u")  # "<uad>": no pad row
+@example("params.bin", 0, b"D")  # a bad magic
+def test_infer_on_a_corrupted_checkpoint_exits_with_one_line(tiny_checkpoint, name, offset,
+                                                              data):
+    # Bytes are replaced in place and none inserted, so a stored width grows
+    # by at most a digit.
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "checkpoint"
+        shutil.copytree(tiny_checkpoint, ckpt)
+        blob = (ckpt / name).read_bytes()
+        at = offset % len(blob)
+        (ckpt / name).write_bytes((blob[:at] + data + blob[at + len(data):])[:len(blob)])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["infer", "--checkpoint", str(ckpt), "a", "fine", "film"])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), lines
+    if code == 0:
+        assert lines == [] and out.getvalue().startswith("probability=")
+    else:
+        assert len(lines) == 1 and lines[0].startswith(("error:", "i/o error:")[code - 1]), lines
+        assert "Traceback" not in err.getvalue()
 
 def test_missing_required_flag_exits_1(capsys):
     assert main(["train"]) == 1

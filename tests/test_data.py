@@ -212,11 +212,11 @@ def test_pretrained_copies_found_rows_and_reports_coverage(tmp_path):
     vec.write_text("a 1.0 2.0\nc -0.5 0.25\nzzz 9 9\n", encoding="utf-8")
     table, coverage = load_pretrained_embeddings(vec, vocab, 2, rng_for(0))
     assert coverage == pytest.approx(0.5)  # 2 of 4 real tokens
-    assert np.allclose(table.weights.data[vocab.stoi["a"]], [1.0, 2.0])
-    assert np.allclose(table.weights.data[vocab.stoi["c"]], [-0.5, 0.25])
+    assert np.allclose(table.data[vocab.stoi["a"]], [1.0, 2.0])
+    assert np.allclose(table.data[vocab.stoi["c"]], [-0.5, 0.25])
     # Missing rows fall in the documented init range.
-    assert np.all(np.abs(table.weights.data[vocab.stoi["b"]]) <= 0.05)
-    assert table.weights.requires_grad
+    assert np.all(np.abs(table.data[vocab.stoi["b"]]) <= 0.05)
+    assert table.requires_grad
 
 
 def test_pretrained_coverage_counts_each_token_once(tmp_path):
@@ -225,8 +225,8 @@ def test_pretrained_coverage_counts_each_token_once(tmp_path):
     vec.write_text("good 1 2\ngood 3 4\nbad 5 6\n", encoding="utf-8")
     table, coverage = load_pretrained_embeddings(vec, vocab, 2, rng_for(0))
     assert coverage == 1.0
-    assert np.array_equal(table.weights.data[vocab.stoi["good"]], [3.0, 4.0])  # the last line's
-    assert np.array_equal(table.weights.data[vocab.stoi["bad"]], [5.0, 6.0])
+    assert np.array_equal(table.data[vocab.stoi["good"]], [3.0, 4.0])  # the last line's
+    assert np.array_equal(table.data[vocab.stoi["bad"]], [5.0, 6.0])
 
 
 def test_pretrained_dimension_mismatch_names_line(tmp_path):
@@ -260,7 +260,7 @@ def test_pretrained_empty_file_is_valid(tmp_path):
     vec.write_text("", encoding="utf-8")
     table, coverage = load_pretrained_embeddings(vec, vocab, 3, rng_for(0))
     assert coverage == 0.0
-    assert table.weights.shape == (len(vocab), 3)
+    assert table.shape == (len(vocab), 3)
 
 
 def test_pretrained_missing_file_is_io_error(tmp_path):
@@ -275,7 +275,7 @@ def test_pretrained_seeded_rows_are_reproducible(tmp_path):
     vec.write_text("b 7.0 8.0\n", encoding="utf-8")
     t1, _ = load_pretrained_embeddings(vec, vocab, 2, rng_for(9))
     t2, _ = load_pretrained_embeddings(vec, vocab, 2, rng_for(9))
-    assert np.array_equal(t1.weights.data, t2.weights.data)
+    assert np.array_equal(t1.data, t2.data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
-"""Embedding, convolution bank, dense layer, and dropout behavior."""
+"""Embedding, convolution bank, dense layer, and dropout behavior.
+
+The records hold tensors and check nothing; each shape test here runs the
+record through the op that checks it."""
 
 import numpy as np
 import pytest
 
 from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor, finite_diff_gradcheck
+from cru.classifier import SentimentModel, TrainConfig
+from cru.data import Vocab
 from cru.errors import ConfigError, ContractError, DimensionError
-from cru.layers import (PAD_ID, UNK_ID, ConvBank, DenseLayer, EmbeddingTable,
-                        dense_forward, dropout_apply, glorot_uniform, same_length_conv)
-from cru.recurrent import pack
+from cru.layers import (PAD_ID, ConvBank, DenseLayer, dense_forward, dropout_apply,
+                        glorot_uniform, same_length_conv)
+from cru.recurrent import make_cell, pack
 
 
 def rng_for(seed):
@@ -19,47 +24,59 @@ def rng_for(seed):
 # Embeddings
 # ---------------------------------------------------------------------------
 
+def embed_config(dim):
+    return TrainConfig(variant="gru", embed_dim=dim, hidden_dim=2, fc_dim=2)
+
+
 def test_embedding_init_zeroes_pad_row():
-    table = EmbeddingTable.init(rng_for(0), vocab_size=6, dim=4)
-    assert np.all(table.weights.data[PAD_ID] == 0.0)
-    assert table.weights.requires_grad
-    assert table.weights.shape == (6, 4)
+    table = SentimentModel.build(embed_config(4), 6, rng_for(0)).embedding
+    assert np.all(table.data[PAD_ID] == 0.0)
+    assert table.requires_grad
+    assert table.shape == (6, 4)
 
 
 def test_embedding_needs_special_rows():
+    # Every vocabulary holds the pad and unk rows, so a table without them
+    # never matches one.
+    assert len(Vocab([])) == 2
     with pytest.raises(ConfigError):
-        EmbeddingTable(Tensor(np.zeros((1, 4))))
+        SentimentModel.build(embed_config(4), len(Vocab([])), rng_for(0),
+                             embedding=Tensor(np.zeros((1, 4))))
 
 
-# The lookup is the one forward_batch does: take_rows on the table's weights
-# with the flattened (B, n) ids.
+# The lookup is the one forward_batch does: take_rows on the table with the
+# flattened (B, n) ids.
+
+def table_for(seed, rows, dim):
+    return Tensor(rng_for(seed).uniform(-0.05, 0.05, (rows, dim)), requires_grad=True)
+
 
 def test_embed_lookup_gathers_rows():
-    table = EmbeddingTable.init(rng_for(1), 5, 3)
+    table = table_for(1, 5, 3)
     ids = np.array([2, 4, 2])
-    out = ad.take_rows(table.weights, ids)
-    assert np.allclose(out.data, table.weights.data[ids])
+    out = ad.take_rows(table, ids)
+    assert np.allclose(out.data, table.data[ids])
 
 
 def test_embed_lookup_2d_ids():
-    table = EmbeddingTable.init(rng_for(2), 5, 3)
+    table = table_for(2, 5, 3)
     ids = np.array([[1, 2], [3, 4]])
-    out = ad.reshape(ad.take_rows(table.weights, ids.reshape(-1)), (2, 2, 3))
-    assert np.allclose(out.data, table.weights.data[ids])
+    out = ad.reshape(ad.take_rows(table, ids.reshape(-1)), (2, 2, 3))
+    assert np.allclose(out.data, table.data[ids])
 
 
 def test_embed_lookup_rejects_empty():
-    table = EmbeddingTable.init(rng_for(3), 5, 3)
+    table = table_for(3, 5, 3)
     with pytest.raises(ContractError):
-        ad.take_rows(table.weights, np.array([], dtype=np.intp))
+        ad.take_rows(table, np.array([], dtype=np.intp))
 
 
 def test_embed_lookup_gradient_accumulates_per_row():
-    table = EmbeddingTable.init(rng_for(4), 5, 2)
+    table = table_for(4, 5, 2)
     with Tape() as tape:
-        out = ad.take_rows(table.weights, np.array([3, 3, 1]))
+        out = ad.take_rows(table, np.array([3, 3, 1]))
         tape.backward(ad.sum_all(out))
-    g = np.asarray(table.weights.grad)
+    g = np.asarray(table.grad)
     assert np.allclose(g[3], 2.0) and np.allclose(g[1], 1.0)
     assert np.allclose(g[[0, 2, 4]], 0.0)
 
@@ -68,19 +85,28 @@ def test_embed_lookup_gradient_accumulates_per_row():
 # Convolution bank
 # ---------------------------------------------------------------------------
 
+def conv_of(bank):
+    """The bank over two rows of three channels, through a width-3 window."""
+    return same_length_conv([[bank]], Tensor(np.zeros((2, 3))), pack([2]).window(3))
+
+
 def test_conv_bank_rejects_even_window():
     with pytest.raises(ConfigError):
-        ConvBank(Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros(2)))
+        conv_of(ConvBank(Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros(2))))
+    with pytest.raises(ConfigError):  # no window has an even width
+        pack([2]).window(4)
+    with pytest.raises(ConfigError):  # nor does a cell's bank
+        make_cell("shallow", rng_for(0), 3, 3, k=4)
 
 
 def test_conv_bank_rejects_bad_bias():
     with pytest.raises(DimensionError):
-        ConvBank(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros(3)))
+        conv_of(ConvBank(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros(3))))
 
 
 def test_conv_bank_rejects_unknown_activation():
     with pytest.raises(ConfigError):
-        ConvBank(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros(2)), "swish")
+        conv_of(ConvBank(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros(2)), "swish"))
 
 
 def test_same_length_conv_hand_oracle():
@@ -149,6 +175,13 @@ def test_dense_forward_shape_mismatch():
         dense_forward(layer, Tensor(np.zeros((2, 5))))
     with pytest.raises(DimensionError):  # a bare vector is not a batch
         dense_forward(layer, Tensor(np.zeros(4)))
+    x = Tensor(np.zeros((2, 4)))
+    with pytest.raises(DimensionError):
+        dense_forward(DenseLayer(layer.weights, Tensor(np.zeros(4))), x)
+    with pytest.raises(DimensionError):
+        dense_forward(DenseLayer(Tensor(np.zeros(4)), layer.bias), x)
+    with pytest.raises(ConfigError):
+        dense_forward(DenseLayer(layer.weights, layer.bias, "swish"), x)
 
 
 def test_dense_gradcheck():

@@ -6,7 +6,7 @@ import pytest
 from cru import autodiff as ad
 from cru.autodiff import RowGrad, Tape, Tensor
 from cru.errors import ConfigError, ContractError, NumericError
-from cru.optim import BLOCK_ROWS, Adam
+from cru.optim import BETA1, BETA2, BLOCK_ROWS, EPS, Adam
 from oracles import add, l2_penalty, matmul
 
 
@@ -22,7 +22,7 @@ def test_adam_single_step_hand_oracle():
     p = make_param([1.0, -2.0])
     g = np.array([0.5, -1.5])
     p.grad = g.copy()
-    opt = Adam({"p": p}, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam({"p": p}, lr=0.1)
     opt.step()
     # t=1: m=(1-b1)g, v=(1-b2)g^2; m_hat=g, v_hat=g^2
     # update = lr * g / (|g| + eps)
@@ -80,15 +80,9 @@ def test_adam_validation():
     p = make_param([1.0])
     with pytest.raises(ConfigError):
         Adam({"p": p}, lr=-0.1)
-    with pytest.raises(ConfigError):
-        Adam({"p": p}, beta1=1.0)
-    with pytest.raises(ConfigError):
-        Adam({"p": p}, eps=0.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ConfigError):
             Adam({"p": p}, lr=bad)
-        with pytest.raises(ConfigError):
-            Adam({"p": p}, eps=bad)
 
 
 def test_adam_shape_drift_detected():
@@ -326,8 +320,8 @@ def test_norm_pass_gradient_equals_tape_l2_gradient(rows):
     before = [w.data.copy(), u.data.copy()]
     opt.step()
     for name, p, p0, g in zip("wu", (w, u), before, ref_grads):
-        m = (1.0 - opt.beta1) * g
-        v = (1.0 - opt.beta2) * g * g
-        want = p0 - opt.lr * (m / (1.0 - opt.beta1)) / (np.sqrt(v / (1.0 - opt.beta2)) + opt.eps)
+        m = (1.0 - BETA1) * g
+        v = (1.0 - BETA2) * g * g
+        want = p0 - opt.lr * (m / (1.0 - BETA1)) / (np.sqrt(v / (1.0 - BETA2)) + EPS)
         for got, ref in [(opt.m[name], m), (p.data, want)]:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

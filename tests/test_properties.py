@@ -6,17 +6,19 @@ gate-input tensor equals its three per-gate inputs side by side, the fused
 GRU scan equals its per-step composed reference and, given the projection's
 weights, the projection then the scan, bit for bit; training with the
 optimizer's blocked sweeps equals the dense update with the L2 term on the
-tape; ``build_vocab`` ranks as its first-occurrence reference; and the
-settings, word-vector, vocabulary and checkpoint readers, fed arbitrary
+tape; ``build_vocab`` ranks as its first-occurrence reference; a model
+whose records hold a tensor of any shape fails only with a ``CruError``; and
+the settings, word-vector, vocabulary and checkpoint readers, fed arbitrary
 files, raise only their documented errors."""
 
 import math
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cru import autodiff as ad
@@ -28,7 +30,8 @@ from cru.data import (Corpus, EncodedSample, Sample, Vocab, batch_and_pad, build
                       parse_kv_file, tokenize)
 from cru.errors import ConfigError, CruError, ParseError
 from cru.optim import BLOCK_ROWS, Adam
-from cru.recurrent import VARIANTS, _CellBase, make_cell, pack, run_sequence
+from cru.layers import dense_forward, same_length_conv
+from cru.recurrent import _BANKS, VARIANTS, _CellBase, make_cell, pack, run_sequence
 from oracles import (add, conv1d_same_einsum, conv1d_same_padded, dense_update,
                      gru_scan_composed, gru_scan_padded, packed_positions, prepare_per_gate,
                      project, project_then_scan, run_padded, run_row, token_positions,
@@ -143,6 +146,82 @@ def test_forward_batch_padded_equals_rows(case):
         assert abs(together[row] - model.forward_batch(one).data[0]) < 1e-12
 
 
+def tiny_model(variant):
+    config = TrainConfig(variant=variant, embed_dim=3, hidden_dim=3, fc_dim=4,
+                         dropout=0.0, vocab_cap=None, pretrained=None)
+    return SentimentModel.build(config, vocab_size=8, rng=seeded_rng(0, 1))
+
+
+# Every tensor that a cell, a bank or a dense layer of some variant holds.
+RECORD_TENSORS = sorted({name for v in VARIANTS for name in tiny_model(v).named_params()}
+                        - {"embedding.weights"})
+
+
+def with_tensor(model, variant, name, t):
+    """Rebuild the record that holds the tensor called name, and its cell,
+    with t in its place."""
+    owner, field = name.split(".", 1)
+    if owner in ("fc", "out"):
+        setattr(model, owner, replace(getattr(model, owner), **{field: t}))
+        return
+    cell = getattr(model, f"{owner}_cell")
+    params, banks = cell.params, list(cell.banks)
+    if "." in field:
+        tag, part = field.split(".")
+        i = _BANKS[variant].index(tag)
+        banks[i] = replace(banks[i], **{part: t})
+    else:
+        params = replace(params, **{field: t})
+    setattr(model, f"{owner}_cell", _CellBase(variant, params, banks))
+
+
+def fails_cleanly(run) -> bool:
+    """Whether run raised a CruError; any other exception escapes."""
+    try:
+        run()
+    except CruError:
+        return True
+    return False
+
+
+@PROPERTY
+@given(st.sampled_from(VARIANTS), st.sampled_from(RECORD_TENSORS),
+       st.lists(st.integers(0, 4), max_size=3))
+@example("gru", "fwd.W", [])  # a scalar W, once an IndexError in GruParams
+@example("shallow", "bwd.conv.filters", [3])  # rank 1: no width to draw a window for
+@example("deep", "fwd.conv_z.filters", [3, 0, 3])  # a window of width 0
+@example("deep_enhanced", "fwd.conv_z.filters", [3, 5, 3])  # a wider window in one bank
+@example("deep", "bwd.U", [3, 3])  # the shape it has
+def test_malformed_record_raises_only_cru_errors(variant, name, shape):
+    # Building the records and running every path that reads the tensor
+    # either succeeds or fails with a CruError, and succeeds for a tensor of
+    # the shape it replaces.
+    model = tiny_model(variant)
+    params = model.named_params()
+    assume(name in params)
+    t = Tensor(seeded_rng(len(shape), *shape).uniform(-0.5, 0.5, shape))
+    if fails_cleanly(lambda: with_tensor(model, variant, name, t)):
+        assert t.shape != params[name].shape
+        return
+    owner, cells = name.split(".")[0], (model.fwd_cell, model.bwd_cell)
+    E = Tensor(seeded_rng(0, 2).standard_normal((4, 3)))
+    packing = pack([3, 1])
+    (batch,) = batch_and_pad([EncodedSample(np.array([2, 5, 7]), 1),
+                              EncodedSample(np.array([3]), 0)], 2)
+    runs = [lambda: run_sequence(cells, E, packing),
+            lambda: model.forward_batch(batch)]
+    if owner in ("fc", "out"):
+        x = Tensor(np.ones((2, params[f"{owner}.weights"].shape[1])))
+        runs.append(lambda: dense_forward(getattr(model, owner), x))
+    if "conv" in name:
+        runs.append(lambda: same_length_conv([c.banks for c in cells],
+                                             ad.take_rows(E, packing.rows), packing.window(3),
+                                             residual=variant == "deep_enhanced"))
+    failed = [fails_cleanly(run) for run in runs]
+    if t.shape == params[name].shape:
+        assert not any(failed)
+
+
 conv_cases = st.tuples(st.integers(1, 4), st.integers(1, 9), st.sampled_from([1, 3, 5, 7]),
                        st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
 
@@ -242,11 +321,11 @@ def test_prepare_equals_per_gate_inputs_side_by_side(case):
     in_packed_order = np.array([r * n + t for r, t in packed_positions([n] * b)])
     recurrence = {"U_z", "U_r", "U", "b_z", "b_r", "b_h"}
     leaves = [E] + [t for name, t in cell.named_params().items() if name not in recurrence]
-    G = Tensor(rng.standard_normal((b * n, 3 * cell.params.hidden_dim)))
+    G = Tensor(rng.standard_normal((b * n, 3 * cell.params.U.shape[0])))
 
     def per_gate(x):
         gates = ad.concat_cols(prepare_per_gate(cell, ad.reshape(x, (b, n, d))))
-        return ad.take_rows(ad.reshape(gates, (b * n, 3 * cell.params.hidden_dim)),
+        return ad.take_rows(ad.reshape(gates, (b * n, 3 * cell.params.U.shape[0])),
                             in_packed_order)
 
     def prepared(x):
@@ -456,7 +535,7 @@ def test_vector_parser_raises_only_parse_errors(lines):
         except (ParseError, OSError):
             return
     data.decode("utf-8")  # a file that parses is UTF-8
-    assert np.all(np.isfinite(table.weights.data)) and 0 <= coverage <= 1
+    assert np.all(np.isfinite(table.data)) and 0 <= coverage <= 1
 
 
 def tensor_record(name: bytes, shape, values) -> bytes:

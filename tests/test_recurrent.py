@@ -26,7 +26,8 @@ def sig(x):
 
 def conv_row(bank, E):
     """The bank's same-length convolution of one unpadded (n, d) sequence."""
-    return same_length_conv([[bank]], Tensor(E), pack([len(E)]).window(bank.width)).data
+    window = pack([len(E)]).window(bank.filters.shape[1])
+    return same_length_conv([[bank]], Tensor(E), window).data
 
 
 def ref_step(p: GruParams, pz, pr, ph, h):
@@ -64,13 +65,21 @@ def linear_banks(A):
 def test_gru_params_validation():
     rng = rng_for(0)
     p = GruParams.init(rng, 3, 4)
-    assert p.hidden_dim == 4 and p.input_dim == 3
+    assert p.U.shape == (4, 4) and p.W.shape == (4, 3)
+    E = Tensor(rng.standard_normal((2, 3)))
+
+    def run(**bad):
+        cell = _CellBase("gru", GruParams(**{**p.named(), **bad}))
+        return run_sequence([cell], E, pack([2], (False,)))
+
+    run()
+    # The record takes any shapes; the scan rejects them on first use.
     with pytest.raises(DimensionError):
-        GruParams(U_z=Tensor(np.zeros((4, 3))), U_r=p.U_r, U=p.U,
-                  b_z=p.b_z, b_r=p.b_r, b_h=p.b_h)
+        run(U_z=Tensor(np.zeros((4, 3))))
     with pytest.raises(DimensionError):
-        GruParams(U_z=p.U_z, U_r=p.U_r, U=p.U,
-                  b_z=Tensor(np.zeros(3)), b_r=p.b_r, b_h=p.b_h)
+        run(b_z=Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):  # and the projection the W_*
+        run(W=Tensor(np.zeros((4, 2))))
     with pytest.raises(ConfigError):
         GruParams(U_z=p.U_z, U_r=p.U_r, U=p.U, b_z=p.b_z, b_r=p.b_r,
                   b_h=p.b_h, W_z=p.W_z)  # missing W_r, W
@@ -78,7 +87,8 @@ def test_gru_params_validation():
 
 def test_gru_params_deep_form_has_no_input_dim():
     p = GruParams.init(rng_for(1), None, 4)
-    assert p.W is None and p.input_dim is None
+    assert p.W_z is None and p.W_r is None and p.W is None
+    assert sorted(p.named()) == ["U", "U_r", "U_z", "b_h", "b_r", "b_z"]
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +161,10 @@ def test_deep_step_matches_reference_and_validates():
     h, got = (a[0] for a in one_step(_CellBase("deep", p, banks), x_prev[None], x[None]))
     assert np.allclose(got, ref_step(p, A[0] @ x, A[1] @ x, A[2] @ x, h), atol=1e-12)
     narrow = linear_banks(rng.standard_normal((1, 3, 4)))[0]
-    with pytest.raises(ConfigError):  # bank width must equal hidden size
-        _CellBase("deep", p, [narrow, banks[1], banks[2]])
+    with pytest.raises(DimensionError):  # bank width must equal hidden size
+        one_step(_CellBase("deep", p, [narrow, banks[1], banks[2]]), x_prev[None], x[None])
+    with pytest.raises(DimensionError):  # in every bank: the scan's P check
+        one_step(_CellBase("deep", p, [narrow] * 3), x_prev[None], x[None])
     p_full = GruParams.init(rng, 4, 4)
     with pytest.raises(ConfigError):
         _CellBase("deep", p_full, banks)
@@ -486,7 +498,7 @@ def test_run_bidirectional_errors():
     bwd = make_cell("gru", rng, 5, 5)
     enriched = enrich_embeddings(Tensor(rng.standard_normal((4, 3))),
                                  ["a", "b", "c", "d"], ["a"])
-    with pytest.raises(ConfigError):
+    with pytest.raises(DimensionError):  # the scan's check of the directions' widths
         encode_bidirectional_enriched(fwd, bwd, enriched)
 
 
