@@ -401,7 +401,7 @@ def take_rows(x: Tensor, ids) -> Tensor:
         raise ContractError("take_rows needs at least one index")
     if np.any(idx < 0) or np.any(idx >= x.shape[0]):
         bad = idx[(idx < 0) | (idx >= x.shape[0])][0]
-        raise IndexError(f"row id {bad} out of range [0, {x.shape[0]})")
+        raise ContractError(f"take_rows: row id {bad} out of range [0, {x.shape[0]})")
     # (N, D, d) in memory, so the side-by-side layout is a reshape of it.
     out = Tensor(x.data[idx].reshape(len(idx), -1))
     n, d = x.shape
@@ -666,7 +666,8 @@ def _scan_forward(P, u_zr_t, u_t, b_zr, b_g, H0, A, steps, zr_buf, g_buf, rh_buf
     """One direction's forward loop of ``gru_scan``: numpy on arrays only.
 
     H0: (b + T, d_h), whose first b rows are the zero state h_{-1}; the loop
-    writes every h_t into the rows after them, and every [z | r | g] into A.
+    writes every h_t into the rows after them, and every [z | r | g] into A,
+    this direction's columns of the gate array.
     """
     d_h = u_t.shape[0]
     zr_cols, h_cols = slice(0, 2 * d_h), slice(2 * d_h, None)
@@ -691,41 +692,47 @@ def _scan_forward(P, u_zr_t, u_t, b_zr, b_g, H0, A, steps, zr_buf, g_buf, rh_buf
         np.add(np.multiply(h, z, out=h_t), g, out=h_t)  # z * h + (1 - z) * g
 
 
-def _scan_backward(gout, A, H0, u_zr, u, steps, dA, d_u, d_b, H_prev, dh_buf, d_rh_buf,
+def _scan_backward(gout, A, H0, u_zr, u, steps, d_u, d_b, H_prev, dh_buf, zr_buf, d_rh_buf,
                    tmp_buf, c_buf):
     """One direction's backward loop of ``gru_scan``: numpy on arrays only.
 
-    Writes the gradients at the gates' pre-activations into dA, and those of
-    [U_z; U_r; U] and [b_z | b_r | b_h] into d_u and d_b. dh_buf starts at
-    zero.
+    Step t reads its rows of A, [z | r | g], and then writes the gradients at
+    the gates' pre-activations over them, so A ends holding this direction's
+    columns of dP. Its rows of gout, once added into dh, take r * h_{t-1}, and
+    H_prev's take h_{t-1}: the two T-row operands of the weight gradients of
+    [U_z; U_r; U] and [b_z | b_r | b_h], formed into d_u and d_b after the
+    loop. dh_buf starts at zero.
     """
     d_h = u.shape[0]
     zr_cols, h_cols = slice(0, 2 * d_h), slice(2 * d_h, None)
     for k, lo, prev in reversed(steps):
         hi = lo + k
-        a, da = A[lo:hi], dA[lo:hi]
-        zr, z, r, g = a[:, zr_cols], a[:, :d_h], a[:, d_h:2 * d_h], a[:, h_cols]
+        da = A[lo:hi]
+        g = da[:, h_cols]  # read before da_g overwrites it
         da_zr, da_z, da_r, da_g = (da[:, zr_cols], da[:, :d_h], da[:, d_h:2 * d_h],
                                    da[:, h_cols])
-        h = H_prev[lo:hi]
+        zr = zr_buf[:k]
+        zr[...] = da_zr
+        z, r = zr[:, :d_h], zr[:, d_h:]
+        h, rh = H_prev[lo:hi], gout[lo:hi]
         h[...] = H0[prev:prev + k]
         # Rows k_{t+1}..k_t end at step t, so their dh is still zero here.
         dh, tmp, d_rh = dh_buf[:k], tmp_buf[:k], d_rh_buf[:k]
-        dh += gout[lo:hi]
+        dh += rh
         np.multiply(np.subtract(1.0, z, out=tmp), dh, out=tmp)
+        np.multiply(np.subtract(h, g, out=da_z), dh, out=da_z)
         np.subtract(1.0, np.multiply(g, g, out=da_g), out=da_g)
         np.matmul(np.multiply(tmp, da_g, out=da_g), u, out=d_rh)  # at r * h
-        np.multiply(np.subtract(h, g, out=da_z), dh, out=da_z)
         np.multiply(d_rh, h, out=da_r)
+        np.multiply(h, r, out=rh)  # r * h_{t-1}, which U multiplies
         da_zr *= zr
         da_zr *= np.subtract(1.0, zr, out=c_buf[:k])
         dh *= z
         dh += np.multiply(d_rh, r, out=tmp)
         dh += np.matmul(da_zr, u_zr, out=tmp)
-    np.matmul(dA[:, zr_cols].T, H_prev, out=d_u[:2 * d_h])
-    H_prev *= A[:, d_h:2 * d_h]  # now r * h_{t-1}, which U multiplies
-    np.matmul(dA[:, h_cols].T, H_prev, out=d_u[2 * d_h:])
-    np.sum(dA, axis=0, out=d_b)
+    np.matmul(A[:, zr_cols].T, H_prev, out=d_u[:2 * d_h])
+    np.matmul(A[:, h_cols].T, gout, out=d_u[2 * d_h:])
+    np.sum(A, axis=0, out=d_b)
 
 
 _SCAN_INPUTS = ("U_z", "U_r", "U", "b_z", "b_r", "b_h")
@@ -740,9 +747,7 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
     (``_project_forward(x, weights)``), formed here and freed once the
     forward loop has read them (gru and shallow pass one group [W_z, W_r, W]
     per direction, deep_enhanced three groups of one). Then neither P nor its
-    gradient dP reaches a tape: the backward writes dP, hands it to the
-    projection's backward for the gradients of x and of the weights, and
-    frees it.
+    gradient dP reaches a tape.
 
     P: (T, D 3 d_h), direction i's [P_z | P_r | P_h] in columns 3 i d_h to
     3 (i + 1) d_h, in time-major packed order: step t owns the contiguous
@@ -757,10 +762,18 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
     and the result holds every h_t side by side, (T, D d_h), direction i's
     in columns i d_h to (i + 1) d_h. Both gates that read h_{t-1} share one
     (d_h, 2 d_h) matmul, and h_{t-1} is the first k_t rows of the block
-    before, so every step reads and writes contiguous blocks. Backward is a
-    reverse loop that carries dh through two small matmuls per step and
-    writes each direction's gate gradients into its columns of one dP; the
-    weight and bias gradients are formed after it, each one T-row matmul or sum.
+    before, so every step reads and writes contiguous blocks. The forward
+    keeps every row's [z | r | g] in one (T, D 3 d_h) gate array, in P's
+    column layout.
+
+    Backward is a reverse loop that carries dh through two small matmuls per
+    step and writes each step's gate gradients over its rows of the gate
+    array, which then is dP: it goes to the projection's backward for the
+    gradients of x and of the weights, and is freed, or is x's gradient
+    itself. The weight and bias gradients are formed after the loop, each one
+    T-row matmul or sum. So the first backward consumes the gates; a second
+    backward over the same tape recomputes them first, by rerunning the
+    forward loop from P (re-formed from x and the weights) in fresh arrays.
 
     When the first step's h U^T has at least ``_CONCURRENT_STEP_WORK``
     multiply-adds, direction 0's loops run on the calling thread and the
@@ -795,43 +808,52 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
     prevs = [0] + [b + s for s in starts[:-1]]
     steps = list(zip(sizes, starts, prevs))
     concurrent = D > 1 and b * d_h * d_h >= _CONCURRENT_STEP_WORK
-
-    # Each direction writes its states straight into its own columns of H0.
-    H0 = np.empty((b + total, D * d_h))
-    H0[:b] = 0.0
     cols = [slice(i * d_h, (i + 1) * d_h) for i in range(D)]
     gates = [slice(3 * i * d_h, 3 * (i + 1) * d_h) for i in range(D)]
-    As = [np.empty((total, 3 * d_h)) for _ in directions]  # [z | r | g] of every row
     u_zrs = [np.concatenate([d[0].data, d[1].data]) for d in directions]  # (2 d_h, d_h)
     us = [d[2].data for d in directions]
-    _run_loops([partial(_scan_forward, P[:, gates[i]], u_zrs[i].T, us[i].T,
-                        np.concatenate([d[3].data, d[4].data]), d[5].data, H0[:, cols[i]],
-                        As[i], steps, np.empty((b, 2 * d_h)),
-                        *(np.empty((b, d_h)) for _ in range(3)))
-                for i, d in enumerate(directions)], concurrent)
+
+    def forward(P):
+        """H0 and the gate array of the recurrence over P: each direction
+        writes its states and its [z | r | g] straight into its own columns."""
+        H0 = np.empty((b + total, D * d_h))
+        H0[:b] = 0.0
+        A = np.empty((total, D * 3 * d_h))
+        _run_loops([partial(_scan_forward, P[:, gates[i]], u_zrs[i].T, us[i].T,
+                            np.concatenate([d[3].data, d[4].data]), d[5].data,
+                            H0[:, cols[i]], A[:, gates[i]], steps, np.empty((b, 2 * d_h)),
+                            *(np.empty((b, d_h)) for _ in range(3)))
+                    for i, d in enumerate(directions)], concurrent)
+        return H0, A
+
+    H0, A = forward(P)
     del P  # freed here if formed here: a tape keeps x, not the gate inputs
+    unread = [A]  # the gates, until the first backward writes dP over them
 
     def apply(gout, emit):
-        dP = np.empty((total, D * 3 * d_h))
+        # A later backward finds the gates overwritten, and recomputes them.
+        h0, A = (H0, unread.pop()) if unread else forward(
+            x.data if project_backward is None else _project_forward(x, groups)[0])
         # One buffer holds each direction's h_{t-1} rows in the reverse loops,
         # then x's gradient: one such array is allocated, not two in turn.
         width = 0 if project_backward is None else x.shape[-1]
         scratch = np.empty(total * max(D * d_h, width))
         grads = [(np.empty((3 * d_h, d_h)), np.empty(3 * d_h)) for _ in directions]
-        _run_loops([partial(_scan_backward, gout[:, cols[i]], As[i], H0[:, cols[i]], u_zrs[i],
-                            us[i], steps, dP[:, gates[i]], *grads[i],
+        _run_loops([partial(_scan_backward, gout[:, cols[i]], A[:, gates[i]], h0[:, cols[i]],
+                            u_zrs[i], us[i], steps, *grads[i],
                             scratch[i * total * d_h:(i + 1) * total * d_h].reshape(total, d_h),
-                            np.zeros((b, d_h)), np.empty((b, d_h)), np.empty((b, d_h)),
-                            np.empty((b, 2 * d_h))) for i in range(D)], concurrent)
+                            np.zeros((b, d_h)), np.empty((b, 2 * d_h)), np.empty((b, d_h)),
+                            np.empty((b, d_h)), np.empty((b, 2 * d_h))) for i in range(D)],
+                   concurrent)
         for i, (d_u, d_b) in enumerate(grads):
             at = 1 + i * len(_SCAN_INPUTS)
             for j in range(3):
                 emit(at + j, d_u[j * d_h:(j + 1) * d_h])
                 emit(at + 3 + j, d_b[j * d_h:(j + 1) * d_h])
-        # Handed over without a copy, so only once nothing here reads it. A dP
-        # formed from x's gradient is freed when this returns.
-        emit(0, dP if project_backward is None
-             else project_backward(dP, emit, 1 + D * len(_SCAN_INPUTS),
+        # A is now dP, handed over without a copy, so only once nothing here
+        # reads it. A dP formed from x's gradient is freed when this returns.
+        emit(0, A if project_backward is None
+             else project_backward(A, emit, 1 + D * len(_SCAN_INPUTS),
                                    scratch[:total * width].reshape(total, width)),
              owned=True)
 

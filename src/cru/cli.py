@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
+import uuid
 from dataclasses import fields
 from pathlib import Path
 
@@ -137,6 +139,20 @@ def _has_splits(path: Path, fmt: str) -> bool:
     return fmt == "imdb" and (path / "train").is_dir() and (path / "test").is_dir()
 
 
+def write_csv(path: Path, rows) -> None:
+    """Write rows to path as CSV, atomically, as ``save_checkpoint`` writes:
+    into a temporary file beside it, renamed over it once complete. A failed
+    write leaves the previous file as it was, and no temporary file."""
+    tmp = path.with_name(f".{path.name}.tmp-{uuid.uuid4().hex}")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_train(args) -> int:
     path, fmt = resolve_dataset(args.dataset, args.format)
     args.fmt = fmt
@@ -192,15 +208,13 @@ def cmd_train(args) -> int:
             emit(f"summary folds={len(splits)} "
                  f"mean_cv_accuracy={float(np.mean(accuracies)):.4f}")
 
-        with open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            # Test rows leave the training telemetry empty.
-            writer.writerow(["epoch", "fold", "split", "loss", "accuracy"]
-                            + [k for k, _ in TELEMETRY])
-            for r in history:
-                writer.writerow([r["epoch"], r["fold"], r["split"],
-                                 f"{r['loss']:.6f}", f"{r['accuracy']:.6f}"]
-                                + [format(r[k], f) if k in r else "" for k, f in TELEMETRY])
+        # Test rows leave the training telemetry empty.
+        write_csv(out_dir / "metrics.csv",
+                  [["epoch", "fold", "split", "loss", "accuracy"] + [k for k, _ in TELEMETRY]]
+                  + [[r["epoch"], r["fold"], r["split"], f"{r['loss']:.6f}",
+                      f"{r['accuracy']:.6f}"]
+                     + [format(r[k], f) if k in r else "" for k, f in TELEMETRY]
+                     for r in history])
         # The last model trained is the one saved.
         emit(f"checkpoint fold={len(splits) - 1} path={out_dir / 'checkpoint'}")
         save_checkpoint(out_dir / "checkpoint", model, config, vocab)
@@ -225,10 +239,8 @@ def cmd_eval(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "eval.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "fold", "split", "loss", "accuracy"])
-            writer.writerow([0, 0, "eval", f"{loss:.6f}", f"{acc:.6f}"])
+        write_csv(out_dir / "eval.csv", [["epoch", "fold", "split", "loss", "accuracy"],
+                                         [0, 0, "eval", f"{loss:.6f}", f"{acc:.6f}"]])
     return 0
 
 
