@@ -212,6 +212,8 @@ class Tape:
                 # g is a fresh buffer this pass owns, so the leaf can keep it.
                 t.grad = g if t.grad is None else t.grad + g
             if node.apply is not None:
+                # An op's backward may also write over g, its last reader
+                # (gru_scan keeps r * h_{t-1} there).
                 input_ids = node.input_ids
 
                 def emit(i: int, grad, rows=None, owned=False) -> None:
@@ -815,10 +817,12 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
 
     def forward(P):
         """H0 and the gate array of the recurrence over P: each direction
-        writes its states and its [z | r | g] straight into its own columns."""
+        writes its states and its [z | r | g] straight into its own columns.
+        Step t reads its rows of P before it writes theirs of the gate array,
+        so a P formed here becomes the gate array; x itself is never written."""
         H0 = np.empty((b + total, D * d_h))
         H0[:b] = 0.0
-        A = np.empty((total, D * 3 * d_h))
+        A = np.empty((total, D * 3 * d_h)) if project_backward is None else P
         _run_loops([partial(_scan_forward, P[:, gates[i]], u_zrs[i].T, us[i].T,
                             np.concatenate([d[3].data, d[4].data]), d[5].data,
                             H0[:, cols[i]], A[:, gates[i]], steps, np.empty((b, 2 * d_h)),
@@ -826,9 +830,11 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
                     for i, d in enumerate(directions)], concurrent)
         return H0, A
 
+    # The gates, until the first backward writes dP over them; a tape keeps x,
+    # not the gate inputs.
     H0, A = forward(P)
-    del P  # freed here if formed here: a tape keeps x, not the gate inputs
-    unread = [A]  # the gates, until the first backward writes dP over them
+    unread = [A]
+    del P, A
 
     def apply(gout, emit):
         # A later backward finds the gates overwritten, and recomputes them.

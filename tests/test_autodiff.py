@@ -3,6 +3,7 @@ and the shape/validity contracts of each primitive.
 """
 
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -946,6 +947,64 @@ def test_owned_gradients_take_later_gradients_in_place():
     assert np.array_equal(first[1], alone[1] + G_x)
     assert np.array_equal(inputs[0].grad, 2 * first[0])
     assert np.array_equal(x.grad, 2 * first[1])
+
+
+def test_scan_backward_allocates_no_second_gate_array():
+    # The backward writes dP over the gate array the forward kept, so what it
+    # traces above where it began stays below one gate array plus one x-sized
+    # array: two directions, with weights, at T = 400.
+    rng = rng_for(43)
+    sizes, c, d_h = [8] * 50, 8, 8
+    T = sum(sizes)
+    x = Tensor(rng.standard_normal((T, 2 * c)), requires_grad=True)
+    directions = [scan_inputs(rng, sizes, d_h)[1:] for _ in range(2)]
+    readout = Tensor(rng.standard_normal((T, 2 * d_h)))
+    with Tape() as tape:
+        loss = ad.sum_all(ad.mul(ad.gru_scan(x, directions, sizes,
+                                             gate_weights(rng, 2, 1, c, d_h)), readout))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tape.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak - start < T * 2 * 3 * d_h * 8 + x.data.nbytes
+
+
+@pytest.mark.parametrize("concurrent", [False, True])
+@pytest.mark.parametrize("groups", [None, 1, 3])
+def test_second_backward_recomputes_the_scan_gates(monkeypatch, groups, concurrent):
+    # The first backward writes dP over the gates; a second one over the same
+    # tape recomputes them, so it adds exactly the first's gradients again.
+    # The gate inputs are given (groups None) or formed from x by one group
+    # per direction (gru) or three groups of one (deep_enhanced), with both
+    # directions on this thread or the second on the worker.
+    pool = CountingPool()
+    monkeypatch.setattr(ad, "_WORKER", pool)
+    if concurrent:
+        monkeypatch.setattr(ad, "_CONCURRENT_STEP_WORK", 1)
+    rng = rng_for(41)
+    sizes, c, d_h = [3, 3, 2, 1], 2, 3
+    width = 3 * d_h if groups is None else groups * c
+    x = Tensor(rng.standard_normal((9, 2 * width)), requires_grad=True)
+    directions = [scan_inputs(rng, sizes, d_h)[1:] for _ in range(2)]
+    weights = None if groups is None else gate_weights(rng, 2, groups, c, d_h)
+    params = [x] + [t for d in directions for t in d] + [w for g in weights or [] for w in g]
+    readout = Tensor(rng.standard_normal((9, 2 * d_h)))
+    with Tape() as tape:
+        states = ad.gru_scan(x, directions, sizes, weights)
+        kept = states.data.copy()
+        loss = ad.sum_all(ad.mul(states, readout))
+        tape.backward(loss)
+        first = [p.grad.copy() for p in params]
+        tape.backward(loss)
+    assert np.array_equal(states.data, kept)
+    for p, g in zip(params, first):
+        assert np.array_equal(p.grad, 2 * g)
+    # Forward, first backward, then the recomputed forward and the backward.
+    assert pool.submitted == (4 if concurrent else 0)
+    pool.pool.shutdown()
 
 
 def test_project_gradcheck():

@@ -16,7 +16,7 @@ from cru.classifier import (SentimentModel, TrainConfig, bce_loss, evaluate,
                             train_epoch, train_on_split)
 from cru.data import Batch, Sample, Vocab, batch_and_pad, build_vocab, Corpus, \
     encode_corpus
-from cru.errors import ConfigError, ContractError, DimensionError, NumericError
+from cru.errors import ConfigError, ContractError, CruError, DimensionError, NumericError
 from cru.optim import BLOCK_ROWS, Adam
 from cru.recurrent import VARIANTS
 from oracles import activation, forward_reference
@@ -217,6 +217,13 @@ def test_zero_length_row_is_a_contract_error():
     batch.mask[1] = 0.0
     with pytest.raises(ContractError, match="row 1"):
         model.forward_batch(batch)
+
+
+def test_token_id_past_the_table_is_a_cru_error():
+    config = tiny_config(variant="gru")
+    model = SentimentModel.build(config, vocab_size=8, rng=seeded_rng(15, 1))
+    with pytest.raises(CruError, match=r"row id 9 out of range \[0, 8\)"):
+        model.forward_batch(batch_from_rows([[2, 9, 3]], [1]))
 
 
 def test_dropout_draws_are_shared_between_directions():

@@ -223,6 +223,31 @@ def test_eval_reports_metrics_and_is_repeatable(trained_run, tmp_path, capsys):
     assert rows[0] == ["epoch", "fold", "split", "loss", "accuracy"]
     assert rows[1][2] == "eval"
 
+def test_failed_csv_write_leaves_the_previous_file(trained_run, tmp_path, monkeypatch):
+    # eval.csv (and metrics.csv) go to a temporary name beside the file and
+    # are renamed over it once complete: a writer that fails mid-row leaves
+    # the previous file byte for byte, and no temporary file.
+    out = tmp_path / "e"
+    argv = ["eval", "--checkpoint", str(trained_run / "checkpoint"),
+            "--dataset", str(FIXTURE), "--format", "mr", "--out", str(out)]
+    assert main(argv) == 0
+    before = (out / "eval.csv").read_bytes()
+
+    class FailingWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def writerows(self, rows):
+            self.fh.write("epoch,fo")
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.csv, "writer", FailingWriter)
+    assert main(argv) == 2
+    assert (out / "eval.csv").read_bytes() == before
+    assert [p.name for p in out.iterdir()] == ["eval.csv"]
+
+
 def test_eval_scores_only_the_test_split_of_an_imdb_tree(trained_run, tmp_path, capsys):
     # train/ has no neg/ directory: eval must not read it.
     (tmp_path / "imdb" / "train" / "pos").mkdir(parents=True)
