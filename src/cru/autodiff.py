@@ -746,10 +746,9 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
     as one tape node.
 
     The gate inputs P are x itself or, given weights, x's projections
-    (``_project_forward(x, weights)``), formed here and freed once the
-    forward loop has read them (gru and shallow pass one group [W_z, W_r, W]
-    per direction, deep_enhanced three groups of one). Then neither P nor its
-    gradient dP reaches a tape.
+    (``_project_forward(x, weights)``), formed here (gru and shallow pass one
+    group [W_z, W_r, W] per direction, deep_enhanced three groups of one).
+    Then neither P nor its gradient dP reaches a tape.
 
     P: (T, D 3 d_h), direction i's [P_z | P_r | P_h] in columns 3 i d_h to
     3 (i + 1) d_h, in time-major packed order: step t owns the contiguous
@@ -766,7 +765,9 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
     (d_h, 2 d_h) matmul, and h_{t-1} is the first k_t rows of the block
     before, so every step reads and writes contiguous blocks. The forward
     keeps every row's [z | r | g] in one (T, D 3 d_h) gate array, in P's
-    column layout.
+    column layout: P itself when P is formed here, as each step reads its
+    rows of P before it writes theirs of the gates, and a new array when P is
+    x.
 
     Backward is a reverse loop that carries dh through two small matmuls per
     step and writes each step's gate gradients over its rows of the gate
@@ -775,7 +776,7 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
     itself. The weight and bias gradients are formed after the loop, each one
     T-row matmul or sum. So the first backward consumes the gates; a second
     backward over the same tape recomputes them first, by rerunning the
-    forward loop from P (re-formed from x and the weights) in fresh arrays.
+    forward loop over P formed again (or x) into new arrays.
 
     When the first step's h U^T has at least ``_CONCURRENT_STEP_WORK``
     multiply-adds, direction 0's loops run on the calling thread and the
@@ -830,11 +831,8 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
                     for i, d in enumerate(directions)], concurrent)
         return H0, A
 
-    # The gates, until the first backward writes dP over them; a tape keeps x,
-    # not the gate inputs.
     H0, A = forward(P)
-    unread = [A]
-    del P, A
+    unread = [A]  # the gates, until the first backward writes dP over them
 
     def apply(gout, emit):
         # A later backward finds the gates overwritten, and recomputes them.

@@ -223,6 +223,7 @@ def test_eval_reports_metrics_and_is_repeatable(trained_run, tmp_path, capsys):
     assert rows[0] == ["epoch", "fold", "split", "loss", "accuracy"]
     assert rows[1][2] == "eval"
 
+
 def test_failed_csv_write_leaves_the_previous_file(trained_run, tmp_path, monkeypatch):
     # eval.csv (and metrics.csv) go to a temporary name beside the file and
     # are renamed over it once complete: a writer that fails mid-row leaves
