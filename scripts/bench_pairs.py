@@ -9,9 +9,10 @@ PARENT and CHANGE are git revisions of this repository. Each is exported with
 there, one process per run. Pair i runs the parent first when i is even and
 the change first when i is odd, so a slow drift of the host falls on both
 sides alike. Before each run, one fixed float64 GEMM (the doc shape's
-projection, on one BLAS thread) is timed in a process of its own: a pair in which
-that time moved by more than ``DRIFT_LIMIT`` between its two runs is marked
-``drifted``, and kept.
+projection, on one BLAS thread) is timed in a process of its own. A pair in
+which that time moved between its two runs by more than the set's own spread
+of kernel times (q3 - q1 of all of them over their median, but at least
+``DRIFT_FLOOR``) is marked ``drifted``, and kept; the file records the limit.
 
 The file holds every run (its ``env``, ``metric`` and ``check`` lines, exit
 code and final JSON counts) and, per metric, each side's median and
@@ -33,7 +34,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DRIFT_LIMIT = 0.10
+DRIFT_FLOOR = 0.10
 DRIFT_SHAPE = (6144, 256, 768)  # (T, d, 3 d_h): one direction's doc projection
 # The drift kernel runs in its own process, on one BLAS thread as perfbench
 # runs, so that this process imports no numpy: a child's ru_maxrss, which
@@ -123,6 +124,13 @@ def quartiles(values: list) -> dict:
     return {"median": at(0.5), "q1": at(0.25), "q3": at(0.75)}
 
 
+def drift_limit(times: list) -> float:
+    """How far a pair's kernel times may move apart before it is marked: the
+    quartile spread of all the set's kernel times over their median, floored."""
+    q = quartiles(times)
+    return max(DRIFT_FLOOR, (q["q3"] - q["q1"]) / q["median"])
+
+
 def summarize(runs: list, n_pairs: int) -> dict:
     names = sorted({name for r in runs for name, v in r["metrics"].items() if v is not None})
     summary = {}
@@ -181,21 +189,26 @@ def main(argv=None) -> int:
                       flush=True)
             lo, hi = sorted(pair["drift_ms"].values())
             pair["drift_moved"] = hi / lo - 1.0
-            pair["drifted"] = pair["drift_moved"] > DRIFT_LIMIT
             pairs.append(pair)
+    limit = drift_limit([r["drift_ms"] for r in runs])
+    for pair in pairs:
+        pair["drifted"] = pair["drift_moved"] > limit
 
     result = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "tiny": args.tiny, "command": ["python3", "perfbench/run.py"],
         "parent": {"rev": args.parent, "commit": commits["parent"]},
         "change": {"rev": args.change, "commit": commits["change"]},
-        "drift_kernel": {"matmul": list(DRIFT_SHAPE), "repeats": 5, "limit": DRIFT_LIMIT},
+        "drift_kernel": {"matmul": list(DRIFT_SHAPE), "repeats": 5, "floor": DRIFT_FLOOR,
+                         "limit": limit},
         "runs": runs, "pairs": pairs, "summary": summarize(runs, len(pairs)),
     }
     out.write_text(json.dumps(result, indent=1) + "\n")
     for name, s in result["summary"].items():
         print(f"{name}: {s['parent']['median']:.6g} -> {s['change']['median']:.6g} "
               f"({s['gap_frac'] or 0.0:+.1%}), wins {s['wins']}/{s['pairs']}, {s['verdict']}")
+    print(f"drift limit {limit:.1%}: {sum(p['drifted'] for p in pairs)} of {len(pairs)} "
+          "pairs drifted")
     print(f"wrote {out}")
     return 0 if all(r["exit_code"] == 0 for r in runs) else 1
 

@@ -441,9 +441,18 @@ def conv1d_same(x: Tensor, banks: Sequence[Sequence[tuple[Tensor, Tensor]]], win
     A direction gathers its window rows once (im2col), then takes one matmul per
     bank. A window index is symmetric (p is in slot j of q exactly when q is
     in slot k-1-j of p), so dx is the same gather of the gradient times the
-    tap-reversed filters: no scatter. Results are bit for bit those of the
-    per-bank ops fused here. From ``_CONCURRENT_MATMUL_WORK`` multiply-adds
-    per direction, direction 1 runs on the worker thread, as in ``gru_scan``.
+    tap-reversed filters: no scatter. The backward runs two passes per
+    direction. The first forms each bank's activation gradient da and from it
+    the bias and filter gradients, the last reads of the im2col buffer. The
+    second, last bank first, adds the residual, forms da again (the residual
+    add still reads g, so da cannot go over it), gathers it into the im2col
+    buffer (a buffer of its own when d_out > d_in) and adds its product with
+    the bank's tap-reversed filter, formed in one buffer per direction, into
+    dx. So the backward holds two (T, d_out) arrays per direction besides its
+    gradients, and a second backward over the same tape gathers x's windows
+    again first. Results are bit for bit those of the per-bank ops fused
+    here. From ``_CONCURRENT_MATMUL_WORK`` multiply-adds per direction,
+    direction 1 runs on the worker thread, as in ``gru_scan``.
     """
     groups = [list(g) for g in banks]
     pairs = [pair for g in groups for pair in g]
@@ -500,26 +509,39 @@ def conv1d_same(x: Tensor, banks: Sequence[Sequence[tuple[Tensor, Tensor]]], win
 
     _run_loops([partial(forward, i) for i in range(D)], concurrent)
 
+    gathered = [True]  # wins hold x's windows, until the first backward
+
     def apply(g, emit):
+        regather, gathered[0] = not gathered[0], False
         dx = np.zeros(x.shape)
         d_fs, d_bs = [np.empty((d_out, k * d_in)) for _ in pairs], [np.empty(d_out) for _ in pairs]
-        scratch = [[np.empty((total, w)) for w in (d_out, d_out, k * d_out, d_in)] for _ in groups]
-        # Tap-reversed filters: row (t, o) holds filter o's tap k-1-t.
-        f_revs = [f.data[:, ::-1].transpose(1, 0, 2).reshape(k * d_out, d_in) for f, _ in pairs]
+        scratch = [(np.empty((total, d_out)), np.empty((total, d_out)),
+                    np.empty((k, d_out, d_in))) for _ in groups]
 
         def backward(i):
-            da, tmp, g_win, dx_q = scratch[i]
+            da, tmp, f_rev = scratch[i]
+            if regather:
+                im2col(xs[i], pads[i], wins[i])
+            for q in range(i * m, (i + 1) * m):
+                act_grad(g[:, cols[q]], Y[:, cols[q]], da, tmp)
+                np.sum(da, axis=0, out=d_bs[q])
+                np.matmul(da.T, wins[i], out=d_fs[q])
+            # wins[i] is read no more: it takes the gradient's windows.
+            g_win = (wins[i].reshape(-1)[:total * k * d_out].reshape(total, k * d_out)
+                     if d_out <= d_in else np.empty((total, k * d_out)))
+            dx_q = da if d_in == d_out else np.empty((total, d_in))
             dxi = dx[:, i * d_in:(i + 1) * d_in]
             # Last bank first, the order in which a tape reaches the per-bank
-            # ops, so dx adds up in the same order.
+            # ops, so dx adds up in the same order; da is formed again, as
+            # the residual add still reads g.
             for q in reversed(range(i * m, (i + 1) * m)):
                 if residual:
                     dxi += g[:, cols[q]]
                 act_grad(g[:, cols[q]], Y[:, cols[q]], da, tmp)
-                np.sum(da, axis=0, out=d_bs[q])
-                np.matmul(da.T, wins[i], out=d_fs[q])
                 im2col(da, pads[i], g_win)
-                dxi += np.matmul(g_win, f_revs[q], out=dx_q)
+                # Tap-reversed filter: row (t, o) holds filter o's tap k-1-t.
+                np.copyto(f_rev, pairs[q][0].data[:, ::-1].transpose(1, 0, 2))
+                dxi += np.matmul(g_win, f_rev.reshape(k * d_out, d_in), out=dx_q)
 
         _run_loops([partial(backward, i) for i in range(D)], concurrent)
         for q, (d_f, d_b) in enumerate(zip(d_fs, d_bs)):

@@ -1007,6 +1007,67 @@ def test_second_backward_recomputes_the_scan_gates(monkeypatch, groups, concurre
     pool.pool.shutdown()
 
 
+@pytest.mark.parametrize("concurrent", [False, True])
+@pytest.mark.parametrize("residual, d_in, d_out", [(True, 4, 4), (False, 4, 4), (False, 4, 3),
+                                                   (False, 3, 5)])
+def test_second_backward_over_conv1d_same_adds_the_same_gradients(monkeypatch, residual, d_in,
+                                                                   d_out, concurrent):
+    # The first backward gathers the gradient's windows into the forward's
+    # im2col buffers (or, for d_out > d_in, a buffer of its own); a second
+    # one over the same tape gathers x's windows again, so it adds exactly
+    # the first's gradients of x, the filters and the biases. Both directions
+    # run on this thread, or the second on the worker.
+    pool = CountingPool()
+    monkeypatch.setattr(ad, "_WORKER", pool)
+    if concurrent:
+        monkeypatch.setattr(ad, "_CONCURRENT_MATMUL_WORK", 1)
+    rng = rng_for(44)
+    packing = pack([5, 2, 4, 1])
+    T = packing.size
+    x = Tensor(rng.standard_normal((T, 2 * d_in)), requires_grad=True)
+    banks = conv_banks(rng, 2, 3, d_in, d_out, 3)
+    params = [x] + [t for g in banks for pair in g for t in pair]
+    readout = Tensor(rng.standard_normal((T, 6 * d_out)))
+    with Tape() as tape:
+        out = ad.conv1d_same(x, banks, packing.window(3), "tanh", residual)
+        kept = out.data.copy()
+        loss = ad.sum_all(ad.mul(out, readout))
+        tape.backward(loss)
+        first = [p.grad.copy() for p in params]
+        tape.backward(loss)
+    assert np.array_equal(out.data, kept)
+    for p, g in zip(params, first):
+        assert np.array_equal(p.grad, 2 * g)
+    # Forward, first backward, second backward.
+    assert pool.submitted == (3 if concurrent else 0)
+    pool.pool.shutdown()
+
+
+def test_conv_backward_reuses_the_im2col_buffer():
+    # The backward gathers the gradient's windows into the forward's im2col
+    # buffers and forms one tap-reversed filter per direction at a time, so
+    # what it traces above where it began stays below its gradient, its
+    # gradients of x and of the filters, and one im2col-sized buffer per
+    # direction: two directions of three banks, at T = 400.
+    rng = rng_for(45)
+    packing = pack([8] * 50)
+    T, d, k = packing.size, 32, 5
+    x = Tensor(rng.standard_normal((T, 2 * d)), requires_grad=True)
+    banks = conv_banks(rng, 2, 3, d, d, k)
+    with Tape() as tape:
+        out = ad.conv1d_same(x, banks, packing.window(k), "relu", residual=True)
+        loss = ad.sum_all(out)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tape.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    filters = sum(f.data.nbytes for g in banks for f, _ in g)
+    assert peak - start < out.data.nbytes + x.data.nbytes + filters + 2 * T * k * d * 8
+
+
 def test_project_gradcheck():
     # One input shared by three weights of unequal widths, three inputs with
     # a weight each, and two directions with three weights each; each against

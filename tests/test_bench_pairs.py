@@ -60,14 +60,12 @@ def test_head_against_head_at_tiny_shapes(tmp_path):
     assert result["summary"]["train_tokens_per_s"]["better"] == "higher"
 
 
-def test_order_alternates_and_drift_marks_without_dropping(tmp_path, monkeypatch):
-    # Three pairs with perfbench stubbed: the parent goes first in pairs 0
-    # and 2, the change in pair 1. The drift kernel reads 100 ms but 120 ms
-    # before the change's run of pair 1, which marks that pair only, and all
-    # six runs stay in the file.
+def stub_pairs(tmp_path, monkeypatch, drifts, tag):
+    """Three pairs with perfbench stubbed and the drift kernel reading drifts
+    in run order; returns the sides in the order they ran and the JSON."""
     bench = load_script()
     calls = []
-    drifts = iter([100.0, 100.0, 120.0, 100.0, 100.0, 100.0])
+    drifts = iter(drifts)
     step_ms = {"parent": [10.0, 11.0, 12.0], "change": [8.0, 13.0, 9.0]}
 
     def fake_run(checkout, args):
@@ -83,10 +81,21 @@ def test_order_alternates_and_drift_marks_without_dropping(tmp_path, monkeypatch
     monkeypatch.setattr(bench, "run", fake_run)
     monkeypatch.setattr(bench, "drift_ms", lambda: next(drifts))
     assert bench.main(["HEAD", "HEAD", "--workload", "mr-train-gru", "--pairs", "3",
-                       "--tag", "s", "--out", str(tmp_path)]) == 0
-    result = json.loads((tmp_path / "BENCH_s.json").read_text())
+                       "--tag", tag, "--out", str(tmp_path)]) == 0
+    return calls, json.loads((tmp_path / f"BENCH_{tag}.json").read_text())
+
+
+def test_order_alternates_and_drift_marks_without_dropping(tmp_path, monkeypatch):
+    # The parent goes first in pairs 0 and 2, the change in pair 1. The drift
+    # kernel reads 100 ms but 120 ms before the change's run of pair 1. The
+    # six times spread by nothing between their quartiles, so the limit is
+    # its 10% floor, which marks pair 1 only, and all six runs stay in the
+    # file.
+    calls, result = stub_pairs(tmp_path, monkeypatch,
+                               [100.0, 100.0, 120.0, 100.0, 100.0, 100.0], "s")
     assert calls == ["parent", "change", "change", "parent", "parent", "change"]
     assert [p["first"] for p in result["pairs"]] == ["parent", "change", "parent"]
+    assert result["drift_kernel"]["floor"] == result["drift_kernel"]["limit"] == 0.10
     assert [p["drifted"] for p in result["pairs"]] == [False, True, False]
     assert len(result["runs"]) == 6
     step = result["summary"]["train_step_ms_p50"]
@@ -95,3 +104,14 @@ def test_order_alternates_and_drift_marks_without_dropping(tmp_path, monkeypatch
     assert step["wins"] == 2 and step["verdict"] == "better"  # gap 2 > spread 1
     tokens = result["summary"]["train_tokens_per_s"]
     assert tokens["wins"] == 2 and tokens["verdict"] == "better"
+
+
+def test_drift_limit_is_the_kernel_spread_of_the_set(tmp_path, monkeypatch):
+    # Kernel times 80, 92 | 120, 120 | 100, 150: quartiles 94 and 120 about
+    # a median of 110, so the limit is 26 / 110. Pair 0 moved by 15%, which
+    # the 10% floor alone would mark, and is not marked; pair 2 moved by 50%.
+    _, result = stub_pairs(tmp_path, monkeypatch, [80.0, 92.0, 120.0, 120.0, 100.0, 150.0],
+                           "w")
+    assert result["drift_kernel"]["limit"] == pytest.approx(26.0 / 110.0)
+    assert [round(p["drift_moved"], 6) for p in result["pairs"]] == [0.15, 0.0, 0.5]
+    assert [p["drifted"] for p in result["pairs"]] == [False, False, True]
