@@ -17,14 +17,15 @@ allocate. The script prints:
   when it starts, and the traced peak MiB inside it (``tracemalloc.reset_peak()``
   is called just before it runs);
 - one ``step`` line per step: its milliseconds, the timed ``Tape.backward``, the
-  sum of its nodes' backward times, the two optimizer sweeps, and the step's
-  traced peak;
+  sum of its nodes' backward times, and the traced MiB live when the step
+  starts and its traced peak;
 - one ``sha256`` line: digests of the parameters and of Adam's m and v after
   the steps, which a change that keeps training bit for bit leaves alone.
 
 Times are taken with tracemalloc running, which slows every allocation: compare
-them with each other, not with perfbench's untraced step times. Only training
-workloads have a backward.
+them with each other, not with perfbench's untraced step times. The first step
+also pays the process's one-time costs, such as numpy's first calls, which
+tracemalloc inflates further. Only training workloads have a backward.
 """
 
 import argparse
@@ -98,19 +99,6 @@ def instrument(ad, profile: Profile):
     return undo
 
 
-def timed_method(obj, name: str, totals: dict) -> None:
-    """Replace obj.name with a wrapper that adds its seconds to totals[name]."""
-    method = getattr(obj, name)
-
-    def timed(*args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            return method(*args, **kwargs)
-        finally:
-            totals[name] = totals.get(name, 0.0) + time.perf_counter() - t0
-    setattr(obj, name, timed)
-
-
 def digest(arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -142,15 +130,11 @@ def main(argv=None) -> int:
     print("profile", bench.kv(workload=spec.name, seed=args.seed, tiny=int(args.tiny),
                               steps=len(order)))
 
-    sweeps = {}
-    for name in ("clip_gradients", "step"):
-        timed_method(optimizer, name, sweeps)
-    profile = Profile()
     tracemalloc.start()
+    profile = Profile()
     undo = instrument(ad, profile)
     try:
         for i, batch in enumerate(order):
-            sweeps.clear()
             live = tracemalloc.get_traced_memory()[0]
             profile.start_step()
             t0 = time.perf_counter()
@@ -166,15 +150,13 @@ def main(argv=None) -> int:
                                    step_ms=f"{step_s * 1e3:.2f}",
                                    backward_ms=f"{profile.backward_s * 1e3:.2f}",
                                    node_backward_ms=f"{node_s * 1e3:.2f}",
-                                   clip_ms=f"{sweeps['clip_gradients'] * 1e3:.2f}",
-                                   adam_ms=f"{sweeps['step'] * 1e3:.2f}",
                                    live_mib=f"{live / MIB:.1f}",
                                    peak_mib=f"{profile.peak / MIB:.1f}"))
     finally:
         undo()
         tracemalloc.stop()
-    names = sorted(model.named_params())
     params = model.named_params()
+    names = sorted(params)
     print("sha256", bench.kv(params=digest(params[n].data for n in names),
                              m=digest(optimizer.m[n] for n in names),
                              v=digest(optimizer.v[n] for n in names)))

@@ -444,13 +444,12 @@ def conv1d_same(x: Tensor, banks: Sequence[Sequence[tuple[Tensor, Tensor]]], win
     tap-reversed filters: no scatter. The backward runs two passes per
     direction. The first forms each bank's activation gradient da and from it
     the bias and filter gradients, the last reads of the im2col buffer. The
-    second, last bank first, adds the residual, forms da again (the residual
-    add still reads g, so da cannot go over it), gathers it into the im2col
-    buffer (a buffer of its own when d_out > d_in) and adds its product with
-    the bank's tap-reversed filter, formed in one buffer per direction, into
-    dx. So the backward holds two (T, d_out) arrays per direction besides its
-    gradients, and a second backward over the same tape gathers x's windows
-    again first. Results are bit for bit those of the per-bank ops fused
+    second, last bank first, adds the residual, forms da again, gathers it
+    into the im2col buffer (a buffer of its own when d_out > d_in) and adds
+    its product with the bank's tap-reversed filter, formed in one buffer per
+    direction, into dx. So besides its gradients the backward holds two
+    (T, d_out) arrays and one filter per direction, and a second backward
+    over the same tape gathers x's windows again first. Results are bit for bit those of the per-bank ops fused
     here. From ``_CONCURRENT_MATMUL_WORK`` multiply-adds per direction,
     direction 1 runs on the worker thread, as in ``gru_scan``.
     """
@@ -532,8 +531,9 @@ def conv1d_same(x: Tensor, banks: Sequence[Sequence[tuple[Tensor, Tensor]]], win
             dx_q = da if d_in == d_out else np.empty((total, d_in))
             dxi = dx[:, i * d_in:(i + 1) * d_in]
             # Last bank first, the order in which a tape reaches the per-bank
-            # ops, so dx adds up in the same order; da is formed again, as
-            # the residual add still reads g.
+            # ops, so dx adds up in the same order. da is formed again: the
+            # first pass could not keep it over g's columns, which the
+            # residual add still reads.
             for q in reversed(range(i * m, (i + 1) * m)):
                 if residual:
                     dxi += g[:, cols[q]]

@@ -36,9 +36,3 @@ def test_node_times_add_up_to_the_timed_backward():
     assert set(digests) == {"params", "m", "v"}
     assert all(re.fullmatch(r"[0-9a-f]{64}", d) for d in digests.values())
 
-
-def test_inference_workloads_are_refused():
-    done = subprocess.run([sys.executable, str(SCRIPT), "--workload", "mr-infer-deep_enhanced",
-                           "--tiny"], cwd=ROOT, capture_output=True, text=True, check=False,
-                          timeout=60)
-    assert done.returncode == 2 and "invalid choice" in done.stderr
