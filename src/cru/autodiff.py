@@ -425,33 +425,62 @@ def take_rows(x: Tensor, ids) -> Tensor:
     return _emit_op("take_rows", (x,), out, apply)
 
 
-def conv1d_same(x: Tensor, banks: Sequence[Sequence[tuple[Tensor, Tensor]]], window,
+def _packed_sizes(op: str, batch_sizes) -> list[int]:
+    """batch_sizes as a list, checked. Step t of a packed layout owns the
+    contiguous block of k_t = batch_sizes[t] rows after the blocks before it,
+    the sizes never increase, and row j of a block continues row j of the
+    block before."""
+    sizes = np.asarray(batch_sizes).reshape(-1).tolist()
+    if not sizes or sizes[-1] < 1 or any(u < v for u, v in zip(sizes, sizes[1:])):
+        raise ContractError(f"{op}: batch_sizes must be positive and non-increasing, "
+                            f"got {sizes}")
+    return sizes
+
+
+def _window(sizes: list[int], k: int) -> Array:
+    """The (T, k) window index of a width-k same-length convolution over the
+    packed rows of step sizes sizes, odd k: slot j of packed row i at step t
+    holds the packed row of the same row's step t + j - (k-1)/2, or T, the
+    zero of its same-length padding, where the row has no such step."""
+    pad = (k - 1) // 2
+    # Step s is entry s + pad; the pad steps on either side hold no rows.
+    held = np.zeros(len(sizes) + 2 * pad, dtype=np.intp)
+    held[pad:pad + len(sizes)] = sizes
+    starts = np.cumsum(held) - held
+    step = np.repeat(np.arange(pad, pad + len(sizes)), sizes)
+    place = (np.arange(step.size) - starts[step])[:, None]  # i, within its block
+    steps = step[:, None] + np.arange(-pad, pad + 1)  # each slot's step
+    return np.where(held[steps] > place, starts[steps] + place, step.size)
+
+
+def conv1d_same(x: Tensor, banks: Sequence[Sequence[tuple[Tensor, Tensor]]], batch_sizes,
                 activation: str = "identity", residual: bool = False) -> Tensor:
     """Same-length 1-D convolution banks of packed rows, m per direction,
     each followed by its bias and activation, and by the add of its input if
     residual (then d_out == d_in).
 
-    x: (T, D d_in), direction i's packed rows in its own columns; banks: per
-    direction, m (filters (d_out, k, d_in), bias (d_out,)) of one shape, odd
-    k; window: (T, k) row ids (``Packing.window(k)``): slot j of row i names
-    the row of the same sequence j - (k-1)/2 steps on, or T, the zero of its
-    same-length padding, where that step is outside it. Bank j of direction
-    i fills columns (i m + j) d_out to (i m + j + 1) d_out of (T, D m d_out).
+    x: (T, D d_in), direction i's packed rows in its own columns, in the
+    layout of batch_sizes (``_packed_sizes``); banks: per direction, m
+    (filters (d_out, k, d_in), bias (d_out,)) of one shape, odd k. A row
+    reads the steps of its sequence within (k-1)/2 of its own, and zeros past
+    the sequence's ends (``_window``). Bank j of direction i fills columns
+    (i m + j) d_out to (i m + j + 1) d_out of (T, D m d_out).
 
-    A direction gathers its window rows once (im2col), then takes one matmul per
-    bank. A window index is symmetric (p is in slot j of q exactly when q is
-    in slot k-1-j of p), so dx is the same gather of the gradient times the
-    tap-reversed filters: no scatter. The backward runs two passes per
-    direction. The first forms each bank's activation gradient da and from it
-    the bias and filter gradients, the last reads of the im2col buffer. The
-    second, last bank first, adds the residual, forms da again, gathers it
-    into the im2col buffer (a buffer of its own when d_out > d_in) and adds
-    its product with the bank's tap-reversed filter, formed in one buffer per
-    direction, into dx. So besides its gradients the backward holds two
-    (T, d_out) arrays and one filter per direction, and a second backward
-    over the same tape gathers x's windows again first. Results are bit for bit those of the per-bank ops fused
-    here. From ``_CONCURRENT_MATMUL_WORK`` multiply-adds per direction,
-    direction 1 runs on the worker thread, as in ``gru_scan``.
+    A direction gathers its window rows once (im2col), then takes one matmul
+    per bank. A window index is symmetric (p is in slot j of q exactly when
+    q is in slot k-1-j of p), so dx is the same gather of the gradient times
+    the tap-reversed filters: no scatter. The backward runs two passes per
+    direction. The first forms each bank's activation gradient da and from
+    it the bias and filter gradients, the last reads of the im2col buffer.
+    The second, last bank first, adds the residual, forms da again, gathers
+    it into the im2col buffer (a buffer of its own when d_out > d_in) and
+    adds its product with the bank's tap-reversed filter, formed in one
+    buffer per direction, into dx. So besides its gradients the backward
+    holds two (T, d_out) arrays and one filter per direction, and a second
+    backward over the same tape gathers x's windows again first. Results are
+    bit for bit those of the per-bank ops fused here. From
+    ``_CONCURRENT_MATMUL_WORK`` multiply-adds per direction, direction 1 runs
+    on the worker thread, as in ``gru_scan``.
     """
     groups = [list(g) for g in banks]
     pairs = [pair for g in groups for pair in g]
@@ -470,14 +499,10 @@ def conv1d_same(x: Tensor, banks: Sequence[Sequence[tuple[Tensor, Tensor]]], win
     if bad or x.ndim != 2 or x.shape[1] != D * d_in or (residual and d_out != d_in):
         raise DimensionError(f"conv1d_same: input {x.shape} and banks of filters "
                              f"{(bad or [filters.shape])[0]} do not match for {D} directions")
-    if (total := x.shape[0]) < 1:
-        raise ContractError("conv1d_same needs at least one row")
-    window = np.asarray(window)
-    if window.shape != (total, k) or window.dtype.kind not in "iu":
-        raise DimensionError(f"conv1d_same: window must be ({total}, {k}) row ids, "
-                             f"got {window.shape} of {window.dtype}")
-    if window.min() < 0 or window.max() > total:
-        raise ContractError(f"conv1d_same: window ids must lie in [0, {total}]")
+    sizes = _packed_sizes("conv1d_same", batch_sizes)
+    if (total := x.shape[0]) != sum(sizes):
+        raise DimensionError(f"conv1d_same: {total} rows for batch_sizes of sum {sum(sizes)}")
+    window = _window(sizes, k)
     concurrent = D > 1 and total * k * d_in * m * d_out >= _CONCURRENT_MATMUL_WORK
     act, act_grad = _POINTWISE[activation]
     # Bank q = i m + j is bank j of direction i: its columns and its filters.
@@ -773,9 +798,7 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
     Then neither P nor its gradient dP reaches a tape.
 
     P: (T, D 3 d_h), direction i's [P_z | P_r | P_h] in columns 3 i d_h to
-    3 (i + 1) d_h, in time-major packed order: step t owns the contiguous
-    block of k_t = batch_sizes[t] rows after the blocks before it, the sizes
-    never increase, and row j of a block continues row j of the block before.
+    3 (i + 1) d_h, in the packed layout of batch_sizes (``_packed_sizes``).
     directions: one (U_z, U_r, U, b_z, b_r, b_h) per direction, of one width
     d_h; U_*: (d_h, d_h); b_*: (d_h,). From h_{-1} = 0, each row computes
 
@@ -810,10 +833,7 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
     directions = [tuple(d) for d in directions]
     if not directions or any(len(d) != len(_SCAN_INPUTS) for d in directions):
         raise ContractError(f"gru_scan: each direction needs {', '.join(_SCAN_INPUTS)}")
-    sizes = np.asarray(batch_sizes).reshape(-1).tolist()
-    if not sizes or sizes[-1] < 1 or any(u < v for u, v in zip(sizes, sizes[1:])):
-        raise ContractError(f"gru_scan: batch_sizes must be positive and non-increasing, "
-                            f"got {sizes}")
+    sizes = _packed_sizes("gru_scan", batch_sizes)
     b, total, D = sizes[0], sum(sizes), len(directions)
     d_h = directions[0][2].shape[0] if directions[0][2].ndim == 2 else -1
     shapes = ((d_h, d_h),) * 3 + ((d_h,),) * 3

@@ -49,16 +49,16 @@ class ConvBank:
                    activation)
 
 
-def same_length_conv(banks, x: Tensor, window, residual: bool = False) -> Tensor:
-    """Convolve packed rows (T, D d_in) with m banks per direction, of one
-    shape and activation, over a (T, k) window index (``Packing.window``),
+def same_length_conv(banks, x: Tensor, batch_sizes, residual: bool = False) -> Tensor:
+    """Convolve packed rows (T, D d_in), in the layout of batch_sizes (a
+    ``Packing``'s), with m banks per direction, of one shape and activation,
     then bias, activation and, if residual, the input: one
     ``autodiff.conv1d_same`` op. Returns (T, D m d_out)."""
     kinds = {bank.activation for g in banks for bank in g}
     if len(kinds) > 1:
         raise ConfigError(f"one convolution needs one activation, got {sorted(kinds)}")
     return ad.conv1d_same(x, [[(bank.filters, bank.bias) for bank in g] for g in banks],
-                          window, kinds.pop() if kinds else "identity", residual)
+                          batch_sizes, kinds.pop() if kinds else "identity", residual)
 
 
 # --------------------------------------------------------------------------

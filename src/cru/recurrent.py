@@ -30,16 +30,17 @@ last token back to its first. A single sequence is a batch of one.
 
 The directions travel side by side, as column blocks, through the whole
 path. ``prepare`` gathers [X_0 | X_1] with one ``take_rows``; the variant's
-banks then convolve every direction in one ``conv1d_same`` op, through a
-window index (``Packing.window``) that reads zeros past each row's ends, with
-each bank's bias and activation and deep_enhanced's residual add fused in.
-``run_sequence`` hands that and [W_z; W_r; W] to one ``gru_scan`` node, which
-forms the (T, D 3 d_h) gate inputs with the projection's matmuls
-(``autodiff._project_forward``), runs the recurrence and returns the states
-side by side, (T, D d_h). The gate inputs and their gradient are formed and
-freed inside that node, so no tape holds them. Above a work threshold, each
-of these ops runs the second direction's numpy on the ``autodiff`` worker
-thread while the calling thread runs the first.
+banks then convolve every direction in one ``conv1d_same`` op, which reads
+zeros past each row's ends, with each bank's bias and activation and
+deep_enhanced's residual add fused in. ``run_sequence`` hands that and
+[W_z; W_r; W] to one ``gru_scan`` node, which forms the (T, D 3 d_h) gate
+inputs with the projection's matmuls (``autodiff._project_forward``), runs
+the recurrence and returns the states side by side, (T, D d_h). The gate
+inputs and their gradient are formed and freed inside that node, so no tape
+holds them. Both ops take the layout as the packing's ``batch_sizes``, from
+which each finds the rows it reads. Above a work threshold, each of these
+ops runs the second direction's numpy on the ``autodiff`` worker thread
+while the calling thread runs the first.
 """
 
 from __future__ import annotations
@@ -128,24 +129,6 @@ class Packing:
     def directions(self) -> int:
         return self.rows.shape[1]
 
-    def window(self, k: int) -> np.ndarray:
-        """The (T, k) window index of a width-k same-length convolution over
-        the packed rows (``autodiff.conv1d_same``) of any direction: slot j
-        of packed row i at step t holds the packed row of the same row's step
-        t + j - (k-1)/2, or T, the zero of its same-length padding, where the
-        row has no such step. k is odd and >= 1."""
-        if k < 1 or k % 2 == 0:
-            raise ConfigError(f"filter window must be odd and >= 1, got {k}")
-        sizes, pad = self.batch_sizes, (k - 1) // 2
-        # Step s is entry s + pad; the pad steps on either side hold no rows.
-        held = np.zeros(sizes.size + 2 * pad, dtype=np.intp)
-        held[pad:pad + sizes.size] = sizes
-        starts = np.cumsum(held) - held
-        step = np.repeat(np.arange(pad, pad + sizes.size), sizes)
-        place = (np.arange(step.size) - starts[step])[:, None]  # i, within its block
-        steps = step[:, None] + np.arange(-pad, pad + 1)  # each slot's step
-        return np.where(held[steps] > place, starts[steps] + place, step.size)
-
 
 def pack(lengths, reverse=(False, True)) -> Packing:
     """The packing of a batch whose row r holds lengths[r] tokens, with one
@@ -202,8 +185,9 @@ class _CellBase:
         weights are None.
 
         One ``take_rows`` gathers every direction's packed rows, then the
-        banks' convolution takes every direction in one call. The weights are
-        one group [W_z, W_r, W] per direction, or deep_enhanced's three
+        banks' convolution takes every direction in one call, over the
+        packing's ``batch_sizes``, which every direction shares. The weights
+        are one group [W_z, W_r, W] per direction, or deep_enhanced's three
         groups of one, which project each bank's output plus its input.
         """
         cells = list(cells)
@@ -216,10 +200,7 @@ class _CellBase:
                                  f"batch, got {E.shape}")
         X, variant, banks = ad.take_rows(E, packing.rows), cells[0].variant, cells[0].banks
         if banks:
-            # conv1d_same rejects filters that are not rank 3; no window is read then.
-            f = banks[0].filters
-            X = same_length_conv([c.banks for c in cells], X,
-                                 packing.window(f.shape[1] if f.ndim == 3 else 1),
+            X = same_length_conv([c.banks for c in cells], X, packing.batch_sizes,
                                  residual=variant == "deep_enhanced")
         if variant == "deep":
             return X, None
@@ -241,8 +222,6 @@ def make_cell(variant: str, rng: np.random.Generator, d_in: int, d_h: int,
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if d_in < 1 or d_h < 1:
         raise ConfigError(f"dims must be positive, got d_in={d_in}, d_h={d_h}")
-    if k < 1 or k % 2 == 0:
-        raise ConfigError(f"filter window must be odd and >= 1, got {k}")
     if variant == "deep" and d_h != d_in:
         raise ConfigError(f"deep variant needs hidden size == embedding size, "
                           f"got {d_h} and {d_in}")

@@ -9,7 +9,9 @@ that im2col convolution over a zero-padded batch, which the packed
 ``ad.conv1d_same`` replaced. ``conv1d_same_packed`` is that packed
 convolution as it ran before it took banks, biases, activations and
 directions, and ``conv_banks_composed`` one direction of ``ad.conv1d_same``
-composed of it and the per-bank ops that it fuses.
+composed of it and the per-bank ops that it fuses; both read the window
+index that ``packing_window`` builds, as ``Packing.window`` did before the op
+built its own from the packing's step sizes.
 ``gate_inputs_per_direction`` is deep_enhanced's gather, convolution and
 projection with one call of each per direction, as they ran before the
 directions went side by side.
@@ -267,6 +269,26 @@ def conv1d_same_padded(x, filters):
     return ad._emit_op("conv1d_same", (x, filters), out, apply)
 
 
+def packing_window(batch_sizes, k):
+    """``Packing.window`` as it ran before ``ad.conv1d_same`` built its own
+    window from batch_sizes: the (T, k) window index of a width-k
+    same-length convolution over the packed rows of any direction: slot j of
+    packed row i at step t holds the packed row of the same row's step
+    t + j - (k-1)/2, or T, the zero of its same-length padding, where the
+    row has no such step. k is odd and >= 1."""
+    if k < 1 or k % 2 == 0:
+        raise ConfigError(f"filter window must be odd and >= 1, got {k}")
+    sizes, pad = np.asarray(batch_sizes), (k - 1) // 2
+    # Step s is entry s + pad; the pad steps on either side hold no rows.
+    held = np.zeros(sizes.size + 2 * pad, dtype=np.intp)
+    held[pad:pad + sizes.size] = sizes
+    starts = np.cumsum(held) - held
+    step = np.repeat(np.arange(pad, pad + sizes.size), sizes)
+    place = (np.arange(step.size) - starts[step])[:, None]  # i, within its block
+    steps = step[:, None] + np.arange(-pad, pad + 1)  # each slot's step
+    return np.where(held[steps] > place, starts[steps] + place, step.size)
+
+
 def conv1d_same_packed(x, filters, window):
     """One bank of one direction of ``ad.conv1d_same``, without bias or
     activation: im2col through the (T, k) window index, then one matmul."""
@@ -304,11 +326,12 @@ def conv_banks_composed(x, banks, window, kind, residual):
 
 
 def gate_inputs_per_direction(E, packing, banks, weights, window):
-    """deep_enhanced's gate inputs from one gather, one ``ad.conv1d_same``
-    and one ``project`` per direction, joined side by side: returns the
-    convolution's output and the gate inputs."""
-    convs = [ad.conv1d_same(ad.take_rows(E, packing.rows[:, i]), [g], window, "relu",
-                            residual=True) for i, g in enumerate(banks)]
+    """deep_enhanced's gate inputs from one gather, one convolution through
+    the (T, k) window index (``conv_banks_composed``) and one ``project`` per
+    direction, joined side by side: returns the convolution's output and the
+    gate inputs."""
+    convs = [conv_banks_composed(ad.take_rows(E, packing.rows[:, i]), g, window, "relu",
+                                 residual=True) for i, g in enumerate(banks)]
     gates = [project(c, [[w] for w in ws]) for c, ws in zip(convs, weights)]
     return ad.concat_cols(convs), ad.concat_cols(gates)
 

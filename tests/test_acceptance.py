@@ -131,7 +131,7 @@ def test_criterion_04_same_length_contract():
         bank = ConvBank.init(rng, d, k, d, "relu")
         for n in range(1, 65):
             out = same_length_conv([[bank]], Tensor(rng.standard_normal((n, d))),
-                                   pack([n]).window(k))
+                                   pack([n]).batch_sizes)
             assert out.shape == (n, d), (n, k, out.shape)
             checked += 1
     report(4, "same-length convolution",

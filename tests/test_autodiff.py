@@ -15,7 +15,7 @@ from cru.errors import ConfigError, ContractError, DimensionError, NumericError
 from cru.recurrent import make_cell, pack, run_sequence
 from oracles import (activation, add, bce_composed, bias_add, clip_values, conv_banks_composed,
                      dense_composed, gate_inputs_per_direction, log, matmul, mean_all,
-                     packed_positions, project, sub, transpose)
+                     packed_positions, packing_window, project, sub, transpose)
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -475,16 +475,16 @@ def conv_reference(x: np.ndarray, filters: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv(x, f, window):
+def conv(x, f, batch_sizes):
     """A bare convolution: one bank of one direction, with a zero bias and no
     activation."""
-    return ad.conv1d_same(x, [[(f, Tensor(np.zeros(f.shape[0])))]], window)
+    return ad.conv1d_same(x, [[(f, Tensor(np.zeros(f.shape[0])))]], batch_sizes)
 
 
 def packed_conv(x, f, lengths, reverse=False):
     """conv1d_same over one direction's packed rows of the token rows x."""
     packing = pack(lengths, (reverse,))
-    return conv(ad.take_rows(x, packing.rows), f, packing.window(f.shape[1]))
+    return conv(ad.take_rows(x, packing.rows), f, packing.batch_sizes)
 
 
 def test_conv1d_same_matches_brute_force():
@@ -493,7 +493,7 @@ def test_conv1d_same_matches_brute_force():
     for n, k in [(1, 1), (1, 3), (2, 5), (5, 3), (8, 7), (4, 1)]:
         x = rng.standard_normal((n, 3))
         f = rng.standard_normal((4, k, 3))
-        got = conv(Tensor(x), Tensor(f), pack([n]).window(k)).data
+        got = conv(Tensor(x), Tensor(f), pack([n]).batch_sizes).data
         assert np.allclose(got, conv_reference(x, f), atol=1e-12), (n, k)
 
 
@@ -537,42 +537,53 @@ def test_conv1d_same_gradcheck():
 
 def test_conv1d_same_validation():
     x = Tensor(np.zeros((4, 3)))
-    window = pack([4]).window(3)
+    sizes = pack([4]).batch_sizes
     with pytest.raises(ConfigError):
-        conv(x, Tensor(np.zeros((2, 2, 3))), window)  # even window
+        conv(x, Tensor(np.zeros((2, 2, 3))), sizes)  # even window
     with pytest.raises(DimensionError):
-        conv(x, Tensor(np.zeros((2, 3, 4))), window)  # channel mismatch
+        conv(x, Tensor(np.zeros((2, 3, 4))), sizes)  # channel mismatch
     with pytest.raises(DimensionError):  # a padded (B, n, d) batch is not packed rows
-        conv(Tensor(np.zeros((1, 4, 3))), Tensor(np.zeros((2, 3, 3))), window)
-    with pytest.raises(DimensionError):  # the window of a different width
-        conv(x, Tensor(np.zeros((2, 3, 3))), pack([4]).window(5))
-    with pytest.raises(DimensionError):  # the window of a different batch
-        conv(x, Tensor(np.zeros((2, 3, 3))), pack([3]).window(3))
-    with pytest.raises(DimensionError):  # window ids must be integers
-        conv(x, Tensor(np.zeros((2, 3, 3))), window.astype(np.float64))
-    with pytest.raises(ContractError):  # a row id past the zero row
-        conv(x, Tensor(np.zeros((2, 3, 3))), window + 2)
+        conv(Tensor(np.zeros((1, 4, 3))), Tensor(np.zeros((2, 3, 3))), sizes)
     # Banks of several directions: as many per direction, of one shape, with
     # biases of their width, an input as wide as every direction's together,
     # an output as wide as the input for the residual, and a known activation.
     bank = (Tensor(np.zeros((3, 3, 3))), Tensor(np.zeros(3)))
     x2 = Tensor(np.zeros((4, 6)))
     with pytest.raises(ContractError):
-        ad.conv1d_same(x2, [[bank], [bank, bank]], window)
+        ad.conv1d_same(x2, [[bank], [bank, bank]], sizes)
     with pytest.raises(ContractError):
-        ad.conv1d_same(x2, [], window)
+        ad.conv1d_same(x2, [], sizes)
     with pytest.raises(DimensionError):
         ad.conv1d_same(x2, [[bank], [(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros(2)))]],
-                       window)
+                       sizes)
     with pytest.raises(DimensionError):
-        ad.conv1d_same(x2, [[bank], [(bank[0], Tensor(np.zeros(2)))]], window)
+        ad.conv1d_same(x2, [[bank], [(bank[0], Tensor(np.zeros(2)))]], sizes)
     with pytest.raises(DimensionError):  # three directions' worth of banks
-        ad.conv1d_same(x2, [[bank]] * 3, window)
+        ad.conv1d_same(x2, [[bank]] * 3, sizes)
     with pytest.raises(DimensionError):
         ad.conv1d_same(x2, [[(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros(2)))]] * 2,
-                       window, residual=True)
+                       sizes, residual=True)
     with pytest.raises(ConfigError):
-        ad.conv1d_same(x2, [[bank]] * 2, window, activation="swish")
+        ad.conv1d_same(x2, [[bank]] * 2, sizes, activation="swish")
+
+
+@pytest.mark.parametrize("batch_sizes, error", [
+    ([3], DimensionError),        # the sizes of a different batch: T = 3, not 4
+    ([2, 1, 1, 1], DimensionError),
+    ([], ContractError),          # no step
+    ([2, 2, 0], ContractError),   # a step with no rows
+    ([1, 3], ContractError),      # a step with more rows than the one before
+    ([4, -1, 1], ContractError),
+], ids=["sum-3", "sum-5", "empty", "zero", "increasing", "negative"])
+def test_both_packed_ops_reject_bad_batch_sizes(batch_sizes, error):
+    # One rule for both ops that read a packed layout: conv1d_same and
+    # gru_scan raise the same error class for each bad batch_sizes of 4 rows.
+    f = Tensor(np.zeros((2, 3, 3)))
+    with pytest.raises(error):
+        conv(Tensor(np.zeros((4, 3))), f, np.array(batch_sizes, dtype=np.intp))
+    direction = [Tensor(np.zeros((2, 2))) for _ in range(3)] + [Tensor(np.zeros(2))] * 3
+    with pytest.raises(error):
+        ad.gru_scan(Tensor(np.zeros((4, 6))), [direction], np.array(batch_sizes, dtype=np.intp))
 
 
 def conv_banks(rng, directions, m, d_in, d_out, k):
@@ -599,15 +610,17 @@ def test_conv1d_same_fused_gradcheck():
     readout = Tensor(rng.standard_normal((8, 18)))
     for activation in ("relu", "tanh"):
         check(lambda: ad.sum_all(ad.mul(ad.conv1d_same(
-            ad.take_rows(x, packing.rows), banks, packing.window(3), activation,
+            ad.take_rows(x, packing.rows), banks, packing.batch_sizes, activation,
             residual=True), readout)),
             {"x": x, **named_banks(banks)})
-    reversed_window = pack([4, 1, 3], (True,)).window(3)
+    # x's rows read as one direction's packed rows: a reversed direction has
+    # the same batch_sizes.
     for activation in ad.ACTIVATIONS:
         bank = conv_banks(rng, 1, 1, 3, 2, 3)
         readout = Tensor(rng.standard_normal((8, 2)))
-        check(lambda: ad.sum_all(ad.mul(ad.conv1d_same(x, bank, reversed_window, activation),
-                                        readout)), {"x": x, **named_banks(bank)})
+        check(lambda: ad.sum_all(ad.mul(ad.conv1d_same(x, bank, packing.batch_sizes,
+                                                       activation), readout)),
+              {"x": x, **named_banks(bank)})
 
 
 @pytest.mark.parametrize("activation, residual", [("relu", True), ("relu", False),
@@ -619,7 +632,7 @@ def test_conv1d_same_equals_composed_banks(activation, residual):
     # add): the output and every gradient.
     rng = rng_for(35)
     packing = pack([5, 2, 7, 1])
-    window = packing.window(3)
+    window = packing_window(packing.batch_sizes, 3)
     xs = [Tensor(rng.standard_normal((15, 4)), requires_grad=True) for _ in range(2)]
     banks = conv_banks(rng, 2, 3, 4, 4, 3)
     leaves = xs + [t for g in banks for pair in g for t in pair]
@@ -630,7 +643,8 @@ def test_conv1d_same_equals_composed_banks(activation, residual):
             t.zero_grad()
         with Tape() as tape:
             if fused:
-                out = ad.conv1d_same(ad.concat_cols(xs), banks, window, activation, residual)
+                out = ad.conv1d_same(ad.concat_cols(xs), banks, packing.batch_sizes,
+                                     activation, residual)
             else:
                 out = ad.concat_cols([conv_banks_composed(x, g, window, activation, residual)
                                       for x, g in zip(xs, banks)])
@@ -651,7 +665,7 @@ def test_two_directions_equal_one_direction_convs_and_projections(monkeypatch, r
     # everything runs on this thread.
     rng = rng_for(33)
     packing = pack(rng.integers(11, 21, size=rows))
-    T, window = packing.size, packing.window(3)
+    T, window = packing.size, packing_window(packing.batch_sizes, 3)
     assert (T * 3 * d * d >= ad._CONCURRENT_MATMUL_WORK) == concurrent  # project's share
     E = Tensor(rng.standard_normal((T, d)), requires_grad=True)
     banks = conv_banks(rng, 2, 3, d, d, 3)
@@ -667,8 +681,8 @@ def test_two_directions_equal_one_direction_convs_and_projections(monkeypatch, r
             t.zero_grad()
         with Tape() as tape:
             if together:
-                C = ad.conv1d_same(ad.take_rows(E, packing.rows), banks, window, "relu",
-                                   residual=True)
+                C = ad.conv1d_same(ad.take_rows(E, packing.rows), banks, packing.batch_sizes,
+                                   "relu", residual=True)
                 P = project(C, [[w] for g in ws for w in g])
             else:
                 C, P = gate_inputs_per_direction(E, packing, banks, ws, window)
@@ -1029,7 +1043,7 @@ def test_second_backward_over_conv1d_same_adds_the_same_gradients(monkeypatch, r
     params = [x] + [t for g in banks for pair in g for t in pair]
     readout = Tensor(rng.standard_normal((T, 6 * d_out)))
     with Tape() as tape:
-        out = ad.conv1d_same(x, banks, packing.window(3), "tanh", residual)
+        out = ad.conv1d_same(x, banks, packing.batch_sizes, "tanh", residual)
         kept = out.data.copy()
         loss = ad.sum_all(ad.mul(out, readout))
         tape.backward(loss)
@@ -1055,7 +1069,7 @@ def test_conv_backward_reuses_the_im2col_buffer():
     x = Tensor(rng.standard_normal((T, 2 * d)), requires_grad=True)
     banks = conv_banks(rng, 2, 3, d, d, k)
     with Tape() as tape:
-        out = ad.conv1d_same(x, banks, packing.window(k), "relu", residual=True)
+        out = ad.conv1d_same(x, banks, packing.batch_sizes, "relu", residual=True)
         loss = ad.sum_all(out)
         tracemalloc.start()
         try:

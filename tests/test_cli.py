@@ -550,6 +550,64 @@ def test_infer_on_a_corrupted_checkpoint_exits_with_one_line(tiny_checkpoint, na
         assert len(lines) == 1 and lines[0].startswith(("error:", "i/o error:")[code - 1]), lines
         assert "Traceback" not in err.getvalue()
 
+@pytest.fixture(scope="module")
+def vector_file(tmp_path_factory):
+    """A word-vector file of width 8 for the first 24 distinct tokens of the
+    fixture's pos.txt."""
+    words = list(dict.fromkeys((FIXTURE / "pos.txt").read_text().split()))[:24]
+    rng = seeded_rng(0)
+    path = tmp_path_factory.mktemp("vectors") / "vectors.txt"
+    path.write_text("".join(w + "".join(f" {v:.4f}" for v in rng.uniform(-1, 1, 8)) + "\n"
+                            for w in words))
+    return path
+
+
+def exits_with_one_line(argv) -> None:
+    """main(argv) exits 0 with an empty stderr, or 1 or 2 with one stderr
+    line of its kind."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), lines
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith(("error:", "i/o error:")[code - 1]), lines
+
+
+# Replacement bytes for corpora and vector files: any, or the ones that
+# numbers and their separators are written in.
+data_replacements = st.one_of(st.binary(min_size=1, max_size=4),
+                              st.text("0123456789.-e \t\n", min_size=1, max_size=4)
+                              .map(str.encode))
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True, database=None)
+@given(st.sampled_from(("pos.txt", "neg.txt", "vectors.txt")), st.integers(0, 2**20),
+       data_replacements)
+@example("pos.txt", 0, b"\xff")  # a corpus line that is not UTF-8
+@example("neg.txt", 0, b"\n\n\n\n")  # blank lines
+@example("vectors.txt", 0, b"\xff")  # a token that is not UTF-8
+@example("vectors.txt", 2, b"9e99")  # a value past the float range
+def test_train_and_eval_on_a_corrupted_corpus_exit_with_one_line(tiny_checkpoint, vector_file,
+                                                                 name, offset, data):
+    # train reads the corpus and the vector file, eval the corpus; 1 to 4
+    # bytes of one of them are replaced in place.
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset, vectors = Path(tmp) / "mr_sample", Path(tmp) / "vectors.txt"
+        shutil.copytree(FIXTURE, dataset)
+        shutil.copy(vector_file, vectors)
+        target = vectors if name == "vectors.txt" else dataset / name
+        blob = target.read_bytes()
+        at = offset % len(blob)
+        target.write_bytes((blob[:at] + data + blob[at + len(data):])[:len(blob)])
+        exits_with_one_line(["train", "--dataset", str(dataset), *TINY_FLAGS, "--fc-dim", "8",
+                             "--pretrained", str(vectors), "--out", str(Path(tmp) / "run")])
+        exits_with_one_line(["eval", "--checkpoint", str(tiny_checkpoint), "--dataset",
+                             str(dataset), "--format", "mr"])
+
+
 def test_missing_required_flag_exits_1(capsys):
     assert main(["train"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from cru.data import Vocab
 from cru.errors import ConfigError, ContractError, DimensionError
 from cru.layers import (PAD_ID, ConvBank, DenseLayer, dense_forward, dropout_apply,
                         glorot_uniform, same_length_conv)
-from cru.recurrent import make_cell, pack
+from cru.recurrent import make_cell, pack, run_sequence
 
 
 def rng_for(seed):
@@ -86,17 +86,18 @@ def test_embed_lookup_gradient_accumulates_per_row():
 # ---------------------------------------------------------------------------
 
 def conv_of(bank):
-    """The bank over two rows of three channels, through a width-3 window."""
-    return same_length_conv([[bank]], Tensor(np.zeros((2, 3))), pack([2]).window(3))
+    """The bank over one sequence of two rows of three channels."""
+    return same_length_conv([[bank]], Tensor(np.zeros((2, 3))), pack([2]).batch_sizes)
 
 
 def test_conv_bank_rejects_even_window():
     with pytest.raises(ConfigError):
         conv_of(ConvBank(Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros(2))))
-    with pytest.raises(ConfigError):  # no window has an even width
-        pack([2]).window(4)
-    with pytest.raises(ConfigError):  # nor does a cell's bank
-        make_cell("shallow", rng_for(0), 3, 3, k=4)
+    # Nor does a cell's bank run: a cell built with an even width fails on
+    # its first run.
+    cell = make_cell("shallow", rng_for(0), 3, 3, k=4)
+    with pytest.raises(ConfigError):
+        run_sequence([cell], Tensor(np.zeros((2, 3))), pack([2], (False,)))
 
 
 def test_conv_bank_rejects_bad_bias():
@@ -120,7 +121,7 @@ def test_same_length_conv_hand_oracle():
     f[0, 1, 1] = 10.0  # center, channel 1
     f[0, 2, 0] = 100.0  # right neighbor, channel 0
     bank = ConvBank(Tensor(f), Tensor(np.zeros(1)), "identity")
-    out = same_length_conv([[bank]], Tensor(x), pack([3]).window(3))
+    out = same_length_conv([[bank]], Tensor(x), pack([3]).batch_sizes)
     # position 0: left pad (0) + 10*x[0,1] + 100*x[1,0] = 0 + 0 + 0 = 0
     # position 1: 1*x[0,0] + 10*x[1,1] + 100*x[2,0] = 1 + 10 + 200 = 211
     # position 2: 1*x[1,0] + 10*x[2,1] + 100*pad = 0
@@ -130,7 +131,7 @@ def test_same_length_conv_hand_oracle():
 def test_same_length_conv_applies_bias_then_activation():
     x = np.zeros((2, 2))
     bank = ConvBank(Tensor(np.zeros((3, 1, 2))), Tensor([-1.0, 0.5, 2.0]), "relu")
-    out = same_length_conv([[bank]], Tensor(x), pack([2]).window(1))
+    out = same_length_conv([[bank]], Tensor(x), pack([2]).batch_sizes)
     assert np.allclose(out.data, np.tile([0.0, 0.5, 2.0], (2, 1)))
 
 
@@ -141,7 +142,7 @@ def test_same_length_conv_shape_contract():
             bank = ConvBank.init(rng, d_out=4, k=k, d_in=4)
             packing = pack([n, n])
             out = same_length_conv([[bank]], Tensor(rng.standard_normal((2 * n, 4))),
-                                   packing.window(k))
+                                   packing.batch_sizes)
             assert out.shape == (2 * n, 4)
 
 
@@ -149,11 +150,11 @@ def test_same_length_conv_gradcheck():
     rng = rng_for(6)
     bank = ConvBank.init(rng, 3, 3, 2, activation="tanh")
     x = Tensor(rng.standard_normal((10, 2)), requires_grad=True)
-    window = pack([5, 5]).window(3)
+    sizes = pack([5, 5]).batch_sizes
     params = {"filters": bank.filters, "bias": bank.bias, "x": x}
     report = finite_diff_gradcheck(
-        lambda: ad.sum_all(ad.mul(same_length_conv([[bank]], x, window),
-                                  same_length_conv([[bank]], x, window))), params)
+        lambda: ad.sum_all(ad.mul(same_length_conv([[bank]], x, sizes),
+                                  same_length_conv([[bank]], x, sizes))), params)
     assert report.passed, report.per_param
 
 

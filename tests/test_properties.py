@@ -1,15 +1,15 @@
 """Property tests: a zero-padded batch equals one-row batches of its rows,
 the packed run of either direction equals the padded scan it replaced, the
 packed convolution equals its einsum reference and the padded convolution
-it replaced, every cell's single
-gate-input tensor equals its three per-gate inputs side by side, the fused
-GRU scan equals its per-step composed reference and, given the projection's
-weights, the projection then the scan, bit for bit; training with the
-optimizer's blocked sweeps equals the dense update with the L2 term on the
-tape; ``build_vocab`` ranks as its first-occurrence reference; a model
-whose records hold a tensor of any shape fails only with a ``CruError``; and
-the settings, word-vector, vocabulary and checkpoint readers, fed arbitrary
-files, raise only their documented errors."""
+it replaced and builds the window its packing built before, every cell's
+single gate-input tensor equals its three per-gate inputs side by side, the
+fused GRU scan equals its per-step composed reference and, given the
+projection's weights, the projection then the scan, bit for bit; training
+with the optimizer's blocked sweeps equals the dense update with the L2 term
+on the tape; ``build_vocab`` ranks as its first-occurrence reference; a
+model whose records hold a tensor of any shape fails only with a
+``CruError``; and the settings, word-vector, vocabulary and checkpoint
+readers, fed arbitrary files, raise only their documented errors."""
 
 import math
 import struct
@@ -33,9 +33,9 @@ from cru.optim import BLOCK_ROWS, Adam
 from cru.layers import dense_forward, same_length_conv
 from cru.recurrent import _BANKS, VARIANTS, _CellBase, make_cell, pack, run_sequence
 from oracles import (add, conv1d_same_einsum, conv1d_same_padded, dense_update,
-                     gru_scan_composed, gru_scan_padded, packed_positions, prepare_per_gate,
-                     project, project_then_scan, run_padded, run_row, token_positions,
-                     vocab_first_seen)
+                     gru_scan_composed, gru_scan_padded, packed_positions, packing_window,
+                     prepare_per_gate, project, project_then_scan, run_padded, run_row,
+                     token_positions, vocab_first_seen)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -215,11 +215,24 @@ def test_malformed_record_raises_only_cru_errors(variant, name, shape):
         runs.append(lambda: dense_forward(getattr(model, owner), x))
     if "conv" in name:
         runs.append(lambda: same_length_conv([c.banks for c in cells],
-                                             ad.take_rows(E, packing.rows), packing.window(3),
+                                             ad.take_rows(E, packing.rows), packing.batch_sizes,
                                              residual=variant == "deep_enhanced"))
     failed = [fails_cleanly(run) for run in runs]
     if t.shape == params[name].shape:
         assert not any(failed)
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.just(1), st.integers(1, 12)), min_size=1, max_size=8),
+       st.sampled_from([1, 3, 5, 7]))
+@example([1, 1, 1], 7)  # tied one-token rows, under a window wider than every row
+@example([3, 12, 1, 3, 12, 1, 5, 2], 5)  # ties and one-token rows among long ones
+@example([12], 7)
+def test_conv_window_equals_packing_window_oracle(lengths, k):
+    # The window conv1d_same builds from a ragged packing's batch_sizes,
+    # against the one the packing built before the op took batch_sizes.
+    sizes = pack(lengths).batch_sizes
+    assert np.array_equal(ad._window(sizes.tolist(), k), packing_window(sizes, k))
 
 
 conv_cases = st.tuples(st.integers(1, 4), st.integers(1, 9), st.sampled_from([1, 3, 5, 7]),
@@ -239,7 +252,7 @@ def test_conv1d_same_equals_einsum_reference(case):
     f = Tensor(rng.standard_normal((d_out, k, d_in)), requires_grad=True)
     G = rng.standard_normal((n * b, d_out))
     with Tape() as tape:
-        out = ad.conv1d_same(x, [[(f, Tensor(np.zeros(d_out)))]], pack([n] * b).window(k))
+        out = ad.conv1d_same(x, [[(f, Tensor(np.zeros(d_out)))]], pack([n] * b).batch_sizes)
         tape.backward(ad.sum_all(ad.mul(out, Tensor(G))))
 
     def batch_major(a):
@@ -289,7 +302,7 @@ def test_packed_conv_equals_padded_oracle(case):
             if packed:
                 packing = pack(lengths, (reverse,))
                 out = ad.conv1d_same(ad.take_rows(x, packing.rows),
-                                     [[(f, Tensor(np.zeros(d_out)))]], packing.window(k))
+                                     [[(f, Tensor(np.zeros(d_out)))]], packing.batch_sizes)
                 tape.backward(ad.sum_all(ad.mul(out, Tensor(G))))
             else:
                 X = ad.mul(ad.reshape(ad.take_rows(x, read.reshape(-1)), (b, n, d_in)),

@@ -13,7 +13,7 @@ from cru.layers import ConvBank, same_length_conv
 from cru.rc_features import encode_bidirectional_enriched, enrich_embeddings
 from cru.recurrent import (GruParams, VARIANTS, _CellBase, make_cell, pack,
                            run_sequence)
-from oracles import padded_states, run_padded, run_row, token_positions
+from oracles import packing_window, padded_states, run_padded, run_row, token_positions
 
 
 def rng_for(seed):
@@ -26,8 +26,7 @@ def sig(x):
 
 def conv_row(bank, E):
     """The bank's same-length convolution of one unpadded (n, d) sequence."""
-    window = pack([len(E)]).window(bank.filters.shape[1])
-    return same_length_conv([[bank]], Tensor(E), window).data
+    return same_length_conv([[bank]], Tensor(E), pack([len(E)]).batch_sizes).data
 
 
 def ref_step(p: GruParams, pz, pr, ph, h):
@@ -306,8 +305,10 @@ def test_make_cell_validation():
         make_cell("deep", rng, 3, 4)  # deep needs hidden == embed
     with pytest.raises(ConfigError):
         make_cell("gru", rng, 0, 3)
+    # An even filter width builds, and fails on the cell's first run.
+    cell = make_cell("shallow", rng, 3, 3, k=2)
     with pytest.raises(ConfigError):
-        make_cell("shallow", rng, 3, 3, k=2)
+        run_sequence([cell], Tensor(np.zeros((2, 3))), pack([2], (False,)))
 
 
 def test_named_params_cover_each_variant():
@@ -342,13 +343,14 @@ def test_pack_layout():
         assert one.batch_sizes.tolist() == [4, 3, 2, 2] and one.directions == 1
         assert one.last.tolist() == [6, 9, 3, 10]
         assert one.rows[:, 0].tolist() == packing.rows[:, int(reverse)].tolist()
-    # Slot j reads step t + j - 1 of the same row, or the zero row 11; every
-    # direction shares the window.
-    window = packing.window(3)
-    assert window.tolist() == [[11, 0, 4], [11, 1, 5], [11, 2, 6], [11, 3, 11],
-                               [0, 4, 7], [1, 5, 8], [2, 6, 11],
-                               [4, 7, 9], [5, 8, 10], [7, 9, 11], [8, 10, 11]]
-    assert packing.window(1).tolist() == [[i] for i in range(11)]
+    # The convolution's window, which every direction shares: slot j reads
+    # step t + j - 1 of the same row, or the zero row 11. The op's window and
+    # its oracle both build it from batch_sizes.
+    for window in (packing_window, ad._window):
+        assert window(packing.batch_sizes, 3).tolist() == [
+            [11, 0, 4], [11, 1, 5], [11, 2, 6], [11, 3, 11], [0, 4, 7], [1, 5, 8], [2, 6, 11],
+            [4, 7, 9], [5, 8, 10], [7, 9, 11], [8, 10, 11]]
+        assert window(packing.batch_sizes, 1).tolist() == [[i] for i in range(11)]
 
 
 def test_pack_of_one_full_row_is_the_identity():
