@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Run the CI workflow's steps here, as written, without installing the package.
 
-    python3 scripts/ci_local.py [--only PATTERN] [--workflow FILE]
+    python3 scripts/ci_local.py [--only PATTERN]
 
-The workflow (``.github/workflows/tests.yml`` by default) is read with PyYAML.
-Its one job's ``env`` and each step's own ``env`` are applied, and every
-``run:`` block but the Install step's runs in order from the repository root,
-under ``bash -e``, as Actions runs a step that names no ``shell:``.
+``.github/workflows/tests.yml`` is read with PyYAML. Its one job's ``env`` is
+applied, and every ``run:`` block but the Install step's runs in order from
+the repository root, under ``bash -e``, as Actions runs a step that names no
+``shell:``. A step with its own ``env``, ``shell``, ``working-directory`` or
+``if``, or with an expression, stops the script before any step runs: it
+could not be run as written.
 
 The Install step (``pip install -e .``) is stood in for: ``src`` goes first
 on ``PYTHONPATH``, so every step's ``python`` imports this tree's ``cru``,
@@ -46,17 +48,16 @@ def steps_of(workflow: Path) -> tuple[dict, list[dict]]:
     (job,) = jobs.values()
     steps = [s for s in job["steps"] if "run" in s and s.get("name") != INSTALL]
     for step in steps:
-        if "${{" in step["run"]:
-            raise SystemExit(f"{workflow}: step {step.get('name')!r} holds an expression")
+        if "${{" in step["run"] or {"env", "shell", "working-directory", "if"} & set(step):
+            raise SystemExit(f"{workflow}: step {step.get('name')!r} is not a plain run step")
     return {k: str(v) for k, v in job.get("env", {}).items()}, steps
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", help="run only the steps whose name matches this regex")
-    parser.add_argument("--workflow", type=Path, default=WORKFLOW)
     args = parser.parse_args(argv)
-    job_env, steps = steps_of(args.workflow)
+    job_env, steps = steps_of(WORKFLOW)
     if args.only:
         steps = [s for s in steps if re.search(args.only, s.get("name", s["run"]))]
     failed = False
@@ -78,9 +79,7 @@ def main(argv=None) -> int:
                 print(f"{'skipped':8}{'':8}{'':>9}  {name}", flush=True)
                 continue
             t0 = time.perf_counter()
-            code = subprocess.run(["bash", "-e", "-c", step["run"]], cwd=ROOT,
-                                  env={**env, **{k: str(v) for k, v in
-                                                 step.get("env", {}).items()}}).returncode
+            code = subprocess.run(["bash", "-e", "-c", step["run"]], cwd=ROOT, env=env).returncode
             failed = code != 0
             print(f"{'FAILED' if failed else 'ok':8}exit={code:<3}"
                   f"{time.perf_counter() - t0:8.1f}s  {name}", flush=True)

@@ -1,34 +1,39 @@
 """scripts/ci_local.py: the CI workflow's run steps, run here as written."""
 
-import subprocess
-import sys
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPT = ROOT / "scripts" / "ci_local.py"
 
 
-def ci_local(*args):
-    done = subprocess.run([sys.executable, str(SCRIPT), *args], cwd=ROOT,
-                          capture_output=True, text=True, check=False)
-    return done.returncode, [line for line in done.stdout.splitlines()
-                             if line.startswith(("ok ", "FAILED ", "skipped "))]
+def load_script():
+    spec = importlib.util.spec_from_file_location("ci_local", ROOT / "scripts" / "ci_local.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def test_a_workflow_step_runs_through_the_cru_shim():
+def step_lines(capfd):
+    """The script's step lines; the steps' own output is interleaved."""
+    return [line for line in capfd.readouterr().out.splitlines()
+            if line.startswith(("ok ", "FAILED ", "skipped "))]
+
+
+def test_a_workflow_step_runs_through_the_cru_shim(capfd):
     # The step calls the console script, which the shim stands in for.
-    code, lines = ci_local("--only", "^Missing dataset exits 2")
-    assert code == 0, lines
+    assert load_script().main(["--only", "^Missing dataset exits 2"]) == 0
+    lines = step_lines(capfd)
     assert len(lines) == 1 and lines[0].split()[:2] == ["ok", "exit=0"], lines
     assert lines[0].endswith("Missing dataset exits 2 with one line")
 
 
-def test_a_failing_step_is_reported_and_stops_the_job(tmp_path):
+def test_a_failing_step_is_reported_and_stops_the_job(tmp_path, capfd, monkeypatch):
     # Install is not run; each step runs under bash -e, so a failing command
     # fails its step even when a later line succeeds; the job's env reaches
     # every step; and the steps after a failed one are skipped.
-    workflow = tmp_path / "w.yml"
-    workflow.write_text("""
+    script = load_script()
+    monkeypatch.setattr(script, "WORKFLOW", tmp_path / "w.yml")
+    script.WORKFLOW.write_text("""
 jobs:
   tests:
     env:
@@ -46,8 +51,8 @@ jobs:
       - name: After
         run: "true"
 """)
-    code, lines = ci_local("--workflow", str(workflow))
-    assert code == 1
+    assert script.main([]) == 1
+    lines = step_lines(capfd)
     assert [line.split()[0] for line in lines] == ["ok", "FAILED", "skipped"], lines
     assert lines[1].split()[1] == "exit=1" and lines[1].endswith("Fails midway")
     assert lines[2].endswith("After")
