@@ -16,8 +16,8 @@ and a temporary ``cru`` script, first on ``PATH``, runs ``python -m cru.cli
 "$@"`` as the console script would. ``RUNNER_TEMP`` is a temporary directory
 removed at the end. No step is changed.
 
-Each step prints one line: ok or FAILED, its exit code, its seconds and its
-name. As in Actions, the steps after a failed one are skipped, and printed as
+Each step prints one line after its own output: ``ci_local:``, ok or
+FAILED, its exit code, its seconds and its name. As in Actions, the steps after a failed one are skipped, and printed as
 such. ``--only`` runs the steps whose name matches the regular expression.
 The exit code is 0 only when every step that ran exited 0. The workflow's
 matrix is not expanded: the steps run once, under this interpreter.
@@ -76,12 +76,12 @@ def main(argv=None) -> int:
         for step in steps:
             name = step.get("name", step["run"].splitlines()[0])
             if failed:
-                print(f"{'skipped':8}{'':8}{'':>9}  {name}", flush=True)
+                print(f"ci_local: {'skipped':8}{'':8}{'':>9}  {name}", flush=True)
                 continue
             t0 = time.perf_counter()
             code = subprocess.run(["bash", "-e", "-c", step["run"]], cwd=ROOT, env=env).returncode
             failed = code != 0
-            print(f"{'FAILED' if failed else 'ok':8}exit={code:<3}"
+            print(f"ci_local: {'FAILED' if failed else 'ok':8}exit={code:<3}"
                   f"{time.perf_counter() - t0:8.1f}s  {name}", flush=True)
     return 1 if failed else 0
 

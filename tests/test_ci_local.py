@@ -14,9 +14,10 @@ def load_script():
 
 
 def step_lines(capfd):
-    """The script's step lines; the steps' own output is interleaved."""
-    return [line for line in capfd.readouterr().out.splitlines()
-            if line.startswith(("ok ", "FAILED ", "skipped "))]
+    """The script's step lines, without their prefix; the steps' own output
+    is interleaved."""
+    return [line.removeprefix("ci_local: ") for line in capfd.readouterr().out.splitlines()
+            if line.startswith("ci_local: ")]
 
 
 def test_a_workflow_step_runs_through_the_cru_shim(capfd):
