@@ -17,10 +17,11 @@ and a temporary ``cru`` script, first on ``PATH``, runs ``python -m cru.cli
 removed at the end. No step is changed.
 
 Each step prints one line after its own output: ``ci_local:``, ok or
-FAILED, its exit code, its seconds and its name. As in Actions, the steps after a failed one are skipped, and printed as
-such. ``--only`` runs the steps whose name matches the regular expression.
-The exit code is 0 only when every step that ran exited 0. The workflow's
-matrix is not expanded: the steps run once, under this interpreter.
+FAILED, its exit code, its seconds and its name. As in Actions, the steps
+after a failed one are skipped, and printed as such. ``--only`` runs the
+steps whose name matches the regular expression. The exit code is 0 only
+when every step that ran exited 0. The workflow's matrix is not expanded:
+the steps run once, under this interpreter.
 """
 
 import argparse
