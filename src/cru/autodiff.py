@@ -2,8 +2,11 @@
 
 Ops executed while a ``Tape`` is active are recorded as an append-only list
 of nodes; ``Tape.backward`` walks that list in reverse, so every gradient is
-finalized before any consumer reads it. With no active tape the same ops run
-as plain numpy forward computations, which is what evaluation and the
+finalized before any consumer reads it. The walk consumes the tape: it drops
+each node, with the forward arrays its backward holds, as soon as that
+backward has run, so a tape runs one backward and records nothing after it.
+Gradients accumulate across tapes. With no active tape the same ops run as
+plain numpy forward computations, which is what evaluation and the
 finite-difference oracle use.
 
 A tape and its tensors are a single-threaded unit of work; the active-tape
@@ -154,6 +157,7 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
         self._ids: dict[int, int] = {}  # id(tensor) -> node id
+        self._spent = False  # backward has run
 
     def __enter__(self) -> "Tape":
         _stack().append(self)
@@ -177,6 +181,8 @@ class Tape:
         return id(t) in self._ids or t.requires_grad
 
     def record(self, op: str, inputs: Sequence[Tensor], out: Tensor, apply: Callable) -> None:
+        if self._spent:
+            raise ContractError(f"{op}: this tape's backward has run; record on a new tape")
         input_ids = tuple(self._node_id(t) for t in inputs)
         nid = len(self.nodes)
         # Append-only construction keeps the list topologically ordered.
@@ -185,26 +191,33 @@ class Tape:
         self._ids[id(out)] = nid
 
     def backward(self, loss: Tensor) -> None:
-        """Populate .grad for every requires_grad tensor reachable from loss.
+        """Populate .grad for every requires_grad tensor reachable from loss,
+        and consume the tape: each node is dropped as soon as its backward has
+        run, and a second backward, or an op recorded after this one, is a
+        ``ContractError``.
 
         A leaf that only ``rows=`` gradients reach (a table read by
         ``take_rows``) gets a ``RowGrad``; every other gradient is dense.
-        Gradients accumulate across calls; reset with zero_grad between steps.
+        Gradients accumulate across tapes; reset with zero_grad between steps.
         """
+        if self._spent:
+            raise ContractError("this tape's backward has run; record on a new tape")
         if loss.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         # A loss that no op recorded gets a leaf node here, which the loop
         # below seeds; a constant one gets none and reaches no gradient.
         loss_nid = self._node_id(loss)
+        nodes, self.nodes, self._ids, self._spent = self.nodes, [], {}, True
         if loss_nid is None:
             return
 
-        nodes = self.nodes
         buf: list[Array | None] = [None] * len(nodes)
         buf[loss_nid] = np.ones_like(loss.data)
 
-        for node in reversed(nodes):
-            g = buf[node.nid]
+        while nodes:
+            # Popped: the node, its closure and the forward arrays that holds
+            # are freed as the next node is taken.
+            node, g = nodes.pop(), buf.pop()
             if g is None:
                 continue  # not reachable backward from the loss
             t = node.tensor
@@ -253,7 +266,6 @@ class Tape:
                         cur += grad
 
                 node.apply(g, emit)
-            buf[node.nid] = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -428,11 +440,13 @@ def take_rows(x: Tensor, ids) -> Tensor:
 def _packed_sizes(op: str, batch_sizes) -> list[int]:
     """batch_sizes as a list, checked. Step t of a packed layout owns the
     contiguous block of k_t = batch_sizes[t] rows after the blocks before it,
-    the sizes never increase, and row j of a block continues row j of the
-    block before."""
-    sizes = np.asarray(batch_sizes).reshape(-1).tolist()
-    if not sizes or sizes[-1] < 1 or any(u < v for u, v in zip(sizes, sizes[1:])):
-        raise ContractError(f"{op}: batch_sizes must be positive and non-increasing, "
+    the sizes are integers that never increase, and row j of a block
+    continues row j of the block before."""
+    arr = np.asarray(batch_sizes).reshape(-1)
+    sizes = arr.tolist()
+    if (arr.dtype.kind not in "iu" or not sizes or sizes[-1] < 1
+            or any(u < v for u, v in zip(sizes, sizes[1:]))):
+        raise ContractError(f"{op}: batch_sizes must be positive, non-increasing integers, "
                             f"got {sizes}")
     return sizes
 
@@ -476,8 +490,7 @@ def conv1d_same(x: Tensor, banks: Sequence[Sequence[tuple[Tensor, Tensor]]], bat
     it into the im2col buffer (a buffer of its own when d_out > d_in) and
     adds its product with the bank's tap-reversed filter, formed in one
     buffer per direction, into dx. So besides its gradients the backward
-    holds two (T, d_out) arrays and one filter per direction, and a second
-    backward over the same tape gathers x's windows again first. Results are
+    holds two (T, d_out) arrays and one filter per direction. Results are
     bit for bit those of the per-bank ops fused here. From
     ``_CONCURRENT_MATMUL_WORK`` multiply-adds per direction, direction 1 runs
     on the worker thread, as in ``gru_scan``.
@@ -533,10 +546,7 @@ def conv1d_same(x: Tensor, banks: Sequence[Sequence[tuple[Tensor, Tensor]]], bat
 
     _run_loops([partial(forward, i) for i in range(D)], concurrent)
 
-    gathered = [True]  # wins hold x's windows, until the first backward
-
     def apply(g, emit):
-        regather, gathered[0] = not gathered[0], False
         dx = np.zeros(x.shape)
         d_fs, d_bs = [np.empty((d_out, k * d_in)) for _ in pairs], [np.empty(d_out) for _ in pairs]
         scratch = [(np.empty((total, d_out)), np.empty((total, d_out)),
@@ -544,8 +554,6 @@ def conv1d_same(x: Tensor, banks: Sequence[Sequence[tuple[Tensor, Tensor]]], bat
 
         def backward(i):
             da, tmp, f_rev = scratch[i]
-            if regather:
-                im2col(xs[i], pads[i], wins[i])
             for q in range(i * m, (i + 1) * m):
                 act_grad(g[:, cols[q]], Y[:, cols[q]], da, tmp)
                 np.sum(da, axis=0, out=d_bs[q])
@@ -819,9 +827,7 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
     array, which then is dP: it goes to the projection's backward for the
     gradients of x and of the weights, and is freed, or is x's gradient
     itself. The weight and bias gradients are formed after the loop, each one
-    T-row matmul or sum. So the first backward consumes the gates; a second
-    backward over the same tape recomputes them first, by rerunning the
-    forward loop over P formed again (or x) into new arrays.
+    T-row matmul or sum. So the backward consumes the gates.
 
     When the first step's h U^T has at least ``_CONCURRENT_STEP_WORK``
     multiply-adds, direction 0's loops run on the calling thread and the
@@ -857,35 +863,26 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
     gates = [slice(3 * i * d_h, 3 * (i + 1) * d_h) for i in range(D)]
     u_zrs = [np.concatenate([d[0].data, d[1].data]) for d in directions]  # (2 d_h, d_h)
     us = [d[2].data for d in directions]
-
-    def forward(P):
-        """H0 and the gate array of the recurrence over P: each direction
-        writes its states and its [z | r | g] straight into its own columns.
-        Step t reads its rows of P before it writes theirs of the gate array,
-        so a P formed here becomes the gate array; x itself is never written."""
-        H0 = np.empty((b + total, D * d_h))
-        H0[:b] = 0.0
-        A = np.empty((total, D * 3 * d_h)) if project_backward is None else P
-        _run_loops([partial(_scan_forward, P[:, gates[i]], u_zrs[i].T, us[i].T,
-                            np.concatenate([d[3].data, d[4].data]), d[5].data,
-                            H0[:, cols[i]], A[:, gates[i]], steps, np.empty((b, 2 * d_h)),
-                            *(np.empty((b, d_h)) for _ in range(3)))
-                    for i, d in enumerate(directions)], concurrent)
-        return H0, A
-
-    H0, A = forward(P)
-    unread = [A]  # the gates, until the first backward writes dP over them
+    # Each direction writes its states and its [z | r | g] straight into its
+    # own columns of H0 and of the gate array A. Step t reads its rows of P
+    # before it writes theirs of A, so a P formed here becomes A; x itself is
+    # never written.
+    H0 = np.empty((b + total, D * d_h))
+    H0[:b] = 0.0
+    A = np.empty((total, D * 3 * d_h)) if project_backward is None else P
+    _run_loops([partial(_scan_forward, P[:, gates[i]], u_zrs[i].T, us[i].T,
+                        np.concatenate([d[3].data, d[4].data]), d[5].data,
+                        H0[:, cols[i]], A[:, gates[i]], steps, np.empty((b, 2 * d_h)),
+                        *(np.empty((b, d_h)) for _ in range(3)))
+                for i, d in enumerate(directions)], concurrent)
 
     def apply(gout, emit):
-        # A later backward finds the gates overwritten, and recomputes them.
-        h0, A = (H0, unread.pop()) if unread else forward(
-            x.data if project_backward is None else _project_forward(x, groups)[0])
         # One buffer holds each direction's h_{t-1} rows in the reverse loops,
         # then x's gradient: one such array is allocated, not two in turn.
         width = 0 if project_backward is None else x.shape[-1]
         scratch = np.empty(total * max(D * d_h, width))
         grads = [(np.empty((3 * d_h, d_h)), np.empty(3 * d_h)) for _ in directions]
-        _run_loops([partial(_scan_backward, gout[:, cols[i]], A[:, gates[i]], h0[:, cols[i]],
+        _run_loops([partial(_scan_backward, gout[:, cols[i]], A[:, gates[i]], H0[:, cols[i]],
                             u_zrs[i], us[i], steps, *grads[i],
                             scratch[i * total * d_h:(i + 1) * total * d_h].reshape(total, d_h),
                             np.zeros((b, d_h)), np.empty((b, 2 * d_h)), np.empty((b, d_h)),
@@ -897,7 +894,7 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
                 emit(at + j, d_u[j * d_h:(j + 1) * d_h])
                 emit(at + 3 + j, d_b[j * d_h:(j + 1) * d_h])
         # A is now dP, handed over without a copy, so only once nothing here
-        # reads it. A dP formed from x's gradient is freed when this returns.
+        # reads it. A dP formed from x's gradient is freed with this node.
         emit(0, A if project_backward is None
              else project_backward(A, emit, 1 + D * len(_SCAN_INPUTS),
                                    scratch[:total * width].reshape(total, width)),

@@ -217,8 +217,6 @@ def train_epoch(model: SentimentModel, optimizer: Adam, batches: list[Batch],
                 p = model.forward_batch(batch, train=True, rng=rng)
                 loss = bce_loss(p, batch.labels)
                 tape.backward(loss)
-            # Free every forward tensor and closure before the optimizer's sweeps.
-            del tape
             # The embedding's L2 term is off the tape: the norm pass adds it.
             norms.append(optimizer.clip_gradients(config.clip_norm,
                                                   {"embedding.weights": config.l2}))

@@ -78,8 +78,9 @@ def test_backward_on_leaf_loss():
     a = Tensor(2.0, requires_grad=True)
     with Tape() as tape:
         tape.backward(a)
-        assert a.grad == np.ones(())
-        tape.backward(a)  # gradients accumulate across calls
+    assert a.grad == np.ones(())
+    with Tape() as tape:
+        tape.backward(a)  # gradients accumulate across tapes
     assert a.grad == 2 * np.ones(())
     c = Tensor(2.0)
     with Tape() as tape:
@@ -89,31 +90,57 @@ def test_backward_on_leaf_loss():
 
 def test_gradients_accumulate_across_backward_calls():
     a = Tensor([1.0, 3.0], requires_grad=True)
+    grads = []
+    for _ in range(2):  # one tape each
+        with Tape() as tape:
+            tape.backward(ad.sum_all(ad.mul(a, a)))
+        grads.append(a.grad.copy())
+    assert np.allclose(grads[1], 2 * grads[0])
+    a.zero_grad()
+    assert a.grad is None
+
+
+def test_a_tape_runs_one_backward():
+    # The backward consumes the tape: a second one, or an op on a tensor that
+    # needs a gradient, is a contract error, and neither adds a gradient. An
+    # op on constants still runs, untaped.
+    a = Tensor([1.0, 3.0], requires_grad=True)
     with Tape() as tape:
         loss = ad.sum_all(ad.mul(a, a))
         tape.backward(loss)
-        g1 = a.grad.copy()
-        tape.backward(loss)
-    assert np.allclose(a.grad, 2 * g1)
-    a.zero_grad()
-    assert a.grad is None
+        assert len(tape) == 0
+        with pytest.raises(ContractError, match="backward has run"):
+            tape.backward(loss)
+        with pytest.raises(ContractError, match="mul: this tape's backward has run"):
+            ad.mul(a, a)
+        assert ad.mul(Tensor(2.0), Tensor(3.0)).item() == 6.0
+    assert np.array_equal(a.grad, [2.0, 6.0])
+    with Tape() as tape:
+        tape.backward(Tensor(2.0))  # a constant loss consumes the tape too
+        with pytest.raises(ContractError):
+            tape.backward(ad.sum_all(a))
 
 
 def test_leaf_gradients_own_their_memory():
     a = Tensor([1.0, 2.0], requires_grad=True)
     b = Tensor([3.0, 4.0], requires_grad=True)
+
+    def loss():
+        return ad.sum_all(ad.mul(add(a, b), add(a, b)))
+
     with Tape() as tape:
-        loss = ad.sum_all(ad.mul(add(a, b), add(a, b)))
-        tape.backward(loss)
+        total = loss()
         arrays = [node.tensor.data for node in tape.nodes]
-        assert not np.shares_memory(a.grad, b.grad)
-        for arr in arrays:
-            assert not np.shares_memory(a.grad, arr)
-            assert not np.shares_memory(b.grad, arr)
-        first = a.grad
-        g1 = first.copy()
-        tape.backward(loss)
-    # Accumulation makes a new array; the first pass's gradient is untouched.
+        tape.backward(total)
+    assert not np.shares_memory(a.grad, b.grad)
+    for arr in arrays:
+        assert not np.shares_memory(a.grad, arr)
+        assert not np.shares_memory(b.grad, arr)
+    first = a.grad
+    g1 = first.copy()
+    with Tape() as tape:
+        tape.backward(loss())
+    # Accumulation makes a new array; the first tape's gradient is untouched.
     assert np.array_equal(a.grad, 2 * g1)
     assert np.array_equal(b.grad, 2 * g1)
     assert np.array_equal(first, g1)
@@ -125,13 +152,15 @@ def test_first_gradient_is_a_writable_copy():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
     with Tape() as tape:
         y = add(x, x)
-        tape.backward(ad.sum_all(ad.mul(y, Tensor([[1.0, 2.0], [3.0, 4.0]]))))
+        loss = ad.sum_all(ad.mul(y, Tensor([[1.0, 2.0], [3.0, 4.0]])))
         views = [node.tensor.data for node in tape.nodes]
+        tape.backward(loss)
     assert np.array_equal(x.grad, [[2.0, 4.0], [6.0, 8.0]])
     z = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with Tape() as tape:
-        tape.backward(ad.sum_all(z))
+        loss = ad.sum_all(z)
         views += [node.tensor.data for node in tape.nodes]
+        tape.backward(loss)
     assert np.array_equal(z.grad, [1.0, 1.0, 1.0])
     for g in (x.grad, z.grad):
         assert g.flags.writeable and g.base is None
@@ -567,23 +596,24 @@ def test_conv1d_same_validation():
         ad.conv1d_same(x2, [[bank]] * 2, sizes, activation="swish")
 
 
-@pytest.mark.parametrize("batch_sizes, error", [
-    ([3], DimensionError),        # the sizes of a different batch: T = 3, not 4
-    ([2, 1, 1, 1], DimensionError),
-    ([], ContractError),          # no step
-    ([2, 2, 0], ContractError),   # a step with no rows
-    ([1, 3], ContractError),      # a step with more rows than the one before
-    ([4, -1, 1], ContractError),
-], ids=["sum-3", "sum-5", "empty", "zero", "increasing", "negative"])
-def test_both_packed_ops_reject_bad_batch_sizes(batch_sizes, error):
+@pytest.mark.parametrize("batch_sizes, dtype, error", [
+    ([3], np.intp, DimensionError),        # the sizes of a different batch: T = 3, not 4
+    ([2, 1, 1, 1], np.intp, DimensionError),
+    ([], np.intp, ContractError),          # no step
+    ([2, 2, 0], np.intp, ContractError),   # a step with no rows
+    ([1, 3], np.intp, ContractError),      # a step with more rows than the one before
+    ([4, -1, 1], np.intp, ContractError),
+    ([2, 2], np.float64, ContractError),   # sizes that sum to 4, but not integers
+], ids=["sum-3", "sum-5", "empty", "zero", "increasing", "negative", "float"])
+def test_both_packed_ops_reject_bad_batch_sizes(batch_sizes, dtype, error):
     # One rule for both ops that read a packed layout: conv1d_same and
     # gru_scan raise the same error class for each bad batch_sizes of 4 rows.
     f = Tensor(np.zeros((2, 3, 3)))
     with pytest.raises(error):
-        conv(Tensor(np.zeros((4, 3))), f, np.array(batch_sizes, dtype=np.intp))
+        conv(Tensor(np.zeros((4, 3))), f, np.array(batch_sizes, dtype=dtype))
     direction = [Tensor(np.zeros((2, 2))) for _ in range(3)] + [Tensor(np.zeros(2))] * 3
     with pytest.raises(error):
-        ad.gru_scan(Tensor(np.zeros((4, 6))), [direction], np.array(batch_sizes, dtype=np.intp))
+        ad.gru_scan(Tensor(np.zeros((4, 6))), [direction], np.array(batch_sizes, dtype=dtype))
 
 
 def conv_banks(rng, directions, m, d_in, d_out, k):
@@ -919,10 +949,9 @@ def test_two_directions_equal_two_one_direction_scans(monkeypatch, b, d_h, concu
 def test_owned_gradients_take_later_gradients_in_place():
     # gru_scan's dP and dense's dx are kept without a copy. A leaf used
     # first by another op gets that op's gradient last, added into the kept
-    # array: its gradient must be the sum, and a second backward over the same
-    # tape must see every array the ops keep unchanged. Both scan directions
-    # read the same gate inputs, so the second direction's block of dP lands
-    # on the first's.
+    # array: its gradient must be the sum, and no op's output may change.
+    # Both scan directions read the same gate inputs, so the second
+    # direction's block of dP lands on the first's.
     rng = rng_for(22)
     sizes = [3, 2, 2]
     inputs = scan_inputs(rng, sizes, 4)
@@ -952,15 +981,12 @@ def test_owned_gradients_take_later_gradients_in_place():
     x.zero_grad()
     with Tape() as tape:
         total = loss(True)
-        kept = [node.tensor.data.copy() for node in tape.nodes]
+        outputs = [node.tensor for node in tape.nodes]
+        kept = [t.data.copy() for t in outputs]
         tape.backward(total)
-        first = [inputs[0].grad.copy(), x.grad.copy()]
-        tape.backward(total)
-        assert all(np.array_equal(node.tensor.data, k) for node, k in zip(tape.nodes, kept))
-    assert np.array_equal(first[0], alone[0] + G_p)
-    assert np.array_equal(first[1], alone[1] + G_x)
-    assert np.array_equal(inputs[0].grad, 2 * first[0])
-    assert np.array_equal(x.grad, 2 * first[1])
+    assert all(np.array_equal(t.data, k) for t, k in zip(outputs, kept))
+    assert np.array_equal(inputs[0].grad, alone[0] + G_p)
+    assert np.array_equal(x.grad, alone[1] + G_x)
 
 
 def test_scan_backward_allocates_no_second_gate_array():
@@ -984,77 +1010,6 @@ def test_scan_backward_allocates_no_second_gate_array():
         finally:
             tracemalloc.stop()
     assert peak - start < T * 2 * 3 * d_h * 8 + x.data.nbytes
-
-
-@pytest.mark.parametrize("concurrent", [False, True])
-@pytest.mark.parametrize("groups", [None, 1, 3])
-def test_second_backward_recomputes_the_scan_gates(monkeypatch, groups, concurrent):
-    # The first backward writes dP over the gates; a second one over the same
-    # tape recomputes them, so it adds exactly the first's gradients again.
-    # The gate inputs are given (groups None) or formed from x by one group
-    # per direction (gru) or three groups of one (deep_enhanced), with both
-    # directions on this thread or the second on the worker.
-    pool = CountingPool()
-    monkeypatch.setattr(ad, "_WORKER", pool)
-    if concurrent:
-        monkeypatch.setattr(ad, "_CONCURRENT_STEP_WORK", 1)
-    rng = rng_for(41)
-    sizes, c, d_h = [3, 3, 2, 1], 2, 3
-    width = 3 * d_h if groups is None else groups * c
-    x = Tensor(rng.standard_normal((9, 2 * width)), requires_grad=True)
-    directions = [scan_inputs(rng, sizes, d_h)[1:] for _ in range(2)]
-    weights = None if groups is None else gate_weights(rng, 2, groups, c, d_h)
-    params = [x] + [t for d in directions for t in d] + [w for g in weights or [] for w in g]
-    readout = Tensor(rng.standard_normal((9, 2 * d_h)))
-    with Tape() as tape:
-        states = ad.gru_scan(x, directions, sizes, weights)
-        kept = states.data.copy()
-        loss = ad.sum_all(ad.mul(states, readout))
-        tape.backward(loss)
-        first = [p.grad.copy() for p in params]
-        tape.backward(loss)
-    assert np.array_equal(states.data, kept)
-    for p, g in zip(params, first):
-        assert np.array_equal(p.grad, 2 * g)
-    # Forward, first backward, then the recomputed forward and the backward.
-    assert pool.submitted == (4 if concurrent else 0)
-    pool.pool.shutdown()
-
-
-@pytest.mark.parametrize("concurrent", [False, True])
-@pytest.mark.parametrize("residual, d_in, d_out", [(True, 4, 4), (False, 4, 4), (False, 4, 3),
-                                                   (False, 3, 5)])
-def test_second_backward_over_conv1d_same_adds_the_same_gradients(monkeypatch, residual, d_in,
-                                                                   d_out, concurrent):
-    # The first backward gathers the gradient's windows into the forward's
-    # im2col buffers (or, for d_out > d_in, a buffer of its own); a second
-    # one over the same tape gathers x's windows again, so it adds exactly
-    # the first's gradients of x, the filters and the biases. Both directions
-    # run on this thread, or the second on the worker.
-    pool = CountingPool()
-    monkeypatch.setattr(ad, "_WORKER", pool)
-    if concurrent:
-        monkeypatch.setattr(ad, "_CONCURRENT_MATMUL_WORK", 1)
-    rng = rng_for(44)
-    packing = pack([5, 2, 4, 1])
-    T = packing.size
-    x = Tensor(rng.standard_normal((T, 2 * d_in)), requires_grad=True)
-    banks = conv_banks(rng, 2, 3, d_in, d_out, 3)
-    params = [x] + [t for g in banks for pair in g for t in pair]
-    readout = Tensor(rng.standard_normal((T, 6 * d_out)))
-    with Tape() as tape:
-        out = ad.conv1d_same(x, banks, packing.batch_sizes, "tanh", residual)
-        kept = out.data.copy()
-        loss = ad.sum_all(ad.mul(out, readout))
-        tape.backward(loss)
-        first = [p.grad.copy() for p in params]
-        tape.backward(loss)
-    assert np.array_equal(out.data, kept)
-    for p, g in zip(params, first):
-        assert np.array_equal(p.grad, 2 * g)
-    # Forward, first backward, second backward.
-    assert pool.submitted == (3 if concurrent else 0)
-    pool.pool.shutdown()
 
 
 def test_conv_backward_reuses_the_im2col_buffer():

@@ -445,19 +445,21 @@ def test_train_epoch_reports_its_telemetry(monkeypatch):
 
 
 def test_tape_is_released_before_the_optimizer_runs(monkeypatch):
-    # Clipping and Adam must not run while the tape still holds every
-    # forward tensor and backward closure of the batch.
-    tapes, alive = [], []
+    # Clipping and Adam must not run while the tape still holds a forward
+    # tensor or backward closure of the batch: by then the tape is empty and
+    # every closure it recorded is freed.
+    tapes, applies, held = [], [], []
 
     class TrackedTape(Tape):
-        def __enter__(self):
-            tapes.append(weakref.ref(self))
-            return super().__enter__()
+        def backward(self, loss):
+            tapes.append(self)
+            applies.extend(weakref.ref(n.apply) for n in self.nodes if n.apply is not None)
+            super().backward(loss)
 
     clip = Adam.clip_gradients
 
     def checked_clip(self, max_norm, l2):
-        alive.append(tapes[-1]() is not None)
+        held.append(len(tapes[-1]) + sum(ref() is not None for ref in applies))
         return clip(self, max_norm, l2)
 
     monkeypatch.setattr(ad, "Tape", TrackedTape)
@@ -466,7 +468,39 @@ def test_tape_is_released_before_the_optimizer_runs(monkeypatch):
     opt = Adam(model.named_params(), lr=config.lr)
     batch = batch_from_rows([[2, 3, 4], [5, 6]], [1, 0])
     train_epoch(model, opt, [batch, batch], config, rng=None)
-    assert alive == [False, False]
+    assert held == [0, 0] and applies
+
+
+def test_backward_frees_each_node_before_the_next_runs(monkeypatch):
+    # A deep_enhanced training step: each node's backward runs only after
+    # every node recorded after it, its closure and the forward arrays that
+    # holds, is freed, and none is left once the backward returns.
+    refs, freed, ops = {}, [], set()
+    backward = Tape.backward
+
+    def checked(nid, apply):
+        def run(g, emit):
+            freed.append(all(ref() is None for j, ref in refs.items() if j > nid))
+            apply(g, emit)
+        return run
+
+    def watched(tape, loss):
+        for node in tape.nodes:
+            if node.apply is not None:
+                node.apply = checked(node.nid, node.apply)
+                refs[node.nid] = weakref.ref(node.apply)
+                ops.add(node.op)
+        del node  # which would keep the last node alive
+        backward(tape, loss)
+        freed.append(all(ref() is None for ref in refs.values()))
+
+    monkeypatch.setattr(Tape, "backward", watched)
+    model, config = tiny_model(seed=17, variant="deep_enhanced", dropout=0.3)
+    opt = Adam(model.named_params(), lr=config.lr)
+    batch = batch_from_rows([[2, 3, 4, 5], [6, 7], [3, 4, 8]], [1, 0, 1])
+    train_epoch(model, opt, [batch], config, rng=seeded_rng(17, 2))
+    assert {"conv1d_same", "gru_scan", "bce"} <= ops
+    assert len(freed) == len(refs) + 1 and all(freed), freed
 
 
 @pytest.mark.parametrize("l2, clip_norm", [(0.0, 1e3), (0.5, 1e3), (0.5, 0.05)])
