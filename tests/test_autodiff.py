@@ -117,8 +117,8 @@ def test_a_tape_runs_one_backward():
     assert np.array_equal(a.grad, [2.0, 6.0])
     with Tape() as tape:
         tape.backward(Tensor(2.0))  # a constant loss consumes the tape too
-        with pytest.raises(ContractError):
-            tape.backward(ad.sum_all(a))
+        with pytest.raises(ContractError, match="backward has run"):
+            tape.backward(Tensor(2.0))
 
 
 def test_leaf_gradients_own_their_memory():
