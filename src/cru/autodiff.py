@@ -925,7 +925,14 @@ def finite_diff_gradcheck(f, params: dict[str, Tensor], h: float = 1e-5,
 
     f is a zero-argument callable evaluating the loss from the current values
     of params; it must be deterministic, so disable dropout before checking.
-    Relative error per entry is |a - b| / max(|a|, |b|, 1e-8).
+    Relative error per entry is |a - b| / max(|a|, |b|, floor). Each f(p ± h)
+    is rounded to units in the last place of the loss, about eps·|loss|, so a
+    central difference carries about eps·|loss|/(2h) of roundoff per unit in
+    the last place. The floor is the magnitude at which four such units are a
+    relative error of 1e-4, the contract's bound: 2·eps·|loss|/(h·1e-4), and
+    at least 1e-8. Above it, every entry is held to tol relative to itself;
+    below it, to tol relative to the floor. The floor does not move with tol,
+    so a tighter tol tightens every entry.
     """
     if not 0 < h < np.inf:
         raise ConfigError(f"finite-difference step must be positive and finite, got {h}")
@@ -946,6 +953,7 @@ def finite_diff_gradcheck(f, params: dict[str, Tensor], h: float = 1e-5,
             raise ContractError("f must return a Tensor built from recorded ops")
         tape.backward(loss)
 
+    floor = max(2.0 * np.finfo(np.float64).eps * abs(base1) / (h * 1e-4), 1e-8)
     per_param: dict[str, float] = {}
     for name, p in params.items():
         analytic = np.asarray(p.grad) if p.grad is not None else np.zeros_like(p.data)
@@ -960,7 +968,7 @@ def finite_diff_gradcheck(f, params: dict[str, Tensor], h: float = 1e-5,
             f_minus = _scalar(f())
             flat[i] = orig
             num_flat[i] = (f_plus - f_minus) / (2.0 * h)
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
         per_param[name] = float(np.max(np.abs(analytic - numeric) / denom))
 
     max_rel = max(per_param.values()) if per_param else 0.0

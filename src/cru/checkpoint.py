@@ -4,11 +4,20 @@ Layout (little-endian):
   magic "CRUT1\\n" | u32 tensor count | per tensor:
   u16 name length | name (utf-8) | u8 rank | u32 per dim | float64 data.
 Insertion order is preserved on round trip.
+
+The bytes move straight between the file and the arrays. A load holds the
+arrays it returns, one boolean temporary the size of the tensor being checked
+for non-finite entries, and the file's read buffer: each tensor is allocated
+once, at its stored shape, and read into in place. A save writes each float64
+C-contiguous array from its own memory, so it holds only the file's write
+buffer; an array of another dtype or layout is converted once, as it is
+written.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from typing import Mapping
 
@@ -29,57 +38,65 @@ def save_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:
             # note: ascontiguousarray would promote rank-0 to rank-1 here
             data = np.asarray(arr, dtype="<f8", order="C")
             encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", data.ndim))
-            for dim in data.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(data.tobytes())
+            fh.write(struct.pack(f"<H{len(encoded)}sB{data.ndim}I", len(encoded), encoded,
+                                 data.ndim, *data.shape))
+            fh.write(data)  # the array's own buffer, not a tobytes() copy
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(MAGIC):
-        raise ParseError(f"{path}: not a checkpoint file (bad magic)")
-    at = len(MAGIC)
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise ParseError(f"{path}: not a checkpoint file (bad magic)")
+        at = len(MAGIC)
 
-    def take(fmt: str):
-        nonlocal at
-        size = struct.calcsize(fmt)
-        if at + size > len(blob):
-            raise ParseError(f"{path}: truncated checkpoint")
-        vals = struct.unpack_from(fmt, blob, at)
-        at += size
-        return vals
+        def claim(nbytes: int) -> None:
+            # Every length is checked against the file's size before anything
+            # of that length is read or allocated.
+            nonlocal at
+            if at + nbytes > size:
+                raise ParseError(f"{path}: truncated checkpoint")
+            at += nbytes
 
-    (count,) = take("<I")
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = take("<H")
-        if at + name_len > len(blob):
-            raise ParseError(f"{path}: truncated checkpoint")
-        try:
-            name = blob[at:at + name_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: tensor name is not valid UTF-8") from None
-        at += name_len
-        if name in out:
-            raise ParseError(f"{path}: tensor {name} appears more than once")
-        (rank,) = take("<B")
-        if rank > _MAX_NUMPY_RANK:
-            raise ParseError(f"{path}: tensor {name} has rank {rank}, above numpy's "
-                             f"{_MAX_NUMPY_RANK}")
-        shape = tuple(take("<I")[0] for _ in range(rank))
-        n = math.prod(shape)  # Python ints, so huge dims cannot wrap negative
-        nbytes = n * 8
-        if at + nbytes > len(blob):
-            raise ParseError(f"{path}: truncated checkpoint")
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=at).reshape(shape)
-        at += nbytes
-        if not np.all(np.isfinite(arr)):
-            raise ParseError(f"{path}: tensor {name} holds non-finite entries")
-        out[name] = arr.astype(np.float64)  # a fresh array, not a view of blob
-    if at != len(blob):
-        raise ParseError(f"{path}: {len(blob) - at} trailing bytes after last tensor")
+        def take(nbytes: int) -> bytes:
+            claim(nbytes)
+            data = fh.read(nbytes)
+            if len(data) != nbytes:
+                raise ParseError(f"{path}: truncated checkpoint")
+            return data
+
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+        (count,) = unpack("<I")
+        out: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = unpack("<H")
+            try:
+                name = take(name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(f"{path}: tensor name is not valid UTF-8") from None
+            if name in out:
+                raise ParseError(f"{path}: tensor {name} appears more than once")
+            (rank,) = unpack("<B")
+            if rank > _MAX_NUMPY_RANK:
+                raise ParseError(f"{path}: tensor {name} has rank {rank}, above numpy's "
+                                 f"{_MAX_NUMPY_RANK}")
+            shape = unpack(f"<{rank}I")
+            nbytes = math.prod(shape) * 8  # Python ints, so huge dims cannot wrap negative
+            claim(nbytes)
+            try:
+                arr = np.empty(shape, dtype="<f8")
+            except ValueError:
+                # Zero elements, but the other dims multiply past what numpy
+                # can index ("array is too big").
+                raise ParseError(f"{path}: tensor {name} has shape {shape}, too large for "
+                                 f"a numpy array") from None
+            if fh.readinto(arr) != nbytes:
+                raise ParseError(f"{path}: truncated checkpoint")
+            if not np.all(np.isfinite(arr)):
+                raise ParseError(f"{path}: tensor {name} holds non-finite entries")
+            out[name] = arr
+    if at != size:
+        raise ParseError(f"{path}: {size - at} trailing bytes after last tensor")
     return out

@@ -276,7 +276,7 @@ def _check_classifier(seed: int, tol: float):
     model = SentimentModel.build(config, vocab_size=7, rng=rng)
     # Re-draw embeddings and biases at healthy scales: the training-time
     # defaults (0.05-scale embeddings, zero biases) leave some gradients near
-    # the 1e-8 relative-error floor, where finite-difference roundoff
+    # the gradient check's floor, where finite-difference roundoff
     # dominates and the comparison stops being informative.
     model.embedding.data = rng.uniform(-1.2, 1.2, model.embedding.shape)
     for name, p in model.named_params().items():

@@ -31,6 +31,11 @@ it counted with a ``Counter``: ties broken by an explicit first-occurrence
 index. ``project_then_scan`` is the gate-input projection as its own tape
 node, then the scan, as they ran before ``ad.gru_scan`` took the projection's
 weights and formed the gate inputs itself.
+``save_tensors_tobytes`` and ``load_tensors_blob`` are the checkpoint writer
+and reader from before they moved bytes straight between the file and the
+arrays: the writer copies each array out with ``tobytes()``, and the reader
+reads the whole file into one ``bytes`` object and copies each tensor out of
+it.
 
 The tape ops ``add``, ``sub``, ``activation``, ``log``, ``clip_values``,
 ``mean_all``, ``bias_add`` and ``project`` (``ad._project_forward`` as its
@@ -40,12 +45,16 @@ each head layer became one node; the composed references use them.
 from them, as ``layers.dense_forward`` and ``classifier.bce_loss`` ran before.
 """
 
+import math
+import struct
+
 import numpy as np
 
 from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor
+from cru.checkpoint import _MAX_NUMPY_RANK, MAGIC
 from cru.classifier import bce_loss
-from cru.errors import ConfigError, DimensionError, NumericError
+from cru.errors import ConfigError, DimensionError, NumericError, ParseError
 from cru.recurrent import pack, run_sequence
 
 
@@ -581,3 +590,66 @@ def vocab_first_seen(corpus, max_size=None):
             at += 1
     ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
     return ranked if max_size is None else ranked[:max_size - 2]
+
+
+def save_tensors_tobytes(path, tensors):
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", len(tensors)))
+        for name, arr in tensors.items():
+            data = np.asarray(arr, dtype="<f8", order="C")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<B", data.ndim))
+            for dim in data.shape:
+                fh.write(struct.pack("<I", dim))
+            fh.write(data.tobytes())
+
+
+def load_tensors_blob(path):
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if not blob.startswith(MAGIC):
+        raise ParseError(f"{path}: not a checkpoint file (bad magic)")
+    at = len(MAGIC)
+
+    def take(fmt):
+        nonlocal at
+        size = struct.calcsize(fmt)
+        if at + size > len(blob):
+            raise ParseError(f"{path}: truncated checkpoint")
+        vals = struct.unpack_from(fmt, blob, at)
+        at += size
+        return vals
+
+    (count,) = take("<I")
+    out = {}
+    for _ in range(count):
+        (name_len,) = take("<H")
+        if at + name_len > len(blob):
+            raise ParseError(f"{path}: truncated checkpoint")
+        try:
+            name = blob[at:at + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: tensor name is not valid UTF-8") from None
+        at += name_len
+        if name in out:
+            raise ParseError(f"{path}: tensor {name} appears more than once")
+        (rank,) = take("<B")
+        if rank > _MAX_NUMPY_RANK:
+            raise ParseError(f"{path}: tensor {name} has rank {rank}, above numpy's "
+                             f"{_MAX_NUMPY_RANK}")
+        shape = tuple(take("<I")[0] for _ in range(rank))
+        n = math.prod(shape)
+        nbytes = n * 8
+        if at + nbytes > len(blob):
+            raise ParseError(f"{path}: truncated checkpoint")
+        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=at).reshape(shape)
+        at += nbytes
+        if not np.all(np.isfinite(arr)):
+            raise ParseError(f"{path}: tensor {name} holds non-finite entries")
+        out[name] = arr.astype(np.float64)
+    if at != len(blob):
+        raise ParseError(f"{path}: {len(blob) - at} trailing bytes after last tensor")
+    return out

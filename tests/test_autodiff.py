@@ -1248,3 +1248,45 @@ def test_gradcheck_flags_wrong_gradient():
     report = finite_diff_gradcheck(g, {"x": x})
     assert not report.passed
     assert report.max_rel_err > 0.1
+
+
+def matmul_with(dW):
+    """x @ W on the tape, whose backward sends W the gradient dW(x, g)."""
+    def op(x, W):
+        def apply(g, emit):
+            emit(1, dW(x.data, g))
+        return ad._emit_op("matmul", (x, W), Tensor(x.data @ W.data), apply)
+    return op
+
+
+@pytest.mark.parametrize("planted", [
+    lambda x, g: (x.T @ g).T,  # dW transposed
+    lambda x, g: (x.T @ g) * (1 + 1e-3),  # dW off by 0.1%, ten times the bound
+])
+def test_gradcheck_flags_planted_gradient_errors(planted):
+    rng = rng_for(5)
+    x = rng.standard_normal((4, 3))
+    W = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    for op, right in ((matmul_with(lambda x, g: x.T @ g), True), (matmul_with(planted), False)):
+        report = finite_diff_gradcheck(
+            lambda: ad.sum_all(activation("tanh", op(Tensor(x), W))), {"W": W})
+        assert report.passed == right, report.per_param
+
+
+def test_gradcheck_compares_entries_below_the_roundoff_floor_absolutely():
+    # loss = 4.5·p0 + 1e-10·p1. A central difference of the loss moves in
+    # units of its last place, 8.9e-16, so the numeric 1e-10 reads 8.9e-11 or
+    # 1.3e-10: a relative error near 1e-1, and 1e-3 against the old 1e-8
+    # floor. Below 2·eps·4.5/(h·1e-4) = 2e-6 the error is taken relative to
+    # that floor, and the check passes. A wrong entry there still fails.
+    c = np.array([4.5, 1e-10])
+    p = Tensor([1.0, 1.0], requires_grad=True)
+    assert finite_diff_gradcheck(lambda: ad.sum_all(ad.mul(Tensor(c), p)), {"p": p}).passed
+
+    def p_with_wrong_small_entry():  # p, whose backward adds 1e-9 to p1's gradient
+        return ad._emit_op("plant", (p,), Tensor(p.data.copy()),
+                           lambda g, emit: emit(0, g + np.array([0.0, 1e-9])))
+
+    report = finite_diff_gradcheck(
+        lambda: ad.sum_all(ad.mul(Tensor(c), p_with_wrong_small_entry())), {"p": p})
+    assert not report.passed, report.per_param

@@ -1,6 +1,7 @@
 """Binary named-tensor container: round trips and corruption handling."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,3 +128,43 @@ def test_loaded_tensors_are_fresh_writable_arrays(tmp_path):
     for arr in loaded.values():
         assert arr.flags.writeable and arr.flags.owndata
     assert not np.shares_memory(loaded["a"], loaded["b"])
+
+
+def memory_tensors():
+    """About 3 MB of tensors, the largest last, where its check is the peak."""
+    rng = np.random.Generator(np.random.PCG64(1))
+    return {"fwd.W": rng.standard_normal((600, 200)), "fwd.b": rng.standard_normal(600),
+            "scalar": np.array(0.5), "empty": np.zeros((0, 4)),
+            "embedding.weights": rng.standard_normal((1300, 200))}
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak of tracemalloc's traced memory above its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_holds_one_copy_of_the_tensors(tmp_path):
+    # The arrays returned, the isfinite temporary of the largest tensor (one
+    # byte per entry), and 64 KiB for the file's read buffer, the names and
+    # the dict. Reading the whole file first and copying each tensor out of it
+    # peaked at twice the tensor bytes.
+    tensors = memory_tensors()
+    save_tensors(tmp_path / "t.bin", tensors)
+    tensor_bytes = sum(a.nbytes for a in tensors.values())
+    largest = max(a.size for a in tensors.values())
+    loaded, peak = traced_peak(lambda: load_tensors(tmp_path / "t.bin"))
+    assert peak <= tensor_bytes + largest + 64 * 1024, (peak, tensor_bytes)
+    assert all(np.array_equal(loaded[name], a) for name, a in tensors.items())
+
+
+def test_save_writes_float64_arrays_without_a_copy(tmp_path):
+    # tobytes() copied each tensor, 2.08 MB for the largest here.
+    tensors = memory_tensors()
+    _, peak = traced_peak(lambda: save_tensors(tmp_path / "t.bin", tensors))
+    assert peak < 64 * 1024, peak

@@ -20,10 +20,11 @@ from pathlib import Path
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor
-from cru.checkpoint import MAGIC, load_tensors
+from cru.checkpoint import MAGIC, load_tensors, save_tensors
 from cru.classifier import SentimentModel, TrainConfig, seeded_rng, train_epoch
 from cru.data import (Corpus, EncodedSample, Sample, Vocab, batch_and_pad, build_vocab,
                       load_document_corpus, load_line_corpus, load_pretrained_embeddings,
@@ -33,9 +34,9 @@ from cru.optim import BLOCK_ROWS, Adam
 from cru.layers import dense_forward, same_length_conv
 from cru.recurrent import _BANKS, VARIANTS, _CellBase, make_cell, pack, run_sequence
 from oracles import (add, conv1d_same_einsum, conv1d_same_padded, dense_update,
-                     gru_scan_composed, gru_scan_padded, packed_positions, packing_window,
-                     prepare_per_gate, project, project_then_scan, run_padded, run_row,
-                     token_positions, vocab_first_seen)
+                     gru_scan_composed, gru_scan_padded, load_tensors_blob, packed_positions,
+                     packing_window, prepare_per_gate, project, project_then_scan, run_padded,
+                     run_row, save_tensors_tobytes, token_positions, vocab_first_seen)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -567,8 +568,18 @@ def written(data: bytes, read):
 
 
 records = st.lists(st.tuples(st.sampled_from([b"a", b"b", b"\xff", b""]),
-                             st.lists(st.integers(0, 3), max_size=66),
+                             st.lists(st.one_of(st.integers(0, 3), st.just(0xFFFFFFFF)),
+                                      max_size=66),
                              st.lists(st.floats(), max_size=4)), max_size=3)
+ZERO_SIZE_HUGE_DIMS = [(b"a", [0, 0xFFFFFFFF, 0xFFFFFFFF], [])]
+
+
+def malformed_checkpoint(tensors, miscount: int, cut: int, tail: bytes) -> bytes:
+    """Records whose fields need not agree, a count off by one either way, the
+    last bytes cut off and junk appended."""
+    data = (MAGIC + struct.pack("<I", max(0, len(tensors) + miscount))
+            + b"".join(tensor_record(*t) for t in tensors))
+    return data[:len(data) - cut] + tail
 
 
 @PROPERTY
@@ -576,17 +587,65 @@ records = st.lists(st.tuples(st.sampled_from([b"a", b"b", b"\xff", b""]),
 @example([(b"a", [1] * 65, [0.5])], 0, 0, b"")  # above numpy's 64 dimensions
 @example([(b"a", [2], [0.5, float("nan")])], 0, 0, b"")
 @example([(b"a", [], [0.5]), (b"a", [], [0.5])], 0, 0, b"")  # a name twice
+@example(ZERO_SIZE_HUGE_DIMS, 0, 0, b"")  # no elements, but too big for numpy
 def test_checkpoint_reader_raises_only_documented_errors(tensors, miscount, cut, tail):
-    # Records whose fields need not agree, a count off by one either way, the
-    # last bytes cut off and junk appended.
-    data = (MAGIC + struct.pack("<I", max(0, len(tensors) + miscount))
-            + b"".join(tensor_record(*t) for t in tensors))
-    data = data[:len(data) - cut] + tail
     try:
-        out = written(data, load_tensors)
+        out = written(malformed_checkpoint(tensors, miscount, cut, tail), load_tensors)
     except (CruError, OSError):
         return
     assert all(a.dtype == np.float64 and np.all(np.isfinite(a)) for a in out.values())
+
+
+def outcome(read, path):
+    """read(path)'s tensors as (name, shape, dtype, bytes), or the exception."""
+    try:
+        return [(name, a.shape, a.dtype, a.tobytes()) for name, a in read(path).items()]
+    except (ParseError, ValueError) as e:
+        return e
+
+
+@PROPERTY
+@given(records, st.integers(-1, 1), st.integers(0, 12), st.binary(max_size=4))
+@example([(b"a", [2, 3], [0.5] * 6), (b"b", [], [-1.0])], 0, 0, b"")
+@example(ZERO_SIZE_HUGE_DIMS, 0, 0, b"")
+def test_checkpoint_reader_matches_the_blob_oracle(tensors, miscount, cut, tail):
+    # The same names, shapes and bits, or a ParseError with the same message.
+    # The one difference: a zero-size tensor whose dims numpy cannot index
+    # made the oracle raise numpy's ValueError, and is a ParseError now.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "params.bin"
+        path.write_bytes(malformed_checkpoint(tensors, miscount, cut, tail))
+        got, want = outcome(load_tensors, path), outcome(load_tensors_blob, path)
+    if isinstance(want, ParseError):
+        assert isinstance(got, ParseError) and str(got) == str(want)
+    elif isinstance(want, ValueError):
+        assert isinstance(got, ParseError) and "too large for a numpy array" in str(got)
+        assert str(got).startswith(f"{path}: tensor ")
+    else:
+        assert got == want
+
+
+def stored_arrays(draw_dtype):
+    """Arrays of rank 0-3 with zero-size dims allowed, as drawn, transposed or
+    reversed along their first axis (views that are not C-contiguous)."""
+    base = hnp.arrays(draw_dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                   max_side=3),
+                      elements=st.floats(width=32))
+    return st.tuples(base, st.sampled_from(["c", "T", "reversed"])).map(
+        lambda t: t[0] if t[1] == "c" or t[0].ndim == 0
+        else (t[0].T if t[1] == "T" else t[0][::-1]))
+
+
+@PROPERTY
+@given(st.dictionaries(st.text(max_size=4),
+                       stored_arrays(st.sampled_from([np.float64, np.float32, ">f8"])),
+                       max_size=4))
+@example({"": np.array(2.5), "θ/é": np.zeros((0, 3)), "w": np.ones((2, 3), np.float32).T})
+def test_checkpoint_writer_matches_the_tobytes_oracle(tensors):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_tensors(Path(tmp) / "new", tensors)
+        save_tensors_tobytes(Path(tmp) / "old", tensors)
+        assert (Path(tmp) / "new").read_bytes() == (Path(tmp) / "old").read_bytes()
 
 
 lines = st.lists(st.one_of(st.sampled_from(["<pad>", "<unk>", "a", "a", "k=v", "#", ""]),
