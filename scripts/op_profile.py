@@ -18,7 +18,11 @@ allocate. The script prints:
   is called just before it runs);
 - one ``step`` line per step: its milliseconds, the timed ``Tape.backward``, the
   sum of its nodes' backward times, and the traced MiB live when the step
-  starts and its traced peak;
+  starts and its traced peak; then figures that do not depend on the host or
+  on how many steps a timed run reaches: the tape's node count and the bytes
+  of its non-leaf outputs when the backward starts (counted as perfbench
+  counts ``autodiff.tape_nodes`` and ``tape_bytes``), and ``train_epoch``'s
+  pre-clip gradient norm and whether the step clipped;
 - one ``sha256`` line: digests of the parameters and of Adam's m and v after
   the steps, which a change that keeps training bit for bit leaves alone.
 
@@ -54,6 +58,7 @@ class Profile:
     def start_step(self) -> None:
         self.nodes = []  # (node id, op, seconds, live bytes, peak bytes)
         self.backward_s = 0.0
+        self.tape_nodes = self.tape_bytes = 0
         self.peak = 0
         tracemalloc.reset_peak()
 
@@ -86,6 +91,9 @@ def instrument(ad, profile: Profile):
         node.apply = profile.wrap(node.nid, op, apply)
 
     def timed_backward(tape, loss):
+        profile.tape_nodes += len(tape)
+        profile.tape_bytes += sum(node.tensor.data.nbytes for node in tape.nodes
+                                  if node.op != "leaf")
         t0 = time.perf_counter()
         try:
             backward(tape, loss)
@@ -137,8 +145,9 @@ def main(argv=None) -> int:
         for i, batch in enumerate(order):
             live = tracemalloc.get_traced_memory()[0]
             profile.start_step()
+            stats = {}
             t0 = time.perf_counter()
-            cru.classifier.train_epoch(model, optimizer, [batch], config, drop_rng)
+            cru.classifier.train_epoch(model, optimizer, [batch], config, drop_rng, stats)
             step_s = time.perf_counter() - t0
             profile.fold_peak()
             for nid, op, seconds, node_live, peak in profile.nodes:
@@ -151,7 +160,10 @@ def main(argv=None) -> int:
                                    backward_ms=f"{profile.backward_s * 1e3:.2f}",
                                    node_backward_ms=f"{node_s * 1e3:.2f}",
                                    live_mib=f"{live / MIB:.1f}",
-                                   peak_mib=f"{profile.peak / MIB:.1f}"))
+                                   peak_mib=f"{profile.peak / MIB:.1f}",
+                                   tape_nodes=profile.tape_nodes, tape_bytes=profile.tape_bytes,
+                                   grad_norm=repr(stats["grad_norm"]),
+                                   clipped=int(stats["clip_frac"] > 0)))
     finally:
         undo()
         tracemalloc.stop()

@@ -317,21 +317,15 @@ def _sigmoid(d: Array, out: Array | None = None) -> Array:
 
 # Each activation in place on y, and g times its derivative at the output y,
 # written into da and returned, with tmp as scratch, in the order its op has
-# always formed it. The subgradient of relu at 0 is 0.
+# always formed it. The subgradient of relu at 0 is 0. The banks and the fc
+# layer apply relu, and the output layer sigmoid.
 _POINTWISE = {
-    "identity": (lambda y: y, lambda g, y, da, tmp: np.positive(g, out=da)),
     "sigmoid": (lambda y: _sigmoid(y, out=y),
                 lambda g, y, da, tmp: np.multiply(np.multiply(g, y, out=da),
                                                   np.subtract(1.0, y, out=tmp), out=da)),
-    "tanh": (lambda y: np.tanh(y, out=y),
-             lambda g, y, da, tmp: np.multiply(
-                 g, np.subtract(1.0, np.multiply(y, y, out=tmp), out=tmp), out=da)),
     "relu": (lambda y: np.maximum(y, 0.0, out=y),
              lambda g, y, da, tmp: np.multiply(g, np.greater(y, 0.0, out=tmp), out=da)),
 }
-
-
-ACTIVATIONS = tuple(_POINTWISE)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -468,79 +462,76 @@ def _window(sizes: list[int], k: int) -> Array:
 
 
 def conv1d_same(x: Tensor, banks: Sequence[Sequence[tuple[Tensor, Tensor]]], batch_sizes,
-                activation: str = "identity", residual: bool = False) -> Tensor:
+                residual: bool = False) -> Tensor:
     """Same-length 1-D convolution banks of packed rows, m per direction,
-    each followed by its bias and activation, and by the add of its input if
-    residual (then d_out == d_in).
+    each mapping d channels to d, followed by its bias and relu, and by the
+    add of its input if residual.
 
-    x: (T, D d_in), direction i's packed rows in its own columns, in the
-    layout of batch_sizes (``_packed_sizes``); banks: per direction, m
-    (filters (d_out, k, d_in), bias (d_out,)) of one shape, odd k. A row
-    reads the steps of its sequence within (k-1)/2 of its own, and zeros past
-    the sequence's ends (``_window``). Bank j of direction i fills columns
-    (i m + j) d_out to (i m + j + 1) d_out of (T, D m d_out).
+    x: (T, D d), direction i's packed rows in its own columns, in the layout
+    of batch_sizes (``_packed_sizes``); banks: per direction, m (filters
+    (d, k, d), bias (d,)) of one shape, odd k. A row reads the steps of its
+    sequence within (k-1)/2 of its own, and zeros past the sequence's ends
+    (``_window``). Bank j of direction i fills columns (i m + j) d to
+    (i m + j + 1) d of (T, D m d).
 
     A direction gathers its window rows once (im2col), then takes one matmul
     per bank. A window index is symmetric (p is in slot j of q exactly when
     q is in slot k-1-j of p), so dx is the same gather of the gradient times
     the tap-reversed filters: no scatter. The backward runs two passes per
-    direction. The first forms each bank's activation gradient da and from
-    it the bias and filter gradients, the last reads of the im2col buffer.
-    The second, last bank first, adds the residual, forms da again, gathers
-    it into the im2col buffer (a buffer of its own when d_out > d_in) and
-    adds its product with the bank's tap-reversed filter, formed in one
-    buffer per direction, into dx. So besides its gradients the backward
-    holds two (T, d_out) arrays and one filter per direction. Results are
-    bit for bit those of the per-bank ops fused here. From
-    ``_CONCURRENT_MATMUL_WORK`` multiply-adds per direction, direction 1 runs
-    on the worker thread, as in ``gru_scan``.
+    direction. The first forms each bank's relu gradient da and from it the
+    bias and filter gradients, the last reads of the im2col buffer. The
+    second, last bank first, adds the residual, forms da again, gathers it
+    into the im2col buffer and adds its product with the bank's tap-reversed
+    filter, formed in one buffer per direction, into dx. So besides its
+    gradients the backward holds two (T, d) arrays and one filter per
+    direction. Results are bit for bit those of the per-bank ops fused here.
+    From ``_CONCURRENT_MATMUL_WORK`` multiply-adds per direction, direction 1
+    runs on the worker thread, as in ``gru_scan``.
     """
     groups = [list(g) for g in banks]
     pairs = [pair for g in groups for pair in g]
     if not pairs or any(len(g) != len(groups[0]) for g in groups):
         raise ContractError("conv1d_same needs one or more banks, as many per direction")
-    if activation not in _POINTWISE:
-        raise ConfigError(f"unknown activation {activation!r}")
     filters = pairs[0][0]
     if filters.ndim != 3:
         raise DimensionError(f"filters need rank 3, got shape {filters.shape}")
-    d_out, k, d_in = filters.shape
+    d, k, d_in = filters.shape
     if k % 2 == 0:
         raise ConfigError(f"filter window must be odd and >= 1, got {k}")
     D, m = len(groups), len(groups[0])
-    bad = [f.shape for f, b in pairs if f.shape != filters.shape or b.shape != (d_out,)]
-    if bad or x.ndim != 2 or x.shape[1] != D * d_in or (residual and d_out != d_in):
+    bad = [f.shape for f, b in pairs if f.shape != filters.shape or b.shape != (d,)]
+    if bad or d_in != d or x.ndim != 2 or x.shape[1] != D * d:
         raise DimensionError(f"conv1d_same: input {x.shape} and banks of filters "
-                             f"{(bad or [filters.shape])[0]} do not match for {D} directions")
+                             f"{(bad or [filters.shape])[0]} do not match for {D} directions "
+                             "of square (d, k, d) banks")
     sizes = _packed_sizes("conv1d_same", batch_sizes)
     if (total := x.shape[0]) != sum(sizes):
         raise DimensionError(f"conv1d_same: {total} rows for batch_sizes of sum {sum(sizes)}")
     window = _window(sizes, k)
-    concurrent = D > 1 and total * k * d_in * m * d_out >= _CONCURRENT_MATMUL_WORK
-    act, act_grad = _POINTWISE[activation]
+    concurrent = D > 1 and total * k * d * m * d >= _CONCURRENT_MATMUL_WORK
+    relu, relu_grad = _POINTWISE["relu"]
     # Bank q = i m + j is bank j of direction i: its columns and its filters.
-    cols = [slice(q * d_out, (q + 1) * d_out) for q in range(D * m)]
-    f2s = [f.data.reshape(d_out, k * d_in) for f, _ in pairs]
-    xs = [x.data[:, i * d_in:(i + 1) * d_in] for i in range(D)]
-    out = np.empty((total, D * m * d_out))
+    cols = [slice(q * d, (q + 1) * d) for q in range(D * m)]
+    f2s = [f.data.reshape(d, k * d) for f, _ in pairs]
+    xs = [x.data[:, i * d:(i + 1) * d] for i in range(D)]
+    out = np.empty((total, D * m * d))
     Y = np.empty_like(out) if residual else out  # the activations
-    wins = [np.empty((total, k * d_in)) for _ in groups]
-    pads = [np.empty((total + 1, max(d_in, d_out))) for _ in groups]
+    wins = [np.empty((total, k * d)) for _ in groups]
+    pads = [np.empty((total + 1, d)) for _ in groups]
 
     # The loops below run numpy on arrays allocated here only.
     def im2col(rows, padded, win):
-        padded = padded[:, :rows.shape[1]]
         padded[:total] = rows
         padded[total] = 0.0
         # The ids lie in [0, T], so "clip" clips nothing; it only spares
         # np.take a buffered copy of its output.
-        np.take(padded, window, axis=0, out=win.reshape(total, k, -1), mode="clip")
+        np.take(padded, window, axis=0, out=win.reshape(total, k, d), mode="clip")
 
     def forward(i):
         im2col(xs[i], pads[i], wins[i])
         for q in range(i * m, (i + 1) * m):
             y = np.matmul(wins[i], f2s[q].T, out=Y[:, cols[q]])
-            act(np.add(y, pairs[q][1].data, out=y))
+            relu(np.add(y, pairs[q][1].data, out=y))
             if residual:
                 np.add(y, xs[i], out=out[:, cols[q]])
 
@@ -548,21 +539,18 @@ def conv1d_same(x: Tensor, banks: Sequence[Sequence[tuple[Tensor, Tensor]]], bat
 
     def apply(g, emit):
         dx = np.zeros(x.shape)
-        d_fs, d_bs = [np.empty((d_out, k * d_in)) for _ in pairs], [np.empty(d_out) for _ in pairs]
-        scratch = [(np.empty((total, d_out)), np.empty((total, d_out)),
-                    np.empty((k, d_out, d_in))) for _ in groups]
+        d_fs, d_bs = [np.empty((d, k * d)) for _ in pairs], [np.empty(d) for _ in pairs]
+        scratch = [(np.empty((total, d)), np.empty((total, d)), np.empty((k, d, d)))
+                   for _ in groups]
 
         def backward(i):
             da, tmp, f_rev = scratch[i]
             for q in range(i * m, (i + 1) * m):
-                act_grad(g[:, cols[q]], Y[:, cols[q]], da, tmp)
+                relu_grad(g[:, cols[q]], Y[:, cols[q]], da, tmp)
                 np.sum(da, axis=0, out=d_bs[q])
                 np.matmul(da.T, wins[i], out=d_fs[q])
             # wins[i] is read no more: it takes the gradient's windows.
-            g_win = (wins[i].reshape(-1)[:total * k * d_out].reshape(total, k * d_out)
-                     if d_out <= d_in else np.empty((total, k * d_out)))
-            dx_q = da if d_in == d_out else np.empty((total, d_in))
-            dxi = dx[:, i * d_in:(i + 1) * d_in]
+            dxi = dx[:, i * d:(i + 1) * d]
             # Last bank first, the order in which a tape reaches the per-bank
             # ops, so dx adds up in the same order. da is formed again: the
             # first pass could not keep it over g's columns, which the
@@ -570,11 +558,11 @@ def conv1d_same(x: Tensor, banks: Sequence[Sequence[tuple[Tensor, Tensor]]], bat
             for q in reversed(range(i * m, (i + 1) * m)):
                 if residual:
                     dxi += g[:, cols[q]]
-                act_grad(g[:, cols[q]], Y[:, cols[q]], da, tmp)
-                im2col(da, pads[i], g_win)
+                relu_grad(g[:, cols[q]], Y[:, cols[q]], da, tmp)
+                im2col(da, pads[i], wins[i])
                 # Tap-reversed filter: row (t, o) holds filter o's tap k-1-t.
                 np.copyto(f_rev, pairs[q][0].data[:, ::-1].transpose(1, 0, 2))
-                dxi += np.matmul(g_win, f_rev.reshape(k * d_out, d_in), out=dx_q)
+                dxi += np.matmul(wins[i], f_rev.reshape(k * d, d), out=da)
 
         _run_loops([partial(backward, i) for i in range(D)], concurrent)
         for q, (d_f, d_b) in enumerate(zip(d_fs, d_bs)):
@@ -651,7 +639,7 @@ def _halves(parts) -> list[Callable[[], None]]:
     return [partial(_matmuls, sum(parts[:half], [])), partial(_matmuls, sum(parts[half:], []))]
 
 
-def dense(x: Tensor, W: Tensor, b: Tensor, activation: str = "identity") -> Tensor:
+def dense(x: Tensor, W: Tensor, b: Tensor, activation: str) -> Tensor:
     """activation(x W^T + b), (N, d_in) -> (N, d_out), as one node: the
     product is ``_project_forward(x, [[W]])``, the bias is added in place and
     the activation applied in place, as ``conv1d_same`` applies its own. The

@@ -1,8 +1,8 @@
 """Command-line entry point: train / eval / gradcheck / infer / rc-features.
 
 Exit codes: 0 success, 1 configuration, 2 I/O, 3 numeric, 4 verification
-failure. Configuration precedence: command-line flag > config-file entry >
-per-dataset default.
+failure, 130 interrupted (Ctrl-C). Configuration precedence: command-line
+flag > config-file entry > per-dataset default.
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ def build_parser() -> _Parser:
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     gc.add_argument("--tol", type=float, default=1e-4)
-    gc.add_argument("--seed", type=int, default=0)
+    gc.add_argument("--seed", type=int, default=0,
+                    help="each component is checked on seeds SEED to SEED+4")
 
     inf = sub.add_parser("infer", help="classify one piece of text")
     inf.add_argument("--checkpoint", required=True)
@@ -399,6 +400,9 @@ def main(argv=None) -> int:
         # Settings too large for this machine, such as a huge width.
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def entry() -> None:

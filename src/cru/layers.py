@@ -3,8 +3,9 @@
 The parameter records are plain dataclasses holding Tensors, and they check
 nothing: the ops that use their tensors (``autodiff.conv1d_same`` and
 ``autodiff.dense``) check every shape, filter width and activation on every
-call, so a malformed record fails on its first use. An embedding table is a
-bare (V, d) Tensor whose rows PAD_ID and UNK_ID are pad and unk.
+call, so a malformed record fails on its first use. A bank maps d channels to
+d and applies relu; a dense layer applies relu or sigmoid. An embedding table
+is a bare (V, d) Tensor whose rows PAD_ID and UNK_ID are pad and unk.
 """
 
 from __future__ import annotations
@@ -34,31 +35,24 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
 
 @dataclass
 class ConvBank:
-    """d_out same-length filters of odd width k over d_in input channels."""
+    """d same-length relu filters of odd width k over d input channels."""
 
-    filters: Tensor  # (d_out, k, d_in)
-    bias: Tensor     # (d_out,)
-    activation: str = "relu"
+    filters: Tensor  # (d, k, d)
+    bias: Tensor     # (d,)
 
     @classmethod
-    def init(cls, rng: np.random.Generator, d_out: int, k: int, d_in: int,
-             activation: str = "relu") -> "ConvBank":
-        f = glorot_uniform(rng, (d_out, k, d_in))
-        return cls(Tensor(f, requires_grad=True),
-                   Tensor(np.zeros(d_out), requires_grad=True),
-                   activation)
+    def init(cls, rng: np.random.Generator, d: int, k: int) -> "ConvBank":
+        return cls(Tensor(glorot_uniform(rng, (d, k, d)), requires_grad=True),
+                   Tensor(np.zeros(d), requires_grad=True))
 
 
 def same_length_conv(banks, x: Tensor, batch_sizes, residual: bool = False) -> Tensor:
-    """Convolve packed rows (T, D d_in), in the layout of batch_sizes (a
-    ``Packing``'s), with m banks per direction, of one shape and activation,
-    then bias, activation and, if residual, the input: one
-    ``autodiff.conv1d_same`` op. Returns (T, D m d_out)."""
-    kinds = {bank.activation for g in banks for bank in g}
-    if len(kinds) > 1:
-        raise ConfigError(f"one convolution needs one activation, got {sorted(kinds)}")
+    """Convolve packed rows (T, D d), in the layout of batch_sizes (a
+    ``Packing``'s), with m banks per direction, of one shape, then bias, relu
+    and, if residual, the input: one ``autodiff.conv1d_same`` op. Returns
+    (T, D m d)."""
     return ad.conv1d_same(x, [[(bank.filters, bank.bias) for bank in g] for g in banks],
-                          batch_sizes, kinds.pop() if kinds else "identity", residual)
+                          batch_sizes, residual)
 
 
 # --------------------------------------------------------------------------
@@ -69,11 +63,11 @@ def same_length_conv(banks, x: Tensor, batch_sizes, residual: bool = False) -> T
 class DenseLayer:
     weights: Tensor  # (d_out, d_in)
     bias: Tensor     # (d_out,)
-    activation: str = "identity"
+    activation: str  # "relu" or "sigmoid"
 
     @classmethod
     def init(cls, rng: np.random.Generator, d_out: int, d_in: int,
-             activation: str = "identity") -> "DenseLayer":
+             activation: str) -> "DenseLayer":
         w = glorot_uniform(rng, (d_out, d_in))
         return cls(Tensor(w, requires_grad=True),
                    Tensor(np.zeros(d_out), requires_grad=True),

@@ -34,7 +34,10 @@ def _grad_blocks(grad: np.ndarray | RowGrad, weights: np.ndarray, lam: float):
     grad at lam = 0 is its own blocks. Every other block is formed in one
     reused buffer, which the next block overwrites: 2 * lam * W_b (zeros at
     lam = 0), then the block's gradient added, its dense rows or a RowGrad's
-    rows."""
+    rows. Training runs the dense-with-L2 path on no tensor (the table, the
+    one tensor with an L2 term, has a RowGrad), but it stays as the reference
+    that test_classifier::test_row_gradient_steps_equal_dense_gradient_steps
+    holds the RowGrad path to, bit for bit."""
     sparse = isinstance(grad, RowGrad)
     if not sparse and lam == 0:
         yield from _blocks(grad)

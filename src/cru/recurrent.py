@@ -31,7 +31,7 @@ last token back to its first. A single sequence is a batch of one.
 The directions travel side by side, as column blocks, through the whole
 path. ``prepare`` gathers [X_0 | X_1] with one ``take_rows``; the variant's
 banks then convolve every direction in one ``conv1d_same`` op, which reads
-zeros past each row's ends, with each bank's bias and activation and
+zeros past each row's ends, with each bank's bias and relu and
 deep_enhanced's residual add fused in. ``run_sequence`` hands that and
 [W_z; W_r; W] to one ``gru_scan`` node, which forms the (T, D 3 d_h) gate
 inputs with the projection's matmuls (``autodiff._project_forward``), runs
@@ -226,7 +226,7 @@ def make_cell(variant: str, rng: np.random.Generator, d_in: int, d_h: int,
         raise ConfigError(f"deep variant needs hidden size == embedding size, "
                           f"got {d_h} and {d_in}")
     # The banks are drawn before the recurrence weights.
-    banks = [ConvBank.init(rng, d_in, k, d_in) for _ in _BANKS[variant]]
+    banks = [ConvBank.init(rng, d_in, k) for _ in _BANKS[variant]]
     return _CellBase(variant, GruParams.init(rng, None if variant == "deep" else d_in, d_h),
                      banks)
 

@@ -164,14 +164,20 @@ def sub(a, b):
     return ad._emit_op("sub", (a, b), Tensor(a.data - b.data), apply)
 
 
+# tanh in place on y, and g times its derivative at the output y, in the form
+# of ``ad._POINTWISE``'s entries: the composed recurrence's candidate gate.
+_TANH = (lambda y: np.tanh(y, out=y),
+         lambda g, y, da, tmp: np.multiply(
+             g, np.subtract(1.0, np.multiply(y, y, out=tmp), out=tmp), out=da))
+
+
 def activation(kind, x):
-    """One of ``ad.ACTIVATIONS`` on the tape, through ``ad._POINTWISE``; the
-    identity records nothing."""
-    if kind not in ad.ACTIVATIONS:
+    """relu or sigmoid (through ``ad._POINTWISE``, as the model's ops apply
+    them), or tanh, as its own tape node."""
+    pointwise = {**ad._POINTWISE, "tanh": _TANH}
+    if kind not in pointwise:
         raise ConfigError(f"unknown activation {kind!r}")
-    if kind == "identity":
-        return x
-    act, act_grad = ad._POINTWISE[kind]
+    act, act_grad = pointwise[kind]
     out = Tensor(act(np.array(x.data)))
     y = out.data
 
@@ -229,7 +235,7 @@ def project(x, weights):
 
 def dense_composed(x, W, b, kind):
     """``ad.dense`` as three tape nodes: ``project``, ``bias_add`` and the
-    activation (none for the identity)."""
+    activation."""
     return activation(kind, bias_add(project(x, [[W]]), b))
 
 
@@ -323,13 +329,13 @@ def conv1d_same_packed(x, filters, window):
     return ad._emit_op("conv1d_same", (x, filters), out, apply)
 
 
-def conv_banks_composed(x, banks, window, kind, residual):
+def conv_banks_composed(x, banks, window, residual):
     """One direction of ``ad.conv1d_same`` from per-bank ops: each bank's
-    ``conv1d_same_packed``, ``bias_add``, activation and, if residual, the
-    add of x, side by side."""
+    ``conv1d_same_packed``, ``bias_add``, relu and, if residual, the add of
+    x, side by side."""
     outs = []
     for filters, bias in banks:
-        y = activation(kind, bias_add(conv1d_same_packed(x, filters, window), bias))
+        y = activation("relu", bias_add(conv1d_same_packed(x, filters, window), bias))
         outs.append(add(y, x) if residual else y)
     return ad.concat_cols(outs)
 
@@ -339,16 +345,15 @@ def gate_inputs_per_direction(E, packing, banks, weights, window):
     the (T, k) window index (``conv_banks_composed``) and one ``project`` per
     direction, joined side by side: returns the convolution's output and the
     gate inputs."""
-    convs = [conv_banks_composed(ad.take_rows(E, packing.rows[:, i]), g, window, "relu",
-                                 residual=True) for i, g in enumerate(banks)]
+    convs = [conv_banks_composed(ad.take_rows(E, packing.rows[:, i]), g, window, residual=True)
+             for i, g in enumerate(banks)]
     gates = [project(c, [[w] for w in ws]) for c, ws in zip(convs, weights)]
     return ad.concat_cols(convs), ad.concat_cols(gates)
 
 
 def same_length_conv_padded(bank, x):
-    """``layers.same_length_conv`` over a zero-padded (B, n, d_in) batch."""
-    y = bias_add(conv1d_same_padded(x, bank.filters), bank.bias)
-    return activation(bank.activation, y)
+    """``layers.same_length_conv`` over a zero-padded (B, n, d) batch."""
+    return activation("relu", bias_add(conv1d_same_padded(x, bank.filters), bank.bias))
 
 
 def prepare_per_gate(cell, E):

@@ -79,8 +79,7 @@ def test_criterion_02_degeneracy_deep_enhanced_to_gru():
         n = int(rng.integers(1, 9))
         k = int(rng.choice([1, 3, 5]))
         gru = make_cell("gru", rng, d, d_h)
-        zero = [ConvBank(Tensor(np.zeros((d, k, d))), Tensor(np.zeros(d)), "relu")
-                for _ in range(3)]
+        zero = [ConvBank(Tensor(np.zeros((d, k, d))), Tensor(np.zeros(d))) for _ in range(3)]
         enhanced = _CellBase("deep_enhanced", gru.params, zero)
         E = rng.standard_normal((n, d))
         hg, fg = run_row(gru, E)
@@ -102,7 +101,7 @@ def test_criterion_03_degeneracy_deep_to_shallow():
         d = int(rng.integers(2, 6))
         n = int(rng.integers(1, 9))
         k = int(rng.choice([1, 3, 5]))
-        bank = ConvBank.init(rng, d, k, d, "relu")
+        bank = ConvBank.init(rng, d, k)
         params = GruParams.init(rng, None, d)
         deep = _CellBase("deep", params, [bank] * 3)
         eye = lambda: Tensor(np.eye(d))
@@ -128,7 +127,7 @@ def test_criterion_04_same_length_contract():
     d = 3
     checked = 0
     for k in (1, 3, 5, 7):
-        bank = ConvBank.init(rng, d, k, d, "relu")
+        bank = ConvBank.init(rng, d, k)
         for n in range(1, 65):
             out = same_length_conv([[bank]], Tensor(rng.standard_normal((n, d))),
                                    pack([n]).batch_sizes)

@@ -417,6 +417,24 @@ def test_numeric_error_maps_to_exit_3(monkeypatch, capsys):
     assert main(["gradcheck"]) == 3
     assert "numeric error" in capsys.readouterr().err
 
+
+def test_keyboard_interrupt_exits_130_with_one_line():
+    # Ctrl-C inside a command, through the console entry point in a process
+    # of its own: one stderr line and exit 130, no traceback.
+    code = ("import sys\n"
+            "from cru import cli\n"
+            "def interrupted(args):\n"
+            "    raise KeyboardInterrupt\n"
+            "cli._DISPATCH['gradcheck'] = interrupted\n"
+            "sys.argv = ['cru', 'gradcheck']\n"
+            "cli.entry()\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 130
+    assert proc.stderr == "interrupted\n"
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
 def test_failed_training_run_keeps_its_log_and_prints_one_line(tmp_path, capsys):
     # An lr of 1e300 leaves weights near 1e300 after the first step, and the
     # evaluation's forward overflows. numpy's own overflow warning stays

@@ -92,7 +92,7 @@ def conv_of(bank):
 
 def test_conv_bank_rejects_even_window():
     with pytest.raises(ConfigError):
-        conv_of(ConvBank(Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros(2))))
+        conv_of(ConvBank(Tensor(np.zeros((3, 4, 3))), Tensor(np.zeros(3))))
     # Nor does a cell's bank run: a cell built with an even width fails on
     # its first run.
     cell = make_cell("shallow", rng_for(0), 3, 3, k=4)
@@ -102,35 +102,35 @@ def test_conv_bank_rejects_even_window():
 
 def test_conv_bank_rejects_bad_bias():
     with pytest.raises(DimensionError):
-        conv_of(ConvBank(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros(3))))
-
-
-def test_conv_bank_rejects_unknown_activation():
-    with pytest.raises(ConfigError):
-        conv_of(ConvBank(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros(2)), "swish"))
+        conv_of(ConvBank(Tensor(np.zeros((3, 3, 3))), Tensor(np.zeros(2))))
 
 
 def test_same_length_conv_hand_oracle():
-    # One filter of width 3 over a 2-channel length-3 input, identity
-    # activation; values small enough to verify by hand.
+    # Two filters of width 3 over a 2-channel length-3 input, then relu;
+    # values small enough to verify by hand.
     x = np.array([[1.0, 0.0],
                   [0.0, 1.0],
                   [2.0, 0.0]])
-    f = np.zeros((1, 3, 2))
+    f = np.zeros((2, 3, 2))
     f[0, 0, 0] = 1.0   # left neighbor, channel 0
     f[0, 1, 1] = 10.0  # center, channel 1
     f[0, 2, 0] = 100.0  # right neighbor, channel 0
-    bank = ConvBank(Tensor(f), Tensor(np.zeros(1)), "identity")
+    f[1, 1, 0] = -1.0  # center, channel 0
+    f[1, 2, 1] = 5.0   # right neighbor, channel 1
+    bank = ConvBank(Tensor(f), Tensor(np.zeros(2)))
     out = same_length_conv([[bank]], Tensor(x), pack([3]).batch_sizes)
-    # position 0: left pad (0) + 10*x[0,1] + 100*x[1,0] = 0 + 0 + 0 = 0
-    # position 1: 1*x[0,0] + 10*x[1,1] + 100*x[2,0] = 1 + 10 + 200 = 211
-    # position 2: 1*x[1,0] + 10*x[2,1] + 100*pad = 0
-    assert np.allclose(out.data, [[0.0], [211.0], [0.0]])
+    # filter 0, position 0: left pad (0) + 10*x[0,1] + 100*x[1,0] = 0
+    #           position 1: 1*x[0,0] + 10*x[1,1] + 100*x[2,0] = 1 + 10 + 200 = 211
+    #           position 2: 1*x[1,0] + 10*x[2,1] + 100*pad = 0
+    # filter 1, position 0: -x[0,0] + 5*x[1,1] = -1 + 5 = 4
+    #           position 1: -x[1,0] + 5*x[2,1] = 0
+    #           position 2: -x[2,0] + 5*pad = -2, which relu makes 0
+    assert np.allclose(out.data, [[0.0, 4.0], [211.0, 0.0], [0.0, 0.0]])
 
 
 def test_same_length_conv_applies_bias_then_activation():
-    x = np.zeros((2, 2))
-    bank = ConvBank(Tensor(np.zeros((3, 1, 2))), Tensor([-1.0, 0.5, 2.0]), "relu")
+    x = np.zeros((2, 3))
+    bank = ConvBank(Tensor(np.zeros((3, 1, 3))), Tensor([-1.0, 0.5, 2.0]))
     out = same_length_conv([[bank]], Tensor(x), pack([2]).batch_sizes)
     assert np.allclose(out.data, np.tile([0.0, 0.5, 2.0], (2, 1)))
 
@@ -139,7 +139,7 @@ def test_same_length_conv_shape_contract():
     rng = rng_for(5)
     for n in (1, 2, 7, 16):
         for k in (1, 3, 5):
-            bank = ConvBank.init(rng, d_out=4, k=k, d_in=4)
+            bank = ConvBank.init(rng, 4, k)
             packing = pack([n, n])
             out = same_length_conv([[bank]], Tensor(rng.standard_normal((2 * n, 4))),
                                    packing.batch_sizes)
@@ -148,7 +148,7 @@ def test_same_length_conv_shape_contract():
 
 def test_same_length_conv_gradcheck():
     rng = rng_for(6)
-    bank = ConvBank.init(rng, 3, 3, 2, activation="tanh")
+    bank = ConvBank.init(rng, 2, 3)
     x = Tensor(rng.standard_normal((10, 2)), requires_grad=True)
     sizes = pack([5, 5]).batch_sizes
     params = {"filters": bank.filters, "bias": bank.bias, "x": x}
@@ -164,23 +164,24 @@ def test_same_length_conv_gradcheck():
 
 def test_dense_forward_matches_numpy():
     rng = rng_for(7)
-    layer = DenseLayer.init(rng, d_out=3, d_in=4, activation="identity")
+    layer = DenseLayer.init(rng, d_out=3, d_in=4, activation="relu")
+    layer.bias.data[:] = rng.standard_normal(3)
     x = rng.standard_normal((2, 4))
     out = dense_forward(layer, Tensor(x))
-    assert np.allclose(out.data, x @ layer.weights.data.T + layer.bias.data)
+    assert np.allclose(out.data, np.maximum(x @ layer.weights.data.T + layer.bias.data, 0.0))
 
 
 def test_dense_forward_shape_mismatch():
-    layer = DenseLayer.init(rng_for(9), 3, 4)
+    layer = DenseLayer.init(rng_for(9), 3, 4, "relu")
     with pytest.raises(DimensionError):
         dense_forward(layer, Tensor(np.zeros((2, 5))))
     with pytest.raises(DimensionError):  # a bare vector is not a batch
         dense_forward(layer, Tensor(np.zeros(4)))
     x = Tensor(np.zeros((2, 4)))
     with pytest.raises(DimensionError):
-        dense_forward(DenseLayer(layer.weights, Tensor(np.zeros(4))), x)
+        dense_forward(DenseLayer(layer.weights, Tensor(np.zeros(4)), "relu"), x)
     with pytest.raises(DimensionError):
-        dense_forward(DenseLayer(Tensor(np.zeros(4)), layer.bias), x)
+        dense_forward(DenseLayer(Tensor(np.zeros(4)), layer.bias, "relu"), x)
     with pytest.raises(ConfigError):
         dense_forward(DenseLayer(layer.weights, layer.bias, "swish"), x)
 

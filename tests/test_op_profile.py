@@ -14,12 +14,19 @@ def fields(line: str) -> dict:
     return dict(item.split("=", 1) for item in line.split()[1:])
 
 
-def test_node_times_add_up_to_the_timed_backward():
+FIXED = ("tape_nodes", "tape_bytes", "grad_norm", "clipped")
+
+
+def profile_lines() -> list[str]:
     done = subprocess.run([sys.executable, str(SCRIPT), "--workload", "mr-train-deep_enhanced",
                            "--tiny", "--steps", "2"],
                           cwd=ROOT, capture_output=True, text=True, check=False, timeout=120)
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
+    return done.stdout.splitlines()
+
+
+def test_node_times_add_up_to_the_timed_backward():
+    lines = profile_lines()
     nodes = [fields(line) for line in lines if line.startswith("node ")]
     steps = [fields(line) for line in lines if line.startswith("step ")]
     assert [s["step"] for s in steps] == ["0", "1"]
@@ -36,3 +43,19 @@ def test_node_times_add_up_to_the_timed_backward():
     assert set(digests) == {"params", "m", "v"}
     assert all(re.fullmatch(r"[0-9a-f]{64}", d) for d in digests.values())
 
+
+
+def test_two_runs_print_the_same_fixed_step_figures():
+    # The tape's size, the pre-clip gradient norm and the clip of each step,
+    # and the digests after the steps, do not depend on the host's speed.
+    runs = []
+    for _ in range(2):
+        lines = profile_lines()
+        steps = [fields(line) for line in lines if line.startswith("step ")]
+        assert len(steps) == 2
+        for s in steps:
+            assert int(s["tape_nodes"]) > 0 and int(s["tape_bytes"]) > 0
+            assert float(s["grad_norm"]) > 0 and s["clipped"] in ("0", "1")
+        runs.append(([{k: s[k] for k in FIXED} for s in steps],
+                     [line for line in lines if line.startswith("sha256 ")]))
+    assert runs[0] == runs[1]

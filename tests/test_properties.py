@@ -33,7 +33,7 @@ from cru.errors import ConfigError, CruError, ParseError
 from cru.optim import BLOCK_ROWS, Adam
 from cru.layers import dense_forward, same_length_conv
 from cru.recurrent import _BANKS, VARIANTS, _CellBase, make_cell, pack, run_sequence
-from oracles import (add, conv1d_same_einsum, conv1d_same_padded, dense_update,
+from oracles import (activation, add, conv1d_same_einsum, conv1d_same_padded, dense_update,
                      gru_scan_composed, gru_scan_padded, load_tensors_blob, packed_positions,
                      packing_window, prepare_per_gate, project, project_then_scan, run_padded,
                      run_row, save_tensors_tobytes, token_positions, vocab_first_seen)
@@ -237,29 +237,33 @@ def test_conv_window_equals_packing_window_oracle(lengths, k):
 
 
 conv_cases = st.tuples(st.integers(1, 4), st.integers(1, 9), st.sampled_from([1, 3, 5, 7]),
-                       st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+                       st.integers(1, 5), st.integers(0, 2**32 - 1))
 
 
 @PROPERTY
 @given(conv_cases)
-@example((2, 1, 7, 3, 2, 0))  # the padding (3 steps) is wider than the sequence
-@example((1, 2, 7, 1, 5, 1))
+@example((2, 1, 7, 3, 0))  # the padding (3 steps) is wider than the sequence
+@example((1, 2, 7, 5, 1))
 def test_conv1d_same_equals_einsum_reference(case):
     # b rows of n tokens each, packed time-major: packed row t * b + r holds
-    # step t of row r.
-    b, n, k, d_in, d_out, seed = case
+    # step t of row r. The einsum convolution is the pre-activation, and the
+    # gradient reaches it where that is positive.
+    b, n, k, d, seed = case
     rng = np.random.Generator(np.random.PCG64(seed))
-    x = Tensor(rng.standard_normal((n * b, d_in)), requires_grad=True)
-    f = Tensor(rng.standard_normal((d_out, k, d_in)), requires_grad=True)
-    G = rng.standard_normal((n * b, d_out))
+    x = Tensor(rng.standard_normal((n * b, d)), requires_grad=True)
+    f = Tensor(rng.standard_normal((d, k, d)), requires_grad=True)
+    G = rng.standard_normal((n * b, d))
     with Tape() as tape:
-        out = ad.conv1d_same(x, [[(f, Tensor(np.zeros(d_out)))]], pack([n] * b).batch_sizes)
+        out = ad.conv1d_same(x, [[(f, Tensor(np.zeros(d)))]], pack([n] * b).batch_sizes)
         tape.backward(ad.sum_all(ad.mul(out, Tensor(G))))
 
     def batch_major(a):
         return a.reshape(n, b, -1).transpose(1, 0, 2)
 
-    ref_out, ref_dx, ref_df = conv1d_same_einsum(batch_major(x.data), f.data, batch_major(G))
+    pre, _, _ = conv1d_same_einsum(batch_major(x.data), f.data, batch_major(G))
+    _, ref_dx, ref_df = conv1d_same_einsum(batch_major(x.data), f.data,
+                                           batch_major(G) * (pre > 0.0))
+    ref_out = np.maximum(pre, 0.0)
     for got, ref in [(batch_major(out.data), ref_out), (batch_major(x.grad), ref_dx),
                      (f.grad, ref_df)]:
         assert got.shape == ref.shape
@@ -268,31 +272,31 @@ def test_conv1d_same_equals_einsum_reference(case):
 
 @PROPERTY
 @given(st.tuples(ragged, st.sampled_from([1, 3, 5, 7]), st.booleans(), st.integers(1, 4),
-                 st.integers(1, 4), st.integers(0, 2**32 - 1)))
-@example(([1, 2, 1], 7, True, 2, 3, 0))  # every row shorter than the padding
-@example(([3, 3, 3], 5, False, 1, 2, 1))
-@example(([2, 9, 1, 9, 4], 3, True, 3, 3, 2))
+                 st.integers(0, 2**32 - 1)))
+@example(([1, 2, 1], 7, True, 3, 0))  # every row shorter than the padding
+@example(([3, 3, 3], 5, False, 2, 1))
+@example(([2, 9, 1, 9, 4], 3, True, 3, 2))
 def test_packed_conv_equals_padded_oracle(case):
     # One direction's packed rows of a ragged batch in unsorted row order,
     # against the padded im2col convolution of the same direction's
-    # zero-padded batch, read at the tokens: the output, and the gradients of
-    # the token rows and the filters.
-    lengths, k, reverse, d_in, d_out, seed = case
+    # zero-padded batch, then relu, read at the tokens: the output, and the
+    # gradients of the token rows and the filters.
+    lengths, k, reverse, d, seed = case
     rng = np.random.Generator(np.random.PCG64(seed))
     b, n = len(lengths), max(lengths)
-    x = Tensor(rng.standard_normal((sum(lengths), d_in)), requires_grad=True)
-    f = Tensor(rng.standard_normal((d_out, k, d_in)), requires_grad=True)
+    x = Tensor(rng.standard_normal((sum(lengths), d)), requires_grad=True)
+    f = Tensor(rng.standard_normal((d, k, d)), requires_grad=True)
     # The token row at each padded position of this direction, and its mask.
     first = np.cumsum(lengths) - lengths
     read = np.zeros((b, n), dtype=np.intp)
-    tokens = np.zeros((b, n, d_in))
+    tokens = np.zeros((b, n, d))
     for r, ln in enumerate(lengths):
         steps = np.arange(ln)
         read[r, :ln] = first[r] + (ln - 1 - steps if reverse else steps)
         tokens[r, :ln] = 1.0
     positions = packed_positions(lengths)
-    G = rng.standard_normal((len(positions), d_out))
-    G_pad = np.zeros((b, n, d_out))
+    G = rng.standard_normal((len(positions), d))
+    G_pad = np.zeros((b, n, d))
     for (r, t), g in zip(positions, G):
         G_pad[r, t] = g
     results = []
@@ -303,12 +307,12 @@ def test_packed_conv_equals_padded_oracle(case):
             if packed:
                 packing = pack(lengths, (reverse,))
                 out = ad.conv1d_same(ad.take_rows(x, packing.rows),
-                                     [[(f, Tensor(np.zeros(d_out)))]], packing.batch_sizes)
+                                     [[(f, Tensor(np.zeros(d)))]], packing.batch_sizes)
                 tape.backward(ad.sum_all(ad.mul(out, Tensor(G))))
             else:
-                X = ad.mul(ad.reshape(ad.take_rows(x, read.reshape(-1)), (b, n, d_in)),
+                X = ad.mul(ad.reshape(ad.take_rows(x, read.reshape(-1)), (b, n, d)),
                            Tensor(tokens))
-                out = conv1d_same_padded(X, f)
+                out = activation("relu", conv1d_same_padded(X, f))
                 tape.backward(ad.sum_all(ad.mul(out, Tensor(G_pad))))
                 out = Tensor(np.array([out.data[r, t] for r, t in positions]))
         results.append([out.data, x.grad, f.grad])

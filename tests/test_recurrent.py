@@ -51,10 +51,14 @@ def one_step(cell, x_prev, x):
     return states[:, 0], states[:, 1]
 
 
+def relu(x):
+    return np.maximum(x, 0.0)
+
+
 def linear_banks(A):
-    """Width-1 identity-activation banks: bank i maps a step input x to A[i] @ x."""
-    return [ConvBank(Tensor(a[:, None, :]), Tensor(np.zeros(a.shape[0])), "identity")
-            for a in A]
+    """Width-1 banks with zero bias: bank i maps a step input x to
+    relu(A[i] @ x)."""
+    return [ConvBank(Tensor(a[:, None, :]), Tensor(np.zeros(a.shape[0]))) for a in A]
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +162,13 @@ def test_deep_step_matches_reference_and_validates():
     banks = linear_banks(A)
     x_prev, x = rng.standard_normal((2, 4))
     h, got = (a[0] for a in one_step(_CellBase("deep", p, banks), x_prev[None], x[None]))
-    assert np.allclose(got, ref_step(p, A[0] @ x, A[1] @ x, A[2] @ x, h), atol=1e-12)
-    narrow = linear_banks(rng.standard_normal((1, 3, 4)))[0]
+    assert np.allclose(got, ref_step(p, relu(A[0] @ x), relu(A[1] @ x), relu(A[2] @ x), h),
+                       atol=1e-12)
+    narrow = linear_banks(rng.standard_normal((1, 3, 3)))[0]
     with pytest.raises(DimensionError):  # bank width must equal hidden size
         one_step(_CellBase("deep", p, [narrow, banks[1], banks[2]]), x_prev[None], x[None])
     with pytest.raises(DimensionError):  # in every bank: the scan's P check
-        one_step(_CellBase("deep", p, [narrow] * 3), x_prev[None], x[None])
+        one_step(_CellBase("deep", p, [narrow] * 3), x_prev[None, :3], x[None, :3])
     p_full = GruParams.init(rng, 4, 4)
     with pytest.raises(ConfigError):
         _CellBase("deep", p_full, banks)
@@ -180,8 +185,8 @@ def test_deep_enhanced_step_matches_reference():
     banks = linear_banks(A)
     e_prev, e = rng.standard_normal((2, 3))
     h, got = (a[0] for a in one_step(_CellBase("deep_enhanced", p, banks), e_prev[None], e[None]))
-    expected = ref_step(p, p.W_z.data @ (A[0] @ e + e), p.W_r.data @ (A[1] @ e + e),
-                        p.W.data @ (A[2] @ e + e), h)
+    expected = ref_step(p, p.W_z.data @ (relu(A[0] @ e) + e), p.W_r.data @ (relu(A[1] @ e) + e),
+                        p.W.data @ (relu(A[2] @ e) + e), h)
     assert np.allclose(got, expected, atol=1e-12)
     p_deep = GruParams.init(rng, None, 4)
     with pytest.raises(ConfigError):
@@ -249,8 +254,7 @@ def test_deep_enhanced_cell_equals_conv_plus_step():
 def test_deep_enhanced_with_zero_banks_is_gru():
     rng = rng_for(12)
     gru = make_cell("gru", rng, 4, 4)
-    zero = [ConvBank(Tensor(np.zeros((4, 3, 4))), Tensor(np.zeros(4)), "relu")
-            for _ in range(3)]
+    zero = [ConvBank(Tensor(np.zeros((4, 3, 4))), Tensor(np.zeros(4))) for _ in range(3)]
     de = _CellBase("deep_enhanced", gru.params, zero)
     for trial in range(10):
         E = rng.standard_normal((6, 4))
@@ -263,7 +267,7 @@ def test_deep_enhanced_with_zero_banks_is_gru():
 def test_deep_with_shared_banks_is_shallow_with_identity_w():
     rng = rng_for(13)
     d = 4
-    bank = ConvBank.init(rng, d, 3, d, "relu")
+    bank = ConvBank.init(rng, d, 3)
     deep_params = GruParams.init(rng, None, d)
     deep = _CellBase("deep", deep_params, [bank] * 3)
     eye = lambda: Tensor(np.eye(d), requires_grad=True)
@@ -280,17 +284,18 @@ def test_deep_with_shared_banks_is_shallow_with_identity_w():
 
 
 def test_shallow_with_identity_window_is_gru():
-    # A width-1 bank whose filters copy each channel, with identity
-    # activation and zero bias, leaves the embeddings untouched.
+    # A width-1 bank whose filters copy each channel, with zero bias, passes
+    # the rectified embeddings on: shallow is gru run over relu(E).
     rng = rng_for(14)
     gru = make_cell("gru", rng, 4, 5)
-    ident = ConvBank(Tensor(np.eye(4)[:, None, :]), Tensor(np.zeros(4)),
-                     "identity")
-    shallow = _CellBase("shallow", gru.params, [ident])
-    E = rng.standard_normal((7, 4))
-    hg, _ = run_row(gru, E)
-    hs, _ = run_row(shallow, E)
-    assert np.max(np.abs(hg - hs)) < 1e-12
+    copy = ConvBank(Tensor(np.eye(4)[:, None, :]), Tensor(np.zeros(4)))
+    shallow = _CellBase("shallow", gru.params, [copy])
+    for trial in range(10):
+        E = rng.standard_normal((7, 4))
+        hg, fg = run_row(gru, relu(E))
+        hs, fs = run_row(shallow, E)
+        assert np.max(np.abs(hg - hs)) < 1e-12
+        assert np.max(np.abs(fg - fs)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
