@@ -55,7 +55,7 @@ for _ in range(5):
     times.append(time.perf_counter() - t0)
 print(sorted(times)[2] * 1e3)
 """.format(shape=DRIFT_SHAPE)
-HIGHER_IS_BETTER = ("tokens_per_s",)
+HIGHER_IS_BETTER = ("_per_s",)  # tokens_per_s, infer_per_s: rates
 
 
 def git(*args: str) -> bytes:

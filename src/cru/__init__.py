@@ -16,10 +16,10 @@ from .data import (Batch, Corpus, Sample, Vocab, batch_and_pad, build_vocab,
                    tokenize)
 from .errors import (ConfigError, ContractError, CruError, DimensionError,
                      NumericError, ParseError)
-from .layers import ConvBank, DenseLayer, same_length_conv
+from .layers import same_length_conv
 from .optim import Adam
 from .rc_features import (count_of_query_word, doc_word_freq,
                           encode_bidirectional_enriched, enrich_embeddings)
-from .recurrent import GruParams, Packing, VARIANTS, make_cell, pack, run_sequence
+from .recurrent import VARIANTS, Packing, cell_shapes, make_cell, pack, run_sequence
 
 __version__ = "0.1.0"

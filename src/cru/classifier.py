@@ -20,9 +20,9 @@ from .autodiff import Tensor
 from .checkpoint import load_tensors, save_tensors
 from .data import Batch, Sample, Vocab, batch_and_pad, encode_corpus, parse_kv_file
 from .errors import ConfigError, ContractError, NumericError
-from .layers import PAD_ID, DenseLayer, dense_forward, dropout_apply
+from .layers import PAD_ID, dense_forward, dropout_apply
 from .optim import Adam
-from .recurrent import VARIANTS, make_cell, pack, run_sequence
+from .recurrent import VARIANTS, _CellBase, cell_shapes, draw, pack, run_sequence
 
 # The telemetry that train_epoch reports, with the format it is written in.
 TELEMETRY = (("seconds", ".6f"), ("tokens_per_s", ".1f"), ("grad_norm", ".6f"),
@@ -124,47 +124,85 @@ class TrainConfig:
 # Model
 # --------------------------------------------------------------------------
 
-@dataclass
+def _table_mismatch(shape, vocab_size: int, config: TrainConfig) -> ConfigError:
+    return ConfigError(f"embedding table of shape {shape} does not match the vocabulary "
+                       f"size {vocab_size} and embed_dim {config.embed_dim}")
+
+
 class SentimentModel:
-    embedding: Tensor  # (V, d)
-    fwd_cell: object
-    bwd_cell: object
-    fc: DenseLayer
-    out: DenseLayer
-    dropout: float
+    """The model is its parameters, by the names a checkpoint stores, in the
+    order of ``shapes``; the two cells read theirs from the same dict."""
+
+    def __init__(self, params: dict[str, Tensor], variant: str, dropout: float):
+        self.params, self.variant, self.dropout = params, variant, dropout
+        self.cells = tuple(
+            _CellBase(variant, {n[len(side):]: t for n, t in params.items() if n.startswith(side)})
+            for side in ("fwd.", "bwd."))
+
+    @property
+    def embedding(self) -> Tensor:
+        return self.params["embedding.weights"]
+
+    @staticmethod
+    def shapes(config: TrainConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+        """Every parameter's name and shape, in the order a checkpoint stores
+        them: the (V, d) embedding table, the forward cell's, the backward
+        cell's, then the relu fc layer and the sigmoid output layer."""
+        h, fc = config.hidden_dim, config.fc_dim
+        cell = cell_shapes(config.variant, config.embed_dim, h, config.filter_k)
+        return {"embedding.weights": (vocab_size, config.embed_dim),
+                **{f"{side}.{n}": s for side in ("fwd", "bwd") for n, s in cell.items()},
+                "fc.weights": (fc, 2 * h), "fc.bias": (fc,),
+                "out.weights": (1, fc), "out.bias": (1,)}
 
     @classmethod
     def build(cls, config: TrainConfig, vocab_size: int,
               rng: np.random.Generator,
               embedding: Tensor | None = None) -> "SentimentModel":
         """A fresh model; its embedding table, unless given, is drawn from
-        Uniform(-0.05, 0.05) with a zero pad row."""
+        Uniform(-0.05, 0.05) with a zero pad row. The cells and the head are
+        drawn after it, in that order."""
         config.validate()
+        shapes = cls.shapes(config, vocab_size)
         if embedding is None:
-            w = rng.uniform(-0.05, 0.05, size=(vocab_size, config.embed_dim))
+            w = rng.uniform(-0.05, 0.05, size=shapes["embedding.weights"])
             w[PAD_ID] = 0.0
             embedding = Tensor(w, requires_grad=True)
-        if embedding.shape != (vocab_size, config.embed_dim):
-            raise ConfigError(
-                f"embedding table of shape {embedding.shape} does not match "
-                f"the vocabulary size {vocab_size} and embed_dim {config.embed_dim}"
-            )
-        fwd = make_cell(config.variant, rng, config.embed_dim, config.hidden_dim,
-                        config.filter_k)
-        bwd = make_cell(config.variant, rng, config.embed_dim, config.hidden_dim,
-                        config.filter_k)
-        fc = DenseLayer.init(rng, config.fc_dim, 2 * config.hidden_dim, "relu")
-        out = DenseLayer.init(rng, 1, config.fc_dim, "sigmoid")
-        return cls(embedding=embedding, fwd_cell=fwd, bwd_cell=bwd, fc=fc, out=out,
-                   dropout=config.dropout)
+        if embedding.shape != shapes["embedding.weights"]:
+            raise _table_mismatch(embedding.shape, vocab_size, config)
+        params = {"embedding.weights": embedding}
+        for section in ("fwd.", "bwd.", ("fc.", "out.")):
+            params.update(draw({n: s for n, s in shapes.items() if n.startswith(section)}, rng))
+        return cls(params, config.variant, config.dropout)
+
+    @classmethod
+    def from_params(cls, config: TrainConfig, vocab_size: int,
+                    arrays: dict[str, np.ndarray]) -> "SentimentModel":
+        """The model whose parameters are the given arrays, which it holds
+        without copying; it draws nothing. Every name of ``shapes`` must be
+        there, at its shape, and no other but optimizer state (``optim.*``)."""
+        config.validate()
+        shapes = cls.shapes(config, vocab_size)
+        for name, shape in shapes.items():
+            if name not in arrays:
+                raise ConfigError(f"checkpoint is missing tensor {name}")
+            if arrays[name].shape == shape:
+                continue
+            if name == "embedding.weights":
+                raise _table_mismatch(arrays[name].shape, vocab_size, config)
+            raise ConfigError(f"checkpoint tensor {name} has shape {arrays[name].shape}, "
+                              f"model expects {shape}")
+        for name in arrays:
+            if name not in shapes and not name.startswith("optim."):
+                raise ConfigError(f"checkpoint tensor {name} is not a parameter of a "
+                                  f"{config.variant} model")
+        return cls({n: Tensor(arrays[n], requires_grad=True) for n in shapes},
+                   config.variant, config.dropout)
 
     def named_params(self) -> dict[str, Tensor]:
-        params = {"embedding.weights": self.embedding}
-        params.update(self.fwd_cell.named_params("fwd."))
-        params.update(self.bwd_cell.named_params("bwd."))
-        params.update({"fc.weights": self.fc.weights, "fc.bias": self.fc.bias,
-                       "out.weights": self.out.weights, "out.bias": self.out.bias})
-        return params
+        """The parameters, in the order of ``shapes``: the checkpoint's, and
+        Adam's."""
+        return self.params
 
     def forward_batch(self, batch: Batch, train: bool = False,
                       rng: np.random.Generator | None = None) -> Tensor:
@@ -180,12 +218,12 @@ class SentimentModel:
         # Both directions read the dropped embeddings, each in its packed
         # order, and their states sit side by side. The directions share each
         # row's last packed row, so one gather reads both final states.
-        states = run_sequence((self.fwd_cell, self.bwd_cell), E, packing)
+        states = run_sequence(self.cells, E, packing)
         h = ad.take_rows(states, packing.last)
 
-        h = dense_forward(self.fc, h)
+        h = dense_forward(h, self.params["fc.weights"], self.params["fc.bias"], "relu")
         h = dropout_apply(h, self.dropout, train, rng)
-        p = dense_forward(self.out, h)
+        p = dense_forward(h, self.params["out.weights"], self.params["out.bias"], "sigmoid")
         return ad.reshape(p, (b,))
 
 
@@ -356,21 +394,5 @@ def load_checkpoint(ckpt_dir) -> tuple[SentimentModel, TrainConfig, Vocab]:
     config = TrainConfig.from_kv(parse_kv_file(ckpt / "config.txt"))
     vocab = Vocab.load(ckpt / "vocab.txt")
 
-    stored = load_tensors(ckpt / "params.bin")
-    if "embedding.weights" not in stored:
-        raise ConfigError("checkpoint is missing tensor embedding.weights")
-    # The model is built around the stored table; the tensors drawn for the
-    # rest are overwritten below.
-    model = SentimentModel.build(
-        config, len(vocab), seeded_rng(config.seed, _TAG_INIT),
-        embedding=Tensor(stored["embedding.weights"], requires_grad=True))
-    for name, tensor in model.named_params().items():
-        if name not in stored:
-            raise ConfigError(f"checkpoint is missing tensor {name}")
-        if stored[name].shape != tensor.data.shape:
-            raise ConfigError(
-                f"checkpoint tensor {name} has shape {stored[name].shape}, "
-                f"model expects {tensor.data.shape}"
-            )
-        tensor.data = stored[name]  # load_tensors returns fresh arrays
+    model = SentimentModel.from_params(config, len(vocab), load_tensors(ckpt / "params.bin"))
     return model, config, vocab

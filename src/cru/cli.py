@@ -261,7 +261,9 @@ def _check_cell(variant: str, seed: int, tol: float):
     E = Tensor(0.5 * rng.standard_normal((2 * n, d))[:2 * n - 2], requires_grad=True)
     cells.append(make_cell(variant, rng, d_in=d, d_h=d_h, k=3))
     packing = pack([n, n - 2])
-    params = {**cells[0].named_params("fwd."), **cells[1].named_params("bwd."), "E": E}
+    params = {f"{side}.{n}": t for side, cell in zip(("fwd", "bwd"), cells)
+              for n, t in cell.params.items()}
+    params["E"] = E
 
     def f():
         return ad.sum_all(run_sequence(cells, E, packing))

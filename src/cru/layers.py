@@ -1,16 +1,14 @@
-"""Convolution banks, dense layers, dropout.
+"""Initialisation, the convolution and dense layers, dropout.
 
-The parameter records are plain dataclasses holding Tensors, and they check
-nothing: the ops that use their tensors (``autodiff.conv1d_same`` and
-``autodiff.dense``) check every shape, filter width and activation on every
-call, so a malformed record fails on its first use. A bank maps d channels to
-d and applies relu; a dense layer applies relu or sigmoid. An embedding table
-is a bare (V, d) Tensor whose rows PAD_ID and UNK_ID are pad and unk.
+The layers take their tensors as arguments, and the ops they run
+(``autodiff.conv1d_same`` and ``autodiff.dense``) check every shape, filter
+width and activation on every call, so a malformed tensor fails on its first
+use. A bank is a (d, k, d) filter and a (d,) bias and applies relu; a dense
+layer applies relu or sigmoid. An embedding table is a bare (V, d) Tensor
+whose rows PAD_ID and UNK_ID are pad and unk.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,53 +28,21 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
 
 
 # --------------------------------------------------------------------------
-# Convolution bank
+# Convolution and dense layers
 # --------------------------------------------------------------------------
-
-@dataclass
-class ConvBank:
-    """d same-length relu filters of odd width k over d input channels."""
-
-    filters: Tensor  # (d, k, d)
-    bias: Tensor     # (d,)
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, d: int, k: int) -> "ConvBank":
-        return cls(Tensor(glorot_uniform(rng, (d, k, d)), requires_grad=True),
-                   Tensor(np.zeros(d), requires_grad=True))
-
 
 def same_length_conv(banks, x: Tensor, batch_sizes, residual: bool = False) -> Tensor:
     """Convolve packed rows (T, D d), in the layout of batch_sizes (a
-    ``Packing``'s), with m banks per direction, of one shape, then bias, relu
-    and, if residual, the input: one ``autodiff.conv1d_same`` op. Returns
-    (T, D m d)."""
-    return ad.conv1d_same(x, [[(bank.filters, bank.bias) for bank in g] for g in banks],
-                          batch_sizes, residual)
+    ``Packing``'s), with m (filters, bias) banks per direction, of one shape,
+    then bias, relu and, if residual, the input: one ``autodiff.conv1d_same``
+    op. Returns (T, D m d)."""
+    return ad.conv1d_same(x, banks, batch_sizes, residual)
 
 
-# --------------------------------------------------------------------------
-# Dense layer
-# --------------------------------------------------------------------------
-
-@dataclass
-class DenseLayer:
-    weights: Tensor  # (d_out, d_in)
-    bias: Tensor     # (d_out,)
-    activation: str  # "relu" or "sigmoid"
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, d_out: int, d_in: int,
-             activation: str) -> "DenseLayer":
-        w = glorot_uniform(rng, (d_out, d_in))
-        return cls(Tensor(w, requires_grad=True),
-                   Tensor(np.zeros(d_out), requires_grad=True),
-                   activation)
-
-
-def dense_forward(layer: DenseLayer, x: Tensor) -> Tensor:
-    """(B, d_in) -> (B, d_out): one ``autodiff.dense`` op."""
-    return ad.dense(x, layer.weights, layer.bias, layer.activation)
+def dense_forward(x: Tensor, W: Tensor, b: Tensor, activation: str) -> Tensor:
+    """(B, d_in) -> (B, d_out) by W (d_out, d_in), b (d_out,) and relu or
+    sigmoid: one ``autodiff.dense`` op."""
+    return ad.dense(x, W, b, activation)
 
 
 # --------------------------------------------------------------------------

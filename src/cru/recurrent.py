@@ -1,10 +1,12 @@
 """Gated recurrent cells with convolutional gate-input variants.
 
-There is one cell class, ``_CellBase(variant, params, banks)``, which
-``make_cell`` builds freshly initialized; the variant is a value. The four
-variants share one recurrence and differ only in how the per-step gate inputs
-are prepared from the embedded sequence, with no convolution bank, one, or
-one per gate (``_BANKS``):
+There is one cell class, ``_CellBase(variant, params)``, whose params are
+its tensors by name; the variant is a value. ``cell_shapes`` is each
+variant's table of names and shapes, ``draw`` fills a table with fresh
+tensors, and ``make_cell`` does both. The four variants share one recurrence
+and differ only in how the per-step gate inputs are prepared from the
+embedded sequence, with no convolution bank, one, or one per gate
+(``_BANKS``):
 
   gru            P_* = E W_*^T                   (plain linear projection)
   shallow        P_* = C W_*^T, C = conv(E)      (one bank feeds all gates)
@@ -52,7 +54,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, DimensionError
-from .layers import ConvBank, glorot_uniform, same_length_conv
+from .layers import glorot_uniform, same_length_conv
 
 # Each variant's convolution banks, by parameter name.
 _BANKS = {"gru": (), "shallow": ("conv",), "deep": ("conv_z", "conv_r", "conv_h"),
@@ -64,42 +66,33 @@ VARIANTS = tuple(_BANKS)
 # Parameters
 # --------------------------------------------------------------------------
 
-@dataclass
-class GruParams:
-    """Recurrence weights: U_* (d_h, d_h), b_* (d_h,) and W_* (d_h, d_in),
-    which are absent for the deep variant. The record checks only that the
-    W_* come together; ``autodiff.gru_scan`` checks the shapes of the U_* and
-    b_* and, through the projection it forms, of the W_*, on every call."""
+def cell_shapes(variant: str, d_in: int, d_h: int, k: int = 3) -> dict[str, tuple[int, ...]]:
+    """A cell's parameters, {name: shape}, in the order a checkpoint stores
+    them: W_* (d_h, d_in), absent for deep, U_* (d_h, d_h), b_* (d_h,), then
+    each bank's filters (d_in, k, d_in) and bias (d_in,)."""
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if d_in < 1 or d_h < 1:
+        raise ConfigError(f"dims must be positive, got d_in={d_in}, d_h={d_h}")
+    if variant == "deep" and d_h != d_in:
+        raise ConfigError(f"deep variant needs hidden size == embedding size, "
+                          f"got {d_h} and {d_in}")
+    shapes = {} if variant == "deep" else {n: (d_h, d_in) for n in ("W_z", "W_r", "W")}
+    shapes.update({n: (d_h, d_h) for n in ("U_z", "U_r", "U")})
+    shapes.update({n: (d_h,) for n in ("b_z", "b_r", "b_h")})
+    for tag in _BANKS[variant]:
+        shapes.update({f"{tag}.filters": (d_in, k, d_in), f"{tag}.bias": (d_in,)})
+    return shapes
 
-    U_z: Tensor
-    U_r: Tensor
-    U: Tensor
-    b_z: Tensor
-    b_r: Tensor
-    b_h: Tensor
-    W_z: Tensor | None = None
-    W_r: Tensor | None = None
-    W: Tensor | None = None
 
-    def __post_init__(self):
-        ws = [self.W_z, self.W_r, self.W]
-        if any(w is None for w in ws) and any(w is not None for w in ws):
-            raise ConfigError("W_z, W_r, W must be given together or not at all")
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, d_in: int | None, d_h: int) -> "GruParams":
-        def weight(shape):
-            return Tensor(glorot_uniform(rng, shape), requires_grad=True)
-
-        # The W_* are drawn before the U_*.
-        kw = {} if d_in is None else {n: weight((d_h, d_in)) for n in ("W_z", "W_r", "W")}
-        return cls(**{n: weight((d_h, d_h)) for n in ("U_z", "U_r", "U")},
-                   **{n: Tensor(np.zeros(d_h), requires_grad=True)
-                      for n in ("b_z", "b_r", "b_h")}, **kw)
-
-    def named(self, prefix: str = "") -> dict[str, Tensor]:
-        names = ("W_z", "W_r", "W", "U_z", "U_r", "U", "b_z", "b_r", "b_h")
-        return {prefix + n: getattr(self, n) for n in names if getattr(self, n) is not None}
+def draw(shapes, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Fresh parameters of the given shapes, in their order: zeros for
+    vectors, Glorot-uniform for the rest. Bank filters are drawn first, then
+    the others in order, so a cell's W_* before its U_*."""
+    first = sorted(shapes, key=lambda name: not name.endswith(".filters"))
+    drawn = {n: glorot_uniform(rng, shapes[n]) for n in first if len(shapes[n]) > 1}
+    return {n: Tensor(drawn[n] if n in drawn else np.zeros(s), requires_grad=True)
+            for n, s in shapes.items()}
 
 
 # --------------------------------------------------------------------------
@@ -159,20 +152,17 @@ def pack(lengths, reverse=(False, True)) -> Packing:
 
 class _CellBase:
     """A GRU cell whose variant prepares its gate inputs from its banks: none
-    (gru), one (shallow), or one per gate (deep and deep_enhanced)."""
+    (gru), one (shallow), or one per gate (deep and deep_enhanced). params
+    holds the tensors that ``cell_shapes`` names, by those names."""
 
-    def __init__(self, variant: str, params: GruParams, banks=()):
-        if variant not in _BANKS:
-            raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-        banks = tuple(banks)
-        if len(banks) != len(_BANKS[variant]):
-            raise ContractError(f"{variant} cell needs {len(_BANKS[variant])} banks, "
-                                f"got {len(banks)}")
-        deep = variant == "deep"
-        if (params.W is None) != deep:
-            raise ConfigError("deep cell takes no W_* matrices" if deep
-                              else f"{variant} cell needs W_z, W_r, W")
-        self.variant, self.params, self.banks = variant, params, banks
+    def __init__(self, variant: str, params: dict[str, Tensor]):
+        names = cell_shapes(variant, 1, 1)  # the names do not depend on the sizes
+        if set(params) != set(names):
+            raise ConfigError(f"{variant} cell takes the tensors {list(names)}, "
+                              f"got {list(params)}")
+        self.variant, self.params = variant, params
+        self.banks = [(params[f"{tag}.filters"], params[f"{tag}.bias"])
+                      for tag in _BANKS[variant]]
 
     @staticmethod
     def prepare(cells, E: Tensor, packing: Packing) -> tuple[Tensor, list | None]:
@@ -204,31 +194,14 @@ class _CellBase:
                                  residual=variant == "deep_enhanced")
         if variant == "deep":
             return X, None
-        ws = [[c.params.W_z, c.params.W_r, c.params.W] for c in cells]
+        ws = [[c.params[n] for n in ("W_z", "W_r", "W")] for c in cells]
         return X, [[w] for g in ws for w in g] if variant == "deep_enhanced" else ws
-
-    def named_params(self, prefix: str = "") -> dict[str, Tensor]:
-        out = self.params.named(prefix)
-        for tag, bank in zip(_BANKS[self.variant], self.banks):
-            out[f"{prefix}{tag}.filters"] = bank.filters
-            out[f"{prefix}{tag}.bias"] = bank.bias
-        return out
 
 
 def make_cell(variant: str, rng: np.random.Generator, d_in: int, d_h: int,
               k: int = 3) -> _CellBase:
     """Build a freshly initialized cell of the given variant."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if d_in < 1 or d_h < 1:
-        raise ConfigError(f"dims must be positive, got d_in={d_in}, d_h={d_h}")
-    if variant == "deep" and d_h != d_in:
-        raise ConfigError(f"deep variant needs hidden size == embedding size, "
-                          f"got {d_h} and {d_in}")
-    # The banks are drawn before the recurrence weights.
-    banks = [ConvBank.init(rng, d_in, k) for _ in _BANKS[variant]]
-    return _CellBase(variant, GruParams.init(rng, None if variant == "deep" else d_in, d_h),
-                     banks)
+    return _CellBase(variant, draw(cell_shapes(variant, d_in, d_h, k), rng))
 
 
 # --------------------------------------------------------------------------
@@ -250,6 +223,6 @@ def run_sequence(cells, E: Tensor, packing: Packing) -> Tensor:
     """
     cells = list(cells)
     X, weights = _CellBase.prepare(cells, E, packing)
-    return ad.gru_scan(X, [(p.U_z, p.U_r, p.U, p.b_z, p.b_r, p.b_h)
-                           for p in (cell.params for cell in cells)],
+    recurrence = ("U_z", "U_r", "U", "b_z", "b_r", "b_h")
+    return ad.gru_scan(X, [[c.params[n] for n in recurrence] for c in cells],
                        packing.batch_sizes, weights)

@@ -55,7 +55,7 @@ from cru.autodiff import Tape, Tensor
 from cru.checkpoint import _MAX_NUMPY_RANK, MAGIC
 from cru.classifier import bce_loss
 from cru.errors import ConfigError, DimensionError, NumericError, ParseError
-from cru.recurrent import pack, run_sequence
+from cru.recurrent import _BANKS, _CellBase, cell_shapes, draw, pack, run_sequence
 
 
 def run_row(cell, E):
@@ -108,6 +108,25 @@ def run_padded(cell, Eb, lengths, reverse=False):
     E = np.asarray(Eb).reshape(b * n, d)[token_positions(lengths, n)]
     states = run_sequence([cell], Tensor(E), pack(lengths, (reverse,)))
     return padded_states(states.data, lengths, n)
+
+
+def fresh_recurrence(rng, variant, d_in, d_h):
+    """A fresh cell's tensors but its banks: W_* (absent for deep), U_* and
+    b_*, by name, drawn as a cell draws them."""
+    return draw({n: s for n, s in cell_shapes(variant, d_in, d_h).items() if "." not in n}, rng)
+
+
+def fresh_bank(rng, d, k):
+    """A fresh (filters, bias) bank of d filters of width k over d channels."""
+    return tuple(draw({"conv.filters": (d, k, d), "conv.bias": (d,)}, rng).values())
+
+
+def cell_with_banks(variant, p, banks):
+    """The cell of variant whose tensors are p, a cell's W_*, U_* and b_* by
+    name, and the (filters, bias) pairs banks, in the variant's bank order."""
+    named = {f"{tag}.{part}": t for tag, bank in zip(_BANKS[variant], banks)
+             for part, t in zip(("filters", "bias"), bank)}
+    return _CellBase(variant, {**p, **named})
 
 
 def transpose(x):
@@ -352,23 +371,26 @@ def gate_inputs_per_direction(E, packing, banks, weights, window):
 
 
 def same_length_conv_padded(bank, x):
-    """``layers.same_length_conv`` over a zero-padded (B, n, d) batch."""
-    return activation("relu", bias_add(conv1d_same_padded(x, bank.filters), bank.bias))
+    """``layers.same_length_conv`` of one (filters, bias) bank over a
+    zero-padded (B, n, d) batch."""
+    filters, bias = bank
+    return activation("relu", bias_add(conv1d_same_padded(x, filters), bias))
 
 
 def prepare_per_gate(cell, E):
     """The (B, n, d_h) gate inputs (P_z, P_r, P_h) of a cell, one per gate,
     over a zero-padded (B, n, d) batch."""
-    p = cell.params
+    if cell.variant != "deep":
+        ws = [cell.params[n] for n in ("W_z", "W_r", "W")]
     if cell.variant == "gru":
-        return _project(E, p.W_z), _project(E, p.W_r), _project(E, p.W)
+        return tuple(_project(E, w) for w in ws)
     if cell.variant == "shallow":
         c = same_length_conv_padded(cell.banks[0], E)
-        return _project(c, p.W_z), _project(c, p.W_r), _project(c, p.W)
+        return tuple(_project(c, w) for w in ws)
     banks = [same_length_conv_padded(c, E) for c in cell.banks]
     if cell.variant == "deep":
         return tuple(banks)
-    return tuple(_project(add(c, E), w) for c, w in zip(banks, (p.W_z, p.W_r, p.W)))
+    return tuple(_project(add(c, E), w) for c, w in zip(banks, ws))
 
 
 def gru_scan_composed(P, U_z, U_r, U, b_z, b_r, b_h):
@@ -500,11 +522,12 @@ def forward_reference(model, ids) -> float:
     the fc (relu) and output (sigmoid) layers are applied in numpy.
     """
     E = model.embedding.data[np.asarray(ids, dtype=np.intp)]
-    _, final_f = run_row(model.fwd_cell, E)
-    _, final_b = run_row(model.bwd_cell, E[::-1])
+    _, final_f = run_row(model.cells[0], E)
+    _, final_b = run_row(model.cells[1], E[::-1])
     h = np.concatenate([final_f, final_b])
-    h = np.maximum(model.fc.weights.data @ h + model.fc.bias.data, 0.0)
-    z = model.out.weights.data @ h + model.out.bias.data
+    p = {n: t.data for n, t in model.params.items()}
+    h = np.maximum(p["fc.weights"] @ h + p["fc.bias"], 0.0)
+    z = p["out.weights"] @ h + p["out.bias"]
     return float(1.0 / (1.0 + np.exp(-z[0])))
 
 

@@ -30,11 +30,11 @@ from cru.classifier import (SentimentModel, TrainConfig, _TAG_INIT,
 from cru.cli import run_gradcheck
 from cru.data import (Corpus, Sample, batch_and_pad, build_vocab,
                       encode_corpus, load_corpus, make_folds, tokenize)
-from cru.layers import ConvBank, same_length_conv
+from cru.layers import same_length_conv
 from cru.optim import Adam
 from cru.rc_features import count_of_query_word, doc_word_freq
-from cru.recurrent import VARIANTS, GruParams, _CellBase, make_cell, pack
-from oracles import run_padded, run_row
+from cru.recurrent import VARIANTS, make_cell, pack
+from oracles import cell_with_banks, fresh_bank, fresh_recurrence, run_padded, run_row
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path(__file__).parent / "data" / "mr_sample"
@@ -79,8 +79,8 @@ def test_criterion_02_degeneracy_deep_enhanced_to_gru():
         n = int(rng.integers(1, 9))
         k = int(rng.choice([1, 3, 5]))
         gru = make_cell("gru", rng, d, d_h)
-        zero = [ConvBank(Tensor(np.zeros((d, k, d))), Tensor(np.zeros(d))) for _ in range(3)]
-        enhanced = _CellBase("deep_enhanced", gru.params, zero)
+        zero = [(Tensor(np.zeros((d, k, d))), Tensor(np.zeros(d))) for _ in range(3)]
+        enhanced = cell_with_banks("deep_enhanced", gru.params, zero)
         E = rng.standard_normal((n, d))
         hg, fg = run_row(gru, E)
         he, fe = run_row(enhanced, E)
@@ -101,14 +101,11 @@ def test_criterion_03_degeneracy_deep_to_shallow():
         d = int(rng.integers(2, 6))
         n = int(rng.integers(1, 9))
         k = int(rng.choice([1, 3, 5]))
-        bank = ConvBank.init(rng, d, k)
-        params = GruParams.init(rng, None, d)
-        deep = _CellBase("deep", params, [bank] * 3)
-        eye = lambda: Tensor(np.eye(d))
-        shallow = _CellBase("shallow", GruParams(
-            U_z=params.U_z, U_r=params.U_r, U=params.U,
-            b_z=params.b_z, b_r=params.b_r, b_h=params.b_h,
-            W_z=eye(), W_r=eye(), W=eye()), [bank])
+        bank = fresh_bank(rng, d, k)
+        params = fresh_recurrence(rng, "deep", d, d)
+        deep = cell_with_banks("deep", params, [bank] * 3)
+        eye = {n: Tensor(np.eye(d)) for n in ("W_z", "W_r", "W")}
+        shallow = cell_with_banks("shallow", {**params, **eye}, [bank])
         E = rng.standard_normal((n, d))
         h1, f1 = run_row(deep, E)
         h2, f2 = run_row(shallow, E)
@@ -127,7 +124,7 @@ def test_criterion_04_same_length_contract():
     d = 3
     checked = 0
     for k in (1, 3, 5, 7):
-        bank = ConvBank.init(rng, d, k)
+        bank = fresh_bank(rng, d, k)
         for n in range(1, 65):
             out = same_length_conv([[bank]], Tensor(rng.standard_normal((n, d))),
                                    pack([n]).batch_sizes)

@@ -115,3 +115,17 @@ def test_drift_limit_is_the_kernel_spread_of_the_set(tmp_path, monkeypatch):
     assert result["drift_kernel"]["limit"] == pytest.approx(26.0 / 110.0)
     assert [round(p["drift_moved"], 6) for p in result["pairs"]] == [0.15, 0.0, 0.5]
     assert [p["drifted"] for p in result["pairs"]] == [False, False, True]
+
+
+def test_summarize_reads_every_rate_higher_is_better():
+    # Requests per second, like tokens per second, is better when higher; a
+    # time is better when lower.
+    bench = load_script()
+    runs = [{"side": side, "metrics": {"infer_per_s": rate, "infer_step_ms_p50": 1e3 / rate}}
+            for side, rates in (("parent", (100.0, 101.0, 102.0)),
+                                ("change", (120.0, 121.0, 122.0)))
+            for rate in rates]
+    summary = bench.summarize(runs, 3)
+    assert summary["infer_per_s"]["better"] == "higher"
+    assert summary["infer_per_s"]["verdict"] == "better" and summary["infer_per_s"]["wins"] == 3
+    assert summary["infer_step_ms_p50"]["verdict"] == "better"

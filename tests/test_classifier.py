@@ -782,6 +782,46 @@ def test_checkpoint_missing_tensor_is_config_error(tmp_path):
         save_checkpoint(tmp_path / "ckpt", model, config, vocab)
 
 
+def test_checkpoint_of_another_variant_is_config_error(tmp_path):
+    # A deep_enhanced checkpoint whose config names gru holds every gru tensor
+    # at its shape and twelve bank tensors more; none is dropped silently.
+    train, test, vocab = toy_split()
+    config = tiny_config(epochs=1, batch_size=2)
+    model, _ = train_on_split(train, test, config, vocab)
+    save_checkpoint(tmp_path / "ckpt", model, config, vocab)
+    cfg = tmp_path / "ckpt" / "config.txt"
+    cfg.write_text(cfg.read_text().replace("variant=deep_enhanced", "variant=gru"))
+    with pytest.raises(ConfigError, match=r"tensor fwd\.conv_z\.filters is not a parameter "
+                                          r"of a gru model"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_load_draws_nothing(tmp_path, monkeypatch):
+    # Every variant round-trips with its optimizer state (which the load
+    # leaves alone) while any draw from a seeded generator raises.
+    train, test, vocab = toy_split()
+    batch = batch_and_pad(encode_corpus(vocab, test), 4)[0]
+    saved = {}
+    for variant in VARIANTS:
+        config = tiny_config(variant=variant, epochs=1, batch_size=2)
+        model, _ = train_on_split(train, test, config, vocab)
+        save_checkpoint(tmp_path / variant, model, config, vocab,
+                        optimizer=Adam(model.named_params(), lr=config.lr))
+        saved[variant] = model
+
+    def no_draw(*args):
+        raise AssertionError("the load drew from a seeded generator")
+
+    monkeypatch.setattr("cru.classifier.seeded_rng", no_draw)
+    for variant, model in saved.items():
+        loaded, _, _ = load_checkpoint(tmp_path / variant)
+        assert list(loaded.named_params()) == list(model.named_params())
+        for name, t in loaded.named_params().items():
+            assert np.array_equal(t.data, model.named_params()[name].data), (variant, name)
+        assert np.array_equal(loaded.forward_batch(batch).data,
+                              model.forward_batch(batch).data), variant
+
+
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(tmp_path / "nope")

@@ -1,7 +1,7 @@
 """Embedding, convolution bank, dense layer, and dropout behavior.
 
-The records hold tensors and check nothing; each shape test here runs the
-record through the op that checks it."""
+The layers take their tensors as arguments and check nothing; each shape
+test here runs the tensors through the op that checks them."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,9 @@ from cru.autodiff import Tape, Tensor, finite_diff_gradcheck
 from cru.classifier import SentimentModel, TrainConfig
 from cru.data import Vocab
 from cru.errors import ConfigError, ContractError, DimensionError
-from cru.layers import (PAD_ID, ConvBank, DenseLayer, dense_forward, dropout_apply,
-                        glorot_uniform, same_length_conv)
-from cru.recurrent import make_cell, pack, run_sequence
+from cru.layers import PAD_ID, dense_forward, dropout_apply, glorot_uniform, same_length_conv
+from cru.recurrent import draw, make_cell, pack, run_sequence
+from oracles import fresh_bank
 
 
 def rng_for(seed):
@@ -92,7 +92,7 @@ def conv_of(bank):
 
 def test_conv_bank_rejects_even_window():
     with pytest.raises(ConfigError):
-        conv_of(ConvBank(Tensor(np.zeros((3, 4, 3))), Tensor(np.zeros(3))))
+        conv_of((Tensor(np.zeros((3, 4, 3))), Tensor(np.zeros(3))))
     # Nor does a cell's bank run: a cell built with an even width fails on
     # its first run.
     cell = make_cell("shallow", rng_for(0), 3, 3, k=4)
@@ -102,7 +102,7 @@ def test_conv_bank_rejects_even_window():
 
 def test_conv_bank_rejects_bad_bias():
     with pytest.raises(DimensionError):
-        conv_of(ConvBank(Tensor(np.zeros((3, 3, 3))), Tensor(np.zeros(2))))
+        conv_of((Tensor(np.zeros((3, 3, 3))), Tensor(np.zeros(2))))
 
 
 def test_same_length_conv_hand_oracle():
@@ -117,7 +117,7 @@ def test_same_length_conv_hand_oracle():
     f[0, 2, 0] = 100.0  # right neighbor, channel 0
     f[1, 1, 0] = -1.0  # center, channel 0
     f[1, 2, 1] = 5.0   # right neighbor, channel 1
-    bank = ConvBank(Tensor(f), Tensor(np.zeros(2)))
+    bank = (Tensor(f), Tensor(np.zeros(2)))
     out = same_length_conv([[bank]], Tensor(x), pack([3]).batch_sizes)
     # filter 0, position 0: left pad (0) + 10*x[0,1] + 100*x[1,0] = 0
     #           position 1: 1*x[0,0] + 10*x[1,1] + 100*x[2,0] = 1 + 10 + 200 = 211
@@ -130,7 +130,7 @@ def test_same_length_conv_hand_oracle():
 
 def test_same_length_conv_applies_bias_then_activation():
     x = np.zeros((2, 3))
-    bank = ConvBank(Tensor(np.zeros((3, 1, 3))), Tensor([-1.0, 0.5, 2.0]))
+    bank = (Tensor(np.zeros((3, 1, 3))), Tensor([-1.0, 0.5, 2.0]))
     out = same_length_conv([[bank]], Tensor(x), pack([2]).batch_sizes)
     assert np.allclose(out.data, np.tile([0.0, 0.5, 2.0], (2, 1)))
 
@@ -139,7 +139,7 @@ def test_same_length_conv_shape_contract():
     rng = rng_for(5)
     for n in (1, 2, 7, 16):
         for k in (1, 3, 5):
-            bank = ConvBank.init(rng, 4, k)
+            bank = fresh_bank(rng, 4, k)
             packing = pack([n, n])
             out = same_length_conv([[bank]], Tensor(rng.standard_normal((2 * n, 4))),
                                    packing.batch_sizes)
@@ -148,10 +148,10 @@ def test_same_length_conv_shape_contract():
 
 def test_same_length_conv_gradcheck():
     rng = rng_for(6)
-    bank = ConvBank.init(rng, 2, 3)
+    bank = fresh_bank(rng, 2, 3)
     x = Tensor(rng.standard_normal((10, 2)), requires_grad=True)
     sizes = pack([5, 5]).batch_sizes
-    params = {"filters": bank.filters, "bias": bank.bias, "x": x}
+    params = {"filters": bank[0], "bias": bank[1], "x": x}
     report = finite_diff_gradcheck(
         lambda: ad.sum_all(ad.mul(same_length_conv([[bank]], x, sizes),
                                   same_length_conv([[bank]], x, sizes))), params)
@@ -162,37 +162,41 @@ def test_same_length_conv_gradcheck():
 # Dense layer
 # ---------------------------------------------------------------------------
 
+def fresh_dense(rng, d_out, d_in):
+    """A dense layer's (W, b), drawn as the model's head."""
+    return tuple(draw({"fc.weights": (d_out, d_in), "fc.bias": (d_out,)}, rng).values())
+
+
 def test_dense_forward_matches_numpy():
     rng = rng_for(7)
-    layer = DenseLayer.init(rng, d_out=3, d_in=4, activation="relu")
-    layer.bias.data[:] = rng.standard_normal(3)
+    W, b = fresh_dense(rng, 3, 4)
+    b.data[:] = rng.standard_normal(3)
     x = rng.standard_normal((2, 4))
-    out = dense_forward(layer, Tensor(x))
-    assert np.allclose(out.data, np.maximum(x @ layer.weights.data.T + layer.bias.data, 0.0))
+    out = dense_forward(Tensor(x), W, b, "relu")
+    assert np.allclose(out.data, np.maximum(x @ W.data.T + b.data, 0.0))
 
 
 def test_dense_forward_shape_mismatch():
-    layer = DenseLayer.init(rng_for(9), 3, 4, "relu")
+    W, b = fresh_dense(rng_for(9), 3, 4)
     with pytest.raises(DimensionError):
-        dense_forward(layer, Tensor(np.zeros((2, 5))))
+        dense_forward(Tensor(np.zeros((2, 5))), W, b, "relu")
     with pytest.raises(DimensionError):  # a bare vector is not a batch
-        dense_forward(layer, Tensor(np.zeros(4)))
+        dense_forward(Tensor(np.zeros(4)), W, b, "relu")
     x = Tensor(np.zeros((2, 4)))
     with pytest.raises(DimensionError):
-        dense_forward(DenseLayer(layer.weights, Tensor(np.zeros(4)), "relu"), x)
+        dense_forward(x, W, Tensor(np.zeros(4)), "relu")
     with pytest.raises(DimensionError):
-        dense_forward(DenseLayer(Tensor(np.zeros(4)), layer.bias, "relu"), x)
+        dense_forward(x, Tensor(np.zeros(4)), b, "relu")
     with pytest.raises(ConfigError):
-        dense_forward(DenseLayer(layer.weights, layer.bias, "swish"), x)
+        dense_forward(x, W, b, "swish")
 
 
 def test_dense_gradcheck():
     rng = rng_for(10)
-    layer = DenseLayer.init(rng, 2, 3, activation="sigmoid")
+    W, b = fresh_dense(rng, 2, 3)
     x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     report = finite_diff_gradcheck(
-        lambda: ad.sum_all(dense_forward(layer, x)),
-        {"w": layer.weights, "b": layer.bias, "x": x})
+        lambda: ad.sum_all(dense_forward(x, W, b, "sigmoid")), {"w": W, "b": b, "x": x})
     assert report.passed
 
 

@@ -177,7 +177,8 @@ def test_encoder_delegates_to_bidirectional_runner():
 
     base.requires_grad = True
     weights = Tensor(rng.standard_normal((3, 2 * d_h)))
-    params = {"base": base, **fwd.named_params("fwd."), **bwd.named_params("bwd.")}
+    params = {"base": base, **{f"fwd.{n}": t for n, t in fwd.params.items()},
+              **{f"bwd.{n}": t for n, t in bwd.params.items()}}
     report = finite_diff_gradcheck(
         lambda: ad.sum_all(ad.mul(encode_bidirectional_enriched(
             fwd, bwd, enrich_embeddings(base, doc, ["cat"])), weights)), params)
@@ -201,7 +202,7 @@ def test_encoder_zero_cells_give_zero_states():
     fwd = make_cell("gru", rng, 4, 3)
     bwd = make_cell("gru", rng, 4, 3)
     for cell in (fwd, bwd):
-        for p in cell.named_params().values():
+        for p in cell.params.values():
             p.data[:] = 0.0
     base = Tensor(rng.standard_normal((5, 2)))
     enriched = enrich_embeddings(base, ["a", "b", "c", "d", "e"], ["a"])
@@ -220,7 +221,7 @@ def test_encoder_equals_two_one_direction_runs():
             doc = random_tokens(rng, n, n + 1)
             base = Tensor(rng.standard_normal((n, 3)), requires_grad=True)
             weights = Tensor(rng.standard_normal((n, 10)))
-            leaves = [base, *fwd.named_params().values(), *bwd.named_params().values()]
+            leaves = [base, *fwd.params.values(), *bwd.params.values()]
             results = []
             for encode in (encode_bidirectional_enriched, encode_two_runs):
                 for t in leaves:

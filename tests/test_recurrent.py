@@ -9,11 +9,11 @@ import pytest
 from cru import autodiff as ad
 from cru.autodiff import Tensor, finite_diff_gradcheck
 from cru.errors import ConfigError, ContractError, DimensionError
-from cru.layers import ConvBank, same_length_conv
+from cru.layers import same_length_conv
 from cru.rc_features import encode_bidirectional_enriched, enrich_embeddings
-from cru.recurrent import (GruParams, VARIANTS, _CellBase, make_cell, pack,
-                           run_sequence)
-from oracles import packing_window, padded_states, run_padded, run_row, token_positions
+from cru.recurrent import VARIANTS, _CellBase, make_cell, pack, run_sequence
+from oracles import (cell_with_banks, fresh_bank, fresh_recurrence, packing_window,
+                     padded_states, run_padded, run_row, token_positions)
 
 
 def rng_for(seed):
@@ -29,16 +29,17 @@ def conv_row(bank, E):
     return same_length_conv([[bank]], Tensor(E), pack([len(E)]).batch_sizes).data
 
 
-def ref_step(p: GruParams, pz, pr, ph, h):
-    """Plain-numpy recurrence on precomputed gate inputs (the oracle)."""
-    z = sig(pz + p.U_z.data @ h + p.b_z.data)
-    r = sig(pr + p.U_r.data @ h + p.b_r.data)
-    g = np.tanh(ph + p.U.data @ (r * h) + p.b_h.data)
+def ref_step(p, pz, pr, ph, h):
+    """Plain-numpy recurrence on precomputed gate inputs (the oracle); p
+    holds a cell's tensors by name."""
+    z = sig(pz + p["U_z"].data @ h + p["b_z"].data)
+    r = sig(pr + p["U_r"].data @ h + p["b_r"].data)
+    g = np.tanh(ph + p["U"].data @ (r * h) + p["b_h"].data)
     return z * h + (1.0 - z) * g
 
 
-def ref_gru(p: GruParams, x, h):
-    return ref_step(p, p.W_z.data @ x, p.W_r.data @ x, p.W.data @ x, h)
+def ref_gru(p, x, h):
+    return ref_step(p, p["W_z"].data @ x, p["W_r"].data @ x, p["W"].data @ x, h)
 
 
 def one_step(cell, x_prev, x):
@@ -58,7 +59,7 @@ def relu(x):
 def linear_banks(A):
     """Width-1 banks with zero bias: bank i maps a step input x to
     relu(A[i] @ x)."""
-    return [ConvBank(Tensor(a[:, None, :]), Tensor(np.zeros(a.shape[0]))) for a in A]
+    return [(Tensor(a[:, None, :]), Tensor(np.zeros(a.shape[0]))) for a in A]
 
 
 # ---------------------------------------------------------------------------
@@ -67,31 +68,29 @@ def linear_banks(A):
 
 def test_gru_params_validation():
     rng = rng_for(0)
-    p = GruParams.init(rng, 3, 4)
-    assert p.U.shape == (4, 4) and p.W.shape == (4, 3)
+    p = fresh_recurrence(rng, "gru", 3, 4)
+    assert p["U"].shape == (4, 4) and p["W"].shape == (4, 3)
     E = Tensor(rng.standard_normal((2, 3)))
 
     def run(**bad):
-        cell = _CellBase("gru", GruParams(**{**p.named(), **bad}))
+        cell = _CellBase("gru", {**p, **bad})
         return run_sequence([cell], E, pack([2], (False,)))
 
     run()
-    # The record takes any shapes; the scan rejects them on first use.
+    # The cell takes any shapes; the scan rejects them on first use.
     with pytest.raises(DimensionError):
         run(U_z=Tensor(np.zeros((4, 3))))
     with pytest.raises(DimensionError):
         run(b_z=Tensor(np.zeros(3)))
     with pytest.raises(DimensionError):  # and the projection the W_*
         run(W=Tensor(np.zeros((4, 2))))
-    with pytest.raises(ConfigError):
-        GruParams(U_z=p.U_z, U_r=p.U_r, U=p.U, b_z=p.b_z, b_r=p.b_r,
-                  b_h=p.b_h, W_z=p.W_z)  # missing W_r, W
+    with pytest.raises(ConfigError):  # missing W_r, W
+        _CellBase("gru", {n: t for n, t in p.items() if n not in ("W_r", "W")})
 
 
 def test_gru_params_deep_form_has_no_input_dim():
-    p = GruParams.init(rng_for(1), None, 4)
-    assert p.W_z is None and p.W_r is None and p.W is None
-    assert sorted(p.named()) == ["U", "U_r", "U_z", "b_h", "b_r", "b_z"]
+    p = fresh_recurrence(rng_for(1), "deep", 4, 4)
+    assert sorted(p) == ["U", "U_r", "U_z", "b_h", "b_r", "b_z"]
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +99,7 @@ def test_gru_params_deep_form_has_no_input_dim():
 
 def test_gru_step_matches_reference():
     rng = rng_for(2)
-    p = GruParams.init(rng, 3, 4)
+    p = fresh_recurrence(rng, "gru", 3, 4)
     cell = _CellBase("gru", p)
     for trial in range(20):
         x_prev, x = rng.standard_normal((2, 3))
@@ -112,7 +111,7 @@ def test_gru_step_matches_reference():
 
 def test_gru_step_batched_rows_match_single():
     rng = rng_for(3)
-    p = GruParams.init(rng, 3, 4)
+    p = fresh_recurrence(rng, "gru", 3, 4)
     X_prev = rng.standard_normal((5, 3))
     X = rng.standard_normal((5, 3))
     H, got = one_step(_CellBase("gru", p), X_prev, X)
@@ -126,9 +125,9 @@ def test_update_gate_blends_toward_previous_state():
     # must freeze at h_prev; this pins the gate convention (z multiplies the
     # previous state).
     rng = rng_for(4)
-    p = GruParams.init(rng, 3, 4)
-    p.W_z.data[:] = 0.0
-    p.W_z.data[:, 0] = 50.0
+    p = fresh_recurrence(rng, "gru", 3, 4)
+    p["W_z"].data[:] = 0.0
+    p["W_z"].data[:, 0] = 50.0
     x_prev = np.array([-1.0, *rng.standard_normal(2)])
     x = np.array([1.0, *rng.standard_normal(2)])
     h, out = (a[0] for a in one_step(_CellBase("gru", p), x_prev[None], x[None]))
@@ -137,60 +136,60 @@ def test_update_gate_blends_toward_previous_state():
     # And z -> 0 makes the output the candidate state alone.
     x[0] = -1.0
     h, out2 = (a[0] for a in one_step(_CellBase("gru", p), x_prev[None], x[None]))
-    g = np.tanh(p.W.data @ x
-                + p.U.data @ (sig(p.W_r.data @ x + p.U_r.data @ h + p.b_r.data) * h)
-                + p.b_h.data)
+    g = np.tanh(p["W"].data @ x
+                + p["U"].data @ (sig(p["W_r"].data @ x + p["U_r"].data @ h + p["b_r"].data) * h)
+                + p["b_h"].data)
     assert np.allclose(out2, g, atol=1e-9)
 
 
 def test_reset_gate_cuts_recurrent_candidate_path():
     # b_r -> -inf forces r -> 0: the candidate sees no history at all.
     rng = rng_for(5)
-    p = GruParams.init(rng, 3, 4)
-    p.b_r.data[:] = -50.0
+    p = fresh_recurrence(rng, "gru", 3, 4)
+    p["b_r"].data[:] = -50.0
     x_prev, x = rng.standard_normal((2, 3))
     h, out = (a[0] for a in one_step(_CellBase("gru", p), x_prev[None], x[None]))
-    z = sig(p.W_z.data @ x + p.U_z.data @ h + p.b_z.data)
-    g = np.tanh(p.W.data @ x + p.b_h.data)  # U @ (0*h) vanishes
+    z = sig(p["W_z"].data @ x + p["U_z"].data @ h + p["b_z"].data)
+    g = np.tanh(p["W"].data @ x + p["b_h"].data)  # U @ (0*h) vanishes
     assert np.allclose(out, z * h + (1 - z) * g, atol=1e-9)
 
 
 def test_deep_step_matches_reference_and_validates():
     rng = rng_for(6)
-    p = GruParams.init(rng, None, 4)
+    p = fresh_recurrence(rng, "deep", 4, 4)
     A = rng.standard_normal((3, 4, 4))
     banks = linear_banks(A)
     x_prev, x = rng.standard_normal((2, 4))
-    h, got = (a[0] for a in one_step(_CellBase("deep", p, banks), x_prev[None], x[None]))
+    h, got = (a[0] for a in one_step(cell_with_banks("deep", p, banks), x_prev[None], x[None]))
     assert np.allclose(got, ref_step(p, relu(A[0] @ x), relu(A[1] @ x), relu(A[2] @ x), h),
                        atol=1e-12)
     narrow = linear_banks(rng.standard_normal((1, 3, 3)))[0]
     with pytest.raises(DimensionError):  # bank width must equal hidden size
-        one_step(_CellBase("deep", p, [narrow, banks[1], banks[2]]), x_prev[None], x[None])
+        one_step(cell_with_banks("deep", p, [narrow, banks[1], banks[2]]), x_prev[None], x[None])
     with pytest.raises(DimensionError):  # in every bank: the scan's P check
-        one_step(_CellBase("deep", p, [narrow] * 3), x_prev[None, :3], x[None, :3])
-    p_full = GruParams.init(rng, 4, 4)
+        one_step(cell_with_banks("deep", p, [narrow] * 3), x_prev[None, :3], x[None, :3])
+    p_full = fresh_recurrence(rng, "gru", 4, 4)
     with pytest.raises(ConfigError):
-        _CellBase("deep", p_full, banks)
-    with pytest.raises(ContractError):  # one bank per gate
-        _CellBase("deep", p, banks[:2])
+        cell_with_banks("deep", p_full, banks)
+    with pytest.raises(ConfigError):  # one bank per gate
+        cell_with_banks("deep", p, banks[:2])
     with pytest.raises(ConfigError):
-        _CellBase("lstm", p, banks)
+        _CellBase("lstm", p)
 
 
 def test_deep_enhanced_step_matches_reference():
     rng = rng_for(7)
-    p = GruParams.init(rng, 3, 4)
+    p = fresh_recurrence(rng, "gru", 3, 4)
     A = rng.standard_normal((3, 3, 3))
     banks = linear_banks(A)
     e_prev, e = rng.standard_normal((2, 3))
-    h, got = (a[0] for a in one_step(_CellBase("deep_enhanced", p, banks), e_prev[None], e[None]))
-    expected = ref_step(p, p.W_z.data @ (relu(A[0] @ e) + e), p.W_r.data @ (relu(A[1] @ e) + e),
-                        p.W.data @ (relu(A[2] @ e) + e), h)
+    h, got = (a[0] for a in one_step(cell_with_banks("deep_enhanced", p, banks), e_prev[None], e[None]))
+    expected = ref_step(p, p["W_z"].data @ (relu(A[0] @ e) + e),
+                        p["W_r"].data @ (relu(A[1] @ e) + e), p["W"].data @ (relu(A[2] @ e) + e), h)
     assert np.allclose(got, expected, atol=1e-12)
-    p_deep = GruParams.init(rng, None, 4)
+    p_deep = fresh_recurrence(rng, "deep", 4, 4)
     with pytest.raises(ConfigError):
-        _CellBase("deep_enhanced", p_deep, banks)
+        cell_with_banks("deep_enhanced", p_deep, banks)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +241,8 @@ def test_deep_enhanced_cell_equals_conv_plus_step():
     cz, cr, ch = (conv_row(c, E) for c in cell.banks)
     h = np.zeros(4)
     for t in range(5):
-        h = ref_step(p, p.W_z.data @ (cz[t] + E[t]), p.W_r.data @ (cr[t] + E[t]),
-                     p.W.data @ (ch[t] + E[t]), h)
+        h = ref_step(p, p["W_z"].data @ (cz[t] + E[t]), p["W_r"].data @ (cr[t] + E[t]),
+                     p["W"].data @ (ch[t] + E[t]), h)
         assert np.allclose(all_h[t], h, atol=1e-12)
 
 
@@ -254,8 +253,8 @@ def test_deep_enhanced_cell_equals_conv_plus_step():
 def test_deep_enhanced_with_zero_banks_is_gru():
     rng = rng_for(12)
     gru = make_cell("gru", rng, 4, 4)
-    zero = [ConvBank(Tensor(np.zeros((4, 3, 4))), Tensor(np.zeros(4))) for _ in range(3)]
-    de = _CellBase("deep_enhanced", gru.params, zero)
+    zero = [(Tensor(np.zeros((4, 3, 4))), Tensor(np.zeros(4))) for _ in range(3)]
+    de = cell_with_banks("deep_enhanced", gru.params, zero)
     for trial in range(10):
         E = rng.standard_normal((6, 4))
         hg, fg = run_row(gru, E)
@@ -267,14 +266,11 @@ def test_deep_enhanced_with_zero_banks_is_gru():
 def test_deep_with_shared_banks_is_shallow_with_identity_w():
     rng = rng_for(13)
     d = 4
-    bank = ConvBank.init(rng, d, 3)
-    deep_params = GruParams.init(rng, None, d)
-    deep = _CellBase("deep", deep_params, [bank] * 3)
-    eye = lambda: Tensor(np.eye(d), requires_grad=True)
-    shallow = _CellBase("shallow", GruParams(
-        U_z=deep_params.U_z, U_r=deep_params.U_r, U=deep_params.U,
-        b_z=deep_params.b_z, b_r=deep_params.b_r, b_h=deep_params.b_h,
-        W_z=eye(), W_r=eye(), W=eye()), [bank])
+    bank = fresh_bank(rng, d, 3)
+    deep_params = fresh_recurrence(rng, "deep", d, d)
+    deep = cell_with_banks("deep", deep_params, [bank] * 3)
+    eye = {n: Tensor(np.eye(d), requires_grad=True) for n in ("W_z", "W_r", "W")}
+    shallow = cell_with_banks("shallow", {**deep_params, **eye}, [bank])
     for trial in range(10):
         E = rng.standard_normal((5, d))
         h1, f1 = run_row(deep, E)
@@ -288,8 +284,8 @@ def test_shallow_with_identity_window_is_gru():
     # the rectified embeddings on: shallow is gru run over relu(E).
     rng = rng_for(14)
     gru = make_cell("gru", rng, 4, 5)
-    copy = ConvBank(Tensor(np.eye(4)[:, None, :]), Tensor(np.zeros(4)))
-    shallow = _CellBase("shallow", gru.params, [copy])
+    copy = (Tensor(np.eye(4)[:, None, :]), Tensor(np.zeros(4)))
+    shallow = cell_with_banks("shallow", gru.params, [copy])
     for trial in range(10):
         E = rng.standard_normal((7, 4))
         hg, fg = run_row(gru, relu(E))
@@ -318,12 +314,11 @@ def test_make_cell_validation():
 
 def test_named_params_cover_each_variant():
     rng = rng_for(16)
-    names = {v: set(make_cell(v, rng, 3, 3).named_params("x.")) for v in VARIANTS}
-    assert names["gru"] == {f"x.{n}" for n in
-                            ("W_z", "W_r", "W", "U_z", "U_r", "U", "b_z", "b_r", "b_h")}
-    assert "x.conv.filters" in names["shallow"]
-    assert "x.conv_z.filters" in names["deep"] and "x.W_z" not in names["deep"]
-    assert "x.conv_h.bias" in names["deep_enhanced"] and "x.W" in names["deep_enhanced"]
+    names = {v: set(make_cell(v, rng, 3, 3).params) for v in VARIANTS}
+    assert names["gru"] == {"W_z", "W_r", "W", "U_z", "U_r", "U", "b_z", "b_r", "b_h"}
+    assert "conv.filters" in names["shallow"]
+    assert "conv_z.filters" in names["deep"] and "W_z" not in names["deep"]
+    assert "conv_h.bias" in names["deep_enhanced"] and "W" in names["deep_enhanced"]
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +534,7 @@ def test_sequence_gradcheck_per_variant():
         cell = make_cell(variant, rng, 3, 3)
         E = Tensor(0.5 * rng.standard_normal((4, 3)), requires_grad=True)
         packing = pack([4], (False,))
-        params = dict(cell.named_params())
+        params = dict(cell.params)
         params["E"] = E
         report = finite_diff_gradcheck(
             lambda: ad.sum_all(run_sequence([cell], E, packing)), params)
@@ -554,7 +549,7 @@ def test_masked_batch_gradcheck():
     cell = make_cell("deep_enhanced", rng, 3, 3)
     Eb = Tensor(0.5 * rng.standard_normal((8, 3))[:6], requires_grad=True)  # the tokens
     packing = pack([4, 2])
-    params = dict(cell.named_params())
+    params = dict(cell.params)
     params["E"] = Eb
 
     def f():
