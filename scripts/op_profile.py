@@ -19,10 +19,12 @@ allocate. The script prints:
 - one ``step`` line per step: its milliseconds, the timed ``Tape.backward``, the
   sum of its nodes' backward times, and the traced MiB live when the step
   starts and its traced peak; then figures that do not depend on the host or
-  on how many steps a timed run reaches: the tape's node count and the bytes
-  of its non-leaf outputs when the backward starts (counted as perfbench
-  counts ``autodiff.tape_nodes`` and ``tape_bytes``), and ``train_epoch``'s
-  pre-clip gradient norm and whether the step clipped;
+  on how many steps a timed run reaches: the tape's node count (counted as
+  perfbench counts ``autodiff.tape_nodes``), the bytes of the op outputs
+  still alive when the backward starts (a tape holds an output only weakly,
+  so these are the ones the caller holds; the arrays a backward closure keeps
+  are in the traced figures), and ``train_epoch``'s pre-clip gradient norm
+  and whether the step clipped;
 - one ``sha256`` line: digests of the parameters and of Adam's m and v after
   the steps, which a change that keeps training bit for bit leaves alone.
 
@@ -92,8 +94,8 @@ def instrument(ad, profile: Profile):
 
     def timed_backward(tape, loss):
         profile.tape_nodes += len(tape)
-        profile.tape_bytes += sum(node.tensor.data.nbytes for node in tape.nodes
-                                  if node.op != "leaf")
+        outputs = [node.ref() for node in tape.nodes if node.ref is not None]
+        profile.tape_bytes += sum(t.data.nbytes for t in outputs if t is not None)
         t0 = time.perf_counter()
         try:
             backward(tape, loss)

@@ -2,9 +2,13 @@
 
 Ops executed while a ``Tape`` is active are recorded as an append-only list
 of nodes; ``Tape.backward`` walks that list in reverse, so every gradient is
-finalized before any consumer reads it. The walk consumes the tape: it drops
-each node, with the forward arrays its backward holds, as soon as that
-backward has run, so a tape runs one backward and records nothing after it.
+finalized before any consumer reads it. A node holds its tensor's shape and
+its op's backward closure, and a leaf node its tensor; an op's output is held
+only weakly, so an output that its caller drops is freed in the forward, and
+each closure keeps only the arrays its backward reads. The walk consumes the
+tape: it drops each node, with the forward arrays its backward holds, as soon
+as that backward has run, so a tape runs one backward and records nothing
+after it.
 Gradients accumulate across tapes. With no active tape the same ops run as
 plain numpy forward computations, which is what evaluation and the
 finite-difference oracle use.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import contextvars
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
@@ -48,7 +53,7 @@ def _as_array(data) -> Array:
 class Tensor:
     """Dense real array (rank 0..3) with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
@@ -118,6 +123,14 @@ class RowGrad:
         return np.asarray(self) + other
 
 
+def _wrap_finite(data: Array, requires_grad: bool = False) -> Tensor:
+    """A Tensor over data, whose entries the caller has already checked to
+    be finite: ``Tensor`` without its second pass of ``np.isfinite``."""
+    t = Tensor.__new__(Tensor)
+    t.data, t.requires_grad, t.grad = _as_array(data), requires_grad, None
+    return t
+
+
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -144,11 +157,16 @@ def active_tape() -> "Tape | None":
 
 @dataclass
 class Node:
+    """A leaf, which holds its tensor, or a recorded op, which holds its
+    output only through ref, a weak reference: the op's backward closure
+    keeps what that backward reads, and nothing keeps the rest."""
     nid: int
     op: str
     input_ids: tuple
-    tensor: Tensor
+    shape: tuple[int, ...]
     apply: Callable | None  # apply(grad_out, emit); None for leaves
+    leaf: Tensor | None = None
+    ref: weakref.ref | None = None
 
 
 class Tape:
@@ -169,16 +187,27 @@ class Tape:
             raise ContractError("tape context exited out of order")
         return False
 
-    def _node_id(self, t: Tensor) -> int | None:
+    def _lookup(self, t: Tensor) -> int | None:
+        """t's node id, if t is a leaf or a live output of this tape. An
+        output that died may have left its id to another tensor, which is
+        not that output."""
         nid = self._ids.get(id(t))
+        if nid is not None:
+            node = self.nodes[nid]
+            if node.leaf is t or (node.ref is not None and node.ref() is t):
+                return nid
+        return None
+
+    def _node_id(self, t: Tensor) -> int | None:
+        nid = self._lookup(t)
         if nid is None and t.requires_grad:
             nid = len(self.nodes)
-            self.nodes.append(Node(nid, "leaf", (), t, None))
+            self.nodes.append(Node(nid, "leaf", (), t.shape, None, leaf=t))
             self._ids[id(t)] = nid
         return nid
 
     def watches(self, t: Tensor) -> bool:
-        return id(t) in self._ids or t.requires_grad
+        return t.requires_grad or self._lookup(t) is not None
 
     def record(self, op: str, inputs: Sequence[Tensor], out: Tensor, apply: Callable) -> None:
         if self._spent:
@@ -187,7 +216,7 @@ class Tape:
         nid = len(self.nodes)
         # Append-only construction keeps the list topologically ordered.
         assert all(i is None or i < nid for i in input_ids)
-        self.nodes.append(Node(nid, op, input_ids, out, apply))
+        self.nodes.append(Node(nid, op, input_ids, out.shape, apply, ref=weakref.ref(out)))
         self._ids[id(out)] = nid
 
     def backward(self, loss: Tensor) -> None:
@@ -220,8 +249,8 @@ class Tape:
             node, g = nodes.pop(), buf.pop()
             if g is None:
                 continue  # not reachable backward from the loss
-            t = node.tensor
-            if t.requires_grad:
+            t = node.leaf
+            if t is not None and t.requires_grad:
                 # g is a fresh buffer this pass owns, so the leaf can keep it.
                 t.grad = g if t.grad is None else t.grad + g
             if node.apply is not None:
@@ -242,7 +271,7 @@ class Tape:
                     if callable(grad):
                         grad = grad()
                     cur = buf[nid]
-                    shape = nodes[nid].tensor.shape
+                    shape = nodes[nid].shape
                     if rows is not None:
                         if cur is None:
                             # A leaf keeps only the rows it is given.
@@ -282,25 +311,20 @@ def _emit_op(op: str, inputs: Sequence[Tensor], out: Tensor, apply: Callable) ->
 # Primitive ops
 # --------------------------------------------------------------------------
 
-def _reduce_to(g: Array, shape: tuple[int, ...]) -> Array:
-    # Undo scalar broadcast by total reduction; identity otherwise.
-    if g.shape == shape:
-        return g
-    return np.sum(g).reshape(shape)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
-        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} differ "
-                             "(only scalar-with-tensor broadcast is supported)")
-    out = Tensor(a.data * b.data)
+def dropout(x: Tensor, kept: Array, keep: float) -> Tensor:
+    """Inverted dropout by a boolean mask kept of x's shape: x * (kept /
+    keep), so a kept entry is scaled by 1 / keep and a dropped one is zeroed
+    (a negative one to -0.0). The backward keeps the mask, not x, and forms
+    g * (kept / keep) again."""
+    if kept.dtype != bool or kept.shape != x.shape:
+        raise DimensionError(f"dropout: a boolean mask of shape {x.shape} is needed, got "
+                             f"{kept.dtype} {kept.shape}")
+    out = Tensor(x.data * (kept / keep))
 
     def apply(g, emit):
-        emit(0, lambda: _reduce_to(g * b.data, a.shape))
-        emit(1, lambda: _reduce_to(g * a.data, b.shape))
+        emit(0, g * (kept / keep), owned=True)
 
-    return _emit_op("mul", (a, b), out, apply)
+    return _emit_op("dropout", (x,), out, apply)
 
 
 def _sigmoid(d: Array, out: Array | None = None) -> Array:
@@ -330,9 +354,10 @@ _POINTWISE = {
 
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(np.sum(x.data))
+    shape = x.shape
 
     def apply(g, emit):
-        emit(0, np.broadcast_to(g, x.shape))
+        emit(0, np.broadcast_to(g, shape))
 
     return _emit_op("sum_all", (x,), out, apply)
 
@@ -349,11 +374,11 @@ def bce(p: Tensor, y) -> Tensor:
     lo, hi = 1e-7, 1.0 - 1e-7
     pc = np.clip(p.data, lo, hi)
     mask = (p.data > lo) & (p.data < hi)
-    neg_y, neg_pc = 1.0 - y, 1.0 - pc
+    neg_y, neg_pc, n = 1.0 - y, 1.0 - pc, p.size
     out = Tensor(np.mean(y * np.log(pc) + neg_y * np.log(neg_pc)) * -1.0)
 
     def apply(g, emit):
-        c = (g * -1.0) / p.size
+        c = (g * -1.0) / n
         d_p = -((c * neg_y) / neg_pc)
         d_p += (c * y) / pc
         emit(0, d_p * mask, owned=True)
@@ -537,8 +562,10 @@ def conv1d_same(x: Tensor, banks: Sequence[Sequence[tuple[Tensor, Tensor]]], bat
 
     _run_loops([partial(forward, i) for i in range(D)], concurrent)
 
+    x_shape = x.shape
+
     def apply(g, emit):
-        dx = np.zeros(x.shape)
+        dx = np.zeros(x_shape)
         d_fs, d_bs = [np.empty((d, k * d)) for _ in pairs], [np.empty(d) for _ in pairs]
         scratch = [(np.empty((total, d)), np.empty((total, d)), np.empty((k, d, d)))
                    for _ in groups]
@@ -864,10 +891,11 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
                         *(np.empty((b, d_h)) for _ in range(3)))
                 for i, d in enumerate(directions)], concurrent)
 
+    # One buffer holds each direction's h_{t-1} rows in the reverse loops,
+    # then x's gradient: one such array is allocated, not two in turn.
+    width = 0 if project_backward is None else x.shape[-1]
+
     def apply(gout, emit):
-        # One buffer holds each direction's h_{t-1} rows in the reverse loops,
-        # then x's gradient: one such array is allocated, not two in turn.
-        width = 0 if project_backward is None else x.shape[-1]
         scratch = np.empty(total * max(D * d_h, width))
         grads = [(np.empty((3 * d_h, d_h)), np.empty(3 * d_h)) for _ in directions]
         _run_loops([partial(_scan_backward, gout[:, cols[i]], A[:, gates[i]], H0[:, cols[i]],

@@ -179,8 +179,10 @@ class SentimentModel:
     def from_params(cls, config: TrainConfig, vocab_size: int,
                     arrays: dict[str, np.ndarray]) -> "SentimentModel":
         """The model whose parameters are the given arrays, which it holds
-        without copying; it draws nothing. Every name of ``shapes`` must be
-        there, at its shape, and no other but optimizer state (``optim.*``)."""
+        without copying and does not check for finite entries again, as
+        ``load_tensors`` checks every one; it draws nothing. Every name of
+        ``shapes`` must be there, at its shape, and no other but optimizer
+        state (``optim.*``)."""
         config.validate()
         shapes = cls.shapes(config, vocab_size)
         for name, shape in shapes.items():
@@ -196,7 +198,7 @@ class SentimentModel:
             if name not in shapes and not name.startswith("optim."):
                 raise ConfigError(f"checkpoint tensor {name} is not a parameter of a "
                                   f"{config.variant} model")
-        return cls({n: Tensor(arrays[n], requires_grad=True) for n in shapes},
+        return cls({n: ad._wrap_finite(arrays[n], requires_grad=True) for n in shapes},
                    config.variant, config.dropout)
 
     def named_params(self) -> dict[str, Tensor]:

@@ -52,8 +52,9 @@ def dense_forward(x: Tensor, W: Tensor, b: Tensor, activation: str) -> Tensor:
 def dropout_apply(x: Tensor, rate: float, train: bool,
                   rng: np.random.Generator | None = None,
                   rows: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout: x times a mask whose entries are 0 or 1/(1-rate);
-    identity when eval or rate == 0.
+    """Inverted dropout: x times a mask whose entries are 0 or 1/(1-rate),
+    one ``autodiff.dropout`` op, which keeps the mask as booleans; identity
+    when eval or rate == 0.
 
     rows, a boolean vector, says that the matrix x holds only the selected
     rows of a matrix with len(rows) rows: the mask is drawn over that whole
@@ -74,5 +75,5 @@ def dropout_apply(x: Tensor, rate: float, train: bool,
                                  f"{rows.size} rows for an input of shape {x.shape}")
         shape = (rows.size, x.shape[1])
     keep = 1.0 - rate
-    mask = (rng.random(shape) < keep) / keep
-    return ad.mul(x, Tensor(mask if rows is None else mask[rows]))
+    kept = rng.random(shape) < keep
+    return ad.dropout(x, kept if rows is None else kept[rows], keep)

@@ -37,6 +37,10 @@ arrays: the writer copies each array out with ``tobytes()``, and the reader
 reads the whole file into one ``bytes`` object and copies each tensor out of
 it.
 
+``mul`` is the elementwise product op that ``layers.dropout_apply`` ran
+with a float mask before ``ad.dropout`` took a boolean one; the tests build
+their losses with it.
+
 The tape ops ``add``, ``sub``, ``activation``, ``log``, ``clip_values``,
 ``mean_all``, ``bias_add`` and ``project`` (``ad._project_forward`` as its
 own node, over x of rank 2 or 3) are the composed ops that ``cru`` ran before
@@ -159,26 +163,45 @@ def _check_elementwise(op, a, b):
                              "(only scalar-with-tensor broadcast is supported)")
 
 
+def _reduce_to(g, shape):
+    # Undo scalar broadcast by total reduction; identity otherwise.
+    if g.shape == shape:
+        return g
+    return np.sum(g).reshape(shape)
+
+
+def mul(a, b):
+    """a * b on the tape, of one shape or a scalar with a tensor."""
+    a, b = ad._coerce(a), ad._coerce(b)
+    _check_elementwise("mul", a, b)
+
+    def apply(g, emit):
+        emit(0, lambda: _reduce_to(g * b.data, a.shape))
+        emit(1, lambda: _reduce_to(g * a.data, b.shape))
+
+    return ad._emit_op("mul", (a, b), Tensor(a.data * b.data), apply)
+
+
 def add(a, b):
-    """a + b on the tape, with ``ad.mul``'s scalar broadcast."""
+    """a + b on the tape, with ``mul``'s scalar broadcast."""
     a, b = ad._coerce(a), ad._coerce(b)
     _check_elementwise("add", a, b)
 
     def apply(g, emit):
-        emit(0, lambda: ad._reduce_to(g, a.shape))
-        emit(1, lambda: ad._reduce_to(g, b.shape))
+        emit(0, lambda: _reduce_to(g, a.shape))
+        emit(1, lambda: _reduce_to(g, b.shape))
 
     return ad._emit_op("add", (a, b), Tensor(a.data + b.data), apply)
 
 
 def sub(a, b):
-    """a - b on the tape, with ``ad.mul``'s scalar broadcast."""
+    """a - b on the tape, with ``mul``'s scalar broadcast."""
     a, b = ad._coerce(a), ad._coerce(b)
     _check_elementwise("sub", a, b)
 
     def apply(g, emit):
-        emit(0, lambda: ad._reduce_to(g, a.shape))
-        emit(1, lambda: ad._reduce_to(-g, b.shape))
+        emit(0, lambda: _reduce_to(g, a.shape))
+        emit(1, lambda: _reduce_to(-g, b.shape))
 
     return ad._emit_op("sub", (a, b), Tensor(a.data - b.data), apply)
 
@@ -262,9 +285,9 @@ def bce_composed(p, y):
     """``ad.bce`` as nine tape nodes: the clamp, two logs, the products with
     the labels, their sum, the mean and the sign."""
     pc = clip_values(p, 1e-7, 1.0 - 1e-7)
-    pos = ad.mul(Tensor(y), log(pc))
-    neg = ad.mul(Tensor(1.0 - y), log(sub(1.0, pc)))
-    return ad.mul(mean_all(add(pos, neg)), -1.0)
+    pos = mul(Tensor(y), log(pc))
+    neg = mul(Tensor(1.0 - y), log(sub(1.0, pc)))
+    return mul(mean_all(add(pos, neg)), -1.0)
 
 
 def _project(E, w):
@@ -412,8 +435,8 @@ def gru_scan_composed(P, U_z, U_r, U, b_z, b_r, b_h):
         pz_t, pr_t, ph_t = (ad.take_rows(f, np.arange(b) * n + t) for f in flat)
         z = activation("sigmoid", bias_add(add(pz_t, matmul(h, uzT)), b_z))
         r = activation("sigmoid", bias_add(add(pr_t, matmul(h, urT)), b_r))
-        g = activation("tanh", bias_add(add(ph_t, matmul(ad.mul(r, h), uT)), b_h))
-        h = add(ad.mul(z, h), ad.mul(sub(1.0, z), g))
+        g = activation("tanh", bias_add(add(ph_t, matmul(mul(r, h), uT)), b_h))
+        h = add(mul(z, h), mul(sub(1.0, z), g))
         states.append(h)
     return ad.reshape(ad.concat_cols(states), (b, n, d_h))
 
@@ -556,7 +579,7 @@ def l2_penalty(weights, lam):
     """lam * sum(w^2), recorded on the tape."""
     if lam == 0.0:
         return Tensor(0.0)
-    return ad.mul(ad.sum_all(ad.mul(weights, weights)), lam)
+    return mul(ad.sum_all(mul(weights, weights)), lam)
 
 
 def clip_global_norm(grads, max_norm):

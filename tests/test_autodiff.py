@@ -5,6 +5,7 @@ and the shape/validity contracts of each primitive.
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from cru.autodiff import Tape, Tensor, active_tape, finite_diff_gradcheck
 from cru.errors import ConfigError, ContractError, DimensionError, NumericError
 from cru.recurrent import make_cell, pack, run_sequence
 from oracles import (activation, add, bce_composed, bias_add, clip_values, conv_banks_composed,
-                     dense_composed, gate_inputs_per_direction, log, matmul, mean_all,
+                     dense_composed, gate_inputs_per_direction, log, matmul, mean_all, mul,
                      packed_positions, packing_window, project, sub, transpose)
 
 
@@ -26,6 +27,23 @@ def check(f, params, tol=1e-4):
     report = finite_diff_gradcheck(f, params, tol=tol)
     assert report.passed, f"per_param={report.per_param} err={report.max_rel_err:.3e}"
     return report
+
+
+@contextmanager
+def held_outputs():
+    """Every op output recorded inside, held in the list it yields: a tape
+    holds an output only weakly."""
+    outputs, record = [], Tape.record
+
+    def holding(tape, op, inputs, out, apply):
+        outputs.append(out)
+        record(tape, op, inputs, out, apply)
+
+    Tape.record = holding
+    try:
+        yield outputs
+    finally:
+        Tape.record = record
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +79,7 @@ def test_tensor_is_float64():
 
 def test_no_tape_records_nothing():
     a = Tensor([1.0, 2.0], requires_grad=True)
-    b = ad.mul(a, a)
+    b = mul(a, a)
     assert active_tape() is None
     assert b.grad is None and a.grad is None
 
@@ -69,7 +87,7 @@ def test_no_tape_records_nothing():
 def test_backward_requires_scalar():
     a = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        b = ad.mul(a, a)
+        b = mul(a, a)
         with pytest.raises(ContractError):
             tape.backward(b)
 
@@ -93,7 +111,7 @@ def test_gradients_accumulate_across_backward_calls():
     grads = []
     for _ in range(2):  # one tape each
         with Tape() as tape:
-            tape.backward(ad.sum_all(ad.mul(a, a)))
+            tape.backward(ad.sum_all(mul(a, a)))
         grads.append(a.grad.copy())
     assert np.allclose(grads[1], 2 * grads[0])
     a.zero_grad()
@@ -106,14 +124,14 @@ def test_a_tape_runs_one_backward():
     # op on constants still runs, untaped.
     a = Tensor([1.0, 3.0], requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(ad.mul(a, a))
+        loss = ad.sum_all(mul(a, a))
         tape.backward(loss)
         assert len(tape) == 0
         with pytest.raises(ContractError, match="backward has run"):
             tape.backward(loss)
         with pytest.raises(ContractError, match="mul: this tape's backward has run"):
-            ad.mul(a, a)
-        assert ad.mul(Tensor(2.0), Tensor(3.0)).item() == 6.0
+            mul(a, a)
+        assert mul(Tensor(2.0), Tensor(3.0)).item() == 6.0
     assert np.array_equal(a.grad, [2.0, 6.0])
     with Tape() as tape:
         tape.backward(Tensor(2.0))  # a constant loss consumes the tape too
@@ -126,14 +144,13 @@ def test_leaf_gradients_own_their_memory():
     b = Tensor([3.0, 4.0], requires_grad=True)
 
     def loss():
-        return ad.sum_all(ad.mul(add(a, b), add(a, b)))
+        return ad.sum_all(mul(add(a, b), add(a, b)))
 
-    with Tape() as tape:
+    with Tape() as tape, held_outputs() as outputs:
         total = loss()
-        arrays = [node.tensor.data for node in tape.nodes]
         tape.backward(total)
     assert not np.shares_memory(a.grad, b.grad)
-    for arr in arrays:
+    for arr in [a.data, b.data] + [t.data for t in outputs]:
         assert not np.shares_memory(a.grad, arr)
         assert not np.shares_memory(b.grad, arr)
     first = a.grad
@@ -150,23 +167,42 @@ def test_first_gradient_is_a_writable_copy():
     # add sends its own gradient buffer to both inputs, and sum_all sends a
     # read-only broadcast view; the leaf must own a writable array either way.
     x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-    with Tape() as tape:
+    with Tape() as tape, held_outputs() as outputs:
         y = add(x, x)
-        loss = ad.sum_all(ad.mul(y, Tensor([[1.0, 2.0], [3.0, 4.0]])))
-        views = [node.tensor.data for node in tape.nodes]
+        loss = ad.sum_all(mul(y, Tensor([[1.0, 2.0], [3.0, 4.0]])))
         tape.backward(loss)
     assert np.array_equal(x.grad, [[2.0, 4.0], [6.0, 8.0]])
     z = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    with Tape() as tape:
+    with Tape() as tape, held_outputs() as more:
         loss = ad.sum_all(z)
-        views += [node.tensor.data for node in tape.nodes]
         tape.backward(loss)
+    views = [t.data for t in [x, z] + outputs + more]
     assert np.array_equal(z.grad, [1.0, 1.0, 1.0])
     for g in (x.grad, z.grad):
         assert g.flags.writeable and g.base is None
         assert not any(np.shares_memory(g, arr) for arr in views)
     z.grad += 1.0
     assert np.array_equal(z.grad, [2.0, 2.0, 2.0])
+
+
+def test_a_constant_that_takes_a_dead_outputs_id_is_a_constant():
+    # A tape holds an op's output weakly, so the output dies with its last
+    # holder, and a new tensor may get its id. That tensor is not the output:
+    # a constant one gets no node, and no gradient flows through the op that
+    # made the dead output.
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    data = np.array([3.0, 4.0])
+    with Tape() as tape:
+        out = mul(a, a)
+        dead = id(out)
+        del out
+        held = [Tensor(data)]
+        while id(held[-1]) != dead and len(held) < 100:
+            held.append(Tensor(data))
+        c = held[-1]
+        assert id(c) == dead and not tape.watches(c)
+        tape.backward(ad.sum_all(mul(a, c)))
+    assert np.array_equal(a.grad, data) and c.grad is None
 
 
 def test_gradient_of_the_wrong_shape_is_a_contract_error():
@@ -181,7 +217,7 @@ def test_constants_get_no_gradient():
     a = Tensor([1.0, 2.0], requires_grad=True)
     c = Tensor([5.0, 6.0])  # constant
     with Tape() as tape:
-        loss = ad.sum_all(ad.mul(a, c))
+        loss = ad.sum_all(mul(a, c))
         tape.backward(loss)
     assert np.allclose(a.grad, c.data)
     assert c.grad is None
@@ -203,7 +239,7 @@ def test_constant_inputs_get_no_gradient_products():
     # The gradient a constant would get (g * x for a mask, x^T g for a fixed
     # weight) is never formed: x takes part only in the forward product.
     rng = rng_for(3)
-    for op, const in ((ad.mul, Tensor(rng.standard_normal((4, 3)))),
+    for op, const in ((mul, Tensor(rng.standard_normal((4, 3)))),
                       (matmul, Tensor(rng.standard_normal((3, 2))))):
         x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         x.data = x.data.view(CountingArray)
@@ -214,7 +250,7 @@ def test_constant_inputs_get_no_gradient_products():
             tape.backward(ad.sum_all(y))
         assert CountingArray.calls == 1, op.__name__
         assert const.grad is None
-        expect = const.data if op is ad.mul else np.tile(const.data.sum(axis=1), (4, 1))
+        expect = const.data if op is mul else np.tile(const.data.sum(axis=1), (4, 1))
         assert np.allclose(x.grad, expect)
 
 
@@ -222,7 +258,7 @@ def test_reuse_of_intermediate_accumulates():
     # y used twice: dL/dy must sum both paths.
     a = Tensor(3.0, requires_grad=True)
     with Tape() as tape:
-        y = ad.mul(a, a)          # a^2
+        y = mul(a, a)          # a^2
         loss = add(y, y)       # 2 a^2
         tape.backward(loss)
     assert np.allclose(a.grad, 4 * a.data)
@@ -234,7 +270,7 @@ def test_tapes_are_thread_local():
     def worker(name, val):
         x = Tensor(val, requires_grad=True)
         with Tape() as tape:
-            loss = ad.mul(x, x)
+            loss = mul(x, x)
             tape.backward(loss)
         results[name] = float(x.grad)
 
@@ -275,7 +311,7 @@ def test_elementwise_gradchecks():
     rng = rng_for(1)
     a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-    for op in (add, sub, ad.mul):
+    for op in (add, sub, mul):
         check(lambda op=op: ad.sum_all(op(a, b)), {"a": a, "b": b})
 
 
@@ -283,12 +319,12 @@ def test_scalar_broadcast_gradcheck():
     rng = rng_for(2)
     a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     s = Tensor(0.7, requires_grad=True)
-    check(lambda: ad.sum_all(ad.mul(a, s)), {"a": a, "s": s})
+    check(lambda: ad.sum_all(mul(a, s)), {"a": a, "s": s})
     check(lambda: ad.sum_all(sub(s, a)), {"a": a, "s": s})
 
 
 def test_elementwise_rejects_mismatched_shapes():
-    for op in (add, ad.mul):
+    for op in (add, mul):
         with pytest.raises(DimensionError):
             op(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
@@ -353,9 +389,9 @@ def test_sum_and_mean_values_and_grads():
 def test_reshape_transpose_gradcheck():
     rng = rng_for(4)
     x = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
-    check(lambda: ad.sum_all(ad.mul(ad.reshape(x, (3, 4)),
+    check(lambda: ad.sum_all(mul(ad.reshape(x, (3, 4)),
                                     ad.reshape(x, (3, 4)))), {"x": x})
-    check(lambda: ad.sum_all(ad.mul(transpose(x), transpose(x))), {"x": x})
+    check(lambda: ad.sum_all(mul(transpose(x), transpose(x))), {"x": x})
 
 
 def test_concat_cols():
@@ -372,7 +408,7 @@ def test_concat_gradchecks():
     rng = rng_for(5)
     a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     c = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
-    check(lambda: ad.sum_all(ad.mul(ad.concat_cols([a, c]),
+    check(lambda: ad.sum_all(mul(ad.concat_cols([a, c]),
                                     ad.concat_cols([a, c]))), {"a": a, "c": c})
 
 
@@ -402,9 +438,9 @@ def test_take_rows_scatter_equals_add_at():
             G1 = rng.standard_normal((len(ids), 3 * len(cols)))
             G2 = rng.standard_normal((6, 3))
             with Tape() as tape:
-                loss = ad.sum_all(ad.mul(ad.take_rows(w, ids), Tensor(G1)))
+                loss = ad.sum_all(mul(ad.take_rows(w, ids), Tensor(G1)))
                 if second is not None:
-                    loss = add(loss, ad.sum_all(ad.mul(ad.take_rows(w, second),
+                    loss = add(loss, ad.sum_all(mul(ad.take_rows(w, second),
                                                           Tensor(G2))))
                 tape.backward(loss)
             expected = np.zeros((6, 3))  # in the tape's reverse order
@@ -431,10 +467,10 @@ def test_row_gathered_leaf_gets_row_gradient_equal_to_add_at():
 
     def run(dense):
         with Tape() as tape:
-            loss = add(ad.sum_all(ad.mul(ad.take_rows(w, ids_a), Tensor(G_a))),
-                          ad.sum_all(ad.mul(ad.take_rows(w, ids_b), Tensor(G_b))))
+            loss = add(ad.sum_all(mul(ad.take_rows(w, ids_a), Tensor(G_a))),
+                          ad.sum_all(mul(ad.take_rows(w, ids_b), Tensor(G_b))))
             if dense:
-                loss = add(loss, ad.sum_all(ad.mul(w, Tensor(G_w))))
+                loss = add(loss, ad.sum_all(mul(w, Tensor(G_w))))
             tape.backward(loss)
 
     one = np.zeros((7, 3))  # in the tape's reverse order
@@ -473,10 +509,10 @@ def test_bias_add_gradcheck():
     rng = rng_for(6)
     x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     v = Tensor(rng.standard_normal(3), requires_grad=True)
-    check(lambda: ad.sum_all(ad.mul(bias_add(x, v), bias_add(x, v))),
+    check(lambda: ad.sum_all(mul(bias_add(x, v), bias_add(x, v))),
           {"x": x, "v": v})
     x3 = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
-    check(lambda: ad.sum_all(ad.mul(bias_add(x3, v), bias_add(x3, v))),
+    check(lambda: ad.sum_all(mul(bias_add(x3, v), bias_add(x3, v))),
           {"x3": x3, "v": v})
     with pytest.raises(DimensionError):
         bias_add(x, Tensor(np.zeros(4)))
@@ -545,11 +581,11 @@ def test_conv1d_same_gradcheck():
     rng = rng_for(9)
     x = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
     f = Tensor(rng.standard_normal((2, 3, 2)), requires_grad=True)
-    check(lambda: ad.sum_all(ad.mul(packed_conv(x, f, [5]), packed_conv(x, f, [5]))),
+    check(lambda: ad.sum_all(mul(packed_conv(x, f, [5]), packed_conv(x, f, [5]))),
           {"x": x, "f": f})
     xb = Tensor(rng.standard_normal((6, 2)), requires_grad=True)
     for reverse in (False, True):
-        check(lambda: ad.sum_all(ad.mul(packed_conv(xb, f, [4, 2], reverse),
+        check(lambda: ad.sum_all(mul(packed_conv(xb, f, [4, 2], reverse),
                                         packed_conv(xb, f, [4, 2], reverse))),
               {"xb": xb, "f": f})
     # Edges: a width-1 window, a window wider than one-step rows, and a
@@ -559,7 +595,7 @@ def test_conv1d_same_gradcheck():
         xe = Tensor(rng.standard_normal((sum(lengths), shape_f[2])), requires_grad=True)
         fe = Tensor(rng.standard_normal(shape_f), requires_grad=True)
         for reverse in (False, True):
-            check(lambda: ad.sum_all(ad.mul(packed_conv(xe, fe, lengths, reverse),
+            check(lambda: ad.sum_all(mul(packed_conv(xe, fe, lengths, reverse),
                                             packed_conv(xe, fe, lengths, reverse))),
                   {"x": xe, "f": fe})
 
@@ -638,14 +674,14 @@ def test_conv1d_same_fused_gradcheck():
     x = Tensor(rng.standard_normal((8, 3)), requires_grad=True)
     banks = conv_banks(rng, 2, 3, 3, 3)
     readout = Tensor(rng.standard_normal((8, 18)))
-    check(lambda: ad.sum_all(ad.mul(ad.conv1d_same(
+    check(lambda: ad.sum_all(mul(ad.conv1d_same(
         ad.take_rows(x, packing.rows), banks, packing.batch_sizes, residual=True), readout)),
         {"x": x, **named_banks(banks)})
     # x's rows read as one direction's packed rows: a reversed direction has
     # the same batch_sizes.
     bank = conv_banks(rng, 1, 1, 3, 3)
     readout = Tensor(rng.standard_normal((8, 3)))
-    check(lambda: ad.sum_all(ad.mul(ad.conv1d_same(x, bank, packing.batch_sizes), readout)),
+    check(lambda: ad.sum_all(mul(ad.conv1d_same(x, bank, packing.batch_sizes), readout)),
           {"x": x, **named_banks(bank)})
 
 
@@ -672,7 +708,7 @@ def test_conv1d_same_equals_composed_banks(residual):
             else:
                 out = ad.concat_cols([conv_banks_composed(x, g, window, residual)
                                       for x, g in zip(xs, banks)])
-            tape.backward(ad.sum_all(ad.mul(out, G)))
+            tape.backward(ad.sum_all(mul(out, G)))
         results.append([out.data] + [t.grad for t in leaves])
     for got, ref in zip(*results):
         assert np.array_equal(got, ref)
@@ -710,7 +746,7 @@ def test_two_directions_equal_one_direction_convs_and_projections(monkeypatch, r
                 P = project(C, [[w] for g in ws for w in g])
             else:
                 C, P = gate_inputs_per_direction(E, packing, banks, ws, window)
-            tape.backward(ad.sum_all(ad.mul(P, G)))
+            tape.backward(ad.sum_all(mul(P, G)))
         results.append([C.data, P.data] + [t.grad for t in leaves])
         if together:  # conv and project, each forward and backward
             assert pool.submitted == (4 if concurrent else 0)
@@ -767,7 +803,7 @@ def test_take_rows_side_by_side_equals_one_gather_per_column():
                 out = ad.take_rows(w, ids)
             else:
                 out = ad.concat_cols([ad.take_rows(w, c) for c in ids.T])
-            tape.backward(ad.sum_all(ad.mul(out, G)))
+            tape.backward(ad.sum_all(mul(out, G)))
         results.append((out.data, w.grad))
     assert np.array_equal(results[0][0], results[1][0])
     assert np.array_equal(results[0][1], results[1][1])
@@ -814,7 +850,7 @@ def test_gru_scan_gradcheck():
         readout = Tensor(rng.standard_normal((9, 3 * count)))
         params = {f"{i}.{name}": t for i, d in enumerate(directions[:count])
                   for name, t in zip(SCAN_NAMES, d)}
-        check(lambda: ad.sum_all(ad.mul(scan(directions[:count], sizes), readout)),
+        check(lambda: ad.sum_all(mul(scan(directions[:count], sizes), readout)),
               params)
 
 
@@ -883,7 +919,7 @@ def test_gru_scan_with_weights_gradcheck():
                                  for j, w in enumerate(g)},
                       **{f"{i}.{name}": t for i, d in enumerate(directions)
                          for name, t in zip(SCAN_NAMES[1:], d)}}
-            check(lambda: ad.sum_all(ad.mul(ad.gru_scan(x, directions, sizes, weights),
+            check(lambda: ad.sum_all(mul(ad.gru_scan(x, directions, sizes, weights),
                                             readout)), params)
 
 
@@ -932,7 +968,7 @@ def test_two_directions_equal_two_one_direction_scans(monkeypatch, b, d_h, concu
                 states = scan(directions, sizes)
             else:
                 states = ad.concat_cols([scan([d], sizes) for d in directions])
-            tape.backward(ad.sum_all(ad.mul(states, Tensor(G))))
+            tape.backward(ad.sum_all(mul(states, Tensor(G))))
         results.append([states.data] + [t.grad for t in directions[0] + directions[1]])
     for got, ref in zip(*results):
         assert np.array_equal(got, ref)
@@ -959,10 +995,10 @@ def test_owned_gradients_take_later_gradients_in_place():
     def loss(extra):
         terms = []
         if extra:  # recorded first, so reached last
-            terms += [ad.sum_all(ad.mul(inputs[0], Tensor(G_p))),
-                      ad.sum_all(ad.mul(x, Tensor(G_x)))]
-        terms += [ad.sum_all(ad.mul(scan([inputs, second], sizes), G_scan)),
-                  ad.sum_all(ad.mul(ad.dense(x, w, bias, "relu"), G_proj))]
+            terms += [ad.sum_all(mul(inputs[0], Tensor(G_p))),
+                      ad.sum_all(mul(x, Tensor(G_x)))]
+        terms += [ad.sum_all(mul(scan([inputs, second], sizes), G_scan)),
+                  ad.sum_all(mul(ad.dense(x, w, bias, "relu"), G_proj))]
         total = terms[0]
         for term in terms[1:]:
             total = add(total, term)
@@ -973,9 +1009,9 @@ def test_owned_gradients_take_later_gradients_in_place():
     alone = [inputs[0].grad, x.grad]
     inputs[0].zero_grad()
     x.zero_grad()
-    with Tape() as tape:
+    with Tape() as tape, held_outputs() as outputs:
         total = loss(True)
-        outputs = [node.tensor for node in tape.nodes]
+        outputs += [*inputs, *second[1:], x, w]  # and the leaves
         kept = [t.data.copy() for t in outputs]
         tape.backward(total)
     assert all(np.array_equal(t.data, k) for t, k in zip(outputs, kept))
@@ -994,7 +1030,7 @@ def test_scan_backward_allocates_no_second_gate_array():
     directions = [scan_inputs(rng, sizes, d_h)[1:] for _ in range(2)]
     readout = Tensor(rng.standard_normal((T, 2 * d_h)))
     with Tape() as tape:
-        loss = ad.sum_all(ad.mul(ad.gru_scan(x, directions, sizes,
+        loss = ad.sum_all(mul(ad.gru_scan(x, directions, sizes,
                                              gate_weights(rng, 2, 1, c, d_h)), readout))
         tracemalloc.start()
         try:
@@ -1045,11 +1081,11 @@ def test_project_gradcheck():
                                   (xs[:2], [ws, us], 12)):
         readout = Tensor(rng.standard_normal((2, 3, width)))
         params = {**named("x", inputs), **named("w", [w for g in groups for w in g])}
-        check(lambda: ad.sum_all(ad.mul(project(ad.concat_cols(inputs), groups),
+        check(lambda: ad.sum_all(mul(project(ad.concat_cols(inputs), groups),
                                         readout)), params)
     # A (B, d) batch, as a dense layer projects it.
     x2 = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    check(lambda: ad.sum_all(ad.mul(project(x2, [ws[1:2]]), Tensor(np.ones((3, 3))))),
+    check(lambda: ad.sum_all(mul(project(x2, [ws[1:2]]), Tensor(np.ones((3, 3))))),
           {"x": x2, "w": ws[1]})
 
 
@@ -1111,7 +1147,7 @@ def test_dense_equals_composed_project_bias_activation(kind):
             t.zero_grad()
         with Tape() as tape:
             out = op(x, W, b, kind)
-            tape.backward(add(ad.sum_all(ad.mul(x, G_x)), ad.sum_all(ad.mul(out, G))))
+            tape.backward(add(ad.sum_all(mul(x, G_x)), ad.sum_all(mul(out, G))))
         results.append([out.data, x.grad, W.grad, b.grad])
     for got, ref in zip(*results):
         assert same_bits(got, ref), kind
@@ -1124,7 +1160,7 @@ def test_dense_gradcheck():
     b = Tensor(rng.uniform(-0.5, 0.5, 2), requires_grad=True)
     readout = Tensor(rng.standard_normal((4, 2)))
     for kind in ("relu", "sigmoid"):
-        check(lambda kind=kind: ad.sum_all(ad.mul(ad.dense(x, W, b, kind), readout)),
+        check(lambda kind=kind: ad.sum_all(mul(ad.dense(x, W, b, kind), readout)),
               {"x": x, "W": W, "b": b})
 
 
@@ -1172,7 +1208,7 @@ def test_bce_equals_composed_clip_log_mean():
                 p.zero_grad()
                 with Tape() as tape:
                     loss = op(p, y)
-                    tape.backward(loss if scale is None else ad.mul(loss, scale))
+                    tape.backward(loss if scale is None else mul(loss, scale))
                 results.append([loss.data, p.grad])
             for got, ref in zip(*results):
                 assert same_bits(got, ref), (y, scale)
@@ -1275,12 +1311,12 @@ def test_gradcheck_compares_entries_below_the_roundoff_floor_absolutely():
     # that floor, and the check passes. A wrong entry there still fails.
     c = np.array([4.5, 1e-10])
     p = Tensor([1.0, 1.0], requires_grad=True)
-    assert finite_diff_gradcheck(lambda: ad.sum_all(ad.mul(Tensor(c), p)), {"p": p}).passed
+    assert finite_diff_gradcheck(lambda: ad.sum_all(mul(Tensor(c), p)), {"p": p}).passed
 
     def p_with_wrong_small_entry():  # p, whose backward adds 1e-9 to p1's gradient
         return ad._emit_op("plant", (p,), Tensor(p.data.copy()),
                            lambda g, emit: emit(0, g + np.array([0.0, 1e-9])))
 
     report = finite_diff_gradcheck(
-        lambda: ad.sum_all(ad.mul(Tensor(c), p_with_wrong_small_entry())), {"p": p})
+        lambda: ad.sum_all(mul(Tensor(c), p_with_wrong_small_entry())), {"p": p})
     assert not report.passed, report.per_param

@@ -192,7 +192,7 @@ def test_training_tape_holds_no_gate_inputs():
         with Tape() as tape:
             bce_loss(model.forward_batch(b, train=True, rng=np.random.default_rng(0)),
                      b.labels)
-        shapes = {node.tensor.shape for node in tape.nodes}
+        shapes = {node.shape for node in tape.nodes}
         assert (9, 2 * 5) in shapes and (9, 2 * 3 * 5) not in shapes, (variant, shapes)
 
 
@@ -207,8 +207,24 @@ def test_training_tape_holds_one_node_per_head_layer():
             bce_loss(model.forward_batch(b, train=True, rng=np.random.default_rng(0)),
                      b.labels)
         ops = [node.op for node in tape.nodes if node.op != "leaf"]
-        assert ops[ops.index("gru_scan") + 1:] == ["take_rows", "dense", "mul", "dense",
+        assert ops[ops.index("gru_scan") + 1:] == ["take_rows", "dense", "dropout", "dense",
                                                    "reshape", "bce"], (variant, ops)
+
+
+def test_training_tape_holds_no_op_output_the_caller_drops():
+    # A tape holds each op's output weakly, and each backward keeps only the
+    # arrays it reads: after the forward, the only outputs alive are the
+    # probabilities and the loss, which the caller holds.
+    b = batch_from_rows([[2, 3, 4, 5], [6, 7], [3, 4, 8]], [1, 0, 1])
+    for variant in VARIANTS:
+        model, _ = tiny_model(seed=16, variant=variant, dropout=0.3)
+        with Tape() as tape:
+            p = model.forward_batch(b, train=True, rng=np.random.default_rng(0))
+            loss = bce_loss(p, b.labels)
+            alive = [(node.op, node.ref()) for node in tape.nodes if node.ref is not None]
+            assert [op for op, t in alive if t is not None] == ["reshape", "bce"], variant
+            assert alive[-2][1] is p and alive[-1][1] is loss
+            tape.backward(loss)
 
 
 def test_zero_length_row_is_a_contract_error():
@@ -820,6 +836,25 @@ def test_checkpoint_load_draws_nothing(tmp_path, monkeypatch):
             assert np.array_equal(t.data, model.named_params()[name].data), (variant, name)
         assert np.array_equal(loaded.forward_batch(batch).data,
                               model.forward_batch(batch).data), variant
+
+
+def test_checkpoint_load_checks_each_stored_entry_once(tmp_path, monkeypatch):
+    # load_tensors checks that every stored entry is finite, and its
+    # ParseError names the tensor; the model wraps the checked arrays without
+    # a second pass.
+    train, test, vocab = toy_split()
+    config = tiny_config(variant="deep_enhanced")
+    model = SentimentModel.build(config, len(vocab), seeded_rng(0, 1))
+    save_checkpoint(tmp_path, model, config, vocab)
+    checked, isfinite = [], np.isfinite
+
+    def counted(x, *args, **kwargs):
+        checked.append(np.size(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    load_checkpoint(tmp_path)
+    assert sum(checked) == sum(t.size for t in model.named_params().values())
 
 
 def test_checkpoint_missing_file(tmp_path):

@@ -13,7 +13,7 @@ from cru.data import Vocab
 from cru.errors import ConfigError, ContractError, DimensionError
 from cru.layers import PAD_ID, dense_forward, dropout_apply, glorot_uniform, same_length_conv
 from cru.recurrent import draw, make_cell, pack, run_sequence
-from oracles import fresh_bank
+from oracles import fresh_bank, mul
 
 
 def rng_for(seed):
@@ -153,7 +153,7 @@ def test_same_length_conv_gradcheck():
     sizes = pack([5, 5]).batch_sizes
     params = {"filters": bank[0], "bias": bank[1], "x": x}
     report = finite_diff_gradcheck(
-        lambda: ad.sum_all(ad.mul(same_length_conv([[bank]], x, sizes),
+        lambda: ad.sum_all(mul(same_length_conv([[bank]], x, sizes),
                                   same_length_conv([[bank]], x, sizes))), params)
     assert report.passed, report.per_param
 
@@ -253,6 +253,29 @@ def test_dropout_with_explicit_mask_and_gradient():
         tape.backward(ad.sum_all(out))
     assert np.allclose(out.data, mask)
     assert np.allclose(x.grad, mask)
+
+
+def test_dropout_op_equals_the_product_with_a_float_mask():
+    # ad.dropout keeps a boolean mask. Forward and gradient, it gives the bits
+    # of the product with the float mask kept / keep, signed zeros included:
+    # a negative entry or gradient under a dropped entry gives -0.0.
+    rng = rng_for(18)
+    keep = 0.7
+    kept = rng.random((5, 4)) < keep
+    X, G = rng.standard_normal((2, 5, 4))
+    X[~kept], G[~kept] = -np.abs(X[~kept]), -np.abs(G[~kept])
+    results = []
+    for op in (lambda x: ad.dropout(x, kept, keep), lambda x: mul(x, Tensor(kept / keep))):
+        x = Tensor(X, requires_grad=True)
+        with Tape() as tape:
+            out = op(x)
+            tape.backward(ad.sum_all(mul(out, Tensor(G))))
+        results.append((out.data.tobytes(), x.grad.tobytes()))
+        assert np.signbit(out.data[~kept]).all() and np.signbit(x.grad[~kept]).all()
+    assert results[0] == results[1]
+    for bad in (kept[:2], kept / keep):  # a mask of x's shape, and boolean
+        with pytest.raises(DimensionError):
+            ad.dropout(Tensor(X), bad, keep)
 
 
 def test_dropout_of_selected_rows_draws_over_the_whole_matrix():

@@ -32,9 +32,10 @@ from cru.optim import BLOCK_ROWS, Adam
 from cru.layers import dense_forward, same_length_conv
 from cru.recurrent import VARIANTS, _CellBase, make_cell, pack, run_sequence
 from oracles import (activation, add, conv1d_same_einsum, conv1d_same_padded, dense_update,
-                     gru_scan_composed, gru_scan_padded, load_tensors_blob, packed_positions,
-                     packing_window, prepare_per_gate, project, project_then_scan, run_padded,
-                     run_row, save_tensors_tobytes, token_positions, vocab_first_seen)
+                     gru_scan_composed, gru_scan_padded, load_tensors_blob, mul,
+                     packed_positions, packing_window, prepare_per_gate, project,
+                     project_then_scan, run_padded, run_row, save_tensors_tobytes,
+                     token_positions, vocab_first_seen)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -114,13 +115,13 @@ def test_packed_run_equals_padded_oracle(case):
                 states = run_sequence([cell], token_rows, pack(lengths, (reverse,)))
                 readout = G_packed
             else:
-                X = ad.mul(ad.reshape(ad.take_rows(E, read.reshape(-1)), (b, n, d)),
+                X = mul(ad.reshape(ad.take_rows(E, read.reshape(-1)), (b, n, d)),
                            Tensor(tokens))
                 P = ad.concat_cols(prepare_per_gate(cell, X))
                 states = gru_scan_padded(P, *(p[n] for n in ("U_z", "U_r", "U", "b_z", "b_r",
                                                               "b_h")))
                 readout = G
-            tape.backward(ad.sum_all(ad.mul(states, Tensor(readout))))
+            tape.backward(ad.sum_all(mul(states, Tensor(readout))))
         if not packed:
             states = Tensor(np.array([states.data[r, t] for r, t in positions]))
         results.append([states.data] + [x.grad for x in leaves])
@@ -242,7 +243,7 @@ def test_conv1d_same_equals_einsum_reference(case):
     G = rng.standard_normal((n * b, d))
     with Tape() as tape:
         out = ad.conv1d_same(x, [[(f, Tensor(np.zeros(d)))]], pack([n] * b).batch_sizes)
-        tape.backward(ad.sum_all(ad.mul(out, Tensor(G))))
+        tape.backward(ad.sum_all(mul(out, Tensor(G))))
 
     def batch_major(a):
         return a.reshape(n, b, -1).transpose(1, 0, 2)
@@ -295,12 +296,12 @@ def test_packed_conv_equals_padded_oracle(case):
                 packing = pack(lengths, (reverse,))
                 out = ad.conv1d_same(ad.take_rows(x, packing.rows),
                                      [[(f, Tensor(np.zeros(d)))]], packing.batch_sizes)
-                tape.backward(ad.sum_all(ad.mul(out, Tensor(G))))
+                tape.backward(ad.sum_all(mul(out, Tensor(G))))
             else:
-                X = ad.mul(ad.reshape(ad.take_rows(x, read.reshape(-1)), (b, n, d)),
+                X = mul(ad.reshape(ad.take_rows(x, read.reshape(-1)), (b, n, d)),
                            Tensor(tokens))
                 out = activation("relu", conv1d_same_padded(X, f))
-                tape.backward(ad.sum_all(ad.mul(out, Tensor(G_pad))))
+                tape.backward(ad.sum_all(mul(out, Tensor(G_pad))))
                 out = Tensor(np.array([out.data[r, t] for r, t in positions]))
         results.append([out.data, x.grad, f.grad])
     for got, ref in zip(*results):
@@ -343,7 +344,7 @@ def test_prepare_equals_per_gate_inputs_side_by_side(case):
             x.zero_grad()
         with Tape() as tape:
             out = prepare(E)
-            tape.backward(ad.sum_all(ad.mul(out, G)))
+            tape.backward(ad.sum_all(mul(out, G)))
         results.append([out.data] + [x.grad for x in leaves])
     for got, ref in zip(*results):
         assert got.shape == ref.shape
@@ -392,14 +393,14 @@ def test_gru_scan_equals_composed_reference(case, count):
         with Tape() as tape:
             if packed:
                 out = ad.gru_scan(ad.concat_cols(Ps), weights, sizes)
-                tape.backward(ad.sum_all(ad.mul(out, Tensor(G_packed))))
+                tape.backward(ad.sum_all(mul(out, Tensor(G_packed))))
                 results.append([x for i, P in enumerate(Ps)
                                 for x in (out.data[:, i * d:(i + 1) * d], P.grad)])
             else:
                 outs = [gru_scan_composed(P, *ws) for P, ws in zip(P_pads, weights)]
-                loss = ad.sum_all(ad.mul(outs[0], Tensor(Gs[0])))
+                loss = ad.sum_all(mul(outs[0], Tensor(Gs[0])))
                 for out, G in zip(outs[1:], Gs[1:]):
-                    loss = add(loss, ad.sum_all(ad.mul(out, Tensor(G))))
+                    loss = add(loss, ad.sum_all(mul(out, Tensor(G))))
                 tape.backward(loss)
                 results.append([x for out, P in zip(outs, P_pads)
                                 for x in (np.array([out.data[r, t] for r, t in positions]),
@@ -441,7 +442,7 @@ def test_gru_scan_with_weights_equals_project_then_scan(groups, count, lengths, 
             t.zero_grad()
         with Tape() as tape:
             out = scan(x, directions, sizes, weights)
-            tape.backward(ad.sum_all(ad.mul(out, G)))
+            tape.backward(ad.sum_all(mul(out, G)))
         results.append([out.data] + [t.grad for t in leaves])
     for got, ref in zip(*results):
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()

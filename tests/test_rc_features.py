@@ -11,7 +11,7 @@ from cru.errors import ContractError, DimensionError
 from cru.rc_features import (count_of_query_word, doc_word_freq,
                              encode_bidirectional_enriched, enrich_embeddings)
 from cru.recurrent import VARIANTS, make_cell
-from oracles import encode_two_runs, run_row
+from oracles import encode_two_runs, mul, run_row
 
 
 def rng_for(seed):
@@ -149,7 +149,7 @@ def test_enrich_gradient_finite_difference():
 
     def f():
         out = enrich_embeddings(base, doc, ["b", "a"])
-        return ad.sum_all(ad.mul(out, out))
+        return ad.sum_all(mul(out, out))
 
     assert finite_diff_gradcheck(f, {"base": base}).passed
 
@@ -180,7 +180,7 @@ def test_encoder_delegates_to_bidirectional_runner():
     params = {"base": base, **{f"fwd.{n}": t for n, t in fwd.params.items()},
               **{f"bwd.{n}": t for n, t in bwd.params.items()}}
     report = finite_diff_gradcheck(
-        lambda: ad.sum_all(ad.mul(encode_bidirectional_enriched(
+        lambda: ad.sum_all(mul(encode_bidirectional_enriched(
             fwd, bwd, enrich_embeddings(base, doc, ["cat"])), weights)), params)
     assert report.passed, (report.per_param, report.max_rel_err)
 
@@ -228,7 +228,7 @@ def test_encoder_equals_two_one_direction_runs():
                     t.zero_grad()
                 with Tape() as tape:
                     H = encode(fwd, bwd, enrich_embeddings(base, doc, ["the", "cat"]))
-                    tape.backward(ad.sum_all(ad.mul(H, weights)))
+                    tape.backward(ad.sum_all(mul(H, weights)))
                 results.append([H.data] + [t.grad for t in leaves])
             for got, ref in zip(*results):
                 assert np.array_equal(got, ref), (variant, n)
