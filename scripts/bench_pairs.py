@@ -14,21 +14,13 @@ which that time moved between its two runs by more than the set's own spread
 of kernel times (q3 - q1 of all of them over their median, but at least
 ``DRIFT_FLOOR``) is marked ``drifted``, and kept; the file records the limit.
 
-On a training workload (perfbench names them ``<shape>-train-<variant>``),
-``scripts/op_profile.py --workload w --steps 3 --seed s`` also runs once in
-each checkout, before the pairs. The file records each of its steps' traced
-peak and the figures that do not depend on the host (``tape_nodes``,
-``tape_bytes``, ``grad_norm``, ``clipped``), both sides' sha256 lines of the
-parameters and Adam's m and v, and ``same_bits``: whether those lines are
-equal, that is, whether the change kept training's bits.
-
 The file holds every run (its ``env``, ``metric`` and ``check`` lines, exit
 code and final JSON counts) and, per metric, each side's median and
 quartiles, the change's wins over the pairs, and a verdict: "unresolved"
 when the gap between the medians is within the parent's quartile spread
 (q3 - q1), otherwise "better" or "worse". Nothing in perfbench/ or
 BENCHMARK.json is read but perfbench's output. The exit code is 0 only when
-every run and every profile exited 0.
+every run exited 0.
 """
 
 import argparse
@@ -64,8 +56,6 @@ for _ in range(5):
 print(sorted(times)[2] * 1e3)
 """.format(shape=DRIFT_SHAPE)
 HIGHER_IS_BETTER = ("_per_s",)  # tokens_per_s, infer_per_s: rates
-PROFILE_STEPS = 3
-PROFILE_FIELDS = ("peak_mib", "tape_nodes", "tape_bytes", "grad_norm", "clipped")
 
 
 def git(*args: str) -> bytes:
@@ -120,33 +110,6 @@ def run(checkout: Path, args) -> tuple[int, float, str]:
     if done.returncode:
         sys.stderr.write(done.stderr[-2000:])
     return done.returncode, time.perf_counter() - t0, done.stdout
-
-
-def number(text: str) -> int | float:
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
-def profile(checkout: Path, args) -> dict:
-    """op_profile.py's fixed steps in one checkout: its exit code, each step's
-    ``PROFILE_FIELDS`` and its sha256 line."""
-    cmd = [sys.executable, "scripts/op_profile.py", "--workload", args.workload,
-           "--steps", str(PROFILE_STEPS), "--seed", str(args.seed)]
-    done = subprocess.run(cmd + (["--tiny"] if args.tiny else []), cwd=checkout,
-                          capture_output=True, text=True, check=False)
-    if done.returncode:
-        sys.stderr.write(done.stderr[-2000:])
-    steps, sha256 = [], None
-    for line in done.stdout.splitlines():
-        word = line.split(" ", 1)[0]
-        if word == "step":
-            f = fields(line)
-            steps.append({k: number(f[k]) for k in PROFILE_FIELDS})
-        elif word == "sha256":
-            sha256 = fields(line)
-    return {"exit_code": done.returncode, "steps": steps, "sha256": sha256}
 
 
 def quartiles(values: list) -> dict:
@@ -210,12 +173,6 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         checkouts = {s: Path(tmp) / s for s in ("parent", "change")}
         commits = {s: export(getattr(args, s), checkouts[s]) for s in checkouts}
-        profiles = None
-        if "-train-" in args.workload:
-            profiles = {s: profile(checkouts[s], args) for s in checkouts}
-            profiles["same_bits"] = (profiles["parent"]["sha256"] is not None
-                                     and profiles["parent"]["sha256"]
-                                     == profiles["change"]["sha256"])
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"pair": i, "first": order[0], "drift_ms": {}}
@@ -244,8 +201,7 @@ def main(argv=None) -> int:
         "change": {"rev": args.change, "commit": commits["change"]},
         "drift_kernel": {"matmul": list(DRIFT_SHAPE), "repeats": 5, "floor": DRIFT_FLOOR,
                          "limit": limit},
-        "profile": profiles, "runs": runs, "pairs": pairs,
-        "summary": summarize(runs, len(pairs)),
+        "runs": runs, "pairs": pairs, "summary": summarize(runs, len(pairs)),
     }
     out.write_text(json.dumps(result, indent=1) + "\n")
     for name, s in result["summary"].items():
@@ -253,15 +209,8 @@ def main(argv=None) -> int:
               f"({s['gap_frac'] or 0.0:+.1%}), wins {s['wins']}/{s['pairs']}, {s['verdict']}")
     print(f"drift limit {limit:.1%}: {sum(p['drifted'] for p in pairs)} of {len(pairs)} "
           "pairs drifted")
-    if profiles is not None:
-        for side in checkouts:
-            peaks = " / ".join(str(step["peak_mib"]) for step in profiles[side]["steps"])
-            print(f"traced step peaks ({side}): {peaks} MiB")
-        print(f"same_bits: {profiles['same_bits']}")
     print(f"wrote {out}")
-    exits = [r["exit_code"] for r in runs]
-    exits += [profiles[s]["exit_code"] for s in checkouts] if profiles else []
-    return 0 if not any(exits) else 1
+    return 0 if all(r["exit_code"] == 0 for r in runs) else 1
 
 
 if __name__ == "__main__":

@@ -19,12 +19,11 @@ allocate. The script prints:
 - one ``step`` line per step: its milliseconds, the timed ``Tape.backward``, the
   sum of its nodes' backward times, and the traced MiB live when the step
   starts and its traced peak; then figures that do not depend on the host or
-  on how many steps a timed run reaches: the tape's node count (counted as
-  perfbench counts ``autodiff.tape_nodes``), the bytes of the op outputs
-  still alive when the backward starts (a tape holds an output only weakly,
-  so these are the ones the caller holds; the arrays a backward closure keeps
-  are in the traced figures), and ``train_epoch``'s pre-clip gradient norm
-  and whether the step clipped;
+  on how many steps a timed run reaches: the tape's node count when the
+  backward starts (counted as perfbench counts ``autodiff.tape_nodes``), and
+  ``train_epoch``'s pre-clip gradient norm and whether the step clipped. The
+  tape holds an op's output only weakly, so what it holds is the arrays its
+  backward closures keep, which the traced figures count;
 - one ``sha256`` line: digests of the parameters and of Adam's m and v after
   the steps, which a change that keeps training bit for bit leaves alone.
 
@@ -60,7 +59,7 @@ class Profile:
     def start_step(self) -> None:
         self.nodes = []  # (node id, op, seconds, live bytes, peak bytes)
         self.backward_s = 0.0
-        self.tape_nodes = self.tape_bytes = 0
+        self.tape_nodes = 0
         self.peak = 0
         tracemalloc.reset_peak()
 
@@ -94,8 +93,6 @@ def instrument(ad, profile: Profile):
 
     def timed_backward(tape, loss):
         profile.tape_nodes += len(tape)
-        outputs = [node.ref() for node in tape.nodes if node.ref is not None]
-        profile.tape_bytes += sum(t.data.nbytes for t in outputs if t is not None)
         t0 = time.perf_counter()
         try:
             backward(tape, loss)
@@ -163,7 +160,7 @@ def main(argv=None) -> int:
                                    node_backward_ms=f"{node_s * 1e3:.2f}",
                                    live_mib=f"{live / MIB:.1f}",
                                    peak_mib=f"{profile.peak / MIB:.1f}",
-                                   tape_nodes=profile.tape_nodes, tape_bytes=profile.tape_bytes,
+                                   tape_nodes=profile.tape_nodes,
                                    grad_norm=repr(stats["grad_norm"]),
                                    clipped=int(stats["clip_frac"] > 0)))
     finally:

@@ -168,13 +168,26 @@ class Node:
     leaf: Tensor | None = None
     ref: weakref.ref | None = None
 
+    @property
+    def tensor(self) -> Tensor:
+        """The leaf, the op's output while it lives, or, once that output has
+        died, an empty tensor: the tape holds none of its bytes."""
+        if self.leaf is not None:
+            return self.leaf
+        out = self.ref() if self.ref is not None else None
+        return _FREED if out is None else out
+
+
+_FREED = Tensor(np.empty(0))
+
 
 class Tape:
     """Append-only computation record for one reverse pass."""
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self._ids: dict[int, int] = {}  # id(tensor) -> node id
+        # tensor -> node id; an output's entry goes when the output dies.
+        self._ids: weakref.WeakKeyDictionary[Tensor, int] = weakref.WeakKeyDictionary()
         self._spent = False  # backward has run
 
     def __enter__(self) -> "Tape":
@@ -187,27 +200,16 @@ class Tape:
             raise ContractError("tape context exited out of order")
         return False
 
-    def _lookup(self, t: Tensor) -> int | None:
-        """t's node id, if t is a leaf or a live output of this tape. An
-        output that died may have left its id to another tensor, which is
-        not that output."""
-        nid = self._ids.get(id(t))
-        if nid is not None:
-            node = self.nodes[nid]
-            if node.leaf is t or (node.ref is not None and node.ref() is t):
-                return nid
-        return None
-
     def _node_id(self, t: Tensor) -> int | None:
-        nid = self._lookup(t)
+        nid = self._ids.get(t)
         if nid is None and t.requires_grad:
             nid = len(self.nodes)
             self.nodes.append(Node(nid, "leaf", (), t.shape, None, leaf=t))
-            self._ids[id(t)] = nid
+            self._ids[t] = nid
         return nid
 
     def watches(self, t: Tensor) -> bool:
-        return t.requires_grad or self._lookup(t) is not None
+        return t.requires_grad or self._ids.get(t) is not None
 
     def record(self, op: str, inputs: Sequence[Tensor], out: Tensor, apply: Callable) -> None:
         if self._spent:
@@ -217,7 +219,7 @@ class Tape:
         # Append-only construction keeps the list topologically ordered.
         assert all(i is None or i < nid for i in input_ids)
         self.nodes.append(Node(nid, op, input_ids, out.shape, apply, ref=weakref.ref(out)))
-        self._ids[id(out)] = nid
+        self._ids[out] = nid
 
     def backward(self, loss: Tensor) -> None:
         """Populate .grad for every requires_grad tensor reachable from loss,
@@ -236,7 +238,8 @@ class Tape:
         # A loss that no op recorded gets a leaf node here, which the loop
         # below seeds; a constant one gets none and reaches no gradient.
         loss_nid = self._node_id(loss)
-        nodes, self.nodes, self._ids, self._spent = self.nodes, [], {}, True
+        nodes, self.nodes, self._spent = self.nodes, [], True
+        self._ids.clear()
         if loss_nid is None:
             return
 

@@ -185,24 +185,22 @@ def test_first_gradient_is_a_writable_copy():
     assert np.array_equal(z.grad, [2.0, 2.0, 2.0])
 
 
-def test_a_constant_that_takes_a_dead_outputs_id_is_a_constant():
-    # A tape holds an op's output weakly, so the output dies with its last
-    # holder, and a new tensor may get its id. That tensor is not the output:
-    # a constant one gets no node, and no gradient flows through the op that
-    # made the dead output.
+def test_a_dead_output_leaves_the_tape():
+    # A tape holds an op's output weakly: the output dies with its last
+    # holder, the tape forgets it, and its node reads as an empty tensor. A
+    # new constant is not watched, and the op's backward still runs.
     a = Tensor([1.0, 2.0], requires_grad=True)
-    data = np.array([3.0, 4.0])
     with Tape() as tape:
         out = mul(a, a)
-        dead = id(out)
+        node = tape.nodes[-1]
+        assert node.tensor is out and len(tape._ids) == 2
+        loss = ad.sum_all(out)  # keeps out's shape, not out
         del out
-        held = [Tensor(data)]
-        while id(held[-1]) != dead and len(held) < 100:
-            held.append(Tensor(data))
-        c = held[-1]
-        assert id(c) == dead and not tape.watches(c)
-        tape.backward(ad.sum_all(mul(a, c)))
-    assert np.array_equal(a.grad, data) and c.grad is None
+        assert len(tape._ids) == 2  # the leaf a and the loss
+        assert node.tensor.size == 0 and tape.nodes[0].tensor is a
+        assert not tape.watches(Tensor([3.0, 4.0]))
+        tape.backward(loss)
+    assert np.array_equal(a.grad, 2 * a.data)
 
 
 def test_gradient_of_the_wrong_shape_is_a_contract_error():

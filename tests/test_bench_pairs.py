@@ -58,25 +58,11 @@ def test_head_against_head_at_tiny_shapes(tmp_path):
     assert set(rss["parent"]) == {"median", "q1", "q3"}
     assert rss["verdict"] in ("better", "worse", "unresolved")
     assert result["summary"]["train_tokens_per_s"]["better"] == "higher"
-    # A training workload: op_profile.py's three fixed steps ran once on each
-    # side, and one commit against itself keeps its bits.
-    profile = result["profile"]
-    assert profile["same_bits"] is True
-    for side in ("parent", "change"):
-        assert profile[side]["exit_code"] == 0
-        assert set(profile[side]["sha256"]) == {"params", "m", "v"}
-        steps = profile[side]["steps"]
-        assert len(steps) == 3 and all(step["peak_mib"] > 0 for step in steps)
-        assert {"tape_nodes", "tape_bytes", "grad_norm", "clipped"} <= set(steps[0])
-    fixed = [[{k: v for k, v in step.items() if k != "peak_mib"}
-              for step in profile[side]["steps"]] for side in ("parent", "change")]
-    assert fixed[0] == fixed[1]
 
 
-def stub_pairs(tmp_path, monkeypatch, drifts, tag, workload="mr-train-gru"):
-    """Three pairs with perfbench and op_profile.py stubbed and the drift
-    kernel reading drifts in run order; returns the sides in the order they
-    ran (profiles as "profile <side>") and the JSON."""
+def stub_pairs(tmp_path, monkeypatch, drifts, tag):
+    """Three pairs with perfbench stubbed and the drift kernel reading drifts
+    in run order; returns the sides in the order they ran and the JSON."""
     bench = load_script()
     calls = []
     drifts = iter(drifts)
@@ -93,14 +79,8 @@ def stub_pairs(tmp_path, monkeypatch, drifts, tag, workload="mr-train-gru"):
                         '{"correct": true, "attempted": 5, "failed": 0, "metrics": {}}\n')
 
     monkeypatch.setattr(bench, "run", fake_run)
-
-    def fake_profile(checkout, args):
-        calls.append(f"profile {Path(checkout).name}")
-        return {"exit_code": 0, "steps": [], "sha256": {"params": "0", "m": "0", "v": "0"}}
-
-    monkeypatch.setattr(bench, "profile", fake_profile)
     monkeypatch.setattr(bench, "drift_ms", lambda: next(drifts))
-    assert bench.main(["HEAD", "HEAD", "--workload", workload, "--pairs", "3",
+    assert bench.main(["HEAD", "HEAD", "--workload", "mr-train-gru", "--pairs", "3",
                        "--tag", tag, "--out", str(tmp_path)]) == 0
     return calls, json.loads((tmp_path / f"BENCH_{tag}.json").read_text())
 
@@ -113,9 +93,7 @@ def test_order_alternates_and_drift_marks_without_dropping(tmp_path, monkeypatch
     # file.
     calls, result = stub_pairs(tmp_path, monkeypatch,
                                [100.0, 100.0, 120.0, 100.0, 100.0, 100.0], "s")
-    assert calls == ["profile parent", "profile change",
-                     "parent", "change", "change", "parent", "parent", "change"]
-    assert result["profile"]["same_bits"] is True
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
     assert [p["first"] for p in result["pairs"]] == ["parent", "change", "parent"]
     assert result["drift_kernel"]["floor"] == result["drift_kernel"]["limit"] == 0.10
     assert [p["drifted"] for p in result["pairs"]] == [False, True, False]
@@ -137,14 +115,6 @@ def test_drift_limit_is_the_kernel_spread_of_the_set(tmp_path, monkeypatch):
     assert result["drift_kernel"]["limit"] == pytest.approx(26.0 / 110.0)
     assert [round(p["drift_moved"], 6) for p in result["pairs"]] == [0.15, 0.0, 0.5]
     assert [p["drifted"] for p in result["pairs"]] == [False, False, True]
-
-
-def test_an_inference_workload_runs_no_profile(tmp_path, monkeypatch):
-    # op_profile.py profiles a training step's backward; a request has none.
-    calls, result = stub_pairs(tmp_path, monkeypatch, [100.0] * 6, "i",
-                               workload="mr-infer-deep_enhanced")
-    assert not any(c.startswith("profile") for c in calls)
-    assert result["profile"] is None
 
 
 def test_summarize_reads_every_rate_higher_is_better():

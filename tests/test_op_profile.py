@@ -14,7 +14,7 @@ def fields(line: str) -> dict:
     return dict(item.split("=", 1) for item in line.split()[1:])
 
 
-FIXED = ("tape_nodes", "tape_bytes", "grad_norm", "clipped")
+FIXED = ("tape_nodes", "grad_norm", "clipped")
 
 
 def profile_lines() -> list[str]:
@@ -54,7 +54,7 @@ def test_two_runs_print_the_same_fixed_step_figures():
         steps = [fields(line) for line in lines if line.startswith("step ")]
         assert len(steps) == 2
         for s in steps:
-            assert int(s["tape_nodes"]) > 0 and int(s["tape_bytes"]) > 0
+            assert int(s["tape_nodes"]) > 0
             assert float(s["grad_norm"]) > 0 and s["clipped"] in ("0", "1")
         runs.append(([{k: s[k] for k in FIXED} for s in steps],
                      [line for line in lines if line.startswith("sha256 ")]))
