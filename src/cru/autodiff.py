@@ -776,7 +776,9 @@ def _scan_backward(gout, A, H0, u_zr, u, steps, d_u, d_b, H_prev, dh_buf, zr_buf
     columns of dP. Its rows of gout, once added into dh, take r * h_{t-1}, and
     H_prev's take h_{t-1}: the two T-row operands of the weight gradients of
     [U_z; U_r; U] and [b_z | b_r | b_h], formed into d_u and d_b after the
-    loop. dh_buf starts at zero.
+    loop. H_prev may be H0's rows after its first b, the states themselves:
+    step t writes block t, which only step t + 1 reads, from block t - 1.
+    dh_buf starts at zero.
     """
     d_h = u.shape[0]
     zr_cols, h_cols = slice(0, 2 * d_h), slice(2 * d_h, None)
@@ -845,7 +847,15 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
     array, which then is dP: it goes to the projection's backward for the
     gradients of x and of the weights, and is freed, or is x's gradient
     itself. The weight and bias gradients are formed after the loop, each one
-    T-row matmul or sum. So the backward consumes the gates.
+    T-row matmul or sum, over two T-row operands that need no array of their
+    own: r * h_{t-1} goes into the upstream gradient's rows once they are
+    added in, and h_{t-1} into the states' block t, which is dead once step
+    t + 1 has read it. The states are written only when the caller has
+    dropped the result; while it holds them, h_{t-1} goes into a new array.
+    x's gradient then goes over the upstream gradient where it fits (gru and
+    shallow, whose x is D d_h wide), and into a new array where it does not
+    (deep_enhanced). So the backward consumes the gates, the states and the
+    upstream gradient, and the states go before x's gradient is formed.
 
     When the first step's h U^T has at least ``_CONCURRENT_STEP_WORK``
     multiply-adds, direction 0's loops run on the calling thread and the
@@ -894,19 +904,23 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
                         *(np.empty((b, d_h)) for _ in range(3)))
                 for i, d in enumerate(directions)], concurrent)
 
-    # One buffer holds each direction's h_{t-1} rows in the reverse loops,
-    # then x's gradient: one such array is allocated, not two in turn.
     width = 0 if project_backward is None else x.shape[-1]
+    out = Tensor(H0[b:])
+    held = weakref.ref(out)
 
     def apply(gout, emit):
-        scratch = np.empty(total * max(D * d_h, width))
+        nonlocal H0
+        # Block t of the states is dead once reverse step t+1 has read it, so
+        # each step writes its h_{t-1} rows there, unless the caller still
+        # holds the states.
+        H_prev = H0[b:] if held() is None else np.empty((total, D * d_h))
         grads = [(np.empty((3 * d_h, d_h)), np.empty(3 * d_h)) for _ in directions]
         _run_loops([partial(_scan_backward, gout[:, cols[i]], A[:, gates[i]], H0[:, cols[i]],
-                            u_zrs[i], us[i], steps, *grads[i],
-                            scratch[i * total * d_h:(i + 1) * total * d_h].reshape(total, d_h),
+                            u_zrs[i], us[i], steps, *grads[i], H_prev[:, cols[i]],
                             np.zeros((b, d_h)), np.empty((b, 2 * d_h)), np.empty((b, d_h)),
                             np.empty((b, d_h)), np.empty((b, 2 * d_h))) for i in range(D)],
                    concurrent)
+        H0 = H_prev = None
         for i, (d_u, d_b) in enumerate(grads):
             at = 1 + i * len(_SCAN_INPUTS)
             for j in range(3):
@@ -914,13 +928,15 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
                 emit(at + 3 + j, d_b[j * d_h:(j + 1) * d_h])
         # A is now dP, handed over without a copy, so only once nothing here
         # reads it. A dP formed from x's gradient is freed with this node.
+        # gout, whose rows hold r * h_{t-1}, is dead by then: x's gradient
+        # goes over it where it fits.
+        fits = gout.flags.c_contiguous and gout.size >= total * width
+        dx = gout.reshape(-1)[:total * width].reshape(total, width) if fits else None
         emit(0, A if project_backward is None
-             else project_backward(A, emit, 1 + D * len(_SCAN_INPUTS),
-                                   scratch[:total * width].reshape(total, width)),
-             owned=True)
+             else project_backward(A, emit, 1 + D * len(_SCAN_INPUTS), dx), owned=True)
 
     return _emit_op("gru_scan", [x] + [t for d in directions for t in d]
-                    + [w for g in groups for w in g], Tensor(H0[b:]), apply)
+                    + [w for g in groups for w in g], out, apply)
 
 
 # --------------------------------------------------------------------------

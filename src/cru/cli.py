@@ -1,8 +1,9 @@
 """Command-line entry point: train / eval / gradcheck / infer / rc-features.
 
 Exit codes: 0 success, 1 configuration, 2 I/O, 3 numeric, 4 verification
-failure, 130 interrupted (Ctrl-C). Configuration precedence: command-line
-flag > config-file entry > per-dataset default.
+failure, 130 interrupted (Ctrl-C), 143 terminated (SIGTERM, through
+``entry``). Configuration precedence: command-line flag > config-file entry >
+per-dataset default.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import signal
 import sys
 import uuid
 from dataclasses import fields
@@ -405,9 +407,23 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    except _Terminated:
+        print("terminated", file=sys.stderr)
+        return 143
+
+
+class _Terminated(BaseException):
+    """Raised by SIGTERM under ``entry``, so that every ``finally`` and
+    ``except BaseException`` runs (a checkpoint's temporary directory is
+    removed) before ``main`` prints its line."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
 
 
 def entry() -> None:
+    signal.signal(signal.SIGTERM, _terminate)
     sys.exit(main())
 
 

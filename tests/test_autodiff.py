@@ -1040,6 +1040,70 @@ def test_scan_backward_allocates_no_second_gate_array():
     assert peak - start < T * 2 * 3 * d_h * 8 + x.data.nbytes
 
 
+def test_scan_backward_allocates_no_row_scratch():
+    # With the states dropped, the backward writes each h_{t-1} over the
+    # states' dead block and x's gradient over the upstream gradient, so what
+    # it traces above where it began stays below that gradient, the weight
+    # and bias gradients (each formed, then copied out) and the b-row buffers,
+    # with less than one (T, D d_h) array of headroom: two directions, with
+    # weights, d = d_h, at T = 400.
+    rng = rng_for(47)
+    sizes, d_h = [8] * 50, 16
+    T, b = sum(sizes), sizes[0]
+    x = Tensor(rng.standard_normal((T, 2 * d_h)), requires_grad=True)
+    directions = [scan_inputs(rng, sizes, d_h)[1:] for _ in range(2)]
+    weights = gate_weights(rng, 2, 1, d_h, d_h)
+    with Tape() as tape:
+        loss = ad.sum_all(ad.gru_scan(x, directions, sizes, weights))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tape.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    states = T * 2 * d_h * 8
+    grads = 2 * sum(t.data.nbytes for t in [w for g in weights for w in g]
+                    + [t for d in directions for t in d])
+    rows = 2 * 7 * b * d_h * 8
+    assert peak - start < states + grads + rows + states // 2
+
+
+@pytest.mark.parametrize("groups", [None, 1, 3])
+def test_held_and_dropped_states_give_the_same_gradients(groups):
+    # The backward writes over the states only once the caller has dropped
+    # them. Held or dropped, every gradient is the same bit for bit, and held
+    # states are never written: deep (no weights), gru (x's gradient fits in
+    # the upstream gradient) and deep_enhanced (three groups; it does not).
+    rng = rng_for(48)
+    sizes, c, d_h = [4, 3, 3, 1], 3, 3
+    T = sum(sizes)
+    directions = [scan_inputs(rng, sizes, d_h)[1:] for _ in range(2)]
+    if groups is None:
+        x = Tensor(rng.standard_normal((T, 2 * 3 * d_h)), requires_grad=True)
+        weights = None
+    else:
+        x = Tensor(rng.standard_normal((T, 2 * groups * c)), requires_grad=True)
+        weights = gate_weights(rng, 2, groups, c, d_h)
+    params = [x] + [t for d in directions for t in d] + [w for g in weights or [] for w in g]
+    readout = Tensor(rng.standard_normal((T, 2 * d_h)))
+    grads = []
+    for hold in (True, False):
+        for t in params:
+            t.zero_grad()
+        with Tape() as tape:
+            if hold:
+                states = ad.gru_scan(x, directions, sizes, weights)
+                kept = states.data.copy()
+                loss = ad.sum_all(mul(states, readout))
+            else:
+                loss = ad.sum_all(mul(ad.gru_scan(x, directions, sizes, weights), readout))
+            tape.backward(loss)
+        grads.append([t.grad.tobytes() for t in params])
+    assert states.data.tobytes() == kept.tobytes()
+    assert grads[0] == grads[1]
+
+
 def test_conv_backward_reuses_the_im2col_buffer():
     # The backward gathers the gradient's windows into the forward's im2col
     # buffers and forms one tap-reversed filter per direction at a time, so

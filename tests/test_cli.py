@@ -435,6 +435,24 @@ def test_keyboard_interrupt_exits_130_with_one_line():
     assert "Traceback" not in proc.stderr + proc.stdout
 
 
+def test_sigterm_exits_143_with_one_line():
+    # SIGTERM inside a command, through the console entry point in a process
+    # of its own: one stderr line and exit 143, no traceback.
+    code = ("import os, signal, sys, time\n"
+            "from cru import cli\n"
+            "def terminated(args):\n"
+            "    os.kill(os.getpid(), signal.SIGTERM)\n"
+            "    time.sleep(30)\n"
+            "cli._DISPATCH['gradcheck'] = terminated\n"
+            "sys.argv = ['cru', 'gradcheck']\n"
+            "cli.entry()\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 143
+    assert proc.stderr == "terminated\n"
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
 def test_failed_training_run_keeps_its_log_and_prints_one_line(tmp_path, capsys):
     # An lr of 1e300 leaves weights near 1e300 after the first step, and the
     # evaluation's forward overflows. numpy's own overflow warning stays
