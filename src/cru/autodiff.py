@@ -8,7 +8,9 @@ only weakly, so an output that its caller drops is freed in the forward, and
 each closure keeps only the arrays its backward reads. The walk consumes the
 tape: it drops each node, with the forward arrays its backward holds, as soon
 as that backward has run, so a tape runs one backward and records nothing
-after it.
+after it. A backward may write over its own output once nothing else reads
+it: neither the output's tensor nor any view of its data (a ``reshape`` of
+it) is alive.
 Gradients accumulate across tapes. With no active tape the same ops run as
 plain numpy forward computations, which is what evaluation and the
 finite-difference oracle use.
@@ -26,6 +28,7 @@ it still each see only their own tape.
 from __future__ import annotations
 
 import contextvars
+import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -850,8 +853,9 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
     T-row matmul or sum, over two T-row operands that need no array of their
     own: r * h_{t-1} goes into the upstream gradient's rows once they are
     added in, and h_{t-1} into the states' block t, which is dead once step
-    t + 1 has read it. The states are written only when the caller has
-    dropped the result; while it holds them, h_{t-1} goes into a new array.
+    t + 1 has read it. The states are written only once the caller holds
+    neither the result nor any view of it; while it does, h_{t-1} goes into a
+    new array.
     x's gradient then goes over the upstream gradient where it fits (gru and
     shallow, whose x is D d_h wide), and into a new array where it does not
     (deep_enhanced). So the backward consumes the gates, the states and the
@@ -905,15 +909,15 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
                 for i, d in enumerate(directions)], concurrent)
 
     width = 0 if project_backward is None else x.shape[-1]
-    out = Tensor(H0[b:])
-    held = weakref.ref(out)
 
     def apply(gout, emit):
         nonlocal H0
         # Block t of the states is dead once reverse step t+1 has read it, so
-        # each step writes its h_{t-1} rows there, unless the caller still
-        # holds the states.
-        H_prev = H0[b:] if held() is None else np.empty((total, D * d_h))
+        # each step writes its h_{t-1} rows there, unless anything still
+        # reads the states. Every view of them (the output's data, a reshape
+        # of it) has H0 as its base, so H0 has no reference beyond this
+        # closure's and the call's own only once all of them are gone.
+        H_prev = H0[b:] if sys.getrefcount(H0) == 2 else np.empty((total, D * d_h))
         grads = [(np.empty((3 * d_h, d_h)), np.empty(3 * d_h)) for _ in directions]
         _run_loops([partial(_scan_backward, gout[:, cols[i]], A[:, gates[i]], H0[:, cols[i]],
                             u_zrs[i], us[i], steps, *grads[i], H_prev[:, cols[i]],
@@ -936,7 +940,7 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
              else project_backward(A, emit, 1 + D * len(_SCAN_INPUTS), dx), owned=True)
 
     return _emit_op("gru_scan", [x] + [t for d in directions for t in d]
-                    + [w for g in groups for w in g], out, apply)
+                    + [w for g in groups for w in g], Tensor(H0[b:]), apply)
 
 
 # --------------------------------------------------------------------------

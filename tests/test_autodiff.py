@@ -1071,8 +1071,9 @@ def test_scan_backward_allocates_no_row_scratch():
 
 @pytest.mark.parametrize("groups", [None, 1, 3])
 def test_held_and_dropped_states_give_the_same_gradients(groups):
-    # The backward writes over the states only once the caller has dropped
-    # them. Held or dropped, every gradient is the same bit for bit, and held
+    # The backward writes over the states only once the caller holds neither
+    # them nor a view of them (a reshape of the dropped output). Held, viewed
+    # or dropped, every gradient is the same bit for bit, and held or viewed
     # states are never written: deep (no weights), gru (x's gradient fits in
     # the upstream gradient) and deep_enhanced (three groups; it does not).
     rng = rng_for(48)
@@ -1087,21 +1088,23 @@ def test_held_and_dropped_states_give_the_same_gradients(groups):
         weights = gate_weights(rng, 2, groups, c, d_h)
     params = [x] + [t for d in directions for t in d] + [w for g in weights or [] for w in g]
     readout = Tensor(rng.standard_normal((T, 2 * d_h)))
-    grads = []
-    for hold in (True, False):
+    grads, held = [], []
+    for hold in ("states", "view", None):
         for t in params:
             t.zero_grad()
         with Tape() as tape:
+            states = ad.gru_scan(x, directions, sizes, weights)
+            if hold == "view":
+                states = ad.reshape(states, (T, 2 * d_h))
+            loss = ad.sum_all(mul(states, readout))
             if hold:
-                states = ad.gru_scan(x, directions, sizes, weights)
-                kept = states.data.copy()
-                loss = ad.sum_all(mul(states, readout))
-            else:
-                loss = ad.sum_all(mul(ad.gru_scan(x, directions, sizes, weights), readout))
+                held.append((states, states.data.copy()))
+            del states
             tape.backward(loss)
         grads.append([t.grad.tobytes() for t in params])
-    assert states.data.tobytes() == kept.tobytes()
-    assert grads[0] == grads[1]
+    for states, kept in held:
+        assert states.data.tobytes() == kept.tobytes()
+    assert grads[0] == grads[1] == grads[2]
 
 
 def test_conv_backward_reuses_the_im2col_buffer():
