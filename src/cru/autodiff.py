@@ -855,11 +855,11 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
     added in, and h_{t-1} into the states' block t, which is dead once step
     t + 1 has read it. The states are written only once the caller holds
     neither the result nor any view of it; while it does, h_{t-1} goes into a
-    new array.
-    x's gradient then goes over the upstream gradient where it fits (gru and
-    shallow, whose x is D d_h wide), and into a new array where it does not
-    (deep_enhanced). So the backward consumes the gates, the states and the
-    upstream gradient, and the states go before x's gradient is formed.
+    new array. x's gradient then goes over the upstream gradient where it
+    fits (gru and shallow, whose x is D d wide, with d <= d_h), and into a new
+    array where it does not (deep_enhanced, 3 D d). So the backward consumes
+    the gates, the states and the upstream gradient, and the states go before
+    x's gradient is formed.
 
     When the first step's h U^T has at least ``_CONCURRENT_STEP_WORK``
     multiply-adds, direction 0's loops run on the calling thread and the
