@@ -7,15 +7,11 @@
 PARENT and CHANGE are git revisions of this repository. Each is exported with
 ``git archive`` into its own temporary directory, and ``perfbench/run.py`` runs
 there, one process per run. Pair i runs the parent first when i is even and
-the change first when i is odd, so a slow drift of the host falls on both
-sides alike. Before each run, one fixed float64 GEMM (the doc shape's
-projection, on one BLAS thread) is timed in a process of its own. A pair in
-which that time moved between its two runs by more than the set's own spread
-of kernel times (q3 - q1 of all of them over their median, but at least
-``DRIFT_FLOOR``) is marked ``drifted``, and kept; the file records the limit.
+the change first when i is odd, so a host that slows down or speeds up over
+the set weighs on both sides alike.
 
-The file holds every run (its ``env``, ``metric`` and ``check`` lines, exit
-code and final JSON counts) and, per metric, each side's median and
+The file holds every run (its ``env`` line, with the host's ``loadavg_1m``,
+its ``metric`` and ``check`` lines, exit code and final JSON counts) and, per metric, each side's median and
 quartiles, the change's wins over the pairs, and a verdict: "unresolved"
 when the gap between the medians is within the parent's quartile spread
 (q3 - q1), otherwise "better" or "worse". Nothing in perfbench/ or
@@ -34,27 +30,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DRIFT_FLOOR = 0.10
-DRIFT_SHAPE = (6144, 256, 768)  # (T, d, 3 d_h): one direction's doc projection
-# The drift kernel runs in its own process, on one BLAS thread as perfbench
-# runs, so that this process imports no numpy: a child's ru_maxrss, which
-# perfbench reports as peak_rss_mb, starts from the RSS of the process that
-# spawned it.
-DRIFT_CODE = """
-import os, time
-for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[v] = "1"
-import numpy as np
-m, k, n = {shape}
-rng = np.random.Generator(np.random.PCG64(0))
-a, b, out = rng.standard_normal((m, k)), rng.standard_normal((k, n)), np.empty((m, n))
-times = []
-for _ in range(5):
-    t0 = time.perf_counter()
-    np.matmul(a, b, out=out)
-    times.append(time.perf_counter() - t0)
-print(sorted(times)[2] * 1e3)
-""".format(shape=DRIFT_SHAPE)
 HIGHER_IS_BETTER = ("_per_s",)  # tokens_per_s, infer_per_s: rates
 
 
@@ -68,13 +43,6 @@ def export(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", commit))) as tar:
         tar.extractall(dest, filter="data")
     return commit
-
-
-def drift_ms() -> float:
-    """Median wall time of five runs of the fixed GEMM, in ms."""
-    done = subprocess.run([sys.executable, "-c", DRIFT_CODE], capture_output=True,
-                          text=True, check=True)
-    return float(done.stdout)
 
 
 def fields(text: str) -> dict:
@@ -124,13 +92,6 @@ def quartiles(values: list) -> dict:
     return {"median": at(0.5), "q1": at(0.25), "q3": at(0.75)}
 
 
-def drift_limit(times: list) -> float:
-    """How far a pair's kernel times may move apart before it is marked: the
-    quartile spread of all the set's kernel times over their median, floored."""
-    q = quartiles(times)
-    return max(DRIFT_FLOOR, (q["q3"] - q["q1"]) / q["median"])
-
-
 def summarize(runs: list, n_pairs: int) -> dict:
     names = sorted({name for r in runs for name, v in r["metrics"].items() if v is not None})
     summary = {}
@@ -175,40 +136,28 @@ def main(argv=None) -> int:
         commits = {s: export(getattr(args, s), checkouts[s]) for s in checkouts}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"pair": i, "first": order[0], "drift_ms": {}}
+            pairs.append({"pair": i, "first": order[0]})
             for position, side in enumerate(order):
-                pair["drift_ms"][side] = drift = drift_ms()
                 code, wall, stdout = run(checkouts[side], args)
                 record = {"pair": i, "position": position, "side": side,
-                          "commit": commits[side], "drift_ms": drift, "exit_code": code,
-                          "wall_s": wall, **parse(stdout)}
+                          "commit": commits[side], "exit_code": code, "wall_s": wall,
+                          **parse(stdout)}
                 runs.append(record)
                 shown = " ".join(f"{k}={v:.6g}" for k, v in record["metrics"].items()
                                  if v is not None)
-                print(f"pair={i} side={side} exit={code} drift_ms={drift:.2f} {shown}",
-                      flush=True)
-            lo, hi = sorted(pair["drift_ms"].values())
-            pair["drift_moved"] = hi / lo - 1.0
-            pairs.append(pair)
-    limit = drift_limit([r["drift_ms"] for r in runs])
-    for pair in pairs:
-        pair["drifted"] = pair["drift_moved"] > limit
+                print(f"pair={i} side={side} exit={code} {shown}", flush=True)
 
     result = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "tiny": args.tiny, "command": ["python3", "perfbench/run.py"],
         "parent": {"rev": args.parent, "commit": commits["parent"]},
         "change": {"rev": args.change, "commit": commits["change"]},
-        "drift_kernel": {"matmul": list(DRIFT_SHAPE), "repeats": 5, "floor": DRIFT_FLOOR,
-                         "limit": limit},
         "runs": runs, "pairs": pairs, "summary": summarize(runs, len(pairs)),
     }
     out.write_text(json.dumps(result, indent=1) + "\n")
     for name, s in result["summary"].items():
         print(f"{name}: {s['parent']['median']:.6g} -> {s['change']['median']:.6g} "
               f"({s['gap_frac'] or 0.0:+.1%}), wins {s['wins']}/{s['pairs']}, {s['verdict']}")
-    print(f"drift limit {limit:.1%}: {sum(p['drifted'] for p in pairs)} of {len(pairs)} "
-          "pairs drifted")
     print(f"wrote {out}")
     return 0 if all(r["exit_code"] == 0 for r in runs) else 1
 

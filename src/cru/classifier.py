@@ -64,9 +64,11 @@ class TrainConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.filter_k < 1 or self.filter_k % 2 == 0:
             raise ConfigError(f"filter must be odd and >= 1, got {self.filter_k}")
-        for name in ("embed_dim", "hidden_dim", "fc_dim", "batch_size", "folds"):
+        for name in ("embed_dim", "hidden_dim", "fc_dim", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.folds < 2:
+            raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.dropout < 1.0:

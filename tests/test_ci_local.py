@@ -22,10 +22,10 @@ def step_lines(capfd):
 
 def test_a_workflow_step_runs_through_the_cru_shim(capfd):
     # The step calls the console script, which the shim stands in for.
-    assert load_script().main(["--only", "^Missing dataset exits 2"]) == 0
+    assert load_script().main(["--only", "^Console script errors"]) == 0
     lines = step_lines(capfd)
     assert len(lines) == 1 and lines[0].split()[:2] == ["ok", "exit=0"], lines
-    assert lines[0].endswith("Missing dataset exits 2 with one line")
+    assert lines[0].endswith("Console script errors exit with one line")
 
 
 def test_a_failing_step_is_reported_and_stops_the_job(tmp_path, capfd, monkeypatch):

@@ -518,6 +518,7 @@ MALFORMED = {
     "lr-inf": (_train_with("--lr", "inf"), "lr must be"),
     "l2-nan": (_train_with("--l2", "nan"), "l2 must be"),
     "train-seed-negative": (_train_with("--seed", "-1"), "seed must be"),
+    "train-folds-one": (_train_with("--folds", "1"), "folds must be >= 2"),
     "config-clip-norm-nan": (_train_with_config("clip_norm=nan\n"), "clip_norm must be"),
     "config-l2-empty": (_train_with_config("l2=\n"), "bad value for l2"),
     "gradcheck-seed-negative": (lambda tmp_path: ["gradcheck", "--seed", "-1"],
