@@ -11,12 +11,12 @@ the change first when i is odd, so a host that slows down or speeds up over
 the set weighs on both sides alike.
 
 The file holds every run (its ``env`` line, with the host's ``loadavg_1m``,
-its ``metric`` and ``check`` lines, exit code and final JSON counts) and, per metric, each side's median and
-quartiles, the change's wins over the pairs, and a verdict: "unresolved"
-when the gap between the medians is within the parent's quartile spread
-(q3 - q1), otherwise "better" or "worse". Nothing in perfbench/ or
-BENCHMARK.json is read but perfbench's output. The exit code is 0 only when
-every run exited 0.
+its ``metric`` and ``check`` lines, exit code and final JSON counts) and, per
+metric, each side's median and quartiles, the change's wins over the pairs,
+and a verdict: "unresolved" when the gap between the medians is within the
+parent's quartile spread (q3 - q1), otherwise "better" or "worse". Nothing
+in perfbench/ or BENCHMARK.json is read but perfbench's output. The exit code
+is 0 only when every run exited 0.
 """
 
 import argparse
