@@ -109,10 +109,10 @@ class RowGrad:
         """This gradient plus grad's rows at ids, which may repeat. Each id's
         terms are added after its current sum in order, as ``np.add.at``
         into the dense array adds them, so every sum is the same bit for bit."""
-        union = np.union1d(self.ids, ids)
+        union, at = np.unique(np.concatenate([self.ids, ids]), return_inverse=True)
         rows = np.zeros((len(union), *self.shape[1:]))
-        rows[np.searchsorted(union, self.ids)] = self.rows
-        np.add.at(rows, np.searchsorted(union, ids), grad)
+        rows[at[:len(self.ids)]] = self.rows
+        np.add.at(rows, at[len(self.ids):], grad)
         return RowGrad(self.shape, union, rows)
 
     def __array__(self, dtype=None, copy=None) -> Array:
@@ -818,6 +818,23 @@ def _scan_backward(gout, A, H0, u_zr, u, steps, d_u, d_b, H_prev, dh_buf, zr_buf
 _SCAN_INPUTS = ("U_z", "U_r", "U", "b_z", "b_r", "b_h")
 
 
+def _sole_refcount() -> int:
+    """What ``sys.getrefcount`` reads of an array that only a closure's cell
+    holds, read in the closure as ``gru_scan``'s backward reads its states.
+    The reading is the interpreter's: a call's own references differ between
+    versions (one that borrows its operands reads lower)."""
+    H0 = np.empty(0)
+
+    def probe():
+        nonlocal H0
+        return sys.getrefcount(H0)
+
+    return probe()
+
+
+_SOLE_REFCOUNT = _sole_refcount()
+
+
 def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
              weights: Sequence[Sequence[Tensor]] | None = None) -> Tensor:
     """The GRU recurrence of one or more directions over packed gate inputs,
@@ -916,8 +933,10 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
         # each step writes its h_{t-1} rows there, unless anything still
         # reads the states. Every view of them (the output's data, a reshape
         # of it) has H0 as its base, so H0 has no reference beyond this
-        # closure's and the call's own only once all of them are gone.
-        H_prev = H0[b:] if sys.getrefcount(H0) == 2 else np.empty((total, D * d_h))
+        # closure's only once all of them are gone: then its count reads as
+        # the probe's does.
+        H_prev = (H0[b:] if sys.getrefcount(H0) == _SOLE_REFCOUNT
+                  else np.empty((total, D * d_h)))
         grads = [(np.empty((3 * d_h, d_h)), np.empty(3 * d_h)) for _ in directions]
         _run_loops([partial(_scan_backward, gout[:, cols[i]], A[:, gates[i]], H0[:, cols[i]],
                             u_zrs[i], us[i], steps, *grads[i], H_prev[:, cols[i]],

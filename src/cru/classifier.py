@@ -163,13 +163,15 @@ class SentimentModel:
               embedding: Tensor | None = None) -> "SentimentModel":
         """A fresh model; its embedding table, unless given, is drawn from
         Uniform(-0.05, 0.05) with a zero pad row. The cells and the head are
-        drawn after it, in that order."""
+        drawn after it, in that order. Drawn tensors are finite by
+        construction and are not checked again; a given table keeps the
+        check ``Tensor`` made of it."""
         config.validate()
         shapes = cls.shapes(config, vocab_size)
         if embedding is None:
             w = rng.uniform(-0.05, 0.05, size=shapes["embedding.weights"])
             w[PAD_ID] = 0.0
-            embedding = Tensor(w, requires_grad=True)
+            embedding = ad._wrap_finite(w, requires_grad=True)
         if embedding.shape != shapes["embedding.weights"]:
             raise _table_mismatch(embedding.shape, vocab_size, config)
         params = {"embedding.weights": embedding}

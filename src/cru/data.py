@@ -6,6 +6,7 @@ import logging
 import string
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -25,23 +26,21 @@ def tokenize(raw: str) -> list[str]:
     """Lowercase, split on whitespace, peel edge punctuation into own tokens.
 
     Interior punctuation stays attached ("don't" is one token); an empty
-    result signals the caller to skip the line.
+    result signals the caller to skip the line. A chunk with no ASCII
+    punctuation at either edge is one token as it stands; only the others
+    are peeled, each peeled character its own token, in order.
     """
     tokens: list[str] = []
     for chunk in raw.lower().split():
-        lead: list[str] = []
-        while chunk and chunk[0] in _PUNCT:
-            lead.append(chunk[0])
-            chunk = chunk[1:]
-        trail: list[str] = []
-        while chunk and chunk[-1] in _PUNCT:
-            trail.append(chunk[-1])
-            chunk = chunk[:-1]
-        trail.reverse()
-        tokens.extend(lead)
-        if chunk:
+        if chunk[0] not in _PUNCT and chunk[-1] not in _PUNCT:
             tokens.append(chunk)
-        tokens.extend(trail)
+            continue
+        core = chunk.lstrip(string.punctuation)
+        word = core.rstrip(string.punctuation)
+        tokens += chunk[:len(chunk) - len(core)]
+        if word:
+            tokens.append(word)
+        tokens += core[len(word):]
     return tokens
 
 
@@ -182,9 +181,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.itos)
 
-    def encode(self, tokens: list[str]) -> np.ndarray:
-        return np.array([self.stoi.get(t, UNK_ID) for t in tokens], dtype=np.intp)
-
     def save(self, path) -> None:
         Path(path).write_text("\n".join(self.itos) + "\n", encoding="utf-8")
 
@@ -204,7 +200,7 @@ def build_vocab(corpus: Corpus, max_size: int | None = None) -> Vocab:
         raise ConfigError(f"vocab cap must be >= 3 (pad, unk, one token), got {max_size}")
     # A Counter keeps its keys in first-occurrence order, and the sort is
     # stable, so ties keep that order.
-    counts = Counter(tok for sample in corpus.samples for tok in sample.tokens)
+    counts = Counter(chain.from_iterable(sample.tokens for sample in corpus.samples))
     ranked = sorted(counts, key=counts.__getitem__, reverse=True)
     if max_size is not None:
         ranked = ranked[:max_size - 2]
@@ -295,7 +291,13 @@ class EncodedSample:
 
 
 def encode_corpus(vocab: Vocab, samples: list[Sample]) -> list[EncodedSample]:
-    return [EncodedSample(vocab.encode(s.tokens), s.label) for s in samples]
+    """Each sample's ids, out-of-vocabulary tokens as UNK_ID, from one pass
+    over every token: each sample's ids are its slice of one shared buffer."""
+    ends = list(accumulate((len(s.tokens) for s in samples), initial=0))
+    flat = np.fromiter(map(vocab.stoi.get, chain.from_iterable(s.tokens for s in samples),
+                           repeat(UNK_ID)), np.intp, count=ends[-1])
+    return [EncodedSample(flat[start:end], s.label)
+            for s, start, end in zip(samples, ends, ends[1:])]
 
 
 @dataclass
@@ -320,21 +322,15 @@ def batch_and_pad(samples: list[EncodedSample], batch_size: int,
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     if not samples:
         raise ContractError("batch_and_pad needs at least one sample")
-    order = rng.permutation(len(samples)) if rng is not None else range(len(samples))
-    ordered = [samples[i] for i in order]
+    ordered = [samples[i] for i in rng.permutation(len(samples))] if rng is not None else samples
 
     batches = []
     for at in range(0, len(ordered), batch_size):
         group = ordered[at:at + batch_size]
-        width = max(len(s.ids) for s in group)
-        b = len(group)
-        ids = np.full((b, width), PAD_ID, dtype=np.intp)
-        mask = np.zeros((b, width))
-        labels = np.zeros(b)
-        for row, s in enumerate(group):
-            n = len(s.ids)
-            ids[row, :n] = s.ids
-            mask[row, :n] = 1.0
-            labels[row] = float(s.label)
-        batches.append(Batch(ids=ids, mask=mask, labels=labels))
+        lengths = np.fromiter(map(len, (s.ids for s in group)), np.intp, count=len(group))
+        held = np.arange(lengths.max()) < lengths[:, None]
+        ids = np.full(held.shape, PAD_ID, dtype=np.intp)
+        ids[held] = np.concatenate([s.ids for s in group])
+        labels = np.array([s.label for s in group], dtype=np.float64)
+        batches.append(Batch(ids=ids, mask=held.astype(np.float64), labels=labels))
     return batches

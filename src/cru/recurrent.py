@@ -88,10 +88,11 @@ def cell_shapes(variant: str, d_in: int, d_h: int, k: int = 3) -> dict[str, tupl
 def draw(shapes, rng: np.random.Generator) -> dict[str, Tensor]:
     """Fresh parameters of the given shapes, in their order: zeros for
     vectors, Glorot-uniform for the rest. Bank filters are drawn first, then
-    the others in order, so a cell's W_* before its U_*."""
+    the others in order, so a cell's W_* before its U_*. Draws between
+    finite bounds are finite, so no entry is checked again."""
     first = sorted(shapes, key=lambda name: not name.endswith(".filters"))
     drawn = {n: glorot_uniform(rng, shapes[n]) for n in first if len(shapes[n]) > 1}
-    return {n: Tensor(drawn[n] if n in drawn else np.zeros(s), requires_grad=True)
+    return {n: ad._wrap_finite(drawn[n] if n in drawn else np.zeros(s), requires_grad=True)
             for n, s in shapes.items()}
 
 

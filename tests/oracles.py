@@ -31,6 +31,10 @@ it counted with a ``Counter``: ties broken by an explicit first-occurrence
 index. ``project_then_scan`` is the gate-input projection as its own tape
 node, then the scan, as they ran before ``ad.gru_scan`` took the projection's
 weights and formed the gate inputs itself.
+``tokenize_peeling``, ``encode_per_sample`` and ``batch_rows`` are the data
+path as it ran before it made whole-list passes: a tokenizer that peels each
+chunk's edge punctuation one character at a time, one ``np.array`` of ids per
+sample (``Vocab.encode``), and a padding loop that fills one row at a time.
 ``save_tensors_tobytes`` and ``load_tensors_blob`` are the checkpoint writer
 and reader from before they moved bytes straight between the file and the
 arrays: the writer copies each array out with ``tobytes()``, and the reader
@@ -50,6 +54,7 @@ from them, as ``layers.dense_forward`` and ``classifier.bce_loss`` ran before.
 """
 
 import math
+import string
 import struct
 
 import numpy as np
@@ -58,7 +63,9 @@ from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor
 from cru.checkpoint import _MAX_NUMPY_RANK, MAGIC
 from cru.classifier import bce_loss
+from cru.data import Batch, EncodedSample
 from cru.errors import ConfigError, DimensionError, NumericError, ParseError
+from cru.layers import PAD_ID, UNK_ID
 from cru.recurrent import _BANKS, _CellBase, cell_shapes, draw, pack, run_sequence
 
 
@@ -641,6 +648,50 @@ def vocab_first_seen(corpus, max_size=None):
             at += 1
     ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
     return ranked if max_size is None else ranked[:max_size - 2]
+
+
+def tokenize_peeling(raw):
+    tokens = []
+    for chunk in raw.lower().split():
+        lead = []
+        while chunk and chunk[0] in string.punctuation:
+            lead.append(chunk[0])
+            chunk = chunk[1:]
+        trail = []
+        while chunk and chunk[-1] in string.punctuation:
+            trail.append(chunk[-1])
+            chunk = chunk[:-1]
+        trail.reverse()
+        tokens.extend(lead)
+        if chunk:
+            tokens.append(chunk)
+        tokens.extend(trail)
+    return tokens
+
+
+def encode_per_sample(vocab, samples):
+    return [EncodedSample(np.array([vocab.stoi.get(t, UNK_ID) for t in s.tokens], dtype=np.intp),
+                          s.label) for s in samples]
+
+
+def batch_rows(samples, batch_size, rng=None):
+    order = rng.permutation(len(samples)) if rng is not None else range(len(samples))
+    ordered = [samples[i] for i in order]
+    batches = []
+    for at in range(0, len(ordered), batch_size):
+        group = ordered[at:at + batch_size]
+        width = max(len(s.ids) for s in group)
+        b = len(group)
+        ids = np.full((b, width), PAD_ID, dtype=np.intp)
+        mask = np.zeros((b, width))
+        labels = np.zeros(b)
+        for row, s in enumerate(group):
+            n = len(s.ids)
+            ids[row, :n] = s.ids
+            mask[row, :n] = 1.0
+            labels[row] = float(s.label)
+        batches.append(Batch(ids=ids, mask=mask, labels=labels))
+    return batches
 
 
 def save_tensors_tobytes(path, tensors):

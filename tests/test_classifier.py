@@ -1,10 +1,13 @@
 """Model forward paths, loss, training loops, and checkpoint round trips."""
 
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -574,6 +577,28 @@ def test_train_step_builds_no_table_sized_gradient():
     finally:
         tracemalloc.stop()
     assert peak - start < V * d * 8
+
+
+def test_train_step_imports_no_masked_arrays():
+    # One training step, in a fresh interpreter, leaves numpy.ma unimported:
+    # the table's row gradient merges its ids with np.unique, not
+    # np.union1d, whose first call imports numpy.ma.
+    step = ("import sys\n"
+            "import numpy as np\n"
+            "from cru.classifier import SentimentModel, TrainConfig, seeded_rng, train_epoch\n"
+            "from cru.data import Batch\n"
+            "from cru.optim import Adam\n"
+            "config = TrainConfig(variant='gru', embed_dim=4, hidden_dim=4, fc_dim=4)\n"
+            "model = SentimentModel.build(config, 9, seeded_rng(4, 1))\n"
+            "opt = Adam(model.named_params(), lr=config.lr)\n"
+            "batch = Batch(np.array([[2, 5, 7, 2], [5, 3, 0, 0]]),\n"
+            "              np.array([[1.0] * 4, [1.0, 1.0, 0.0, 0.0]]), np.array([1.0, 0.0]))\n"
+            "train_epoch(model, opt, [batch, batch], config, seeded_rng(4, 2))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", step], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(ad.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_train_epoch_names_batch_on_non_finite():

@@ -155,7 +155,8 @@ def test_build_vocab_frequency_then_first_seen():
 def test_build_vocab_cap_includes_specials():
     vocab = build_vocab(corpus_of("a a b"), max_size=3)
     assert vocab.itos == ["<pad>", "<unk>", "a"]
-    assert list(vocab.encode(["b"])) == [1]  # unk
+    (enc,) = encode_corpus(vocab, [Sample(["b"], 1)])
+    assert list(enc.ids) == [1]  # unk
 
 
 def test_build_vocab_tie_break_is_first_occurrence():
@@ -182,8 +183,8 @@ def test_build_vocab_deterministic():
 def test_encode_decode_round_trip():
     vocab = build_vocab(corpus_of("alpha beta gamma delta"))
     for token in ("alpha", "beta", "gamma", "delta"):
-        ids = vocab.encode([token])
-        assert [vocab.itos[i] for i in ids] == [token]
+        (enc,) = encode_corpus(vocab, [Sample([token], 1)])
+        assert [vocab.itos[i] for i in enc.ids] == [token]
     assert vocab.itos[:2] == ["<pad>", "<unk>"]
 
 

@@ -6,11 +6,14 @@ single gate-input tensor equals its three per-gate inputs side by side, the
 fused GRU scan equals its per-step composed reference and, given the
 projection's weights, the projection then the scan, bit for bit; training
 with the optimizer's blocked sweeps equals the dense update with the L2 term
-on the tape; ``build_vocab`` ranks as its first-occurrence reference; a
+on the tape; ``build_vocab`` ranks as its first-occurrence reference;
+``tokenize``, ``encode_corpus`` and ``batch_and_pad`` give what the
+per-character, per-sample and per-row data path gave; a
 model that holds a tensor of any shape fails only with a ``CruError``; and the settings, word-vector, vocabulary and checkpoint
 readers, fed arbitrary files, raise only their documented errors."""
 
 import math
+import string
 import struct
 import tempfile
 from pathlib import Path
@@ -25,17 +28,18 @@ from cru.autodiff import Tape, Tensor
 from cru.checkpoint import MAGIC, load_tensors, save_tensors
 from cru.classifier import SentimentModel, TrainConfig, seeded_rng, train_epoch
 from cru.data import (Corpus, EncodedSample, Sample, Vocab, batch_and_pad, build_vocab,
-                      load_document_corpus, load_line_corpus, load_pretrained_embeddings,
+                      encode_corpus, load_document_corpus, load_line_corpus, load_pretrained_embeddings,
                       parse_kv_file, tokenize)
 from cru.errors import ConfigError, CruError, ParseError
 from cru.optim import BLOCK_ROWS, Adam
 from cru.layers import dense_forward, same_length_conv
 from cru.recurrent import VARIANTS, _CellBase, make_cell, pack, run_sequence
-from oracles import (activation, add, conv1d_same_einsum, conv1d_same_padded, dense_update,
-                     gru_scan_composed, gru_scan_padded, load_tensors_blob, mul,
-                     packed_positions, packing_window, prepare_per_gate, project,
-                     project_then_scan, run_padded, run_row, save_tensors_tobytes,
-                     token_positions, vocab_first_seen)
+from oracles import (activation, add, batch_rows, conv1d_same_einsum, conv1d_same_padded,
+                     dense_update, encode_per_sample, gru_scan_composed, gru_scan_padded,
+                     load_tensors_blob, mul, packed_positions, packing_window,
+                     prepare_per_gate, project, project_then_scan, run_padded, run_row,
+                     save_tensors_tobytes, token_positions, tokenize_peeling,
+                     vocab_first_seen)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -501,6 +505,63 @@ def test_blocked_sweeps_equal_dense_update(case):
 def test_build_vocab_equals_first_seen_ranking(token_lists, cap):
     corpus = Corpus([Sample(tokens, 1) for tokens in token_lists])
     assert build_vocab(corpus, cap).itos == ["<pad>", "<unk>", *vocab_first_seen(corpus, cap)]
+
+
+# Raw text for the tokenizer: words, runs of ASCII punctuation, chunks that
+# are all punctuation, non-ASCII punctuation that stays attached, and
+# whitespace that str.split splits at (\x1c, U+0085, U+2028, U+3000); or any
+# text.
+raw_text = st.one_of(
+    st.lists(st.one_of(st.sampled_from(["a", "Film", "don't", "state-of-the-art", "¿qué?",
+                                        "…", "«non»", "İ", "x.y"]),
+                       st.text(string.punctuation, min_size=1, max_size=4),
+                       st.sampled_from([" ", "  ", "\t", "\n", "\x1c", "\x85", "\u2028",
+                                        "\u3000", "\xa0"])),
+             max_size=12).map("".join),
+    st.text(max_size=24))
+
+
+@PROPERTY
+@given(raw_text)
+@example("well... (so) \"quoted!\" -- ¿qué? …")
+@example("a.\u2028,b\x1c!?\u3000..")
+def test_tokenize_equals_peeling_oracle(raw):
+    assert tokenize(raw) == tokenize_peeling(raw)
+
+
+# Samples for the encoder and the batcher: ragged token lists, empty ones
+# among them, over tokens of which the vocabulary may miss some.
+token_lists = st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=9),
+                       min_size=1, max_size=12)
+
+
+@PROPERTY
+@given(token_lists, st.one_of(st.none(), st.integers(3, 6)))
+@example([[], ["a"], [], ["e", "e"]], 3)
+def test_encode_corpus_equals_per_sample_oracle(tokens, cap):
+    samples = [Sample(t, i % 2) for i, t in enumerate(tokens)]
+    vocab = build_vocab(Corpus(samples[::2]), cap)
+    got, ref = encode_corpus(vocab, samples), encode_per_sample(vocab, samples)
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g.ids.dtype == np.intp and g.ids.shape == (len(r.ids),)
+        assert np.array_equal(g.ids, r.ids) and g.label == r.label
+
+
+@PROPERTY
+@given(token_lists, st.integers(1, 5), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+@example([[], []], 2, None)
+@example([["a"] * 9, [], ["b"], ["c", "d"]], 3, 7)
+def test_batch_and_pad_equals_row_oracle(tokens, batch_size, seed):
+    samples = [Sample(t, i % 2) for i, t in enumerate(tokens)]
+    encoded = encode_corpus(build_vocab(Corpus(samples + [Sample(["a"], 0)])), samples)
+    rng = (lambda: None) if seed is None else (lambda: np.random.default_rng(seed))
+    got, ref = batch_and_pad(encoded, batch_size, rng()), batch_rows(encoded, batch_size, rng())
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        for name in ("ids", "mask", "labels"):
+            a, b = getattr(g, name), getattr(r, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # Values a settings or vector file may hold: arbitrary text, and the strings
