@@ -531,12 +531,12 @@ def test_tokenize_equals_peeling_oracle(raw):
 
 # Samples for the encoder and the batcher: ragged token lists, empty ones
 # among them, over tokens of which the vocabulary may miss some.
-token_lists = st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=9),
-                       min_size=1, max_size=12)
+ragged_tokens = st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=9),
+                         min_size=1, max_size=12)
 
 
 @PROPERTY
-@given(token_lists, st.one_of(st.none(), st.integers(3, 6)))
+@given(ragged_tokens, st.one_of(st.none(), st.integers(3, 6)))
 @example([[], ["a"], [], ["e", "e"]], 3)
 def test_encode_corpus_equals_per_sample_oracle(tokens, cap):
     samples = [Sample(t, i % 2) for i, t in enumerate(tokens)]
@@ -549,13 +549,16 @@ def test_encode_corpus_equals_per_sample_oracle(tokens, cap):
 
 
 @PROPERTY
-@given(token_lists, st.integers(1, 5), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+@given(ragged_tokens, st.integers(1, 5), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
 @example([[], []], 2, None)
 @example([["a"] * 9, [], ["b"], ["c", "d"]], 3, 7)
 def test_batch_and_pad_equals_row_oracle(tokens, batch_size, seed):
     samples = [Sample(t, i % 2) for i, t in enumerate(tokens)]
     encoded = encode_corpus(build_vocab(Corpus(samples + [Sample(["a"], 0)])), samples)
-    rng = (lambda: None) if seed is None else (lambda: np.random.default_rng(seed))
+
+    def rng():  # the same shuffle for each
+        return None if seed is None else np.random.default_rng(seed)
+
     got, ref = batch_and_pad(encoded, batch_size, rng()), batch_rows(encoded, batch_size, rng())
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
