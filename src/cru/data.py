@@ -30,16 +30,24 @@ def tokenize(raw: str) -> list[str]:
     punctuation at either edge is one token as it stands; only the others
     are peeled, each peeled character its own token, in order.
     """
+    return _tokenize(raw, {})
+
+
+def _tokenize(raw: str, canon: dict[str, str]) -> list[str]:
+    """``tokenize``, each word token replaced by the first equal string that
+    canon holds: a loader passes one canon for the whole corpus, so the
+    corpus holds one string per distinct token. A peeled character needs no
+    lookup: CPython holds each one-character ASCII string once."""
     tokens: list[str] = []
     for chunk in raw.lower().split():
         if chunk[0] not in _PUNCT and chunk[-1] not in _PUNCT:
-            tokens.append(chunk)
+            tokens.append(canon.setdefault(chunk, chunk))
             continue
         core = chunk.lstrip(string.punctuation)
         word = core.rstrip(string.punctuation)
         tokens += chunk[:len(chunk) - len(core)]
         if word:
-            tokens.append(word)
+            tokens.append(canon.setdefault(word, word))
         tokens += core[len(word):]
     return tokens
 
@@ -100,10 +108,11 @@ def parse_kv_file(path) -> dict[str, str]:
     return kv
 
 
-def _samples_from_lines(lines: list[str], label: int, origin: str) -> list[Sample]:
+def _samples_from_lines(lines: list[str], label: int, origin: str,
+                        canon: dict[str, str]) -> list[Sample]:
     out = []
     for i, line in enumerate(lines, start=1):
-        tokens = tokenize(line)
+        tokens = _tokenize(line, canon)
         if not tokens:
             log.warning("skipping empty line %d of %s", i, origin)
             continue
@@ -125,29 +134,33 @@ def _find_pair(root: Path) -> tuple[Path, Path]:
 
 
 def load_line_corpus(root) -> Corpus:
-    """Two-file layout: one file of positive lines, one of negative lines."""
+    """Two-file layout: one file of positive lines, one of negative lines.
+    Equal tokens are one string object."""
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"{root}: not a directory")
     pos_path, neg_path = _find_pair(root)
-    samples = _samples_from_lines(read_lines(pos_path), 1, str(pos_path))
-    samples += _samples_from_lines(read_lines(neg_path), 0, str(neg_path))
+    canon: dict[str, str] = {}
+    samples = _samples_from_lines(read_lines(pos_path), 1, str(pos_path), canon)
+    samples += _samples_from_lines(read_lines(neg_path), 0, str(neg_path), canon)
     if not samples:
         raise ContractError(f"{root}: no usable samples")
     return Corpus(samples)
 
 
 def load_document_corpus(root) -> Corpus:
-    """Directory-per-class layout: pos/ and neg/ hold one document per file."""
+    """Directory-per-class layout: pos/ and neg/ hold one document per file.
+    Equal tokens are one string object."""
     root = Path(root)
     samples: list[Sample] = []
+    canon: dict[str, str] = {}
     for sub, label in (("pos", 1), ("neg", 0)):
         d = root / sub
         if not d.is_dir():
             raise FileNotFoundError(f"{root}: missing class directory {sub}/")
         for path in sorted(d.glob("*.txt")):
             text = " ".join(read_lines(path))
-            tokens = tokenize(text)
+            tokens = _tokenize(text, canon)
             if not tokens:
                 log.warning("skipping empty document %s", path)
                 continue
@@ -189,7 +202,13 @@ class Vocab:
         lines = read_utf8(path).splitlines()
         if lines[:2] != ["<pad>", "<unk>"]:
             raise ParseError(f"{path}: vocabulary must start with <pad>, <unk>")
-        return cls(lines[2:])
+        try:
+            return cls(lines[2:])
+        except ConfigError:
+            first: dict[str, int] = {}
+            lineno, tok = next((i, t) for i, t in enumerate(lines, start=1)
+                               if first.setdefault(t, i) != i)
+            raise ParseError(f"{path}:{lineno}: token {tok!r} repeats line {first[tok]}") from None
 
 
 def build_vocab(corpus: Corpus, max_size: int | None = None) -> Vocab:
