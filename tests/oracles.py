@@ -35,6 +35,8 @@ weights and formed the gate inputs itself.
 path as it ran before it made whole-list passes: a tokenizer that peels each
 chunk's edge punctuation one character at a time, one ``np.array`` of ids per
 sample (``Vocab.encode``), and a padding loop that fills one row at a time.
+``load_corpus_token_copies`` is ``load_corpus`` as it ran before each loader
+held one string per distinct token: every token its own string object.
 ``save_tensors_tobytes`` and ``load_tensors_blob`` are the checkpoint writer
 and reader from before they moved bytes straight between the file and the
 arrays: the writer copies each array out with ``tobytes()``, and the reader
@@ -56,6 +58,7 @@ from them, as ``layers.dense_forward`` and ``classifier.bce_loss`` ran before.
 import math
 import string
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -63,7 +66,7 @@ from cru import autodiff as ad
 from cru.autodiff import Tape, Tensor
 from cru.checkpoint import _MAX_NUMPY_RANK, MAGIC
 from cru.classifier import bce_loss
-from cru.data import Batch, EncodedSample
+from cru.data import Batch, Corpus, EncodedSample, Sample, _find_pair, read_lines
 from cru.errors import ConfigError, DimensionError, NumericError, ParseError
 from cru.layers import PAD_ID, UNK_ID
 from cru.recurrent import _BANKS, _CellBase, cell_shapes, draw, pack, run_sequence
@@ -667,6 +670,18 @@ def tokenize_peeling(raw):
             tokens.append(chunk)
         tokens.extend(trail)
     return tokens
+
+
+def load_corpus_token_copies(path, fmt):
+    root = Path(path)
+    if fmt == "imdb":
+        texts = [(" ".join(read_lines(doc)), label) for sub, label in (("pos", 1), ("neg", 0))
+                 for doc in sorted((root / sub).glob("*.txt"))]
+    else:
+        pos, neg = _find_pair(root)
+        texts = [(line, label) for file, label in ((pos, 1), (neg, 0)) for line in read_lines(file)]
+    return Corpus([Sample(tokens, label) for text, label in texts
+                   if (tokens := tokenize_peeling(text))])
 
 
 def encode_per_sample(vocab, samples):

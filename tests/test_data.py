@@ -1,6 +1,8 @@
 """Tokenizer, corpus loaders, vocabulary, pretrained vectors, folds, batching."""
 
+import gc
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from cru.data import (Batch, Corpus, Sample, Vocab, batch_and_pad, build_vocab,
                       load_line_corpus, load_pretrained_embeddings, make_folds,
                       tokenize)
 from cru.errors import ConfigError, ContractError, ParseError
+from oracles import load_corpus_token_copies
 
 
 def rng_for(seed):
@@ -116,6 +119,30 @@ def test_load_line_corpus_missing_files(tmp_path):
         load_line_corpus(tmp_path)
 
 
+def held_bytes(load):
+    """The traced bytes that load()'s result holds."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        corpus = load()
+        return tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_corpus_holds_each_distinct_token_once(tmp_path):
+    # 2,000 lines of ten tokens, drawn from 200 words: the token strings
+    # outweigh everything else a corpus holds, unless each is held once.
+    rng = rng_for(5)
+    words = np.array([f"word{i:03d}" for i in range(200)])
+    write_pair(tmp_path, *(
+        [" ".join(words[rng.integers(200, size=10)]) for _ in range(1000)] for _ in range(2)))
+    assert load_corpus(tmp_path, "mr").samples == load_corpus_token_copies(tmp_path, "mr").samples
+    held = held_bytes(lambda: load_corpus(tmp_path, "mr"))
+    assert held <= 0.5 * held_bytes(lambda: load_corpus_token_copies(tmp_path, "mr"))
+
+
 def test_load_document_corpus(tmp_path):
     for cls, text in (("pos", "a joy to watch"), ("neg", "hours of nothing")):
         d = tmp_path / cls
@@ -200,6 +227,13 @@ def test_vocab_load_rejects_bad_header(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("one\ntwo\n", encoding="utf-8")
     with pytest.raises(ParseError):
+        Vocab.load(path)
+
+
+def test_vocab_load_names_the_repeated_line(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("<pad>\n<unk>\nfilm\nplot\nfilm\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"vocab\.txt:5: token 'film' repeats line 3$"):
         Vocab.load(path)
 
 
