@@ -818,6 +818,19 @@ def _scan_backward(gout, A, H0, u_zr, u, steps, d_u, d_b, H_prev, dh_buf, zr_buf
 _SCAN_INPUTS = ("U_z", "U_r", "U", "b_z", "b_r", "b_h")
 
 
+def _joined(a: Array, b: Array) -> Array | None:
+    """The array whose two row halves are a and b, as a cell holds U_z and
+    U_r (``recurrent._CellBase``), or None."""
+    base = a.base
+    if (base is not None and base is b.base and base.dtype == a.dtype == b.dtype
+            and base.flags.c_contiguous and a.flags.c_contiguous and b.flags.c_contiguous
+            and base.shape == (len(a) + len(b), *a.shape[1:])
+            and a.ctypes.data == base.ctypes.data
+            and b.ctypes.data == base.ctypes.data + a.nbytes):
+        return base
+    return None
+
+
 def _sole_refcount() -> int:
     """What ``sys.getrefcount`` reads of an array that only a closure's cell
     holds, read in the closure as ``gru_scan``'s backward reads its states.
@@ -910,7 +923,10 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
     concurrent = D > 1 and b * d_h * d_h >= _CONCURRENT_STEP_WORK
     cols = [slice(i * d_h, (i + 1) * d_h) for i in range(D)]
     gates = [slice(3 * i * d_h, 3 * (i + 1) * d_h) for i in range(D)]
-    u_zrs = [np.concatenate([d[0].data, d[1].data]) for d in directions]  # (2 d_h, d_h)
+    # [U_z; U_r], (2 d_h, d_h), is read in place when a cell holds it.
+    u_zrs = [_joined(d[0].data, d[1].data) for d in directions]
+    u_zrs = [np.concatenate([d[0].data, d[1].data]) if u is None else u
+             for u, d in zip(u_zrs, directions)]
     us = [d[2].data for d in directions]
     # Each direction writes its states and its [z | r | g] straight into its
     # own columns of H0 and of the gate array A. Step t reads its rows of P

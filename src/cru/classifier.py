@@ -183,8 +183,9 @@ class SentimentModel:
     def from_params(cls, config: TrainConfig, vocab_size: int,
                     arrays: dict[str, np.ndarray]) -> "SentimentModel":
         """The model whose parameters are the given arrays, which it holds
-        without copying and does not check for finite entries again, as
-        ``load_tensors`` checks every one; it draws nothing. Every name of
+        without copying, but for each cell's U_z and U_r, which it joins into
+        one array (``recurrent._CellBase``), and does not check for finite
+        entries again, as ``load_tensors`` checks every one; it draws nothing. Every name of
         ``shapes`` must be there, at its shape, and no other but optimizer
         state (``optim.*``)."""
         config.validate()

@@ -151,6 +151,17 @@ def pack(lengths, reverse=(False, True)) -> Packing:
 # Cells
 # --------------------------------------------------------------------------
 
+def _join_rows(u_z: Tensor, u_r: Tensor) -> None:
+    """Make U_z and U_r the two row halves of one (2 d_h, d_h) array, which
+    ``gru_scan`` reads without a copy, unless they are already, or are not
+    two tensors of one 2-D shape (a malformed cell fails in gru_scan)."""
+    if (u_z is u_r or u_z.ndim != 2 or u_z.shape != u_r.shape
+            or ad._joined(u_z.data, u_r.data) is not None):
+        return
+    zr = np.concatenate([u_z.data, u_r.data])
+    u_z.data, u_r.data = zr[:len(zr) // 2], zr[len(zr) // 2:]
+
+
 class _CellBase:
     """A GRU cell whose variant prepares its gate inputs from its banks: none
     (gru), one (shallow), or one per gate (deep and deep_enhanced). params
@@ -162,6 +173,7 @@ class _CellBase:
             raise ConfigError(f"{variant} cell takes the tensors {list(names)}, "
                               f"got {list(params)}")
         self.variant, self.params = variant, params
+        _join_rows(params["U_z"], params["U_r"])
         self.banks = [(params[f"{tag}.filters"], params[f"{tag}.bias"])
                       for tag in _BANKS[variant]]
 

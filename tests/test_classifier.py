@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cru import autodiff as ad
+from cru import optim
 from cru.autodiff import Tape, Tensor
 from cru.classifier import (SentimentModel, TrainConfig, bce_loss, evaluate,
                             load_checkpoint, save_checkpoint, seeded_rng,
@@ -558,6 +559,128 @@ def test_row_gradient_steps_equal_dense_gradient_steps(monkeypatch, l2, clip_nor
         assert np.array_equal(p.data, ref_params[name].data), name
         assert np.array_equal(opt.m[name], ref_opt.m[name]), name
         assert np.array_equal(opt.v[name], ref_opt.v[name]), name
+
+
+SWEEP_BATCHES = [([[3, 300, 3, 515], [300, 9]], [1, 0]), ([[515, 515, 2], [5]], [0, 1]),
+                 ([[260, 3, 511, 512]], [1])]
+
+
+def sweep_model(variant, **kw):
+    """A model whose table spans three sweep blocks, its optimizer and config."""
+    config = tiny_config(variant=variant, **kw)
+    model = SentimentModel.build(config, vocab_size=2 * BLOCK_ROWS + 7, rng=seeded_rng(6, 1))
+    return model, Adam(model.named_params(), lr=config.lr), config
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_split_sweeps_equal_sweeps_in_turn(monkeypatch, variant):
+    # Three train_epoch steps with each sweep split between this thread and
+    # the worker (the size rule at 0) leave every parameter, Adam's m and v,
+    # each pre-clip norm and each step's L2 term bit for bit where the same
+    # steps in turn (the rule at infinity) leave them. The table has an L2
+    # term and a RowGrad, and some step clips.
+    clip = Adam.clip_gradients
+    runs = []
+    for rule in (np.inf, 0):
+        pool, seen = RecordingPool(), []
+        monkeypatch.setattr(ad, "_WORKER", pool)
+        monkeypatch.setattr(optim, "_CONCURRENT_SWEEP_BLOCK", rule)
+
+        def norm_pass(self, max_norm, l2):
+            norm = clip(self, max_norm, l2)
+            seen.append((norm, self.penalty))
+            return norm
+
+        monkeypatch.setattr(Adam, "clip_gradients", norm_pass)
+        model, opt, config = sweep_model(variant, l2=0.5, clip_norm=0.5, dropout=0.3)
+        batches = [batch_from_rows(rows, labels) for rows, labels in SWEEP_BATCHES]
+        result = train_epoch(model, opt, batches, config, seeded_rng(6, 2))
+        assert sorted(set(pool.submitted)) == ([] if rule else ["_norm_loop", "_update_loop"])
+        assert all(penalty > 0 for _, penalty in seen)
+        runs.append((result, seen, model.named_params(), opt))
+        pool.pool.shutdown()
+    (got, seen, params, opt), (want, ref_seen, ref_params, ref_opt) = runs
+    assert got == want and seen == ref_seen
+    assert any(norm > 0.5 for norm, _ in seen)
+    for name, p in params.items():
+        assert np.array_equal(p.data, ref_params[name].data), name
+        assert np.array_equal(opt.m[name], ref_opt.m[name]), name
+        assert np.array_equal(opt.v[name], ref_opt.v[name]), name
+
+
+@pytest.mark.parametrize("dim, split", [(4, False), (160, True)])
+def test_sweeps_use_the_worker_above_the_size_rule_only(monkeypatch, dim, split):
+    # At fixture sizes each sweep runs on this thread alone. At d = 160 with a
+    # 1024-wide head, the blocks hold over 2^14 elements on average, and each
+    # sweep hands its second half to the worker; no other op of that step is
+    # large enough to.
+    pool = RecordingPool()
+    monkeypatch.setattr(ad, "_WORKER", pool)
+    config = tiny_config(variant="gru", embed_dim=dim, hidden_dim=dim, fc_dim=1024, l2=0.1)
+    model = SentimentModel.build(config, vocab_size=9, rng=seeded_rng(7, 1))
+    arrays = [np.atleast_1d(p.data) for p in model.named_params().values()]
+    blocks = sum(-(-len(a) // BLOCK_ROWS) for a in arrays)
+    assert (sum(a.size for a in arrays) >= optim._CONCURRENT_SWEEP_BLOCK * blocks) == split
+    opt = Adam(model.named_params(), lr=config.lr)
+    train_epoch(model, opt, [batch_from_rows([[2, 3, 4], [5, 6]], [1, 0])], config, rng=None)
+    assert pool.submitted == (["_norm_loop", "_update_loop"] if split else [])
+    pool.pool.shutdown()
+
+
+def test_l2_penalty_runs_on_the_calling_thread_only(monkeypatch):
+    # With the sweeps split, the table's blocks fall to both threads. The
+    # worker takes its blocks' L2 terms from _l2_term, and only this thread
+    # calls l2_penalty, which perfbench's tracer wraps in a span.
+    threads = {"l2_penalty": set(), "_l2_term": set()}
+    for name in threads:
+        def recorded(weights, lam, fn=getattr(optim, name), name=name):
+            threads[name].add(threading.current_thread().name)
+            return fn(weights, lam)
+        monkeypatch.setattr(optim, name, recorded)
+    monkeypatch.setattr(optim, "_CONCURRENT_SWEEP_BLOCK", 0)
+    model, opt, config = sweep_model("gru", l2=0.5)
+    batches = [batch_from_rows(rows, labels) for rows, labels in SWEEP_BATCHES]
+    train_epoch(model, opt, batches, config, rng=None)
+    assert threads["l2_penalty"] == {threading.current_thread().name}
+    assert any(name.startswith("cru-worker") for name in threads["_l2_term"])
+
+
+def test_scan_reads_each_cells_recurrent_weights_in_place(monkeypatch):
+    # A built model and a loaded one hold each cell's U_z and U_r as the two
+    # row halves of one (2 d_h, d_h) array, which the scan reads without
+    # concatenating them. A model whose U_z and U_r are apart, as after
+    # gradcheck rebinds them, concatenates them and gives the same bits.
+    config = tiny_config(variant="gru", embed_dim=4, hidden_dim=5)
+    built = SentimentModel.build(config, vocab_size=9, rng=seeded_rng(8, 1))
+    arrays = {n: t.data.copy() for n, t in built.named_params().items()}
+    loaded = SentimentModel.from_params(config, 9, arrays)
+    apart = SentimentModel.from_params(config, 9, {n: a.copy() for n, a in arrays.items()})
+    for cell in apart.cells:
+        for name in ("U_z", "U_r"):
+            cell.params[name].data = cell.params[name].data.copy()
+    concatenate, made = np.concatenate, []
+
+    def recorded(*args, **kwargs):
+        out = concatenate(*args, **kwargs)
+        made.append(out.shape)
+        return out
+
+    monkeypatch.setattr(np, "concatenate", recorded)
+    batch = batch_from_rows([[2, 3, 4], [5, 6], [7]], [1, 0, 1])
+    results = []
+    for model in (built, loaded, apart):
+        made.clear()
+        for cell in model.cells:
+            u_z, u_r = cell.params["U_z"].data, cell.params["U_r"].data
+            assert (ad._joined(u_z, u_r) is not None) == (model is not apart)
+        with Tape() as tape:
+            p = model.forward_batch(batch)
+            tape.backward(bce_loss(p, batch.labels))
+        assert made.count((10, 5)) == (2 if model is apart else 0)
+        results.append([p.data] + [t.grad for t in model.named_params().values()])
+    for got in results[1:]:
+        for a, b in zip(got, results[0]):
+            assert np.array_equal(np.asarray(a), np.asarray(b))
 
 
 def test_train_step_builds_no_table_sized_gradient():

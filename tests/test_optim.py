@@ -93,6 +93,47 @@ def test_adam_shape_drift_detected():
         opt.step()
 
 
+def test_step_that_raises_changes_nothing():
+    # The first parameter's gradient is good and the second's has the wrong
+    # shape: step() raises before it moves t, any m or v, or any parameter,
+    # and keeps the clip scale for the step after the gradient is mended.
+    p, q = make_param([1.0, 2.0]), make_param([3.0])
+    opt, twin = Adam({"p": p, "q": q}, lr=0.1), Adam({"p": make_param([1.0, 2.0]),
+                                                       "q": make_param([3.0])}, lr=0.1)
+    for o in (opt, twin):
+        for _, t in o.params:
+            t.grad = np.ones_like(t.data)
+        o.step()
+        for _, t in o.params:
+            t.grad = np.full_like(t.data, 40.0)
+        o.clip_gradients(1.0)
+    before = ([p.data.copy(), q.data.copy()], {n: a.copy() for n, a in opt.m.items()},
+              {n: a.copy() for n, a in opt.v.items()}, opt.t)
+    q.grad = np.zeros(2)
+    with pytest.raises(ContractError, match="parameter q"):
+        opt.step()
+    after = ([p.data, q.data], opt.m, opt.v, opt.t)
+    for got, want in zip(after[:3], before[:3]):
+        for a, b in zip(got.values() if isinstance(got, dict) else got,
+                        want.values() if isinstance(want, dict) else want):
+            assert np.array_equal(a, b)
+    assert after[3] == before[3] == 1
+    q.grad = np.full(1, 40.0)
+    opt.step()
+    twin.step()
+    for (_, a), (_, b) in zip(opt.params, twin.params):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_norm_pass_checks_gradient_shapes_first():
+    p, q = make_param([1.0, 2.0]), make_param([3.0])
+    opt = Adam({"p": p, "q": q})
+    p.grad = np.ones(3)
+    with pytest.raises(ContractError, match="parameter p"):
+        opt.clip_gradients(1.0, {"q": 0.1})
+    assert q.grad is None and opt.penalty == 0.0
+
+
 def test_adam_zero_grad_clears_buffers():
     p = make_param([1.0])
     opt = Adam({"p": p})
