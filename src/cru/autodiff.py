@@ -822,13 +822,13 @@ def _joined(a: Array, b: Array) -> Array | None:
     """The array whose two row halves are a and b, as a cell holds U_z and
     U_r (``recurrent._CellBase``), or None."""
     base = a.base
-    if (base is not None and base is b.base and base.dtype == a.dtype == b.dtype
-            and base.flags.c_contiguous and a.flags.c_contiguous and b.flags.c_contiguous
-            and base.shape == (len(a) + len(b), *a.shape[1:])
-            and a.ctypes.data == base.ctypes.data
-            and b.ctypes.data == base.ctypes.data + a.nbytes):
-        return base
-    return None
+    if (base is None or base is not b.base or base.dtype != a.dtype or b.dtype != a.dtype
+            or base.shape != (len(a) + len(b), *a.shape[1:])
+            or not (base.flags.c_contiguous and a.flags.c_contiguous
+                    and b.flags.c_contiguous)):
+        return None
+    at = base.ctypes.data
+    return base if a.ctypes.data == at and b.ctypes.data == at + a.nbytes else None
 
 
 def _sole_refcount() -> int:
@@ -868,8 +868,10 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
 
     and the result holds every h_t side by side, (T, D d_h), direction i's
     in columns i d_h to (i + 1) d_h. Both gates that read h_{t-1} share one
-    (d_h, 2 d_h) matmul, and h_{t-1} is the first k_t rows of the block
-    before, so every step reads and writes contiguous blocks. The forward
+    (d_h, 2 d_h) matmul, with [U_z; U_r] read in place where U_z and U_r are
+    the two row halves of one array, as a cell holds them, and concatenated
+    otherwise. h_{t-1} is the first k_t rows of the block before, so every
+    step reads and writes contiguous blocks. The forward
     keeps every row's [z | r | g] in one (T, D 3 d_h) gate array, in P's
     column layout: P itself when P is formed here, as each step reads its
     rows of P before it writes theirs of the gates, and a new array when P is
@@ -923,8 +925,7 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
     concurrent = D > 1 and b * d_h * d_h >= _CONCURRENT_STEP_WORK
     cols = [slice(i * d_h, (i + 1) * d_h) for i in range(D)]
     gates = [slice(3 * i * d_h, 3 * (i + 1) * d_h) for i in range(D)]
-    # [U_z; U_r], (2 d_h, d_h), is read in place when a cell holds it.
-    u_zrs = [_joined(d[0].data, d[1].data) for d in directions]
+    u_zrs = [_joined(d[0].data, d[1].data) for d in directions]  # (2 d_h, d_h)
     u_zrs = [np.concatenate([d[0].data, d[1].data]) if u is None else u
              for u, d in zip(u_zrs, directions)]
     us = [d[2].data for d in directions]

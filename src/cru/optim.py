@@ -111,7 +111,8 @@ def _sweep(loop, units: list, scratch: int, *args, **kwargs) -> None:
     those up to the one where the running element count reaches half the
     total there and the rest on the worker. Each half gets its own scratch,
     made here: g_buf for the blocks it forms, and ``scratch`` buffers the
-    size of its largest block."""
+    size of its largest block. ``calling`` is True for the calling thread's
+    half."""
     sizes = [g.size(i) for g, i, *_ in units]
     cut = len(units)
     if cut > 1 and sum(sizes) >= _CONCURRENT_SWEEP_BLOCK * cut:
