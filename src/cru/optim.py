@@ -40,10 +40,10 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # the calls are long; one block's calls are the same few for any size, so the
 # gain against that cost grows with the mean block. Norm pass plus step of
 # gru-shaped parameters (a V x d table with a RowGrad and an L2 term, twelve
-# d x d matrices, a 4d x 2d head; V = 50-18,284, d = 8-200) took 0.58-0.85
-# times as long split as in turn at means of 2^14 elements and up (19,639-
-# 45,975, d = 96-200), and 0.84-2.16 times below it (1,793-15,134), on a
-# 2-CPU VM with BLAS on one thread.
+# d x d matrices, a 4d x 2d head; V = 50-18,284, d = 8-200) took 0.67-0.89
+# times as long split as in turn at means of 2^14 elements and up (18,296-
+# 44,596, d = 96-200), and 0.84-2.16 times below it (78-15,134, d = 8-128;
+# over 1 at every mean up to 13,330), on a 2-CPU VM with BLAS on one thread.
 _CONCURRENT_SWEEP_BLOCK = 2 ** 14
 
 

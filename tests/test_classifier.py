@@ -523,15 +523,19 @@ def test_backward_frees_each_node_before_the_next_runs(monkeypatch):
     assert len(freed) == len(refs) + 1 and all(freed), freed
 
 
+# Batches over a table of three sweep blocks, whose ids repeat within and
+# across batches.
+SWEEP_BATCHES = [([[3, 300, 3, 515], [300, 9]], [1, 0]), ([[515, 515, 2], [5]], [0, 1]),
+                 ([[260, 3, 511, 512]], [1])]
+
+
 @pytest.mark.parametrize("l2, clip_norm", [(0.0, 1e3), (0.5, 1e3), (0.5, 0.05)])
 def test_row_gradient_steps_equal_dense_gradient_steps(monkeypatch, l2, clip_norm):
     # Three train_epoch steps with the table's row-sparse gradient leave every
     # parameter and Adam's m and v bit for bit where the same steps leave
     # them when each gradient is made dense before the norm pass. The table
     # spans three sweep blocks, and ids repeat within and across batches.
-    batches = [batch_from_rows([[3, 300, 3, 515], [300, 9]], [1, 0]),
-               batch_from_rows([[515, 515, 2], [5]], [0, 1]),
-               batch_from_rows([[260, 3, 511, 512]], [1])]
+    batches = [batch_from_rows(rows, labels) for rows, labels in SWEEP_BATCHES]
     clip = Adam.clip_gradients
     runs = []
     for densify in (False, True):
@@ -561,10 +565,6 @@ def test_row_gradient_steps_equal_dense_gradient_steps(monkeypatch, l2, clip_nor
         assert np.array_equal(opt.v[name], ref_opt.v[name]), name
 
 
-SWEEP_BATCHES = [([[3, 300, 3, 515], [300, 9]], [1, 0]), ([[515, 515, 2], [5]], [0, 1]),
-                 ([[260, 3, 511, 512]], [1])]
-
-
 def sweep_model(variant, **kw):
     """A model whose table spans three sweep blocks, its optimizer and config."""
     config = tiny_config(variant=variant, **kw)
@@ -577,8 +577,9 @@ def test_split_sweeps_equal_sweeps_in_turn(monkeypatch, variant):
     # Three train_epoch steps with each sweep split between this thread and
     # the worker (the size rule at 0) leave every parameter, Adam's m and v,
     # each pre-clip norm and each step's L2 term bit for bit where the same
-    # steps in turn (the rule at infinity) leave them. The table has an L2
-    # term and a RowGrad, and some step clips.
+    # steps in turn (the rule at infinity) leave them, and each norm is the
+    # blocks' squares added in block order. The table has an L2 term and a
+    # RowGrad, and some step clips.
     clip = Adam.clip_gradients
     runs = []
     for rule in (np.inf, 0):
@@ -589,6 +590,13 @@ def test_split_sweeps_equal_sweeps_in_turn(monkeypatch, variant):
         def norm_pass(self, max_norm, l2):
             norm = clip(self, max_norm, l2)
             seen.append((norm, self.penalty))
+            # The squares of the blocks of g + 2 lam W, added in block order.
+            total = 0.0
+            for name, p in self.params:
+                g = np.atleast_1d(np.asarray(p.grad) + 2.0 * l2.get(name, 0.0) * p.data)
+                for s in range(0, len(g), BLOCK_ROWS):
+                    total += float(np.vdot(g[s:s + BLOCK_ROWS], g[s:s + BLOCK_ROWS]))
+            assert norm == np.sqrt(total)
             return norm
 
         monkeypatch.setattr(Adam, "clip_gradients", norm_pass)
