@@ -871,11 +871,10 @@ def gru_scan(x: Tensor, directions: Sequence[Sequence[Tensor]], batch_sizes,
     (d_h, 2 d_h) matmul, with [U_z; U_r] read in place where U_z and U_r are
     the two row halves of one array, as a cell holds them, and concatenated
     otherwise. h_{t-1} is the first k_t rows of the block before, so every
-    step reads and writes contiguous blocks. The forward
-    keeps every row's [z | r | g] in one (T, D 3 d_h) gate array, in P's
-    column layout: P itself when P is formed here, as each step reads its
-    rows of P before it writes theirs of the gates, and a new array when P is
-    x.
+    step reads and writes contiguous blocks. The forward keeps every row's
+    [z | r | g] in one (T, D 3 d_h) gate array, in P's column layout: P
+    itself when P is formed here, as each step reads its rows of P before it
+    writes theirs of the gates, and a new array when P is x.
 
     Backward is a reverse loop that carries dh through two small matmuls per
     step and writes each step's gate gradients over its rows of the gate

@@ -185,9 +185,9 @@ class SentimentModel:
         """The model whose parameters are the given arrays, which it holds
         without copying, but for each cell's U_z and U_r, which it joins into
         one array (``recurrent._CellBase``), and does not check for finite
-        entries again, as ``load_tensors`` checks every one; it draws nothing. Every name of
-        ``shapes`` must be there, at its shape, and no other but optimizer
-        state (``optim.*``)."""
+        entries again, as ``load_tensors`` checks every one; it draws
+        nothing. Every name of ``shapes`` must be there, at its shape, and no
+        other but optimizer state (``optim.*``)."""
         config.validate()
         shapes = cls.shapes(config, vocab_size)
         for name, shape in shapes.items():
