@@ -43,7 +43,7 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # d x d matrices, a 4d x 2d head; V = 50-18,284, d = 8-200) took 0.67-0.89
 # times as long split as in turn at means of 2^14 elements and up (18,296-
 # 44,596, d = 96-200), and 0.84-2.16 times below it (78-15,134, d = 8-128;
-# over 1 at every mean up to 13,330), on a 2-CPU VM with BLAS on one thread.
+# over 1 at every mean up to 11,015), on a 2-CPU VM with BLAS on one thread.
 _CONCURRENT_SWEEP_BLOCK = 2 ** 14
 
 
